@@ -42,6 +42,7 @@ from .farley import (
     rank_partition,
 )
 from .interval import (
+    ElementBoundError,
     IntervalCollection,
     base_word,
     collection_to_json,
@@ -116,12 +117,8 @@ class RunConfig:
     format: str
 
     def __post_init__(self) -> None:
-        if (
-            self.caps.max_word_len <= 0
-            or self.caps.max_class_size <= 0
-            or self.caps.max_bfs_depth <= 0
-        ):
-            raise CliError("caps must be positive")
+        if self.radius < 0:
+            raise CliError("radius must be nonnegative")
         if self.format not in ("json", "dot", "text"):
             raise CliError(f"unknown output format {self.format!r}")
 
@@ -779,14 +776,18 @@ def _cmd_euler(ns: argparse.Namespace) -> int:
     w = _load_word(cfg, pres)
     ball = build_ball(pres, w, cfg.caps)
     if not ball.complete:
-        _emit_json(
-            {
-                "base": format_word(w),
-                "complete": False,
-                "chi": None,
-                "caps": _caps_json(cfg.caps),
-            }
-        )
+        if cfg.format == "text":
+            print("complete: False")
+            print("chi: unknown")
+        else:
+            _emit_json(
+                {
+                    "base": format_word(w),
+                    "complete": False,
+                    "chi": None,
+                    "caps": _caps_json(cfg.caps),
+                }
+            )
         return EXIT_UNKNOWN
     chi = euler_characteristic(ball)
     if cfg.format == "text":
@@ -842,7 +843,23 @@ def _cmd_verify_raag(ns: argparse.Namespace) -> int:
     cfg = _config(ns)
     _no_dot(cfg, "verify-raag")
     coll = _load_collection(ns.intervals)
-    ev = verify_raag_iso(coll, cfg.caps, length=ns.length)
+    try:
+        ev = verify_raag_iso(coll, cfg.caps, length=ns.length)
+    except ElementBoundError as e:
+        if cfg.format == "text":
+            print(f"ok: unknown ({e})")
+        else:
+            _emit_json(
+                {
+                    "collection": collection_to_json(coll),
+                    "length": ns.length,
+                    "verdict": "unknown",
+                    "reason": str(e),
+                    "exact": False,
+                    "caps": _caps_json(cfg.caps),
+                }
+            )
+        return EXIT_UNKNOWN
     if cfg.format == "text":
         print(f"commutation ok: {ev.commutation_ok}")
         print(f"relators ok: {ev.relators_ok} ({ev.relators_checked} checked)")

@@ -29,16 +29,10 @@ from .rewriting import (
     SearchCaps,
     TriBool,
     Word,
-    enumerate_class,
     format_word,
     one_step_rewrites,
 )
-from .squier import HyperplaneId, SquierBall, build_ball, hyperplane_catalog
-
-
-@lru_cache(maxsize=4096)
-def _enum(pres: Presentation, w: Word, caps: SearchCaps) -> ClassEnumeration:
-    return enumerate_class(w, pres, caps)
+from .squier import HyperplaneId, SquierBall, _enum, build_ball, hyperplane_catalog
 
 
 def _rep(pres: Presentation, w: Word, caps: SearchCaps) -> Word:

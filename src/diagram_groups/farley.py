@@ -59,9 +59,9 @@ from .squier import (
     RankResult,
     SquierBall,
     build_ball,
+    crossing_order,
     hyperplane_catalog,
     hyperplane_id,
-    rank,
 )
 
 
@@ -324,7 +324,8 @@ def rank_partition(pres: Presentation, w: Word, caps: SearchCaps) -> RankPartiti
     """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
     ball = build_ball(pres, w, caps)
     catalog = hyperplane_catalog(ball, caps)
-    ranks = tuple(rank(h, ball, caps, catalog) for h in catalog.ids)
+    order = crossing_order(ball, caps, catalog)
+    ranks = tuple(order.rank(h) for h in catalog.ids)
     exact = catalog.exact and all(r.exact for r in ranks)
     return RankPartition(ball, catalog, catalog.ids, ranks, exact)
 

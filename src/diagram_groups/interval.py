@@ -503,12 +503,17 @@ def raag_ball_sizes(graph: SimpleGraph, length: int) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
+class ElementBoundError(ValueError):
+    """A concrete ball search passed its element bound before its radius."""
+
+
 def diagram_ball_sizes(
     coll: IntervalCollection, length: int, max_elements: int = 100_000
 ) -> Tuple[int, ...]:
     """The same count on the concrete side: breadth-first search over
     reduced spherical diagrams, multiplying by the interval loops and their
-    inverses and keying by canonical form."""
+    inverses and keying by canonical form.  Raises :class:`ElementBoundError`
+    once the ball would hold more than ``max_elements`` diagrams."""
     pres = presentation_for(coll)
     gens: List[Diagram] = []
     for name in coll.names():
@@ -526,7 +531,7 @@ def diagram_ball_sizes(
                 key = canonical_key(nd)
                 if key not in seen:
                     if len(seen) >= max_elements:
-                        raise ValueError(
+                        raise ElementBoundError(
                             f"ball exceeded the element bound {max_elements}"
                         )
                     seen.add(key)
@@ -627,6 +632,7 @@ def evidence_to_json(ev: RaagEvidence) -> Dict[str, object]:
 
 
 __all__ = [
+    "ElementBoundError",
     "IntervalCollection",
     "IntervalRecognition",
     "RaagEvidence",

@@ -237,7 +237,7 @@ class HyperplaneGenerators:
 def hyperplane_generators(ball: SquierBall, caps: SearchCaps) -> HyperplaneGenerators:
     catalog = hyperplane_catalog(ball, caps)
     labels = tuple(f"H{i}" for i in range(len(catalog.ids)))
-    tg = transversality_graph(ball, caps)
+    tg = transversality_graph(ball, caps, catalog=catalog)
     edges = []
     for i, j, _value in tg.edges:
         edges.append(tuple(sorted((labels[i], labels[j]))))

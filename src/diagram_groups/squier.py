@@ -11,7 +11,8 @@ modulo the presentation.
 This module builds bounded balls of that complex and answers the geometric
 questions that control the diagram group of the base word:
 
-* ``relate`` — do two hyperplanes cross, and in which left/right order;
+* ``crossing_order`` — do two hyperplanes cross, and in which left/right
+  order (the order ≺), for every pair of the ball's hyperplanes;
 * ``rank`` — the longest chain of crossings strictly below a hyperplane;
 * ``dimension_at_least`` — does the complex contain an ``n``-cube;
 * ``specialness_report`` — certificates for cleanliness (no hyperplane
@@ -22,6 +23,10 @@ Most classes are infinite, so definite verdicts come from three sources:
 exhaustive enumeration when a class is finite, replayable witnesses for
 positives, and letter-counting certificates (see ``rewriting``) that remain
 sound on infinite classes.  Anything else is reported as unknown.
+
+≺ is built once per ball: ``crossing_order`` compares each pair of cataloged
+hyperplanes a single time, and ``rank``, ``transversality_graph`` and the
+RAAG generators read that table.  ``relate`` compares one pair the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
     ClassEnumeration,
@@ -329,7 +334,7 @@ def hyperplane_catalog(ball: SquierBall, caps: SearchCaps) -> HyperplaneCatalog:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperplaneRelation:
     """Outcome of comparing two hyperplanes.
 
@@ -346,12 +351,15 @@ class HyperplaneRelation:
 
 def _direction_impossible(
     pres: Presentation,
-    caps: SearchCaps,
+    invariants: Tuple[Tuple[FrozenSet[str], str], ...],
     j1: HyperplaneId,
     j2: HyperplaneId,
 ) -> Optional[str]:
     """Certificate that no word ``y`` solves ``left2 = left1 u y`` and
-    ``right1 = y p right2`` (i.e. j1 never sits left of j2 in a square)."""
+    ``right1 = y p right2`` (i.e. j1 never sits left of j2 in a square).
+
+    ``invariants`` pairs each letter-count invariant of ``pres`` with the
+    certificate that cites it."""
     u = pres.relations[j1.relation].lhs
     p = pres.relations[j2.relation].lhs
     if not j2.left:
@@ -359,11 +367,11 @@ def _direction_impossible(
         return "left part of the second hyperplane is empty"
     if not j1.right:
         return "right part of the first hyperplane is empty"
-    for s in invariant_letter_subsets(pres):
+    for s, certificate in invariants:
         n1 = letter_count(j2.left, s) - letter_count(j1.left, s) - letter_count(u, s)
         n2 = letter_count(j1.right, s) - letter_count(p, s) - letter_count(j2.right, s)
         if n1 < 0 or n2 < 0 or n1 != n2:
-            return f"letter-count invariant {sorted(s)} rules it out"
+            return certificate
     return None
 
 
@@ -401,6 +409,74 @@ def _search_prec_witness(
     return None, exhaustive
 
 
+_Comparer = Callable[[HyperplaneId, HyperplaneId], HyperplaneRelation]
+
+
+def _comparer(
+    ball: SquierBall, caps: SearchCaps, catalog: HyperplaneCatalog
+) -> _Comparer:
+    """Compare two unoriented hyperplanes of the ball.
+
+    What every comparison shares is built once: the first square (in
+    ``ball.squares`` order) dual to each pair of cataloged hyperplanes, and
+    the letter-count invariants of the presentation.  A square settles a
+    pair immediately; otherwise a bounded witness search and the structural
+    certificates decide, and anything left over is unknown.
+    """
+    pres = ball.pres
+    index = {h: i for i, h in enumerate(catalog.ids)}
+    edge_index = {e: index[h] for h, es in catalog.edges_of for e in es}
+    # pair (low, high) of catalog indices -> (index of the left dual, square)
+    first_square: Dict[Tuple[int, int], Tuple[int, BallCube]] = {}
+    for square in ball.squares:
+        left = edge_index.get(square.edge_at(0))
+        right = edge_index.get(square.edge_at(1))
+        if left is not None and right is not None:
+            pair = (min(left, right), max(left, right))
+            first_square.setdefault(pair, (left, square))
+    # one certificate string per invariant, shared by every pair it refutes
+    invariants = tuple(
+        (s, f"letter-count invariant {sorted(s)} rules it out")
+        for s in invariant_letter_subsets(pres)
+    )
+
+    # most pairs are disjoint for one of a few reasons: one shared relation
+    # object per pair of reasons keeps a table of all pairs small
+    disjoint: Dict[Tuple[object, object], HyperplaneRelation] = {}
+
+    def one_direction(a: HyperplaneId, b: HyperplaneId) -> Tuple[str, object]:
+        cert = _direction_impossible(pres, invariants, a, b)
+        if cert is not None:
+            return "no", cert
+        y, exhaustive = _search_prec_witness(pres, caps, a, b)
+        if y is not None:
+            return "yes", y
+        return ("no", "exhaustive search") if exhaustive else ("unknown", None)
+
+    def compare(j1: HyperplaneId, j2: HyperplaneId) -> HyperplaneRelation:
+        i1, i2 = index.get(j1), index.get(j2)
+        if i1 is not None and i2 is not None:
+            hit = first_square.get((min(i1, i2), max(i1, i2)))
+            if hit is not None:
+                left, square = hit
+                value = "first_prec_second" if left == i1 else "second_prec_first"
+                return HyperplaneRelation(value, square)
+        first, w_first = one_direction(j1, j2)
+        if first == "yes":
+            return HyperplaneRelation("first_prec_second", w_first)
+        second, w_second = one_direction(j2, j1)
+        if second == "yes":
+            return HyperplaneRelation("second_prec_first", w_second)
+        if first == "no" and second == "no":
+            reasons = (w_first, w_second)
+            if reasons not in disjoint:
+                disjoint[reasons] = HyperplaneRelation("disjoint", reasons)
+            return disjoint[reasons]
+        return HyperplaneRelation("unknown")
+
+    return compare
+
+
 def relate(
     j1: HyperplaneId,
     j2: HyperplaneId,
@@ -410,47 +486,12 @@ def relate(
 ) -> HyperplaneRelation:
     """Compare two (unoriented) hyperplanes of the ball.
 
-    A square of the ball with the two hyperplanes as duals settles the
-    question immediately; otherwise a bounded witness search and the
-    structural certificates decide, and anything left over is unknown.
+    One pair only; :func:`crossing_order` compares every cataloged pair at
+    once through the same comparison.
     """
-    pres = ball.pres
-    j1 = j1.unoriented()
-    j2 = j2.unoriented()
     if catalog is None:
         catalog = hyperplane_catalog(ball, caps)
-    edge_id: Dict[BallEdge, HyperplaneId] = {}
-    for h, es in catalog.edges_of:
-        for e in es:
-            edge_id[e] = h
-    for square in ball.squares:
-        h_left = edge_id.get(square.edge_at(0))
-        h_right = edge_id.get(square.edge_at(1))
-        if h_left is None or h_right is None:
-            continue
-        if (h_left, h_right) == (j1, j2):
-            return HyperplaneRelation("first_prec_second", square)
-        if (h_left, h_right) == (j2, j1):
-            return HyperplaneRelation("second_prec_first", square)
-
-    def one_direction(a: HyperplaneId, b: HyperplaneId) -> Tuple[str, object]:
-        cert = _direction_impossible(pres, caps, a, b)
-        if cert is not None:
-            return "no", cert
-        y, exhaustive = _search_prec_witness(pres, caps, a, b)
-        if y is not None:
-            return "yes", y
-        return ("no", "exhaustive search") if exhaustive else ("unknown", None)
-
-    first, w_first = one_direction(j1, j2)
-    if first == "yes":
-        return HyperplaneRelation("first_prec_second", w_first)
-    second, w_second = one_direction(j2, j1)
-    if second == "yes":
-        return HyperplaneRelation("second_prec_first", w_second)
-    if first == "no" and second == "no":
-        return HyperplaneRelation("disjoint", (w_first, w_second))
-    return HyperplaneRelation("unknown")
+    return _comparer(ball, caps, catalog)(j1.unoriented(), j2.unoriented())
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +557,24 @@ def find_induced_odd_cycle(
 
 
 def transversality_graph(
-    ball: SquierBall, caps: SearchCaps, audit_bound: int = 9
+    ball: SquierBall,
+    caps: SearchCaps,
+    audit_bound: int = 9,
+    catalog: Optional[HyperplaneCatalog] = None,
 ) -> TransversalityGraph:
-    catalog = hyperplane_catalog(ball, caps)
-    ids = catalog.ids
-    edges: List[Tuple[int, int, str]] = []
-    exact = catalog.exact
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            rel = relate(ids[i], ids[j], ball, caps, catalog)
-            if rel.value in ("first_prec_second", "second_prec_first"):
-                edges.append((i, j, rel.value))
-            elif rel.value == "unknown":
-                exact = False
-    graph = TransversalityGraph(ids, tuple(edges), exact, None)
-    cycle = find_induced_odd_cycle(graph.adjacency(), audit_bound)
-    return TransversalityGraph(ids, tuple(edges), exact, cycle)
+    order = crossing_order(ball, caps, catalog)
+    ids = order.catalog.ids
+    edges = tuple(
+        (i, j, rel.value)
+        for (i, j), rel in order.relations.items()
+        if rel.value in ("first_prec_second", "second_prec_first")
+    )
+    exact = order.catalog.exact and all(
+        rel.value != "unknown" for rel in order.relations.values()
+    )
+    adjacency = TransversalityGraph(ids, edges, exact, None).adjacency()
+    cycle = find_induced_odd_cycle(adjacency, audit_bound)
+    return TransversalityGraph(ids, edges, exact, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -634,78 +677,121 @@ class RankResult:
     notes: Tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class CrossingOrder:
+    """The crossing order on the cataloged hyperplanes of one ball.
+
+    ``relations[i, j]`` (``i < j``) compares ``catalog.ids[i]`` with
+    ``catalog.ids[j]``.  The pairs were compared in that order, row by row,
+    so the search caches fill the same way whichever consumer reads them.
+    ``compare`` settles a pair involving a hyperplane outside the catalog.
+    """
+
+    ball: SquierBall
+    caps: SearchCaps
+    catalog: HyperplaneCatalog
+    relations: Dict[Tuple[int, int], HyperplaneRelation]
+    compare: _Comparer = field(repr=False)
+
+    def rank(self, j: HyperplaneId) -> RankResult:
+        """Longest chain J_1 < ... < J_k < J found below ``j``, with exactness.
+
+        Exact when the ball's order data is definite and complete, or when a
+        dimension certificate squeezes the upper bound to the found value.
+        """
+        j = j.unoriented()
+        if not j.left:
+            # anything below j would need its own left part, a relation side
+            # and a connector to equal the empty word — impossible
+            return RankResult(
+                0, True, (), ("nothing fits left of an empty left part",)
+            )
+        ids = list(self.catalog.ids)
+        cataloged = len(ids)
+        if j not in ids:
+            ids.append(j)
+        idx = {h: i for i, h in enumerate(ids)}
+        prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
+        all_definite = True
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                if b < cataloged:
+                    rel = self.relations[a, b]
+                else:
+                    rel = self.compare(ids[a], ids[b])
+                if rel.value == "first_prec_second":
+                    prec[b].add(a)
+                elif rel.value == "second_prec_first":
+                    prec[a].add(b)
+                elif rel.value == "unknown":
+                    all_definite = False
+        notes: List[str] = []
+
+        depth_memo: Dict[int, int] = {}
+        parent: Dict[int, Optional[int]] = {}
+
+        def depth(v: int, stack: Tuple[int, ...]) -> int:
+            if v in stack:
+                notes.append("cycle detected in the crossing order (inexact data)")
+                return 0
+            if v in depth_memo:
+                return depth_memo[v]
+            best, arg = 0, None
+            for u in prec[v]:
+                d = depth(u, stack + (v,)) + 1
+                if d > best:
+                    best, arg = d, u
+            depth_memo[v] = best
+            parent[v] = arg
+            return best
+
+        value = depth(idx[j], ())
+        chain: List[HyperplaneId] = []
+        cur = parent.get(idx[j])
+        while cur is not None:
+            chain.append(ids[cur])
+            cur = parent.get(cur)
+        chain.reverse()
+        ball = self.ball
+        exact = all_definite and ball.complete and not notes
+        if not exact:
+            squeeze = dimension_at_least(ball.pres, ball.base, value + 2, self.caps)
+            if squeeze.is_no:
+                exact = not notes
+                notes.append(
+                    f"upper bound from dimension: no {value + 2}-cube exists"
+                )
+        return RankResult(value, exact, tuple(chain), tuple(notes))
+
+
+def crossing_order(
+    ball: SquierBall,
+    caps: SearchCaps,
+    catalog: Optional[HyperplaneCatalog] = None,
+) -> CrossingOrder:
+    """Compare every pair of cataloged hyperplanes once, in catalog order."""
+    if catalog is None:
+        catalog = hyperplane_catalog(ball, caps)
+    compare = _comparer(ball, caps, catalog)
+    ids = catalog.ids
+    relations = {
+        (i, j): compare(ids[i], ids[j])
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+    }
+    return CrossingOrder(ball, caps, catalog, relations, compare)
+
+
 def rank(
     j: HyperplaneId,
     ball: SquierBall,
     caps: SearchCaps,
     catalog: Optional[HyperplaneCatalog] = None,
 ) -> RankResult:
-    """Longest chain J_1 < ... < J_k < J found below ``j``, with exactness.
-
-    Exact when the ball's order data is definite and complete, or when a
-    dimension certificate squeezes the upper bound to the found value.
-    """
-    pres = ball.pres
-    j = j.unoriented()
-    if not j.left:
-        # anything below j would need its own left part, a relation side and
-        # a connector to equal the empty word — impossible
-        return RankResult(
-            0, True, (), ("nothing fits left of an empty left part",)
-        )
-    if catalog is None:
-        catalog = hyperplane_catalog(ball, caps)
-    ids = list(catalog.ids)
-    if j not in ids:
-        ids.append(j)
-    idx = {h: i for i, h in enumerate(ids)}
-    prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
-    all_definite = True
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            rel = relate(ids[a], ids[b], ball, caps, catalog)
-            if rel.value == "first_prec_second":
-                prec[b].add(a)
-            elif rel.value == "second_prec_first":
-                prec[a].add(b)
-            elif rel.value == "unknown":
-                all_definite = False
-    notes: List[str] = []
-
-    depth_memo: Dict[int, int] = {}
-    parent: Dict[int, Optional[int]] = {}
-
-    def depth(v: int, stack: Tuple[int, ...]) -> int:
-        if v in stack:
-            notes.append("cycle detected in the crossing order (inexact data)")
-            return 0
-        if v in depth_memo:
-            return depth_memo[v]
-        best, arg = 0, None
-        for u in prec[v]:
-            d = depth(u, stack + (v,)) + 1
-            if d > best:
-                best, arg = d, u
-        depth_memo[v] = best
-        parent[v] = arg
-        return best
-
-    value = depth(idx[j], ())
-    chain: List[HyperplaneId] = []
-    cur = parent.get(idx[j])
-    while cur is not None:
-        chain.append(ids[cur])
-        cur = parent.get(cur)
-    chain.reverse()
-    exact = all_definite and ball.complete and not notes
-    if not exact:
-        squeeze = dimension_at_least(pres, ball.base, value + 2, caps)
-        if squeeze.is_no:
-            exact = not notes
-            notes.append(
-                f"upper bound from dimension: no {value + 2}-cube exists"
-            )
-    return RankResult(value, exact, tuple(chain), tuple(notes))
+    """Longest chain J_1 < ... < J_k < J found below ``j``; see
+    :meth:`CrossingOrder.rank`.  To rank many hyperplanes of one ball, build
+    the :func:`crossing_order` once and call its ``rank``."""
+    return crossing_order(ball, caps, catalog).rank(j)
 
 
 # ---------------------------------------------------------------------------
@@ -1388,6 +1474,8 @@ __all__ = [
     "hyperplane_catalog",
     "HyperplaneRelation",
     "relate",
+    "CrossingOrder",
+    "crossing_order",
     "TransversalityGraph",
     "transversality_graph",
     "find_induced_odd_cycle",

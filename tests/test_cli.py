@@ -314,6 +314,24 @@ def test_euler(capsys, comm, padpair):
     assert code == 2 and blob["chi"] is None and not blob["complete"]
 
 
+def test_euler_text_on_incomplete_class(capsys, padpair):
+    code, out = run(
+        capsys, "euler", "-p", padpair, "-w", "a1", "--max-class-size", "5",
+        "--format", "text",
+    )
+    assert code == 2
+    assert out == "complete: False\nchi: unknown\n"
+
+
+@pytest.mark.parametrize("command", ["farley", "embed-check"])
+def test_negative_radius_is_bad_input(capsys, padpair, command):
+    code = main([command, "-p", padpair, "-w", "a1 b1", "--radius", "-1", *PAD_CAPS])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: radius must be nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # interval commands
 # ---------------------------------------------------------------------------
@@ -357,6 +375,15 @@ def test_verify_raag_cli(capsys, tmp_path):
     assert code == 0 and blob["ok"]
     assert blob["balls"]["diagram"] == [1, 5, 17, 53]
     assert blob["balls"]["raag"] == [1, 5, 17, 53]
+
+
+def test_verify_raag_element_bound_is_unknown(capsys, tmp_path):
+    ints = tmp_path / "five.txt"
+    ints.write_text("n=6 / I1: 1 2 / I2: 3 4 / I3: 5 6 / I4: 2 3 / I5: 4 5")
+    code, blob = run_json(capsys, "verify-raag", "-i", str(ints), "--length", "4")
+    assert code == 2
+    assert blob["verdict"] == "unknown" and blob["exact"] is False
+    assert blob["reason"] == "ball exceeded the element bound 1000"
 
 
 # ---------------------------------------------------------------------------
