@@ -36,6 +36,7 @@ from .diagrams import (
     serialize_diagram,
 )
 from .farley import (
+    OutsideCatalogError,
     check_isometric_embedding,
     farley_ball,
     property_b_scan,
@@ -68,12 +69,10 @@ from .rewriting import (
     word_of,
 )
 from .squier import (
-    HyperplaneCatalog,
     SquierBall,
     TransversalityGraph,
     build_ball,
     dimension_at_least,
-    hyperplane_catalog,
     specialness_report,
     transversality_graph,
 )
@@ -282,7 +281,7 @@ def diagram_to_dot(d: Diagram) -> str:
     return "\n".join(lines)
 
 
-def ball_to_dot(ball: SquierBall, catalog: HyperplaneCatalog) -> str:
+def ball_to_dot(ball: SquierBall) -> str:
     """One-skeleton of the ball; arcs follow the forward rewrite and carry
     the hyperplane class as a stable color + label."""
     index = {w: i for i, w in enumerate(ball.vertices)}
@@ -292,7 +291,7 @@ def ball_to_dot(ball: SquierBall, catalog: HyperplaneCatalog) -> str:
     for edge in ball.edges:
         src = index[edge.source]
         dst = index[edge.target(ball.pres)]
-        h = catalog.ids.index(catalog.id_of_edge(edge).unoriented())
+        h = ball.catalog.edge_index[edge]
         color = _DOT_COLORS[h % len(_DOT_COLORS)]
         lines.append(f'  n{src} -> n{dst} [color={color}, label="H{h}"];')
     lines.append("}")
@@ -429,7 +428,7 @@ def _cmd_squier(ns: argparse.Namespace) -> int:
     w = _load_word(cfg, pres)
     ball = build_ball(pres, w, cfg.caps)
     if cfg.format == "dot":
-        print(ball_to_dot(ball, hyperplane_catalog(ball, cfg.caps)))
+        print(ball_to_dot(ball))
     elif cfg.format == "text":
         print(f"vertices: {len(ball.vertices)}")
         print(f"edges: {len(ball.edges)}")
@@ -456,7 +455,7 @@ def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
     pres = _load_presentation(cfg)
     w = _load_word(cfg, pres)
     ball = build_ball(pres, w, cfg.caps)
-    catalog = hyperplane_catalog(ball, cfg.caps)
+    catalog = ball.catalog
     if cfg.format == "text":
         for hid, edges in catalog.edges_of:
             print(f"{hid}  ({len(edges)} edges)")
@@ -483,7 +482,7 @@ def _cmd_relate(ns: argparse.Namespace) -> int:
     pres = _load_presentation(cfg)
     w = _load_word(cfg, pres)
     ball = build_ball(pres, w, cfg.caps)
-    tg = transversality_graph(ball, cfg.caps)
+    tg = transversality_graph(ball)
     if cfg.format == "dot":
         print(transversality_to_dot(tg))
     elif cfg.format == "text":
@@ -514,7 +513,6 @@ def _cmd_special(ns: argparse.Namespace) -> int:
     if cfg.format == "text":
         print(f"clean: {report.clean.value}")
         print(f"special: {report.special.value}")
-        print(f"two_sided: {report.two_sided.value}")
         for note in report.notes:
             print(f"# {note}")
     else:
@@ -523,7 +521,6 @@ def _cmd_special(ns: argparse.Namespace) -> int:
                 "base": format_word(w),
                 "clean": report.clean.value,
                 "special": report.special.value,
-                "two_sided": report.two_sided.value,
                 "self_intersections": [
                     _witness_json(x) for x in report.self_intersections
                 ],
@@ -582,7 +579,7 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
             "exact": r.exact,
             "chain": [str(h) for h in r.chain],
         }
-        for hid, r in zip(partition.ids, partition.ranks)
+        for hid, r in zip(partition.ball.catalog.ids, partition.ranks)
     ]
     if cfg.format == "text":
         for row in rows:
@@ -608,7 +605,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
     w = _load_word(cfg, pres)
     d = _load_diagram(ns.diagram, pres)
     ball = build_ball(pres, w, cfg.caps)
-    gens = hyperplane_generators(ball, cfg.caps)
+    gens = hyperplane_generators(ball)
     try:
         image = phi(d, pres, w, cfg.caps, gens)
     except ValueError as e:
@@ -666,21 +663,31 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
     _no_dot(cfg, "embed-check")
     pres = _load_presentation(cfg)
     w = _load_word(cfg, pres)
-    partition = rank_partition(pres, w, cfg.caps)
-    if not partition.exact:
+
+    def unknown(reason: str) -> int:
         _emit_json(
             {
                 "base": format_word(w),
                 "radius": cfg.radius,
                 "verdict": "unknown",
-                "reason": "rank partition is not exact under these caps",
+                "reason": reason,
                 "exact": False,
                 "caps": _caps_json(cfg.caps),
             }
         )
         return EXIT_UNKNOWN
+
+    partition = rank_partition(pres, w, cfg.caps)
+    if not partition.exact:
+        return unknown("rank partition is not exact under these caps")
     ball = farley_ball(pres, w, cfg.radius)
-    report = check_isometric_embedding(ball, partition, cfg.caps)
+    try:
+        report = check_isometric_embedding(ball, partition)
+    except OutsideCatalogError as e:
+        return unknown(
+            f"the Farley ball crosses {e.hyperplane}, which the capped search"
+            " did not find in the hyperplane catalog"
+        )
     if cfg.format == "text":
         print(f"pairs checked: {report.pairs_checked}")
         print(f"failures: {len(report.failures)}")

@@ -30,9 +30,8 @@ from .rewriting import (
     TriBool,
     Word,
     format_word,
-    one_step_rewrites,
 )
-from .squier import HyperplaneId, SquierBall, _enum, build_ball, hyperplane_catalog
+from .squier import HyperplaneId, SquierBall, _enum, build_ball
 
 
 def _rep(pres: Presentation, w: Word, caps: SearchCaps) -> Word:
@@ -45,19 +44,6 @@ def _rep(pres: Presentation, w: Word, caps: SearchCaps) -> Word:
 # ---------------------------------------------------------------------------
 # triviality of diagram groups
 # ---------------------------------------------------------------------------
-
-
-def _forward_edges(
-    enum: ClassEnumeration, pres: Presentation
-) -> Tuple[Tuple[Word, Move], ...]:
-    """The 1-skeleton of the enumerated piece, each edge once, forward."""
-    members = enum._member_set
-    out = []
-    for u in enum.members:
-        for move, res in one_step_rewrites(u, pres):
-            if move.forward and res in members:
-                out.append((u, move))
-    return tuple(out)
 
 
 def _tree_pairs(enum: ClassEnumeration, pres: Presentation) -> Set[Tuple[Word, Move]]:
@@ -80,13 +66,18 @@ def _loop_diagram(
     return Diagram(pres, enum.seed, to_source.steps + (move,) + back.steps)
 
 
+def _non_tree_edges(ball: SquierBall) -> Tuple[Tuple[Word, Move], ...]:
+    """The ball's forward edges off the BFS tree of its enumeration."""
+    tree = _tree_pairs(ball.enum, ball.pres)
+    edges = ((e.source, e.move) for e in ball.edges)
+    return tuple(e for e in edges if e not in tree)
+
+
 @lru_cache(maxsize=4096)
 def _trivial_rep(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
-    enum = _enum(pres, w, caps)
-    tree = _tree_pairs(enum, pres)
-    for source, move in _forward_edges(enum, pres):
-        if (source, move) in tree:
-            continue
+    ball = build_ball(pres, w, caps)
+    enum = ball.enum
+    for source, move in _non_tree_edges(ball):
         loop = reduce_diagram(_loop_diagram(enum, pres, source, move))
         if loop.cells:
             return TriBool.no(loop)
@@ -200,8 +191,7 @@ def left_hyperplanes(
     context — the two extensions are equal modulo the presentation, hence
     share one diagram group — so each unoriented hyperplane is tested once.
     """
-    ball = build_ball(pres, w, caps)
-    catalog = hyperplane_catalog(ball, caps)
+    catalog = build_ball(pres, w, caps).catalog
     found: List[LeftHyperplane] = []
     rejected: List[HyperplaneId] = []
     undecided: List[HyperplaneId] = []
@@ -303,34 +293,14 @@ class FreeBasis:
         return tuple(out)
 
 
-def _square_free(enum: ClassEnumeration, pres: Presentation) -> bool:
-    """No pair of disjoint rewrites with all four corners enumerated."""
-    members = enum._member_set
-    for w in enum.members:
-        fwd = [m for m, res in one_step_rewrites(w, pres)
-               if m.forward and res in members]
-        for i in range(len(fwd)):
-            for j in range(i + 1, len(fwd)):
-                a, b = sorted([fwd[i], fwd[j]], key=lambda m: m.offset)
-                src_a, _ = a.sides(pres)
-                if a.offset + len(src_a) > b.offset:
-                    continue
-                shifted = Move(b.offset + a.delta(pres), b.relation, b.forward)
-                if shifted.apply(a.apply(w, pres), pres) in members:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=1024)
 def _free_basis_rep(
     pres: Presentation, w: Word, caps: SearchCaps
 ) -> Optional[FreeBasis]:
-    enum = _enum(pres, w, caps)
-    if not _square_free(enum, pres):
+    ball = build_ball(pres, w, caps)
+    if ball.squares:
         return None
-    tree = _tree_pairs(enum, pres)
-    basis = tuple(e for e in _forward_edges(enum, pres) if e not in tree)
-    return FreeBasis(pres, w, enum, basis, enum.complete)
+    return FreeBasis(pres, w, ball.enum, _non_tree_edges(ball), ball.complete)
 
 
 def free_basis(
@@ -532,17 +502,12 @@ def complete_ball_presentation(
     """Direct presentation of the group of a completely enumerated class:
     one generator per non-tree edge, one relator per square boundary."""
     rep = _rep(pres, w, caps)
-    enum = _enum(pres, rep, caps)
-    if not enum.complete:
+    ball = build_ball(pres, rep, caps)
+    if not ball.complete:
         raise ValueError(
             f"the class of {format_word(w)} was not completely enumerated"
         )
-    ball = build_ball(pres, rep, caps)
-    tree = _tree_pairs(enum, pres)
-    basis_edges = tuple(
-        e for e in _forward_edges(enum, pres) if e not in tree
-    )
-    basis = FreeBasis(pres, rep, enum, basis_edges, True)
+    basis = FreeBasis(pres, rep, ball.enum, _non_tree_edges(ball), True)
     relators: List[Relator] = []
     for sq in ball.squares:
         m1, m2 = sq.moves
@@ -559,7 +524,7 @@ def complete_ball_presentation(
         folded = _fold_steps(basis, walk)
         assert folded is not None, "square boundary left the complete ball"
         relators.append(_cyclic_reduce(tuple(folded)))
-    names = tuple(f"g{i}" for i in range(len(basis_edges)))
+    names = tuple(f"g{i}" for i in range(basis.rank))
     return GroupPresentation(
         names,
         tuple(sorted({_relator_key(r) for r in relators if r})),

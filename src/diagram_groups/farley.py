@@ -54,13 +54,10 @@ from .rewriting import (
     one_step_rewrites,
 )
 from .squier import (
-    HyperplaneCatalog,
     HyperplaneId,
     RankResult,
     SquierBall,
     build_ball,
-    crossing_order,
-    hyperplane_catalog,
     hyperplane_id,
 )
 
@@ -289,33 +286,41 @@ def distance(a: Diagram, b: Diagram) -> int:
 # ---------------------------------------------------------------------------
 
 
+class OutsideCatalogError(KeyError):
+    """A hyperplane outside the cataloged, possibly truncated, class complex
+    has no rank."""
+
+    def __init__(self, hyperplane: HyperplaneId) -> None:
+        super().__init__(
+            f"hyperplane {hyperplane} is outside the cataloged ball (truncation?)"
+        )
+        self.hyperplane = hyperplane
+
+
 @dataclass(frozen=True)
 class RankPartition:
     """Ranks of the unoriented hyperplanes of the class complex downstairs.
 
-    ``exact`` asserts both that the catalog's edge partition is certified
-    and that every individual rank came back definite; the tree-quotient
-    construction refuses to run on anything less.
+    ``ranks[i]`` is the rank of ``ball.catalog.ids[i]``.  ``exact`` asserts
+    both that the catalog's edge partition is certified and that every
+    individual rank came back definite; the tree-quotient construction
+    refuses to run on anything less.
     """
 
     ball: SquierBall
-    catalog: HyperplaneCatalog
-    ids: Tuple[HyperplaneId, ...]
     ranks: Tuple[RankResult, ...]
     exact: bool
 
     def rank_of(self, hid: HyperplaneId) -> RankResult:
         hid = hid.unoriented()
-        for h, r in zip(self.ids, self.ranks):
-            if h == hid:
-                return r
-        raise KeyError(
-            f"hyperplane {hid} is outside the cataloged ball (truncation?)"
-        )
+        i = self.ball.catalog.index.get(hid)
+        if i is None:
+            raise OutsideCatalogError(hid)
+        return self.ranks[i]
 
     def families(self) -> Dict[int, Tuple[HyperplaneId, ...]]:
         out: Dict[int, List[HyperplaneId]] = {}
-        for h, r in zip(self.ids, self.ranks):
+        for h, r in zip(self.ball.catalog.ids, self.ranks):
             out.setdefault(r.value, []).append(h)
         return {k: tuple(v) for k, v in out.items()}
 
@@ -323,11 +328,9 @@ class RankPartition:
 def rank_partition(pres: Presentation, w: Word, caps: SearchCaps) -> RankPartition:
     """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
     ball = build_ball(pres, w, caps)
-    catalog = hyperplane_catalog(ball, caps)
-    order = crossing_order(ball, caps, catalog)
-    ranks = tuple(order.rank(h) for h in catalog.ids)
-    exact = catalog.exact and all(r.exact for r in ranks)
-    return RankPartition(ball, catalog, catalog.ids, ranks, exact)
+    ranks = tuple(ball.order.rank(h) for h in ball.catalog.ids)
+    exact = ball.catalog.exact and all(r.exact for r in ranks)
+    return RankPartition(ball, ranks, exact)
 
 
 def pullback_id(edge: FarleyEdge, pres: Presentation, caps: SearchCaps) -> HyperplaneId:
@@ -335,10 +338,9 @@ def pullback_id(edge: FarleyEdge, pres: Presentation, caps: SearchCaps) -> Hyper
     return hyperplane_id(edge.word, edge.move, pres, caps, oriented=False)
 
 
-def edge_ranks(
-    ball: FarleyBall, partition: RankPartition, caps: SearchCaps
-) -> Tuple[int, ...]:
+def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
     """Rank of every ball edge, via the covering onto the class complex."""
+    caps = partition.ball.caps
     out = []
     for e in ball.edges:
         out.append(partition.rank_of(pullback_id(e, ball.pres, caps)).value)
@@ -455,7 +457,7 @@ class TreeQuotient:
 
 
 def tree_quotients(
-    ball: FarleyBall, partition: RankPartition, caps: SearchCaps
+    ball: FarleyBall, partition: RankPartition
 ) -> Tuple[TreeQuotient, ...]:
     """One quotient per rank present among the ball's edges.
 
@@ -467,7 +469,7 @@ def tree_quotients(
         raise ValueError(
             "rank partition is not exact; tree quotients need definite ranks"
         )
-    ranks = edge_ranks(ball, partition, caps)
+    ranks = edge_ranks(ball, partition)
     out: List[TreeQuotient] = []
     for k in sorted(set(ranks)):
         parent = list(range(len(ball.keys)))
@@ -561,7 +563,6 @@ def separating_counts(
     b: Diagram,
     ball: FarleyBall,
     partition: RankPartition,
-    caps: SearchCaps,
 ) -> Dict[int, int]:
     """How many hyperplanes of each rank separate two guarded vertices.
 
@@ -582,6 +583,7 @@ def separating_counts(
         )
     path = _shortest_path_edges(ball, ia, ib)
     assert len(path) == dist, "BFS disagrees with the diagram-algebra distance"
+    caps = partition.ball.caps
     counts: Dict[int, int] = {}
     for ei in path:
         r = partition.rank_of(pullback_id(ball.edges[ei], ball.pres, caps)).value
@@ -606,7 +608,7 @@ class EmbeddingReport:
 
 
 def check_isometric_embedding(
-    ball: FarleyBall, partition: RankPartition, caps: SearchCaps
+    ball: FarleyBall, partition: RankPartition
 ) -> EmbeddingReport:
     """Verify, pair by guarded pair, that the rank trees see every step.
 
@@ -616,7 +618,7 @@ def check_isometric_embedding(
     ``(i, j, tree_sum, distance)`` rather than raised: a non-empty list is a
     finding about the data, not a crash.
     """
-    quotients = tree_quotients(ball, partition, caps)
+    quotients = tree_quotients(ball, partition)
     failures = []
     pairs = guarded_pairs(ball)
     for i, j, dist in pairs:
@@ -720,6 +722,7 @@ __all__ = [
     "FarleyBall",
     "FarleyCube",
     "FarleyEdge",
+    "OutsideCatalogError",
     "PropertyBScan",
     "RankPartition",
     "TreeQuotient",

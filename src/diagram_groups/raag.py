@@ -32,7 +32,6 @@ from .squier import (
     HyperplaneId,
     SquierBall,
     build_ball,
-    hyperplane_catalog,
     hyperplane_id,
     transversality_graph,
 )
@@ -226,30 +225,26 @@ class HyperplaneGenerators:
     exact: bool
 
     def label_of(self, hid: HyperplaneId) -> str:
-        try:
-            return self.labels[self.catalog.ids.index(hid.unoriented())]
-        except ValueError:
-            raise ValueError(
-                f"hyperplane {hid} is outside the truncated catalog"
-            ) from None
+        i = self.catalog.index.get(hid.unoriented())
+        if i is None:
+            raise ValueError(f"hyperplane {hid} is outside the truncated catalog")
+        return self.labels[i]
 
 
-def hyperplane_generators(ball: SquierBall, caps: SearchCaps) -> HyperplaneGenerators:
-    catalog = hyperplane_catalog(ball, caps)
+def hyperplane_generators(ball: SquierBall) -> HyperplaneGenerators:
+    catalog = ball.catalog
     labels = tuple(f"H{i}" for i in range(len(catalog.ids)))
-    tg = transversality_graph(ball, caps, catalog=catalog)
+    tg = transversality_graph(ball)
     edges = []
     for i, j, _value in tg.edges:
         edges.append(tuple(sorted((labels[i], labels[j]))))
-    graph = raag_graph(labels, edges)
-    return HyperplaneGenerators(
-        catalog, labels, graph, catalog.exact and tg.exact
-    )
+    # tg.exact already requires an exact catalog
+    return HyperplaneGenerators(catalog, labels, raag_graph(labels, edges), tg.exact)
 
 
 def build_apw(pres: Presentation, w: Word, caps: SearchCaps) -> RaagGraph:
     """The Artin group presentation graph of the ball at ``w``."""
-    return hyperplane_generators(build_ball(pres, w, caps), caps).graph
+    return hyperplane_generators(build_ball(pres, w, caps)).graph
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def phi(
             f"diagram base {format_word(d.top)} differs from {format_word(w)}"
         )
     if gens is None:
-        gens = hyperplane_generators(build_ball(pres, w, caps), caps)
+        gens = hyperplane_generators(build_ball(pres, w, caps))
     sylls: List[Syllable] = []
     for word, move in zip(d.words(), d.moves):
         hid = hyperplane_id(word, move, pres, caps)

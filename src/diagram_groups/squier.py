@@ -24,16 +24,18 @@ exhaustive enumeration when a class is finite, replayable witnesses for
 positives, and letter-counting certificates (see ``rewriting``) that remain
 sound on infinite classes.  Anything else is reported as unknown.
 
-≺ is built once per ball: ``crossing_order`` compares each pair of cataloged
-hyperplanes a single time, and ``rank``, ``transversality_graph`` and the
-RAAG generators read that table.  ``relate`` compares one pair the same way.
+A :class:`SquierBall` is the one object these questions are read from.  It
+carries its search caps, and it owns its hyperplane ``catalog`` and its
+crossing ``order``: each is built on first use, once per ball, and
+``rank``, ``relate``, ``transversality_graph``, the rank partition, the RAAG
+generators and the left-hyperplane decomposition all read them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
@@ -123,15 +125,35 @@ def _apply_disjoint(w: Word, moves: Sequence[Move], pres: Presentation) -> Word:
 
 @dataclass(frozen=True)
 class SquierBall:
-    """A bounded piece of the class complex around ``base``."""
+    """A bounded piece of the class complex around ``base``, within ``caps``.
+
+    ``edges`` lists each edge once, forward, in the order of
+    ``enum.members``.  ``catalog`` and ``order`` are computed on first use
+    and kept with the ball.
+    """
 
     pres: Presentation
     base: Word
+    caps: SearchCaps
     enum: ClassEnumeration
-    vertices: Tuple[Word, ...]
     edges: Tuple[BallEdge, ...]
     cubes: Tuple[Tuple[int, Tuple[BallCube, ...]], ...]
-    complete: bool
+
+    @property
+    def vertices(self) -> Tuple[Word, ...]:
+        return self.enum.members
+
+    @property
+    def complete(self) -> bool:
+        return self.enum.complete
+
+    @cached_property
+    def catalog(self) -> "HyperplaneCatalog":
+        return hyperplane_catalog(self)
+
+    @cached_property
+    def order(self) -> "CrossingOrder":
+        return crossing_order(self)
 
     @property
     def squares(self) -> Tuple[BallCube, ...]:
@@ -202,9 +224,7 @@ def build_ball(pres: Presentation, base: Word, caps: SearchCaps) -> SquierBall:
     packed = tuple(
         (dim, tuple(cubes[dim])) for dim in sorted(cubes)
     )
-    return SquierBall(
-        pres, base, enum, enum.members, tuple(edges), packed, enum.complete
-    )
+    return SquierBall(pres, base, caps, enum, tuple(edges), packed)
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +285,29 @@ class HyperplaneCatalog:
     ``exact`` means the partition of edges into hyperplanes is provably
     correct: merges are always backed by derivations, and every split
     (same relation, different class parts) was certified by a definite
-    inequality.
+    inequality.  ``index`` maps each hyperplane, and ``edge_index`` each
+    ball edge, to the position of its hyperplane in ``ids``.
     """
 
     ids: Tuple[HyperplaneId, ...]
     edges_of: Tuple[Tuple[HyperplaneId, Tuple[BallEdge, ...]], ...]
     exact: bool
+    index: Dict[HyperplaneId, int] = field(init=False, repr=False, compare=False)
+    edge_index: Dict[BallEdge, int] = field(init=False, repr=False, compare=False)
 
-    def edges_for(self, hid: HyperplaneId) -> Tuple[BallEdge, ...]:
-        for h, es in self.edges_of:
-            if h == hid:
-                return es
-        return ()
-
-    def id_of_edge(self, edge: BallEdge) -> HyperplaneId:
-        for h, es in self.edges_of:
-            if edge in es:
-                return h
-        raise KeyError(f"edge not in catalog: {edge}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {h: i for i, h in enumerate(self.ids)})
+        object.__setattr__(
+            self,
+            "edge_index",
+            {e: i for i, (_, es) in enumerate(self.edges_of) for e in es},
+        )
 
 
-def hyperplane_catalog(ball: SquierBall, caps: SearchCaps) -> HyperplaneCatalog:
-    pres = ball.pres
+def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
+    """Partition the ball's edges into hyperplanes; read it as ``ball.catalog``,
+    which builds it once per ball."""
+    pres, caps = ball.pres, ball.caps
     exact = True
     groups: List[Tuple[Tuple[Word, Word], List[BallEdge]]] = []
     by_relation: Dict[int, List[int]] = {}
@@ -306,27 +327,20 @@ def hyperplane_catalog(ball: SquierBall, caps: SearchCaps) -> HyperplaneCatalog:
         if not placed:
             groups.append(((a, b), [edge]))
             by_relation.setdefault(edge.move.relation, []).append(len(groups) - 1)
-    ids: List[HyperplaneId] = []
     packed: List[Tuple[HyperplaneId, Tuple[BallEdge, ...]]] = []
     for (a, b), members in groups:
         la, xa = _rep(pres, a, caps)
         rb, xb = _rep(pres, b, caps)
         hid = HyperplaneId(la, members[0].move.relation, None, rb, xa and xb)
-        ids.append(hid)
         packed.append((hid, tuple(members)))
-    order = sorted(
-        range(len(ids)),
-        key=lambda i: (
-            ids[i].relation,
-            pres.shortlex_key(ids[i].left),
-            pres.shortlex_key(ids[i].right),
-        ),
+    packed.sort(
+        key=lambda hp: (
+            hp[0].relation,
+            pres.shortlex_key(hp[0].left),
+            pres.shortlex_key(hp[0].right),
+        )
     )
-    return HyperplaneCatalog(
-        tuple(ids[i] for i in order),
-        tuple(packed[i] for i in order),
-        exact,
-    )
+    return HyperplaneCatalog(tuple(h for h, _ in packed), tuple(packed), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +426,7 @@ def _search_prec_witness(
 _Comparer = Callable[[HyperplaneId, HyperplaneId], HyperplaneRelation]
 
 
-def _comparer(
-    ball: SquierBall, caps: SearchCaps, catalog: HyperplaneCatalog
-) -> _Comparer:
+def _comparer(ball: SquierBall) -> _Comparer:
     """Compare two unoriented hyperplanes of the ball.
 
     What every comparison shares is built once: the first square (in
@@ -423,17 +435,14 @@ def _comparer(
     pair immediately; otherwise a bounded witness search and the structural
     certificates decide, and anything left over is unknown.
     """
-    pres = ball.pres
-    index = {h: i for i, h in enumerate(catalog.ids)}
-    edge_index = {e: index[h] for h, es in catalog.edges_of for e in es}
+    pres, caps = ball.pres, ball.caps
+    index, edge_index = ball.catalog.index, ball.catalog.edge_index
     # pair (low, high) of catalog indices -> (index of the left dual, square)
     first_square: Dict[Tuple[int, int], Tuple[int, BallCube]] = {}
     for square in ball.squares:
-        left = edge_index.get(square.edge_at(0))
-        right = edge_index.get(square.edge_at(1))
-        if left is not None and right is not None:
-            pair = (min(left, right), max(left, right))
-            first_square.setdefault(pair, (left, square))
+        left = edge_index[square.edge_at(0)]
+        right = edge_index[square.edge_at(1)]
+        first_square.setdefault((min(left, right), max(left, right)), (left, square))
     # one certificate string per invariant, shared by every pair it refutes
     invariants = tuple(
         (s, f"letter-count invariant {sorted(s)} rules it out")
@@ -477,21 +486,15 @@ def _comparer(
     return compare
 
 
-def relate(
-    j1: HyperplaneId,
-    j2: HyperplaneId,
-    ball: SquierBall,
-    caps: SearchCaps,
-    catalog: Optional[HyperplaneCatalog] = None,
-) -> HyperplaneRelation:
-    """Compare two (unoriented) hyperplanes of the ball.
+def relate(j1: HyperplaneId, j2: HyperplaneId, ball: SquierBall) -> HyperplaneRelation:
+    """Compare two (unoriented) hyperplanes of the ball with the comparison
+    behind ``ball.order``.
 
-    One pair only; :func:`crossing_order` compares every cataloged pair at
-    once through the same comparison.
+    The package itself reads ``ball.order``.  This name stays because the
+    per-layer benchmark tracer (``perfbench/tracer.py``) wraps
+    ``squier.relate`` by name; it can go once the tracer stops naming it.
     """
-    if catalog is None:
-        catalog = hyperplane_catalog(ball, caps)
-    return _comparer(ball, caps, catalog)(j1.unoriented(), j2.unoriented())
+    return ball.order.compare(j1.unoriented(), j2.unoriented())
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +508,7 @@ class TransversalityGraph:
 
     ``edges`` holds (i, j, value) with i < j and the relate value that
     established the crossing; ``odd_cycle`` reports an induced odd cycle of
-    length 5..audit_bound if one exists (None otherwise).
+    length 5..9 if one exists (None otherwise).
     """
 
     ids: Tuple[HyperplaneId, ...]
@@ -556,24 +559,19 @@ def find_induced_odd_cycle(
     return None
 
 
-def transversality_graph(
-    ball: SquierBall,
-    caps: SearchCaps,
-    audit_bound: int = 9,
-    catalog: Optional[HyperplaneCatalog] = None,
-) -> TransversalityGraph:
-    order = crossing_order(ball, caps, catalog)
-    ids = order.catalog.ids
+def transversality_graph(ball: SquierBall) -> TransversalityGraph:
+    order = ball.order
+    ids = ball.catalog.ids
     edges = tuple(
         (i, j, rel.value)
         for (i, j), rel in order.relations.items()
         if rel.value in ("first_prec_second", "second_prec_first")
     )
-    exact = order.catalog.exact and all(
+    exact = ball.catalog.exact and all(
         rel.value != "unknown" for rel in order.relations.values()
     )
     adjacency = TransversalityGraph(ids, edges, exact, None).adjacency()
-    cycle = find_induced_odd_cycle(adjacency, audit_bound)
+    cycle = find_induced_odd_cycle(adjacency)
     return TransversalityGraph(ids, edges, exact, cycle)
 
 
@@ -681,15 +679,14 @@ class RankResult:
 class CrossingOrder:
     """The crossing order on the cataloged hyperplanes of one ball.
 
-    ``relations[i, j]`` (``i < j``) compares ``catalog.ids[i]`` with
-    ``catalog.ids[j]``.  The pairs were compared in that order, row by row,
-    so the search caches fill the same way whichever consumer reads them.
-    ``compare`` settles a pair involving a hyperplane outside the catalog.
+    ``relations[i, j]`` (``i < j``) compares ``ball.catalog.ids[i]`` with
+    ``ball.catalog.ids[j]``.  The pairs were compared in that order, row by
+    row, so the search caches fill the same way whichever consumer reads
+    them.  ``compare`` settles a pair involving a hyperplane outside the
+    catalog.
     """
 
     ball: SquierBall
-    caps: SearchCaps
-    catalog: HyperplaneCatalog
     relations: Dict[Tuple[int, int], HyperplaneRelation]
     compare: _Comparer = field(repr=False)
 
@@ -706,11 +703,12 @@ class CrossingOrder:
             return RankResult(
                 0, True, (), ("nothing fits left of an empty left part",)
             )
-        ids = list(self.catalog.ids)
+        ids = list(self.ball.catalog.ids)
         cataloged = len(ids)
-        if j not in ids:
+        target = self.ball.catalog.index.get(j)
+        if target is None:
+            target = len(ids)
             ids.append(j)
-        idx = {h: i for i, h in enumerate(ids)}
         prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
         all_definite = True
         for a in range(len(ids)):
@@ -745,9 +743,9 @@ class CrossingOrder:
             parent[v] = arg
             return best
 
-        value = depth(idx[j], ())
+        value = depth(target, ())
         chain: List[HyperplaneId] = []
-        cur = parent.get(idx[j])
+        cur = parent.get(target)
         while cur is not None:
             chain.append(ids[cur])
             cur = parent.get(cur)
@@ -755,7 +753,7 @@ class CrossingOrder:
         ball = self.ball
         exact = all_definite and ball.complete and not notes
         if not exact:
-            squeeze = dimension_at_least(ball.pres, ball.base, value + 2, self.caps)
+            squeeze = dimension_at_least(ball.pres, ball.base, value + 2, ball.caps)
             if squeeze.is_no:
                 exact = not notes
                 notes.append(
@@ -764,34 +762,28 @@ class CrossingOrder:
         return RankResult(value, exact, tuple(chain), tuple(notes))
 
 
-def crossing_order(
-    ball: SquierBall,
-    caps: SearchCaps,
-    catalog: Optional[HyperplaneCatalog] = None,
-) -> CrossingOrder:
-    """Compare every pair of cataloged hyperplanes once, in catalog order."""
-    if catalog is None:
-        catalog = hyperplane_catalog(ball, caps)
-    compare = _comparer(ball, caps, catalog)
-    ids = catalog.ids
+def crossing_order(ball: SquierBall) -> CrossingOrder:
+    """Compare every pair of cataloged hyperplanes once, in catalog order;
+    read it as ``ball.order``, which builds it once per ball."""
+    compare = _comparer(ball)
+    ids = ball.catalog.ids
     relations = {
         (i, j): compare(ids[i], ids[j])
         for i in range(len(ids))
         for j in range(i + 1, len(ids))
     }
-    return CrossingOrder(ball, caps, catalog, relations, compare)
+    return CrossingOrder(ball, relations, compare)
 
 
-def rank(
-    j: HyperplaneId,
-    ball: SquierBall,
-    caps: SearchCaps,
-    catalog: Optional[HyperplaneCatalog] = None,
-) -> RankResult:
+def rank(j: HyperplaneId, ball: SquierBall) -> RankResult:
     """Longest chain J_1 < ... < J_k < J found below ``j``; see
-    :meth:`CrossingOrder.rank`.  To rank many hyperplanes of one ball, build
-    the :func:`crossing_order` once and call its ``rank``."""
-    return crossing_order(ball, caps, catalog).rank(j)
+    :meth:`CrossingOrder.rank`.
+
+    The package itself calls ``ball.order.rank``.  This name stays because
+    the per-layer benchmark tracer (``perfbench/tracer.py``) wraps
+    ``squier.rank`` by name; it can go once the tracer stops naming it.
+    """
+    return ball.order.rank(j)
 
 
 # ---------------------------------------------------------------------------
@@ -893,14 +885,16 @@ def _prefix_extensions(
 
 
 def find_self_intersections(
-    pres: Presentation, w0: Word, caps: SearchCaps, catalog: HyperplaneCatalog
+    ball: SquierBall,
 ) -> Tuple[Tuple[SelfIntersection, ...], bool]:
-    """Equation-search route: for each hyperplane [a, r, c] look for b with
-    a = a·p·b and c = b·p·c.  Returns (witnesses, search-was-exhaustive)."""
+    """Equation-search route: for each hyperplane [a, r, c] of the ball look
+    for b with a = a·p·b and c = b·p·c.  Returns (witnesses,
+    search-was-exhaustive)."""
+    pres, caps = ball.pres, ball.caps
     found: List[SelfIntersection] = []
     exhaustive = True
     budget = _probe_budget(caps)
-    for hid in catalog.ids:
+    for hid in ball.catalog.ids:
         rel = pres.relations[hid.relation]
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             enum_left = _enum(pres, hid.left, caps)
@@ -931,10 +925,10 @@ def find_self_intersections(
 
 
 def scan_self_intersections(
-    ball: SquierBall, caps: SearchCaps, catalog: HyperplaneCatalog
+    ball: SquierBall,
 ) -> Tuple[Tuple[SelfIntersection, ...], bool]:
     """Geometric route: squares of the ball whose two dual hyperplanes agree."""
-    pres = ball.pres
+    pres, caps = ball.pres, ball.caps
     found: List[SelfIntersection] = []
     definite = True
     for square in ball.squares:
@@ -1110,12 +1104,14 @@ def _periodic_factorizations(side: Word) -> List[Tuple[int, Word, Word]]:
 
 
 def find_self_osculations(
-    pres: Presentation, w0: Word, caps: SearchCaps, catalog: HyperplaneCatalog
+    ball: SquierBall,
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
-    """Equation route: periodic relation sides whose parts absorb the period."""
+    """Equation route: periodic relation sides whose parts absorb the period,
+    on the hyperplanes of the ball."""
+    pres, caps = ball.pres, ball.caps
     found: List[SelfOsculation] = []
     exhaustive = True
-    for hid in catalog.ids:
+    for hid in ball.catalog.ids:
         rel = pres.relations[hid.relation]
         for sigma, other in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             for n, k, h in _periodic_factorizations(sigma):
@@ -1139,22 +1135,17 @@ def find_self_osculations(
     return tuple(found), exhaustive
 
 
-def _traversals(w: Word, pres: Presentation) -> List[Tuple[Move, Word]]:
-    return list(one_step_rewrites(w, pres))
-
-
 def scan_self_osculations(
-    ball: SquierBall, caps: SearchCaps
+    ball: SquierBall,
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
     """Geometric route: two overlapping co-initial (or, symmetrically at the
     common target, co-terminal) rewrites crossing one oriented hyperplane."""
-    pres = ball.pres
+    pres, caps = ball.pres, ball.caps
     found: List[SelfOsculation] = []
     definite = True
     seen: Set[Tuple] = set()
     for w in ball.vertices:
-        ts = _traversals(w, pres)
-        for (m1, _), (m2, _) in itertools.combinations(ts, 2):
+        for (m1, _), (m2, _) in itertools.combinations(one_step_rewrites(w, pres), 2):
             if m1.relation != m2.relation or m1.forward != m2.forward:
                 continue
             if m1.offset == m2.offset:
@@ -1380,7 +1371,6 @@ class SpecialnessReport:
     self_intersections: Tuple[SelfIntersection, ...]
     self_osculations: Tuple[SelfOsculation, ...]
     inter_osculations: Tuple[InterOsculation, ...]
-    two_sided: TriBool
     notes: Tuple[str, ...]
 
 
@@ -1395,11 +1385,10 @@ def specialness_report(
     remains sound on infinite classes.
     """
     ball = build_ball(pres, w0, caps)
-    catalog = hyperplane_catalog(ball, caps)
     notes: List[str] = []
 
-    scan_si, scan_si_def = scan_self_intersections(ball, caps, catalog)
-    find_si, find_si_def = find_self_intersections(pres, w0, caps, catalog)
+    scan_si, scan_si_def = scan_self_intersections(ball)
+    find_si, find_si_def = find_self_intersections(ball)
     splits, splits_def = find_absorbing_splits(pres, w0, caps)
     self_ints = list(scan_si)
     for wit in find_si:
@@ -1413,14 +1402,16 @@ def specialness_report(
         if wit not in self_ints:
             self_ints.append(wit)
 
-    osc, osc_def = scan_self_osculations(ball, caps)
-    find_osc, find_osc_def = find_self_osculations(pres, w0, caps, catalog)
+    osc, osc_def = scan_self_osculations(ball)
+    find_osc, find_osc_def = find_self_osculations(ball)
     self_oscs = list(osc)
     for wit in find_osc:
         if wit not in self_oscs:
             self_oscs.append(wit)
 
     inter, inter_def = find_inter_osculations(pres, w0, caps)
+    # an exhaustive scan settles a verdict only on the whole complex
+    whole = ball.complete and ball.catalog.exact
 
     if self_ints:
         clean = TriBool.no(tuple(self_ints))
@@ -1429,7 +1420,7 @@ def specialness_report(
         if cert is not None:
             clean = TriBool.yes(cert)
             notes.append(f"clean: {cert}")
-        elif ball.complete and catalog.exact and scan_si_def and find_si_def and splits_def:
+        elif whole and scan_si_def and find_si_def and splits_def:
             clean = TriBool.yes("exhaustive over the complete class")
             notes.append("clean: exhaustive scan of the complete class")
         else:
@@ -1444,7 +1435,7 @@ def specialness_report(
         if cert is not None:
             special = TriBool.yes(cert)
             notes.append(f"special: {cert}")
-        elif ball.complete and catalog.exact and inter_def and osc_def and find_osc_def:
+        elif whole and inter_def and osc_def and find_osc_def:
             special = TriBool.yes("exhaustive over the complete class")
             notes.append("special: exhaustive scan of the complete class")
         else:
@@ -1458,7 +1449,6 @@ def specialness_report(
         self_intersections=tuple(self_ints),
         self_osculations=tuple(self_oscs),
         inter_osculations=tuple(inter),
-        two_sided=TriBool.yes("hyperplanes carry the orientation of their relation"),
         notes=tuple(notes),
     )
 

@@ -268,6 +268,18 @@ def test_embed_check(capsys, padpair):
     assert blob["pairs_checked"] > 0
 
 
+def test_embed_check_past_a_truncated_catalog_is_unknown(capsys, padpair):
+    # the rank partition of the depth-2 class reads exact, but the radius-4
+    # Farley ball crosses a hyperplane the truncated catalog never saw
+    code, blob = run_json(
+        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "4",
+        "--max-bfs-depth", "2",
+    )
+    assert code == 2
+    assert blob["verdict"] == "unknown" and blob["exact"] is False
+    assert "[a1 p | r3 | 1]" in blob["reason"]
+
+
 def test_propb_bounds(capsys, tmp_path, padpair):
     gens = []
     for name, text in (

@@ -258,7 +258,7 @@ def test_leftness_is_orientation_independent(pres, base, caps):
     # u ~ v modulo the presentation, so extending the left context through
     # either side of the rewrite reaches the same congruence class
     ball = build_ball(pres, base, caps)
-    catalog = hyperplane_catalog(ball, caps)
+    catalog = hyperplane_catalog(ball)
     for hid in catalog.ids:
         rel = pres.relations[hid.relation]
         via_u = is_trivial_group(pres, hid.left + rel.lhs, caps)
@@ -302,14 +302,14 @@ def test_left_hyperplanes_clean_and_pairwise_disjoint(pres, base, caps):
     # of them cross: on these balls nothing pathological exists at all, and
     # the transversality graph never joins two left ids
     ball = build_ball(pres, base, caps)
-    catalog = hyperplane_catalog(ball, caps)
-    hits, _ = scan_self_intersections(ball, caps, catalog)
+    catalog = hyperplane_catalog(ball)
+    hits, _ = scan_self_intersections(ball)
     assert hits == ()
-    osc, _ = scan_self_osculations(ball, caps)
+    osc, _ = scan_self_osculations(ball)
     assert osc == ()
     scan = left_hyperplanes(pres, base, caps)
     left_ids = {h.id for h in scan.hyperplanes}
-    graph = transversality_graph(ball, caps)
+    graph = transversality_graph(ball)
     for i, j, _ in graph.edges:
         assert not (graph.ids[i] in left_ids and graph.ids[j] in left_ids)
 
@@ -352,12 +352,12 @@ def test_vertex_space_is_cut_component(base):
     caps = DEFAULT_CAPS
     ball = build_ball(COMM, base, caps)
     assert ball.complete
-    catalog = hyperplane_catalog(ball, caps)
+    catalog = hyperplane_catalog(ball)
     scan = left_hyperplanes(COMM, base, caps)
     left_ids = {h.id for h in scan.hyperplanes}
     adj = {v: set() for v in ball.vertices}
     for e in ball.edges:
-        if catalog.id_of_edge(e) in left_ids:
+        if catalog.ids[catalog.edge_index[e]] in left_ids:
             continue
         t = e.target(COMM)
         adj[e.source].add(t)

@@ -311,7 +311,7 @@ def test_edges_cover_class_complex_edges():
 def test_square_edges_pull_back_to_different_ranks():
     ball = farley_ball(PADPAIR, A1B1, 4)
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
-    ranks = edge_ranks(ball, part, PADPAIR_CAPS)
+    ranks = edge_ranks(ball, part)
     by_pair = {
         (e.low, e.high): r for e, r in zip(ball.edges, ranks)
     }
@@ -342,7 +342,7 @@ def test_ball_hyperplanes_well_defined_and_split():
 def test_hexagon_cover_quotient_is_a_path():
     ball = farley_ball(COMM, W("a b c"), 3)
     part = rank_partition(COMM, W("a b c"), DEFAULT_CAPS)
-    (q,) = tree_quotients(ball, part, DEFAULT_CAPS)
+    (q,) = tree_quotients(ball, part)
     assert q.rank == 0
     assert q.node_count == 7 and len(q.edges) == 6
     degrees = sorted(len(q.neighbors[i]) for i in range(q.node_count))
@@ -354,7 +354,7 @@ def test_hexagon_cover_quotient_is_a_path():
 def test_quotients_comm_aabc_frozen():
     ball = farley_ball(COMM, W("a a b c"), 3)
     part = rank_partition(COMM, W("a a b c"), DEFAULT_CAPS)
-    quots = tree_quotients(ball, part, DEFAULT_CAPS)
+    quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
         (0, 7, 6),
         (1, 3, 2),
@@ -364,7 +364,7 @@ def test_quotients_comm_aabc_frozen():
 def test_quotients_padpair_r4_are_trees():
     ball = farley_ball(PADPAIR, A1B1, 4)
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
-    quots = tree_quotients(ball, part, PADPAIR_CAPS)
+    quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
         (0, 33, 32),
         (1, 33, 32),
@@ -378,7 +378,7 @@ def test_quotients_refuse_inexact_partition():
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
     doubted = dataclasses.replace(part, exact=False)
     with pytest.raises(ValueError):
-        tree_quotients(ball, doubted, PADPAIR_CAPS)
+        tree_quotients(ball, doubted)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +390,13 @@ def test_separating_counts_pad_loop():
     ball = farley_ball(PADPAIR, A1B1, 6)
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
     base = eps(PADPAIR, A1B1)
-    assert separating_counts(base, PAD_LOOP, ball, part, PADPAIR_CAPS) == {
+    assert separating_counts(base, PAD_LOOP, ball, part) == {
         0: 1,
         1: 1,
     }
-    assert separating_counts(base, base, ball, part, PADPAIR_CAPS) == {}
+    assert separating_counts(base, base, ball, part) == {}
     one = reduce_diagram(Diagram(PADPAIR, A1B1, (Move(0, 0, True),)))
-    assert separating_counts(base, one, ball, part, PADPAIR_CAPS) == {0: 1}
+    assert separating_counts(base, one, ball, part) == {0: 1}
 
 
 def test_separating_counts_guard():
@@ -405,20 +405,20 @@ def test_separating_counts_guard():
     with pytest.raises(ValueError):
         # distance 2 needs radius >= 6 for the interval to provably stay in
         separating_counts(
-            eps(PADPAIR, A1B1), PAD_LOOP, ball, part, PADPAIR_CAPS
+            eps(PADPAIR, A1B1), PAD_LOOP, ball, part
         )
 
 
 def test_embedding_reports():
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
-    rep = check_isometric_embedding(farley_ball(PADPAIR, A1B1, 4), part, PADPAIR_CAPS)
+    rep = check_isometric_embedding(farley_ball(PADPAIR, A1B1, 4), part)
     assert rep.ok and rep.exact
     assert rep.ranks == (0, 1)
     assert rep.pairs_checked == 6  # the seven depth<=1 vertices, distance 1 apart
 
     part = rank_partition(COMM, W("a a b c"), DEFAULT_CAPS)
     rep = check_isometric_embedding(
-        farley_ball(COMM, W("a a b c"), 3), part, DEFAULT_CAPS
+        farley_ball(COMM, W("a a b c"), 3), part
     )
     assert rep.ok and rep.exact and rep.ranks == (0, 1)
 
@@ -429,7 +429,7 @@ def test_embedding_radius_six_regression():
     ball = farley_ball(PADPAIR, A1B1, 6)
     assert (len(ball.keys), len(ball.edges)) == (962, 1696)
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
-    rep = check_isometric_embedding(ball, part, PADPAIR_CAPS)
+    rep = check_isometric_embedding(ball, part)
     assert rep.ok
     assert rep.pairs_checked == 138
 

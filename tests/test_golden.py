@@ -1,12 +1,14 @@
-"""Golden outputs of the crossing-order commands.
+"""Golden outputs of the class-complex commands.
 
 ``golden/cases.json`` lists CLI calls (``rank-table``, ``relate``,
-``hyperplanes``, ``phi`` and ``embed-check``) on the presentation and
-diagram files beside it, each with its exit code; ``golden/<name>.out`` is
-the standard output of that call.  They were captured from the
-implementation that recomputed every comparison pair by pair, so these tests
-pin the tabulated crossing order to the same bytes.  The table itself is
-checked pair by pair against ``relate``.
+``hyperplanes``, ``phi``, ``embed-check``, ``decompose``, ``squier`` and
+``euler``) on the presentation and diagram files beside it, each with its
+exit code; ``golden/<name>.out`` is the standard output of that call.  The
+crossing-order outputs were captured from the implementation that
+recomputed every comparison pair by pair, and the ``decompose``, ``squier``
+and ``euler`` outputs from the one in which decomposition rebuilt its own
+edges and squares, so these tests pin both refactors to the same bytes.  The
+table itself is checked pair by pair against ``relate``.
 """
 
 import itertools
@@ -39,12 +41,12 @@ def test_output_matches_golden(case, capsys, monkeypatch):
 )
 def test_table_equals_fresh_relate(pres, base, caps):
     ball = build_ball(pres, W(base), caps)
-    order = crossing_order(ball, caps)
-    ids = order.catalog.ids
+    order = crossing_order(ball)
+    ids = ball.catalog.ids
     pairs = list(itertools.combinations(range(len(ids)), 2))
     assert list(order.relations) == pairs
     for i, j in pairs:
-        assert order.relations[i, j] == relate(ids[i], ids[j], ball, caps), (i, j)
+        assert order.relations[i, j] == relate(ids[i], ids[j], ball), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -54,9 +56,9 @@ def test_table_equals_fresh_relate(pres, base, caps):
 )
 def test_square_witness_is_first_dual_square(pres, base, caps):
     ball = build_ball(pres, W(base), caps)
-    order = crossing_order(ball, caps)
-    ids = order.catalog.ids
-    dual = {e: h for h, es in order.catalog.edges_of for e in es}
+    order = crossing_order(ball)
+    ids = ball.catalog.ids
+    dual = {e: h for h, es in ball.catalog.edges_of for e in es}
     squares = 0
     for (i, j), rel in order.relations.items():
         first = next(

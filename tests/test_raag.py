@@ -200,7 +200,7 @@ class TestNormalFormOracle:
 @pytest.fixture(scope="module")
 def padpair_gens():
     ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
-    return hyperplane_generators(ball, PADPAIR_CAPS)
+    return hyperplane_generators(ball)
 
 
 class TestBuildApw:

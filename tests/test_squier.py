@@ -176,7 +176,7 @@ class TestHyperplaneId:
 
     def test_hexagon_catalog_frozen(self):
         ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
+        catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
             HyperplaneId(W(""), 0, None, W("c")),
@@ -191,7 +191,7 @@ class TestHyperplaneId:
 
     def test_padpair_catalog_frozen(self):
         ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
-        catalog = hyperplane_catalog(ball, PADPAIR_CAPS)
+        catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
             HyperplaneId(W(""), 0, None, W("b1")),
@@ -209,13 +209,13 @@ class TestHyperplaneId:
 
     def test_catalog_partitions_edges(self):
         ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
+        catalog = hyperplane_catalog(ball)
         assert catalog.exact
         all_edges = [e for _, es in catalog.edges_of for e in es]
         assert sorted(all_edges, key=str) == sorted(ball.edges, key=str)
         for hid, es in catalog.edges_of:
             for e in es:
-                assert catalog.id_of_edge(e) == hid
+                assert catalog.ids[catalog.edge_index[e]] == hid
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +236,33 @@ class TestRelate:
         self.ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
 
     def test_a_before_b_via_square(self):
-        rel = relate(A1, B1, self.ball, PADPAIR_CAPS)
+        rel = relate(A1, B1, self.ball)
         assert rel.value == "first_prec_second"
         assert isinstance(rel.witness, BallCube)
 
     def test_order_is_positional_not_argument_order(self):
-        rel = relate(B1, A1, self.ball, PADPAIR_CAPS)
+        rel = relate(B1, A1, self.ball)
         assert rel.value == "second_prec_first"
 
     def test_c_before_d(self):
-        assert relate(C, D, self.ball, PADPAIR_CAPS).value == "first_prec_second"
+        assert relate(C, D, self.ball).value == "first_prec_second"
 
     def test_parallel_hyperplanes_disjoint(self):
         for j1, j2 in [(A1, A2), (B1, B2), (A1, C), (B1, D)]:
-            rel = relate(j1, j2, self.ball, PADPAIR_CAPS)
+            rel = relate(j1, j2, self.ball)
             assert rel.value == "disjoint", (j1, j2)
 
     def test_hexagon_all_disjoint(self):
         ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
+        catalog = hyperplane_catalog(ball)
         for j1, j2 in itertools.combinations(catalog.ids, 2):
-            assert relate(j1, j2, ball, DEFAULT_CAPS, catalog).value == "disjoint"
+            assert relate(j1, j2, ball).value == "disjoint"
 
 
 class TestTransversality:
     def test_padpair_is_k44(self):
         ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
-        graph = transversality_graph(ball, PADPAIR_CAPS)
+        graph = transversality_graph(ball)
         assert graph.exact
         assert graph.odd_cycle is None
         assert len(graph.edges) == 16
@@ -281,14 +281,14 @@ class TestTransversality:
 
     def test_hexagon_graph_empty(self):
         ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
-        graph = transversality_graph(ball, DEFAULT_CAPS)
+        graph = transversality_graph(ball)
         assert graph.exact
         assert graph.edges == ()
         assert graph.odd_cycle is None
 
     def test_complete_commuting_ball_graph_exact(self):
         ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
-        graph = transversality_graph(ball, DEFAULT_CAPS)
+        graph = transversality_graph(ball)
         assert graph.exact
         assert graph.odd_cycle is None
         assert len(graph.edges) > 0
@@ -374,28 +374,28 @@ class TestRank:
 
     def test_left_family_rank_zero_exact(self):
         for j in (A1, A2, C):
-            result = rank(j, self.ball, PADPAIR_CAPS)
+            result = rank(j, self.ball)
             assert result.value == 0
             assert result.exact
             assert result.chain == ()
 
     def test_right_family_rank_one_exact(self):
         for j in (B1, B2, D):
-            result = rank(j, self.ball, PADPAIR_CAPS)
+            result = rank(j, self.ball)
             assert result.value == 1, j
             assert result.exact, j
             assert len(result.chain) == 1
             assert result.chain[0] in (A1, A2, HyperplaneId(W(""), 2, None, W("b1")), C)
 
     def test_squeeze_note_present_on_truncated_ball(self):
-        result = rank(B1, self.ball, PADPAIR_CAPS)
+        result = rank(B1, self.ball)
         assert any("dimension" in note for note in result.notes)
 
     def test_hexagon_ranks_all_zero(self):
         ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
+        catalog = hyperplane_catalog(ball)
         for j in catalog.ids:
-            result = rank(j, ball, DEFAULT_CAPS, catalog)
+            result = rank(j, ball)
             assert result.value == 0
             assert result.exact
 
@@ -449,11 +449,8 @@ class TestSelfIntersection:
 
     def test_no_false_positives_on_commuting_class(self):
         ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
-        scan, scan_def = scan_self_intersections(ball, DEFAULT_CAPS, catalog)
-        found, found_def = find_self_intersections(
-            COMM, W("a a b c"), DEFAULT_CAPS, catalog
-        )
+        scan, scan_def = scan_self_intersections(ball)
+        found, found_def = find_self_intersections(ball)
         assert scan == () and found == ()
         assert scan_def and found_def
 
@@ -468,10 +465,7 @@ class TestSelfOsculation:
         """Periodic side k k with period 1: the leftover k is empty and the
         overlap is carried by the exponent (n = 2)."""
         ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
-        catalog = hyperplane_catalog(ball, TIGHT_CAPS)
-        found, _ = find_self_osculations(
-            OSC_EMPTY, W("x k k y"), TIGHT_CAPS, catalog
-        )
+        found, _ = find_self_osculations(ball)
         assert any(
             w.n == 2 and w.k == W("") and w.h == W("k")
             and w.a == W("x") and w.b == W("y")
@@ -480,17 +474,14 @@ class TestSelfOsculation:
 
     def test_empty_leftover_scan_agrees(self):
         ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
-        found, _ = scan_self_osculations(ball, TIGHT_CAPS)
+        found, _ = scan_self_osculations(ball)
         assert any(
             w.n == 2 and w.k == W("") and w.h == W("k") for w in found
         )
 
     def test_empty_leftover_config_round_trip(self):
         ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
-        catalog = hyperplane_catalog(ball, TIGHT_CAPS)
-        found, _ = find_self_osculations(
-            OSC_EMPTY, W("x k k y"), TIGHT_CAPS, catalog
-        )
+        found, _ = find_self_osculations(ball)
         wit = next(w for w in found if w.a == W("x") and w.b == W("y"))
         word, m1, m2 = self_osculation_config(
             wit, OSC_EMPTY, W("x k k y"), TIGHT_CAPS
@@ -501,10 +492,7 @@ class TestSelfOsculation:
 
     def test_plain_witness(self):
         ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
-        catalog = hyperplane_catalog(ball, TIGHT_CAPS)
-        found, _ = find_self_osculations(
-            OSC_PLAIN, W("x k h k y"), TIGHT_CAPS, catalog
-        )
+        found, _ = find_self_osculations(ball)
         assert any(
             w.n == 1 and w.k == W("k") and w.h == W("h")
             and w.a == W("x") and w.b == W("y") and w.p == W("p")
@@ -513,15 +501,12 @@ class TestSelfOsculation:
 
     def test_plain_scan_agrees(self):
         ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
-        found, _ = scan_self_osculations(ball, TIGHT_CAPS)
+        found, _ = scan_self_osculations(ball)
         assert any(w.n == 1 and w.k == W("k") and w.h == W("h") for w in found)
 
     def test_plain_config_round_trip(self):
         ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
-        catalog = hyperplane_catalog(ball, TIGHT_CAPS)
-        found, _ = find_self_osculations(
-            OSC_PLAIN, W("x k h k y"), TIGHT_CAPS, catalog
-        )
+        found, _ = find_self_osculations(ball)
         wit = next(w for w in found if w.a == W("x") and w.b == W("y"))
         word, m1, m2 = self_osculation_config(
             wit, OSC_PLAIN, W("x k h k y"), TIGHT_CAPS
@@ -536,11 +521,8 @@ class TestSelfOsculation:
 
     def test_commuting_classes_have_none(self):
         ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
-        found, found_def = find_self_osculations(
-            COMM, W("a a b c"), DEFAULT_CAPS, catalog
-        )
-        scan, scan_def = scan_self_osculations(ball, DEFAULT_CAPS)
+        found, found_def = find_self_osculations(ball)
+        scan, scan_def = scan_self_osculations(ball)
         assert found == () and scan == ()
         assert found_def and scan_def
 
@@ -603,7 +585,6 @@ class TestSpecialness:
         assert report.self_intersections == ()
         assert report.self_osculations == ()
         assert report.inter_osculations == ()
-        assert report.two_sided.is_yes
         assert any("clean" in note for note in report.notes)
         assert any("special" in note for note in report.notes)
 
@@ -645,7 +626,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_catalog_exact_and_partitions(self, w):
         ball = build_ball(COMM, w, DEFAULT_CAPS)
-        catalog = hyperplane_catalog(ball, DEFAULT_CAPS)
+        catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert sum(len(es) for _, es in catalog.edges_of) == len(ball.edges)
         for hid in catalog.ids:
