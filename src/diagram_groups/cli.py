@@ -665,16 +665,20 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
     w = _load_word(cfg, pres)
 
     def unknown(reason: str) -> int:
-        _emit_json(
-            {
-                "base": format_word(w),
-                "radius": cfg.radius,
-                "verdict": "unknown",
-                "reason": reason,
-                "exact": False,
-                "caps": _caps_json(cfg.caps),
-            }
-        )
+        if cfg.format == "text":
+            print("verdict: unknown")
+            print(f"reason: {reason}")
+        else:
+            _emit_json(
+                {
+                    "base": format_word(w),
+                    "radius": cfg.radius,
+                    "verdict": "unknown",
+                    "reason": reason,
+                    "exact": False,
+                    "caps": _caps_json(cfg.caps),
+                }
+            )
         return EXIT_UNKNOWN
 
     partition = rank_partition(pres, w, cfg.caps)

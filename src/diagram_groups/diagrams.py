@@ -15,7 +15,11 @@ The algebra:
   mirror, possibly after commuting intervening independent moves out of the
   way); the reduced form of a diagram is unique,
 * ``canonical_key`` computes a layered normal form that is invariant under
-  independent swaps, giving a hashable identity for the trace class.
+  independent swaps, giving a hashable identity for the trace class.  It
+  wires the diagram's cells by letter occurrences and layers them with
+  ``layered_key``; the Farley ball (``farley.farley_ball``) keeps its
+  vertices in that wire form and calls the same routine, so both key
+  diagrams with one layering implementation.
 
 Spherical diagrams with a fixed base word form a group under composition
 once dipoles are cancelled; that group is the object of study everywhere
@@ -208,7 +212,13 @@ class CanonicalKey:
         return sum(len(layer) for layer in self.layers)
 
 
-def _wire_cells(d: Diagram) -> List[Tuple[int, bool, Tuple[int, ...], Tuple[int, ...]]]:
+#: One cell of a diagram wired by letter occurrences: ``(relation, forward,
+#: consumed wires, produced wires)``.  The top word's wires are
+#: ``0 .. len(top) - 1``; every other wire is produced by exactly one cell.
+WireCell = Tuple[int, bool, Tuple[int, ...], Tuple[int, ...]]
+
+
+def _wire_cells(d: Diagram) -> List[WireCell]:
     """Replay a diagram as cells wired by letter occurrences.
 
     Every letter occurrence ever present gets a fresh wire id; a cell
@@ -231,37 +241,43 @@ def _wire_cells(d: Diagram) -> List[Tuple[int, bool, Tuple[int, ...], Tuple[int,
     return cells
 
 
-def canonical_key(d: Diagram) -> CanonicalKey:
-    """Compute the layered normal form (works on unreduced diagrams too).
+def layered_key(top: Word, cells: List[WireCell]) -> CanonicalKey:
+    """The layered normal form of the diagram that fires ``cells`` on ``top``.
 
     A cell's layer is the longest produce-consume chain feeding it, so it
     is the earliest round in which the cell can fire; firing the layers in
     order, leftmost cell first, replays the diagram and yields offsets in
     the coordinates where the docstring of :class:`CanonicalKey` puts them.
+    ``cells`` must be in a firing order, as :func:`_wire_cells` returns them.
     """
-    cells = _wire_cells(d)
-    depth: Dict[int, int] = {i: 0 for i in range(len(d.top))}
-    layer_of: List[int] = []
-    for _, _, consumed, produced in cells:
-        layer = max((depth[w] for w in consumed), default=0)
-        layer_of.append(layer)
-        for w in produced:
+    depth: Dict[int, int] = {}
+    rows: List[List[WireCell]] = []
+    for cell in cells:
+        layer = 0
+        for w in cell[2]:
+            k = depth.get(w, 0)
+            if k > layer:
+                layer = k
+        if layer == len(rows):
+            rows.append([])
+        rows[layer].append(cell)
+        for w in cell[3]:
             depth[w] = layer + 1
     packed: List[Tuple[Tuple[int, int, bool], ...]] = []
-    state = list(range(len(d.top)))
-    for k in range(max(layer_of, default=-1) + 1):
-        row = []
-        for ci, (relation, forward, consumed, produced) in enumerate(cells):
-            if layer_of[ci] != k:
-                continue
-            pos = state.index(consumed[0])
+    state = list(range(len(top)))
+    for row in rows:
+        # cells of one layer consume disjoint wires, so positions are unique
+        placed = sorted((state.index(cell[2][0]), cell) for cell in row)
+        packed.append(tuple((pos, cell[0], cell[1]) for pos, cell in placed))
+        for pos, (_, _, consumed, produced) in reversed(placed):
             assert tuple(state[pos:pos + len(consumed)]) == consumed
-            row.append((pos, relation, forward, consumed, produced))
-        row.sort(key=lambda r: r[0])
-        packed.append(tuple((pos, rel, fwd) for pos, rel, fwd, _, _ in row))
-        for pos, _, _, consumed, produced in reversed(row):
             state[pos:pos + len(consumed)] = produced
-    return CanonicalKey(d.top, tuple(packed))
+    return CanonicalKey(top, tuple(packed))
+
+
+def canonical_key(d: Diagram) -> CanonicalKey:
+    """Compute the layered normal form (works on unreduced diagrams too)."""
+    return layered_key(d.top, _wire_cells(d))
 
 
 def replay_key(key: CanonicalKey, pres: Presentation) -> Word:
@@ -330,6 +346,7 @@ __all__ = [
     "reduce_diagram",
     "is_reduced",
     "canonical_key",
+    "layered_key",
     "replay_key",
     "key_diagram",
     "serialize_diagram",

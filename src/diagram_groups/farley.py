@@ -9,6 +9,16 @@ distance from the trivial diagram, and more generally
 
     distance(A, B) = #(reduce(inverse(A) . B)).
 
+Balls are built without general dipole reduction.  A vertex ``A`` is
+already reduced, so ``A . atom`` has at most one dipole: the new cell
+against a cell of ``A`` exposed on the bottom boundary (the dipole normal
+form of Guba and Sapir).  ``farley_ball`` holds each frontier vertex as its
+cells wired by letter occurrences, the wires of its bottom word and a fresh
+wire counter; a rewrite either cancels the exposed cell that produced
+exactly the wires it consumes, or appends one cell.  Vertices are keyed by
+``diagrams.layered_key`` on those wire cells, the routine behind
+``canonical_key``.
+
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
 a hyperplane downstairs, and with it that hyperplane's rank (the longest
@@ -38,11 +48,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .diagrams import (
     CanonicalKey,
     Diagram,
+    WireCell,
     canonical_key,
     compose,
     eps,
     inverse,
     is_reduced,
+    layered_key,
     reduce_diagram,
 )
 from .rewriting import (
@@ -165,11 +177,22 @@ def _span(move: Move, pres: Presentation) -> Tuple[int, int]:
 def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     """Breadth-first enumeration of reduced diagrams by atomic extension.
 
-    Each candidate ``reduce(A . atom)`` either gains or loses one cell; new
-    vertices therefore always appear one level up and edges always join
-    consecutive levels.  Cubes are collected afterwards from their minimal
-    corner: the remaining corners are looked up by following recorded
-    up-edges, so no diagram algebra is repeated.
+    A vertex ``A`` on the frontier is held in wire form: its cells wired by
+    letter occurrences in firing order (see ``diagrams._wire_cells``), the
+    wires of its bottom word and its next fresh wire id.  Since ``A`` is
+    reduced, a rewrite of the bottom word can only form a dipole with a cell
+    of ``A`` exposed on the bottom boundary: one that produced exactly the
+    wires the rewrite consumes, by the same relation in the other direction.
+    The step then cancels that cell and leads one level down, to a vertex
+    already recorded.  Otherwise ``A . atom`` is reduced with one more cell,
+    and its layered key comes from the wire cells at hand.  New vertices
+    therefore always appear one level up and edges always join consecutive
+    levels.  A vertex's wire form is dropped once it has been processed, and
+    none is kept for the sphere, whose vertices are never extended.
+
+    Cubes are collected afterwards from their minimal corner: the remaining
+    corners are looked up by following recorded up-edges, so no diagram
+    algebra is repeated.
     """
     pres.check_word(w)
     if radius < 0:
@@ -184,6 +207,10 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     # up[i] maps each rewrite of bot(diagrams[i]) that gains a cell to the
     # vertex it reaches; cube corners are recovered from these tables
     up: List[Dict[Move, int]] = [{}]
+    # wire forms (cells, bottom wires, fresh wire id) of the frontier
+    frontier: Dict[int, Tuple[List[WireCell], List[int], int]] = {
+        0: ([], list(range(len(w))), len(w))
+    }
 
     qi = 0
     while qi < len(keys):
@@ -194,32 +221,47 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
             # extensions upward would leave the ball, and every edge down
             # to level radius-1 was recorded when that endpoint was processed
             continue
+        cells, bottom, fresh = frontier.pop(i)
+        # a run of bottom wires matches a cell's output only when that cell
+        # is exposed on the bottom boundary
+        producer = {cell[3]: ci for ci, cell in enumerate(cells)}
         di = diagrams[i]
         u = di.bot
         for move, _ in one_step_rewrites(u, pres):
-            nd = reduce_diagram(Diagram(pres, w, di.moves + (move,)))
-            nk = canonical_key(nd)
+            src, dst = move.sides(pres)
+            o = move.offset
+            consumed = tuple(bottom[o:o + len(src)])
+            ci = producer.get(consumed)
+            if (
+                ci is not None
+                and cells[ci][0] == move.relation
+                and cells[ci][1] != move.forward
+            ):
+                # the other endpoint sits one level down and was processed
+                # first, so the edge already exists in that orientation
+                j = index.get(layered_key(w, cells[:ci] + cells[ci + 1:]))
+                assert j is not None and depths[j] == d - 1 and (j, i) in edge_set
+                continue
+            produced = tuple(range(fresh, fresh + len(dst)))
+            grown = cells + [(move.relation, move.forward, consumed, produced)]
+            nk = layered_key(w, grown)
             j = index.get(nk)
             if j is None:
-                assert nd.cells == d + 1, "atomic extension must step by one"
                 j = len(keys)
                 index[nk] = j
                 keys.append(nk)
-                diagrams.append(nd)
+                diagrams.append(Diagram(pres, w, di.moves + (move,)))
                 depths.append(d + 1)
                 up.append({})
-                edges.append(FarleyEdge(i, j, u, move))
-                edge_set.add((i, j))
-                up[i][move] = j
-            elif depths[j] == d + 1:
-                if (i, j) not in edge_set:
-                    edges.append(FarleyEdge(i, j, u, move))
-                    edge_set.add((i, j))
-                    up[i][move] = j
-            else:
-                # the other endpoint sits one level down and was processed
-                # first, so the edge already exists in that orientation
-                assert depths[j] == d - 1 and (j, i) in edge_set
+                if d + 1 < radius:
+                    frontier[j] = (
+                        grown,
+                        bottom[:o] + list(produced) + bottom[o + len(src):],
+                        fresh + len(dst),
+                    )
+            edges.append(FarleyEdge(i, j, u, move))
+            edge_set.add((i, j))
+            up[i][move] = j
 
     cubes: Dict[int, List[FarleyCube]] = {}
 

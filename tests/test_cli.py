@@ -6,11 +6,14 @@ contract (0 yes/complete, 1 definite no, 2 capped, 3 bad input).
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import diagram_groups
 from diagram_groups.cli import main
 
 COMM = """\
@@ -280,6 +283,32 @@ def test_embed_check_past_a_truncated_catalog_is_unknown(capsys, padpair):
     assert "[a1 p | r3 | 1]" in blob["reason"]
 
 
+def test_embed_check_text_on_inexact_partition(capsys, tmp_path):
+    path = tmp_path / "dirty.pres"
+    path.write_text(DIRTY)
+    code, out = run(
+        capsys, "embed-check", "-p", str(path), "-w", "a b", "--radius", "3",
+        "--format", "text",
+    )
+    assert code == 2
+    assert out == (
+        "verdict: unknown\n"
+        "reason: rank partition is not exact under these caps\n"
+    )
+
+
+def test_embed_check_text_past_a_truncated_catalog(capsys, padpair):
+    code, out = run(
+        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "4",
+        "--max-bfs-depth", "2", "--format", "text",
+    )
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "verdict: unknown"
+    assert lines[1].startswith("reason: the Farley ball crosses ")
+    assert "[a1 p | r3 | 1]" in lines[1] and len(lines) == 2
+
+
 def test_propb_bounds(capsys, tmp_path, padpair):
     gens = []
     for name, text in (
@@ -427,6 +456,9 @@ def test_json_output_is_deterministic(capsys, comm):
 def test_console_entry_point(tmp_path):
     pres = tmp_path / "comm.pres"
     pres.write_text(COMM)
+    # the child must import the package under test, wherever pytest found it
+    src = str(Path(diagram_groups.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "diagram_groups",
@@ -434,6 +466,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "yes"

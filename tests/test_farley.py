@@ -13,7 +13,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from conftest import COMM, CYC3, DEFAULT_CAPS, PADPAIR, PADPAIR_CAPS, W
+from conftest import COMM, CYC3, DEFAULT_CAPS, DIRTY, GROW, PADPAIR, PADPAIR_CAPS, W
 from diagram_groups.diagrams import (
     Diagram,
     canonical_key,
@@ -137,6 +137,39 @@ def test_ball_vertices_match_brute_force():
             if distance(d1, d2) == 1
         )
         assert len(ball.edges) == expect_edges
+
+
+@pytest.mark.parametrize(
+    "pres,w,radius",
+    [
+        (PADPAIR, A1B1, 4),
+        (DIRTY, W("a b"), 5),
+        (CYC3, W("a b c a"), 4),
+        (GROW, W("x"), 5),
+    ],
+    ids=["padpair-r4", "dirty-r5", "cyc3-abca-r4", "grow-r5"],
+)
+def test_extensions_match_general_reduction(pres, w, radius):
+    # the ball cancels or appends one cell at the bottom instead of reducing;
+    # every A . atom, reduced in general, must land on a recorded neighbour,
+    # and every recorded edge must come from some A . atom
+    ball = farley_ball(pres, w, radius)
+    produced = set()
+    for i, a in enumerate(ball.diagrams):
+        for move, _ in one_step_rewrites(a.bot, pres):
+            nd = reduce_diagram(Diagram(pres, w, a.moves + (move,)))
+            assert nd.cells in (a.cells - 1, a.cells + 1)
+            if nd.cells > radius:
+                continue
+            hits = [
+                ei
+                for j, ei in ball.adjacency[i]
+                if ball.depths[j] == nd.cells
+                and distance(ball.diagrams[j], nd) == 0
+            ]
+            assert len(hits) == 1, (i, move)
+            produced.add(hits[0])
+    assert produced == set(range(len(ball.edges)))
 
 
 def test_depth_equals_cell_count():

@@ -1,14 +1,17 @@
 """Golden outputs of the class-complex commands.
 
 ``golden/cases.json`` lists CLI calls (``rank-table``, ``relate``,
-``hyperplanes``, ``phi``, ``embed-check``, ``decompose``, ``squier`` and
-``euler``) on the presentation and diagram files beside it, each with its
-exit code; ``golden/<name>.out`` is the standard output of that call.  The
-crossing-order outputs were captured from the implementation that
-recomputed every comparison pair by pair, and the ``decompose``, ``squier``
+``hyperplanes``, ``phi``, ``embed-check``, ``decompose``, ``squier``,
+``euler`` and ``farley``) on the presentation and diagram files beside it,
+each with its exit code; ``golden/<name>.out`` is the standard output of
+that call.  The crossing-order outputs were captured from the implementation
+that recomputed every comparison pair by pair, the ``decompose``, ``squier``
 and ``euler`` outputs from the one in which decomposition rebuilt its own
-edges and squares, so these tests pin both refactors to the same bytes.  The
-table itself is checked pair by pair against ``relate``.
+edges and squares, and the ``farley`` and radius-7 ``embed-check`` outputs
+from the one that reduced and re-keyed every ``A . atom`` in general, so
+these tests pin all three refactors to the same bytes; the ``dot`` ball
+pins vertex numbering and edge order.  The table itself is checked pair by
+pair against ``relate``.
 """
 
 import itertools
