@@ -36,7 +36,6 @@ from .diagrams import (
     serialize_diagram,
 )
 from .farley import (
-    OutsideCatalogError,
     check_isometric_embedding,
     farley_ball,
     property_b_scan,
@@ -69,6 +68,7 @@ from .rewriting import (
     word_of,
 )
 from .squier import (
+    OutsideCatalogError,
     SquierBall,
     TransversalityGraph,
     build_ball,
@@ -230,6 +230,24 @@ def _emit_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _emit_unknown(cfg: RunConfig, head: Dict[str, object], reason: str) -> int:
+    """Report an unknown verdict and why; ``head`` leads the JSON object."""
+    if cfg.format == "text":
+        print("verdict: unknown")
+        print(f"reason: {reason}")
+    else:
+        _emit_json(
+            {
+                **head,
+                "verdict": "unknown",
+                "reason": reason,
+                "exact": False,
+                "caps": _caps_json(cfg.caps),
+            }
+        )
+    return EXIT_UNKNOWN
+
+
 def _exit_for(tb: TriBool) -> int:
     return {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[tb.value]
 
@@ -291,7 +309,7 @@ def ball_to_dot(ball: SquierBall) -> str:
     for edge in ball.edges:
         src = index[edge.source]
         dst = index[edge.target(ball.pres)]
-        h = ball.catalog.edge_index[edge]
+        h = ball.hyperplane_index(edge.source, edge.move)
         color = _DOT_COLORS[h % len(_DOT_COLORS)]
         lines.append(f'  n{src} -> n{dst} [color={color}, label="H{h}"];')
     lines.append("}")
@@ -607,7 +625,14 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
     ball = build_ball(pres, w, cfg.caps)
     gens = hyperplane_generators(ball)
     try:
-        image = phi(d, pres, w, cfg.caps, gens)
+        image = phi(d, gens)
+    except OutsideCatalogError as e:
+        return _emit_unknown(
+            cfg,
+            {"base": format_word(w)},
+            f"the diagram crosses {e.hyperplane}, which the capped search"
+            " did not find in the hyperplane catalog",
+        )
     except ValueError as e:
         raise CliError(str(e)) from None
     if cfg.format == "text":
@@ -620,7 +645,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
                 "syllables": [[g, e] for g, e in image.syllables],
                 "generators": [
                     {"label": label, "hyperplane": str(hid)}
-                    for label, hid in zip(gens.labels, gens.catalog.ids)
+                    for label, hid in zip(gens.labels, ball.catalog.ids)
                 ],
                 "exact": gens.exact,
                 "caps": _caps_json(cfg.caps),
@@ -663,34 +688,21 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
     _no_dot(cfg, "embed-check")
     pres = _load_presentation(cfg)
     w = _load_word(cfg, pres)
-
-    def unknown(reason: str) -> int:
-        if cfg.format == "text":
-            print("verdict: unknown")
-            print(f"reason: {reason}")
-        else:
-            _emit_json(
-                {
-                    "base": format_word(w),
-                    "radius": cfg.radius,
-                    "verdict": "unknown",
-                    "reason": reason,
-                    "exact": False,
-                    "caps": _caps_json(cfg.caps),
-                }
-            )
-        return EXIT_UNKNOWN
-
+    head = {"base": format_word(w), "radius": cfg.radius}
     partition = rank_partition(pres, w, cfg.caps)
     if not partition.exact:
-        return unknown("rank partition is not exact under these caps")
+        return _emit_unknown(
+            cfg, head, "rank partition is not exact under these caps"
+        )
     ball = farley_ball(pres, w, cfg.radius)
     try:
         report = check_isometric_embedding(ball, partition)
     except OutsideCatalogError as e:
-        return unknown(
+        return _emit_unknown(
+            cfg,
+            head,
             f"the Farley ball crosses {e.hyperplane}, which the capped search"
-            " did not find in the hyperplane catalog"
+            " did not find in the hyperplane catalog",
         )
     if cfg.format == "text":
         print(f"pairs checked: {report.pairs_checked}")

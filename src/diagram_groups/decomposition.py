@@ -31,14 +31,7 @@ from .rewriting import (
     Word,
     format_word,
 )
-from .squier import HyperplaneId, SquierBall, _enum, build_ball
-
-
-def _rep(pres: Presentation, w: Word, caps: SearchCaps) -> Word:
-    """Shortlex representative of [w] within caps (deterministic, maybe inexact)."""
-    if not w:
-        return w
-    return _enum(pres, w, caps).members[0]
+from .squier import HyperplaneId, SquierBall, _enum, _rep, build_ball
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +96,7 @@ def is_trivial_group(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
     pres.check_word(w)
     if not w:
         return TriBool.yes("the empty context has a one-point complex")
-    return _trivial_rep(pres, _rep(pres, w, caps), caps)
+    return _trivial_rep(pres, _rep(pres, w, caps)[0], caps)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +302,7 @@ def free_basis(
     """Free basis of the group at ``w`` when its enumerated piece is a graph;
     None as soon as a square shows up (the group need not be free then)."""
     pres.check_word(w)
-    return _free_basis_rep(pres, _rep(pres, w, caps), caps)
+    return _free_basis_rep(pres, _rep(pres, w, caps)[0], caps)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +494,7 @@ def complete_ball_presentation(
 ) -> GroupPresentation:
     """Direct presentation of the group of a completely enumerated class:
     one generator per non-tree edge, one relator per square boundary."""
-    rep = _rep(pres, w, caps)
+    rep = _rep(pres, w, caps)[0]
     ball = build_ball(pres, rep, caps)
     if not ball.complete:
         raise ValueError(
@@ -577,7 +570,7 @@ def factor_group(
     presentable (complete ball), recursively decomposable, or unknown."""
     if not w:
         return FactorGroup("trivial", (), True)
-    return _factor_rep(pres, _rep(pres, w, caps), caps, depth)
+    return _factor_rep(pres, _rep(pres, w, caps)[0], caps, depth)
 
 
 @lru_cache(maxsize=2048)
@@ -701,7 +694,7 @@ def decompose(
     notes = list(scan.notes)
     if not scan.hyperplanes:
         vertex = VertexSpace(
-            (), None, _rep(pres, w, caps),
+            (), None, _rep(pres, w, caps)[0],
             FactorGroup("trivial", (), True),
             factor_group(pres, w, caps, depth),
         )
@@ -712,8 +705,8 @@ def decompose(
     vertices: List[VertexSpace] = []
 
     def vertex_for(context: Word, split: LetterSplit, right_ctx: Word) -> int:
-        lw = _rep(pres, context + split.prefix, caps)
-        rw = _rep(pres, split.suffix + right_ctx, caps)
+        lw = _rep(pres, context + split.prefix, caps)[0]
+        rw = _rep(pres, split.suffix + right_ctx, caps)[0]
         key = (lw, split.letter, rw)
         if key not in index:
             index[key] = len(vertices)

@@ -21,11 +21,12 @@ exactly the wires it consumes, or appends one cell.  Vertices are keyed by
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
-a hyperplane downstairs, and with it that hyperplane's rank (the longest
-chain of crossings strictly below it).  The payoff of the rank grading:
-removing all rank-``k`` edges from a ball cuts it into pieces whose contact
-graph is a tree, and summing the per-rank tree distances recovers the
-combinatorial distance.  ``check_isometric_embedding`` verifies that
+a hyperplane downstairs, whose catalog position the Squier ball's
+``ball.hyperplane_index`` gives, and with it that hyperplane's rank (the
+longest chain of crossings strictly below it).  The payoff of the rank
+grading: removing all rank-``k`` edges from a ball cuts it into pieces whose
+contact graph is a tree, and summing the per-rank tree distances recovers
+the combinatorial distance.  ``check_isometric_embedding`` verifies that
 identity pair by pair; ``property_b_scan`` compares cell count against word
 length over a chosen generating set, the other length comparison the group
 carries.
@@ -65,13 +66,7 @@ from .rewriting import (
     format_word,
     one_step_rewrites,
 )
-from .squier import (
-    HyperplaneId,
-    RankResult,
-    SquierBall,
-    build_ball,
-    hyperplane_id,
-)
+from .squier import HyperplaneId, RankResult, SquierBall, build_ball
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +80,8 @@ class FarleyEdge:
 
     ``word`` is the bottom word of the ``low`` endpoint and ``move`` the
     rewrite whose atom extends it to ``high``; ``(word, move)`` is also the
-    edge's image under the covering onto the class complex, which is how the
-    edge learns its hyperplane identity.
+    edge's image under the covering onto the class complex, which
+    ``SquierBall.hyperplane_index`` maps to its hyperplane.
     """
 
     low: int
@@ -328,17 +323,6 @@ def distance(a: Diagram, b: Diagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-class OutsideCatalogError(KeyError):
-    """A hyperplane outside the cataloged, possibly truncated, class complex
-    has no rank."""
-
-    def __init__(self, hyperplane: HyperplaneId) -> None:
-        super().__init__(
-            f"hyperplane {hyperplane} is outside the cataloged ball (truncation?)"
-        )
-        self.hyperplane = hyperplane
-
-
 @dataclass(frozen=True)
 class RankPartition:
     """Ranks of the unoriented hyperplanes of the class complex downstairs.
@@ -352,13 +336,6 @@ class RankPartition:
     ball: SquierBall
     ranks: Tuple[RankResult, ...]
     exact: bool
-
-    def rank_of(self, hid: HyperplaneId) -> RankResult:
-        hid = hid.unoriented()
-        i = self.ball.catalog.index.get(hid)
-        if i is None:
-            raise OutsideCatalogError(hid)
-        return self.ranks[i]
 
     def families(self) -> Dict[int, Tuple[HyperplaneId, ...]]:
         out: Dict[int, List[HyperplaneId]] = {}
@@ -375,18 +352,12 @@ def rank_partition(pres: Presentation, w: Word, caps: SearchCaps) -> RankPartiti
     return RankPartition(ball, ranks, exact)
 
 
-def pullback_id(edge: FarleyEdge, pres: Presentation, caps: SearchCaps) -> HyperplaneId:
-    """Unoriented hyperplane downstairs that a ball edge is dual to."""
-    return hyperplane_id(edge.word, edge.move, pres, caps, oriented=False)
-
-
 def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
     """Rank of every ball edge, via the covering onto the class complex."""
-    caps = partition.ball.caps
-    out = []
-    for e in ball.edges:
-        out.append(partition.rank_of(pullback_id(e, ball.pres, caps)).value)
-    return tuple(out)
+    index = partition.ball.hyperplane_index
+    return tuple(
+        partition.ranks[index(e.word, e.move)].value for e in ball.edges
+    )
 
 
 @dataclass(frozen=True)
@@ -400,13 +371,11 @@ class BallHyperplane:
     index: int
     edges: Tuple[int, ...]
     squier: HyperplaneId
-    rank: Optional[int]
+    rank: int
 
 
 def ball_hyperplanes(
-    ball: FarleyBall,
-    caps: SearchCaps,
-    partition: Optional[RankPartition] = None,
+    ball: FarleyBall, partition: RankPartition
 ) -> Tuple[BallHyperplane, ...]:
     """Group the ball's edges into hyperplanes by square-parallelism."""
     parent = list(range(len(ball.edges)))
@@ -432,21 +401,20 @@ def ball_hyperplanes(
     for i in range(len(ball.edges)):
         classes.setdefault(find(i), []).append(i)
 
+    index = partition.ball.hyperplane_index
+    ids = partition.ball.catalog.ids
     out = []
     for n, root in enumerate(sorted(classes)):
         members = tuple(sorted(classes[root]))
-        ids = {
-            pullback_id(ball.edges[i], ball.pres, caps) for i in members
-        }
-        if len(ids) != 1:
+        found = {index(ball.edges[i].word, ball.edges[i].move) for i in members}
+        if len(found) != 1:
             raise ValueError(
                 "parallel edges pulled back to distinct hyperplanes "
-                f"({', '.join(str(h) for h in sorted(map(str, ids)))}); "
+                f"({', '.join(str(ids[h]) for h in sorted(found))}); "
                 "the covering data is too truncated to be trusted"
             )
-        hid = ids.pop()
-        rk = partition.rank_of(hid).value if partition is not None else None
-        out.append(BallHyperplane(n, members, hid, rk))
+        h = found.pop()
+        out.append(BallHyperplane(n, members, ids[h], partition.ranks[h].value))
     return tuple(out)
 
 
@@ -625,10 +593,10 @@ def separating_counts(
         )
     path = _shortest_path_edges(ball, ia, ib)
     assert len(path) == dist, "BFS disagrees with the diagram-algebra distance"
-    caps = partition.ball.caps
     counts: Dict[int, int] = {}
     for ei in path:
-        r = partition.rank_of(pullback_id(ball.edges[ei], ball.pres, caps)).value
+        e = ball.edges[ei]
+        r = partition.ranks[partition.ball.hyperplane_index(e.word, e.move)].value
         counts[r] = counts.get(r, 0) + 1
     return counts
 
@@ -764,7 +732,6 @@ __all__ = [
     "FarleyBall",
     "FarleyCube",
     "FarleyEdge",
-    "OutsideCatalogError",
     "PropertyBScan",
     "RankPartition",
     "TreeQuotient",
@@ -775,7 +742,6 @@ __all__ = [
     "farley_ball",
     "guarded_pairs",
     "property_b_scan",
-    "pullback_id",
     "rank_partition",
     "separating_counts",
     "tree_quotients",

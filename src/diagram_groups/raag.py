@@ -20,21 +20,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .diagrams import Diagram
-from .rewriting import (
-    Move,
-    Presentation,
-    SearchCaps,
-    Word,
-    format_word,
-)
-from .squier import (
-    HyperplaneCatalog,
-    HyperplaneId,
-    SquierBall,
-    build_ball,
-    hyperplane_id,
-    transversality_graph,
-)
+from .rewriting import Move, Presentation, format_word
+from .squier import SquierBall, transversality_graph
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +200,27 @@ def raag_equal(w1: RaagWord, w2: RaagWord, graph: RaagGraph) -> bool:
 
 @dataclass(frozen=True)
 class HyperplaneGenerators:
-    """Label table pairing catalog hyperplanes with Artin generators.
+    """Label table pairing the ball's catalog hyperplanes with Artin
+    generators.
 
     Labels are ``H0``, ``H1``, ... in catalog order (sorted by relation,
     then parts), so they are stable across runs.
     """
 
-    catalog: HyperplaneCatalog
+    ball: SquierBall
     labels: Tuple[str, ...]
     graph: RaagGraph
     exact: bool
 
-    def label_of(self, hid: HyperplaneId) -> str:
-        i = self.catalog.index.get(hid.unoriented())
-        if i is None:
-            raise ValueError(f"hyperplane {hid} is outside the truncated catalog")
-        return self.labels[i]
-
 
 def hyperplane_generators(ball: SquierBall) -> HyperplaneGenerators:
-    catalog = ball.catalog
-    labels = tuple(f"H{i}" for i in range(len(catalog.ids)))
+    labels = tuple(f"H{i}" for i in range(len(ball.catalog.ids)))
     tg = transversality_graph(ball)
     edges = []
     for i, j, _value in tg.edges:
         edges.append(tuple(sorted((labels[i], labels[j]))))
     # tg.exact already requires an exact catalog
-    return HyperplaneGenerators(catalog, labels, raag_graph(labels, edges), tg.exact)
-
-
-def build_apw(pres: Presentation, w: Word, caps: SearchCaps) -> RaagGraph:
-    """The Artin group presentation graph of the ball at ``w``."""
-    return hyperplane_generators(build_ball(pres, w, caps)).graph
+    return HyperplaneGenerators(ball, labels, raag_graph(labels, edges), tg.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -261,34 +237,28 @@ def positive_direction(move: Move, pres: Presentation) -> bool:
     return move.forward == lhs_first
 
 
-def phi(
-    d: Diagram,
-    pres: Presentation,
-    w: Word,
-    caps: SearchCaps,
-    gens: Optional[HyperplaneGenerators] = None,
-) -> RaagWord:
-    """Image of a spherical diagram in the hyperplane Artin group.
+def phi(d: Diagram, gens: HyperplaneGenerators) -> RaagWord:
+    """Image of a spherical diagram in the hyperplane Artin group of
+    ``gens.ball``.
 
     Replays the diagram as a loop of edges; each edge contributes its
     hyperplane's generator, inverted when the edge runs against the fixed
-    orientation.  The result is returned in normal form.
+    orientation.  The result is returned in normal form.  An edge whose
+    hyperplane is not cataloged raises ``squier.OutsideCatalogError``.
     """
-    if d.pres != pres:
+    ball = gens.ball
+    if d.pres != ball.pres:
         raise ValueError("diagram is over a different presentation")
     if not d.is_spherical:
         raise ValueError("phi is defined on spherical diagrams only")
-    if d.top != w:
+    if d.top != ball.base:
         raise ValueError(
-            f"diagram base {format_word(d.top)} differs from {format_word(w)}"
+            f"diagram base {format_word(d.top)} differs from {format_word(ball.base)}"
         )
-    if gens is None:
-        gens = hyperplane_generators(build_ball(pres, w, caps))
     sylls: List[Syllable] = []
     for word, move in zip(d.words(), d.moves):
-        hid = hyperplane_id(word, move, pres, caps)
-        label = gens.label_of(hid)
-        sign = 1 if positive_direction(move, pres) else -1
+        label = gens.labels[ball.hyperplane_index(word, move)]
+        sign = 1 if positive_direction(move, ball.pres) else -1
         sylls.append((label, sign))
     return raag_normal_form(RaagWord(tuple(sylls)), gens.graph)
 
@@ -299,7 +269,6 @@ __all__ = [
     "RaagGraph",
     "RaagWord",
     "Syllable",
-    "build_apw",
     "format_raag_word",
     "hyperplane_generators",
     "parse_raag_word",

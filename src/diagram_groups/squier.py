@@ -28,7 +28,9 @@ A :class:`SquierBall` is the one object these questions are read from.  It
 carries its search caps, and it owns its hyperplane ``catalog`` and its
 crossing ``order``: each is built on first use, once per ball, and
 ``rank``, ``relate``, ``transversality_graph``, the rank partition, the RAAG
-generators and the left-hyperplane decomposition all read them.
+generators and the left-hyperplane decomposition all read them.  An edge,
+in or out of the ball, learns its hyperplane through
+``ball.hyperplane_index``, the one map from edges to catalog positions.
 """
 
 from __future__ import annotations
@@ -155,6 +157,37 @@ class SquierBall:
     def order(self) -> "CrossingOrder":
         return crossing_order(self)
 
+    def hyperplane_index(self, word: Word, move: Move) -> int:
+        """Catalog position of the hyperplane dual to ``move`` applied at
+        ``word``, in either direction.
+
+        A ball edge is read off ``catalog.edge_index``.  Any other edge is
+        matched part by part against the cataloged hyperplanes of its
+        relation, by the equality the catalog groups edges with; the first
+        match in catalog order wins.  Raises :class:`OutsideCatalogError`
+        when nothing matches.
+        """
+        edge = (
+            BallEdge(word, move)
+            if move.forward
+            else BallEdge(move.apply(word, self.pres), move.inverted())
+        )
+        catalog = self.catalog
+        i = catalog.edge_index.get(edge)
+        if i is not None:
+            return i
+        a, b = edge.parts(self.pres)
+        for i, hid in enumerate(catalog.ids):
+            if (
+                hid.relation == move.relation
+                and _equal(self.pres, a, hid.left, self.caps).is_yes
+                and _equal(self.pres, b, hid.right, self.caps).is_yes
+            ):
+                return i
+        raise OutsideCatalogError(
+            hyperplane_id(word, move, self.pres, self.caps, oriented=False)
+        )
+
     @property
     def squares(self) -> Tuple[BallCube, ...]:
         return self.cubes_of(2)
@@ -276,6 +309,17 @@ def hyperplane_id(
     return HyperplaneId(
         left, move.relation, move.forward if oriented else None, right, lx and rx
     )
+
+
+class OutsideCatalogError(KeyError):
+    """A hyperplane outside the cataloged, possibly truncated, class complex
+    has no catalog position."""
+
+    def __init__(self, hyperplane: HyperplaneId) -> None:
+        super().__init__(
+            f"hyperplane {hyperplane} is outside the cataloged ball (truncation?)"
+        )
+        self.hyperplane = hyperplane
 
 
 @dataclass(frozen=True)
@@ -436,12 +480,12 @@ def _comparer(ball: SquierBall) -> _Comparer:
     certificates decide, and anything left over is unknown.
     """
     pres, caps = ball.pres, ball.caps
-    index, edge_index = ball.catalog.index, ball.catalog.edge_index
+    index, hyperplane = ball.catalog.index, ball.hyperplane_index
     # pair (low, high) of catalog indices -> (index of the left dual, square)
     first_square: Dict[Tuple[int, int], Tuple[int, BallCube]] = {}
     for square in ball.squares:
-        left = edge_index[square.edge_at(0)]
-        right = edge_index[square.edge_at(1)]
+        left = hyperplane(square.corner, square.moves[0])
+        right = hyperplane(square.corner, square.moves[1])
         first_square.setdefault((min(left, right), max(left, right)), (left, square))
     # one certificate string per invariant, shared by every pair it refutes
     invariants = tuple(
@@ -1460,6 +1504,7 @@ __all__ = [
     "build_ball",
     "HyperplaneId",
     "hyperplane_id",
+    "OutsideCatalogError",
     "HyperplaneCatalog",
     "hyperplane_catalog",
     "HyperplaneRelation",

@@ -249,6 +249,40 @@ def test_phi_images_frozen(capsys, tmp_path, padpair):
         assert out.strip() == image
 
 
+@pytest.fixture
+def pad_loop(tmp_path):
+    path = tmp_path / "d3.diag"
+    path.write_text("a1 b1\n0 6 fwd\n1 7 bwd\n")
+    return str(path)
+
+
+def test_phi_past_a_truncated_catalog_is_unknown(capsys, padpair, pad_loop):
+    code, blob = run_json(
+        capsys, "phi", "-p", padpair, "-w", "a1 b1", "-d", pad_loop,
+        "--max-class-size", "1",
+    )
+    assert code == 2
+    assert blob["verdict"] == "unknown" and blob["exact"] is False
+    assert blob["base"] == "a1 b1"
+    assert blob["reason"] == (
+        "the diagram crosses [1 | r6 | b1], which the capped search did not"
+        " find in the hyperplane catalog"
+    )
+
+
+def test_phi_text_past_a_truncated_catalog(capsys, padpair, pad_loop):
+    code, out = run(
+        capsys, "phi", "-p", padpair, "-w", "a1 b1", "-d", pad_loop,
+        "--max-class-size", "1", "--format", "text",
+    )
+    assert code == 2
+    assert out == (
+        "verdict: unknown\n"
+        "reason: the diagram crosses [1 | r6 | b1], which the capped search"
+        " did not find in the hyperplane catalog\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # geometry commands
 # ---------------------------------------------------------------------------
@@ -272,15 +306,28 @@ def test_embed_check(capsys, padpair):
 
 
 def test_embed_check_past_a_truncated_catalog_is_unknown(capsys, padpair):
-    # the rank partition of the depth-2 class reads exact, but the radius-4
-    # Farley ball crosses a hyperplane the truncated catalog never saw
+    # a one-word class has no edges, so its rank partition is vacuously
+    # exact, but every edge of the Farley ball crosses an uncataloged
+    # hyperplane
+    code, blob = run_json(
+        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "3",
+        "--max-class-size", "1",
+    )
+    assert code == 2
+    assert blob["verdict"] == "unknown" and blob["exact"] is False
+    assert "[1 | r0 | b1]" in blob["reason"]
+
+
+def test_embed_check_matches_hyperplanes_outside_the_class_ball(capsys, padpair):
+    # the Farley ball crosses [a1 p | r3 | 1] at words the depth-2 class
+    # search never reached; it is the cataloged [a1 | r3 | 1]
     code, blob = run_json(
         capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "4",
         "--max-bfs-depth", "2",
     )
-    assert code == 2
-    assert blob["verdict"] == "unknown" and blob["exact"] is False
-    assert "[a1 p | r3 | 1]" in blob["reason"]
+    assert code == 0
+    assert blob["ok"] is True and blob["exact"] is True
+    assert blob["ranks"] == [0, 1]
 
 
 def test_embed_check_text_on_inexact_partition(capsys, tmp_path):
@@ -299,14 +346,14 @@ def test_embed_check_text_on_inexact_partition(capsys, tmp_path):
 
 def test_embed_check_text_past_a_truncated_catalog(capsys, padpair):
     code, out = run(
-        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "4",
-        "--max-bfs-depth", "2", "--format", "text",
+        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "3",
+        "--max-class-size", "1", "--format", "text",
     )
     assert code == 2
     lines = out.splitlines()
     assert lines[0] == "verdict: unknown"
     assert lines[1].startswith("reason: the Farley ball crosses ")
-    assert "[a1 p | r3 | 1]" in lines[1] and len(lines) == 2
+    assert "[1 | r0 | b1]" in lines[1] and len(lines) == 2
 
 
 def test_propb_bounds(capsys, tmp_path, padpair):

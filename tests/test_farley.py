@@ -13,7 +13,17 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from conftest import COMM, CYC3, DEFAULT_CAPS, DIRTY, GROW, PADPAIR, PADPAIR_CAPS, W
+from conftest import (
+    COMM,
+    CYC3,
+    DEFAULT_CAPS,
+    DIRTY,
+    GROW,
+    PADPAIR,
+    PADPAIR_CAPS,
+    TIGHT_CAPS,
+    W,
+)
 from diagram_groups.diagrams import (
     Diagram,
     canonical_key,
@@ -30,13 +40,23 @@ from diagram_groups.farley import (
     farley_ball,
     guarded_pairs,
     property_b_scan,
-    pullback_id,
     rank_partition,
     separating_counts,
     tree_quotients,
 )
-from diagram_groups.rewriting import Move, one_step_rewrites, parse_presentation
-from diagram_groups.squier import BallEdge, HyperplaneId, build_ball
+from diagram_groups.rewriting import (
+    Move,
+    SearchCaps,
+    one_step_rewrites,
+    parse_presentation,
+)
+from diagram_groups.squier import (
+    BallEdge,
+    HyperplaneId,
+    OutsideCatalogError,
+    build_ball,
+    hyperplane_id,
+)
 
 ZPAIR = parse_presentation("letters: a b\nrel: a = b")
 
@@ -300,19 +320,41 @@ def test_rank_partition_comm_frozen():
     assert len(fams[0]) == 9
 
 
-def test_rank_of_unknown_hyperplane_raises():
-    part = rank_partition(COMM, W("a b c"), DEFAULT_CAPS)
-    with pytest.raises(KeyError):
-        part.rank_of(hid("a b c", 0, ""))
+def test_hyperplane_index_outside_catalog_raises():
+    squier = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+    with pytest.raises(OutsideCatalogError) as info:
+        squier.hyperplane_index(W("a b c a b"), Move(3, 0, True))
+    assert info.value.hyperplane == hid("a b c", 0, "")
 
 
-def test_pullback_same_for_both_orientations():
-    ball = farley_ball(PADPAIR, A1B1, 2)
+@pytest.mark.parametrize(
+    "pres, base, caps, radius",
+    [
+        (PADPAIR, "a1 b1", PADPAIR_CAPS, 6),
+        (DIRTY, "a b", TIGHT_CAPS, 5),
+        (COMM, "a a b c", DEFAULT_CAPS, 4),
+        # edges leave the depth-2 class ball and are matched by equality
+        (PADPAIR, "a1 b1", SearchCaps(max_bfs_depth=2), 4),
+    ],
+    ids=["padpair", "dirty", "comm", "padpair-depth2"],
+)
+def test_hyperplane_index_agrees_with_hyperplane_id(pres, base, caps, radius):
+    # every Farley edge resolves, in both orientations, to the catalog
+    # position its shortlex hyperplane id names, wherever that id is cataloged
+    ball = farley_ball(pres, W(base), radius)
+    squier = build_ball(pres, W(base), caps)
+    named = 0
     for e in ball.edges:
-        back = pullback_id(e, PADPAIR, PADPAIR_CAPS)
-        target_word = e.move.apply(e.word, PADPAIR)
-        flipped = dataclasses.replace(e, word=target_word, move=e.move.inverted())
-        assert pullback_id(flipped, PADPAIR, PADPAIR_CAPS) == back
+        i = squier.hyperplane_index(e.word, e.move)
+        target = e.move.apply(e.word, pres)
+        assert squier.hyperplane_index(target, e.move.inverted()) == i
+        ref = squier.catalog.index.get(
+            hyperplane_id(e.word, e.move, pres, caps, oriented=False)
+        )
+        if ref is not None:
+            assert i == ref
+            named += 1
+    assert named > 0
 
 
 def test_edges_cover_class_complex_edges():
@@ -356,14 +398,16 @@ def test_square_edges_pull_back_to_different_ranks():
 def test_ball_hyperplanes_well_defined_and_split():
     ball = farley_ball(PADPAIR, A1B1, 4)
     part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
-    hyps = ball_hyperplanes(ball, PADPAIR_CAPS, part)
+    hyps = ball_hyperplanes(ball, part)
     assert len(hyps) == 64
     assert sorted(h.rank for h in hyps).count(0) == 32
     covered = sorted(i for h in hyps for i in h.edges)
     assert covered == list(range(len(ball.edges)))
+    ids = part.ball.catalog.ids
     for h in hyps:
         assert {
-            pullback_id(ball.edges[i], PADPAIR, PADPAIR_CAPS) for i in h.edges
+            ids[part.ball.hyperplane_index(ball.edges[i].word, ball.edges[i].move)]
+            for i in h.edges
         } == {h.squier}
 
 

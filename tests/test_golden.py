@@ -8,10 +8,12 @@ that call.  The crossing-order outputs were captured from the implementation
 that recomputed every comparison pair by pair, the ``decompose``, ``squier``
 and ``euler`` outputs from the one in which decomposition rebuilt its own
 edges and squares, and the ``farley`` and radius-7 ``embed-check`` outputs
-from the one that reduced and re-keyed every ``A . atom`` in general, so
-these tests pin all three refactors to the same bytes; the ``dot`` ball
-pins vertex numbering and edge order.  The table itself is checked pair by
-pair against ``relate``.
+from the one that reduced and re-keyed every ``A . atom`` in general, and
+the ``--max-class-size 1`` ``embed-check`` and ``--max-bfs-depth 1``
+``phi`` outputs from the one that named each edge's hyperplane by shortlex
+representatives before looking it up, so these tests pin all four
+refactors to the same bytes; the ``dot`` ball pins vertex numbering and
+edge order.  The table itself is checked pair by pair against ``relate``.
 """
 
 import itertools

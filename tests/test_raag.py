@@ -15,7 +15,6 @@ from diagram_groups.diagrams import (
 from diagram_groups.raag import (
     EMPTY_WORD,
     RaagWord,
-    build_apw,
     format_raag_word,
     hyperplane_generators,
     parse_raag_word,
@@ -214,19 +213,21 @@ class TestBuildApw:
         )
         assert padpair_gens.exact
 
-    def test_build_apw_wrapper(self):
-        graph = build_apw(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    def test_padpair_vertex_and_edge_counts(self):
+        graph = hyperplane_generators(
+            build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        ).graph
         assert len(graph.vertices) == 8
         assert len(graph.edges) == 16
 
     def test_hexagon_edgeless(self):
-        graph = build_apw(COMM, W("a b c"), DEFAULT_CAPS)
+        graph = hyperplane_generators(build_ball(COMM, W("a b c"), DEFAULT_CAPS)).graph
         assert len(graph.vertices) == 6
         assert graph.edges == frozenset()
 
     def test_single_relation_single_vertex(self):
         pres = parse_presentation("letters: a b\nrel: a = b")
-        graph = build_apw(pres, W("a"), DEFAULT_CAPS)
+        graph = hyperplane_generators(build_ball(pres, W("a"), DEFAULT_CAPS)).graph
         assert graph.vertices == ("H0",)
         assert graph.edges == frozenset()
 
@@ -255,29 +256,23 @@ class TestPhi:
         assert positive_direction(Move(0, 2, False), PADPAIR)
 
     def test_empty_diagram(self, padpair_gens):
-        image = phi(
-            eps(PADPAIR, W("a1 b1")), PADPAIR, W("a1 b1"), PADPAIR_CAPS,
-            padpair_gens,
-        )
+        image = phi(eps(PADPAIR, W("a1 b1")), padpair_gens)
         assert image == EMPTY_WORD
 
     def test_images_of_the_three_loops(self, padpair_gens):
-        caps = PADPAIR_CAPS
-        base = W("a1 b1")
-        assert phi(delta(1), PADPAIR, base, caps, padpair_gens).syllables == (
+        assert phi(delta(1), padpair_gens).syllables == (
             ("H0", 1), ("H1", 1), ("H2", -1),
         )
-        assert phi(delta(2), PADPAIR, base, caps, padpair_gens).syllables == (
+        assert phi(delta(2), padpair_gens).syllables == (
             ("H3", 1), ("H4", 1), ("H5", -1),
         )
-        assert phi(delta(3), PADPAIR, base, caps, padpair_gens).syllables == (
+        assert phi(delta(3), padpair_gens).syllables == (
             ("H6", 1), ("H7", -1),
         )
 
     def test_crossing_loops_commute(self, padpair_gens):
-        base = W("a1 b1")
-        image12 = phi(delta(1) * delta(2), PADPAIR, base, PADPAIR_CAPS, padpair_gens)
-        image21 = phi(delta(2) * delta(1), PADPAIR, base, PADPAIR_CAPS, padpair_gens)
+        image12 = phi(delta(1) * delta(2), padpair_gens)
+        image21 = phi(delta(2) * delta(1), padpair_gens)
         assert image12 == image21
         assert image12.syllables == (
             ("H0", 1), ("H1", 1), ("H2", -1),
@@ -285,7 +280,6 @@ class TestPhi:
         )
 
     def test_homomorphism_law(self, padpair_gens):
-        base = W("a1 b1")
         pairs = [
             (delta(1), delta(2)),
             (delta(1), delta(3)),
@@ -293,36 +287,30 @@ class TestPhi:
             (delta(2), delta(2)),
         ]
         for g, h in pairs:
-            lhs = phi(
-                reduce_diagram(g * h), PADPAIR, base, PADPAIR_CAPS, padpair_gens
-            )
-            gh = phi(g, PADPAIR, base, PADPAIR_CAPS, padpair_gens) * phi(
-                h, PADPAIR, base, PADPAIR_CAPS, padpair_gens
-            )
+            lhs = phi(reduce_diagram(g * h), padpair_gens)
+            gh = phi(g, padpair_gens) * phi(h, padpair_gens)
             assert lhs == raag_normal_form(gh, padpair_gens.graph)
 
     def test_inverse_law(self, padpair_gens):
-        base = W("a1 b1")
         for g in (delta(1), delta(2), delta(3), delta(1) * delta(3)):
-            img = phi(g, PADPAIR, base, PADPAIR_CAPS, padpair_gens)
-            img_inv = phi(inverse(g), PADPAIR, base, PADPAIR_CAPS, padpair_gens)
+            img = phi(g, padpair_gens)
+            img_inv = phi(inverse(g), padpair_gens)
             assert img_inv == raag_normal_form(img.inverse(), padpair_gens.graph)
 
     def test_injectivity_evidence(self, padpair_gens):
         # the complex is special here, so a trivial image forces a trivial
         # diagram; check the contrapositive pairs we can build by hand
-        base = W("a1 b1")
         trivial = [
             delta(1) * inverse(delta(1)),
             delta(3) * inverse(delta(3)),
             delta(1) * delta(2) * inverse(delta(2)) * inverse(delta(1)),
         ]
         for g in trivial:
-            assert phi(g, PADPAIR, base, PADPAIR_CAPS, padpair_gens) == EMPTY_WORD
+            assert phi(g, padpair_gens) == EMPTY_WORD
             assert reduce_diagram(g).cells == 0
         nontrivial = [delta(1), delta(2), delta(3), delta(1) * delta(2)]
         for g in nontrivial:
-            assert phi(g, PADPAIR, base, PADPAIR_CAPS, padpair_gens) != EMPTY_WORD
+            assert phi(g, padpair_gens) != EMPTY_WORD
             assert reduce_diagram(g).cells > 0
 
     def test_hexagon_loop(self):
@@ -336,7 +324,8 @@ class TestPhi:
         )
         loop = from_derivation(Derivation(W("a b c"), moves), COMM)
         assert loop.is_spherical
-        image = phi(loop, COMM, W("a b c"), DEFAULT_CAPS)
+        gens = hyperplane_generators(build_ball(COMM, W("a b c"), DEFAULT_CAPS))
+        image = phi(loop, gens)
         assert image.syllables == (
             ("H0", 1), ("H3", 1), ("H4", 1),
             ("H1", -1), ("H2", -1), ("H5", -1),
@@ -347,7 +336,7 @@ class TestPhi:
             Derivation(W("a1 b1"), (Move(0, 0, True),)), PADPAIR
         )
         with pytest.raises(ValueError):
-            phi(d, PADPAIR, W("a1 b1"), PADPAIR_CAPS, padpair_gens)
+            phi(d, padpair_gens)
 
     def test_rejects_wrong_base(self, padpair_gens):
         d = from_derivation(
@@ -358,4 +347,4 @@ class TestPhi:
         )
         assert d.is_spherical
         with pytest.raises(ValueError):
-            phi(d, PADPAIR, W("a1 b1"), PADPAIR_CAPS, padpair_gens)
+            phi(d, padpair_gens)
