@@ -869,20 +869,8 @@ def _cmd_verify_raag(ns: argparse.Namespace) -> int:
     try:
         ev = verify_raag_iso(coll, cfg.caps, length=ns.length)
     except ElementBoundError as e:
-        if cfg.format == "text":
-            print(f"ok: unknown ({e})")
-        else:
-            _emit_json(
-                {
-                    "collection": collection_to_json(coll),
-                    "length": ns.length,
-                    "verdict": "unknown",
-                    "reason": str(e),
-                    "exact": False,
-                    "caps": _caps_json(cfg.caps),
-                }
-            )
-        return EXIT_UNKNOWN
+        head = {"collection": collection_to_json(coll), "length": ns.length}
+        return _emit_unknown(cfg, head, str(e))
     if cfg.format == "text":
         print(f"commutation ok: {ev.commutation_ok}")
         print(f"relators ok: {ev.relators_ok} ({ev.relators_checked} checked)")

@@ -469,26 +469,6 @@ def simplify_presentation(
     )
 
 
-def _fold_steps(
-    basis: FreeBasis, steps: Sequence[Tuple[Word, Move, int]]
-) -> Optional[List[Tuple[int, int]]]:
-    """Fold an edge walk through the basis.
-
-    Each step is a *forward-normalized* edge (source word, forward move)
-    together with the direction it is traversed in.
-    """
-    out: List[Tuple[int, int]] = []
-    for w, move, sign in steps:
-        key = (w, move)
-        if key in basis._tree:
-            continue
-        idx = basis._index.get(key)
-        if idx is None:
-            return None
-        out.append((idx, sign))
-    return list(_free_reduce(out))
-
-
 def complete_ball_presentation(
     pres: Presentation, w: Word, caps: SearchCaps
 ) -> GroupPresentation:
@@ -504,19 +484,11 @@ def complete_ball_presentation(
     relators: List[Relator] = []
     for sq in ball.squares:
         m1, m2 = sq.moves
-        c = sq.corner
-        a_corner = m1.apply(c, pres)
-        b_corner = m2.apply(c, pres)
         shifted = Move(m2.offset + m1.delta(pres), m2.relation, m2.forward)
-        walk = [
-            (c, m1, 1),
-            (a_corner, shifted, 1),
-            (b_corner, m1, -1),
-            (c, m2, -1),
-        ]
-        folded = _fold_steps(basis, walk)
+        loop = Diagram(pres, sq.corner, (m1, shifted, m1.inverted(), m2.inverted()))
+        folded = basis.express(loop)
         assert folded is not None, "square boundary left the complete ball"
-        relators.append(_cyclic_reduce(tuple(folded)))
+        relators.append(_cyclic_reduce(folded))
     names = tuple(f"g{i}" for i in range(basis.rank))
     return GroupPresentation(
         names,

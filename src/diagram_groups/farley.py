@@ -66,7 +66,14 @@ from .rewriting import (
     format_word,
     one_step_rewrites,
 )
-from .squier import HyperplaneId, RankResult, SquierBall, build_ball
+from .squier import (
+    CubeTable,
+    HyperplaneId,
+    RankResult,
+    SquierBall,
+    build_ball,
+    disjoint_cubes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,7 @@ class FarleyCube:
 
 
 @dataclass(frozen=True)
-class FarleyBall:
+class FarleyBall(CubeTable):
     """All reduced diagrams with the given top and at most ``radius`` cells.
 
     Vertices are indexed in breadth-first order from the trivial diagram;
@@ -141,19 +148,6 @@ class FarleyBall:
             adj[e.high].append((e.low, ei))
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
-    @property
-    def squares(self) -> Tuple[FarleyCube, ...]:
-        return self.cubes_of(2)
-
-    def cubes_of(self, n: int) -> Tuple[FarleyCube, ...]:
-        for dim, cs in self.cubes:
-            if dim == n:
-                return cs
-        return ()
-
-    def cube_dims(self) -> Tuple[int, ...]:
-        return tuple(dim for dim, _ in self.cubes)
-
     def index_of(self, d: Diagram) -> int:
         """Vertex index of a reduced diagram; raises if outside the ball."""
         k = canonical_key(d)
@@ -162,11 +156,6 @@ class FarleyBall:
                 f"diagram {d} is not a vertex of the radius-{self.radius} ball"
             )
         return self.index[k]
-
-
-def _span(move: Move, pres: Presentation) -> Tuple[int, int]:
-    src, _ = move.sides(pres)
-    return move.offset, move.offset + len(src)
 
 
 def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
@@ -185,9 +174,9 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     levels.  A vertex's wire form is dropped once it has been processed, and
     none is kept for the sphere, whose vertices are never extended.
 
-    Cubes are collected afterwards from their minimal corner: the remaining
-    corners are looked up by following recorded up-edges, so no diagram
-    algebra is repeated.
+    Cubes come from ``squier.disjoint_cubes``, the routine that also spans
+    the Squier ball's cubes, over the recorded up-edge tables: every corner
+    is reached by following up-edges, so no diagram algebra is repeated.
     """
     pres.check_word(w)
     if radius < 0:
@@ -198,7 +187,6 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     depths: List[int] = [0]
     index: Dict[CanonicalKey, int] = {keys[0]: 0}
     edges: List[FarleyEdge] = []
-    edge_set: Set[Tuple[int, int]] = set()
     # up[i] maps each rewrite of bot(diagrams[i]) that gains a cell to the
     # vertex it reaches; cube corners are recovered from these tables
     up: List[Dict[Move, int]] = [{}]
@@ -235,7 +223,7 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
                 # the other endpoint sits one level down and was processed
                 # first, so the edge already exists in that orientation
                 j = index.get(layered_key(w, cells[:ci] + cells[ci + 1:]))
-                assert j is not None and depths[j] == d - 1 and (j, i) in edge_set
+                assert j is not None and depths[j] == d - 1 and i in up[j].values()
                 continue
             produced = tuple(range(fresh, fresh + len(dst)))
             grown = cells + [(move.relation, move.forward, consumed, produced)]
@@ -255,55 +243,11 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
                         fresh + len(dst),
                     )
             edges.append(FarleyEdge(i, j, u, move))
-            edge_set.add((i, j))
             up[i][move] = j
 
-    cubes: Dict[int, List[FarleyCube]] = {}
-
-    def grow(i: int, ups: List[Tuple[Move, int]], start: int,
-             chosen: List[Move], corners: Dict[int, int]) -> None:
-        if len(chosen) >= 2:
-            full = tuple(corners[m] for m in range(1 << len(chosen)))
-            cubes.setdefault(len(chosen), []).append(
-                FarleyCube(i, tuple(chosen), full)
-            )
-        for t in range(start, len(ups)):
-            move, j = ups[t]
-            if chosen and any(
-                _span(prev, pres)[1] > move.offset for prev in chosen
-            ):
-                continue
-            bit = 1 << len(chosen)
-            extended = dict(corners)
-            extended[bit] = j
-            ok = True
-            for mask in range(1, 1 << len(chosen)):
-                shift = sum(
-                    chosen[t2].delta(pres)
-                    for t2 in range(len(chosen))
-                    if mask & (1 << t2)
-                )
-                shifted = Move(move.offset + shift, move.relation, move.forward)
-                target = up[corners[mask]].get(shifted)
-                if target is None:
-                    ok = False
-                    break
-                extended[mask | bit] = target
-            if ok:
-                chosen.append(move)
-                grow(i, ups, t + 1, chosen, extended)
-                chosen.pop()
-
-    for i in range(len(keys)):
-        if up[i]:
-            ups = sorted(
-                up[i].items(),
-                key=lambda mj: (mj[0].offset, mj[0].relation, mj[0].forward),
-            )
-            grow(i, ups, 0, [], {0: i})
-
     packed = tuple(
-        (dim, tuple(cubes[dim])) for dim in sorted(cubes)
+        (dim, tuple(FarleyCube(*cube) for cube in cs))
+        for dim, cs in disjoint_cubes(up, pres)
     )
     return FarleyBall(
         pres, w, radius, tuple(keys), tuple(diagrams), tuple(depths),

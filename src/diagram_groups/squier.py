@@ -31,6 +31,10 @@ crossing ``order``: each is built on first use, once per ball, and
 generators and the left-hyperplane decomposition all read them.  An edge,
 in or out of the ball, learns its hyperplane through
 ``ball.hyperplane_index``, the one map from edges to catalog positions.
+
+Cubes of this complex and of Farley's complex of reduced diagrams, which
+covers it, come from one routine, ``disjoint_cubes``, over tables of the
+moves out of each vertex; both balls read them through ``CubeTable``.
 """
 
 from __future__ import annotations
@@ -119,14 +123,84 @@ class BallCube:
         return BallEdge(self.corner, self.moves[i])
 
 
-def _apply_disjoint(w: Word, moves: Sequence[Move], pres: Presentation) -> Word:
-    for m in sorted(moves, key=lambda m: -m.offset):
-        w = m.apply(w, pres)
-    return w
+class CubeTable:
+    """Read access to ``cubes``, the ``(dim, cubes)`` pairs of ascending
+    dimension that :func:`disjoint_cubes` lists; shared by both balls."""
+
+    cubes: Tuple[Tuple[int, tuple], ...]
+
+    @property
+    def squares(self) -> tuple:
+        return self.cubes_of(2)
+
+    def cubes_of(self, n: int) -> tuple:
+        for dim, cs in self.cubes:
+            if dim == n:
+                return cs
+        return ()
+
+    def cube_dims(self) -> Tuple[int, ...]:
+        return tuple(dim for dim, _ in self.cubes)
+
+
+def disjoint_cubes(
+    up: Sequence[Dict[Move, int]], pres: Presentation
+) -> Tuple[Tuple[int, tuple], ...]:
+    """The cubes of dimension at least two spanned by recorded moves.
+
+    ``up[i]`` maps each cube-direction move out of vertex ``i`` to the
+    vertex it reaches.  Pairwise-disjoint moves at ``i`` span a cube when
+    every corner is reached through recorded moves: a move right of the
+    others is shifted by their length changes at the corners they lead to.
+    Good subsets are downward closed, so subsets grow one move at a time and
+    a branch is pruned on its first missing corner.  Moves are tried in
+    ``(offset, end, relation, forward)`` order; each cube is returned as
+    ``(corner, moves, corners)``, where ``corners[mask]`` is reached by the
+    moves whose bits are set in ``mask``, grouped by ascending dimension.
+    """
+
+    def end(move: Move) -> int:
+        return move.offset + len(move.sides(pres)[0])
+
+    cubes: Dict[int, list] = {}
+
+    def grow(i: int, ups: list, start: int, chosen: List[Move],
+             corners: List[int], shifts: List[int]) -> None:
+        if len(chosen) >= 2:
+            cubes.setdefault(len(chosen), []).append(
+                (i, tuple(chosen), tuple(corners))
+            )
+        for t in range(start, len(ups)):
+            move, j = ups[t]
+            # chosen moves are disjoint and ascending, so the last ends last
+            if chosen and end(chosen[-1]) > move.offset:
+                continue
+            reached = [j]
+            for corner, shift in zip(corners[1:], shifts[1:]):
+                target = up[corner].get(
+                    Move(move.offset + shift, move.relation, move.forward)
+                )
+                if target is None:
+                    break
+                reached.append(target)
+            else:
+                delta = move.delta(pres)
+                chosen.append(move)
+                grow(i, ups, t + 1, chosen, corners + reached,
+                     shifts + [s + delta for s in shifts])
+                chosen.pop()
+
+    for i, moves in enumerate(up):
+        ups = sorted(
+            moves.items(),
+            key=lambda mj: (mj[0].offset, end(mj[0]), mj[0].relation, mj[0].forward),
+        )
+        grow(i, ups, 0, [], [i], [0])
+    return tuple((dim, tuple(cubes[dim])) for dim in sorted(cubes))
 
 
 @dataclass(frozen=True)
-class SquierBall:
+class SquierBall(CubeTable):
     """A bounded piece of the class complex around ``base``, within ``caps``.
 
     ``edges`` lists each edge once, forward, in the order of
@@ -188,74 +262,29 @@ class SquierBall:
             hyperplane_id(word, move, self.pres, self.caps, oriented=False)
         )
 
-    @property
-    def squares(self) -> Tuple[BallCube, ...]:
-        return self.cubes_of(2)
-
-    def cubes_of(self, n: int) -> Tuple[BallCube, ...]:
-        for dim, cs in self.cubes:
-            if dim == n:
-                return cs
-        return ()
-
-    def cube_dims(self) -> Tuple[int, ...]:
-        return tuple(dim for dim, _ in self.cubes)
-
 
 def build_ball(pres: Presentation, base: Word, caps: SearchCaps) -> SquierBall:
     """Enumerate the class of ``base`` and assemble vertices, edges and cubes.
 
-    Cubes are included only when *all* of their corners lie inside the ball,
-    so Euler-characteristic style counts are honest on truncated data.
+    The forward moves between members are the up tables of
+    :func:`disjoint_cubes`, so a cube is included only when *all* of its
+    corners lie inside the ball and Euler-characteristic style counts are
+    honest on truncated data.
     """
     enum = _enum(pres, base, caps)
-    vset = frozenset(enum.members)
+    position = {w: i for i, w in enumerate(enum.members)}
     edges: List[BallEdge] = []
-    cubes: Dict[int, List[BallCube]] = {}
+    up: List[Dict[Move, int]] = []
     for w in enum.members:
-        fwd: List[Tuple[Move, Word]] = []
+        up.append({})
         for move, result in one_step_rewrites(w, pres):
-            if move.forward and result in vset:
+            j = position.get(result)
+            if move.forward and j is not None:
                 edges.append(BallEdge(w, move))
-                fwd.append((move, result))
-        # all pairwise-disjoint subsets of forward moves, size >= 2
-        spans = []
-        for move, _ in fwd:
-            src, _dst = move.sides(pres)
-            spans.append((move.offset, move.offset + len(src), move))
-        spans.sort(key=lambda t: (t[0], t[1]))
-
-        # Good subsets (all corners inside the ball) are downward closed:
-        # a corner of a sub-cube is a corner of the cube.  So we may grow
-        # subsets one move at a time, verifying only the corners that use
-        # the new move, and prune the whole branch on the first miss.
-        def extend(start_idx: int, chosen: List[Move]) -> None:
-            if len(chosen) >= 2:
-                cubes.setdefault(len(chosen), []).append(
-                    BallCube(w, tuple(chosen))
-                )
-            for i in range(start_idx, len(spans)):
-                lo, _hi, move = spans[i]
-                if chosen and lo < max(
-                    mo.offset + len(mo.sides(pres)[0]) for mo in chosen
-                ):
-                    continue
-                new_ok = True
-                for r in range(0, len(chosen) + 1):
-                    for sub in itertools.combinations(chosen, r):
-                        if _apply_disjoint(w, sub + (move,), pres) not in vset:
-                            new_ok = False
-                            break
-                    if not new_ok:
-                        break
-                if new_ok:
-                    chosen.append(move)
-                    extend(i + 1, chosen)
-                    chosen.pop()
-
-        extend(0, [])
+                up[-1][move] = j
     packed = tuple(
-        (dim, tuple(cubes[dim])) for dim in sorted(cubes)
+        (dim, tuple(BallCube(enum.members[i], moves) for i, moves, _ in cs))
+        for dim, cs in disjoint_cubes(up, pres)
     )
     return SquierBall(pres, base, caps, enum, tuple(edges), packed)
 
@@ -1500,6 +1529,8 @@ def specialness_report(
 __all__ = [
     "BallEdge",
     "BallCube",
+    "CubeTable",
+    "disjoint_cubes",
     "SquierBall",
     "build_ball",
     "HyperplaneId",

@@ -474,6 +474,16 @@ def test_verify_raag_element_bound_is_unknown(capsys, tmp_path):
     assert blob["reason"] == "ball exceeded the element bound 1000"
 
 
+def test_verify_raag_text_element_bound_is_unknown(capsys, tmp_path):
+    ints = tmp_path / "five.txt"
+    ints.write_text("n=6 / I1: 1 2 / I2: 3 4 / I3: 5 6 / I4: 2 3 / I5: 4 5")
+    code, out = run(
+        capsys, "verify-raag", "-i", str(ints), "--length", "4", "--format", "text"
+    )
+    assert code == 2
+    assert out == "verdict: unknown\nreason: ball exceeded the element bound 1000\n"
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

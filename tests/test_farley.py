@@ -192,6 +192,26 @@ def test_extensions_match_general_reduction(pres, w, radius):
     assert produced == set(range(len(ball.edges)))
 
 
+@pytest.mark.parametrize(
+    "pres, w, radius",
+    [(PADPAIR, A1B1, 4), (DIRTY, W("a b"), 5)],
+    ids=["padpair-r4", "dirty-r5"],
+)
+def test_cube_corners_match_general_reduction(pres, w, radius):
+    # cube corners are read off up-edge tables; each must be the vertex of
+    # the corner diagram composed with the selected atoms, reduced in general
+    ball = farley_ball(pres, w, radius)
+    assert ball.cubes
+    for _, cubes in ball.cubes:
+        for cube in cubes:
+            a = ball.diagrams[cube.corner]
+            for mask, vertex in enumerate(cube.corners):
+                chosen = [m for t, m in enumerate(cube.moves) if mask >> t & 1]
+                # right to left, so every offset still refers to ``a.bot``
+                atoms = Diagram(pres, a.bot, tuple(reversed(chosen)))
+                assert ball.index_of(reduce_diagram(compose(a, atoms))) == vertex
+
+
 def test_depth_equals_cell_count():
     ball = farley_ball(PADPAIR, A1B1, 3)
     for d, depth in zip(ball.diagrams, ball.depths):

@@ -2,18 +2,23 @@
 
 ``golden/cases.json`` lists CLI calls (``rank-table``, ``relate``,
 ``hyperplanes``, ``phi``, ``embed-check``, ``decompose``, ``squier``,
-``euler`` and ``farley``) on the presentation and diagram files beside it,
-each with its exit code; ``golden/<name>.out`` is the standard output of
-that call.  The crossing-order outputs were captured from the implementation
-that recomputed every comparison pair by pair, the ``decompose``, ``squier``
-and ``euler`` outputs from the one in which decomposition rebuilt its own
-edges and squares, and the ``farley`` and radius-7 ``embed-check`` outputs
-from the one that reduced and re-keyed every ``A . atom`` in general, and
-the ``--max-class-size 1`` ``embed-check`` and ``--max-bfs-depth 1``
-``phi`` outputs from the one that named each edge's hyperplane by shortlex
-representatives before looking it up, so these tests pin all four
-refactors to the same bytes; the ``dot`` ball pins vertex numbering and
-edge order.  The table itself is checked pair by pair against ``relate``.
+``euler``, ``farley`` and ``special``) on the presentation and diagram files
+beside it, each with its exit code; ``golden/<name>.out`` is the standard
+output of that call.  The crossing-order outputs were captured from the
+implementation that recomputed every comparison pair by pair, the
+``decompose``, ``squier --format dot`` and ``euler`` outputs from the one in
+which decomposition rebuilt its own edges and squares, and the ``farley``
+and radius-7 ``embed-check`` outputs from the one that reduced and re-keyed
+every ``A . atom`` in general, the ``--max-class-size 1`` ``embed-check``
+and ``--max-bfs-depth 1`` ``phi`` outputs from the one that named each
+edge's hyperplane by shortlex representatives before looking it up, and the
+``special`` outputs (DIRTY ``a b`` with its 121 self-intersections in square
+order, OSC_PLAIN ``x k h k h k y``) and the ``squier`` JSON outputs (DIRTY
+``a b`` truncated with cubes up to dimension 6, CYC3 ``a b c a``) from the
+one in which the Squier ball replayed every subset of moves to find its
+cubes, so these tests pin all five refactors to the same bytes; the ``dot``
+ball pins vertex numbering and edge order.  The table itself is checked
+pair by pair against ``relate``.
 """
 
 import itertools
@@ -37,6 +42,12 @@ def test_output_matches_golden(case, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def test_every_output_has_a_case():
+    names = [c["name"] for c in CASES]
+    assert len(set(names)) == len(names)
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(names)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ sets), giving an independent route for counts and exhaustiveness flags.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     COMM,
+    CYC3,
     DEFAULT_CAPS,
     DIRTY,
     GROW,
@@ -25,7 +27,12 @@ from conftest import (
     TIGHT_CAPS,
     W,
 )
-from diagram_groups.rewriting import Move
+from diagram_groups.rewriting import (
+    Move,
+    SearchCaps,
+    one_step_rewrites,
+    parse_presentation,
+)
 from diagram_groups.squier import (
     BallCube,
     BallEdge,
@@ -151,6 +158,81 @@ class TestCubes:
             and sq.moves == (Move(0, 0, True), Move(2, 2, True))
             for sq in ball.squares
         )
+
+
+def _end(move, pres):
+    return move.offset + len(move.sides(pres)[0])
+
+
+def _brute_force_cubes(ball):
+    """Every subset of at least two pairwise-disjoint forward moves whose
+    corners all lie in the ball, per vertex in member order, subsets in
+    lexicographic order of the moves sorted by span."""
+    pres, members = ball.pres, set(ball.vertices)
+    cubes = {}
+    for w in ball.vertices:
+        fwd = sorted(
+            (m for m, r in one_step_rewrites(w, pres) if m.forward and r in members),
+            key=lambda m: (m.offset, _end(m, pres)),
+        )
+        for n in range(2, len(fwd) + 1):
+            for sub in itertools.combinations(fwd, n):
+                pairs = itertools.combinations(sub, 2)
+                if any(_end(a, pres) > b.offset for a, b in pairs):
+                    continue
+                corners = set()
+                for r in range(1, n + 1):
+                    for part in itertools.combinations(sub, r):
+                        c = w
+                        for m in reversed(part):  # right to left keeps offsets valid
+                            c = m.apply(c, pres)
+                        corners.add(c)
+                if corners <= members:
+                    cubes.setdefault(n, []).append(BallCube(w, sub))
+    return tuple((n, tuple(cubes[n])) for n in sorted(cubes))
+
+
+def _random_presentation(rng):
+    letters = ("a", "b", "c")
+    count, rels = rng.randint(1, 3), set()
+    while len(rels) < count:
+        lhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 2)))
+        rhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        if lhs != rhs and (rhs, lhs) not in rels:
+            rels.add((lhs, rhs))
+    return parse_presentation(
+        "letters: a b c\n"
+        + "".join(f"rel: {' '.join(l)} = {' '.join(r)}\n" for l, r in sorted(rels))
+    )
+
+
+@pytest.mark.parametrize(
+    "pres, base, caps",
+    [
+        (COMM, "a b c a b c", DEFAULT_CAPS),
+        (CYC3, "a b c a", DEFAULT_CAPS),
+        (DIRTY, "a b", TIGHT_CAPS),
+        (GROW, "x", TIGHT_CAPS),
+    ],
+    ids=["comm", "cyc3", "dirty", "grow"],
+)
+def test_cubes_match_brute_force(pres, base, caps):
+    ball = build_ball(pres, W(base), caps)
+    assert ball.cubes == _brute_force_cubes(ball)
+    assert ball.cube_dims()
+
+
+def test_cubes_match_brute_force_on_random_presentations():
+    caps = SearchCaps(max_word_len=7, max_class_size=80, max_bfs_depth=16)
+    cubes = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        pres = _random_presentation(rng)
+        base = tuple(rng.choice("abc") for _ in range(rng.randint(2, 4)))
+        ball = build_ball(pres, base, caps)
+        assert ball.cubes == _brute_force_cubes(ball), seed
+        cubes += sum(len(cs) for _, cs in ball.cubes)
+    assert cubes > 0
 
 
 # ---------------------------------------------------------------------------
