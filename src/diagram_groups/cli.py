@@ -9,6 +9,12 @@ truncation without parsing anything.
 All JSON output is deterministic (sorted keys, fixed indentation) and
 embeds the caps that bounded the run together with every exactness flag
 that qualifies the result.
+
+The parser decides which flags each command takes and which formats it
+renders: only ``reduce``, ``compose``, ``squier``, ``relate``, ``farley``
+and ``decompose`` offer ``--format dot``.  Before dispatch, ``main`` checks
+the flags and loads the shared inputs once (:func:`_load_inputs`), so every
+command reads ``ns.caps``, ``ns.pres`` and its words already validated.
 """
 
 import argparse
@@ -83,7 +89,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 
-_DEFAULT_CAPS = SearchCaps()
+_CAP_FIELDS = dataclasses.fields(SearchCaps)
 
 # fixed palette so hyperplane classes keep their colors across runs
 _DOT_COLORS = (
@@ -104,24 +110,6 @@ class CliError(Exception):
     """Bad input (missing file, malformed format, unusable combination)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run is parameterized by."""
-
-    presentation: Optional[str]
-    word: Optional[str]
-    caps: SearchCaps
-    radius: int
-    depth: int
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise CliError("radius must be nonnegative")
-        if self.format not in ("json", "dot", "text"):
-            raise CliError(f"unknown output format {self.format!r}")
-
-
 # ---------------------------------------------------------------------------
 # input plumbing
 # ---------------------------------------------------------------------------
@@ -135,40 +123,27 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
+def _load_inputs(ns: argparse.Namespace) -> None:
+    """Check the flags the parser cannot and load the shared inputs: sets
+    ``ns.caps`` from the cap flags, ``ns.pres`` from ``-p`` and replaces the
+    words of ``-w``, ``-w1`` and ``-w2`` by checked words of ``ns.pres``."""
+    caps = {f.name: getattr(ns, f.name) for f in _CAP_FIELDS if f.name in ns}
     try:
-        caps = SearchCaps(
-            max_word_len=getattr(ns, "max_word_len", _DEFAULT_CAPS.max_word_len),
-            max_class_size=getattr(ns, "max_class_size", _DEFAULT_CAPS.max_class_size),
-            max_bfs_depth=getattr(ns, "max_bfs_depth", _DEFAULT_CAPS.max_bfs_depth),
-        )
+        ns.caps = SearchCaps(**caps)
     except ValueError as e:
         raise CliError(str(e)) from None
-    return RunConfig(
-        presentation=getattr(ns, "presentation", None),
-        word=getattr(ns, "word", None),
-        caps=caps,
-        radius=getattr(ns, "radius", 0),
-        depth=getattr(ns, "depth", 1),
-        format=getattr(ns, "format", "json"),
-    )
-
-
-def _load_presentation(cfg: RunConfig) -> Presentation:
-    assert cfg.presentation is not None
+    if getattr(ns, "radius", 0) < 0:
+        raise CliError("radius must be nonnegative")
+    if "presentation" not in ns:
+        return
     try:
-        return parse_presentation(_read(cfg.presentation))
+        ns.pres = parse_presentation(_read(ns.presentation))
     except PresentationError as e:
-        raise CliError(f"{cfg.presentation}: {e}") from None
-
-
-def _load_word(cfg: RunConfig, pres: Presentation, text: Optional[str] = None):
-    w = word_of(text if text is not None else (cfg.word or ""))
-    try:
-        pres.check_word(w)
-    except PresentationError as e:
-        raise CliError(str(e)) from None
-    return w
+        raise CliError(f"{ns.presentation}: {e}") from None
+    for key in ("w", "w1", "w2"):
+        if key in ns:
+            setattr(ns, key, word_of(getattr(ns, key)))
+            ns.pres.check_word(getattr(ns, key))
 
 
 def _load_diagram(path: str, pres: Presentation) -> Diagram:
@@ -218,21 +193,13 @@ def _load_collection(path: str) -> IntervalCollection:
 # ---------------------------------------------------------------------------
 
 
-def _caps_json(caps: SearchCaps) -> Dict[str, int]:
-    return {
-        "max_word_len": caps.max_word_len,
-        "max_class_size": caps.max_class_size,
-        "max_bfs_depth": caps.max_bfs_depth,
-    }
-
-
 def _emit_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _emit_unknown(cfg: RunConfig, head: Dict[str, object], reason: str) -> int:
+def _emit_unknown(ns: argparse.Namespace, head: Dict[str, object], reason: str) -> int:
     """Report an unknown verdict and why; ``head`` leads the JSON object."""
-    if cfg.format == "text":
+    if ns.format == "text":
         print("verdict: unknown")
         print(f"reason: {reason}")
     else:
@@ -242,7 +209,7 @@ def _emit_unknown(cfg: RunConfig, head: Dict[str, object], reason: str) -> int:
                 "verdict": "unknown",
                 "reason": reason,
                 "exact": False,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_UNKNOWN
@@ -265,11 +232,6 @@ def _witness_json(wit: object) -> Dict[str, object]:
         elif isinstance(value, (int, str, bool)):
             out[f.name] = value
     return out
-
-
-def _no_dot(cfg: RunConfig, command: str) -> None:
-    if cfg.format == "dot":
-        raise CliError(f"{command} has no dot rendering")
 
 
 def _move_json(move) -> List[object]:
@@ -345,64 +307,55 @@ def farley_to_dot(ball) -> str:
 
 
 def _cmd_class(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "class")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    enum = enumerate_class(w, pres, cfg.caps)
-    if cfg.format == "text":
+    enum = enumerate_class(ns.w, ns.pres, ns.caps)
+    if ns.format == "text":
         for m in enum.members:
             print(format_word(m))
         print(f"# {len(enum.members)} members, complete={enum.complete}")
     else:
         _emit_json(
             {
-                "word": format_word(w),
+                "word": format_word(ns.w),
                 "members": [format_word(m) for m in enum.members],
                 "count": len(enum.members),
                 "complete": enum.complete,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if enum.complete else EXIT_UNKNOWN
 
 
 def _cmd_equal(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "equal")
-    pres = _load_presentation(cfg)
-    w1 = _load_word(cfg, pres, ns.w1)
-    w2 = _load_word(cfg, pres, ns.w2)
-    tb = equal_mod_p(w1, w2, pres, cfg.caps)
+    tb = equal_mod_p(ns.w1, ns.w2, ns.pres, ns.caps)
     moves: List[List[object]] = []
     cells = None
     if tb.is_yes:
-        d = from_derivation(tb.witness, pres)
+        d = from_derivation(tb.witness, ns.pres)
         moves = [_move_json(m) for m in d.moves]
         cells = d.cells
-    if cfg.format == "text":
+    if ns.format == "text":
         print(tb.value)
         if tb.is_yes:
-            for w in from_derivation(tb.witness, pres).words():
+            for w in from_derivation(tb.witness, ns.pres).words():
                 print(format_word(w))
     else:
         _emit_json(
             {
-                "w1": format_word(w1),
-                "w2": format_word(w2),
+                "w1": format_word(ns.w1),
+                "w2": format_word(ns.w2),
                 "verdict": tb.value,
                 "moves": moves,
                 "cells": cells,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return _exit_for(tb)
 
 
-def _diagram_report(d: Diagram, cfg: RunConfig) -> None:
-    if cfg.format == "dot":
+def _diagram_report(d: Diagram, ns: argparse.Namespace) -> None:
+    if ns.format == "dot":
         print(diagram_to_dot(d))
-    elif cfg.format == "text":
+    elif ns.format == "text":
         print(serialize_diagram(d), end="")
     else:
         _emit_json(
@@ -418,36 +371,29 @@ def _diagram_report(d: Diagram, cfg: RunConfig) -> None:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    d = _load_diagram(ns.diagram, pres)
-    _diagram_report(reduce_diagram(d), cfg)
+    d = _load_diagram(ns.diagram, ns.pres)
+    _diagram_report(reduce_diagram(d), ns)
     return EXIT_OK
 
 
 def _cmd_compose(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    d1 = _load_diagram(ns.d1, pres)
-    d2 = _load_diagram(ns.d2, pres)
+    d1 = _load_diagram(ns.d1, ns.pres)
+    d2 = _load_diagram(ns.d2, ns.pres)
     try:
         d = compose(d1, d2)
     except ValueError as e:
         raise CliError(str(e)) from None
     if ns.reduce:
         d = reduce_diagram(d)
-    _diagram_report(d, cfg)
+    _diagram_report(d, ns)
     return EXIT_OK
 
 
 def _cmd_squier(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    ball = build_ball(pres, w, cfg.caps)
-    if cfg.format == "dot":
+    ball = build_ball(ns.pres, ns.w, ns.caps)
+    if ns.format == "dot":
         print(ball_to_dot(ball))
-    elif cfg.format == "text":
+    elif ns.format == "text":
         print(f"vertices: {len(ball.vertices)}")
         print(f"edges: {len(ball.edges)}")
         for dim, cubes in ball.cubes:
@@ -456,32 +402,28 @@ def _cmd_squier(ns: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "vertices": [format_word(v) for v in ball.vertices],
                 "edge_count": len(ball.edges),
                 "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
                 "complete": ball.complete,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if ball.complete else EXIT_UNKNOWN
 
 
 def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "hyperplanes")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    ball = build_ball(pres, w, cfg.caps)
+    ball = build_ball(ns.pres, ns.w, ns.caps)
     catalog = ball.catalog
-    if cfg.format == "text":
+    if ns.format == "text":
         for hid, edges in catalog.edges_of:
             print(f"{hid}  ({len(edges)} edges)")
         print(f"# exact={catalog.exact}")
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "count": len(catalog.ids),
                 "hyperplanes": [
                     {"id": str(hid), "edges": len(edges)}
@@ -489,21 +431,18 @@ def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
                 ],
                 "exact": catalog.exact,
                 "complete": ball.complete,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if catalog.exact else EXIT_UNKNOWN
 
 
 def _cmd_relate(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    ball = build_ball(pres, w, cfg.caps)
+    ball = build_ball(ns.pres, ns.w, ns.caps)
     tg = transversality_graph(ball)
-    if cfg.format == "dot":
+    if ns.format == "dot":
         print(transversality_to_dot(tg))
-    elif cfg.format == "text":
+    elif ns.format == "text":
         for i, j, value in tg.edges:
             arrow = "<" if value == "first_prec_second" else ">"
             print(f"{tg.ids[i]} {arrow} {tg.ids[j]}")
@@ -511,24 +450,20 @@ def _cmd_relate(ns: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "hyperplanes": [str(h) for h in tg.ids],
                 "edges": [[i, j, value] for i, j, value in tg.edges],
                 "exact": tg.exact,
                 "odd_cycle": list(tg.odd_cycle) if tg.odd_cycle else None,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if tg.exact else EXIT_UNKNOWN
 
 
 def _cmd_special(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "special")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    report = specialness_report(pres, w, cfg.caps)
-    if cfg.format == "text":
+    report = specialness_report(ns.pres, ns.w, ns.caps)
+    if ns.format == "text":
         print(f"clean: {report.clean.value}")
         print(f"special: {report.special.value}")
         for note in report.notes:
@@ -536,7 +471,7 @@ def _cmd_special(ns: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "clean": report.clean.value,
                 "special": report.special.value,
                 "self_intersections": [
@@ -549,18 +484,14 @@ def _cmd_special(ns: argparse.Namespace) -> int:
                     _witness_json(x) for x in report.inter_osculations
                 ],
                 "notes": list(report.notes),
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return _exit_for(report.special)
 
 
 def _cmd_dim(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "dim")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    tb = dimension_at_least(pres, w, ns.n, cfg.caps)
+    tb = dimension_at_least(ns.pres, ns.w, ns.n, ns.caps)
     witness: object = None
     if tb.is_yes and tb.witness is not None:
         witness = {
@@ -569,27 +500,23 @@ def _cmd_dim(ns: argparse.Namespace) -> int:
         }
     elif tb.is_no:
         witness = tb.witness  # a textual certificate
-    if cfg.format == "text":
+    if ns.format == "text":
         print(tb.value)
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "n": ns.n,
                 "verdict": tb.value,
                 "witness": witness,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return _exit_for(tb)
 
 
 def _cmd_rank_table(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "rank-table")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    partition = rank_partition(pres, w, cfg.caps)
+    partition = rank_partition(ns.pres, ns.w, ns.caps)
     rows = [
         {
             "id": str(hid),
@@ -599,7 +526,7 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
         }
         for hid, r in zip(partition.ball.catalog.ids, partition.ranks)
     ]
-    if cfg.format == "text":
+    if ns.format == "text":
         for row in rows:
             star = "" if row["exact"] else " (bound)"
             print(f'{row["id"]}  rank {row["rank"]}{star}')
@@ -607,40 +534,36 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "hyperplanes": rows,
                 "exact": partition.exact,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if partition.exact else EXIT_UNKNOWN
 
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "phi")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    d = _load_diagram(ns.diagram, pres)
-    ball = build_ball(pres, w, cfg.caps)
+    d = _load_diagram(ns.diagram, ns.pres)
+    ball = build_ball(ns.pres, ns.w, ns.caps)
     gens = hyperplane_generators(ball)
     try:
         image = phi(d, gens)
     except OutsideCatalogError as e:
         return _emit_unknown(
-            cfg,
-            {"base": format_word(w)},
+            ns,
+            {"base": format_word(ns.w)},
             f"the diagram crosses {e.hyperplane}, which the capped search"
             " did not find in the hyperplane catalog",
         )
     except ValueError as e:
         raise CliError(str(e)) from None
-    if cfg.format == "text":
+    if ns.format == "text":
         print(format_raag_word(image))
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "word": format_raag_word(image),
                 "syllables": [[g, e] for g, e in image.syllables],
                 "generators": [
@@ -648,32 +571,29 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
                     for label, hid in zip(gens.labels, ball.catalog.ids)
                 ],
                 "exact": gens.exact,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK if gens.exact else EXIT_UNKNOWN
 
 
 def _cmd_farley(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    ball = farley_ball(pres, w, cfg.radius)
-    if cfg.format == "dot":
+    ball = farley_ball(ns.pres, ns.w, ns.radius)
+    if ns.format == "dot":
         print(farley_to_dot(ball))
         return EXIT_OK
-    sizes = [0] * (cfg.radius + 1)
+    sizes = [0] * (ns.radius + 1)
     for depth in ball.depths:
         sizes[depth] += 1
-    if cfg.format == "text":
+    if ns.format == "text":
         print(f"vertices: {len(ball.keys)}")
         print(f"edges: {len(ball.edges)}")
         print(f"sizes by depth: {sizes}")
     else:
         _emit_json(
             {
-                "base": format_word(w),
-                "radius": cfg.radius,
+                "base": format_word(ns.w),
+                "radius": ns.radius,
                 "vertex_count": len(ball.keys),
                 "edge_count": len(ball.edges),
                 "sizes_by_depth": sizes,
@@ -684,34 +604,30 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
 
 
 def _cmd_embed_check(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "embed-check")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    head = {"base": format_word(w), "radius": cfg.radius}
-    partition = rank_partition(pres, w, cfg.caps)
+    head = {"base": format_word(ns.w), "radius": ns.radius}
+    partition = rank_partition(ns.pres, ns.w, ns.caps)
     if not partition.exact:
         return _emit_unknown(
-            cfg, head, "rank partition is not exact under these caps"
+            ns, head, "rank partition is not exact under these caps"
         )
-    ball = farley_ball(pres, w, cfg.radius)
+    ball = farley_ball(ns.pres, ns.w, ns.radius)
     try:
         report = check_isometric_embedding(ball, partition)
     except OutsideCatalogError as e:
         return _emit_unknown(
-            cfg,
+            ns,
             head,
             f"the Farley ball crosses {e.hyperplane}, which the capped search"
             " did not find in the hyperplane catalog",
         )
-    if cfg.format == "text":
+    if ns.format == "text":
         print(f"pairs checked: {report.pairs_checked}")
         print(f"failures: {len(report.failures)}")
         print(f"ok: {report.ok}")
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "radius": report.radius,
                 "ranks": list(report.ranks),
                 "quotient_nodes": list(report.quotient_nodes),
@@ -719,7 +635,7 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
                 "failures": [list(f) for f in report.failures],
                 "ok": report.ok,
                 "exact": report.exact,
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     if not report.ok:
@@ -728,28 +644,23 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
 
 
 def _cmd_propb(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "propb")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    gens = [_load_diagram(path, pres) for path in ns.generator]
+    gens = [_load_diagram(path, ns.pres) for path in ns.generator]
     try:
-        scan = property_b_scan(pres, w, gens, ns.length)
+        scan = property_b_scan(ns.pres, ns.w, gens, ns.length)
     except ValueError as e:
         raise CliError(str(e)) from None
-    lo = Fraction(ns.min_ratio) if ns.min_ratio else None
-    hi = Fraction(ns.max_ratio) if ns.max_ratio else None
+    lo, hi = ns.min_ratio, ns.max_ratio
     violated = (
         lo is not None and scan.min_ratio is not None and scan.min_ratio < lo
     ) or (hi is not None and scan.max_ratio is not None and scan.max_ratio > hi)
-    if cfg.format == "text":
+    if ns.format == "text":
         print(f"sizes: {list(scan.sizes)}")
         print(f"min ratio: {scan.min_ratio}")
         print(f"max ratio: {scan.max_ratio}")
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "length": ns.length,
                 "sizes": list(scan.sizes),
                 "elements": len(scan.table),
@@ -762,11 +673,8 @@ def _cmd_propb(ns: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    gog = decompose(pres, w, cfg.caps, depth=cfg.depth)
-    if cfg.format == "dot":
+    gog = decompose(ns.pres, ns.w, ns.caps, depth=ns.depth)
+    if ns.format == "dot":
         print(gog_to_dot(gog))
         return EXIT_OK if gog.exact else EXIT_UNKNOWN
     try:
@@ -777,7 +685,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
         pi1 = str(fundamental_group_presentation(gog))
     except ValueError:
         pi1 = None
-    if cfg.format == "text":
+    if ns.format == "text":
         for i, v in enumerate(gog.vertices):
             print(f"vertex {i}: {v.descriptor()}")
         for e in gog.edges:
@@ -787,52 +695,46 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
         blob = gog_to_json(gog)
         blob["free_rank"] = rank_value
         blob["fundamental_group"] = pi1
-        blob["caps"] = _caps_json(cfg.caps)
+        blob["caps"] = dataclasses.asdict(ns.caps)
         _emit_json(blob)
     return EXIT_OK if gog.exact else EXIT_UNKNOWN
 
 
 def _cmd_euler(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "euler")
-    pres = _load_presentation(cfg)
-    w = _load_word(cfg, pres)
-    ball = build_ball(pres, w, cfg.caps)
+    ball = build_ball(ns.pres, ns.w, ns.caps)
     if not ball.complete:
-        if cfg.format == "text":
+        if ns.format == "text":
             print("complete: False")
             print("chi: unknown")
         else:
             _emit_json(
                 {
-                    "base": format_word(w),
+                    "base": format_word(ns.w),
                     "complete": False,
                     "chi": None,
-                    "caps": _caps_json(cfg.caps),
+                    "caps": dataclasses.asdict(ns.caps),
                 }
             )
         return EXIT_UNKNOWN
     chi = euler_characteristic(ball)
-    if cfg.format == "text":
+    if ns.format == "text":
         print(f"chi: {chi}")
         print(f"1 - chi: {1 - chi}")
     else:
         _emit_json(
             {
-                "base": format_word(w),
+                "base": format_word(ns.w),
                 "complete": True,
                 "chi": chi,
                 "one_minus_chi": 1 - chi,
                 "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
-                "caps": _caps_json(cfg.caps),
+                "caps": dataclasses.asdict(ns.caps),
             }
         )
     return EXIT_OK
 
 
 def _cmd_interval(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "interval")
     if ns.intervals:
         coll = _load_collection(ns.intervals)
         pres = presentation_for(coll)
@@ -845,7 +747,7 @@ def _cmd_interval(ns: argparse.Namespace) -> int:
             "base": format_word(base_word(coll)),
             "presentation": str(pres),
         }
-        if cfg.format == "text":
+        if ns.format == "text":
             print(str(pres))
         else:
             _emit_json(blob)
@@ -855,7 +757,7 @@ def _cmd_interval(ns: argparse.Namespace) -> int:
         rec = is_complement_of_interval(graph)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if cfg.format == "text":
+    if ns.format == "text":
         print("yes" if rec.verdict else f"no ({rec.obstruction})")
     else:
         _emit_json(recognition_to_json(rec))
@@ -863,22 +765,20 @@ def _cmd_interval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_raag(ns: argparse.Namespace) -> int:
-    cfg = _config(ns)
-    _no_dot(cfg, "verify-raag")
     coll = _load_collection(ns.intervals)
     try:
-        ev = verify_raag_iso(coll, cfg.caps, length=ns.length)
+        ev = verify_raag_iso(coll, ns.caps, length=ns.length)
     except ElementBoundError as e:
         head = {"collection": collection_to_json(coll), "length": ns.length}
-        return _emit_unknown(cfg, head, str(e))
-    if cfg.format == "text":
+        return _emit_unknown(ns, head, str(e))
+    if ns.format == "text":
         print(f"commutation ok: {ev.commutation_ok}")
         print(f"relators ok: {ev.relators_ok} ({ev.relators_checked} checked)")
         print(f"balls: diagram {list(ev.diagram_balls)} raag {list(ev.raag_balls)}")
         print(f"ok: {ev.ok}")
     else:
         blob = evidence_to_json(ev)
-        blob["caps"] = _caps_json(cfg.caps)
+        blob["caps"] = dataclasses.asdict(ns.caps)
         blob["length"] = ns.length
         _emit_json(blob)
     return EXIT_OK if ev.ok else EXIT_NO
@@ -895,137 +795,89 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    caps_parent = _Parser(add_help=False)
-    caps_parent.add_argument(
-        "--max-word-len", type=int, default=_DEFAULT_CAPS.max_word_len
-    )
-    caps_parent.add_argument(
-        "--max-class-size", type=int, default=_DEFAULT_CAPS.max_class_size
-    )
-    caps_parent.add_argument(
-        "--max-bfs-depth", type=int, default=_DEFAULT_CAPS.max_bfs_depth
-    )
+    def ratio(text: str) -> Optional[Fraction]:
+        """A ratio bound; the empty string sets none."""
+        try:
+            return Fraction(text) if text else None
+        except ZeroDivisionError:
+            raise ValueError(text) from None
 
-    fmt_parent = _Parser(add_help=False)
-    fmt_parent.add_argument(
-        "--format", choices=("json", "dot", "text"), default="json"
-    )
-
-    pres_parent = _Parser(add_help=False)
-    pres_parent.add_argument("-p", "--presentation", required=True)
-
-    word_parent = _Parser(add_help=False)
-    word_parent.add_argument("-w", "--word", required=True)
-
-    common = [caps_parent, fmt_parent, pres_parent, word_parent]
+    caps = _Parser(add_help=False)
+    for f in _CAP_FIELDS:
+        caps.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+    text = _Parser(add_help=False)
+    text.add_argument("--format", choices=("json", "text"), default="json")
+    dot = _Parser(add_help=False)
+    dot.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    pres = _Parser(add_help=False)
+    pres.add_argument("-p", "--presentation", required=True)
+    word = _Parser(add_help=False)
+    word.add_argument("-w", "--word", dest="w", required=True)
+    plain, drawn = [caps, text, pres, word], [caps, dot, pres, word]
 
     parser = _Parser(prog="diagram-groups")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("class", parents=common)
-    p.set_defaults(func=_cmd_class)
+    def add(name: str, func, parents: List[_Parser]) -> _Parser:
+        p = sub.add_parser(name, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("equal", parents=[caps_parent, fmt_parent, pres_parent])
+    add("class", _cmd_class, plain)
+    p = add("equal", _cmd_equal, [caps, text, pres])
     p.add_argument("-w1", required=True)
     p.add_argument("-w2", required=True)
-    p.set_defaults(func=_cmd_equal)
-
-    p = sub.add_parser("reduce", parents=[caps_parent, fmt_parent, pres_parent])
-    p.add_argument("-d", "--diagram", required=True)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("compose", parents=[caps_parent, fmt_parent, pres_parent])
+    add("reduce", _cmd_reduce, [dot, pres]).add_argument("-d", "--diagram", required=True)
+    p = add("compose", _cmd_compose, [dot, pres])
     p.add_argument("-d1", required=True)
     p.add_argument("-d2", required=True)
     p.add_argument("--reduce", action="store_true")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("squier", parents=common)
-    p.set_defaults(func=_cmd_squier)
-
-    p = sub.add_parser("hyperplanes", parents=common)
-    p.set_defaults(func=_cmd_hyperplanes)
-
-    p = sub.add_parser("relate", parents=common)
-    p.set_defaults(func=_cmd_relate)
-
-    p = sub.add_parser("special", parents=common)
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("dim", parents=common)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("rank-table", parents=common)
-    p.set_defaults(func=_cmd_rank_table)
-
-    p = sub.add_parser("phi", parents=common)
-    p.add_argument("-d", "--diagram", required=True)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("farley", parents=common)
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(func=_cmd_farley)
-
-    p = sub.add_parser("embed-check", parents=common)
-    p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(func=_cmd_embed_check)
-
-    p = sub.add_parser("propb", parents=common)
+    add("squier", _cmd_squier, drawn)
+    add("hyperplanes", _cmd_hyperplanes, plain)
+    add("relate", _cmd_relate, drawn)
+    add("special", _cmd_special, plain)
+    add("dim", _cmd_dim, plain).add_argument("-n", type=int, required=True)
+    add("rank-table", _cmd_rank_table, plain)
+    add("phi", _cmd_phi, plain).add_argument("-d", "--diagram", required=True)
+    add("farley", _cmd_farley, drawn).add_argument("--radius", type=int, required=True)
+    add("embed-check", _cmd_embed_check, plain).add_argument(
+        "--radius", type=int, required=True
+    )
+    p = add("propb", _cmd_propb, plain)
     p.add_argument(
         "-g", "--generator", action="append", required=True, metavar="DIAGRAM"
     )
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--min-ratio", default=None)
-    p.add_argument("--max-ratio", default=None)
-    p.set_defaults(func=_cmd_propb)
-
-    p = sub.add_parser("decompose", parents=common)
-    p.add_argument("--depth", type=int, default=1)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("euler", parents=common)
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("interval", parents=[fmt_parent])
+    p.add_argument("--min-ratio", type=ratio, default=None)
+    p.add_argument("--max-ratio", type=ratio, default=None)
+    add("decompose", _cmd_decompose, drawn).add_argument("--depth", type=int, default=1)
+    add("euler", _cmd_euler, plain)
+    p = add("interval", _cmd_interval, [text])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-i", "--intervals")
     group.add_argument("-g", "--graph")
-    p.set_defaults(func=_cmd_interval)
-
-    p = sub.add_parser("verify-raag", parents=[caps_parent, fmt_parent])
+    p = add("verify-raag", _cmd_verify_raag, [caps, text])
     p.add_argument("-i", "--intervals", required=True)
     p.add_argument("--length", type=int, default=3)
-    p.set_defaults(func=_cmd_verify_raag)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        ns = _build_parser().parse_args(argv)
+        if getattr(ns, "func", None) is None:
+            raise CliError("no subcommand given (try --help)")
+        _load_inputs(ns)
+        return ns.func(ns)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    if getattr(ns, "func", None) is None:
-        print("error: no subcommand given (try --help)", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return ns.func(ns)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PresentationError, OSError) as e:
+    except (CliError, PresentationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 
 __all__ = [
     "CliError",
-    "RunConfig",
     "ball_to_dot",
     "diagram_to_dot",
     "farley_to_dot",

@@ -76,9 +76,6 @@ class Diagram:
     def is_spherical(self) -> bool:
         return self.top == self.bot
 
-    def derivation(self) -> Derivation:
-        return Derivation(self.top, self.moves)
-
     def __mul__(self, other: "Diagram") -> "Diagram":
         return compose(self, other)
 

@@ -268,11 +268,6 @@ class Derivation:
     def inverted(self, pres: Presentation) -> "Derivation":
         return Derivation(self.end(pres), tuple(m.inverted() for m in reversed(self.steps)))
 
-    def then(self, other: "Derivation", pres: Presentation) -> "Derivation":
-        if self.end(pres) != other.start:
-            raise ValueError("derivations do not chain")
-        return Derivation(self.start, self.steps + other.steps)
-
 
 @dataclass(frozen=True)
 class ClassEnumeration:

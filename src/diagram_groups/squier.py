@@ -1314,8 +1314,11 @@ def refute_inter_osculations(pres: Presentation, w0: Word) -> Optional[str]:
     For each side overlap u·v·w: the absorbed ``v xi`` must avoid every
     letter-count invariant; the pattern must fit into the class's counts;
     and the nonempty outer parts a, b must start/end with letters that are
-    both allowed by the counts and reachable as first/last letters.
+    both allowed by the counts and reachable as first/last letters.  The
+    empty word is alone in its class, which leaves no room for outer parts.
     """
+    if not w0:
+        return "the empty word's class is a single word with no room for overlapping sides"
     subsets = invariant_letter_subsets(pres)
     z = forced_support(pres)
     first = first_letter_closure(pres, w0)

@@ -214,6 +214,18 @@ def test_special_yes_and_no(capsys, padpair, tmp_path):
     assert wit["kind"] == "SelfIntersection" and "evidence_lengths" in wit
 
 
+@pytest.mark.parametrize("pres", [COMM, PADPAIR, DIRTY], ids=["comm", "padpair", "dirty"])
+def test_special_on_the_empty_word(capsys, tmp_path, pres):
+    path = tmp_path / "p.pres"
+    path.write_text(pres)
+    code = main(["special", "-p", str(path), "-w", ""])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    blob = json.loads(captured.out)
+    assert blob["base"] == "1"
+    assert blob["clean"] == "yes" and blob["special"] == "yes"
+
+
 def test_dim_verdicts(capsys, padpair):
     code, blob = run_json(capsys, "dim", "-p", padpair, "-w", "a1 b1", "-n", "2", *PAD_CAPS)
     assert code == 0 and blob["verdict"] == "yes"
@@ -383,6 +395,19 @@ def test_propb_bounds(capsys, tmp_path, padpair):
     assert code == 1 and not blob["bounds_ok"]
 
 
+@pytest.mark.parametrize("flag, value", [("--min-ratio", "abc"), ("--max-ratio", "1/0")])
+def test_propb_malformed_ratio_is_bad_input(capsys, tmp_path, padpair, flag, value):
+    d = tmp_path / "d.diag"
+    d.write_text("a1 b1\n0 0 fwd\n0 1 fwd\n0 2 fwd\n")
+    code = main(
+        ["propb", "-p", padpair, "-w", "a1 b1", "-g", str(d), "--length", "2", flag, value]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: argument {flag}: invalid ")
+    assert "Traceback" not in captured.err
+
+
 def test_decompose_free_rank(capsys, comm):
     code, blob = run_json(capsys, "decompose", "-p", comm, "-w", "a b b c c")
     assert code == 0
@@ -497,6 +522,28 @@ def test_input_error_exits(capsys, comm):
     assert main(["class", "-p", comm, "-w", "a", "--format", "dot"]) == 3
     assert main(["class", "-p", comm, "-w", "a", "--max-word-len", "0"]) == 3
     capsys.readouterr()  # swallow the error messages
+
+
+@pytest.mark.parametrize(
+    "command", ["class", "hyperplanes", "special", "rank-table", "euler"]
+)
+def test_dot_only_where_a_renderer_exists(capsys, comm, command):
+    code = main([command, "-p", comm, "-w", "a", "--format", "dot"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "argument --format: invalid choice: 'dot'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["reduce", "compose"])
+def test_diagram_commands_take_no_caps(capsys, tmp_path, padpair, command):
+    d = tmp_path / "d.diag"
+    d.write_text("a1 b1\n")
+    files = ["-d", str(d)] if command == "reduce" else ["-d1", str(d), "-d2", str(d)]
+    assert main([command, "-p", padpair, *files]) == 0
+    code = main([command, "-p", padpair, *files, "--max-word-len", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "unrecognized arguments: --max-word-len 4" in captured.err
 
 
 def test_help_exits_zero(capsys):

@@ -19,8 +19,21 @@ one in which the Squier ball replayed every subset of moves to find its
 cubes, so these tests pin all five refactors to the same bytes; the ``dot``
 ball pins vertex numbering and edge order.  The table itself is checked
 pair by pair against ``relate``.
+
+The cases for ``class``, ``equal``, ``reduce``, ``compose``, ``dim``,
+``propb``, ``interval`` and ``verify-raag`` in every format each renders,
+the ``--format text`` cases for ``hyperplanes``, ``special``, ``farley``,
+``embed-check`` and ``euler``, and the exit-3 ``class --format dot`` case
+(empty standard output) were captured from the frontend in which every
+command re-read its own flags and inputs and rejected ``dot`` at run time,
+so they pin the move of flag checks and input loading into ``main``.  The
+extra input files are ``dipole.diag`` (a one-cell diagram padded with a
+dipole), ``back.diag`` (its inverse), ``f2.int`` (two meeting intervals)
+and ``c4.graph`` (a 4-cycle).  Every subcommand of the parser has at least
+one case.
 """
 
+import argparse
 import itertools
 import json
 from pathlib import Path
@@ -28,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from conftest import COMM, DEFAULT_CAPS, PADPAIR, PADPAIR_CAPS, W
-from diagram_groups.cli import main
+from diagram_groups.cli import _build_parser, main
 from diagram_groups.squier import build_ball, crossing_order, relate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,6 +61,13 @@ def test_every_output_has_a_case():
     names = [c["name"] for c in CASES]
     assert len(set(names)) == len(names)
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(names)
+
+
+def test_every_command_has_a_golden_case():
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(sub.choices) <= {c["argv"][0] for c in CASES}
 
 
 @pytest.mark.parametrize(
