@@ -132,8 +132,9 @@ def _load_inputs(ns: argparse.Namespace) -> None:
         ns.caps = SearchCaps(**caps)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if getattr(ns, "radius", 0) < 0:
-        raise CliError("radius must be nonnegative")
+    for count in ("radius", "length", "depth", "n"):
+        if getattr(ns, count, 0) < 0:
+            raise CliError(f"{count} must be nonnegative")
     if "presentation" not in ns:
         return
     try:

@@ -17,9 +17,11 @@ The algebra:
 * ``canonical_key`` computes a layered normal form that is invariant under
   independent swaps, giving a hashable identity for the trace class.  It
   wires the diagram's cells by letter occurrences and layers them with
-  ``layered_key``; the Farley ball (``farley.farley_ball``) keeps its
-  vertices in that wire form and calls the same routine, so both key
-  diagrams with one layering implementation.
+  ``layered_key``.
+* ``extend_reduced`` multiplies a reduced diagram in that wire form by one
+  atom, cancelling an exposed cell or appending one.  It is the one
+  reduction step of ``farley.farley_ball``, and through ``cayley_ball`` of
+  ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``.
 
 Spherical diagrams with a fixed base word form a group under composition
 once dipoles are cancelled; that group is the object of study everywhere
@@ -28,8 +30,9 @@ else in this package.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rewriting import (
     Derivation,
@@ -215,8 +218,18 @@ class CanonicalKey:
 WireCell = Tuple[int, bool, Tuple[int, ...], Tuple[int, ...]]
 
 
-def _wire_cells(d: Diagram) -> List[WireCell]:
-    """Replay a diagram as cells wired by letter occurrences.
+#: A diagram in wire form: its cells in firing order, the wires of its
+#: bottom word and the next fresh wire id.
+WireForm = Tuple[Tuple[WireCell, ...], Tuple[int, ...], int]
+
+
+def wire_form(w: Word) -> WireForm:
+    """The wire form of the edgeless diagram on ``w``."""
+    return (), tuple(range(len(w))), len(w)
+
+
+def _fire(form: WireForm, move: Move, pres: Presentation) -> WireForm:
+    """Fire ``move`` on the bottom word: one more cell, on fresh wires.
 
     Every letter occurrence ever present gets a fresh wire id; a cell
     records which wires it consumes and which it produces.  Two moves of a
@@ -224,28 +237,74 @@ def _wire_cells(d: Diagram) -> List[WireCell]:
     the wire structure — unlike move offsets, which shift when neighbours
     swap — is the same for every ordering of the same diagram.
     """
-    word = list(range(len(d.top)))
-    fresh = len(d.top)
-    cells = []
-    for m in d.moves:
-        src, dst = m.sides(d.pres)
-        o = m.offset
-        consumed = tuple(word[o:o + len(src)])
-        produced = tuple(range(fresh, fresh + len(dst)))
-        fresh += len(dst)
-        word[o:o + len(src)] = produced
-        cells.append((m.relation, m.forward, consumed, produced))
-    return cells
+    cells, bottom, fresh = form
+    src, dst = move.sides(pres)
+    o = move.offset
+    produced = tuple(range(fresh, fresh + len(dst)))
+    cell = (move.relation, move.forward, bottom[o:o + len(src)], produced)
+    return cells + (cell,), bottom[:o] + produced + bottom[o + len(src):], fresh + len(dst)
 
 
-def layered_key(top: Word, cells: List[WireCell]) -> CanonicalKey:
+def extend_reduced(form: WireForm, move: Move, pres: Presentation) -> Tuple[WireForm, bool]:
+    """The reduced form of a reduced diagram followed by the atom of ``move``.
+
+    The atom can only form a dipole with a cell exposed on the bottom
+    boundary (the dipole normal form of Guba and Sapir): one that produced
+    exactly the wires the atom consumes, by the same relation in the other
+    direction.  The step cancels that cell or else appends one; it returns
+    the new form and whether it cancelled.
+    """
+    cells, bottom, fresh = form
+    end = move.offset + len(move.sides(pres)[0])
+    consumed = bottom[move.offset:end]
+    # cells produce fresh wires, so their first produced wires ascend
+    ci = bisect_right(cells, consumed[0], key=lambda cell: cell[3][0]) - 1
+    if ci >= 0:
+        relation, forward, below, produced = cells[ci]
+        if produced == consumed and relation == move.relation and forward != move.forward:
+            lower = bottom[:move.offset] + below + bottom[end:]
+            return (cells[:ci] + cells[ci + 1:], lower, fresh), True
+    return _fire(form, move, pres), False
+
+
+def cayley_ball(
+    pres: Presentation, w: Word, generators: Sequence[Tuple[Move, ...]], length: int
+) -> Iterator[Tuple[int, WireForm]]:
+    """Breadth-first search of the group ball of word length ``length``.
+
+    ``generators`` are spherical diagrams on ``w`` given by their moves.
+    Yields ``(word length, wire form)`` for each new element, the identity
+    first; a product takes one :func:`extend_reduced` step per cell of the
+    generator, and elements are told apart by ``layered_key``.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    seen = {layered_key(w, ())}
+    level = [wire_form(w)]
+    yield 0, level[0]
+    for depth in range(1, length + 1):
+        grown: List[WireForm] = []
+        for form in level:
+            for moves in generators:
+                nf = form
+                for move in moves:
+                    nf, _ = extend_reduced(nf, move, pres)
+                key = layered_key(w, nf[0])
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(nf)
+                    yield depth, nf
+        level = grown
+
+
+def layered_key(top: Word, cells: Sequence[WireCell]) -> CanonicalKey:
     """The layered normal form of the diagram that fires ``cells`` on ``top``.
 
     A cell's layer is the longest produce-consume chain feeding it, so it
     is the earliest round in which the cell can fire; firing the layers in
     order, leftmost cell first, replays the diagram and yields offsets in
     the coordinates where the docstring of :class:`CanonicalKey` puts them.
-    ``cells`` must be in a firing order, as :func:`_wire_cells` returns them.
+    ``cells`` must be in a firing order, as wire forms hold them.
     """
     depth: Dict[int, int] = {}
     rows: List[List[WireCell]] = []
@@ -274,7 +333,10 @@ def layered_key(top: Word, cells: List[WireCell]) -> CanonicalKey:
 
 def canonical_key(d: Diagram) -> CanonicalKey:
     """Compute the layered normal form (works on unreduced diagrams too)."""
-    return layered_key(d.top, _wire_cells(d))
+    form = wire_form(d.top)
+    for m in d.moves:
+        form = _fire(form, m, d.pres)
+    return layered_key(d.top, form[0])
 
 
 def replay_key(key: CanonicalKey, pres: Presentation) -> Word:
@@ -344,6 +406,9 @@ __all__ = [
     "is_reduced",
     "canonical_key",
     "layered_key",
+    "wire_form",
+    "extend_reduced",
+    "cayley_ball",
     "replay_key",
     "key_diagram",
     "serialize_diagram",

@@ -12,12 +12,11 @@ distance from the trivial diagram, and more generally
 Balls are built without general dipole reduction.  A vertex ``A`` is
 already reduced, so ``A . atom`` has at most one dipole: the new cell
 against a cell of ``A`` exposed on the bottom boundary (the dipole normal
-form of Guba and Sapir).  ``farley_ball`` holds each frontier vertex as its
-cells wired by letter occurrences, the wires of its bottom word and a fresh
-wire counter; a rewrite either cancels the exposed cell that produced
-exactly the wires it consumes, or appends one cell.  Vertices are keyed by
-``diagrams.layered_key`` on those wire cells, the routine behind
-``canonical_key``.
+form of Guba and Sapir).  ``diagrams.extend_reduced`` takes that step on a
+diagram in wire form; ``farley_ball`` extends its vertices with it, and
+``property_b_scan``, like ``interval.diagram_ball_sizes``, multiplies group
+elements through ``diagrams.cayley_ball``, one step per generator cell.
+All key diagrams by ``diagrams.layered_key`` on their wire cells.
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
@@ -41,7 +40,7 @@ ball, so only such pairs are judged.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -49,14 +48,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .diagrams import (
     CanonicalKey,
     Diagram,
-    WireCell,
     canonical_key,
+    cayley_ball,
     compose,
     eps,
+    extend_reduced,
     inverse,
     is_reduced,
     layered_key,
     reduce_diagram,
+    wire_form,
 )
 from .rewriting import (
     Move,
@@ -161,18 +162,13 @@ class FarleyBall(CubeTable):
 def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     """Breadth-first enumeration of reduced diagrams by atomic extension.
 
-    A vertex ``A`` on the frontier is held in wire form: its cells wired by
-    letter occurrences in firing order (see ``diagrams._wire_cells``), the
-    wires of its bottom word and its next fresh wire id.  Since ``A`` is
-    reduced, a rewrite of the bottom word can only form a dipole with a cell
-    of ``A`` exposed on the bottom boundary: one that produced exactly the
-    wires the rewrite consumes, by the same relation in the other direction.
-    The step then cancels that cell and leads one level down, to a vertex
-    already recorded.  Otherwise ``A . atom`` is reduced with one more cell,
-    and its layered key comes from the wire cells at hand.  New vertices
-    therefore always appear one level up and edges always join consecutive
-    levels.  A vertex's wire form is dropped once it has been processed, and
-    none is kept for the sphere, whose vertices are never extended.
+    A vertex ``A`` on the frontier is held in wire form and extended by
+    ``diagrams.extend_reduced``: a cancelling step leads one level down, to
+    a vertex already recorded, and any other step one level up, so edges
+    join consecutive levels.  Cancellations are counted, not keyed: distinct
+    exposed cells cancel to distinct lower neighbours, so their number must
+    equal the number of edges recorded into ``A`` from below.  Wire forms
+    are dropped once processed, and none is kept for the sphere.
 
     Cubes come from ``squier.disjoint_cubes``, the routine that also spans
     the Squier ball's cubes, over the recorded up-edge tables: every corner
@@ -181,19 +177,17 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     pres.check_word(w)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    base = eps(pres, w)
-    keys: List[CanonicalKey] = [canonical_key(base)]
-    diagrams: List[Diagram] = [base]
+    keys: List[CanonicalKey] = [layered_key(w, ())]
+    diagrams: List[Diagram] = [eps(pres, w)]
     depths: List[int] = [0]
     index: Dict[CanonicalKey, int] = {keys[0]: 0}
     edges: List[FarleyEdge] = []
     # up[i] maps each rewrite of bot(diagrams[i]) that gains a cell to the
     # vertex it reaches; cube corners are recovered from these tables
     up: List[Dict[Move, int]] = [{}]
-    # wire forms (cells, bottom wires, fresh wire id) of the frontier
-    frontier: Dict[int, Tuple[List[WireCell], List[int], int]] = {
-        0: ([], list(range(len(w))), len(w))
-    }
+    # down[i] counts the recorded edges into i from one level below
+    down: Dict[int, int] = Counter()
+    frontier = {0: wire_form(w)}
 
     qi = 0
     while qi < len(keys):
@@ -204,30 +198,18 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
             # extensions upward would leave the ball, and every edge down
             # to level radius-1 was recorded when that endpoint was processed
             continue
-        cells, bottom, fresh = frontier.pop(i)
-        # a run of bottom wires matches a cell's output only when that cell
-        # is exposed on the bottom boundary
-        producer = {cell[3]: ci for ci, cell in enumerate(cells)}
+        form = frontier.pop(i)
         di = diagrams[i]
         u = di.bot
+        cancels = 0
         for move, _ in one_step_rewrites(u, pres):
-            src, dst = move.sides(pres)
-            o = move.offset
-            consumed = tuple(bottom[o:o + len(src)])
-            ci = producer.get(consumed)
-            if (
-                ci is not None
-                and cells[ci][0] == move.relation
-                and cells[ci][1] != move.forward
-            ):
+            grown, cancelled = extend_reduced(form, move, pres)
+            if cancelled:
                 # the other endpoint sits one level down and was processed
                 # first, so the edge already exists in that orientation
-                j = index.get(layered_key(w, cells[:ci] + cells[ci + 1:]))
-                assert j is not None and depths[j] == d - 1 and i in up[j].values()
+                cancels += 1
                 continue
-            produced = tuple(range(fresh, fresh + len(dst)))
-            grown = cells + [(move.relation, move.forward, consumed, produced)]
-            nk = layered_key(w, grown)
+            nk = layered_key(w, grown[0])
             j = index.get(nk)
             if j is None:
                 j = len(keys)
@@ -237,13 +219,12 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
                 depths.append(d + 1)
                 up.append({})
                 if d + 1 < radius:
-                    frontier[j] = (
-                        grown,
-                        bottom[:o] + list(produced) + bottom[o + len(src):],
-                        fresh + len(dst),
-                    )
+                    frontier[j] = grown
             edges.append(FarleyEdge(i, j, u, move))
             up[i][move] = j
+            down[j] += 1
+        if cancels != down[i]:
+            raise RuntimeError(f"vertex {i}: {cancels} cancellations, {down[i]} edges below")
 
     packed = tuple(
         (dim, tuple(FarleyCube(*cube) for cube in cs))
@@ -629,10 +610,10 @@ def property_b_scan(
 ) -> PropertyBScan:
     """Enumerate the group ball of word length ``length`` and tabulate cells.
 
-    Word length is measured by breadth-first search over right
-    multiplication by the given generators and their inverses, with
-    elements identified by the canonical key of their reduced form — so it
-    is the genuine Cayley distance for that generating set, not an estimate.
+    ``diagrams.cayley_ball`` searches breadth first over right
+    multiplication by the generators and their inverses, so word length is
+    the genuine Cayley distance for that generating set, not an estimate.
+    An element's cell count is the number of cells in its wire form.
     """
     for g in generators:
         if g.pres != pres or g.top != w or not g.is_spherical:
@@ -641,24 +622,11 @@ def property_b_scan(
             )
         if not is_reduced(g):
             raise ValueError(f"generator {g} is not reduced")
-    sym = list(generators) + [inverse(g) for g in generators]
-    identity = eps(pres, w)
-    seen: Dict[CanonicalKey, int] = {canonical_key(identity): 0}
-    rows: List[Tuple[int, int]] = [(0, 0)]
-    sizes = [1]
-    level = [identity]
-    for depth in range(1, length + 1):
-        nxt: List[Diagram] = []
-        for cur in level:
-            for g in sym:
-                nd = reduce_diagram(compose(cur, g))
-                nk = canonical_key(nd)
-                if nk not in seen:
-                    seen[nk] = depth
-                    rows.append((depth, nd.cells))
-                    nxt.append(nd)
-        sizes.append(len(nxt))
-        level = nxt
+    sym = [g.moves for g in generators] + [inverse(g).moves for g in generators]
+    rows = [(depth, len(form[0])) for depth, form in cayley_ball(pres, w, sym, length)]
+    sizes = [0] * (length + 1)
+    for depth, _ in rows:
+        sizes[depth] += 1
     ratios = [Fraction(cells, wl) for wl, cells in rows if wl > 0]
     return PropertyBScan(
         w,

@@ -25,12 +25,12 @@ handful of vertices and what matters is the certificate, not asymptotics.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import (
     Diagram,
-    canonical_key,
+    cayley_ball,
     compose,
     eps,
     inverse,
@@ -163,29 +163,6 @@ def induced_subgraph(g: SimpleGraph, verts: Sequence[str]) -> SimpleGraph:
     return raag_graph(
         tuple(verts), [e for e in sorted(g.edges) if set(e) <= keep]
     )
-
-
-def path_graph(length: int, prefix: str = "v") -> SimpleGraph:
-    """The path with ``length`` edges (so ``length + 1`` vertices)."""
-    verts = [f"{prefix}{i}" for i in range(length + 1)]
-    return raag_graph(verts, [(verts[i], verts[i + 1]) for i in range(length)])
-
-
-def cycle_graph(n: int, prefix: str = "v") -> SimpleGraph:
-    assert n >= 3
-    verts = [f"{prefix}{i}" for i in range(n)]
-    return raag_graph(
-        verts, [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    )
-
-
-def complete_graph(n: int, prefix: str = "v") -> SimpleGraph:
-    verts = [f"{prefix}{i}" for i in range(n)]
-    return raag_graph(verts, list(combinations(verts, 2)))
-
-
-def edgeless_graph(n: int, prefix: str = "v") -> SimpleGraph:
-    return raag_graph([f"{prefix}{i}" for i in range(n)], [])
 
 
 # ---------------------------------------------------------------------------
@@ -510,35 +487,22 @@ class ElementBoundError(ValueError):
 def diagram_ball_sizes(
     coll: IntervalCollection, length: int, max_elements: int = 100_000
 ) -> Tuple[int, ...]:
-    """The same count on the concrete side: breadth-first search over
-    reduced spherical diagrams, multiplying by the interval loops and their
-    inverses and keying by canonical form.  Raises :class:`ElementBoundError`
-    once the ball would hold more than ``max_elements`` diagrams."""
-    pres = presentation_for(coll)
-    gens: List[Diagram] = []
+    """The same count on the concrete side: ``diagrams.cayley_ball`` over
+    the interval loops and their inverses, so a product is five
+    ``extend_reduced`` steps on a reduced diagram in wire form.  Raises
+    :class:`ElementBoundError` once the ball would hold more than
+    ``max_elements`` diagrams."""
+    gens: List[Tuple[Move, ...]] = []
     for name in coll.names():
         d = delta_diagram(name, coll)
-        gens += [d, inverse(d)]
-    start = eps(pres, base_word(coll))
-    seen = {canonical_key(start)}
-    frontier = [start]
-    sizes = [1]
-    for _ in range(length):
-        grown: List[Diagram] = []
-        for d in frontier:
-            for step in gens:
-                nd = reduce_diagram(compose(d, step))
-                key = canonical_key(nd)
-                if key not in seen:
-                    if len(seen) >= max_elements:
-                        raise ElementBoundError(
-                            f"ball exceeded the element bound {max_elements}"
-                        )
-                    seen.add(key)
-                    grown.append(nd)
-        frontier = grown
-        sizes.append(len(seen))
-    return tuple(sizes)
+        gens += [d.moves, inverse(d).moves]
+    sizes = [0] * (length + 1)
+    ball = cayley_ball(presentation_for(coll), base_word(coll), gens, length)
+    for n, (depth, _) in enumerate(ball):
+        if n >= max_elements:
+            raise ElementBoundError(f"ball exceeded the element bound {max_elements}")
+        sizes[depth] += 1
+    return tuple(accumulate(sizes))
 
 
 @dataclass(frozen=True)
@@ -640,12 +604,9 @@ __all__ = [
     "base_word",
     "collection_to_json",
     "complement",
-    "complete_graph",
-    "cycle_graph",
     "delta_diagram",
     "diagram_ball_sizes",
     "disjointness_graph",
-    "edgeless_graph",
     "evaluate_raag_word",
     "evidence_to_json",
     "independent_edge_pair",
@@ -656,7 +617,6 @@ __all__ = [
     "maximal_cliques",
     "orientation_is_transitive",
     "parse_intervals",
-    "path_graph",
     "presentation_for",
     "raag_ball_sizes",
     "realize_interval_graph",

@@ -445,6 +445,29 @@ def test_negative_radius_is_bad_input(capsys, padpair, command):
     assert captured.err == "error: radius must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-raag", "-i", "{f2}", "--length", "-1"], "length"),
+        (["propb", "-p", "{padpair}", "-w", "a1 b1", "-g", "{loop}", "--length", "-1"], "length"),
+        (["dim", "-p", "{padpair}", "-w", "a1 b1", "-n", "-1"], "n"),
+        (["decompose", "-p", "{padpair}", "-w", "a1 b1", "--depth", "-1"], "depth"),
+    ],
+    ids=["verify-raag-length", "propb-length", "dim-n", "decompose-depth"],
+)
+def test_negative_count_is_bad_input(capsys, tmp_path, padpair, argv, flag):
+    f2 = tmp_path / "f2.int"
+    f2.write_text("n=3 / I: 1 2 / J: 2 3")
+    loop = tmp_path / "loop.diag"
+    loop.write_text("a1 b1\n0 0 fwd\n0 1 fwd\n0 2 fwd\n")
+    files = {"f2": str(f2), "padpair": padpair, "loop": str(loop)}
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # interval commands
 # ---------------------------------------------------------------------------

@@ -24,13 +24,17 @@ from conftest import (
     TIGHT_CAPS,
     W,
 )
+from diagram_groups import farley
 from diagram_groups.diagrams import (
     Diagram,
     canonical_key,
     compose,
     eps,
+    extend_reduced,
     inverse,
+    layered_key,
     reduce_diagram,
+    wire_form,
 )
 from diagram_groups.farley import (
     ball_hyperplanes,
@@ -172,11 +176,20 @@ def test_ball_vertices_match_brute_force():
 def test_extensions_match_general_reduction(pres, w, radius):
     # the ball cancels or appends one cell at the bottom instead of reducing;
     # every A . atom, reduced in general, must land on a recorded neighbour,
-    # and every recorded edge must come from some A . atom
+    # and every recorded edge must come from some A . atom; the ball counts
+    # its cancellations, and here each one is keyed: it must reach a
+    # neighbour one level down
     ball = farley_ball(pres, w, radius)
     produced = set()
     for i, a in enumerate(ball.diagrams):
+        form = wire_form(w)
+        for move in a.moves:
+            form, _ = extend_reduced(form, move, pres)
         for move, _ in one_step_rewrites(a.bot, pres):
+            lower, cancelled = extend_reduced(form, move, pres)
+            if cancelled:
+                j = ball.index[layered_key(w, lower[0])]
+                assert ball.depths[j] == a.cells - 1 and j in dict(ball.adjacency[i])
             nd = reduce_diagram(Diagram(pres, w, a.moves + (move,)))
             assert nd.cells in (a.cells - 1, a.cells + 1)
             if nd.cells > radius:
@@ -190,6 +203,17 @@ def test_extensions_match_general_reduction(pres, w, radius):
             assert len(hits) == 1, (i, move)
             produced.add(hits[0])
     assert produced == set(range(len(ball.edges)))
+
+
+def test_ball_counts_cancellations_against_edges_from_below(monkeypatch):
+    # a step that hides its cancellations records each as an edge into a
+    # processed vertex; the count check must refuse the ball, also under -O
+    def hidden(form, move, pres):
+        return extend_reduced(form, move, pres)[0], False
+
+    monkeypatch.setattr(farley, "extend_reduced", hidden)
+    with pytest.raises(RuntimeError, match="cancellations"):
+        farley_ball(PADPAIR, A1B1, 3)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,13 @@ extra input files are ``dipole.diag`` (a one-cell diagram padded with a
 dipole), ``back.diag`` (its inverse), ``f2.int`` (two meeting intervals)
 and ``c4.graph`` (a 4-cycle).  Every subcommand of the parser has at least
 one case.
+
+The ``verify-raag`` cases on ``five.int`` (a copy of the benchmark's
+five-interval collection, past the default element bound at length 4, in
+JSON and text) and on ``four.int`` (four intervals under
+``--max-class-size 100000``), and the length-4 ``propb`` case, were captured
+from the implementation that composed and reduced whole diagrams for every
+product, so they pin the move of those balls onto the cancel-or-append step.
 """
 
 import argparse

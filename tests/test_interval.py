@@ -10,6 +10,7 @@ routes (normal forms and reduced diagrams) must reproduce them.
 """
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,9 @@ from diagram_groups.interval import (
     base_word,
     collection_to_json,
     complement,
-    complete_graph,
-    cycle_graph,
     delta_diagram,
     diagram_ball_sizes,
     disjointness_graph,
-    edgeless_graph,
     evaluate_raag_word,
     evidence_to_json,
     independent_edge_pair,
@@ -37,7 +35,6 @@ from diagram_groups.interval import (
     maximal_cliques,
     orientation_is_transitive,
     parse_intervals,
-    path_graph,
     presentation_for,
     raag_ball_sizes,
     realize_interval_graph,
@@ -46,6 +43,28 @@ from diagram_groups.interval import (
     verify_raag_iso,
 )
 from diagram_groups.raag import RaagWord, raag_graph, raag_normal_form
+
+
+def path_graph(length, prefix="v"):
+    """The path with ``length`` edges (so ``length + 1`` vertices)."""
+    verts = [f"{prefix}{i}" for i in range(length + 1)]
+    return raag_graph(verts, [(verts[i], verts[i + 1]) for i in range(length)])
+
+
+def cycle_graph(n, prefix="v"):
+    assert n >= 3
+    verts = [f"{prefix}{i}" for i in range(n)]
+    return raag_graph(verts, [(verts[i], verts[(i + 1) % n]) for i in range(n)])
+
+
+def complete_graph(n, prefix="v"):
+    verts = [f"{prefix}{i}" for i in range(n)]
+    return raag_graph(verts, list(combinations(verts, 2)))
+
+
+def edgeless_graph(n, prefix="v"):
+    return raag_graph([f"{prefix}{i}" for i in range(n)], [])
+
 
 Z1 = IntervalCollection(1, (("I", 1, 1),))
 Z2 = IntervalCollection(2, (("I", 1, 1), ("J", 2, 2)))
