@@ -8,6 +8,7 @@ decompositions) and exposes everything through one CLI.
 """
 
 from .rewriting import (
+    ClassSearch,
     Derivation,
     Move,
     Presentation,
@@ -15,7 +16,6 @@ from .rewriting import (
     SearchCaps,
     TriBool,
     Word,
-    canonical_rep,
     enumerate_class,
     equal_mod_p,
     format_word,

@@ -14,7 +14,8 @@ The parser decides which flags each command takes and which formats it
 renders: only ``reduce``, ``compose``, ``squier``, ``relate``, ``farley``
 and ``decompose`` offer ``--format dot``.  Before dispatch, ``main`` checks
 the flags and loads the shared inputs once (:func:`_load_inputs`), so every
-command reads ``ns.caps``, ``ns.pres`` and its words already validated.
+command reads ``ns.caps``, ``ns.pres`` and its words already validated, and
+asks every class search of the call through the one ``ns.search``.
 """
 
 import argparse
@@ -63,12 +64,11 @@ from .interval import (
 )
 from .raag import format_raag_word, hyperplane_generators, phi
 from .rewriting import (
+    ClassSearch,
     Presentation,
     PresentationError,
     SearchCaps,
     TriBool,
-    enumerate_class,
-    equal_mod_p,
     format_word,
     parse_presentation,
     word_of,
@@ -125,8 +125,9 @@ def _read(path: str) -> str:
 
 def _load_inputs(ns: argparse.Namespace) -> None:
     """Check the flags the parser cannot and load the shared inputs: sets
-    ``ns.caps`` from the cap flags, ``ns.pres`` from ``-p`` and replaces the
-    words of ``-w``, ``-w1`` and ``-w2`` by checked words of ``ns.pres``."""
+    ``ns.caps`` from the cap flags, ``ns.pres`` from ``-p``, ``ns.search``
+    as the call's one class search over both, and replaces the words of
+    ``-w``, ``-w1`` and ``-w2`` by checked words of ``ns.pres``."""
     caps = {f.name: getattr(ns, f.name) for f in _CAP_FIELDS if f.name in ns}
     try:
         ns.caps = SearchCaps(**caps)
@@ -141,6 +142,7 @@ def _load_inputs(ns: argparse.Namespace) -> None:
         ns.pres = parse_presentation(_read(ns.presentation))
     except PresentationError as e:
         raise CliError(f"{ns.presentation}: {e}") from None
+    ns.search = ClassSearch(ns.pres, ns.caps)
     for key in ("w", "w1", "w2"):
         if key in ns:
             setattr(ns, key, word_of(getattr(ns, key)))
@@ -308,7 +310,7 @@ def farley_to_dot(ball) -> str:
 
 
 def _cmd_class(ns: argparse.Namespace) -> int:
-    enum = enumerate_class(ns.w, ns.pres, ns.caps)
+    enum = ns.search.enum(ns.w)
     if ns.format == "text":
         for m in enum.members:
             print(format_word(m))
@@ -327,7 +329,7 @@ def _cmd_class(ns: argparse.Namespace) -> int:
 
 
 def _cmd_equal(ns: argparse.Namespace) -> int:
-    tb = equal_mod_p(ns.w1, ns.w2, ns.pres, ns.caps)
+    tb = ns.search.equal(ns.w1, ns.w2)
     moves: List[List[object]] = []
     cells = None
     if tb.is_yes:
@@ -391,7 +393,7 @@ def _cmd_compose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_squier(ns: argparse.Namespace) -> int:
-    ball = build_ball(ns.pres, ns.w, ns.caps)
+    ball = build_ball(ns.search, ns.w)
     if ns.format == "dot":
         print(ball_to_dot(ball))
     elif ns.format == "text":
@@ -415,7 +417,7 @@ def _cmd_squier(ns: argparse.Namespace) -> int:
 
 
 def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
-    ball = build_ball(ns.pres, ns.w, ns.caps)
+    ball = build_ball(ns.search, ns.w)
     catalog = ball.catalog
     if ns.format == "text":
         for hid, edges in catalog.edges_of:
@@ -439,7 +441,7 @@ def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
 
 
 def _cmd_relate(ns: argparse.Namespace) -> int:
-    ball = build_ball(ns.pres, ns.w, ns.caps)
+    ball = build_ball(ns.search, ns.w)
     tg = transversality_graph(ball)
     if ns.format == "dot":
         print(transversality_to_dot(tg))
@@ -463,7 +465,7 @@ def _cmd_relate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_special(ns: argparse.Namespace) -> int:
-    report = specialness_report(ns.pres, ns.w, ns.caps)
+    report = specialness_report(ns.search, ns.w)
     if ns.format == "text":
         print(f"clean: {report.clean.value}")
         print(f"special: {report.special.value}")
@@ -492,7 +494,7 @@ def _cmd_special(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dim(ns: argparse.Namespace) -> int:
-    tb = dimension_at_least(ns.pres, ns.w, ns.n, ns.caps)
+    tb = dimension_at_least(ns.search, ns.w, ns.n)
     witness: object = None
     if tb.is_yes and tb.witness is not None:
         witness = {
@@ -517,7 +519,7 @@ def _cmd_dim(ns: argparse.Namespace) -> int:
 
 
 def _cmd_rank_table(ns: argparse.Namespace) -> int:
-    partition = rank_partition(ns.pres, ns.w, ns.caps)
+    partition = rank_partition(ns.search, ns.w)
     rows = [
         {
             "id": str(hid),
@@ -546,7 +548,7 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
     d = _load_diagram(ns.diagram, ns.pres)
-    ball = build_ball(ns.pres, ns.w, ns.caps)
+    ball = build_ball(ns.search, ns.w)
     gens = hyperplane_generators(ball)
     try:
         image = phi(d, gens)
@@ -606,7 +608,7 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
 
 def _cmd_embed_check(ns: argparse.Namespace) -> int:
     head = {"base": format_word(ns.w), "radius": ns.radius}
-    partition = rank_partition(ns.pres, ns.w, ns.caps)
+    partition = rank_partition(ns.search, ns.w)
     if not partition.exact:
         return _emit_unknown(
             ns, head, "rank partition is not exact under these caps"
@@ -674,7 +676,7 @@ def _cmd_propb(ns: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
-    gog = decompose(ns.pres, ns.w, ns.caps, depth=ns.depth)
+    gog = decompose(ns.search, ns.w, depth=ns.depth)
     if ns.format == "dot":
         print(gog_to_dot(gog))
         return EXIT_OK if gog.exact else EXIT_UNKNOWN
@@ -702,7 +704,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_euler(ns: argparse.Namespace) -> int:
-    ball = build_ball(ns.pres, ns.w, ns.caps)
+    ball = build_ball(ns.search, ns.w)
     if not ball.complete:
         if ns.format == "text":
             print("complete: False")

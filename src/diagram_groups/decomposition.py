@@ -17,21 +17,20 @@ valid "No" certificate; otherwise the verdict is Unknown.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import Diagram, dsum, eps, reduce_diagram
 from .rewriting import (
     ClassEnumeration,
+    ClassSearch,
     Letter,
     Move,
     Presentation,
-    SearchCaps,
     TriBool,
     Word,
     format_word,
 )
-from .squier import HyperplaneId, SquierBall, _enum, _rep, build_ball
+from .squier import HyperplaneId, SquierBall, build_ball
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +65,11 @@ def _non_tree_edges(ball: SquierBall) -> Tuple[Tuple[Word, Move], ...]:
     return tuple(e for e in edges if e not in tree)
 
 
-@lru_cache(maxsize=4096)
-def _trivial_rep(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
-    ball = build_ball(pres, w, caps)
+def _triviality(search: ClassSearch, w: Word) -> TriBool:
+    ball = build_ball(search, w)
     enum = ball.enum
     for source, move in _non_tree_edges(ball):
-        loop = reduce_diagram(_loop_diagram(enum, pres, source, move))
+        loop = reduce_diagram(_loop_diagram(enum, search.pres, source, move))
         if loop.cells:
             return TriBool.no(loop)
     if enum.complete:
@@ -82,7 +80,7 @@ def _trivial_rep(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
     )
 
 
-def is_trivial_group(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
+def is_trivial_group(search: ClassSearch, w: Word) -> TriBool:
     """Is the diagram group at ``w`` trivial?
 
     Yes only on a complete enumeration all of whose tree-closing loops reduce
@@ -90,13 +88,13 @@ def is_trivial_group(pres: Presentation, w: Word, caps: SearchCaps) -> TriBool:
     diagrams are canonical forms, so this is an exact decision).  No carries
     a nontrivial reduced spherical diagram as witness, which is valid even on
     truncated data.  Triviality is an invariant of the congruence class, so
-    the computation is shared across all words with one representative.
+    it is computed once per run for each class representative found.
     The empty word counts as trivial: it names the empty context.
     """
-    pres.check_word(w)
+    search.pres.check_word(w)
     if not w:
         return TriBool.yes("the empty context has a one-point complex")
-    return _trivial_rep(pres, _rep(pres, w, caps)[0], caps)
+    return search.once(_triviality, search.rep(w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +133,12 @@ class LeftHyperplane:
 
 
 def _split_side(
-    pres: Presentation, context: Word, side: Word, caps: SearchCaps
+    search: ClassSearch, context: Word, side: Word
 ) -> Tuple[Optional[LetterSplit], Tuple[str, ...]]:
     """Cut ``side`` at the maximal prefix keeping ``context + prefix`` trivial."""
     exact = True
     for i, letter in enumerate(side):
-        verdict = is_trivial_group(pres, context + side[: i + 1], caps)
+        verdict = is_trivial_group(search, context + side[: i + 1])
         if verdict.is_unknown:
             return None, (
                 f"cannot place the cut in {format_word(side)}: triviality of"
@@ -175,16 +173,15 @@ class LeftHyperplaneScan:
     notes: Tuple[str, ...]
 
 
-def left_hyperplanes(
-    pres: Presentation, w: Word, caps: SearchCaps
-) -> LeftHyperplaneScan:
+def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
     """Scan the (possibly truncated) hyperplane catalog of ``w`` for left ones.
 
     Leftness does not depend on the side of the rewrite used to extend the
     context — the two extensions are equal modulo the presentation, hence
     share one diagram group — so each unoriented hyperplane is tested once.
     """
-    catalog = build_ball(pres, w, caps).catalog
+    pres = search.pres
+    catalog = build_ball(search, w).catalog
     found: List[LeftHyperplane] = []
     rejected: List[HyperplaneId] = []
     undecided: List[HyperplaneId] = []
@@ -193,19 +190,19 @@ def left_hyperplanes(
         a = hid.left
         relation = pres.relations[hid.relation]
         u, v = relation.lhs, relation.rhs
-        left_ok = is_trivial_group(pres, a, caps)
+        left_ok = is_trivial_group(search, a)
         if left_ok.is_no:
             rejected.append(hid)
             continue
-        grown = is_trivial_group(pres, a + u, caps)
+        grown = is_trivial_group(search, a + u)
         if left_ok.is_unknown or grown.is_unknown:
             undecided.append(hid)
             continue
         if grown.is_yes:
             rejected.append(hid)
             continue
-        source_split, src_notes = _split_side(pres, a, u, caps)
-        target_split, tgt_notes = _split_side(pres, a, v, caps)
+        source_split, src_notes = _split_side(search, a, u)
+        target_split, tgt_notes = _split_side(search, a, v)
         notes.extend(src_notes)
         notes.extend(tgt_notes)
         if source_split is None or target_split is None:
@@ -286,23 +283,18 @@ class FreeBasis:
         return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _free_basis_rep(
-    pres: Presentation, w: Word, caps: SearchCaps
-) -> Optional[FreeBasis]:
-    ball = build_ball(pres, w, caps)
+def _free_basis_of(search: ClassSearch, w: Word) -> Optional[FreeBasis]:
+    ball = build_ball(search, w)
     if ball.squares:
         return None
-    return FreeBasis(pres, w, ball.enum, _non_tree_edges(ball), ball.complete)
+    return FreeBasis(search.pres, w, ball.enum, _non_tree_edges(ball), ball.complete)
 
 
-def free_basis(
-    pres: Presentation, w: Word, caps: SearchCaps
-) -> Optional[FreeBasis]:
+def free_basis(search: ClassSearch, w: Word) -> Optional[FreeBasis]:
     """Free basis of the group at ``w`` when its enumerated piece is a graph;
     None as soon as a square shows up (the group need not be free then)."""
-    pres.check_word(w)
-    return _free_basis_rep(pres, _rep(pres, w, caps)[0], caps)
+    search.pres.check_word(w)
+    return search.once(_free_basis_of, search.rep(w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +461,12 @@ def simplify_presentation(
     )
 
 
-def complete_ball_presentation(
-    pres: Presentation, w: Word, caps: SearchCaps
-) -> GroupPresentation:
+def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentation:
     """Direct presentation of the group of a completely enumerated class:
     one generator per non-tree edge, one relator per square boundary."""
-    rep = _rep(pres, w, caps)[0]
-    ball = build_ball(pres, rep, caps)
+    pres = search.pres
+    rep = search.rep(w)[0]
+    ball = build_ball(search, rep)
     if not ball.complete:
         raise ValueError(
             f"the class of {format_word(w)} was not completely enumerated"
@@ -535,37 +526,30 @@ class FactorGroup:
         return 0
 
 
-def factor_group(
-    pres: Presentation, w: Word, caps: SearchCaps, depth: int = 1
-) -> FactorGroup:
+def factor_group(search: ClassSearch, w: Word, depth: int = 1) -> FactorGroup:
     """Classify the group at ``w``: trivial, free graph piece, directly
     presentable (complete ball), recursively decomposable, or unknown."""
     if not w:
         return FactorGroup("trivial", (), True)
-    return _factor_rep(pres, _rep(pres, w, caps)[0], caps, depth)
+    return search.once(_factor_group_of, search.rep(w)[0], depth)
 
 
-@lru_cache(maxsize=2048)
-def _factor_rep(
-    pres: Presentation, rep: Word, caps: SearchCaps, depth: int
-) -> FactorGroup:
-    verdict = is_trivial_group(pres, rep, caps)
+def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
+    verdict = is_trivial_group(search, rep)
     if verdict.is_yes:
         return FactorGroup("trivial", rep, True)
-    basis = _free_basis_rep(pres, rep, caps)
+    basis = search.once(_free_basis_of, rep)
     if basis is not None:
         note = "" if basis.exact else (
             "free on the loops seen so far; the class was truncated"
         )
         return FactorGroup("free", rep, basis.exact, basis, None, note)
-    enum = _enum(pres, rep, caps)
-    if enum.complete:
+    if search.enum(rep).complete:
         return FactorGroup(
-            "presented", rep, True, None,
-            complete_ball_presentation(pres, rep, caps),
+            "presented", rep, True, None, complete_ball_presentation(search, rep)
         )
     if depth > 0:
-        sub = decompose(pres, rep, caps, depth - 1)
+        sub = decompose(search, rep, depth - 1)
         doc = fundamental_group_presentation(sub)
         return FactorGroup(
             "presented", rep, doc.exact, None, doc,
@@ -649,9 +633,7 @@ class GraphOfGroups:
         return len({find(i) for i in range(len(self.vertices))})
 
 
-def decompose(
-    pres: Presentation, w: Word, caps: SearchCaps, depth: int = 1
-) -> GraphOfGroups:
+def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
     """Cut the class complex of ``w`` along its left hyperplanes.
 
     Each left hyperplane ``[a, u -> v, b]`` with splits ``u = p·ℓ·s`` and
@@ -661,32 +643,31 @@ def decompose(
     of the edge space into its endpoints pads the factors by the split
     remainders.  With no left hyperplanes the whole complex is one vertex.
     """
+    pres = search.pres
     pres.check_word(w)
-    scan = left_hyperplanes(pres, w, caps)
-    notes = list(scan.notes)
-    if not scan.hyperplanes:
-        vertex = VertexSpace(
-            (), None, _rep(pres, w, caps)[0],
-            FactorGroup("trivial", (), True),
-            factor_group(pres, w, caps, depth),
-        )
-        return GraphOfGroups(
-            pres, w, (vertex,), (), scan.undecided, scan.exact, tuple(notes)
-        )
+    scan = left_hyperplanes(search, w)
     index: Dict[Tuple[Word, Letter, Word], int] = {}
     vertices: List[VertexSpace] = []
+    if not scan.hyperplanes:
+        vertices.append(
+            VertexSpace(
+                (), None, search.rep(w)[0],
+                FactorGroup("trivial", (), True),
+                factor_group(search, w, depth),
+            )
+        )
 
     def vertex_for(context: Word, split: LetterSplit, right_ctx: Word) -> int:
-        lw = _rep(pres, context + split.prefix, caps)[0]
-        rw = _rep(pres, split.suffix + right_ctx, caps)[0]
+        lw = search.rep(context + split.prefix)[0]
+        rw = search.rep(split.suffix + right_ctx)[0]
         key = (lw, split.letter, rw)
         if key not in index:
             index[key] = len(vertices)
             vertices.append(
                 VertexSpace(
                     lw, split.letter, rw,
-                    factor_group(pres, lw, caps, depth),
-                    factor_group(pres, rw, caps, depth),
+                    factor_group(search, lw, depth),
+                    factor_group(search, rw, depth),
                 )
             )
         return index[key]
@@ -699,8 +680,8 @@ def decompose(
         edges.append(
             DecompositionEdge(
                 hyp, minus, plus,
-                factor_group(pres, a, caps, depth),
-                factor_group(pres, b, caps, depth),
+                factor_group(search, a, depth),
+                factor_group(search, b, depth),
             )
         )
     exact = (
@@ -711,8 +692,7 @@ def decompose(
         and all(e.left_group.exact and e.right_group.exact for e in edges)
     )
     return GraphOfGroups(
-        pres, w, tuple(vertices), tuple(edges), scan.undecided, exact,
-        tuple(notes),
+        pres, w, tuple(vertices), tuple(edges), scan.undecided, exact, scan.notes
     )
 
 
@@ -929,30 +909,6 @@ def fundamental_group_presentation(
 
 
 # ---------------------------------------------------------------------------
-# mirroring (the right-handed theory)
-# ---------------------------------------------------------------------------
-
-
-def mirror_word(w: Word) -> Word:
-    return tuple(reversed(w))
-
-
-def mirror_presentation(pres: Presentation) -> Presentation:
-    """Reverse every relation side; mirroring words then swaps the roles of
-    left and right contexts, so the right-handed decomposition of a word is
-    the left-handed one of its mirror."""
-    from .rewriting import Relation
-
-    return Presentation(
-        pres.letters,
-        tuple(
-            Relation(mirror_word(r.lhs), mirror_word(r.rhs))
-            for r in pres.relations
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -1049,7 +1005,5 @@ __all__ = [
     "gog_to_json",
     "is_trivial_group",
     "left_hyperplanes",
-    "mirror_presentation",
-    "mirror_word",
     "simplify_presentation",
 ]

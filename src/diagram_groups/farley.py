@@ -60,9 +60,9 @@ from .diagrams import (
     wire_form,
 )
 from .rewriting import (
+    ClassSearch,
     Move,
     Presentation,
-    SearchCaps,
     Word,
     format_word,
     one_step_rewrites,
@@ -269,9 +269,9 @@ class RankPartition:
         return {k: tuple(v) for k, v in out.items()}
 
 
-def rank_partition(pres: Presentation, w: Word, caps: SearchCaps) -> RankPartition:
+def rank_partition(search: ClassSearch, w: Word) -> RankPartition:
     """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
-    ball = build_ball(pres, w, caps)
+    ball = build_ball(search, w)
     ranks = tuple(ball.order.rank(h) for h in ball.catalog.ids)
     exact = ball.catalog.exact and all(r.exact for r in ranks)
     return RankPartition(ball, ranks, exact)

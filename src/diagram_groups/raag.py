@@ -189,10 +189,6 @@ def raag_normal_form(w: RaagWord, graph: RaagGraph) -> RaagWord:
     return RaagWord(tuple(_lex_least_shuffle(sylls, graph)))
 
 
-def raag_equal(w1: RaagWord, w2: RaagWord, graph: RaagGraph) -> bool:
-    return raag_normal_form(w1, graph) == raag_normal_form(w2, graph)
-
-
 # ---------------------------------------------------------------------------
 # the hyperplane group A(P, w)
 # ---------------------------------------------------------------------------
@@ -274,7 +270,6 @@ __all__ = [
     "parse_raag_word",
     "phi",
     "positive_direction",
-    "raag_equal",
     "raag_graph",
     "raag_normal_form",
 ]

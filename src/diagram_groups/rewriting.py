@@ -13,6 +13,10 @@ verdict as a :class:`TriBool`: ``yes`` with a replayable witness, ``no`` only
 when the relevant search space was provably exhausted, and ``unknown``
 exactly when some cap was hit first.
 
+A run asks its searches through one :class:`ClassSearch`, which holds the
+presentation and the caps and answers each closure and equality probe once
+per run.
+
 The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants, first/last-letter
 closures, the literal-subword rewritability test).  Later modules use them
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 Letter = str
 Word = Tuple[Letter, ...]
@@ -340,13 +344,6 @@ def enumerate_class(seed: Word, pres: Presentation, caps: SearchCaps) -> ClassEn
     return ClassEnumeration(seed, members, not capped, tuple(edges))
 
 
-def canonical_rep(w: Word, pres: Presentation, caps: SearchCaps) -> Tuple[Word, bool]:
-    """Shortlex-least member found in ``[w]``; the flag says whether it is exact
-    (i.e. the enumeration completed)."""
-    enum = enumerate_class(w, pres, caps)
-    return enum.members[0], enum.complete
-
-
 @dataclass(frozen=True)
 class TriBool:
     """Three-valued verdict with an attached witness.
@@ -467,6 +464,53 @@ def equal_mod_p(w1: Word, w2: Word, pres: Presentation, caps: SearchCaps) -> Tri
         if not side.capped:
             return TriBool.no(side.enumeration(pres))
     return TriBool.unknown()
+
+
+class ClassSearch:
+    """The class searches of one run: one presentation, one set of caps.
+
+    Every question asked of a class complex comes down to the same few
+    searches over the same few part words, and their answers depend only on
+    the presentation, the word and the caps.  A run builds one search and
+    hands it to every consumer, so each answer is computed once per run
+    and nothing is shared between runs.
+    """
+
+    def __init__(self, pres: Presentation, caps: SearchCaps) -> None:
+        self.pres = pres
+        self.caps = caps
+        self._memo: Dict[tuple, Any] = {}
+
+    def once(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(self, *args)``, computed on the first call with these
+        arguments and remembered for the rest of the run."""
+        key = (fn, args)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = fn(self, *args)
+        return memo[key]
+
+    def enum(self, w: Word) -> ClassEnumeration:
+        """:func:`enumerate_class` of ``w``."""
+        return self.once(_enumerate, w)
+
+    def equal(self, w1: Word, w2: Word) -> TriBool:
+        """:func:`equal_mod_p` of ``w1`` and ``w2``."""
+        return self.once(_equal_pair, w1, w2)
+
+    def rep(self, w: Word) -> Tuple[Word, bool]:
+        """Shortlex-least member found in ``[w]``, and whether the class was
+        enumerated completely (so that it is the least of all)."""
+        enum = self.enum(w)
+        return enum.members[0], enum.complete
+
+
+def _enumerate(search: ClassSearch, w: Word) -> ClassEnumeration:
+    return enumerate_class(w, search.pres, search.caps)
+
+
+def _equal_pair(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
+    return equal_mod_p(w1, w2, search.pres, search.caps)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +656,9 @@ __all__ = [
     "Derivation",
     "ClassEnumeration",
     "enumerate_class",
-    "canonical_rep",
     "TriBool",
     "equal_mod_p",
+    "ClassSearch",
     "has_singleton_class",
     "invariant_letter_subsets",
     "forced_support",

@@ -24,8 +24,12 @@ exhaustive enumeration when a class is finite, replayable witnesses for
 positives, and letter-counting certificates (see ``rewriting``) that remain
 sound on infinite classes.  Anything else is reported as unknown.
 
+Every class search goes through the run's :class:`~.rewriting.ClassSearch`,
+which holds the presentation and the caps and answers each search once per
+run; the functions here take it, or a ball that carries it.
+
 A :class:`SquierBall` is the one object these questions are read from.  It
-carries its search caps, and it owns its hyperplane ``catalog`` and its
+carries the run's search, and it owns its hyperplane ``catalog`` and its
 crossing ``order``: each is built on first use, once per ball, and
 ``rank``, ``relate``, ``transversality_graph``, the rank partition, the RAAG
 generators and the left-hyperplane decomposition all read them.  An edge,
@@ -41,19 +45,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
     ClassEnumeration,
+    ClassSearch,
     Derivation,
     Move,
     Presentation,
     SearchCaps,
     TriBool,
     Word,
-    enumerate_class,
-    equal_mod_p,
     first_letter_closure,
     forced_support,
     format_word,
@@ -63,26 +66,6 @@ from .rewriting import (
     letter_count,
     one_step_rewrites,
 )
-
-# ---------------------------------------------------------------------------
-# caching: class searches recur constantly over the same few part words
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16384)
-def _enum(pres: Presentation, w: Word, caps: SearchCaps) -> ClassEnumeration:
-    return enumerate_class(w, pres, caps)
-
-
-@lru_cache(maxsize=65536)
-def _equal(pres: Presentation, w1: Word, w2: Word, caps: SearchCaps) -> TriBool:
-    return equal_mod_p(w1, w2, pres, caps)
-
-
-def _rep(pres: Presentation, w: Word, caps: SearchCaps) -> Tuple[Word, bool]:
-    enum = _enum(pres, w, caps)
-    return enum.members[0], enum.complete
-
 
 # ---------------------------------------------------------------------------
 # balls of the class complex
@@ -201,19 +184,24 @@ def disjoint_cubes(
 
 @dataclass(frozen=True)
 class SquierBall(CubeTable):
-    """A bounded piece of the class complex around ``base``, within ``caps``.
+    """A bounded piece of the class complex around ``base``, within the caps
+    of ``search``, the run's class search that every question about the ball
+    goes through.
 
     ``edges`` lists each edge once, forward, in the order of
     ``enum.members``.  ``catalog`` and ``order`` are computed on first use
     and kept with the ball.
     """
 
-    pres: Presentation
+    search: ClassSearch
     base: Word
-    caps: SearchCaps
     enum: ClassEnumeration
     edges: Tuple[BallEdge, ...]
     cubes: Tuple[Tuple[int, Tuple[BallCube, ...]], ...]
+
+    @property
+    def pres(self) -> Presentation:
+        return self.search.pres
 
     @property
     def vertices(self) -> Tuple[Word, ...]:
@@ -251,19 +239,20 @@ class SquierBall(CubeTable):
         if i is not None:
             return i
         a, b = edge.parts(self.pres)
+        equal = self.search.equal
         for i, hid in enumerate(catalog.ids):
             if (
                 hid.relation == move.relation
-                and _equal(self.pres, a, hid.left, self.caps).is_yes
-                and _equal(self.pres, b, hid.right, self.caps).is_yes
+                and equal(a, hid.left).is_yes
+                and equal(b, hid.right).is_yes
             ):
                 return i
         raise OutsideCatalogError(
-            hyperplane_id(word, move, self.pres, self.caps, oriented=False)
+            hyperplane_id(self.search, word, move, oriented=False)
         )
 
 
-def build_ball(pres: Presentation, base: Word, caps: SearchCaps) -> SquierBall:
+def build_ball(search: ClassSearch, base: Word) -> SquierBall:
     """Enumerate the class of ``base`` and assemble vertices, edges and cubes.
 
     The forward moves between members are the up tables of
@@ -271,7 +260,8 @@ def build_ball(pres: Presentation, base: Word, caps: SearchCaps) -> SquierBall:
     corners lie inside the ball and Euler-characteristic style counts are
     honest on truncated data.
     """
-    enum = _enum(pres, base, caps)
+    pres = search.pres
+    enum = search.enum(base)
     position = {w: i for i, w in enumerate(enum.members)}
     edges: List[BallEdge] = []
     up: List[Dict[Move, int]] = []
@@ -286,7 +276,7 @@ def build_ball(pres: Presentation, base: Word, caps: SearchCaps) -> SquierBall:
         (dim, tuple(BallCube(enum.members[i], moves) for i, moves, _ in cs))
         for dim, cs in disjoint_cubes(up, pres)
     )
-    return SquierBall(pres, base, caps, enum, tuple(edges), packed)
+    return SquierBall(search, base, enum, tuple(edges), packed)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +313,14 @@ class HyperplaneId:
 
 
 def hyperplane_id(
-    source: Word,
-    move: Move,
-    pres: Presentation,
-    caps: SearchCaps,
-    oriented: bool = True,
+    search: ClassSearch, source: Word, move: Move, oriented: bool = True
 ) -> HyperplaneId:
     """Identity of the hyperplane dual to the rewrite ``move`` applied at
     ``source``; the orientation is the direction of that crossing."""
-    src, _ = move.sides(pres)
+    src, _ = move.sides(search.pres)
     o = move.offset
-    left, lx = _rep(pres, source[:o], caps)
-    right, rx = _rep(pres, source[o + len(src):], caps)
+    left, lx = search.rep(source[:o])
+    right, rx = search.rep(source[o + len(src):])
     return HyperplaneId(
         left, move.relation, move.forward if oriented else None, right, lx and rx
     )
@@ -380,7 +366,7 @@ class HyperplaneCatalog:
 def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
     """Partition the ball's edges into hyperplanes; read it as ``ball.catalog``,
     which builds it once per ball."""
-    pres, caps = ball.pres, ball.caps
+    pres, equal = ball.pres, ball.search.equal
     exact = True
     groups: List[Tuple[Tuple[Word, Word], List[BallEdge]]] = []
     by_relation: Dict[int, List[int]] = {}
@@ -389,8 +375,8 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
         placed = False
         for gi in by_relation.get(edge.move.relation, []):
             (ga, gb), members = groups[gi]
-            va = _equal(pres, a, ga, caps)
-            vb = _equal(pres, b, gb, caps)
+            va = equal(a, ga)
+            vb = equal(b, gb)
             if va.is_yes and vb.is_yes:
                 members.append(edge)
                 placed = True
@@ -402,8 +388,8 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
             by_relation.setdefault(edge.move.relation, []).append(len(groups) - 1)
     packed: List[Tuple[HyperplaneId, Tuple[BallEdge, ...]]] = []
     for (a, b), members in groups:
-        la, xa = _rep(pres, a, caps)
-        rb, xb = _rep(pres, b, caps)
+        la, xa = ball.search.rep(a)
+        rb, xb = ball.search.rep(b)
         hid = HyperplaneId(la, members[0].move.relation, None, rb, xa and xb)
         packed.append((hid, tuple(members)))
     packed.sort(
@@ -463,17 +449,14 @@ def _direction_impossible(
 
 
 def _search_prec_witness(
-    pres: Presentation,
-    caps: SearchCaps,
-    j1: HyperplaneId,
-    j2: HyperplaneId,
+    search: ClassSearch, j1: HyperplaneId, j2: HyperplaneId
 ) -> Tuple[Optional[Word], bool]:
     """Bounded search for ``y`` with ``left2 = left1 u y`` and
     ``right1 = y p right2``; returns (witness or None, search-was-exhaustive)."""
-    u = pres.relations[j1.relation].lhs
-    p = pres.relations[j2.relation].lhs
-    left2_enum = _enum(pres, j2.left, caps)
-    left1_enum = _enum(pres, j1.left, caps)
+    u = search.pres.relations[j1.relation].lhs
+    p = search.pres.relations[j2.relation].lhs
+    left2_enum = search.enum(j2.left)
+    left1_enum = search.enum(j1.left)
     exhaustive = left2_enum.complete
     seen: Set[Word] = set()
     for z in left2_enum.members:
@@ -488,7 +471,7 @@ def _search_prec_witness(
             if y in seen:
                 continue
             seen.add(y)
-            verdict = _equal(pres, j1.right, y + p + j2.right, caps)
+            verdict = search.equal(j1.right, y + p + j2.right)
             if verdict.is_yes:
                 return y, exhaustive
             if verdict.is_unknown:
@@ -508,7 +491,7 @@ def _comparer(ball: SquierBall) -> _Comparer:
     pair immediately; otherwise a bounded witness search and the structural
     certificates decide, and anything left over is unknown.
     """
-    pres, caps = ball.pres, ball.caps
+    pres = ball.pres
     index, hyperplane = ball.catalog.index, ball.hyperplane_index
     # pair (low, high) of catalog indices -> (index of the left dual, square)
     first_square: Dict[Tuple[int, int], Tuple[int, BallCube]] = {}
@@ -530,7 +513,7 @@ def _comparer(ball: SquierBall) -> _Comparer:
         cert = _direction_impossible(pres, invariants, a, b)
         if cert is not None:
             return "no", cert
-        y, exhaustive = _search_prec_witness(pres, caps, a, b)
+        y, exhaustive = _search_prec_witness(ball.search, a, b)
         if y is not None:
             return "yes", y
         return ("no", "exhaustive search") if exhaustive else ("unknown", None)
@@ -701,9 +684,7 @@ def _max_rewritable_parts(w: Word, pres: Presentation) -> Tuple[int, List[int]]:
     return best[n], cuts  # cuts include n itself
 
 
-def dimension_at_least(
-    pres: Presentation, w: Word, n: int, caps: SearchCaps
-) -> TriBool:
+def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
     """Does the class complex of ``w`` contain an ``n``-cube?
 
     Yes iff some member of ``[w]`` factors into ``n`` nonempty parts each
@@ -712,6 +693,7 @@ def dimension_at_least(
     """
     if n <= 0:
         return TriBool.yes(DimensionWitness(w, ()))
+    pres = search.pres
     sides = [s for rel in pres.relations for s in (rel.lhs, rel.rhs)]
     for s in invariant_letter_subsets(pres):
         m = min(letter_count(side, s) for side in sides)
@@ -720,7 +702,7 @@ def dimension_at_least(
                 f"letter-count invariant {sorted(s)}: {n} factors need at least "
                 f"{n * m} such letters, the class carries {letter_count(w, s)}"
             )
-    enum = _enum(pres, w, caps)
+    enum = search.enum(w)
     for member in enum.members:
         count, cuts = _max_rewritable_parts(member, pres)
         if count >= n:
@@ -754,8 +736,8 @@ class CrossingOrder:
 
     ``relations[i, j]`` (``i < j``) compares ``ball.catalog.ids[i]`` with
     ``ball.catalog.ids[j]``.  The pairs were compared in that order, row by
-    row, so the search caches fill the same way whichever consumer reads
-    them.  ``compare`` settles a pair involving a hyperplane outside the
+    row, so the run's class search fills the same way whichever consumer
+    reads them.  ``compare`` settles a pair involving a hyperplane outside the
     catalog.
     """
 
@@ -826,7 +808,7 @@ class CrossingOrder:
         ball = self.ball
         exact = all_definite and ball.complete and not notes
         if not exact:
-            squeeze = dimension_at_least(ball.pres, ball.base, value + 2, ball.caps)
+            squeeze = dimension_at_least(ball.search, ball.base, value + 2)
             if squeeze.is_no:
                 exact = not notes
                 notes.append(
@@ -939,11 +921,11 @@ def _probe_budget(caps: SearchCaps) -> int:
 
 
 def _prefix_extensions(
-    pres: Presentation, caps: SearchCaps, base: Word, middle: Word
+    search: ClassSearch, base: Word, middle: Word
 ) -> List[Tuple[Word, Derivation]]:
     """All t with base·middle·t found inside [base], with a derivation."""
     out: List[Tuple[Word, Derivation]] = []
-    enum = _enum(pres, base, caps)
+    enum = search.enum(base)
     seen: Set[Word] = set()
     for z in enum.members:
         if len(z) < len(base) + len(middle):
@@ -963,37 +945,30 @@ def find_self_intersections(
     """Equation-search route: for each hyperplane [a, r, c] of the ball look
     for b with a = a·p·b and c = b·p·c.  Returns (witnesses,
     search-was-exhaustive)."""
-    pres, caps = ball.pres, ball.caps
+    search = ball.search
     found: List[SelfIntersection] = []
     exhaustive = True
-    budget = _probe_budget(caps)
+    budget = _probe_budget(search.caps)
     for hid in ball.catalog.ids:
-        rel = pres.relations[hid.relation]
+        rel = search.pres.relations[hid.relation]
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-            enum_left = _enum(pres, hid.left, caps)
-            if not enum_left.complete:
+            if not search.enum(hid.left).complete:
                 exhaustive = False
-            candidates: List[Tuple[Word, Derivation]] = _prefix_extensions(
-                pres, caps, hid.left, p
-            )
-            for b, deriv_a in candidates:
-                for b_eff in ((b,) if b else ((), p)):
-                    if not b_eff:
-                        continue  # witness parts must be nonempty; empty b uses p
-                    if budget <= 0:
-                        return tuple(found), False
-                    budget -= 1
-                    verdict = _equal(pres, hid.right, b_eff + p + hid.right, caps)
-                    if verdict.is_yes:
-                        found.append(
-                            SelfIntersection(
-                                hid.left, p, q, b_eff, hid.right,
-                                evidence=(deriv_a, verdict.witness),
-                            )
+            for b, deriv_a in _prefix_extensions(search, hid.left, p):
+                b = b or p  # witness parts must be nonempty; empty b uses p
+                if budget <= 0:
+                    return tuple(found), False
+                budget -= 1
+                verdict = search.equal(hid.right, b + p + hid.right)
+                if verdict.is_yes:
+                    found.append(
+                        SelfIntersection(
+                            hid.left, p, q, b, hid.right,
+                            evidence=(deriv_a, verdict.witness),
                         )
-                        break
-                    if verdict.is_unknown:
-                        exhaustive = False
+                    )
+                elif verdict.is_unknown:
+                    exhaustive = False
     return tuple(found), exhaustive
 
 
@@ -1001,7 +976,7 @@ def scan_self_intersections(
     ball: SquierBall,
 ) -> Tuple[Tuple[SelfIntersection, ...], bool]:
     """Geometric route: squares of the ball whose two dual hyperplanes agree."""
-    pres, caps = ball.pres, ball.caps
+    pres, equal = ball.pres, ball.search.equal
     found: List[SelfIntersection] = []
     definite = True
     for square in ball.squares:
@@ -1010,8 +985,8 @@ def scan_self_intersections(
             continue
         a1, b1 = BallEdge(square.corner, m1).parts(pres)
         a2, b2 = BallEdge(square.corner, m2).parts(pres)
-        va = _equal(pres, a1, a2, caps)
-        vb = _equal(pres, b1, b2, caps)
+        va = equal(a1, a2)
+        vb = equal(b1, b2)
         if va.is_unknown or vb.is_unknown:
             definite = False
         if not (va.is_yes and vb.is_yes):
@@ -1031,7 +1006,7 @@ def scan_self_intersections(
 
 
 def self_intersection_square(
-    wit: SelfIntersection, pres: Presentation, w0: Word, caps: SearchCaps
+    search: ClassSearch, wit: SelfIntersection, w0: Word
 ) -> BallCube:
     """Rebuild and verify the geometric square a·p·b·p·c from a witness.
 
@@ -1039,10 +1014,10 @@ def self_intersection_square(
     edges have the same hyperplane identity; raises ValueError otherwise.
     """
     word = wit.a + wit.p + wit.b + wit.p + wit.c
-    if not _equal(pres, word, w0, caps).is_yes:
+    if not search.equal(word, w0).is_yes:
         raise ValueError("witness square does not lie in the base class")
     rel_index = None
-    for i, rel in enumerate(pres.relations):
+    for i, rel in enumerate(search.pres.relations):
         if (rel.lhs, rel.rhs) in ((wit.p, wit.q), (wit.q, wit.p)):
             rel_index = i
             forward = rel.lhs == wit.p
@@ -1052,9 +1027,9 @@ def self_intersection_square(
     o1, o2 = len(wit.a), len(wit.a) + len(wit.p) + len(wit.b)
     m1 = Move(o1, rel_index, forward)
     m2 = Move(o2, rel_index, forward)
-    if not _equal(pres, wit.a, wit.a + wit.p + wit.b, caps).is_yes:
+    if not search.equal(wit.a, wit.a + wit.p + wit.b).is_yes:
         raise ValueError("left absorption equation fails")
-    if not _equal(pres, wit.c, wit.b + wit.p + wit.c, caps).is_yes:
+    if not search.equal(wit.c, wit.b + wit.p + wit.c).is_yes:
         raise ValueError("right absorption equation fails")
     return BallCube(word, (m1, m2))
 
@@ -1082,29 +1057,29 @@ def refute_absorbing_splits(pres: Presentation) -> Optional[str]:
 
 
 def find_absorbing_splits(
-    pres: Presentation, w0: Word, caps: SearchCaps
+    search: ClassSearch, w0: Word
 ) -> Tuple[Tuple[AbsorbingSplit, ...], bool]:
     """Search members of [w0] for splits a|b with a = a p, b = p b, [p] != {p}."""
+    pres = search.pres
     found: List[AbsorbingSplit] = []
-    enum = _enum(pres, w0, caps)
+    enum = search.enum(w0)
     exhaustive = enum.complete
-    budget = _probe_budget(caps)
+    budget = _probe_budget(search.caps)
     for member in enum.members:
         for cut in range(1, len(member)):
             if budget <= 0:
                 return tuple(found), False
             budget -= 1  # the prefix-class enumeration below counts too
             a, b = member[:cut], member[cut:]
-            a_enum = _enum(pres, a, caps)
-            if not a_enum.complete:
+            if not search.enum(a).complete:
                 exhaustive = False
-            for p, deriv_a in _prefix_extensions(pres, caps, a, ()):
+            for p, deriv_a in _prefix_extensions(search, a, ()):
                 if not p or has_singleton_class(p, pres):
                     continue
                 if budget <= 0:
                     return tuple(found), False
                 budget -= 1
-                verdict = _equal(pres, b, p + b, caps)
+                verdict = search.equal(b, p + b)
                 if verdict.is_unknown:
                     exhaustive = False
                 if verdict.is_yes:
@@ -1127,7 +1102,7 @@ def find_absorbing_splits(
 
 
 def split_to_self_intersection(
-    split: AbsorbingSplit, pres: Presentation, caps: SearchCaps
+    search: ClassSearch, split: AbsorbingSplit
 ) -> SelfIntersection:
     """Convert a = a p, b = p b into a bona-fide self-crossing witness.
 
@@ -1136,7 +1111,7 @@ def split_to_self_intersection(
     that middle is empty).
     """
     for o in range(len(split.p)):
-        for rel in pres.relations:
+        for rel in search.pres.relations:
             for sigma, tau in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
                 if split.p[o: o + len(sigma)] == sigma:
                     e, f = split.p[:o], split.p[o + len(sigma):]
@@ -1144,12 +1119,8 @@ def split_to_self_intersection(
                     wit = SelfIntersection(
                         split.a + e, sigma, tau, mid, f + split.b
                     )
-                    ok1 = _equal(
-                        pres, wit.a, wit.a + wit.p + wit.b, caps
-                    ).is_yes
-                    ok2 = _equal(
-                        pres, wit.c, wit.b + wit.p + wit.c, caps
-                    ).is_yes
+                    ok1 = search.equal(wit.a, wit.a + wit.p + wit.b).is_yes
+                    ok2 = search.equal(wit.c, wit.b + wit.p + wit.c).is_yes
                     if ok1 and ok2:
                         return wit
     raise ValueError("split has no rewritable middle; not convertible")
@@ -1181,20 +1152,20 @@ def find_self_osculations(
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
     """Equation route: periodic relation sides whose parts absorb the period,
     on the hyperplanes of the ball."""
-    pres, caps = ball.pres, ball.caps
+    pres, equal = ball.pres, ball.search.equal
     found: List[SelfOsculation] = []
     exhaustive = True
     for hid in ball.catalog.ids:
         rel = pres.relations[hid.relation]
         for sigma, other in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             for n, k, h in _periodic_factorizations(sigma):
-                va = _equal(pres, hid.left, hid.left + k + h, caps)
+                va = equal(hid.left, hid.left + k + h)
                 if va.is_unknown:
                     exhaustive = False
                     continue
                 if not va.is_yes:
                     continue
-                vb = _equal(pres, hid.right, h + k + hid.right, caps)
+                vb = equal(hid.right, h + k + hid.right)
                 if vb.is_unknown:
                     exhaustive = False
                     continue
@@ -1213,7 +1184,7 @@ def scan_self_osculations(
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
     """Geometric route: two overlapping co-initial (or, symmetrically at the
     common target, co-terminal) rewrites crossing one oriented hyperplane."""
-    pres, caps = ball.pres, ball.caps
+    pres, equal = ball.pres, ball.search.equal
     found: List[SelfOsculation] = []
     definite = True
     seen: Set[Tuple] = set()
@@ -1229,10 +1200,8 @@ def scan_self_osculations(
             delta = m2.offset - m1.offset
             if delta >= len(sigma):
                 continue  # disjoint: they span a square instead
-            va = _equal(pres, w[: m1.offset], w[: m2.offset], caps)
-            vb = _equal(
-                pres, w[m1.offset + len(sigma):], w[m2.offset + len(sigma):], caps
-            )
+            va = equal(w[: m1.offset], w[: m2.offset])
+            vb = equal(w[m1.offset + len(sigma):], w[m2.offset + len(sigma):])
             if va.is_unknown or vb.is_unknown:
                 definite = False
                 continue
@@ -1257,16 +1226,16 @@ def scan_self_osculations(
 
 
 def self_osculation_config(
-    wit: SelfOsculation, pres: Presentation, w0: Word, caps: SearchCaps
+    search: ClassSearch, wit: SelfOsculation, w0: Word
 ) -> Tuple[Word, Move, Move]:
     """Rebuild the geometric configuration: the word a (kh)^{n+1} k b carries
     two overlapping co-initial rewrites dual to one oriented hyperplane."""
     sigma = (wit.k + wit.h) * wit.n + wit.k
     word = wit.a + wit.k + wit.h + sigma + wit.b
-    if not _equal(pres, word, w0, caps).is_yes:
+    if not search.equal(word, w0).is_yes:
         raise ValueError("osculation word does not lie in the base class")
     rel_index = forward = None
-    for i, rel in enumerate(pres.relations):
+    for i, rel in enumerate(search.pres.relations):
         if rel.lhs == sigma:
             rel_index, forward = i, True
             break
@@ -1280,10 +1249,10 @@ def self_osculation_config(
     m2 = Move(len(wit.a) + delta, rel_index, forward)
     if delta >= len(sigma):
         raise ValueError("occurrences do not overlap")
-    if not _equal(pres, word[: m1.offset], word[: m2.offset], caps).is_yes:
+    if not search.equal(word[: m1.offset], word[: m2.offset]).is_yes:
         raise ValueError("left parts differ; not one hyperplane")
-    if not _equal(
-        pres, word[m1.offset + len(sigma):], word[m2.offset + len(sigma):], caps
+    if not search.equal(
+        word[m1.offset + len(sigma):], word[m2.offset + len(sigma):]
     ).is_yes:
         raise ValueError("right parts differ; not one hyperplane")
     return word, m1, m2
@@ -1347,15 +1316,15 @@ def refute_inter_osculations(pres: Presentation, w0: Word) -> Optional[str]:
 
 
 def find_inter_osculations(
-    pres: Presentation, w0: Word, caps: SearchCaps
+    search: ClassSearch, w0: Word
 ) -> Tuple[Tuple[InterOsculation, ...], bool]:
     """Search class members for overlapping side pairs with nonempty outer
     parts, then confirm the crossing via the xi equations."""
     found: List[InterOsculation] = []
-    enum = _enum(pres, w0, caps)
+    enum = search.enum(w0)
     exhaustive = enum.complete
     seen: Set[Tuple] = set()
-    patterns = _side_overlaps(pres)
+    patterns = _side_overlaps(search.pres)
     for member in enum.members:
         for u, v, w, p, q in patterns:
             m = u + v + w
@@ -1366,14 +1335,12 @@ def find_inter_osculations(
                 if not a or not b:
                     continue
                 au = a + u
-                au_enum = _enum(pres, au, caps)
-                if not au_enum.complete:
+                if not search.enum(au).complete:
                     exhaustive = False
-                xi_found = False
-                for xi, deriv in _prefix_extensions(pres, caps, au, v):
+                for xi, deriv in _prefix_extensions(search, au, v):
                     if not xi:
                         continue
-                    verdict = _equal(pres, w + b, xi + v + w + b, caps)
+                    verdict = search.equal(w + b, xi + v + w + b)
                     if verdict.is_unknown:
                         exhaustive = False
                         continue
@@ -1387,20 +1354,17 @@ def find_inter_osculations(
                                     evidence=(deriv, verdict.witness),
                                 )
                             )
-                        xi_found = True
                         break
-                if xi_found:
-                    continue
     return tuple(found), exhaustive
 
 
 def inter_osculation_config(
-    wit: InterOsculation, pres: Presentation, w0: Word, caps: SearchCaps
+    search: ClassSearch, wit: InterOsculation, w0: Word
 ) -> Tuple[Tuple[Word, Move, Move], BallCube]:
     """Rebuild the osculation vertex and the separate crossing square."""
 
     def side_move(word: Word, offset: int, side: Word) -> Move:
-        for i, rel in enumerate(pres.relations):
+        for i, rel in enumerate(search.pres.relations):
             if rel.lhs == side and word[offset: offset + len(side)] == side:
                 return Move(offset, i, True)
             if rel.rhs == side and word[offset: offset + len(side)] == side:
@@ -1408,28 +1372,23 @@ def inter_osculation_config(
         raise ValueError(f"{format_word(side)} is not a relation side here")
 
     word = wit.a + wit.u + wit.v + wit.w + wit.b
-    if not _equal(pres, word, w0, caps).is_yes:
+    if not search.equal(word, w0).is_yes:
         raise ValueError("osculation word not in the base class")
     m1 = side_move(word, len(wit.a), wit.p)
     m2 = side_move(word, len(wit.a) + len(wit.u), wit.q)
     if m2.offset >= m1.offset + len(wit.p):
         raise ValueError("occurrences do not overlap")
     square_word = wit.a + wit.u + wit.v + wit.xi + wit.v + wit.w + wit.b
-    if not _equal(pres, square_word, w0, caps).is_yes:
+    if not search.equal(square_word, w0).is_yes:
         raise ValueError("crossing square word not in the base class")
     s1 = side_move(square_word, len(wit.a), wit.p)
     s2 = side_move(square_word, len(wit.a + wit.u + wit.v + wit.xi), wit.q)
     # the two square edges must be dual to the same hyperplanes as the
     # osculating pair
-    if not _equal(
-        pres, square_word[: s2.offset], word[: m2.offset], caps
-    ).is_yes:
+    if not search.equal(square_word[: s2.offset], word[: m2.offset]).is_yes:
         raise ValueError("second hyperplane mismatch between square and vertex")
-    if not _equal(
-        pres,
-        square_word[s1.offset + len(wit.p):],
-        word[m1.offset + len(wit.p):],
-        caps,
+    if not search.equal(
+        square_word[s1.offset + len(wit.p):], word[m1.offset + len(wit.p):]
     ).is_yes:
         raise ValueError("first hyperplane mismatch between square and vertex")
     return (word, m1, m2), BallCube(square_word, (s1, s2))
@@ -1450,9 +1409,7 @@ class SpecialnessReport:
     notes: Tuple[str, ...]
 
 
-def specialness_report(
-    pres: Presentation, w0: Word, caps: SearchCaps
-) -> SpecialnessReport:
+def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
     """Decide cleanliness and specialness of the class complex of ``w0``.
 
     Positive pathology reports carry replayable witnesses; clean/special
@@ -1460,19 +1417,20 @@ def specialness_report(
     class, definite comparisons) or a letter-counting certificate that
     remains sound on infinite classes.
     """
-    ball = build_ball(pres, w0, caps)
+    pres = search.pres
+    ball = build_ball(search, w0)
     notes: List[str] = []
 
     scan_si, scan_si_def = scan_self_intersections(ball)
     find_si, find_si_def = find_self_intersections(ball)
-    splits, splits_def = find_absorbing_splits(pres, w0, caps)
+    splits, splits_def = find_absorbing_splits(search, w0)
     self_ints = list(scan_si)
     for wit in find_si:
         if wit not in self_ints:
             self_ints.append(wit)
     for split in splits:
         try:
-            wit = split_to_self_intersection(split, pres, caps)
+            wit = split_to_self_intersection(search, split)
         except ValueError:
             continue
         if wit not in self_ints:
@@ -1485,7 +1443,7 @@ def specialness_report(
         if wit not in self_oscs:
             self_oscs.append(wit)
 
-    inter, inter_def = find_inter_osculations(pres, w0, caps)
+    inter, inter_def = find_inter_osculations(search, w0)
     # an exhaustive scan settles a verdict only on the whole complex
     whole = ball.complete and ball.catalog.exact
 

@@ -417,6 +417,18 @@ def test_decompose_free_rank(capsys, comm):
     assert out.startswith("graph decomposition {")
 
 
+def test_decompose_single_vertex_on_capped_class_is_unknown(capsys, comm):
+    # no left hyperplanes: the whole complex is one vertex, whose group is
+    # only known up to the truncated class
+    code, blob = run_json(
+        capsys, "decompose", "-p", comm, "-w", "a b c", "--max-class-size", "1"
+    )
+    (vertex,) = blob["vertices"]
+    assert blob["edges"] == []
+    assert not vertex["right_group"]["exact"]
+    assert not blob["exact"] and code == 2
+
+
 def test_euler(capsys, comm, padpair):
     code, blob = run_json(capsys, "euler", "-p", comm, "-w", "a b b c c")
     assert code == 0

@@ -38,12 +38,16 @@ from diagram_groups.decomposition import (
     gog_to_json,
     is_trivial_group,
     left_hyperplanes,
-    mirror_presentation,
-    mirror_word,
     simplify_presentation,
 )
 from diagram_groups.diagrams import is_reduced
-from diagram_groups.rewriting import enumerate_class, parse_presentation
+from diagram_groups.rewriting import (
+    ClassSearch,
+    Presentation,
+    Relation,
+    enumerate_class,
+    parse_presentation,
+)
 from diagram_groups.squier import (
     build_ball,
     hyperplane_catalog,
@@ -142,18 +146,18 @@ def test_cyclic_key_oracle_basics():
 
 
 def test_trivial_verdicts_on_corpus():
-    assert is_trivial_group(COMM, W("a"), DEFAULT_CAPS).is_yes
-    assert is_trivial_group(COMM, W("a b"), DEFAULT_CAPS).is_yes
-    assert is_trivial_group(COMM, W("a a b b"), DEFAULT_CAPS).is_yes
-    assert is_trivial_group(COMM, W("a b c"), DEFAULT_CAPS).is_no
-    assert is_trivial_group(CYC3, W("a"), DEFAULT_CAPS).is_no
-    assert is_trivial_group(PADPAIR, W("a1"), PADPAIR_CAPS).is_no
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), W("a")).is_yes
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), W("a b")).is_yes
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), W("a a b b")).is_yes
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), W("a b c")).is_no
+    assert is_trivial_group(ClassSearch(CYC3, DEFAULT_CAPS), W("a")).is_no
+    assert is_trivial_group(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1")).is_no
     # absorbing chain without loops: no certificate either way within caps
-    assert is_trivial_group(HALFPAD, W("a"), TIGHT_CAPS).is_unknown
+    assert is_trivial_group(ClassSearch(HALFPAD, TIGHT_CAPS), W("a")).is_unknown
 
 
 def test_trivial_no_witness_is_reduced_spherical_loop():
-    verdict = is_trivial_group(PADPAIR, W("a1"), PADPAIR_CAPS)
+    verdict = is_trivial_group(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1"))
     loop = verdict.witness
     assert loop.is_spherical and loop.cells > 0
     assert is_reduced(loop)
@@ -163,19 +167,19 @@ def test_trivial_no_witness_is_reduced_spherical_loop():
 
 def test_triviality_is_a_class_invariant():
     for u, v in [(W("a1"), W("a3")), (W("a1"), W("a1 p p"))]:
-        a = is_trivial_group(PADPAIR, u, PADPAIR_CAPS)
-        b = is_trivial_group(PADPAIR, v, PADPAIR_CAPS)
+        a = is_trivial_group(ClassSearch(PADPAIR, PADPAIR_CAPS), u)
+        b = is_trivial_group(ClassSearch(PADPAIR, PADPAIR_CAPS), v)
         assert a.value == b.value
-    assert is_trivial_group(COMM, W("b a"), DEFAULT_CAPS).is_yes
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), W("b a")).is_yes
 
 
 def test_trivial_empty_word_convention():
-    assert is_trivial_group(COMM, (), DEFAULT_CAPS).is_yes
+    assert is_trivial_group(ClassSearch(COMM, DEFAULT_CAPS), ()).is_yes
 
 
 def test_trivial_singleton_class():
     # no relation applies to the bare padding letter at all
-    assert is_trivial_group(PADPAIR, W("p"), PADPAIR_CAPS).is_yes
+    assert is_trivial_group(ClassSearch(PADPAIR, PADPAIR_CAPS), W("p")).is_yes
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,7 @@ def test_trivial_singleton_class():
 
 
 def padpair_scan():
-    return left_hyperplanes(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    return left_hyperplanes(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
 
 def test_left_scan_padpair_frozen():
@@ -227,7 +231,7 @@ def test_left_scan_padpair_splits_frozen():
 
 
 def test_left_scan_hexagon_frozen():
-    scan = left_hyperplanes(COMM, W("a b c"), DEFAULT_CAPS)
+    scan = left_hyperplanes(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     assert sorted(str(h.id) for h in scan.hyperplanes) == [
         "[a | r2 | 1]",
         "[b | r1 | 1]",
@@ -238,7 +242,7 @@ def test_left_scan_hexagon_frozen():
 
 def test_left_scan_undecidable_contexts():
     # every hyperplane of the absorbing chain has an unknown left context
-    scan = left_hyperplanes(HALFPAD, W("a"), TIGHT_CAPS)
+    scan = left_hyperplanes(ClassSearch(HALFPAD, TIGHT_CAPS), W("a"))
     assert scan.hyperplanes == ()
     assert len(scan.undecided) == 7  # [1 | r0 | p^k] for k = 0..6 at these caps
     assert all(h.relation == 0 and h.left == () for h in scan.undecided)
@@ -257,12 +261,12 @@ def test_left_scan_undecidable_contexts():
 def test_leftness_is_orientation_independent(pres, base, caps):
     # u ~ v modulo the presentation, so extending the left context through
     # either side of the rewrite reaches the same congruence class
-    ball = build_ball(pres, base, caps)
+    ball = build_ball(ClassSearch(pres, caps), base)
     catalog = hyperplane_catalog(ball)
     for hid in catalog.ids:
         rel = pres.relations[hid.relation]
-        via_u = is_trivial_group(pres, hid.left + rel.lhs, caps)
-        via_v = is_trivial_group(pres, hid.left + rel.rhs, caps)
+        via_u = is_trivial_group(ball.search, hid.left + rel.lhs)
+        via_v = is_trivial_group(ball.search, hid.left + rel.rhs)
         assert via_u.value == via_v.value
 
 
@@ -278,15 +282,16 @@ def test_leftness_is_orientation_independent(pres, base, caps):
 def test_split_boundaries_audit(pres, base, caps):
     # the split is the *maximal* trivial prefix: trivial up to the cut
     # letter, nontrivial the moment it is included, remainder matches
-    scan = left_hyperplanes(pres, base, caps)
+    search = ClassSearch(pres, caps)
+    scan = left_hyperplanes(search, base)
     assert scan.hyperplanes
     for h in scan.hyperplanes:
         rel = pres.relations[h.id.relation]
         for split, side in ((h.source_split, rel.lhs), (h.target_split, rel.rhs)):
             assert split.prefix + (split.letter,) + split.suffix == side
             grown = h.id.left + split.prefix
-            assert is_trivial_group(pres, grown, caps).is_yes
-            assert is_trivial_group(pres, grown + (split.letter,), caps).is_no
+            assert is_trivial_group(search, grown).is_yes
+            assert is_trivial_group(search, grown + (split.letter,)).is_no
 
 
 @pytest.mark.parametrize(
@@ -301,13 +306,13 @@ def test_left_hyperplanes_clean_and_pairwise_disjoint(pres, base, caps):
     # left hyperplanes neither self-intersect nor self-osculate, and no two
     # of them cross: on these balls nothing pathological exists at all, and
     # the transversality graph never joins two left ids
-    ball = build_ball(pres, base, caps)
+    ball = build_ball(ClassSearch(pres, caps), base)
     catalog = hyperplane_catalog(ball)
     hits, _ = scan_self_intersections(ball)
     assert hits == ()
     osc, _ = scan_self_osculations(ball)
     assert osc == ()
-    scan = left_hyperplanes(pres, base, caps)
+    scan = left_hyperplanes(ball.search, base)
     left_ids = {h.id for h in scan.hyperplanes}
     graph = transversality_graph(ball)
     for i, j, _ in graph.edges:
@@ -321,8 +326,8 @@ def test_positional_leftness_on_carrier_words(base):
     # on a word a·u·b carrying a left hyperplane, a rewrite site is dual to
     # a non-left hyperplane exactly when it stays inside a·p or inside s·b;
     # sites straddling the cut letter are dual to left hyperplanes
-    caps = DEFAULT_CAPS
-    scan = left_hyperplanes(COMM, base, caps)
+    search = ClassSearch(COMM, DEFAULT_CAPS)
+    scan = left_hyperplanes(search, base)
     from diagram_groups.rewriting import one_step_rewrites
 
     for h in scan.hyperplanes:
@@ -332,12 +337,12 @@ def test_positional_leftness_on_carrier_words(base):
         for move, _ in one_step_rewrites(word, COMM):
             src, _ = move.sides(COMM)
             inside = (move.offset + len(src) <= cut) or (move.offset >= cut + 1)
-            hid = hyperplane_id(word, move, COMM, caps, oriented=False)
+            hid = hyperplane_id(search, word, move, oriented=False)
             ctx = hid.left
             lrel = COMM.relations[hid.relation]
             is_left = (
-                is_trivial_group(COMM, ctx, caps).is_yes
-                and is_trivial_group(COMM, ctx + lrel.lhs, caps).is_no
+                is_trivial_group(search, ctx).is_yes
+                and is_trivial_group(search, ctx + lrel.lhs).is_no
             )
             assert is_left == (not inside)
 
@@ -349,11 +354,10 @@ def test_vertex_space_is_cut_component(base):
     # cutting the 1-skeleton along all left-dual edges leaves, around the
     # carrier word of each left hyperplane, exactly the product of the two
     # split classes
-    caps = DEFAULT_CAPS
-    ball = build_ball(COMM, base, caps)
+    ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), base)
     assert ball.complete
     catalog = hyperplane_catalog(ball)
-    scan = left_hyperplanes(COMM, base, caps)
+    scan = left_hyperplanes(ball.search, base)
     left_ids = {h.id for h in scan.hyperplanes}
     adj = {v: set() for v in ball.vertices}
     for e in ball.edges:
@@ -373,9 +377,9 @@ def test_vertex_space_is_cut_component(base):
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-        lefts = enumerate_class(h.id.left + h.source_split.prefix, COMM, caps)
+        lefts = enumerate_class(h.id.left + h.source_split.prefix, COMM, DEFAULT_CAPS)
         rights = enumerate_class(
-            h.source_split.suffix + h.id.right, COMM, caps
+            h.source_split.suffix + h.id.right, COMM, DEFAULT_CAPS
         )
         assert lefts.complete and rights.complete
         product = {
@@ -392,7 +396,7 @@ def test_vertex_space_is_cut_component(base):
 
 
 def test_decompose_hexagon_frozen():
-    g = decompose(COMM, W("a b c"), DEFAULT_CAPS)
+    g = decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     assert sorted(v.descriptor() for v in g.vertices) == [
         "S(a b) · c",
         "S(a c) · b",
@@ -409,7 +413,7 @@ def test_decompose_hexagon_frozen():
 
 @pytest.mark.parametrize("m,n", UPAIRS, ids=[f"u{m}{n}" for m, n in UPAIRS])
 def test_decompose_counting_law(m, n):
-    g = decompose(COMM, ubase(m, n), DEFAULT_CAPS)
+    g = decompose(ClassSearch(COMM, DEFAULT_CAPS), ubase(m, n))
     assert len(g.edges) == 2 * m * n + m + n - 1
     assert len(g.vertices) == m * n + m + n
     assert g.exact
@@ -418,13 +422,13 @@ def test_decompose_counting_law(m, n):
 
 @pytest.mark.parametrize("m,n", UPAIRS, ids=[f"u{m}{n}" for m, n in UPAIRS])
 def test_rank_equals_one_minus_euler(m, n):
-    ball = build_ball(COMM, ubase(m, n), DEFAULT_CAPS)
-    g = decompose(COMM, ubase(m, n), DEFAULT_CAPS)
+    ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), ubase(m, n))
+    g = decompose(ball.search, ubase(m, n))
     assert free_rank(g) == 1 - euler_characteristic(ball)
 
 
 def test_decompose_padpair_frozen():
-    g = decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    g = decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     assert [v.descriptor() for v in g.vertices] == [
         "a1 · S(b1)",
         "a2 · S(b1)",
@@ -452,21 +456,21 @@ def test_decompose_merges_by_class_not_by_spelling():
     # the loop hyperplane's target split has suffix p, and rep(p b1) = b1,
     # so both ends land on the same merged vertex — spelling differs, class
     # agrees
-    g = decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    g = decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     loop = next(e for e in g.edges if e.minus_vertex == e.plus_vertex)
     assert loop.hyperplane.target_split.suffix == W("p")
     assert g.vertices[loop.plus_vertex].right == W("b1")
 
 
 def test_degenerate_decomposition_single_vertex():
-    g = decompose(COMM, W("a"), DEFAULT_CAPS)
+    g = decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a"))
     assert len(g.vertices) == 1 and g.edges == ()
     assert g.vertices[0].letter is None
     assert free_rank(g) == 0
 
 
 def test_degenerate_decomposition_unknown_group():
-    g = decompose(HALFPAD, W("a"), TIGHT_CAPS)
+    g = decompose(ClassSearch(HALFPAD, TIGHT_CAPS), W("a"))
     assert len(g.vertices) == 1 and g.edges == ()
     assert len(g.undecided) == 7
     assert not g.exact
@@ -480,14 +484,15 @@ def test_degenerate_decomposition_unknown_group():
 
 
 def test_euler_frozen_values():
-    assert euler_characteristic(build_ball(COMM, W("a b c"), DEFAULT_CAPS)) == 0
-    assert euler_characteristic(build_ball(COMM, W("a"), DEFAULT_CAPS)) == 1
-    assert euler_characteristic(build_ball(COMM, W("a a b b"), DEFAULT_CAPS)) == 1
-    assert euler_characteristic(build_ball(COMM, W("a b b c c"), DEFAULT_CAPS)) == -3
+    search = ClassSearch(COMM, DEFAULT_CAPS)
+    assert euler_characteristic(build_ball(search, W("a b c"))) == 0
+    assert euler_characteristic(build_ball(search, W("a"))) == 1
+    assert euler_characteristic(build_ball(search, W("a a b b"))) == 1
+    assert euler_characteristic(build_ball(search, W("a b b c c"))) == -3
 
 
 def test_euler_requires_complete_ball():
-    ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     assert not ball.complete
     with pytest.raises(ValueError, match="complete"):
         euler_characteristic(ball)
@@ -501,9 +506,10 @@ words5 = st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(tuple)
 def test_rank_euler_law_on_random_short_words(w):
     # short words over three pairwise-commuting letters always decompose
     # with all-trivial groups, so both rank routes must agree
-    g = decompose(COMM, w, DEFAULT_CAPS)
+    search = ClassSearch(COMM, DEFAULT_CAPS)
+    g = decompose(search, w)
     assert g.exact
-    ball = build_ball(COMM, w, DEFAULT_CAPS)
+    ball = build_ball(search, w)
     assert free_rank(g) == 1 - euler_characteristic(ball)
 
 
@@ -513,29 +519,29 @@ def test_rank_euler_law_on_random_short_words(w):
 
 
 def test_factor_group_kinds():
-    assert factor_group(COMM, W("a b"), DEFAULT_CAPS).kind == "trivial"
-    assert factor_group(COMM, (), DEFAULT_CAPS).kind == "trivial"
-    fg = factor_group(CYC3, W("a"), DEFAULT_CAPS)
+    assert factor_group(ClassSearch(COMM, DEFAULT_CAPS), W("a b")).kind == "trivial"
+    assert factor_group(ClassSearch(COMM, DEFAULT_CAPS), ()).kind == "trivial"
+    fg = factor_group(ClassSearch(CYC3, DEFAULT_CAPS), W("a"))
     assert fg.kind == "free" and fg.generator_count == 1 and fg.exact
-    fb1 = factor_group(PADPAIR, W("b1"), PADPAIR_CAPS)
+    fb1 = factor_group(ClassSearch(PADPAIR, PADPAIR_CAPS), W("b1"))
     assert fb1.kind == "free" and fb1.generator_count == 10 and not fb1.exact
-    ftor = factor_group(TORUS, W("a1 b1"), DEFAULT_CAPS)
+    ftor = factor_group(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
     assert ftor.kind == "presented" and ftor.exact
 
 
 def test_free_basis_shapes():
-    assert free_basis(CYC3, W("a"), DEFAULT_CAPS).rank == 1
-    assert free_basis(COMM, W("a b"), DEFAULT_CAPS).rank == 0
+    assert free_basis(ClassSearch(CYC3, DEFAULT_CAPS), W("a")).rank == 1
+    assert free_basis(ClassSearch(COMM, DEFAULT_CAPS), W("a b")).rank == 0
     # squares kill the graph shortcut
-    assert free_basis(COMM, W("a a b b"), DEFAULT_CAPS) is None
-    fb = free_basis(PADPAIR, W("b1"), PADPAIR_CAPS)
+    assert free_basis(ClassSearch(COMM, DEFAULT_CAPS), W("a a b b")) is None
+    fb = free_basis(ClassSearch(PADPAIR, PADPAIR_CAPS), W("b1"))
     assert fb.rank == 10 and not fb.exact
 
 
 def test_free_basis_express_basis_loops():
     from diagram_groups.decomposition import _loop_diagram
 
-    fb = free_basis(CYC3, W("a"), DEFAULT_CAPS)
+    fb = free_basis(ClassSearch(CYC3, DEFAULT_CAPS), W("a"))
     src, move = fb.edges[0]
     loop = _loop_diagram(fb.enum, CYC3, src, move)
     assert fb.express(loop) == ((0, 1),)
@@ -545,7 +551,7 @@ def test_free_basis_express_basis_loops():
 
 
 def test_free_basis_express_rejects_foreign_top():
-    fb = free_basis(PADPAIR, W("b1"), PADPAIR_CAPS)
+    fb = free_basis(ClassSearch(PADPAIR, PADPAIR_CAPS), W("b1"))
     from diagram_groups.diagrams import eps
 
     assert fb.express(eps(PADPAIR, W("a1"))) is None
@@ -557,14 +563,15 @@ def test_free_basis_express_rejects_foreign_top():
 
 
 def test_pi1_hexagon_is_free_of_rank_one():
-    doc = fundamental_group_presentation(decompose(COMM, W("a b c"), DEFAULT_CAPS))
+    gog = decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
+    doc = fundamental_group_presentation(gog)
     assert len(doc.generators) == 1 and doc.relators == ()
     assert doc.exact and not doc.truncated
 
 
 def test_pi1_u22_is_free_of_rank_four():
     doc = fundamental_group_presentation(
-        decompose(COMM, W("a b b c c"), DEFAULT_CAPS)
+        decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a b b c c"))
     )
     assert len(doc.generators) == 4 and doc.relators == ()
     assert doc.exact
@@ -572,7 +579,7 @@ def test_pi1_u22_is_free_of_rank_four():
 
 def test_pi1_padpair_commutator_family():
     doc = fundamental_group_presentation(
-        decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     )
     assert doc.truncated and not doc.exact
     assert len(doc.generators) == 3
@@ -581,7 +588,8 @@ def test_pi1_padpair_commutator_family():
 
 
 def test_pi1_torus_decompose_route():
-    doc = fundamental_group_presentation(decompose(TORUS, W("a1 b1"), DEFAULT_CAPS))
+    gog = decompose(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
+    doc = fundamental_group_presentation(gog)
     assert doc.exact and not doc.truncated
     assert len(doc.generators) == 2
     assert [cyclic_key(r) for r in doc.relators] == [
@@ -591,7 +599,7 @@ def test_pi1_torus_decompose_route():
 
 def test_pi1_torus_direct_route_agrees():
     doc = simplify_presentation(
-        complete_ball_presentation(TORUS, W("a1 b1"), DEFAULT_CAPS)
+        complete_ball_presentation(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
     )
     assert len(doc.generators) == 2
     assert [cyclic_key(r) for r in doc.relators] == [
@@ -602,14 +610,14 @@ def test_pi1_torus_direct_route_agrees():
 
 def test_direct_route_trivial_group_collapses():
     doc = simplify_presentation(
-        complete_ball_presentation(COMM, W("a a b b"), DEFAULT_CAPS)
+        complete_ball_presentation(ClassSearch(COMM, DEFAULT_CAPS), W("a a b b"))
     )
     assert doc.generators == () and doc.relators == ()
 
 
 def test_direct_route_requires_complete_class():
     with pytest.raises(ValueError, match="completely"):
-        complete_ball_presentation(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        complete_ball_presentation(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
 
 def test_simplify_kills_defined_generators():
@@ -637,7 +645,7 @@ def test_simplify_kills_defined_generators():
 
 def test_simplify_is_idempotent_and_deterministic():
     doc = fundamental_group_presentation(
-        decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS), simplify=False
+        decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1")), simplify=False
     )
     once = simplify_presentation(doc)
     assert simplify_presentation(once).relators == once.relators
@@ -659,6 +667,20 @@ def test_presentation_str_rendering():
 # ---------------------------------------------------------------------------
 
 
+def mirror_word(w):
+    return tuple(reversed(w))
+
+
+def mirror_presentation(pres):
+    """Reverse every relation side; mirroring words then swaps the roles of
+    left and right contexts, so the right-handed decomposition of a word is
+    the left-handed one of its mirror."""
+    return Presentation(
+        pres.letters,
+        tuple(Relation(mirror_word(r.lhs), mirror_word(r.rhs)) for r in pres.relations),
+    )
+
+
 def test_mirror_is_an_involution():
     for pres in (GROW, PADPAIR, COMM):
         assert mirror_presentation(mirror_presentation(pres)) == pres
@@ -671,14 +693,14 @@ def test_right_decomposition_of_absorbing_chain():
     # letter relation plus the absorption itself
     mg = mirror_presentation(GROW)
     base = mirror_word(W("x"))
-    scan = left_hyperplanes(mg, base, TIGHT_CAPS)
+    scan = left_hyperplanes(ClassSearch(mg, TIGHT_CAPS), base)
     assert sorted(str(h.id) for h in scan.hyperplanes) == [
         "[1 | r0 | 1]",
         "[1 | r1 | x]",
         "[1 | r2 | x]",
         "[1 | r3 | x]",
     ]
-    g = decompose(mg, base, TIGHT_CAPS, depth=0)
+    g = decompose(ClassSearch(mg, TIGHT_CAPS), base, depth=0)
     assert sorted(v.descriptor() for v in g.vertices) == [
         "a · S(x)",
         "b · S(x)",
@@ -695,7 +717,7 @@ def test_right_decomposition_of_absorbing_chain():
 
 def test_right_decomposition_recursion_fills_in_presentations():
     mg = mirror_presentation(GROW)
-    g = decompose(mg, mirror_word(W("x")), TIGHT_CAPS, depth=1)
+    g = decompose(ClassSearch(mg, TIGHT_CAPS), mirror_word(W("x")), depth=1)
     kinds = {v.descriptor(): v.right_group.kind for v in g.vertices}
     assert kinds["a · S(x)"] == "presented"
     sub = next(
@@ -712,7 +734,7 @@ def test_right_decomposition_recursion_fills_in_presentations():
 
 
 def test_json_shape_and_determinism():
-    g = decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    g = decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     blob = gog_to_json(g)
     assert sorted(blob.keys()) == [
         "base", "edges", "exact", "notes", "undecided", "vertices",
@@ -720,12 +742,12 @@ def test_json_shape_and_determinism():
     assert len(blob["vertices"]) == 3 and len(blob["edges"]) == 4
     assert blob["edges"][3]["target_split"]["suffix"] == ["p"]
     assert blob["vertices"][0]["right_group"]["rank"] == 10
-    again = gog_to_json(decompose(PADPAIR, W("a1 b1"), PADPAIR_CAPS))
+    again = gog_to_json(decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1")))
     assert json.dumps(blob, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
 def test_dot_output():
-    g = decompose(COMM, W("a b c"), DEFAULT_CAPS)
+    g = decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     dot = gog_to_dot(g)
     assert dot.startswith("graph decomposition {")
     assert dot.count(" -- ") == 3

@@ -49,6 +49,7 @@ from diagram_groups.farley import (
     tree_quotients,
 )
 from diagram_groups.rewriting import (
+    ClassSearch,
     Move,
     SearchCaps,
     one_step_rewrites,
@@ -335,7 +336,7 @@ def hid(left, relation, right):
 
 
 def test_rank_partition_padpair_frozen():
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     assert part.exact
     fams = part.families()
     assert set(fams) == {0, 1}
@@ -354,10 +355,10 @@ def test_rank_partition_padpair_frozen():
 
 
 def test_rank_partition_comm_frozen():
-    part = rank_partition(COMM, W("a b c"), DEFAULT_CAPS)
+    part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     assert part.exact
     assert set(part.families()) == {0}
-    part = rank_partition(COMM, W("a a b c"), DEFAULT_CAPS)
+    part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     assert part.exact
     fams = part.families()
     assert set(fams[1]) == {hid("a b", 1, ""), hid("a c", 0, "")}
@@ -365,7 +366,7 @@ def test_rank_partition_comm_frozen():
 
 
 def test_hyperplane_index_outside_catalog_raises():
-    squier = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+    squier = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     with pytest.raises(OutsideCatalogError) as info:
         squier.hyperplane_index(W("a b c a b"), Move(3, 0, True))
     assert info.value.hyperplane == hid("a b c", 0, "")
@@ -386,14 +387,14 @@ def test_hyperplane_index_agrees_with_hyperplane_id(pres, base, caps, radius):
     # every Farley edge resolves, in both orientations, to the catalog
     # position its shortlex hyperplane id names, wherever that id is cataloged
     ball = farley_ball(pres, W(base), radius)
-    squier = build_ball(pres, W(base), caps)
+    squier = build_ball(ClassSearch(pres, caps), W(base))
     named = 0
     for e in ball.edges:
         i = squier.hyperplane_index(e.word, e.move)
         target = e.move.apply(e.word, pres)
         assert squier.hyperplane_index(target, e.move.inverted()) == i
         ref = squier.catalog.index.get(
-            hyperplane_id(e.word, e.move, pres, caps, oriented=False)
+            hyperplane_id(squier.search, e.word, e.move, oriented=False)
         )
         if ref is not None:
             assert i == ref
@@ -404,7 +405,7 @@ def test_hyperplane_index_agrees_with_hyperplane_id(pres, base, caps, radius):
 def test_edges_cover_class_complex_edges():
     # the covering sends each ball edge to an edge of the complex downstairs
     ball = farley_ball(COMM, W("a a b c"), 3)
-    squier = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
+    squier = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     assert squier.complete
     for e in ball.edges:
         forth = BallEdge(e.word, e.move)
@@ -414,7 +415,7 @@ def test_edges_cover_class_complex_edges():
     # the pad class is infinite, so downstairs is necessarily truncated;
     # check the edges whose endpoints the truncated ball did reach
     ball = farley_ball(PADPAIR, A1B1, 2)
-    squier = build_ball(PADPAIR, A1B1, PADPAIR_CAPS)
+    squier = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     assert not squier.complete
     checked = 0
     for e in ball.edges:
@@ -429,7 +430,7 @@ def test_edges_cover_class_complex_edges():
 
 def test_square_edges_pull_back_to_different_ranks():
     ball = farley_ball(PADPAIR, A1B1, 4)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     ranks = edge_ranks(ball, part)
     by_pair = {
         (e.low, e.high): r for e, r in zip(ball.edges, ranks)
@@ -441,7 +442,7 @@ def test_square_edges_pull_back_to_different_ranks():
 
 def test_ball_hyperplanes_well_defined_and_split():
     ball = farley_ball(PADPAIR, A1B1, 4)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     hyps = ball_hyperplanes(ball, part)
     assert len(hyps) == 64
     assert sorted(h.rank for h in hyps).count(0) == 32
@@ -462,7 +463,7 @@ def test_ball_hyperplanes_well_defined_and_split():
 
 def test_hexagon_cover_quotient_is_a_path():
     ball = farley_ball(COMM, W("a b c"), 3)
-    part = rank_partition(COMM, W("a b c"), DEFAULT_CAPS)
+    part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     (q,) = tree_quotients(ball, part)
     assert q.rank == 0
     assert q.node_count == 7 and len(q.edges) == 6
@@ -474,7 +475,7 @@ def test_hexagon_cover_quotient_is_a_path():
 
 def test_quotients_comm_aabc_frozen():
     ball = farley_ball(COMM, W("a a b c"), 3)
-    part = rank_partition(COMM, W("a a b c"), DEFAULT_CAPS)
+    part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
         (0, 7, 6),
@@ -484,7 +485,7 @@ def test_quotients_comm_aabc_frozen():
 
 def test_quotients_padpair_r4_are_trees():
     ball = farley_ball(PADPAIR, A1B1, 4)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
         (0, 33, 32),
@@ -496,7 +497,7 @@ def test_quotients_padpair_r4_are_trees():
 
 def test_quotients_refuse_inexact_partition():
     ball = farley_ball(PADPAIR, A1B1, 2)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     doubted = dataclasses.replace(part, exact=False)
     with pytest.raises(ValueError):
         tree_quotients(ball, doubted)
@@ -509,7 +510,7 @@ def test_quotients_refuse_inexact_partition():
 
 def test_separating_counts_pad_loop():
     ball = farley_ball(PADPAIR, A1B1, 6)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     base = eps(PADPAIR, A1B1)
     assert separating_counts(base, PAD_LOOP, ball, part) == {
         0: 1,
@@ -522,7 +523,7 @@ def test_separating_counts_pad_loop():
 
 def test_separating_counts_guard():
     ball = farley_ball(PADPAIR, A1B1, 4)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     with pytest.raises(ValueError):
         # distance 2 needs radius >= 6 for the interval to provably stay in
         separating_counts(
@@ -531,13 +532,13 @@ def test_separating_counts_guard():
 
 
 def test_embedding_reports():
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     rep = check_isometric_embedding(farley_ball(PADPAIR, A1B1, 4), part)
     assert rep.ok and rep.exact
     assert rep.ranks == (0, 1)
     assert rep.pairs_checked == 6  # the seven depth<=1 vertices, distance 1 apart
 
-    part = rank_partition(COMM, W("a a b c"), DEFAULT_CAPS)
+    part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     rep = check_isometric_embedding(
         farley_ball(COMM, W("a a b c"), 3), part
     )
@@ -549,7 +550,7 @@ def test_embedding_radius_six_regression():
     # smaller radii, then frozen at the radius the embedding check needs
     ball = farley_ball(PADPAIR, A1B1, 6)
     assert (len(ball.keys), len(ball.edges)) == (962, 1696)
-    part = rank_partition(PADPAIR, A1B1, PADPAIR_CAPS)
+    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     rep = check_isometric_embedding(ball, part)
     assert rep.ok
     assert rep.pairs_checked == 138

@@ -49,6 +49,7 @@ import pytest
 
 from conftest import COMM, DEFAULT_CAPS, PADPAIR, PADPAIR_CAPS, W
 from diagram_groups.cli import _build_parser, main
+from diagram_groups.rewriting import ClassSearch
 from diagram_groups.squier import build_ball, crossing_order, relate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,7 +84,7 @@ def test_every_command_has_a_golden_case():
     ids=["comm", "padpair"],
 )
 def test_table_equals_fresh_relate(pres, base, caps):
-    ball = build_ball(pres, W(base), caps)
+    ball = build_ball(ClassSearch(pres, caps), W(base))
     order = crossing_order(ball)
     ids = ball.catalog.ids
     pairs = list(itertools.combinations(range(len(ids)), 2))
@@ -98,7 +99,7 @@ def test_table_equals_fresh_relate(pres, base, caps):
     ids=["comm", "padpair"],
 )
 def test_square_witness_is_first_dual_square(pres, base, caps):
-    ball = build_ball(pres, W(base), caps)
+    ball = build_ball(ClassSearch(pres, caps), W(base))
     order = crossing_order(ball)
     ids = ball.catalog.ids
     dual = {e: h for h, es in ball.catalog.edges_of for e in es}

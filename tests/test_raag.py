@@ -20,16 +20,20 @@ from diagram_groups.raag import (
     parse_raag_word,
     phi,
     positive_direction,
-    raag_equal,
     raag_graph,
     raag_normal_form,
 )
 from diagram_groups.rewriting import (
+    ClassSearch,
     Derivation,
     Move,
     parse_presentation,
 )
 from diagram_groups.squier import build_ball
+
+
+def raag_equal(w1, w2, graph):
+    return raag_normal_form(w1, graph) == raag_normal_form(w2, graph)
 
 
 P3 = raag_graph("abc", [("a", "b"), ("b", "c")])
@@ -198,7 +202,7 @@ class TestNormalFormOracle:
 
 @pytest.fixture(scope="module")
 def padpair_gens():
-    ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+    ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     return hyperplane_generators(ball)
 
 
@@ -215,19 +219,21 @@ class TestBuildApw:
 
     def test_padpair_vertex_and_edge_counts(self):
         graph = hyperplane_generators(
-            build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+            build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
         ).graph
         assert len(graph.vertices) == 8
         assert len(graph.edges) == 16
 
     def test_hexagon_edgeless(self):
-        graph = hyperplane_generators(build_ball(COMM, W("a b c"), DEFAULT_CAPS)).graph
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
+        graph = hyperplane_generators(ball).graph
         assert len(graph.vertices) == 6
         assert graph.edges == frozenset()
 
     def test_single_relation_single_vertex(self):
         pres = parse_presentation("letters: a b\nrel: a = b")
-        graph = hyperplane_generators(build_ball(pres, W("a"), DEFAULT_CAPS)).graph
+        ball = build_ball(ClassSearch(pres, DEFAULT_CAPS), W("a"))
+        graph = hyperplane_generators(ball).graph
         assert graph.vertices == ("H0",)
         assert graph.edges == frozenset()
 
@@ -324,7 +330,8 @@ class TestPhi:
         )
         loop = from_derivation(Derivation(W("a b c"), moves), COMM)
         assert loop.is_spherical
-        gens = hyperplane_generators(build_ball(COMM, W("a b c"), DEFAULT_CAPS))
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
+        gens = hyperplane_generators(ball)
         image = phi(loop, gens)
         assert image.syllables == (
             ("H0", 1), ("H3", 1), ("H4", 1),

@@ -6,15 +6,22 @@ exactly the set of its multiset permutations (adjacent transpositions
 generate all rearrangements), computable with itertools.
 """
 
+import ast
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diagram_groups
 from conftest import COMM, CYC3, DIRTY, HALFPAD, PADPAIR, SMALL_CAPS, W
+from diagram_groups import rewriting
 from diagram_groups.rewriting import (
     ClassEnumeration,
+    ClassSearch,
     Derivation,
     Move,
     Presentation,
@@ -22,7 +29,6 @@ from diagram_groups.rewriting import (
     Relation,
     SearchCaps,
     TriBool,
-    canonical_rep,
     enumerate_class,
     equal_mod_p,
     first_letter_closure,
@@ -281,12 +287,66 @@ def test_equal_agrees_with_permutation_oracle(w1, w2):
         assert verdict.witness.end(COMM) == w2
 
 
-def test_canonical_rep():
-    rep, exact = canonical_rep(tuple("cba"), COMM, CAPS)
+# ---------------------------------------------------------------------------
+# the run's class search
+# ---------------------------------------------------------------------------
+
+
+def test_class_search_rep():
+    rep, exact = ClassSearch(COMM, CAPS).rep(tuple("cba"))
     assert rep == tuple("abc") and exact
     pres = parse_presentation("letters: a p\nrel: a = a p")
-    rep, exact = canonical_rep(("a", "p"), pres, SearchCaps(max_word_len=4))
+    rep, exact = ClassSearch(pres, SearchCaps(max_word_len=4)).rep(("a", "p"))
     assert rep == ("a",) and not exact
+
+
+def test_class_search_enumerates_each_word_once(monkeypatch):
+    calls = []
+
+    def counted(seed, pres, caps):
+        calls.append(seed)
+        return enumerate_class(seed, pres, caps)
+
+    monkeypatch.setattr(rewriting, "enumerate_class", counted)
+    search = ClassSearch(COMM, CAPS)
+    first = search.enum(W("b a"))
+    assert search.enum(W("b a")) is first
+    assert search.rep(W("b a")) == (W("a b"), True)
+    assert calls == [W("b a")]
+    search.enum(W("a b"))
+    assert calls == [W("b a"), W("a b")]
+
+
+def test_class_search_equal_matches_equal_mod_p():
+    search = ClassSearch(COMM, CAPS)
+    for w1, w2 in ((W("a b c"), W("c b a")), (W("a b"), W("a c")), (W("a"), W("a"))):
+        assert search.equal(w1, w2) == equal_mod_p(w1, w2, COMM, CAPS)
+        assert search.equal(w1, w2) is search.equal(w1, w2)
+
+
+@pytest.mark.parametrize("order", ["tight first", "loose first"])
+def test_class_searches_do_not_share_answers(order):
+    tight = ClassSearch(COMM, SearchCaps(max_class_size=2))
+    loose = ClassSearch(COMM, CAPS)
+    searches = [tight, loose] if order == "tight first" else [loose, tight]
+    answers = {id(s): s.enum(W("a b c")).complete for s in searches}
+    assert answers == {id(tight): False, id(loose): True}
+
+
+def test_no_module_caches_across_runs():
+    """Search answers live in the run's ClassSearch; a module-level cache
+    would carry them from one run, presentation or set of caps to the next."""
+    names = [m.name for m in pkgutil.iter_modules(diagram_groups.__path__)]
+    cached = []
+    for name in names:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"diagram_groups.{name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                cached += [(name, a.name) for a in node.names if a.name in ("cache", "lru_cache")]
+            if isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                    cached.append((name, node.attr))
+    assert cached == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from conftest import (
     W,
 )
 from diagram_groups.rewriting import (
+    ClassSearch,
     Move,
     SearchCaps,
     one_step_rewrites,
@@ -70,7 +71,7 @@ class TestHexagonBall:
     """[abc] over COMM: six vertices in a single hexagonal loop."""
 
     def setup_method(self):
-        self.ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+        self.ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
 
     def test_vertices_frozen(self):
         assert self.ball.vertices == (
@@ -108,7 +109,7 @@ class TestPadpairBall:
     """[a1 b1]: the infinite family a_i p^n b_j truncated at word length 10."""
 
     def setup_method(self):
-        self.ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        self.ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
     def test_counts_frozen(self):
         assert len(self.ball.vertices) == 81  # 3 * 3 * 9
@@ -138,7 +139,7 @@ class TestPadpairBall:
 class TestCubes:
     def test_three_cube_in_commuting_class(self):
         # a b a b a b admits three disjoint ab -> ba rewrites
-        ball = build_ball(COMM, W("a b a b a b"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b a b a b"))
         assert ball.complete
         assert 3 in ball.cube_dims()
         corners = {c.corner for c in ball.cubes_of(3)}
@@ -151,7 +152,7 @@ class TestCubes:
         )
 
     def test_square_in_four_letter_class(self):
-        ball = build_ball(COMM, W("a b b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b b c"))
         assert ball.complete
         assert any(
             sq.corner == W("a b b c")
@@ -217,7 +218,7 @@ def _random_presentation(rng):
     ids=["comm", "cyc3", "dirty", "grow"],
 )
 def test_cubes_match_brute_force(pres, base, caps):
-    ball = build_ball(pres, W(base), caps)
+    ball = build_ball(ClassSearch(pres, caps), W(base))
     assert ball.cubes == _brute_force_cubes(ball)
     assert ball.cube_dims()
 
@@ -229,7 +230,7 @@ def test_cubes_match_brute_force_on_random_presentations():
         rng = random.Random(seed)
         pres = _random_presentation(rng)
         base = tuple(rng.choice("abc") for _ in range(rng.randint(2, 4)))
-        ball = build_ball(pres, base, caps)
+        ball = build_ball(ClassSearch(pres, caps), base)
         assert ball.cubes == _brute_force_cubes(ball), seed
         cubes += sum(len(cs) for _, cs in ball.cubes)
     assert cubes > 0
@@ -242,22 +243,22 @@ def test_cubes_match_brute_force_on_random_presentations():
 
 class TestHyperplaneId:
     def test_oriented_id_of_hexagon_edge(self):
-        hid = hyperplane_id(W("a b c"), Move(0, 0, True), COMM, DEFAULT_CAPS)
+        search = ClassSearch(COMM, DEFAULT_CAPS)
+        hid = hyperplane_id(search, W("a b c"), Move(0, 0, True))
         assert hid == HyperplaneId(W(""), 0, True, W("c"))
         assert hid.exact
         assert hid.unoriented() == HyperplaneId(W(""), 0, None, W("c"))
 
     def test_parts_are_canonical_reps(self):
         # left part a2 p of a b-edge collapses to the class rep a1
-        hid = hyperplane_id(
-            W("a2 p b1"), Move(2, 3, True), PADPAIR, PADPAIR_CAPS
-        )
+        search = ClassSearch(PADPAIR, PADPAIR_CAPS)
+        hid = hyperplane_id(search, W("a2 p b1"), Move(2, 3, True))
         assert hid.left == W("a1")
         assert hid.right == W("")
         assert not hid.exact  # the left class is infinite, enumeration capped
 
     def test_hexagon_catalog_frozen(self):
-        ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
@@ -272,7 +273,7 @@ class TestHyperplaneId:
         assert all(len(es) == 1 for _, es in catalog.edges_of)
 
     def test_padpair_catalog_frozen(self):
-        ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
@@ -290,7 +291,7 @@ class TestHyperplaneId:
         ]
 
     def test_catalog_partitions_edges(self):
-        ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         all_edges = [e for _, es in catalog.edges_of for e in es]
@@ -315,7 +316,7 @@ D = HyperplaneId(W("a1"), 7, None, W(""))
 
 class TestRelate:
     def setup_method(self):
-        self.ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        self.ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
     def test_a_before_b_via_square(self):
         rel = relate(A1, B1, self.ball)
@@ -335,7 +336,7 @@ class TestRelate:
             assert rel.value == "disjoint", (j1, j2)
 
     def test_hexagon_all_disjoint(self):
-        ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         catalog = hyperplane_catalog(ball)
         for j1, j2 in itertools.combinations(catalog.ids, 2):
             assert relate(j1, j2, ball).value == "disjoint"
@@ -343,7 +344,7 @@ class TestRelate:
 
 class TestTransversality:
     def test_padpair_is_k44(self):
-        ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
         graph = transversality_graph(ball)
         assert graph.exact
         assert graph.odd_cycle is None
@@ -362,14 +363,14 @@ class TestTransversality:
                 assert value == "second_prec_first"
 
     def test_hexagon_graph_empty(self):
-        ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         graph = transversality_graph(ball)
         assert graph.exact
         assert graph.edges == ()
         assert graph.odd_cycle is None
 
     def test_complete_commuting_ball_graph_exact(self):
-        ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         graph = transversality_graph(ball)
         assert graph.exact
         assert graph.odd_cycle is None
@@ -414,45 +415,45 @@ class TestInducedOddCycle:
 
 class TestDimension:
     def test_padpair_dim_two_yes(self):
-        verdict = dimension_at_least(PADPAIR, W("a1 b1"), 2, PADPAIR_CAPS)
+        verdict = dimension_at_least(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"), 2)
         assert verdict.is_yes
         wit = verdict.witness
         assert wit.member == W("a1 b1")
         assert wit.factors() == (W("a1"), W("b1"))
 
     def test_padpair_dim_three_no_by_certificate(self):
-        verdict = dimension_at_least(PADPAIR, W("a1 b1"), 3, PADPAIR_CAPS)
+        verdict = dimension_at_least(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"), 3)
         assert verdict.is_no
         assert "letter-count" in verdict.witness
 
     def test_short_commuting_word_dim_two_no(self):
-        verdict = dimension_at_least(COMM, W("a b c"), 2, DEFAULT_CAPS)
+        verdict = dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"), 2)
         assert verdict.is_no
 
     def test_four_letter_commuting_word_dim_two_yes(self):
-        verdict = dimension_at_least(COMM, W("a a b c"), 2, DEFAULT_CAPS)
+        verdict = dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 2)
         assert verdict.is_yes
         for factor in verdict.witness.factors():
             assert len(factor) >= 1
 
     def test_six_letter_commuting_word_dims(self):
         w = W("a b a b a b")
-        assert dimension_at_least(COMM, w, 3, DEFAULT_CAPS).is_yes
-        verdict = dimension_at_least(COMM, w, 4, DEFAULT_CAPS)
+        assert dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), w, 3).is_yes
+        verdict = dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), w, 4)
         assert verdict.is_no
         assert "letter-count" in verdict.witness
 
     def test_growing_class_has_every_dimension(self):
         for n in (1, 2, 3, 4, 5):
-            assert dimension_at_least(GROW, W("x"), n, DEFAULT_CAPS).is_yes
+            assert dimension_at_least(ClassSearch(GROW, DEFAULT_CAPS), W("x"), n).is_yes
 
     def test_zero_always_yes(self):
-        assert dimension_at_least(COMM, W("a"), 0, DEFAULT_CAPS).is_yes
+        assert dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), W("a"), 0).is_yes
 
 
 class TestRank:
     def setup_method(self):
-        self.ball = build_ball(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        self.ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
     def test_left_family_rank_zero_exact(self):
         for j in (A1, A2, C):
@@ -474,7 +475,7 @@ class TestRank:
         assert any("dimension" in note for note in result.notes)
 
     def test_hexagon_ranks_all_zero(self):
-        ball = build_ball(COMM, W("a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         catalog = hyperplane_catalog(ball)
         for j in catalog.ids:
             result = rank(j, ball)
@@ -489,7 +490,7 @@ class TestRank:
 
 class TestSelfIntersection:
     def test_dirty_splits_found(self):
-        splits, _ = find_absorbing_splits(DIRTY, W("a b"), TIGHT_CAPS)
+        splits, _ = find_absorbing_splits(ClassSearch(DIRTY, TIGHT_CAPS), W("a b"))
         assert any(
             s.a == W("a") and s.b == W("b") and s.p == W("p") for s in splits
         )
@@ -499,18 +500,20 @@ class TestSelfIntersection:
             deriv.replay(DIRTY)
 
     def test_dirty_split_converts_to_self_intersection(self):
-        splits, _ = find_absorbing_splits(DIRTY, W("a b"), TIGHT_CAPS)
+        search = ClassSearch(DIRTY, TIGHT_CAPS)
+        splits, _ = find_absorbing_splits(search, W("a b"))
         split = next(s for s in splits if s.p == W("p"))
-        wit = split_to_self_intersection(split, DIRTY, TIGHT_CAPS)
+        wit = split_to_self_intersection(search, split)
         assert wit.p == W("p") and wit.q == W("q")
         assert wit.b == W("p")  # empty middle replaced by the side itself
 
     def test_dirty_witness_round_trips_to_square(self):
-        splits, _ = find_absorbing_splits(DIRTY, W("a b"), TIGHT_CAPS)
+        search = ClassSearch(DIRTY, TIGHT_CAPS)
+        splits, _ = find_absorbing_splits(search, W("a b"))
         wit = split_to_self_intersection(
-            next(s for s in splits if s.p == W("p")), DIRTY, TIGHT_CAPS
+            search, next(s for s in splits if s.p == W("p"))
         )
-        square = self_intersection_square(wit, DIRTY, W("a b"), TIGHT_CAPS)
+        square = self_intersection_square(search, wit, W("a b"))
         m1, m2 = square.moves
         assert m1.relation == m2.relation == 2  # p = q
         assert m1.forward and m2.forward
@@ -519,7 +522,7 @@ class TestSelfIntersection:
         m2.apply(m1.apply(square.corner, DIRTY), DIRTY)
 
     def test_dirty_report_clean_no(self):
-        report = specialness_report(DIRTY, W("a b"), TIGHT_CAPS)
+        report = specialness_report(ClassSearch(DIRTY, TIGHT_CAPS), W("a b"))
         assert report.clean.is_no
         assert report.special.is_no
         assert report.self_intersections
@@ -530,7 +533,7 @@ class TestSelfIntersection:
         assert refute_absorbing_splits(DIRTY) is None
 
     def test_no_false_positives_on_commuting_class(self):
-        ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         scan, scan_def = scan_self_intersections(ball)
         found, found_def = find_self_intersections(ball)
         assert scan == () and found == ()
@@ -546,7 +549,7 @@ class TestSelfOsculation:
     def test_empty_leftover_witness(self):
         """Periodic side k k with period 1: the leftover k is empty and the
         overlap is carried by the exponent (n = 2)."""
-        ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_EMPTY, TIGHT_CAPS), W("x k k y"))
         found, _ = find_self_osculations(ball)
         assert any(
             w.n == 2 and w.k == W("") and w.h == W("k")
@@ -555,25 +558,23 @@ class TestSelfOsculation:
         )
 
     def test_empty_leftover_scan_agrees(self):
-        ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_EMPTY, TIGHT_CAPS), W("x k k y"))
         found, _ = scan_self_osculations(ball)
         assert any(
             w.n == 2 and w.k == W("") and w.h == W("k") for w in found
         )
 
     def test_empty_leftover_config_round_trip(self):
-        ball = build_ball(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_EMPTY, TIGHT_CAPS), W("x k k y"))
         found, _ = find_self_osculations(ball)
         wit = next(w for w in found if w.a == W("x") and w.b == W("y"))
-        word, m1, m2 = self_osculation_config(
-            wit, OSC_EMPTY, W("x k k y"), TIGHT_CAPS
-        )
+        word, m1, m2 = self_osculation_config(ball.search, wit, W("x k k y"))
         assert word == W("x k k k y")
         assert (m1.offset, m2.offset) == (1, 2)
         assert m1.relation == m2.relation == 2
 
     def test_plain_witness(self):
-        ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_PLAIN, TIGHT_CAPS), W("x k h k y"))
         found, _ = find_self_osculations(ball)
         assert any(
             w.n == 1 and w.k == W("k") and w.h == W("h")
@@ -582,27 +583,25 @@ class TestSelfOsculation:
         )
 
     def test_plain_scan_agrees(self):
-        ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_PLAIN, TIGHT_CAPS), W("x k h k y"))
         found, _ = scan_self_osculations(ball)
         assert any(w.n == 1 and w.k == W("k") and w.h == W("h") for w in found)
 
     def test_plain_config_round_trip(self):
-        ball = build_ball(OSC_PLAIN, W("x k h k y"), TIGHT_CAPS)
+        ball = build_ball(ClassSearch(OSC_PLAIN, TIGHT_CAPS), W("x k h k y"))
         found, _ = find_self_osculations(ball)
         wit = next(w for w in found if w.a == W("x") and w.b == W("y"))
-        word, m1, m2 = self_osculation_config(
-            wit, OSC_PLAIN, W("x k h k y"), TIGHT_CAPS
-        )
+        word, m1, m2 = self_osculation_config(ball.search, wit, W("x k h k y"))
         assert word == W("x k h k h k y")
         assert (m1.offset, m2.offset) == (1, 3)
 
     def test_reports_flag_special_no(self):
-        report = specialness_report(OSC_EMPTY, W("x k k y"), TIGHT_CAPS)
+        report = specialness_report(ClassSearch(OSC_EMPTY, TIGHT_CAPS), W("x k k y"))
         assert report.self_osculations
         assert report.special.is_no
 
     def test_commuting_classes_have_none(self):
-        ball = build_ball(COMM, W("a a b c"), DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         found, found_def = find_self_osculations(ball)
         scan, scan_def = scan_self_osculations(ball)
         assert found == () and scan == ()
@@ -616,7 +615,8 @@ class TestSelfOsculation:
 
 class TestInterOsculation:
     def test_witness_found(self):
-        found, _ = find_inter_osculations(INTEROSC, W("c u v w d"), TIGHT_CAPS)
+        search = ClassSearch(INTEROSC, TIGHT_CAPS)
+        found, _ = find_inter_osculations(search, W("c u v w d"))
         assert any(
             w.a == W("c") and w.u == W("u") and w.v == W("v")
             and w.w == W("w") and w.b == W("d") and w.xi == W("v")
@@ -624,11 +624,10 @@ class TestInterOsculation:
         )
 
     def test_config_round_trip(self):
-        found, _ = find_inter_osculations(INTEROSC, W("c u v w d"), TIGHT_CAPS)
+        search = ClassSearch(INTEROSC, TIGHT_CAPS)
+        found, _ = find_inter_osculations(search, W("c u v w d"))
         wit = next(w for w in found if w.xi == W("v"))
-        (word, m1, m2), square = inter_osculation_config(
-            wit, INTEROSC, W("c u v w d"), TIGHT_CAPS
-        )
+        (word, m1, m2), square = inter_osculation_config(search, wit, W("c u v w d"))
         assert word == W("c u v w d")
         # overlapping occurrences of u v and v w at the osculation vertex
         assert (m1.offset, m2.offset) == (1, 2)
@@ -639,7 +638,7 @@ class TestInterOsculation:
         assert s2.offset >= s1.offset + 2  # now disjoint
 
     def test_report_special_no(self):
-        report = specialness_report(INTEROSC, W("c u v w d"), TIGHT_CAPS)
+        report = specialness_report(ClassSearch(INTEROSC, TIGHT_CAPS), W("c u v w d"))
         assert report.inter_osculations
         assert report.special.is_no
         assert report.clean.is_yes  # crossing without self-crossing
@@ -661,7 +660,7 @@ class TestInterOsculation:
 
 class TestSpecialness:
     def test_padpair_special_yes(self):
-        report = specialness_report(PADPAIR, W("a1 b1"), PADPAIR_CAPS)
+        report = specialness_report(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
         assert report.clean.is_yes
         assert report.special.is_yes
         assert report.self_intersections == ()
@@ -671,12 +670,12 @@ class TestSpecialness:
         assert any("special" in note for note in report.notes)
 
     def test_commuting_special_yes(self):
-        report = specialness_report(COMM, W("a b c"), DEFAULT_CAPS)
+        report = specialness_report(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         assert report.clean.is_yes
         assert report.special.is_yes
 
     def test_commuting_bigger_class_special_yes(self):
-        report = specialness_report(COMM, W("a a b c"), DEFAULT_CAPS)
+        report = specialness_report(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         assert report.special.is_yes
 
 
@@ -694,7 +693,7 @@ class TestProperties:
     @given(small_comm_words)
     @settings(max_examples=60, deadline=None)
     def test_balls_complete_and_consistent(self, w):
-        ball = build_ball(COMM, w, DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), w)
         assert ball.complete
         members = set(ball.vertices)
         assert sorted(members) == sorted(
@@ -707,7 +706,7 @@ class TestProperties:
     @given(small_comm_words)
     @settings(max_examples=40, deadline=None)
     def test_catalog_exact_and_partitions(self, w):
-        ball = build_ball(COMM, w, DEFAULT_CAPS)
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), w)
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert sum(len(es) for _, es in catalog.edges_of) == len(ball.edges)
@@ -717,7 +716,7 @@ class TestProperties:
     @given(small_comm_words)
     @settings(max_examples=20, deadline=None)
     def test_no_pathologies_on_commuting_classes(self, w):
-        report = specialness_report(COMM, w, DEFAULT_CAPS)
+        report = specialness_report(ClassSearch(COMM, DEFAULT_CAPS), w)
         assert report.clean.is_yes
         assert report.special.is_yes
         assert not report.self_intersections
