@@ -589,7 +589,7 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
     for depth in ball.depths:
         sizes[depth] += 1
     if ns.format == "text":
-        print(f"vertices: {len(ball.keys)}")
+        print(f"vertices: {len(ball.depths)}")
         print(f"edges: {len(ball.edges)}")
         print(f"sizes by depth: {sizes}")
     else:
@@ -597,7 +597,7 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
             {
                 "base": format_word(ns.w),
                 "radius": ns.radius,
-                "vertex_count": len(ball.keys),
+                "vertex_count": len(ball.depths),
                 "edge_count": len(ball.edges),
                 "sizes_by_depth": sizes,
                 "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},

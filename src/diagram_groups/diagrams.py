@@ -19,8 +19,8 @@ The algebra:
   wires the diagram's cells by letter occurrences and layers them with
   ``layered_key``.
 * ``extend_reduced`` multiplies a reduced diagram in that wire form by one
-  atom, cancelling an exposed cell or appending one.  It is the one
-  reduction step of ``farley.farley_ball``, and through ``cayley_ball`` of
+  atom, cancelling an exposed cell or appending one.  Through
+  ``cayley_ball`` it is the one reduction step of
   ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``.
 
 Spherical diagrams with a fixed base word form a group under composition

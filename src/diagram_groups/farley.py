@@ -12,11 +12,11 @@ distance from the trivial diagram, and more generally
 Balls are built without general dipole reduction.  A vertex ``A`` is
 already reduced, so ``A . atom`` has at most one dipole: the new cell
 against a cell of ``A`` exposed on the bottom boundary (the dipole normal
-form of Guba and Sapir).  ``diagrams.extend_reduced`` takes that step on a
-diagram in wire form; ``farley_ball`` extends its vertices with it, and
-``property_b_scan``, like ``interval.diagram_ball_sizes``, multiplies group
-elements through ``diagrams.cayley_ball``, one step per generator cell.
-All key diagrams by ``diagrams.layered_key`` on their wire cells.
+form of Guba and Sapir).  ``farley_ball`` reads that step off up/down
+tables between vertex indices and keeps only bottom words, so no vertex
+is keyed or replayed.  ``property_b_scan``, like
+``interval.diagram_ball_sizes``, multiplies group elements through
+``diagrams.cayley_ball``, one step per generator cell.
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
@@ -40,9 +40,10 @@ ball, so only such pairs are judged.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import (
@@ -51,13 +52,9 @@ from .diagrams import (
     canonical_key,
     cayley_ball,
     compose,
-    eps,
-    extend_reduced,
     inverse,
     is_reduced,
-    layered_key,
     reduce_diagram,
-    wire_form,
 )
 from .rewriting import (
     ClassSearch,
@@ -121,117 +118,116 @@ class FarleyBall(CubeTable):
     """All reduced diagrams with the given top and at most ``radius`` cells.
 
     Vertices are indexed in breadth-first order from the trivial diagram;
-    ``depths[i]`` equals both the BFS level and the cell count of
-    ``diagrams[i]`` (an atomic extension changes the cell count by exactly
-    one, so the sublevel sets are connected and the search exhausts them).
+    ``depths[i]`` equals both the BFS level and the cell count of vertex
+    ``i`` (an atomic extension changes the cell count by exactly one, so the
+    sublevel sets are connected and the search exhausts them), ``words[i]``
+    is its bottom word and ``parents[i]`` the first edge into it (``-1`` at
+    the base), whose chain :meth:`diagram` replays.
     """
 
     pres: Presentation
     base: Word
     radius: int
-    keys: Tuple[CanonicalKey, ...]
-    diagrams: Tuple[Diagram, ...]
+    words: Tuple[Word, ...]
     depths: Tuple[int, ...]
+    parents: Tuple[int, ...]
     edges: Tuple[FarleyEdge, ...]
     cubes: Tuple[Tuple[int, Tuple[FarleyCube, ...]], ...]
-    index: Dict[CanonicalKey, int] = field(init=False, repr=False, compare=False)
-    adjacency: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "index", {k: i for i, k in enumerate(self.keys)}
-        )
-        adj: List[List[Tuple[int, int]]] = [[] for _ in self.keys]
-        for ei, e in enumerate(self.edges):
-            adj[e.low].append((e.high, ei))
-            adj[e.high].append((e.low, ei))
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+    def diagram(self, i: int) -> Diagram:
+        """The reduced diagram of vertex ``i``, replayed from its first parents."""
+        moves: List[Move] = []
+        while self.parents[i] >= 0:
+            e = self.edges[self.parents[i]]
+            moves.append(e.move)
+            i = e.low
+        return Diagram(self.pres, self.base, tuple(reversed(moves)))
 
-    def index_of(self, d: Diagram) -> int:
-        """Vertex index of a reduced diagram; raises if outside the ball."""
-        k = canonical_key(d)
-        if k not in self.index:
-            raise ValueError(
-                f"diagram {d} is not a vertex of the radius-{self.radius} ball"
-            )
-        return self.index[k]
+    @cached_property
+    def keys(self) -> Tuple[CanonicalKey, ...]:
+        """The canonical key of every vertex, computed on first use; the
+        benchmark tracer (``perfbench/tracer.py``) counts vertices by it."""
+        return tuple(canonical_key(self.diagram(i)) for i in range(len(self.depths)))
+
+
+def _recorded(up: Sequence[Dict[Move, int]], below: Dict[Move, int],
+              move: Move, i: int, pres: Presentation) -> Optional[int]:
+    """The vertex ``i . move`` if a vertex before ``i`` already reached it.
+
+    Every lower neighbour of ``j = i . move`` other than ``i`` cancels a
+    cell ``c`` exposed on the bottom of ``i`` and disjoint from ``move``:
+    with ``q = i . c``, it is ``p = q . move``, and ``j = p . c⁻¹``, both
+    moves shifted past the other's length change.  ``j`` was recorded
+    exactly when some such ``p`` was processed before ``i``.
+    """
+    end = move.offset + len(move.sides(pres)[0])
+    for c, q in below.items():
+        if c.offset + len(c.sides(pres)[0]) <= move.offset:
+            at_q = Move(move.offset + c.delta(pres), move.relation, move.forward)
+            back = c.inverted()
+        elif end <= c.offset:
+            at_q = move
+            back = Move(c.offset + move.delta(pres), c.relation, not c.forward)
+        else:
+            continue
+        p = up[q][at_q]
+        if p < i:
+            return up[p][back]
+    return None
 
 
 def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     """Breadth-first enumeration of reduced diagrams by atomic extension.
 
-    A vertex ``A`` on the frontier is held in wire form and extended by
-    ``diagrams.extend_reduced``: a cancelling step leads one level down, to
-    a vertex already recorded, and any other step one level up, so edges
-    join consecutive levels.  Cancellations are counted, not keyed: distinct
-    exposed cells cancel to distinct lower neighbours, so their number must
-    equal the number of edges recorded into ``A`` from below.  Wire forms
-    are dropped once processed, and none is kept for the sphere.
-
-    Cubes come from ``squier.disjoint_cubes``, the routine that also spans
-    the Squier ball's cubes, over the recorded up-edge tables: every corner
-    is reached by following up-edges, so no diagram algebra is repeated.
+    ``up[i]`` maps each move of ``words[i]`` that appends a cell to the
+    vertex it reaches, and ``down[i]`` each move that cancels a cell to the
+    vertex one level down: an edge ``q -> i`` by ``m`` records
+    ``down[i][m⁻¹] = q``.  Every lower neighbour of ``i`` is processed
+    first, so a move cancels exactly when it is in ``down[i]``; any other
+    move appends, and square closure (:func:`_recorded`) tells whether its
+    target is recorded, which must then carry the move's bottom word.
+    Cubes come from ``squier.disjoint_cubes`` over the same ``up`` tables.
     """
     pres.check_word(w)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    keys: List[CanonicalKey] = [layered_key(w, ())]
-    diagrams: List[Diagram] = [eps(pres, w)]
+    words: List[Word] = [w]
     depths: List[int] = [0]
-    index: Dict[CanonicalKey, int] = {keys[0]: 0}
+    parents: List[int] = [-1]
     edges: List[FarleyEdge] = []
-    # up[i] maps each rewrite of bot(diagrams[i]) that gains a cell to the
-    # vertex it reaches; cube corners are recovered from these tables
     up: List[Dict[Move, int]] = [{}]
-    # down[i] counts the recorded edges into i from one level below
-    down: Dict[int, int] = Counter()
-    frontier = {0: wire_form(w)}
+    # kept for the vertices still to be processed, dropped once used
+    down: Dict[int, Dict[Move, int]] = {}
 
-    qi = 0
-    while qi < len(keys):
-        i = qi
-        qi += 1
-        d = depths[i]
-        if d == radius:
-            # extensions upward would leave the ball, and every edge down
-            # to level radius-1 was recorded when that endpoint was processed
-            continue
-        form = frontier.pop(i)
-        di = diagrams[i]
-        u = di.bot
-        cancels = 0
-        for move, _ in one_step_rewrites(u, pres):
-            grown, cancelled = extend_reduced(form, move, pres)
-            if cancelled:
-                # the other endpoint sits one level down and was processed
-                # first, so the edge already exists in that orientation
-                cancels += 1
+    i = 0
+    while i < len(words) and depths[i] < radius:
+        u = words[i]
+        below = down.pop(i, {})
+        for move, v in one_step_rewrites(u, pres):
+            if move in below:
                 continue
-            nk = layered_key(w, grown[0])
-            j = index.get(nk)
+            j = _recorded(up, below, move, i, pres)
             if j is None:
-                j = len(keys)
-                index[nk] = j
-                keys.append(nk)
-                diagrams.append(Diagram(pres, w, di.moves + (move,)))
-                depths.append(d + 1)
+                j = len(words)
+                words.append(v)
+                depths.append(depths[i] + 1)
+                parents.append(len(edges))
                 up.append({})
-                if d + 1 < radius:
-                    frontier[j] = grown
-            edges.append(FarleyEdge(i, j, u, move))
+            elif words[j] != v:
+                raise RuntimeError(f"vertex {i}: {move} reaches vertex {j} with bottom "
+                                   f"word {format_word(words[j])}, not {format_word(v)}")
             up[i][move] = j
-            down[j] += 1
-        if cancels != down[i]:
-            raise RuntimeError(f"vertex {i}: {cancels} cancellations, {down[i]} edges below")
+            if depths[j] < radius:
+                down.setdefault(j, {})[move.inverted()] = i
+            edges.append(FarleyEdge(i, j, u, move))
+        i += 1
 
     packed = tuple(
         (dim, tuple(FarleyCube(*cube) for cube in cs))
         for dim, cs in disjoint_cubes(up, pres)
     )
     return FarleyBall(
-        pres, w, radius, tuple(keys), tuple(diagrams), tuple(depths),
+        pres, w, radius, tuple(words), tuple(depths), tuple(parents),
         tuple(edges), packed,
     )
 
@@ -407,7 +403,7 @@ def tree_quotients(
     ranks = edge_ranks(ball, partition)
     out: List[TreeQuotient] = []
     for k in sorted(set(ranks)):
-        parent = list(range(len(ball.keys)))
+        parent = list(range(len(ball.depths)))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -420,9 +416,9 @@ def tree_quotients(
                 ra, rb = find(e.low), find(e.high)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
-        roots = sorted({find(i) for i in range(len(ball.keys))})
+        roots = sorted({find(i) for i in range(len(ball.depths))})
         node_id = {root: n for n, root in enumerate(roots)}
-        node_of = tuple(node_id[find(i)] for i in range(len(ball.keys)))
+        node_of = tuple(node_id[find(i)] for i in range(len(ball.depths)))
         qedges: Set[Tuple[int, int]] = set()
         for e, r in zip(ball.edges, ranks):
             if r == k:
@@ -458,72 +454,16 @@ def guarded_pairs(ball: FarleyBall) -> Tuple[Tuple[int, int, int], ...]:
     ``(i, j, distance)`` triples with ``i < j``.
     """
     near = [
-        i for i, d in enumerate(ball.depths) if 3 * d <= ball.radius
+        (i, ball.diagram(i))
+        for i, d in enumerate(ball.depths) if 3 * d <= ball.radius
     ]
     out = []
-    for ai in range(len(near)):
-        for bi in range(ai + 1, len(near)):
-            i, j = near[ai], near[bi]
-            dist = distance(ball.diagrams[i], ball.diagrams[j])
+    for ai, (i, a) in enumerate(near):
+        for j, b in near[ai + 1:]:
+            dist = distance(a, b)
             if 3 * dist <= ball.radius:
                 out.append((i, j, dist))
     return tuple(out)
-
-
-def _shortest_path_edges(ball: FarleyBall, i: int, j: int) -> List[int]:
-    """Edge indices along one BFS-shortest path from ``i`` to ``j``."""
-    if i == j:
-        return []
-    prev: Dict[int, Tuple[int, int]] = {i: (-1, -1)}
-    queue = deque([i])
-    while queue:
-        x = queue.popleft()
-        for y, ei in ball.adjacency[x]:
-            if y not in prev:
-                prev[y] = (x, ei)
-                if y == j:
-                    queue.clear()
-                    break
-                queue.append(y)
-    path = []
-    x = j
-    while x != i:
-        x, ei = prev[x]
-        path.append(ei)
-    return path
-
-
-def separating_counts(
-    a: Diagram,
-    b: Diagram,
-    ball: FarleyBall,
-    partition: RankPartition,
-) -> Dict[int, int]:
-    """How many hyperplanes of each rank separate two guarded vertices.
-
-    Under the guard a BFS path inside the ball is a genuine geodesic, and a
-    geodesic crosses exactly the separating hyperplanes, once each; so the
-    counts are read off the path's edges.  Ranks with count zero are omitted.
-    """
-    ia, ib = ball.index_of(a), ball.index_of(b)
-    dist = distance(ball.diagrams[ia], ball.diagrams[ib])
-    if (
-        3 * dist > ball.radius
-        or 3 * ball.depths[ia] > ball.radius
-        or 3 * ball.depths[ib] > ball.radius
-    ):
-        raise ValueError(
-            "interval-escape guard violated: endpoints must lie within "
-            "radius/3 of the base and of each other"
-        )
-    path = _shortest_path_edges(ball, ia, ib)
-    assert len(path) == dist, "BFS disagrees with the diagram-algebra distance"
-    counts: Dict[int, int] = {}
-    for ei in path:
-        e = ball.edges[ei]
-        r = partition.ranks[partition.ball.hyperplane_index(e.word, e.move)].value
-        counts[r] = counts.get(r, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -655,6 +595,5 @@ __all__ = [
     "guarded_pairs",
     "property_b_scan",
     "rank_partition",
-    "separating_counts",
     "tree_quotients",
 ]

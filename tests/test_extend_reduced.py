@@ -1,7 +1,7 @@
 """The cancel-or-append step against general dipole reduction.
 
-``diagrams.extend_reduced`` is the one reduction step of every ball search
-over reduced diagrams: ``farley_ball``, ``interval.diagram_ball_sizes`` and
+``diagrams.extend_reduced`` is the one reduction step of the group-ball
+searches over reduced diagrams: ``interval.diagram_ball_sizes`` and
 ``farley.property_b_scan``.  Each check here compares it with the general
 route it replaces, kept below as the brute-force reference: stack the whole
 diagram with ``compose``, cancel dipoles with ``reduce_diagram`` and key the

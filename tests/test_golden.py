@@ -38,6 +38,9 @@ JSON and text) and on ``four.int`` (four intervals under
 ``--max-class-size 100000``), and the length-4 ``propb`` case, were captured
 from the implementation that composed and reduced whole diagrams for every
 product, so they pin the move of those balls onto the cancel-or-append step.
+The ``farley`` (JSON, text and dot) and ``embed-check`` outputs also predate
+the Farley ball built from bottom words and up/down index tables, so they
+pin that move too: vertex numbering, edge order and cube counts.
 """
 
 import argparse
