@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 Letter = str
 Word = Tuple[Letter, ...]
@@ -94,11 +94,19 @@ class Presentation:
     earlier one (in either orientation) is rejected, as is ``u = u``.
     Letter order is significant: it fixes the shortlex order used for
     canonical representatives.
+
+    Every rewrite scan reads the relation sides through one table built
+    here: each letter maps to the ``(relation, forward, source, target)``
+    sides whose source starts with it, in relation order, forward before
+    backward.  :func:`one_step_rewrites` and :meth:`side_spans` read it.
     """
 
     letters: Tuple[Letter, ...]
     relations: Tuple[Relation, ...]
     _index: Dict[Letter, int] = field(init=False, repr=False, compare=False)
+    _sides: Dict[Letter, Tuple[Tuple[int, bool, Word, Word], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.letters:
@@ -118,6 +126,22 @@ class Presentation:
             if key in seen:
                 raise PresentationError(f"duplicate relation {rel} (up to orientation)")
             seen.add(key)
+        sides: Dict[Letter, list] = {x: [] for x in self.letters}
+        for i, rel in enumerate(self.relations):
+            for forward in (True, False):
+                src, dst = rel.sides(forward)
+                sides[src[0]].append((i, forward, src, dst))
+        object.__setattr__(self, "_sides", {x: tuple(v) for x, v in sides.items()})
+
+    def side_spans(self, w: Word) -> Iterator[Tuple[int, int]]:
+        """``(start, end)`` of every literal occurrence of a relation side in
+        ``w``, ordered by (start, relation, forward-before-backward).  Only
+        the sides that start with ``w[start]`` are tried."""
+        sides = self._sides
+        for o, x in enumerate(w):
+            for _, _, src, _ in sides.get(x, ()):
+                if w[o : o + len(src)] == src:
+                    yield o, o + len(src)
 
     def check_word(self, w: Word) -> Word:
         for x in w:
@@ -239,13 +263,15 @@ def one_step_rewrites(w: Word, pres: Presentation) -> Tuple[Tuple[Move, Word], .
     word of a move is always distinct from ``w`` because relation sides
     differ.
     """
+    # the scan of Presentation.side_spans, written out: on this, the
+    # hottest loop of every class search, a generator frame and a tuple per
+    # hit cost time and raise peak memory
     out: List[Tuple[Move, Word]] = []
-    for o in range(len(w)):
-        for i, rel in enumerate(pres.relations):
-            for forward in (True, False):
-                src, dst = rel.sides(forward)
-                if w[o : o + len(src)] == src:
-                    out.append((Move(o, i, forward), w[:o] + dst + w[o + len(src) :]))
+    sides = pres._sides
+    for o, x in enumerate(w):
+        for i, forward, src, dst in sides.get(x, ()):
+            if w[o : o + len(src)] == src:
+                out.append((Move(o, i, forward), w[:o] + dst + w[o + len(src) :]))
     return tuple(out)
 
 
@@ -525,11 +551,7 @@ def has_singleton_class(w: Word, pres: Presentation) -> bool:
     and an applicable rewrite always changes the word (relation sides
     differ), so the class is a singleton iff no side occurs.
     """
-    for o in range(len(w)):
-        for rel in pres.relations:
-            if w[o : o + len(rel.lhs)] == rel.lhs or w[o : o + len(rel.rhs)] == rel.rhs:
-                return False
-    return True
+    return next(pres.side_spans(w), None) is None
 
 
 def invariant_letter_subsets(

@@ -346,6 +346,12 @@ class HyperplaneCatalog:
     (same relation, different class parts) was certified by a definite
     inequality.  ``index`` maps each hyperplane, and ``edge_index`` each
     ball edge, to the position of its hyperplane in ``ids``.
+
+    :func:`hyperplane_catalog` groups the edges of a complete ball by class
+    representatives where both part classes enumerate completely, and by
+    pairwise probes elsewhere.  The groups are those of probing every edge,
+    and ``exact`` is the same: a representative is taken only from a
+    complete enumeration, and a probe from such a word is never unknown.
     """
 
     ids: Tuple[HyperplaneId, ...]
@@ -365,31 +371,64 @@ class HyperplaneCatalog:
 
 def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
     """Partition the ball's edges into hyperplanes; read it as ``ball.catalog``,
-    which builds it once per ball."""
-    pres, equal = ball.pres, ball.search.equal
+    which builds it once per ball.
+
+    Edges are taken in ball order.  Each joins the first earlier group of its
+    relation whose first edge has congruent left and right parts, or opens a
+    new group.  On a complete ball, an edge whose part classes both
+    enumerate completely is named by its class representatives
+    ``(rep(a), relation, rep(b))``, and a dict keyed on them finds its group.
+    Two such edges belong together exactly when their keys are equal, so a
+    key that misses needs probing only against the groups opened by the other
+    edges, in order; it is registered either way.  Every other edge probes
+    each earlier group of its relation, and an unknown probe clears ``exact``.
+    An edge named by its key would never clear it: a probe from a word whose
+    class enumerates completely under the caps exhausts that side, so it is
+    never unknown.  The groups, and so ``exact``, are those of probing every
+    edge.  Capped balls probe every edge, because enumerating each part word
+    costs more there than the probes it saves.
+    """
+    pres, search = ball.pres, ball.search
+    equal = search.equal
     exact = True
     groups: List[Tuple[Tuple[Word, Word], List[BallEdge]]] = []
     by_relation: Dict[int, List[int]] = {}
+    # groups opened by edges without a key, per relation
+    probed: Dict[int, List[int]] = {}
+    by_key: Dict[Tuple[Word, int, Word], int] = {}
     for edge in ball.edges:
         a, b = edge.parts(pres)
-        placed = False
-        for gi in by_relation.get(edge.move.relation, []):
-            (ga, gb), members = groups[gi]
-            va = equal(a, ga)
-            vb = equal(b, gb)
-            if va.is_yes and vb.is_yes:
-                members.append(edge)
-                placed = True
-                break
-            if va.is_unknown or vb.is_unknown:
-                exact = False
-        if not placed:
-            groups.append(((a, b), [edge]))
-            by_relation.setdefault(edge.move.relation, []).append(len(groups) - 1)
+        relation = edge.move.relation
+        key = None
+        if ball.complete:
+            (ra, xa), (rb, xb) = search.rep(a), search.rep(b)
+            if xa and xb:
+                key = (ra, relation, rb)
+        gi = by_key.get(key)
+        if gi is None:
+            # a key that misses can belong only to a group opened without one
+            for g in (by_relation if key is None else probed).get(relation, ()):
+                (ga, gb), _ = groups[g]
+                va = equal(a, ga)
+                vb = equal(b, gb)
+                if va.is_yes and vb.is_yes:
+                    gi = g
+                    break
+                if va.is_unknown or vb.is_unknown:
+                    exact = False
+        if gi is None:
+            gi = len(groups)
+            groups.append(((a, b), []))
+            by_relation.setdefault(relation, []).append(gi)
+            if key is None:
+                probed.setdefault(relation, []).append(gi)
+        groups[gi][1].append(edge)
+        if key is not None:
+            by_key[key] = gi
     packed: List[Tuple[HyperplaneId, Tuple[BallEdge, ...]]] = []
     for (a, b), members in groups:
-        la, xa = ball.search.rep(a)
-        rb, xb = ball.search.rep(b)
+        la, xa = search.rep(a)
+        rb, xb = search.rep(b)
         hid = HyperplaneId(la, members[0].move.relation, None, rb, xa and xb)
         packed.append((hid, tuple(members)))
     packed.sort(
@@ -656,12 +695,7 @@ def _max_rewritable_parts(w: Word, pres: Presentation) -> Tuple[int, List[int]]:
     largest cube dimension visible at this word.
     """
     n = len(w)
-    occ: List[Tuple[int, int]] = []
-    for o in range(n):
-        for rel in pres.relations:
-            for side in (rel.lhs, rel.rhs):
-                if w[o: o + len(side)] == side:
-                    occ.append((o, o + len(side)))
+    occ = list(pres.side_spans(w))
     best = [-1] * (n + 1)
     prev = [-1] * (n + 1)
     best[0] = 0

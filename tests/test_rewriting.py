@@ -11,12 +11,14 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagram_groups
+import conftest
 from conftest import COMM, CYC3, DIRTY, HALFPAD, PADPAIR, SMALL_CAPS, W
 from diagram_groups import rewriting
 from diagram_groups.rewriting import (
@@ -127,6 +129,86 @@ def test_one_step_order_and_involution(w):
         assert move.inverted().apply(result, COMM) == w
         # the inverse move is itself listed among the result's rewrites
         assert (move.inverted(), w) in one_step_rewrites(result, COMM)
+
+
+def reference_one_step_rewrites(w, pres):
+    """The scan before the per-letter side table: every relation side at
+    every offset."""
+    out = []
+    for o in range(len(w)):
+        for i, rel in enumerate(pres.relations):
+            for forward in (True, False):
+                src, dst = rel.sides(forward)
+                if w[o : o + len(src)] == src:
+                    out.append((Move(o, i, forward), w[:o] + dst + w[o + len(src) :]))
+    return tuple(out)
+
+
+CORPUS = {
+    name: value
+    for name, value in vars(conftest).items()
+    if isinstance(value, Presentation)
+}
+
+
+def _words(letters, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(letters, repeat=n)
+
+
+def _spans(rewrites, pres):
+    return [(m.offset, m.offset + len(m.sides(pres)[0])) for m, _ in rewrites]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_one_step_rewrites_match_reference_on_corpus(name):
+    pres = CORPUS[name]
+    rewritten = 0
+    for w in _words(pres.letters, 4 if len(pres.letters) <= 5 else 3):
+        got = one_step_rewrites(w, pres)
+        assert got == reference_one_step_rewrites(w, pres), w
+        assert list(pres.side_spans(w)) == _spans(got, pres)
+        assert has_singleton_class(w, pres) == (got == ())
+        rewritten += bool(got)
+    assert rewritten
+
+
+def _random_overlapping_presentation(rng):
+    """Random relations over a b c that include a side which is a prefix of
+    another; with three letters, sides sharing a first letter and
+    overlapping occurrences are common too."""
+
+    def word(lo, hi):
+        return tuple(rng.choice("abc") for _ in range(rng.randint(lo, hi)))
+
+    prefix = word(1, 2)
+    sides = [prefix, prefix + word(1, 2)] + [word(1, 3) for _ in range(rng.randint(2, 4))]
+    rng.shuffle(sides)
+    rels, seen = [], set()
+    for lhs in sides:
+        rhs = word(1, 3)
+        if lhs != rhs and frozenset((lhs, rhs)) not in seen:
+            seen.add(frozenset((lhs, rhs)))
+            rels.append(Relation(lhs, rhs))
+    return Presentation(("a", "b", "c"), tuple(rels))
+
+
+def test_one_step_rewrites_match_reference_on_random_presentations():
+    shared = prefixed = overlapping = 0
+    for seed in range(60):
+        pres = _random_overlapping_presentation(random.Random(seed))
+        sides = [s for rel in pres.relations for s in (rel.lhs, rel.rhs)]
+        firsts = [s[0] for s in sides]
+        shared += len(set(firsts)) < len(firsts)
+        prefixed += any(s != t and t[: len(s)] == s for s in sides for t in sides)
+        for w in _words("abc", 5):
+            got = one_step_rewrites(w, pres)
+            assert got == reference_one_step_rewrites(w, pres), (seed, w)
+            spans = _spans(got, pres)
+            assert list(pres.side_spans(w)) == spans
+            assert has_singleton_class(w, pres) == (got == ())
+            overlapping += any(s1 < s2 < e1 for s1, e1 in spans for s2, _ in spans)
+    assert shared and prefixed and overlapping
 
 
 def test_move_apply_rejects_mismatch():

@@ -19,6 +19,7 @@ from conftest import (
     DEFAULT_CAPS,
     DIRTY,
     GROW,
+    HALFPAD,
     INTEROSC,
     OSC_EMPTY,
     OSC_PLAIN,
@@ -31,6 +32,7 @@ from diagram_groups.rewriting import (
     ClassSearch,
     Move,
     SearchCaps,
+    enumerate_class,
     one_step_rewrites,
     parse_presentation,
 )
@@ -299,6 +301,152 @@ class TestHyperplaneId:
         for hid, es in catalog.edges_of:
             for e in es:
                 assert catalog.ids[catalog.edge_index[e]] == hid
+
+
+def reference_hyperplane_catalog(ball):
+    """The catalog by pairwise probes alone: each edge against every earlier
+    group of its relation, an unknown probe clearing ``exact``."""
+    pres, equal = ball.pres, ball.search.equal
+    exact = True
+    groups, by_relation = [], {}
+    for edge in ball.edges:
+        a, b = edge.parts(pres)
+        placed = False
+        for gi in by_relation.get(edge.move.relation, []):
+            (ga, gb), members = groups[gi]
+            va, vb = equal(a, ga), equal(b, gb)
+            if va.is_yes and vb.is_yes:
+                members.append(edge)
+                placed = True
+                break
+            if va.is_unknown or vb.is_unknown:
+                exact = False
+        if not placed:
+            groups.append(((a, b), [edge]))
+            by_relation.setdefault(edge.move.relation, []).append(len(groups) - 1)
+    packed = []
+    for (a, b), members in groups:
+        la, xa = ball.search.rep(a)
+        rb, xb = ball.search.rep(b)
+        packed.append((HyperplaneId(la, members[0].move.relation, None, rb, xa and xb),
+                       tuple(members)))
+    packed.sort(key=lambda hp: (hp[0].relation, pres.shortlex_key(hp[0].left),
+                                pres.shortlex_key(hp[0].right)))
+    return tuple(h for h, _ in packed), tuple(packed), exact
+
+
+def _catalog_paths(ball):
+    """(edges named by class representatives, edges that probe)."""
+    search = ball.search
+    keyed = sum(
+        ball.complete and all(search.rep(x)[1] for x in e.parts(ball.pres))
+        for e in ball.edges
+    )
+    return keyed, len(ball.edges) - keyed
+
+
+def _assert_catalog_matches_reference(pres, base, caps):
+    # separate searches, so neither side reads answers the other computed
+    ball = build_ball(ClassSearch(pres, caps), base)
+    want = reference_hyperplane_catalog(build_ball(ClassSearch(pres, caps), base))
+    catalog = hyperplane_catalog(ball)
+    assert (catalog.ids, catalog.edges_of, catalog.exact) == want
+    assert [h.exact for h in catalog.ids] == [h.exact for h in want[0]]
+    return ball
+
+
+CATALOG_CORPUS = [
+    (COMM, "a b c a b"),
+    (COMM, "a a b c c"),
+    (CYC3, "a b c a"),
+    (PADPAIR, "a1 b1"),
+    (HALFPAD, "a b"),
+    (OSC_PLAIN, "x k h k h k y"),
+    (INTEROSC, "c u v w d"),
+]
+# these absorbing classes fill any class-size cap with thousands of edges,
+# all of which probe; conftest pairs them with TIGHT caps
+ABSORBING = [(DIRTY, "a b"), (GROW, "x"), (OSC_EMPTY, "x k k k y")]
+
+
+@pytest.mark.parametrize(
+    "caps, corpus",
+    [
+        (DEFAULT_CAPS, CATALOG_CORPUS),
+        (TIGHT_CAPS, CATALOG_CORPUS + ABSORBING),
+        (PADPAIR_CAPS, CATALOG_CORPUS),
+    ],
+    ids=["default", "tight", "padpair"],
+)
+def test_catalog_matches_pairwise_probes_on_corpus(caps, corpus):
+    keyed = probing = 0
+    for pres, base in corpus:
+        ball = _assert_catalog_matches_reference(pres, W(base), caps)
+        k, p = _catalog_paths(ball)
+        keyed, probing = keyed + k, probing + p
+    assert keyed and probing
+
+
+def _bfs_depth(pres, base, caps):
+    """Largest number of rewrites from ``base`` to a member of its class, or
+    None when the class does not close under ``caps``."""
+    enum = enumerate_class(base, pres, caps)
+    if not enum.complete:
+        return None
+    depth = {base: 0}
+    for parent, _, child in enum.edges:
+        depth[child] = depth[parent] + 1
+    return max(depth.values())
+
+
+def test_catalog_matches_pairwise_probes_on_random_presentations():
+    # every edge of a capped ball probes, each probe against a capped class:
+    # small caps keep those balls cheap
+    caps = SearchCaps(max_word_len=6, max_class_size=30, max_bfs_depth=12)
+    complete = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        pres = _random_presentation(rng)
+        base = tuple(rng.choice("abc") for _ in range(rng.randint(2, 5)))
+        complete += _assert_catalog_matches_reference(pres, base, caps).complete
+    assert complete
+
+
+# ``a a b b c d`` reaches ``b b a a d c`` in one step, so every member of its
+# class lies within 3 rewrites of it; the left part ``a a b b`` of the
+# ``c d`` edge needs 4 rewrites to reach ``b b a a``
+SHORTCUT = parse_presentation(
+    """
+    letters: a b c d
+    rel: a b = b a
+    rel: c d = d c
+    rel: a a b b c d = b b a a d c
+    """
+)
+
+
+def test_catalog_probes_parts_capped_from_their_own_seed():
+    """At a depth cap equal to the base's BFS depth the ball is complete,
+    but a part class can be capped from its own seed: those edges probe,
+    the rest are named by representatives, and the catalog is unchanged."""
+    wide = SearchCaps(max_word_len=10, max_class_size=200, max_bfs_depth=100)
+    cases = [(SHORTCUT, W("a a b b c d"))]
+    for seed in range(300):
+        rng = random.Random(seed)
+        pres = _random_presentation(rng)
+        cases.append((pres, tuple(rng.choice("abc") for _ in range(rng.randint(2, 6)))))
+    mixed = []
+    for pres, base in cases:
+        depth = _bfs_depth(pres, base, wide)
+        if not depth:
+            continue
+        caps = SearchCaps(wide.max_word_len, wide.max_class_size, depth)
+        ball = _assert_catalog_matches_reference(pres, base, caps)
+        assert ball.complete
+        keyed, probing = _catalog_paths(ball)
+        if keyed and probing:
+            mixed.append(pres)
+    assert mixed[0] is SHORTCUT and len(mixed) >= 2
 
 
 # ---------------------------------------------------------------------------
