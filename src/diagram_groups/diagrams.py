@@ -11,17 +11,17 @@ The algebra:
 * ``compose`` stacks diagrams vertically (bottom of one = top of the next),
 * ``dsum`` places them side by side,
 * ``inverse`` flips a diagram upside down,
-* ``reduce_diagram`` cancels dipoles (a move immediately undone by its
-  mirror, possibly after commuting intervening independent moves out of the
-  way); the reduced form of a diagram is unique,
 * ``canonical_key`` computes a layered normal form that is invariant under
   independent swaps, giving a hashable identity for the trace class.  It
   wires the diagram's cells by letter occurrences and layers them with
   ``layered_key``.
 * ``extend_reduced`` multiplies a reduced diagram in that wire form by one
-  atom, cancelling an exposed cell or appending one.  Through
-  ``cayley_ball`` it is the one reduction step of
-  ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``.
+  atom, cancelling an exposed cell or appending one.  It is the one place
+  that decides a dipole (a cell immediately undone by its mirror, possibly
+  across independent cells): ``cayley_ball`` takes one step per generator
+  cell for ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``,
+* ``reduce_diagram`` folds that step over a diagram's moves; the reduced
+  form of a diagram is unique, because cancelling dipoles is confluent.
 
 Spherical diagrams with a fixed base word form a group under composition
 once dipoles are cancelled; that group is the object of study everywhere
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .rewriting import (
     Derivation,
@@ -135,64 +135,6 @@ def inverse(d: Diagram) -> Diagram:
     )
 
 
-def swap_adjacent(m1: Move, m2: Move, pres: Presentation) -> Optional[Tuple[Move, Move]]:
-    """Swap consecutive moves ``m1`` then ``m2`` when they are independent.
-
-    ``m2`` (acting on the word produced by ``m1``) is independent of ``m1``
-    iff its source interval is disjoint from ``m1``'s output block; the
-    returned pair applies ``m2`` first, with offsets transported through the
-    length change of the other move.  Returns ``None`` when they interfere.
-    """
-    src1, dst1 = m1.sides(pres)
-    src2, dst2 = m2.sides(pres)
-    d1 = len(dst1) - len(src1)
-    d2 = len(dst2) - len(src2)
-    if m2.offset + len(src2) <= m1.offset:
-        return m2, Move(m1.offset + d2, m1.relation, m1.forward)
-    if m2.offset >= m1.offset + len(dst1):
-        return Move(m2.offset - d1, m2.relation, m2.forward), m1
-    return None
-
-
-def _find_dipole(seq: Tuple[Move, ...], pres: Presentation) -> Optional[Tuple[Move, ...]]:
-    """One dipole cancellation, or None if the sequence is reduced.
-
-    For each move (earliest first) we bubble it backwards through
-    independent predecessors; if it meets its own mirror (same offset, same
-    relation, opposite direction) the pair annihilates and the moves it
-    passed keep their transported offsets.
-    """
-    for j in range(1, len(seq)):
-        t = seq[j]
-        passed: List[Move] = []
-        i = j - 1
-        while i >= 0:
-            prev = seq[i]
-            if t == prev.inverted():
-                return seq[:i] + tuple(passed) + seq[j + 1 :]
-            swapped = swap_adjacent(prev, t, pres)
-            if swapped is None:
-                break
-            t, prev_adj = swapped
-            passed.insert(0, prev_adj)
-            i -= 1
-    return None
-
-
-def reduce_diagram(d: Diagram) -> Diagram:
-    """Cancel dipoles until none remain; the result is the unique reduced form."""
-    seq = d.moves
-    while True:
-        nxt = _find_dipole(seq, d.pres)
-        if nxt is None:
-            return Diagram(d.pres, d.top, seq)
-        seq = nxt
-
-
-def is_reduced(d: Diagram) -> bool:
-    return _find_dipole(d.moves, d.pres) is None
-
-
 @dataclass(frozen=True)
 class CanonicalKey:
     """Layered normal form of a diagram's trace class.
@@ -252,7 +194,9 @@ def extend_reduced(form: WireForm, move: Move, pres: Presentation) -> Tuple[Wire
     boundary (the dipole normal form of Guba and Sapir): one that produced
     exactly the wires the atom consumes, by the same relation in the other
     direction.  The step cancels that cell or else appends one; it returns
-    the new form and whether it cancelled.
+    the new form and whether it cancelled.  The cells that stay keep their
+    order, so the form still lists them in a firing order.  Every ball of
+    reduced diagrams and :func:`reduce_diagram` reduce through this step.
     """
     cells, bottom, fresh = form
     end = move.offset + len(move.sides(pres)[0])
@@ -265,6 +209,44 @@ def extend_reduced(form: WireForm, move: Move, pres: Presentation) -> Tuple[Wire
             lower = bottom[:move.offset] + below + bottom[end:]
             return (cells[:ci] + cells[ci + 1:], lower, fresh), True
     return _fire(form, move, pres), False
+
+
+def _reduced_cells(d: Diagram) -> Tuple[WireCell, ...]:
+    """The cells of the reduced form of ``d``, in firing order."""
+    form = wire_form(d.top)
+    for move in d.moves:
+        form, _ = extend_reduced(form, move, d.pres)
+    return form[0]
+
+
+def _moves_of(top: Word, cells: Sequence[WireCell]) -> Tuple[Move, ...]:
+    """The moves that fire ``cells`` in order on ``top``.
+
+    A cell sits where its first consumed wire sits on the current bottom
+    word; relation sides are never empty, so that wire exists.
+    """
+    bottom = list(range(len(top)))
+    moves: List[Move] = []
+    for relation, forward, consumed, produced in cells:
+        o = bottom.index(consumed[0])
+        bottom[o:o + len(consumed)] = produced
+        moves.append(Move(o, relation, forward))
+    return tuple(moves)
+
+
+def reduce_diagram(d: Diagram) -> Diagram:
+    """Cancel dipoles until none remain; the result is the unique reduced form.
+
+    Folds :func:`extend_reduced` over the moves of ``d``: each prefix stays
+    reduced, and the cells that survive keep their order, so a reduced
+    diagram comes back with the same moves.
+    """
+    return Diagram(d.pres, d.top, _moves_of(d.top, _reduced_cells(d)))
+
+
+def is_reduced(d: Diagram) -> bool:
+    """Whether ``d`` has no dipole: the fold of ``reduce_diagram`` cancels nothing."""
+    return len(_reduced_cells(d)) == d.cells
 
 
 def cayley_ball(
@@ -339,32 +321,6 @@ def canonical_key(d: Diagram) -> CanonicalKey:
     return layered_key(d.top, form[0])
 
 
-def replay_key(key: CanonicalKey, pres: Presentation) -> Word:
-    """Replay a layered form back into its bottom word (validates it too)."""
-    w = key.top
-    for layer in key.layers:
-        shift = 0
-        for o, r, f in layer:
-            mv = Move(o + shift, r, f)
-            w = mv.apply(w, pres)
-            shift += mv.delta(pres)
-    return w
-
-
-def key_diagram(key: CanonicalKey, pres: Presentation) -> Diagram:
-    """A representative diagram of a layered form."""
-    moves: List[Move] = []
-    w = key.top
-    for layer in key.layers:
-        shift = 0
-        for o, r, f in layer:
-            mv = Move(o + shift, r, f)
-            w = mv.apply(w, pres)
-            shift += mv.delta(pres)
-            moves.append(mv)
-    return Diagram(pres, key.top, tuple(moves))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -401,7 +357,6 @@ __all__ = [
     "compose",
     "dsum",
     "inverse",
-    "swap_adjacent",
     "reduce_diagram",
     "is_reduced",
     "canonical_key",
@@ -409,8 +364,6 @@ __all__ = [
     "wire_form",
     "extend_reduced",
     "cayley_ball",
-    "replay_key",
-    "key_diagram",
     "serialize_diagram",
     "parse_diagram",
 ]

@@ -9,12 +9,11 @@ distance from the trivial diagram, and more generally
 
     distance(A, B) = #(reduce(inverse(A) . B)).
 
-Balls are built without general dipole reduction.  A vertex ``A`` is
-already reduced, so ``A . atom`` has at most one dipole: the new cell
-against a cell of ``A`` exposed on the bottom boundary (the dipole normal
-form of Guba and Sapir).  ``farley_ball`` reads that step off up/down
-tables between vertex indices and keeps only bottom words, so no vertex
-is keyed or replayed.  ``property_b_scan``, like
+A vertex ``A`` is already reduced, so ``A . atom`` has at most one dipole:
+the new cell against a cell of ``A`` exposed on the bottom boundary (the
+dipole normal form of Guba and Sapir).  ``farley_ball`` reads that step
+off up/down tables between vertex indices and keeps only bottom words, so
+no vertex is keyed, replayed or held in wire form.  ``property_b_scan``, like
 ``interval.diagram_ball_sizes``, multiplies group elements through
 ``diagrams.cayley_ball``, one step per generator cell.
 

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .diagrams import (
-    Diagram,
-    cayley_ball,
-    compose,
-    eps,
-    inverse,
-    reduce_diagram,
-)
+from .diagrams import Diagram, cayley_ball, reduce_diagram
 from .raag import RaagGraph, RaagWord, raag_graph, raag_normal_form
 from .rewriting import (
     Move,
@@ -421,15 +414,12 @@ def presentation_for(coll: IntervalCollection) -> Presentation:
     return Presentation(tuple(letters), tuple(relations))
 
 
-def delta_diagram(name: str, coll: IntervalCollection) -> Diagram:
-    """The five-cell spherical loop of one interval at the base word:
-    collapse ``x_I`` to ``a_I``, run the letter cycle ``a → b → c → a``,
-    then reopen ``a_I`` back to ``x_I``.  Reduced, because no two
-    consecutive cells use the same relation in opposite directions."""
-    pres = presentation_for(coll)
+def _loop_moves(name: str, exp: int, coll: IntervalCollection) -> Tuple[Move, ...]:
+    """The moves of the loop of interval ``name`` at the base word, or of
+    its inverse when ``exp`` is -1: collapse ``x_I`` to ``a_I``, run the
+    letter cycle ``a → b → c → a``, then reopen ``a_I`` back to ``x_I``."""
     k = coll.names().index(name)
-    lo, _ = coll.span(name)
-    off = lo - 1
+    off = coll.span(name)[0] - 1
     moves = (
         Move(off, 4 * k, True),
         Move(off, 4 * k + 1, True),
@@ -437,19 +427,21 @@ def delta_diagram(name: str, coll: IntervalCollection) -> Diagram:
         Move(off, 4 * k + 3, True),
         Move(off, 4 * k, False),
     )
-    return Diagram(pres, base_word(coll), moves)
+    return moves if exp == 1 else tuple(m.inverted() for m in reversed(moves))
+
+
+def delta_diagram(name: str, coll: IntervalCollection) -> Diagram:
+    """The five-cell spherical loop of one interval at the base word.
+    Reduced, because no two consecutive cells use the same relation in
+    opposite directions."""
+    return Diagram(presentation_for(coll), base_word(coll), _loop_moves(name, 1, coll))
 
 
 def evaluate_raag_word(w: RaagWord, coll: IntervalCollection) -> Diagram:
-    """Image of an abstract word in the interval generators: compose the
-    named loops (or their inverses) and reduce."""
-    pres = presentation_for(coll)
-    deltas = {name: delta_diagram(name, coll) for name in coll.names()}
-    d = eps(pres, base_word(coll))
-    for gen, exp in w.syllables:
-        step = deltas[gen] if exp == 1 else inverse(deltas[gen])
-        d = compose(d, step)
-    return reduce_diagram(d)
+    """Image of an abstract word in the interval generators: the named
+    loops (or their inverses) one after another, reduced."""
+    moves = tuple(m for gen, exp in w.syllables for m in _loop_moves(gen, exp, coll))
+    return reduce_diagram(Diagram(presentation_for(coll), base_word(coll), moves))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +484,7 @@ def diagram_ball_sizes(
     ``extend_reduced`` steps on a reduced diagram in wire form.  Raises
     :class:`ElementBoundError` once the ball would hold more than
     ``max_elements`` diagrams."""
-    gens: List[Tuple[Move, ...]] = []
-    for name in coll.names():
-        d = delta_diagram(name, coll)
-        gens += [d.moves, inverse(d).moves]
+    gens = [_loop_moves(name, exp, coll) for name in coll.names() for exp in (1, -1)]
     sizes = [0] * (length + 1)
     ball = cayley_ball(presentation_for(coll), base_word(coll), gens, length)
     for n, (depth, _) in enumerate(ball):

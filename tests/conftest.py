@@ -23,9 +23,22 @@ Each presentation is chosen for a specific behaviour:
 * ``INTEROSC`` — the sides ``u v`` and ``v w`` overlap inside
   ``c u v w d`` while ``c u`` absorbs ``v`` on the right and ``w d`` on the
   left; the two hyperplanes cross elsewhere, so they inter-osculate.
+
+``reference_reduce`` is the bubble-and-swap dipole reduction that
+``diagrams.reduce_diagram`` replaced.  It stays here as the independent
+reference for every reduction the package does with ``extend_reduced``.
 """
 
-from diagram_groups.rewriting import SearchCaps, parse_presentation, word_of
+from typing import List, Optional, Tuple
+
+from diagram_groups.diagrams import Diagram
+from diagram_groups.rewriting import (
+    Move,
+    Presentation,
+    SearchCaps,
+    parse_presentation,
+    word_of,
+)
 
 COMM = parse_presentation(
     """
@@ -122,3 +135,57 @@ PADPAIR_CAPS = SearchCaps(max_word_len=10, max_class_size=500, max_bfs_depth=48)
 TIGHT_CAPS = SearchCaps(max_word_len=8, max_class_size=120, max_bfs_depth=24)
 
 W = word_of
+
+
+def swap_adjacent(m1: Move, m2: Move, pres: Presentation) -> Optional[Tuple[Move, Move]]:
+    """Swap consecutive moves ``m1`` then ``m2`` when they are independent.
+
+    ``m2`` (acting on the word produced by ``m1``) is independent of ``m1``
+    iff its source interval is disjoint from ``m1``'s output block; the
+    returned pair applies ``m2`` first, with offsets transported through the
+    length change of the other move.  Returns ``None`` when they interfere.
+    """
+    src1, dst1 = m1.sides(pres)
+    src2, dst2 = m2.sides(pres)
+    d1 = len(dst1) - len(src1)
+    d2 = len(dst2) - len(src2)
+    if m2.offset + len(src2) <= m1.offset:
+        return m2, Move(m1.offset + d2, m1.relation, m1.forward)
+    if m2.offset >= m1.offset + len(dst1):
+        return Move(m2.offset - d1, m2.relation, m2.forward), m1
+    return None
+
+
+def _find_dipole(seq: Tuple[Move, ...], pres: Presentation) -> Optional[Tuple[Move, ...]]:
+    """One dipole cancellation, or None if the sequence is reduced.
+
+    For each move (earliest first) we bubble it backwards through
+    independent predecessors; if it meets its own mirror (same offset, same
+    relation, opposite direction) the pair annihilates and the moves it
+    passed keep their transported offsets.
+    """
+    for j in range(1, len(seq)):
+        t = seq[j]
+        passed: List[Move] = []
+        i = j - 1
+        while i >= 0:
+            prev = seq[i]
+            if t == prev.inverted():
+                return seq[:i] + tuple(passed) + seq[j + 1 :]
+            swapped = swap_adjacent(prev, t, pres)
+            if swapped is None:
+                break
+            t, prev_adj = swapped
+            passed.insert(0, prev_adj)
+            i -= 1
+    return None
+
+
+def reference_reduce(d: Diagram) -> Diagram:
+    """Cancel dipoles one at a time by bubbling, until none remain."""
+    seq = d.moves
+    while True:
+        nxt = _find_dipole(seq, d.pres)
+        if nxt is None:
+            return Diagram(d.pres, d.top, seq)
+        seq = nxt

@@ -2,14 +2,32 @@
 
 The independent oracle for trace-class identity is the full swap orbit: BFS
 over move sequences using single adjacent independent swaps.  Canonical keys
-must be constant on each orbit and separate distinct orbits.
+must be constant on each orbit and separate distinct orbits.  The oracle for
+dipole reduction is ``conftest.reference_reduce``, which bubbles each move
+back through independent cells until it meets its mirror.
 """
+
+import random
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMM, PADPAIR, W
+from conftest import (
+    COMM,
+    CYC3,
+    DIRTY,
+    GROW,
+    HALFPAD,
+    INTEROSC,
+    OSC_EMPTY,
+    OSC_PLAIN,
+    PADPAIR,
+    W,
+    reference_reduce,
+    swap_adjacent,
+)
 from diagram_groups.diagrams import (
     CanonicalKey,
     Diagram,
@@ -21,21 +39,40 @@ from diagram_groups.diagrams import (
     from_derivation,
     inverse,
     is_reduced,
-    key_diagram,
     parse_diagram,
     reduce_diagram,
-    replay_key,
     serialize_diagram,
-    swap_adjacent,
 )
 from diagram_groups.rewriting import (
     Derivation,
     Move,
+    Presentation,
+    Relation,
+    Word,
     one_step_rewrites,
     parse_presentation,
 )
 
 SQUARES = parse_presentation("letters: k t\nrel: k k = t")  # length-changing
+
+
+def replay_key(key: CanonicalKey, pres) -> Word:
+    """Replay a layered form back into its bottom word (validates it too)."""
+    return key_diagram(key, pres).bot
+
+
+def key_diagram(key: CanonicalKey, pres) -> Diagram:
+    """A representative diagram of a layered form."""
+    moves: List[Move] = []
+    w = key.top
+    for layer in key.layers:
+        shift = 0
+        for o, r, f in layer:
+            mv = Move(o + shift, r, f)
+            w = mv.apply(w, pres)
+            shift += mv.delta(pres)
+            moves.append(mv)
+    return Diagram(pres, key.top, tuple(moves))
 
 
 def swap_orbit(d: Diagram) -> set:
@@ -338,6 +375,86 @@ def test_sum_with_identity_keeps_diagram_nontrivial():
     r = reduce_diagram(padded)
     assert r.cells == HEX.cells
     assert canonical_key(r) != canonical_key(eps(COMM, W("a a") + HEX.top))
+
+
+def seeded_walk(pres, top, rng, steps) -> Diagram:
+    """A derivation of up to ``steps`` moves; a third of them undo an
+    earlier cell's site where one is exposed, so dipoles are common."""
+    moves: List[Move] = []
+    word = top
+    for _ in range(steps):
+        options = one_step_rewrites(word, pres)
+        if rng.random() < 1 / 3:
+            options = [o for o in options if o[0].inverted() in moves] or options
+        if not options:
+            break
+        move, word = rng.choice(options)
+        moves.append(move)
+    return Diagram(pres, top, tuple(moves))
+
+
+def overlapping_presentation(rng):
+    """Two or three relations whose sides are factors of one short stem, so
+    they overlap and are prefixes of one another."""
+    stem = tuple(rng.choice("ab") for _ in range(3)) * 2
+    factors = sorted(
+        {stem[i:j] for i in range(len(stem)) for j in range(i + 1, min(i + 4, len(stem) + 1))}
+    )
+    relations = {}
+    for _ in range(20):
+        lhs, rhs = rng.sample(factors, 2)
+        relations.setdefault(frozenset((lhs, rhs)), Relation(lhs, rhs))
+        if len(relations) == 3:
+            break
+    return Presentation(("a", "b", "c"), tuple(relations.values()))
+
+
+CORPUS = [
+    (COMM, W("a b c a")),
+    (CYC3, W("a b")),
+    (PADPAIR, W("a1 b1")),
+    (HALFPAD, W("a b")),
+    (DIRTY, W("a b")),
+    (OSC_EMPTY, W("x k k k y")),
+    (OSC_PLAIN, W("x k h k h k y")),
+    (GROW, W("x")),
+    (INTEROSC, W("c u v w d")),
+    (SQUARES, W("k k k k t")),
+]
+
+
+def reduction_cases():
+    """Seeded diagrams over the corpus, ``k k = t`` and random overlapping
+    presentations, and spherical products ``D . D'^-1`` of walks that end
+    on the same word, so that dipoles sit far apart and interleave."""
+    rng = random.Random(19970101)
+    places = list(CORPUS)
+    for _ in range(40):
+        pres = overlapping_presentation(rng)
+        places.append((pres, tuple(rng.choice("abc") for _ in range(rng.randint(3, 5)))))
+    for pres, top in places:
+        walks = [seeded_walk(pres, top, rng, rng.randint(0, 12)) for _ in range(30)]
+        yield from walks
+        by_bottom = {}
+        for d in walks:
+            by_bottom.setdefault(d.bot, []).append(d)
+        for same in by_bottom.values():
+            for d, e in zip(same, same[1:]):
+                yield compose(d, inverse(e))
+
+
+def test_reduce_diagram_matches_reference():
+    cases = spherical = far = kept = 0
+    for d in reduction_cases():
+        expected = reference_reduce(d)
+        assert reduce_diagram(d).moves == expected.moves, d
+        assert is_reduced(d) == (expected.cells == d.cells), d
+        cases += 1
+        spherical += d.is_spherical and d.cells > 0
+        kept += d.is_spherical and expected.cells > 0
+        # a surviving cell whose offset moved: a dipole that was not adjacent
+        far += any(m not in d.moves for m in expected.moves)
+    assert cases > 2000 and spherical > 500 and kept > 200 and far > 50
 
 
 # ---------------------------------------------------------------------------

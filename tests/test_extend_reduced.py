@@ -4,8 +4,9 @@
 searches over reduced diagrams: ``interval.diagram_ball_sizes`` and
 ``farley.property_b_scan``.  Each check here compares it with the general
 route it replaces, kept below as the brute-force reference: stack the whole
-diagram with ``compose``, cancel dipoles with ``reduce_diagram`` and key the
-result with ``canonical_key``.
+diagram with ``compose``, cancel dipoles with ``conftest.reference_reduce``
+(not ``reduce_diagram``, which folds ``extend_reduced``) and key the result
+with ``canonical_key``.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CYC3, DIRTY, PADPAIR, W
+from conftest import CYC3, DIRTY, PADPAIR, W, reference_reduce
 from diagram_groups.diagrams import (
     Diagram,
     canonical_key,
@@ -52,7 +53,7 @@ def reference_ball_sizes(coll, length, max_elements=100_000):
         grown = []
         for d in frontier:
             for step in gens:
-                nd = reduce_diagram(compose(d, step))
+                nd = reference_reduce(compose(d, step))
                 key = canonical_key(nd)
                 if key not in seen:
                     if len(seen) >= max_elements:
@@ -78,7 +79,7 @@ def reference_property_b(pres, w, generators, length):
         nxt = []
         for cur in level:
             for g in sym:
-                nd = reduce_diagram(compose(cur, g))
+                nd = reference_reduce(compose(cur, g))
                 nk = canonical_key(nd)
                 if nk not in seen:
                     seen.add(nk)
@@ -180,7 +181,7 @@ def test_every_step_keys_like_general_reduction(pres, w):
             cells = form[0]
             form, cancelled = extend_reduced(form, move, pres)
             moves += (move,)
-            reduced = reduce_diagram(Diagram(pres, w, moves))
+            reduced = reference_reduce(Diagram(pres, w, moves))
             assert layered_key(w, form[0]) == canonical_key(reduced)
             assert cancelled == (reduced.cells < len(cells))
             assert len(form[1]) == len(reduced.bot)

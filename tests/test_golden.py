@@ -41,6 +41,14 @@ product, so they pin the move of those balls onto the cancel-or-append step.
 The ``farley`` (JSON, text and dot) and ``embed-check`` outputs also predate
 the Farley ball built from bottom words and up/down index tables, so they
 pin that move too: vertex numbering, edge order and cube counts.
+
+The ``reduce`` cases on ``far.diag`` (PADPAIR ``a1 b1``: pad the ``a1``,
+turn ``b1`` into ``b2``, unpad; JSON and text) and every other ``reduce``,
+``compose`` and ``verify-raag`` case were captured from the implementation
+that bubbled each move back past independent cells to find a dipole, so
+they pin the move of ``reduce_diagram`` onto folding ``extend_reduced``.
+In ``far.diag`` the dipole is not adjacent, and the surviving cell's offset
+falls from 2 to 1.
 """
 
 import argparse
