@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import Diagram, dsum, eps, reduce_diagram
 from .rewriting import (
-    ClassEnumeration,
     ClassSearch,
     Letter,
     Move,
@@ -30,7 +29,7 @@ from .rewriting import (
     Word,
     format_word,
 )
-from .squier import HyperplaneId, SquierBall, build_ball
+from .squier import BallEdge, HyperplaneId, SquierBall, build_ball
 
 
 # ---------------------------------------------------------------------------
@@ -38,42 +37,22 @@ from .squier import HyperplaneId, SquierBall, build_ball
 # ---------------------------------------------------------------------------
 
 
-def _tree_pairs(enum: ClassEnumeration, pres: Presentation) -> Set[Tuple[Word, Move]]:
-    """BFS-tree edges of the enumeration, normalized to forward orientation."""
-    pairs = set()
-    for parent, move, child in enum.edges:
-        if move.forward:
-            pairs.add((parent, move))
-        else:
-            pairs.add((child, move.inverted()))
-    return pairs
-
-
-def _loop_diagram(
-    enum: ClassEnumeration, pres: Presentation, source: Word, move: Move
-) -> Diagram:
+def _loop_diagram(ball: SquierBall, edge: BallEdge) -> Diagram:
     """The spherical diagram tracing tree-path, edge, reverse tree-path."""
-    to_source = enum.derivation(source)
-    back = enum.derivation(move.apply(source, pres)).inverted(pres)
-    return Diagram(pres, enum.seed, to_source.steps + (move,) + back.steps)
-
-
-def _non_tree_edges(ball: SquierBall) -> Tuple[Tuple[Word, Move], ...]:
-    """The ball's forward edges off the BFS tree of its enumeration."""
-    tree = _tree_pairs(ball.enum, ball.pres)
-    edges = ((e.source, e.move) for e in ball.edges)
-    return tuple(e for e in edges if e not in tree)
+    enum, pres = ball.enum, ball.pres
+    to_source = enum.derivation(edge.source)
+    back = enum.derivation(edge.target(pres)).inverted(pres)
+    return Diagram(pres, enum.seed, to_source.steps + (edge.move,) + back.steps)
 
 
 def _triviality(search: ClassSearch, w: Word) -> TriBool:
     ball = build_ball(search, w)
-    enum = ball.enum
-    for source, move in _non_tree_edges(ball):
-        loop = reduce_diagram(_loop_diagram(enum, search.pres, source, move))
+    for edge in ball.loops:
+        loop = reduce_diagram(_loop_diagram(ball, edge))
         if loop.cells:
             return TriBool.no(loop)
-    if enum.complete:
-        return TriBool.yes(enum)
+    if ball.complete:
+        return TriBool.yes(ball.enum)
     return TriBool.unknown(
         f"every loop inside the truncated ball of {format_word(w)} is trivial,"
         " but the enumeration was capped"
@@ -234,46 +213,47 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
 class FreeBasis:
     """Free generating loops of the fundamental group of a class *graph*.
 
-    Valid when the enumerated piece has no squares: the non-tree edges then
-    freely generate.  ``express`` folds any spherical diagram over a word of
-    the class into the basis by walking its derivation edge by edge — tree
-    edges vanish, so no base-point transport is ever needed.
+    A view of one ball with no squares: the ball's ``loops`` then freely
+    generate, and the basis is ``exact`` when the ball is the whole class.
+    ``express`` folds any spherical diagram over a word of the class into
+    the basis by walking its derivation edge by edge — tree edges vanish,
+    so no base-point transport is ever needed.
     """
 
-    pres: Presentation
-    seed: Word
-    enum: ClassEnumeration = field(repr=False, compare=False)
-    edges: Tuple[Tuple[Word, Move], ...] = ()
-    exact: bool = False
+    ball: SquierBall
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(self.edges)}
+            self, "_index", {e: i for i, e in enumerate(self.ball.loops)}
         )
-        object.__setattr__(self, "_tree", _tree_pairs(self.enum, self.pres))
 
     @property
     def rank(self) -> int:
-        return len(self.edges)
+        return len(self.ball.loops)
+
+    @property
+    def exact(self) -> bool:
+        return self.ball.complete
 
     def express(self, d: Diagram) -> Optional[Tuple[Tuple[int, int], ...]]:
         """Word in the basis representing the loop ``d``, or None if the walk
         leaves the enumerated piece (truncation)."""
         assert d.is_spherical, "only loops have a class in the fundamental group"
-        if d.top not in self.enum:
+        ball = self.ball
+        if d.top not in ball.enum:
             return None
         out: List[Tuple[int, int]] = []
-        words = d.words()
-        for w, move in zip(words, d.moves):
-            if move.forward:
-                key, sign = (w, move), 1
-            else:
-                key, sign = (move.apply(w, self.pres), move.inverted()), -1
-            if key[0] not in self.enum or move.apply(w, self.pres) not in self.enum:
+        for w, move in zip(d.words(), d.moves):
+            nxt = move.apply(w, ball.pres)
+            if nxt not in ball.enum:
                 return None
-            if key in self._tree:
+            if move.forward:
+                edge, sign = BallEdge(w, move), 1
+            else:
+                edge, sign = BallEdge(nxt, move.inverted()), -1
+            if edge in ball.tree:
                 continue
-            idx = self._index.get(key)
+            idx = self._index.get(edge)
             if idx is None:
                 return None
             if out and out[-1] == (idx, -sign):
@@ -283,18 +263,12 @@ class FreeBasis:
         return tuple(out)
 
 
-def _free_basis_of(search: ClassSearch, w: Word) -> Optional[FreeBasis]:
-    ball = build_ball(search, w)
-    if ball.squares:
-        return None
-    return FreeBasis(search.pres, w, ball.enum, _non_tree_edges(ball), ball.complete)
-
-
 def free_basis(search: ClassSearch, w: Word) -> Optional[FreeBasis]:
     """Free basis of the group at ``w`` when its enumerated piece is a graph;
     None as soon as a square shows up (the group need not be free then)."""
     search.pres.check_word(w)
-    return search.once(_free_basis_of, search.rep(w)[0])
+    ball = build_ball(search, search.rep(w)[0])
+    return None if ball.squares else FreeBasis(ball)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +340,13 @@ class GroupPresentation:
         return f"⟨ {gens} | {rels}{marker} ⟩"
 
 
-def simplify_presentation(
-    pres: GroupPresentation, max_passes: int = 200, size_cap: int = 4000
-) -> GroupPresentation:
+# bounds of simplify_presentation: rewriting passes, and the total relator
+# length a substitution may grow the presentation to
+_SIMPLIFY_PASSES = 200
+_SIMPLIFY_SIZE_CAP = 4000
+
+
+def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
     """Bounded cleanup: free/cyclic reduction, killing generators that some
     relator declares trivial, and substituting generators a relator defines.
 
@@ -383,7 +361,7 @@ def simplify_presentation(
     def total_size() -> int:
         return sum(len(r) for r in rels)
 
-    for _ in range(max_passes):
+    for _ in range(_SIMPLIFY_PASSES):
         rels = [r for r in {_relator_key(_cyclic_reduce(r)) for r in rels} if r]
         rels.sort(key=lambda r: (len(r), r))
         changed = False
@@ -421,7 +399,7 @@ def simplify_presentation(
                 for rj, rr in enumerate(rels)
                 if rj != ri
             )
-            if total_size() + uses * len(replacement) > size_cap:
+            if total_size() + uses * len(replacement) > _SIMPLIFY_SIZE_CAP:
                 continue
             new_rels = []
             for rj, rr in enumerate(rels):
@@ -465,13 +443,12 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
     """Direct presentation of the group of a completely enumerated class:
     one generator per non-tree edge, one relator per square boundary."""
     pres = search.pres
-    rep = search.rep(w)[0]
-    ball = build_ball(search, rep)
+    ball = build_ball(search, search.rep(w)[0])
     if not ball.complete:
         raise ValueError(
             f"the class of {format_word(w)} was not completely enumerated"
         )
-    basis = FreeBasis(pres, rep, ball.enum, _non_tree_edges(ball), True)
+    basis = FreeBasis(ball)
     relators: List[Relator] = []
     for sq in ball.squares:
         m1, m2 = sq.moves
@@ -538,13 +515,13 @@ def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
     verdict = is_trivial_group(search, rep)
     if verdict.is_yes:
         return FactorGroup("trivial", rep, True)
-    basis = search.once(_free_basis_of, rep)
-    if basis is not None:
-        note = "" if basis.exact else (
+    ball = build_ball(search, rep)
+    if not ball.squares:
+        note = "" if ball.complete else (
             "free on the loops seen so far; the class was truncated"
         )
-        return FactorGroup("free", rep, basis.exact, basis, None, note)
-    if search.enum(rep).complete:
+        return FactorGroup("free", rep, ball.complete, FreeBasis(ball), None, note)
+    if ball.complete:
         return FactorGroup(
             "presented", rep, True, None, complete_ball_presentation(search, rep)
         )
@@ -839,8 +816,8 @@ def fundamental_group_presentation(
             return None
         if vfg.kind != "free":
             return None
-        src, move = fg_edge.basis.edges[loop_index]
-        loop = _loop_diagram(fg_edge.basis.enum, pres, src, move)
+        ball = fg_edge.basis.ball
+        loop = _loop_diagram(ball, ball.loops[loop_index])
         image = _pad_loop(pres, loop, pad_before, pad_after)
         word = vfg.basis.express(image)
         if word is None:

@@ -337,18 +337,20 @@ class IntervalRecognition:
     realization: Optional[IntervalCollection] = None
 
 
-def is_complement_of_interval(
-    g: SimpleGraph, max_vertices: int = 12
-) -> IntervalRecognition:
+# the most vertices is_complement_of_interval searches by brute force
+_MAX_VERTICES = 12
+
+
+def is_complement_of_interval(g: SimpleGraph) -> IntervalRecognition:
     """Decide whether ``g`` is the complement of an interval graph.
 
     The two obstructions are exhaustive: a graph is a complement of an
     interval graph if and only if it has no induced pair of independent
     edges and admits a transitive orientation.
     """
-    if len(g.vertices) > max_vertices:
+    if len(g.vertices) > _MAX_VERTICES:
         raise ValueError(
-            f"{len(g.vertices)} vertices exceed the brute-force bound {max_vertices}"
+            f"{len(g.vertices)} vertices exceed the brute-force bound {_MAX_VERTICES}"
         )
     bad = independent_edge_pair(g)
     if bad is not None:

@@ -13,9 +13,11 @@ verdict as a :class:`TriBool`: ``yes`` with a replayable witness, ``no`` only
 when the relevant search space was provably exhausted, and ``unknown``
 exactly when some cap was hit first.
 
-A run asks its searches through one :class:`ClassSearch`, which holds the
-presentation and the caps and answers each closure and equality probe once
-per run.
+Both searches grow one kind of BFS frontier, whose expansion step is the
+only code that applies the caps; an enumeration keeps the frontier's parent
+map as its spanning tree.  A run asks its searches through one
+:class:`ClassSearch`, which holds the presentation and the caps and answers
+each closure and equality probe once per run.
 
 The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants, first/last-letter
@@ -303,40 +305,92 @@ class Derivation:
 class ClassEnumeration:
     """Bounded BFS closure of a congruence class.
 
-    ``members`` is shortlex-sorted; ``edges`` is the BFS spanning tree as
-    (parent, move, child) triples in discovery order, so any member's
-    derivation from the seed can be replayed.  ``complete`` is True exactly
-    when the closure finished without suppressing any unvisited neighbour.
+    ``members`` is shortlex-sorted; ``complete`` is True exactly when the
+    closure finished without suppressing any unvisited neighbour.
+    ``parent`` is the BFS spanning tree, kept as the search grew it: every
+    member but the seed maps to the member it was discovered from and the
+    move that reached it, in discovery order, so any member's derivation
+    from the seed can be replayed.
     """
 
     seed: Word
     members: Tuple[Word, ...]
     complete: bool
-    edges: Tuple[Tuple[Word, Move, Word], ...]
-    _tree: Dict[Word, Tuple[Word, Move]] = field(init=False, repr=False, compare=False)
-    _member_set: FrozenSet[Word] = field(init=False, repr=False, compare=False)
+    parent: Dict[Word, Tuple[Word, Move]] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_tree", {c: (p, m) for p, m, c in self.edges})
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    @property
+    def edges(self) -> Tuple[Tuple[Word, Move, Word], ...]:
+        """The tree as (parent, move, child) triples in discovery order."""
+        return tuple((p, m, c) for c, (p, m) in self.parent.items())
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._member_set
+        return w in self.parent or w == self.seed
 
     def __len__(self) -> int:
         return len(self.members)
 
     def derivation(self, target: Word) -> Derivation:
         """Replayable derivation seed -> target along the BFS tree."""
-        if target not in self._member_set:
+        if target not in self:
             raise ValueError(f"{format_word(target)} was not enumerated")
-        steps: List[Move] = []
-        cur = target
-        while cur != self.seed:
-            parent, move = self._tree[cur]
-            steps.append(move)
-            cur = parent
-        return Derivation(self.seed, tuple(reversed(steps)))
+        return Derivation(self.seed, _tree_steps(self.parent, self.seed, target))
+
+
+def _tree_steps(
+    parent: Dict[Word, Tuple[Word, Move]], seed: Word, target: Word
+) -> Tuple[Move, ...]:
+    """The moves from ``seed`` to ``target`` along a BFS tree."""
+    steps: List[Move] = []
+    while target != seed:
+        target, move = parent[target]
+        steps.append(move)
+    return tuple(reversed(steps))
+
+
+class _BfsSide:
+    """One BFS frontier grown from ``seed``, the core of every class search:
+    :func:`enumerate_class` expands one side until its queue is empty, and
+    :func:`equal_mod_p` expands two sides toward each other."""
+
+    def __init__(self, seed: Word) -> None:
+        self.seed = seed
+        self.parent: Dict[Word, Tuple[Word, Move]] = {}
+        self.queue: deque[Tuple[Word, int]] = deque([(seed, 0)])
+        self.capped = False
+
+    def expand(
+        self, pres: Presentation, caps: SearchCaps, other: Optional["_BfsSide"] = None
+    ) -> Optional[Word]:
+        """Pop the next frontier word and record its unvisited neighbours.
+
+        This is the one place the caps are applied: a neighbour deeper than
+        ``max_bfs_depth``, longer than ``max_word_len``, or past
+        ``max_class_size`` visited words is suppressed, and the side is then
+        capped.  Returns the first recorded word that ``other`` has already
+        visited, if any, and stops there.
+        """
+        w, depth = self.queue.popleft()
+        depth += 1
+        parent, seed = self.parent, self.seed
+        for move, nxt in one_step_rewrites(w, pres):
+            if nxt in parent or nxt == seed:
+                continue
+            if (
+                depth > caps.max_bfs_depth
+                or len(nxt) > caps.max_word_len
+                or len(parent) + 1 >= caps.max_class_size
+            ):
+                self.capped = True
+                continue
+            parent[nxt] = (w, move)
+            self.queue.append((nxt, depth))
+            if other is not None and (nxt in other.parent or nxt == other.seed):
+                return nxt
+        return None
+
+    def enumeration(self, pres: Presentation) -> ClassEnumeration:
+        members = tuple(sorted((self.seed, *self.parent), key=pres.shortlex_key))
+        return ClassEnumeration(self.seed, members, not self.capped, self.parent)
 
 
 def enumerate_class(seed: Word, pres: Presentation, caps: SearchCaps) -> ClassEnumeration:
@@ -347,27 +401,10 @@ def enumerate_class(seed: Word, pres: Presentation, caps: SearchCaps) -> ClassEn
     cap.
     """
     pres.check_word(seed)
-    visited = {seed}
-    edges: List[Tuple[Word, Move, Word]] = []
-    queue: deque[Tuple[Word, int]] = deque([(seed, 0)])
-    capped = False
-    while queue:
-        w, depth = queue.popleft()
-        for move, nxt in one_step_rewrites(w, pres):
-            if nxt in visited:
-                continue
-            if (
-                depth + 1 > caps.max_bfs_depth
-                or len(nxt) > caps.max_word_len
-                or len(visited) >= caps.max_class_size
-            ):
-                capped = True
-                continue
-            visited.add(nxt)
-            edges.append((w, move, nxt))
-            queue.append((nxt, depth + 1))
-    members = tuple(sorted(visited, key=pres.shortlex_key))
-    return ClassEnumeration(seed, members, not capped, tuple(edges))
+    side = _BfsSide(seed)
+    while side.queue:
+        side.expand(pres, caps)
+    return side.enumeration(pres)
 
 
 @dataclass(frozen=True)
@@ -412,84 +449,36 @@ class TriBool:
         return TriBool("unknown", witness)
 
 
-class _BfsSide:
-    """One frontier of the bidirectional search in :func:`equal_mod_p`."""
-
-    def __init__(self, seed: Word) -> None:
-        self.seed = seed
-        self.parent: Dict[Word, Tuple[Word, Move]] = {}
-        self.depth = {seed: 0}
-        self.queue: deque[Word] = deque([seed])
-        self.capped = False
-
-    def path_from_seed(self, target: Word) -> Derivation:
-        steps: List[Move] = []
-        cur = target
-        while cur != self.seed:
-            prev, move = self.parent[cur]
-            steps.append(move)
-            cur = prev
-        return Derivation(self.seed, tuple(reversed(steps)))
-
-    def enumeration(self, pres: Presentation) -> ClassEnumeration:
-        members = tuple(sorted(self.depth, key=pres.shortlex_key))
-        edges = []
-        order = sorted(self.parent.items(), key=lambda item: self.depth[item[0]])
-        for child, (par, move) in order:
-            edges.append((par, move, child))
-        return ClassEnumeration(self.seed, members, not self.capped, tuple(edges))
-
-
 def equal_mod_p(w1: Word, w2: Word, pres: Presentation, caps: SearchCaps) -> TriBool:
     """Decide ``w1 = w2`` modulo the presentation, within caps.
 
     Bidirectional BFS from both words.  ``yes`` carries a connecting
     :class:`Derivation` from ``w1`` to ``w2``; ``no`` carries the complete
-    :class:`ClassEnumeration` that excludes the other word; ``unknown``
-    means both frontiers were capped before meeting.
+    :class:`ClassEnumeration` that excludes the other word, the one
+    :func:`enumerate_class` gives for its seed; ``unknown`` means both
+    frontiers were capped before meeting.
     """
     pres.check_word(w1)
     pres.check_word(w2)
     if w1 == w2:
         return TriBool.yes(Derivation(w1, ()))
     sides = (_BfsSide(w1), _BfsSide(w2))
-
-    def connect(i: int, meet: Word) -> Derivation:
-        d_from_w1 = sides[0].path_from_seed(meet)
-        d_from_w2 = sides[1].path_from_seed(meet)
-        back = tuple(m.inverted() for m in reversed(d_from_w2.steps))
-        return Derivation(w1, d_from_w1.steps + back)
-
     while True:
         active = [s for s in sides if s.queue]
         if not active:
-            break
+            return TriBool.unknown()
         side = min(active, key=lambda s: len(s.queue))
         other = sides[1] if side is sides[0] else sides[0]
-        w = side.queue.popleft()
-        depth = side.depth[w]
-        for move, nxt in one_step_rewrites(w, pres):
-            if nxt in side.depth:
-                continue
-            if (
-                depth + 1 > caps.max_bfs_depth
-                or len(nxt) > caps.max_word_len
-                or len(side.depth) >= caps.max_class_size
-            ):
-                side.capped = True
-                continue
-            side.depth[nxt] = depth + 1
-            side.parent[nxt] = (w, move)
-            side.queue.append(nxt)
-            if nxt in other.depth:
-                return TriBool.yes(connect(0, nxt))
+        meet = side.expand(pres, caps, other)
+        if meet is not None:
+            there = _tree_steps(sides[0].parent, w1, meet)
+            back = _tree_steps(sides[1].parent, w2, meet)
+            return TriBool.yes(
+                Derivation(w1, there + tuple(m.inverted() for m in reversed(back)))
+            )
         if not side.queue and not side.capped:
             # this class is completely enumerated and the other seed is not in it
             return TriBool.no(side.enumeration(pres))
-    for side in sides:
-        if not side.capped:
-            return TriBool.no(side.enumeration(pres))
-    return TriBool.unknown()
 
 
 class ClassSearch:
@@ -499,7 +488,9 @@ class ClassSearch:
     searches over the same few part words, and their answers depend only on
     the presentation, the word and the caps.  A run builds one search and
     hands it to every consumer, so each answer is computed once per run
-    and nothing is shared between runs.
+    and nothing is shared between runs.  Anything else built from those
+    answers alone goes through :meth:`once` too: the Squier ball of each
+    base word is built once per run that way.
     """
 
     def __init__(self, pres: Presentation, caps: SearchCaps) -> None:
@@ -554,16 +545,19 @@ def has_singleton_class(w: Word, pres: Presentation) -> bool:
     return next(pres.side_spans(w), None) is None
 
 
-def invariant_letter_subsets(
-    pres: Presentation, max_alphabet: int = 16
-) -> Tuple[FrozenSet[Letter], ...]:
+# the largest alphabet whose letter subsets are all tested for invariance
+_MAX_INVARIANT_ALPHABET = 16
+
+
+def invariant_letter_subsets(pres: Presentation) -> Tuple[FrozenSet[Letter], ...]:
     """All nonempty ``S``-letter-count invariants of the congruence.
 
     ``S`` qualifies when every relation preserves the total number of
     letters from ``S``; the count is then constant on congruence classes.
-    Exhaustive over all subsets up to ``max_alphabet`` letters; beyond that
-    only singletons, their complements and the full alphabet are tested
-    (still sound, just fewer certificates).
+    Exhaustive over all subsets of an alphabet of up to
+    ``_MAX_INVARIANT_ALPHABET`` letters; beyond that only singletons, their
+    complements and the full alphabet are tested (still sound, just fewer
+    certificates).
     """
     letters = pres.letters
     n = len(letters)
@@ -576,7 +570,7 @@ def invariant_letter_subsets(
             d[pres._index[x]] -= 1
         diffs.append(d)
     found: List[FrozenSet[Letter]] = []
-    if n <= max_alphabet:
+    if n <= _MAX_INVARIANT_ALPHABET:
         nrel = len(diffs)
         sums = [[0] * nrel]
         for mask in range(1, 1 << n):
@@ -606,7 +600,7 @@ def invariant_letter_subsets(
     )
 
 
-def forced_support(pres: Presentation, max_alphabet: int = 16) -> FrozenSet[Letter]:
+def forced_support(pres: Presentation) -> FrozenSet[Letter]:
     """Letters allowed in any word that is "invisible" to all invariants.
 
     If ``a = a p`` modulo the presentation then every letter-count invariant
@@ -614,7 +608,7 @@ def forced_support(pres: Presentation, max_alphabet: int = 16) -> FrozenSet[Lett
     subset.  Returns that residual letter set.
     """
     covered: set = set()
-    for s in invariant_letter_subsets(pres, max_alphabet):
+    for s in invariant_letter_subsets(pres):
         covered |= s
     return frozenset(pres.letters) - covered
 

@@ -28,12 +28,13 @@ Every class search goes through the run's :class:`~.rewriting.ClassSearch`,
 which holds the presentation and the caps and answers each search once per
 run; the functions here take it, or a ball that carries it.
 
-A :class:`SquierBall` is the one object these questions are read from.  It
-carries the run's search, and it owns its hyperplane ``catalog`` and its
-crossing ``order``: each is built on first use, once per ball, and
-``rank``, ``relate``, ``transversality_graph``, the rank partition, the RAAG
-generators and the left-hyperplane decomposition all read them.  An edge,
-in or out of the ball, learns its hyperplane through
+A :class:`SquierBall` is the one object these questions are read from, and
+``build_ball`` builds one per base word per run.  It carries the run's
+search and owns its generating ``loops``, its hyperplane ``catalog`` and its
+crossing ``order``, each built on first use: ``decomposition`` reads the
+loops, and ``rank``, ``relate``, ``transversality_graph``, the rank
+partition, the RAAG generators and the left hyperplanes read the rest.  An
+edge, in or out of the ball, learns its hyperplane through
 ``ball.hyperplane_index``, the one map from edges to catalog positions.
 
 Cubes of this complex and of Farley's complex of reduced diagrams, which
@@ -189,8 +190,9 @@ class SquierBall(CubeTable):
     goes through.
 
     ``edges`` lists each edge once, forward, in the order of
-    ``enum.members``.  ``catalog`` and ``order`` are computed on first use
-    and kept with the ball.
+    ``enum.members``; ``tree`` holds those of the enumeration's spanning
+    tree, and ``loops`` the others, each closing one generating loop.  They,
+    ``catalog`` and ``order`` are computed on first use and kept.
     """
 
     search: ClassSearch
@@ -210,6 +212,19 @@ class SquierBall(CubeTable):
     @property
     def complete(self) -> bool:
         return self.enum.complete
+
+    @cached_property
+    def tree(self) -> FrozenSet[BallEdge]:
+        pres = self.pres
+        return frozenset(
+            BallEdge(p, m) if m.forward else BallEdge(m.apply(p, pres), m.inverted())
+            for p, m in self.enum.parent.values()
+        )
+
+    @cached_property
+    def loops(self) -> Tuple[BallEdge, ...]:
+        tree = self.tree
+        return tuple(e for e in self.edges if e not in tree)
 
     @cached_property
     def catalog(self) -> "HyperplaneCatalog":
@@ -253,13 +268,18 @@ class SquierBall(CubeTable):
 
 
 def build_ball(search: ClassSearch, base: Word) -> SquierBall:
-    """Enumerate the class of ``base`` and assemble vertices, edges and cubes.
+    """The ball of ``base``, built once per run of ``search``: the class of
+    ``base`` with its edges and cubes.
 
     The forward moves between members are the up tables of
     :func:`disjoint_cubes`, so a cube is included only when *all* of its
     corners lie inside the ball and Euler-characteristic style counts are
     honest on truncated data.
     """
+    return search.once(_build_ball, base)
+
+
+def _build_ball(search: ClassSearch, base: Word) -> SquierBall:
     pres = search.pres
     enum = search.enum(base)
     position = {w: i for i, w in enumerate(enum.members)}
@@ -728,6 +748,8 @@ def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
     if n <= 0:
         return TriBool.yes(DimensionWitness(w, ()))
     pres = search.pres
+    if not pres.relations:
+        return TriBool.no("the presentation has no relations, so no factor is rewritable")
     sides = [s for rel in pres.relations for s in (rel.lhs, rel.rhs)]
     for s in invariant_letter_subsets(pres):
         m = min(letter_count(side, s) for side in sides)

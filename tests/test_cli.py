@@ -235,6 +235,18 @@ def test_dim_verdicts(capsys, padpair):
     assert "witness" in blob
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_dim_without_relations_is_a_certified_no(capsys, tmp_path, n):
+    # no relation side occurs anywhere, so no factor is rewritable
+    path = tmp_path / "free.pres"
+    path.write_text("letters: a b\n")
+    code = main(["dim", "-p", str(path), "-w", "a b", "-n", n])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    blob = json.loads(captured.out)
+    assert blob["verdict"] == "no" and "no relations" in blob["witness"]
+
+
 def test_rank_table(capsys, padpair):
     code, blob = run_json(capsys, "rank-table", "-p", padpair, "-w", "a1 b1", *PAD_CAPS)
     assert code == 0 and blob["exact"]

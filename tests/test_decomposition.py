@@ -40,6 +40,7 @@ from diagram_groups.decomposition import (
     left_hyperplanes,
     simplify_presentation,
 )
+from diagram_groups import decomposition, squier
 from diagram_groups.diagrams import is_reduced
 from diagram_groups.rewriting import (
     ClassSearch,
@@ -542,12 +543,30 @@ def test_free_basis_express_basis_loops():
     from diagram_groups.decomposition import _loop_diagram
 
     fb = free_basis(ClassSearch(CYC3, DEFAULT_CAPS), W("a"))
-    src, move = fb.edges[0]
-    loop = _loop_diagram(fb.enum, CYC3, src, move)
+    loop = _loop_diagram(fb.ball, fb.ball.loops[0])
     assert fb.express(loop) == ((0, 1),)
     from diagram_groups.diagrams import inverse
 
     assert fb.express(inverse(loop)) == ((0, -1),)
+
+
+@pytest.mark.parametrize("pres, base", [(COMM, "a a b b c c c"), (CYC3, "a b a b")])
+def test_decompose_builds_each_ball_once(monkeypatch, pres, base):
+    # the scan, triviality tests and free bases ask for some bases again;
+    # every ask after the first reads the ball the run already holds
+    asks, builds = [], []
+
+    def counted(calls, fn):
+        def call(search, w):
+            calls.append(w)
+            return fn(search, w)
+        return call
+
+    monkeypatch.setattr(squier, "_build_ball", counted(builds, squier._build_ball))
+    monkeypatch.setattr(decomposition, "build_ball", counted(asks, squier.build_ball))
+    decompose(ClassSearch(pres, DEFAULT_CAPS), W(base))
+    assert len(asks) > len(builds) == len(set(builds))
+    assert set(builds) == set(asks)
 
 
 def test_free_basis_express_rejects_foreign_top():

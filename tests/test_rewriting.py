@@ -431,6 +431,72 @@ def test_no_module_caches_across_runs():
     assert cached == []
 
 
+def _cap_comparisons(node, qual=()):
+    """(enclosing class/function path, cap) for every comparison that has a
+    depth or word length cap as an operand."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            found += _cap_comparisons(child, qual + (child.name,))
+            continue
+        if isinstance(child, ast.Compare):
+            for side in [child.left, *child.comparators]:
+                if isinstance(side, ast.Attribute) and side.attr in ("max_bfs_depth", "max_word_len"):
+                    found.append((".".join(qual), side.attr))
+        found += _cap_comparisons(child, qual)
+    return found
+
+
+def test_only_the_frontier_step_applies_the_caps():
+    """The BFS depth and word length caps are compared in one place, the
+    frontier step both class searches grow; a second copy could drift."""
+    found = []
+    for info in pkgutil.iter_modules(diagram_groups.__path__):
+        module = importlib.import_module(f"diagram_groups.{info.name}")
+        found += [(info.name, *hit) for hit in _cap_comparisons(ast.parse(inspect.getsource(module)))]
+    assert sorted(found) == [
+        ("rewriting", "_BfsSide.expand", "max_bfs_depth"),
+        ("rewriting", "_BfsSide.expand", "max_word_len"),
+    ]
+
+
+def _assert_no_witnesses_are_enumerations(pres, words, caps):
+    """Every ``no`` witness of ``equal_mod_p`` is ``enumerate_class`` of its
+    seed: same members, completeness and tree edges in the same order.
+    Returns how many witnesses were seeded at the first and second word."""
+    seeded = [0, 0]
+    for w in words:
+        for x in words:
+            verdict = equal_mod_p(w, x, pres, caps)
+            if not verdict.is_no:
+                continue
+            witness = verdict.witness
+            assert witness.seed in (w, x)
+            seeded[witness.seed != w] += 1
+            enum = enumerate_class(witness.seed, pres, caps)
+            assert (witness.members, witness.complete) == (enum.members, enum.complete)
+            assert witness.edges == enum.edges
+    return seeded
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_no_witness_is_the_enumeration_on_corpus(name):
+    pres = CORPUS[name]
+    words = [w for w in _words(pres.letters, 3 if len(pres.letters) <= 4 else 2) if w][:24]
+    first, second = _assert_no_witnesses_are_enumerations(pres, words, SMALL_CAPS)
+    assert first and second
+
+
+def test_no_witness_is_the_enumeration_on_random_presentations():
+    first = second = 0
+    for seed in range(20):
+        pres = _random_overlapping_presentation(random.Random(seed))
+        words = [w for w in _words("abc", 3) if w][::3]
+        f, s = _assert_no_witnesses_are_enumerations(pres, words, SMALL_CAPS)
+        first, second = first + f, second + s
+    assert first and second
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

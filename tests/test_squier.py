@@ -387,6 +387,43 @@ def test_catalog_matches_pairwise_probes_on_corpus(caps, corpus):
     assert keyed and probing
 
 
+def _reference_loops(ball):
+    """The rule ``ball.loops`` replaced: the ball's edges whose (source,
+    move) is not a tree edge of the enumeration turned forward."""
+    tree = set()
+    for parent, move, child in ball.enum.edges:
+        tree.add((parent, move) if move.forward else (child, move.inverted()))
+    return tuple(e for e in ball.edges if (e.source, e.move) not in tree)
+
+
+def test_ball_is_built_once_per_run():
+    search = ClassSearch(COMM, DEFAULT_CAPS)
+    ball = build_ball(search, W("a b c"))
+    assert build_ball(search, W("a b c")) is ball
+    assert build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c")) is not ball
+
+
+@pytest.mark.parametrize(
+    "caps, corpus",
+    [
+        (DEFAULT_CAPS, CATALOG_CORPUS),
+        (TIGHT_CAPS, CATALOG_CORPUS + ABSORBING),
+        (PADPAIR_CAPS, CATALOG_CORPUS),
+    ],
+    ids=["default", "tight", "padpair"],
+)
+def test_loops_are_the_edges_off_the_tree_on_corpus(caps, corpus):
+    loops = truncated = 0
+    for pres, base in corpus:
+        ball = build_ball(ClassSearch(pres, caps), W(base))
+        assert ball.loops == _reference_loops(ball)
+        assert len(ball.tree) == len(ball.vertices) - 1
+        assert len(ball.tree) + len(ball.loops) == len(ball.edges)
+        loops += len(ball.loops)
+        truncated += not ball.complete
+    assert loops and truncated
+
+
 def _bfs_depth(pres, base, caps):
     """Largest number of rewrites from ``base`` to a member of its class, or
     None when the class does not close under ``caps``."""
