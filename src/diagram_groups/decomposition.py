@@ -512,7 +512,9 @@ def factor_group(search: ClassSearch, w: Word, depth: int = 1) -> FactorGroup:
 
 
 def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
-    verdict = is_trivial_group(search, rep)
+    # both verdicts read the ball of ``rep``: under depth caps the search's
+    # representative of ``rep`` may be yet another word
+    verdict = search.once(_triviality, rep)
     if verdict.is_yes:
         return FactorGroup("trivial", rep, True)
     ball = build_ball(search, rep)

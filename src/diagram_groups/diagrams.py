@@ -11,15 +11,19 @@ The algebra:
 * ``compose`` stacks diagrams vertically (bottom of one = top of the next),
 * ``dsum`` places them side by side,
 * ``inverse`` flips a diagram upside down,
+* :class:`Wires` names every letter occurrence a cell produces by the
+  cell itself, so that a diagram's bottom word, as a tuple of wire ids, is
+  its identity,
 * ``canonical_key`` computes a layered normal form that is invariant under
-  independent swaps, giving a hashable identity for the trace class.  It
-  wires the diagram's cells by letter occurrences and layers them with
-  ``layered_key``.
-* ``extend_reduced`` multiplies a reduced diagram in that wire form by one
-  atom, cancelling an exposed cell or appending one.  It is the one place
-  that decides a dipole (a cell immediately undone by its mirror, possibly
-  across independent cells): ``cayley_ball`` takes one step per generator
-  cell for ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``,
+  independent swaps, giving a hashable identity for the trace class that
+  does not depend on a table.  It fires the diagram's cells through a
+  :class:`Wires` table and layers them with ``layered_key``.
+* ``Wires.extend_reduced`` multiplies a reduced diagram by one atom,
+  cancelling the cell that produced the wires the atom consumes or firing
+  one.  It is the one place that decides a dipole (a cell immediately
+  undone by its mirror, possibly across independent cells):
+  ``cayley_ball`` takes one step per generator cell for
+  ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``,
 * ``reduce_diagram`` folds that step over a diagram's moves; the reduced
   form of a diagram is unique, because cancelling dipoles is confluent.
 
@@ -30,9 +34,8 @@ else in this package.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rewriting import (
     Derivation,
@@ -160,63 +163,102 @@ class CanonicalKey:
 WireCell = Tuple[int, bool, Tuple[int, ...], Tuple[int, ...]]
 
 
-#: A diagram in wire form: its cells in firing order, the wires of its
-#: bottom word and the next fresh wire id.
-WireForm = Tuple[Tuple[WireCell, ...], Tuple[int, ...], int]
+class Wires:
+    """Canonical wire ids for the diagrams on one top word.
 
+    The table hash-conses cells.  The top word's wires are ``0 .. n-1``; a
+    cell is named by ``(relation, forward, consumed wires)``, and the first
+    firing of a name gives its produced wires fresh ids, which every later
+    firing of that name, in any diagram, gets back.  ``producer[wire]`` is
+    the cell that produced ``wire`` (``None`` on the top word).
 
-def wire_form(w: Word) -> WireForm:
-    """The wire form of the edgeless diagram on ``w``."""
-    return (), tuple(range(len(w))), len(w)
-
-
-def _fire(form: WireForm, move: Move, pres: Presentation) -> WireForm:
-    """Fire ``move`` on the bottom word: one more cell, on fresh wires.
-
-    Every letter occurrence ever present gets a fresh wire id; a cell
-    records which wires it consumes and which it produces.  Two moves of a
-    sequence commute exactly when neither consumes the other's output, so
-    the wire structure — unlike move offsets, which shift when neighbours
-    swap — is the same for every ordering of the same diagram.
+    A wire's id therefore depends only on the cells above it, not on the
+    order they fired in, and two orderings of one diagram end on one bottom
+    tuple.  Conversely the bottom tuple determines the diagram: relation
+    sides are never empty, so every cell produces a wire, and each produced
+    wire lies on the bottom or feeds a later cell; every cell is thus an
+    ancestor of a bottom wire, and ``producer`` recovers them all.  Fresh
+    ids exceed every id that exists, so a wire never returns to the bottom
+    once consumed, and a diagram never fires one name twice.  Hence **two
+    reduced diagrams on one top word are equal iff their bottom tuples are
+    equal**, and a ball of reduced diagrams is keyed by bottom tuples.
     """
-    cells, bottom, fresh = form
-    src, dst = move.sides(pres)
-    o = move.offset
-    produced = tuple(range(fresh, fresh + len(dst)))
-    cell = (move.relation, move.forward, bottom[o:o + len(src)], produced)
-    return cells + (cell,), bottom[:o] + produced + bottom[o + len(src):], fresh + len(dst)
+
+    def __init__(self, pres: Presentation, top: Word) -> None:
+        self.pres = pres
+        self.top: Tuple[int, ...] = tuple(range(len(top)))
+        self.producer: List[Optional[WireCell]] = [None] * len(top)
+        self._named: Dict[Tuple[int, bool, Tuple[int, ...]], WireCell] = {}
+
+    def fire(self, bottom: Tuple[int, ...], move: Move) -> Tuple[Tuple[int, ...], WireCell]:
+        """The bottom after one more cell, and that cell, named canonically."""
+        src, dst = move.sides(self.pres)
+        o = move.offset
+        end = o + len(src)
+        name = (move.relation, move.forward, bottom[o:end])
+        cell = self._named.get(name)
+        if cell is None:
+            fresh = len(self.producer)
+            cell = name + (tuple(range(fresh, fresh + len(dst))),)
+            self._named[name] = cell
+            self.producer.extend([cell] * len(dst))
+        return bottom[:o] + cell[3] + bottom[end:], cell
+
+    def extend_reduced(
+        self, bottom: Tuple[int, ...], move: Move
+    ) -> Tuple[Tuple[int, ...], WireCell, bool]:
+        """The reduced product of a reduced diagram and the atom of ``move``.
+
+        The atom can only form a dipole with a cell exposed on the bottom
+        boundary (the dipole normal form of Guba and Sapir): the one that
+        produced exactly the wires the atom consumes, by the same relation
+        in the other direction.  ``producer`` names the only candidate.  The
+        step cancels that cell or else fires one; it returns the new bottom,
+        the cell cancelled or fired, and whether it cancelled.  Every ball
+        of reduced diagrams and :func:`reduce_diagram` reduce through it.
+        """
+        o = move.offset
+        end = o + len(move.sides(self.pres)[0])
+        consumed = bottom[o:end]
+        cell = self.producer[consumed[0]]
+        if (
+            cell is not None
+            and cell[3] == consumed
+            and cell[0] == move.relation
+            and cell[1] != move.forward
+        ):
+            return bottom[:o] + cell[2] + bottom[end:], cell, True
+        bottom, cell = self.fire(bottom, move)
+        return bottom, cell, False
+
+    def cells(self, bottom: Tuple[int, ...]) -> List[WireCell]:
+        """The cells of the diagram that ends on ``bottom``, in a firing order.
+
+        A cell's first produced id exceeds every wire it consumes, so
+        ascending first produced ids fire each cell after those feeding it.
+        """
+        found: Dict[int, WireCell] = {}
+        todo = list(bottom)
+        while todo:
+            cell = self.producer[todo.pop()]
+            if cell is not None and cell[3][0] not in found:
+                found[cell[3][0]] = cell
+                todo.extend(cell[2])
+        return [found[k] for k in sorted(found)]
 
 
-def extend_reduced(form: WireForm, move: Move, pres: Presentation) -> Tuple[WireForm, bool]:
-    """The reduced form of a reduced diagram followed by the atom of ``move``.
-
-    The atom can only form a dipole with a cell exposed on the bottom
-    boundary (the dipole normal form of Guba and Sapir): one that produced
-    exactly the wires the atom consumes, by the same relation in the other
-    direction.  The step cancels that cell or else appends one; it returns
-    the new form and whether it cancelled.  The cells that stay keep their
-    order, so the form still lists them in a firing order.  Every ball of
-    reduced diagrams and :func:`reduce_diagram` reduce through this step.
-    """
-    cells, bottom, fresh = form
-    end = move.offset + len(move.sides(pres)[0])
-    consumed = bottom[move.offset:end]
-    # cells produce fresh wires, so their first produced wires ascend
-    ci = bisect_right(cells, consumed[0], key=lambda cell: cell[3][0]) - 1
-    if ci >= 0:
-        relation, forward, below, produced = cells[ci]
-        if produced == consumed and relation == move.relation and forward != move.forward:
-            lower = bottom[:move.offset] + below + bottom[end:]
-            return (cells[:ci] + cells[ci + 1:], lower, fresh), True
-    return _fire(form, move, pres), False
-
-
-def _reduced_cells(d: Diagram) -> Tuple[WireCell, ...]:
+def _reduced_cells(d: Diagram) -> List[WireCell]:
     """The cells of the reduced form of ``d``, in firing order."""
-    form = wire_form(d.top)
+    wires = Wires(d.pres, d.top)
+    bottom = wires.top
+    cells: List[WireCell] = []
     for move in d.moves:
-        form, _ = extend_reduced(form, move, d.pres)
-    return form[0]
+        bottom, cell, cancelled = wires.extend_reduced(bottom, move)
+        if cancelled:
+            cells.remove(cell)
+        else:
+            cells.append(cell)
+    return cells
 
 
 def _moves_of(top: Word, cells: Sequence[WireCell]) -> Tuple[Move, ...]:
@@ -237,9 +279,9 @@ def _moves_of(top: Word, cells: Sequence[WireCell]) -> Tuple[Move, ...]:
 def reduce_diagram(d: Diagram) -> Diagram:
     """Cancel dipoles until none remain; the result is the unique reduced form.
 
-    Folds :func:`extend_reduced` over the moves of ``d``: each prefix stays
-    reduced, and the cells that survive keep their order, so a reduced
-    diagram comes back with the same moves.
+    Folds :meth:`Wires.extend_reduced` over the moves of ``d``: each prefix
+    stays reduced, and the cells that survive keep their order, so a
+    reduced diagram comes back with the same moves.
     """
     return Diagram(d.pres, d.top, _moves_of(d.top, _reduced_cells(d)))
 
@@ -251,31 +293,34 @@ def is_reduced(d: Diagram) -> bool:
 
 def cayley_ball(
     pres: Presentation, w: Word, generators: Sequence[Tuple[Move, ...]], length: int
-) -> Iterator[Tuple[int, WireForm]]:
+) -> Iterator[Tuple[int, int]]:
     """Breadth-first search of the group ball of word length ``length``.
 
     ``generators`` are spherical diagrams on ``w`` given by their moves.
-    Yields ``(word length, wire form)`` for each new element, the identity
-    first; a product takes one :func:`extend_reduced` step per cell of the
-    generator, and elements are told apart by ``layered_key``.
+    Yields ``(word length, cell count)`` for each new element, the identity
+    first.  A product takes one :meth:`Wires.extend_reduced` step per cell
+    of the generator, and elements are told apart by their bottom tuples in
+    one :class:`Wires` table.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    seen = {layered_key(w, ())}
-    level = [wire_form(w)]
-    yield 0, level[0]
+    wires = Wires(pres, w)
+    step = wires.extend_reduced
+    seen = {wires.top}
+    level = [(wires.top, 0)]
+    yield 0, 0
     for depth in range(1, length + 1):
-        grown: List[WireForm] = []
-        for form in level:
+        grown: List[Tuple[Tuple[int, ...], int]] = []
+        for bottom, cells in level:
             for moves in generators:
-                nf = form
+                nb, nc = bottom, cells
                 for move in moves:
-                    nf, _ = extend_reduced(nf, move, pres)
-                key = layered_key(w, nf[0])
-                if key not in seen:
-                    seen.add(key)
-                    grown.append(nf)
-                    yield depth, nf
+                    nb, _, cancelled = step(nb, move)
+                    nc += -1 if cancelled else 1
+                if nb not in seen:
+                    seen.add(nb)
+                    grown.append((nb, nc))
+                    yield depth, nc
         level = grown
 
 
@@ -286,7 +331,7 @@ def layered_key(top: Word, cells: Sequence[WireCell]) -> CanonicalKey:
     is the earliest round in which the cell can fire; firing the layers in
     order, leftmost cell first, replays the diagram and yields offsets in
     the coordinates where the docstring of :class:`CanonicalKey` puts them.
-    ``cells`` must be in a firing order, as wire forms hold them.
+    ``cells`` must be in a firing order, as :meth:`Wires.cells` lists them.
     """
     depth: Dict[int, int] = {}
     rows: List[List[WireCell]] = []
@@ -315,10 +360,11 @@ def layered_key(top: Word, cells: Sequence[WireCell]) -> CanonicalKey:
 
 def canonical_key(d: Diagram) -> CanonicalKey:
     """Compute the layered normal form (works on unreduced diagrams too)."""
-    form = wire_form(d.top)
+    wires = Wires(d.pres, d.top)
+    bottom = wires.top
     for m in d.moves:
-        form = _fire(form, m, d.pres)
-    return layered_key(d.top, form[0])
+        bottom, _ = wires.fire(bottom, m)
+    return layered_key(d.top, wires.cells(bottom))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +407,7 @@ __all__ = [
     "is_reduced",
     "canonical_key",
     "layered_key",
-    "wire_form",
-    "extend_reduced",
+    "Wires",
     "cayley_ball",
     "serialize_diagram",
     "parse_diagram",

@@ -13,9 +13,10 @@ A vertex ``A`` is already reduced, so ``A . atom`` has at most one dipole:
 the new cell against a cell of ``A`` exposed on the bottom boundary (the
 dipole normal form of Guba and Sapir).  ``farley_ball`` reads that step
 off up/down tables between vertex indices and keeps only bottom words, so
-no vertex is keyed, replayed or held in wire form.  ``property_b_scan``, like
+no vertex is keyed or replayed.  ``property_b_scan``, like
 ``interval.diagram_ball_sizes``, multiplies group elements through
-``diagrams.cayley_ball``, one step per generator cell.
+``diagrams.cayley_ball``, one step per generator cell, and tells them apart
+by their bottom words in canonical wire ids.
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
@@ -552,7 +553,7 @@ def property_b_scan(
     ``diagrams.cayley_ball`` searches breadth first over right
     multiplication by the generators and their inverses, so word length is
     the genuine Cayley distance for that generating set, not an estimate.
-    An element's cell count is the number of cells in its wire form.
+    The ball yields each element's cell count with its word length.
     """
     for g in generators:
         if g.pres != pres or g.top != w or not g.is_spherical:
@@ -562,7 +563,7 @@ def property_b_scan(
         if not is_reduced(g):
             raise ValueError(f"generator {g} is not reduced")
     sym = [g.moves for g in generators] + [inverse(g).moves for g in generators]
-    rows = [(depth, len(form[0])) for depth, form in cayley_ball(pres, w, sym, length)]
+    rows = list(cayley_ball(pres, w, sym, length))
     sizes = [0] * (length + 1)
     for depth, _ in rows:
         sizes[depth] += 1

@@ -26,7 +26,7 @@ handful of vertices and what matters is the certificate, not asymptotics.
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .diagrams import Diagram, cayley_ball, reduce_diagram
 from .raag import RaagGraph, RaagWord, raag_graph, raag_normal_form
@@ -150,14 +150,6 @@ def disjointness_graph(coll: IntervalCollection) -> SimpleGraph:
     return complement(interval_graph(coll))
 
 
-def induced_subgraph(g: SimpleGraph, verts: Sequence[str]) -> SimpleGraph:
-    keep = set(verts)
-    assert keep <= set(g.vertices)
-    return raag_graph(
-        tuple(verts), [e for e in sorted(g.edges) if set(e) <= keep]
-    )
-
-
 # ---------------------------------------------------------------------------
 # recognizing complements of interval graphs
 # ---------------------------------------------------------------------------
@@ -240,20 +232,6 @@ def transitive_orientation(
     if not solve(0):
         return None
     return tuple(assigned[e] for e in edges)
-
-
-def orientation_is_transitive(
-    g: SimpleGraph, arcs: Sequence[Tuple[str, str]]
-) -> bool:
-    """Independent validation of an orientation certificate."""
-    arcset = set(arcs)
-    if {_pair(*a) for a in arcs} != set(g.edges):
-        return False
-    for t1, h1 in arcs:
-        for t2, h2 in arcs:
-            if h1 == t2 and t1 != h2 and (t1, h2) not in arcset:
-                return False
-    return True
 
 
 def maximal_cliques(g: SimpleGraph) -> Tuple[Tuple[str, ...], ...]:
@@ -483,7 +461,8 @@ def diagram_ball_sizes(
 ) -> Tuple[int, ...]:
     """The same count on the concrete side: ``diagrams.cayley_ball`` over
     the interval loops and their inverses, so a product is five
-    ``extend_reduced`` steps on a reduced diagram in wire form.  Raises
+    ``Wires.extend_reduced`` steps on a reduced diagram, which the ball
+    knows by its bottom word in canonical wire ids.  Raises
     :class:`ElementBoundError` once the ball would hold more than
     ``max_elements`` diagrams."""
     gens = [_loop_moves(name, exp, coll) for name in coll.names() for exp in (1, -1)]
@@ -601,12 +580,10 @@ __all__ = [
     "evaluate_raag_word",
     "evidence_to_json",
     "independent_edge_pair",
-    "induced_subgraph",
     "intersects",
     "interval_graph",
     "is_complement_of_interval",
     "maximal_cliques",
-    "orientation_is_transitive",
     "parse_intervals",
     "presentation_for",
     "raag_ball_sizes",

@@ -99,23 +99,6 @@ def format_raag_word(w: RaagWord) -> str:
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in w.syllables)
 
 
-def parse_raag_word(text: str, graph: RaagGraph) -> RaagWord:
-    """Parse whitespace-separated ``gen`` / ``gen^-1`` tokens."""
-    sylls: List[Syllable] = []
-    known = set(graph.vertices)
-    for token in text.split():
-        if token == "1":
-            continue
-        if token.endswith("^-1"):
-            gen, exp = token[:-3], -1
-        else:
-            gen, exp = token, 1
-        if gen not in known:
-            raise ValueError(f"unknown generator {gen!r}")
-        sylls.append((gen, exp))
-    return RaagWord(tuple(sylls))
-
-
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
@@ -267,7 +250,6 @@ __all__ = [
     "Syllable",
     "format_raag_word",
     "hyperplane_generators",
-    "parse_raag_word",
     "phi",
     "positive_direction",
     "raag_graph",

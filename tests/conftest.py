@@ -23,10 +23,14 @@ Each presentation is chosen for a specific behaviour:
 * ``INTEROSC`` — the sides ``u v`` and ``v w`` overlap inside
   ``c u v w d`` while ``c u`` absorbs ``v`` on the right and ``w d`` on the
   left; the two hyperplanes cross elsewhere, so they inter-osculate.
+* ``SQUARES`` — ``k k = t``, the smallest length-changing relation: moves
+  that swap shift each other's offsets.
 
-``reference_reduce`` is the bubble-and-swap dipole reduction that
+``swap_orbit`` is the oracle for trace-class identity: every move sequence
+reached by swapping adjacent independent moves.  ``reference_reduce`` is
+the bubble-and-swap dipole reduction that
 ``diagrams.reduce_diagram`` replaced.  It stays here as the independent
-reference for every reduction the package does with ``extend_reduced``.
+reference for every reduction the package does with ``Wires.extend_reduced``.
 """
 
 from typing import List, Optional, Tuple
@@ -36,6 +40,7 @@ from diagram_groups.rewriting import (
     Move,
     Presentation,
     SearchCaps,
+    one_step_rewrites,
     parse_presentation,
     word_of,
 )
@@ -127,6 +132,8 @@ INTEROSC = parse_presentation(
     """
 )
 
+SQUARES = parse_presentation("letters: k t\nrel: k k = t")
+
 DEFAULT_CAPS = SearchCaps()
 SMALL_CAPS = SearchCaps(max_word_len=6, max_class_size=50, max_bfs_depth=20)
 PADPAIR_CAPS = SearchCaps(max_word_len=10, max_class_size=500, max_bfs_depth=48)
@@ -189,3 +196,34 @@ def reference_reduce(d: Diagram) -> Diagram:
         if nxt is None:
             return Diagram(d.pres, d.top, seq)
         seq = nxt
+
+
+def swap_orbit(d: Diagram) -> set:
+    """All representatives of d's trace class (oracle; use on short diagrams)."""
+    seen = {d.moves}
+    frontier = [d.moves]
+    while frontier:
+        new = []
+        for seq in frontier:
+            for i in range(len(seq) - 1):
+                sw = swap_adjacent(seq[i], seq[i + 1], d.pres)
+                if sw is not None:
+                    cand = seq[:i] + sw + seq[i + 2 :]
+                    if cand not in seen:
+                        seen.add(cand)
+                        new.append(cand)
+        frontier = new
+    return seen
+
+
+def random_walk_diagram(pres, start, picks):
+    """Deterministic pseudo-random derivation driven by a list of ints."""
+    moves = []
+    cur = start
+    for k in picks:
+        options = one_step_rewrites(cur, pres)
+        if not options:
+            break
+        move, cur = options[k % len(options)]
+        moves.append(move)
+    return Diagram(pres, start, tuple(moves))

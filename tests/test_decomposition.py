@@ -23,6 +23,7 @@ from conftest import (
     HALFPAD,
     PADPAIR,
     PADPAIR_CAPS,
+    SMALL_CAPS,
     TIGHT_CAPS,
     W,
 )
@@ -567,6 +568,26 @@ def test_decompose_builds_each_ball_once(monkeypatch, pres, base):
     decompose(ClassSearch(pres, DEFAULT_CAPS), W(base))
     assert len(asks) > len(builds) == len(set(builds))
     assert set(builds) == set(asks)
+
+
+def test_factor_group_reads_one_ball(monkeypatch):
+    # under depth caps the representative is not idempotent: GROW x c c has
+    # rep x a, whose own rep is x; the triviality verdict and the factor
+    # must both describe the ball of x a
+    search = ClassSearch(GROW, SMALL_CAPS)
+    assert search.rep(W("x c c"))[0] == W("x a")
+    assert search.rep(W("x a"))[0] == W("x")
+    builds = []
+    real = squier._build_ball
+
+    def counted(search, w):
+        builds.append(w)
+        return real(search, w)
+
+    monkeypatch.setattr(squier, "_build_ball", counted)
+    fg = factor_group(search, W("x c c"), depth=0)
+    assert fg.seed == W("x a")
+    assert builds == [W("x a")]
 
 
 def test_free_basis_express_rejects_foreign_top():

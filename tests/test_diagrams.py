@@ -24,9 +24,12 @@ from conftest import (
     OSC_EMPTY,
     OSC_PLAIN,
     PADPAIR,
+    SQUARES,
     W,
+    random_walk_diagram,
     reference_reduce,
     swap_adjacent,
+    swap_orbit,
 )
 from diagram_groups.diagrams import (
     CanonicalKey,
@@ -50,10 +53,7 @@ from diagram_groups.rewriting import (
     Relation,
     Word,
     one_step_rewrites,
-    parse_presentation,
 )
-
-SQUARES = parse_presentation("letters: k t\nrel: k k = t")  # length-changing
 
 
 def replay_key(key: CanonicalKey, pres) -> Word:
@@ -73,37 +73,6 @@ def key_diagram(key: CanonicalKey, pres) -> Diagram:
             shift += mv.delta(pres)
             moves.append(mv)
     return Diagram(pres, key.top, tuple(moves))
-
-
-def swap_orbit(d: Diagram) -> set:
-    """All representatives of d's trace class (oracle; use on short diagrams)."""
-    seen = {d.moves}
-    frontier = [d.moves]
-    while frontier:
-        new = []
-        for seq in frontier:
-            for i in range(len(seq) - 1):
-                sw = swap_adjacent(seq[i], seq[i + 1], d.pres)
-                if sw is not None:
-                    cand = seq[:i] + sw + seq[i + 2 :]
-                    if cand not in seen:
-                        seen.add(cand)
-                        new.append(cand)
-        frontier = new
-    return seen
-
-
-def random_walk_diagram(pres, start, picks):
-    """Deterministic pseudo-random derivation driven by a list of ints."""
-    moves = []
-    cur = start
-    for k in picks:
-        options = one_step_rewrites(cur, pres)
-        if not options:
-            break
-        move, cur = options[k % len(options)]
-        moves.append(move)
-    return Diagram(pres, start, tuple(moves))
 
 
 words3 = st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(tuple)

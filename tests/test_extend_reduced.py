@@ -1,30 +1,51 @@
-"""The cancel-or-append step against general dipole reduction.
+"""The cancel-or-append step and canonical wires against general reduction.
 
-``diagrams.extend_reduced`` is the one reduction step of the group-ball
-searches over reduced diagrams: ``interval.diagram_ball_sizes`` and
-``farley.property_b_scan``.  Each check here compares it with the general
-route it replaces, kept below as the brute-force reference: stack the whole
-diagram with ``compose``, cancel dipoles with ``conftest.reference_reduce``
-(not ``reduce_diagram``, which folds ``extend_reduced``) and key the result
-with ``canonical_key``.
+``diagrams.Wires.extend_reduced`` is the one reduction step of the
+group-ball searches over reduced diagrams: ``interval.diagram_ball_sizes``
+and ``farley.property_b_scan``.  Each check here compares it with the
+general route it replaces, kept below as the brute-force reference: stack
+the whole diagram with ``compose``, cancel dipoles with
+``conftest.reference_reduce`` (not ``reduce_diagram``, which folds
+``extend_reduced``) and key the result with ``canonical_key``.
+
+The balls tell elements apart by their bottom tuples in one ``Wires``
+table.  The checks of that identity fire every diagram through one table:
+each ordering of a swap orbit ends on one bottom, different orbits end on
+different bottoms, and along random walks two reduced states share a
+bottom exactly when their canonical keys agree.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CYC3, DIRTY, PADPAIR, W, reference_reduce
+from conftest import (
+    COMM,
+    CYC3,
+    DIRTY,
+    PADPAIR,
+    SQUARES,
+    W,
+    random_walk_diagram,
+    reference_reduce,
+    swap_orbit,
+)
+from diagram_groups import diagrams
 from diagram_groups.diagrams import (
     Diagram,
+    Wires,
     canonical_key,
+    cayley_ball,
     compose,
     eps,
-    extend_reduced,
     inverse,
     layered_key,
     reduce_diagram,
-    wire_form,
 )
 from diagram_groups.farley import property_b_scan
 from diagram_groups.interval import (
@@ -33,27 +54,36 @@ from diagram_groups.interval import (
     base_word,
     delta_diagram,
     diagram_ball_sizes,
+    parse_intervals,
     presentation_for,
 )
 from diagram_groups.rewriting import Move, one_step_rewrites
 
 
-def reference_ball_sizes(coll, length, max_elements=100_000):
-    """Ball sizes by composing whole diagrams and reducing them in general."""
-    pres = presentation_for(coll)
+def loop_generators(coll):
+    """The interval loops and their inverses, as whole diagrams."""
     gens = []
     for name in coll.names():
         d = delta_diagram(name, coll)
         gens += [d, inverse(d)]
+    return gens
+
+
+def reference_ball(coll, length, max_elements=100_000):
+    """``(word length, cells)`` of each new element in breadth-first order,
+    by composing whole diagrams and reducing them in general."""
+    pres = presentation_for(coll)
+    gens = loop_generators(coll)
     start = eps(pres, base_word(coll))
     seen = {canonical_key(start)}
     frontier = [start]
-    sizes = [1]
-    for _ in range(length):
+    rows = [(0, 0)]
+    for depth in range(1, length + 1):
         grown = []
         for d in frontier:
             for step in gens:
-                nd = reference_reduce(compose(d, step))
+                product = compose(d, step)
+                nd = reference_reduce(product)
                 key = canonical_key(nd)
                 if key not in seen:
                     if len(seen) >= max_elements:
@@ -62,9 +92,19 @@ def reference_ball_sizes(coll, length, max_elements=100_000):
                         )
                     seen.add(key)
                     grown.append(nd)
+                    cells = len(reduce_diagram(product).moves)
+                    assert cells == nd.cells
+                    rows.append((depth, cells))
         frontier = grown
-        sizes.append(len(seen))
-    return tuple(sizes)
+    return rows
+
+
+def reference_ball_sizes(coll, length, max_elements=100_000):
+    """Ball sizes by composing whole diagrams and reducing them in general."""
+    sizes = [0] * (length + 1)
+    for depth, _ in reference_ball(coll, length, max_elements):
+        sizes[depth] += 1
+    return tuple(accumulate(sizes))
 
 
 def reference_property_b(pres, w, generators, length):
@@ -111,6 +151,11 @@ def random_collection(rng):
 @pytest.mark.parametrize("seed", range(30))
 def test_diagram_ball_sizes_match_reference(seed):
     coll = random_collection(random.Random(seed))
+    rows = reference_ball(coll, 3)
+    # the ball carries each element's cell count through its steps
+    gens = [g.moves for g in loop_generators(coll)]
+    ball = cayley_ball(presentation_for(coll), base_word(coll), gens, 3)
+    assert list(ball) == rows
     sizes = reference_ball_sizes(coll, 3)
     assert diagram_ball_sizes(coll, 3) == sizes
     # small bounds stop both routes inside the search, with one message
@@ -155,17 +200,100 @@ def test_property_b_scan_matches_reference(pres, w, gens, length):
     assert (scan.min_ratio, scan.max_ratio) == (min(ratios), max(ratios))
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_ball_needs_no_keys(monkeypatch):
+    # the balls know an element by its bottom tuple alone
+    def refuse(*args):
+        raise AssertionError("a ball asked for a layered key")
+
+    monkeypatch.setattr(diagrams, "layered_key", refuse)
+    monkeypatch.setattr(diagrams, "canonical_key", refuse)
+    five = parse_intervals((GOLDEN / "five.int").read_text())
+    assert diagram_ball_sizes(five, 3) == (1, 11, 77, 463)
+    # LOOP_A, LOOP_B and PAD_LOOP are the golden files d1-d3
+    scan = property_b_scan(PADPAIR, A1B1, (LOOP_A, LOOP_B, PAD_LOOP), 4)
+    assert scan.sizes == (1, 6, 26, 110, 458)
+    assert (scan.min_ratio, scan.max_ratio) == (Fraction(5, 3), 3)
+    assert sum(cells for _, cells in scan.table) == 5664
+
+
+def fired_bottom(wires, moves):
+    """The bottom tuple after firing ``moves``, cancelling nothing."""
+    bottom = wires.top
+    for move in moves:
+        bottom, _ = wires.fire(bottom, move)
+    return bottom
+
+
+def reduced_bottom(wires, moves):
+    """The bottom tuple of the reduced form, one step per move."""
+    bottom = wires.top
+    for move in moves:
+        bottom, _, _ = wires.extend_reduced(bottom, move)
+    return bottom
+
+
+def assert_orbit_ends_on_one_bottom(d):
+    wires = Wires(d.pres, d.top)
+    orbit = swap_orbit(d)
+    assert len({fired_bottom(wires, seq) for seq in orbit}) == 1
+    assert len({reduced_bottom(wires, seq) for seq in orbit}) == 1
+
+
+words3 = st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(tuple)
+wordskt = st.lists(st.sampled_from("kt"), min_size=1, max_size=5).map(tuple)
+picks5 = st.lists(st.integers(0, 1000), min_size=0, max_size=5)
+
+
+@given(words3, picks5)
+@settings(max_examples=60, deadline=None)
+def test_bottom_constant_on_swap_orbit(start, picks):
+    assert_orbit_ends_on_one_bottom(random_walk_diagram(COMM, start, picks))
+
+
+@given(wordskt, picks5)
+@settings(max_examples=60, deadline=None)
+def test_bottom_constant_on_swap_orbit_with_length_change(start, picks):
+    assert_orbit_ends_on_one_bottom(random_walk_diagram(SQUARES, start, picks))
+
+
+@given(picks5)
+@settings(max_examples=60, deadline=None)
+def test_bottom_constant_on_swap_orbit_padded_letters(picks):
+    assert_orbit_ends_on_one_bottom(random_walk_diagram(PADPAIR, A1B1, picks))
+
+
+@given(words3, picks5, picks5)
+@settings(max_examples=60, deadline=None)
+def test_bottoms_separate_orbits(start, p1, p2):
+    d1 = random_walk_diagram(COMM, start, p1)
+    d2 = random_walk_diagram(COMM, start, p2)
+    wires = Wires(COMM, start)
+    same_orbit = d2.moves in swap_orbit(d1)
+    assert (fired_bottom(wires, d1.moves) == fired_bottom(wires, d2.moves)) == same_orbit
+    same_reduced = canonical_key(reference_reduce(d1)) == canonical_key(reference_reduce(d2))
+    assert (
+        reduced_bottom(wires, d1.moves) == reduced_bottom(wires, d2.moves)
+    ) == same_reduced
+
+
 @pytest.mark.parametrize(
     "pres, w", [(PADPAIR, A1B1), (DIRTY, AB)], ids=["padpair", "dirty"]
 )
 def test_every_step_keys_like_general_reduction(pres, w):
-    # random walks of atoms; every step's form must key like the whole
-    # composed diagram reduced in general, and cancel exactly when the
-    # reduced diagram loses a cell
+    # random walks of atoms, all fired through one table; every step's
+    # diagram must key like the whole composed diagram reduced in general,
+    # and cancel exactly when the reduced diagram loses a cell
+    wires = Wires(pres, w)
+    states = {(wires.top, canonical_key(eps(pres, w)))}
     cancels = buried = 0
     for seed in range(20):
         rng = random.Random(seed)
-        form = wire_form(w)
+        bottom = wires.top
+        # the cells of the reduced diagram in the order they fired
+        fired = []
         moves = ()
         for _ in range(40):
             word = Diagram(pres, w, moves).bot
@@ -178,14 +306,23 @@ def test_every_step_keys_like_general_reduction(pres, w):
             elif r < 2 / 3:
                 options = [m for m in options if m.delta(pres) < 0] or options
             move = rng.choice(options)
-            cells = form[0]
-            form, cancelled = extend_reduced(form, move, pres)
+            before = len(fired)
+            bottom, cell, cancelled = wires.extend_reduced(bottom, move)
             moves += (move,)
             reduced = reference_reduce(Diagram(pres, w, moves))
-            assert layered_key(w, form[0]) == canonical_key(reduced)
-            assert cancelled == (reduced.cells < len(cells))
-            assert len(form[1]) == len(reduced.bot)
+            key = canonical_key(reduced)
+            assert layered_key(w, wires.cells(bottom)) == key
+            assert cancelled == (reduced.cells < before)
+            assert len(bottom) == len(reduced.bot)
             cancels += cancelled
-            buried += cancelled and form[0] != cells[:-1]
+            buried += cancelled and cell != fired[-1]
+            if cancelled:
+                fired.remove(cell)
+            else:
+                fired.append(cell)
+            assert sorted(fired) == sorted(wires.cells(bottom))
+            states.add((bottom, key))
     # both kinds of cancellation occur: of the last cell and of an earlier one
     assert cancels > buried > 0
+    # two visited states share a bottom exactly when they share a key
+    assert len({b for b, _ in states}) == len({k for _, k in states}) == len(states)

@@ -7,9 +7,9 @@ from disjoint rewrite pairs.  The breadth-first construction must reproduce
 them exactly; a live (smaller) instance of the same oracle runs in-test.
 
 ``farley_ball`` builds its ball from bottom words and up/down index tables.
-The keyed search it replaced, which extended every vertex's wire form with
-``extend_reduced`` and recognised repeats by ``layered_key``, is kept below
-as ``reference_ball``; the new ball must match it vertex for vertex.
+The keyed search it replaced, which extended every vertex's wires with
+``Wires.extend_reduced`` and recognised repeats by ``layered_key``, is kept
+below as ``reference_ball``; the new ball must match it vertex for vertex.
 """
 
 import dataclasses
@@ -40,14 +40,13 @@ from diagram_groups import farley
 from diagram_groups.diagrams import (
     CanonicalKey,
     Diagram,
+    Wires,
     canonical_key,
     compose,
     eps,
-    extend_reduced,
     inverse,
     layered_key,
     reduce_diagram,
-    wire_form,
 )
 from diagram_groups.farley import (
     FarleyCube,
@@ -142,8 +141,8 @@ def index_of(ball, d):
 def reference_ball(pres, w, radius):
     """The keyed search: ``(keys, diagrams, depths, edges, cubes)``.
 
-    A vertex ``A`` on the frontier is held in wire form and extended by
-    ``diagrams.extend_reduced``: a cancelling step leads one level down, to
+    A vertex ``A`` on the frontier is held by its bottom wires and extended
+    by ``Wires.extend_reduced``: a cancelling step leads one level down, to
     a vertex already recorded, and any other step one level up, so edges
     join consecutive levels.  Cancellations are counted, not keyed: distinct
     exposed cells cancel to distinct lower neighbours, so their number must
@@ -152,6 +151,7 @@ def reference_ball(pres, w, radius):
     pres.check_word(w)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    wires = Wires(pres, w)
     keys: List[CanonicalKey] = [layered_key(w, ())]
     diagrams: List[Diagram] = [eps(pres, w)]
     depths: List[int] = [0]
@@ -162,7 +162,7 @@ def reference_ball(pres, w, radius):
     up: List[Dict[Move, int]] = [{}]
     # down[i] counts the recorded edges into i from one level below
     down: Dict[int, int] = Counter()
-    frontier = {0: wire_form(w)}
+    frontier = {0: wires.top}
 
     qi = 0
     while qi < len(keys):
@@ -173,18 +173,18 @@ def reference_ball(pres, w, radius):
             # extensions upward would leave the ball, and every edge down
             # to level radius-1 was recorded when that endpoint was processed
             continue
-        form = frontier.pop(i)
+        bottom = frontier.pop(i)
         di = diagrams[i]
         u = di.bot
         cancels = 0
         for move, _ in one_step_rewrites(u, pres):
-            grown, cancelled = extend_reduced(form, move, pres)
+            grown, _, cancelled = wires.extend_reduced(bottom, move)
             if cancelled:
                 # the other endpoint sits one level down and was processed
                 # first, so the edge already exists in that orientation
                 cancels += 1
                 continue
-            nk = layered_key(w, grown[0])
+            nk = layered_key(w, wires.cells(grown))
             j = index.get(nk)
             if j is None:
                 j = len(keys)
@@ -358,14 +358,15 @@ def test_extensions_match_general_reduction(pres, w, radius):
     index = vertex_index(ball)
     adj = adjacency(ball)
     produced = set()
+    wires = Wires(pres, w)
     for i, a in enumerate(ds):
-        form = wire_form(w)
+        bottom = wires.top
         for move in a.moves:
-            form, _ = extend_reduced(form, move, pres)
+            bottom, _, _ = wires.extend_reduced(bottom, move)
         for move, _ in one_step_rewrites(a.bot, pres):
-            lower, cancelled = extend_reduced(form, move, pres)
+            lower, _, cancelled = wires.extend_reduced(bottom, move)
             if cancelled:
-                j = index[layered_key(w, lower[0])]
+                j = index[layered_key(w, wires.cells(lower))]
                 assert ball.depths[j] == a.cells - 1 and j in dict(adj[i])
             nd = reference_reduce(Diagram(pres, w, a.moves + (move,)))
             assert nd.cells in (a.cells - 1, a.cells + 1)

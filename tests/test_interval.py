@@ -28,12 +28,10 @@ from diagram_groups.interval import (
     evaluate_raag_word,
     evidence_to_json,
     independent_edge_pair,
-    induced_subgraph,
     intersects,
     interval_graph,
     is_complement_of_interval,
     maximal_cliques,
-    orientation_is_transitive,
     parse_intervals,
     presentation_for,
     raag_ball_sizes,
@@ -64,6 +62,26 @@ def complete_graph(n, prefix="v"):
 
 def edgeless_graph(n, prefix="v"):
     return raag_graph([f"{prefix}{i}" for i in range(n)], [])
+
+
+def induced_subgraph(g, verts):
+    keep = set(verts)
+    assert keep <= set(g.vertices)
+    return raag_graph(
+        tuple(verts), [e for e in sorted(g.edges) if set(e) <= keep]
+    )
+
+
+def orientation_is_transitive(g, arcs):
+    """Independent validation of an orientation certificate."""
+    arcset = set(arcs)
+    if {tuple(sorted(a)) for a in arcs} != set(g.edges):
+        return False
+    for t1, h1 in arcs:
+        for t2, h2 in arcs:
+            if h1 == t2 and t1 != h2 and (t1, h2) not in arcset:
+                return False
+    return True
 
 
 Z1 = IntervalCollection(1, (("I", 1, 1),))

@@ -17,7 +17,6 @@ from diagram_groups.raag import (
     RaagWord,
     format_raag_word,
     hyperplane_generators,
-    parse_raag_word,
     phi,
     positive_direction,
     raag_graph,
@@ -40,6 +39,23 @@ P3 = raag_graph("abc", [("a", "b"), ("b", "c")])
 K3 = raag_graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 FREE3 = raag_graph("abc", [])
 K22 = raag_graph(["a", "b", "x", "y"], [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+
+
+def parse_raag_word(text, graph):
+    """Parse whitespace-separated ``gen`` / ``gen^-1`` tokens."""
+    sylls = []
+    known = set(graph.vertices)
+    for token in text.split():
+        if token == "1":
+            continue
+        if token.endswith("^-1"):
+            gen, exp = token[:-3], -1
+        else:
+            gen, exp = token, 1
+        if gen not in known:
+            raise ValueError(f"unknown generator {gen!r}")
+        sylls.append((gen, exp))
+    return RaagWord(tuple(sylls))
 
 
 def w(text, graph=K22):
