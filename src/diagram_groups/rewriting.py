@@ -16,8 +16,10 @@ exactly when some cap was hit first.
 Both searches grow one kind of BFS frontier, whose expansion step is the
 only code that applies the caps; an enumeration keeps the frontier's parent
 map as its spanning tree.  A run asks its searches through one
-:class:`ClassSearch`, which holds the presentation and the caps and answers
-each closure and equality probe once per run.
+:class:`ClassSearch`, which holds the presentation and the caps, answers
+each closure and equality probe once per run, and keeps one neighbour
+table: every frontier of the run reads a word's rewrites from it, so each
+word is scanned once per run however many searches pass through it.
 
 The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants, first/last-letter
@@ -100,13 +102,17 @@ class Presentation:
     Every rewrite scan reads the relation sides through one table built
     here: each letter maps to the ``(relation, forward, source, target)``
     sides whose source starts with it, in relation order, forward before
-    backward.  :func:`one_step_rewrites` and :meth:`side_spans` read it.
+    backward.  :func:`one_step_rewrites` and :meth:`side_spans` read it,
+    and the scan interns one :class:`Move` per site in ``_moves``.
     """
 
     letters: Tuple[Letter, ...]
     relations: Tuple[Relation, ...]
     _index: Dict[Letter, int] = field(init=False, repr=False, compare=False)
     _sides: Dict[Letter, Tuple[Tuple[int, bool, Word, Word], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _moves: Dict[Tuple[int, int, bool], Move] = field(
         init=False, repr=False, compare=False
     )
 
@@ -134,6 +140,7 @@ class Presentation:
                 src, dst = rel.sides(forward)
                 sides[src[0]].append((i, forward, src, dst))
         object.__setattr__(self, "_sides", {x: tuple(v) for x, v in sides.items()})
+        object.__setattr__(self, "_moves", {})
 
     def side_spans(self, w: Word) -> Iterator[Tuple[int, int]]:
         """``(start, end)`` of every literal occurrence of a relation side in
@@ -269,11 +276,13 @@ def one_step_rewrites(w: Word, pres: Presentation) -> Tuple[Tuple[Move, Word], .
     # hottest loop of every class search, a generator frame and a tuple per
     # hit cost time and raise peak memory
     out: List[Tuple[Move, Word]] = []
-    sides = pres._sides
+    sides, moves = pres._sides, pres._moves
     for o, x in enumerate(w):
         for i, forward, src, dst in sides.get(x, ()):
             if w[o : o + len(src)] == src:
-                out.append((Move(o, i, forward), w[:o] + dst + w[o + len(src) :]))
+                key = (o, i, forward)
+                move = moves.get(key) or moves.setdefault(key, Move(o, i, forward))
+                out.append((move, w[:o] + dst + w[o + len(src) :]))
     return tuple(out)
 
 
@@ -336,6 +345,9 @@ class ClassEnumeration:
         return Derivation(self.seed, _tree_steps(self.parent, self.seed, target))
 
 
+Rewrites = Callable[[Word], Tuple[Tuple[Move, Word], ...]]
+
+
 def _tree_steps(
     parent: Dict[Word, Tuple[Word, Move]], seed: Word, target: Word
 ) -> Tuple[Move, ...]:
@@ -359,9 +371,10 @@ class _BfsSide:
         self.capped = False
 
     def expand(
-        self, pres: Presentation, caps: SearchCaps, other: Optional["_BfsSide"] = None
+        self, rewrites: Rewrites, caps: SearchCaps, other: Optional["_BfsSide"] = None
     ) -> Optional[Word]:
-        """Pop the next frontier word and record its unvisited neighbours.
+        """Pop the next frontier word and record its unvisited neighbours,
+        read from ``rewrites``.
 
         This is the one place the caps are applied: a neighbour deeper than
         ``max_bfs_depth``, longer than ``max_word_len``, or past
@@ -372,7 +385,7 @@ class _BfsSide:
         w, depth = self.queue.popleft()
         depth += 1
         parent, seed = self.parent, self.seed
-        for move, nxt in one_step_rewrites(w, pres):
+        for move, nxt in rewrites(w):
             if nxt in parent or nxt == seed:
                 continue
             if (
@@ -393,17 +406,25 @@ class _BfsSide:
         return ClassEnumeration(self.seed, members, not self.capped, self.parent)
 
 
-def enumerate_class(seed: Word, pres: Presentation, caps: SearchCaps) -> ClassEnumeration:
+def _scan(pres: Presentation) -> Rewrites:
+    return lambda w: one_step_rewrites(w, pres)
+
+
+def enumerate_class(
+    seed: Word, pres: Presentation, caps: SearchCaps, rewrites: Optional[Rewrites] = None
+) -> ClassEnumeration:
     """Breadth-first closure of ``[seed]`` under elementary rewrites.
 
     The seed itself is always retained (even when longer than the word cap);
     a neighbour is pruned, and completeness lost, when it would exceed any
-    cap.
+    cap.  Neighbours come from ``rewrites`` (a run's
+    :meth:`ClassSearch.rewrites`), by default a fresh scan of each word.
     """
     pres.check_word(seed)
+    rewrites = rewrites or _scan(pres)
     side = _BfsSide(seed)
     while side.queue:
-        side.expand(pres, caps)
+        side.expand(rewrites, caps)
     return side.enumeration(pres)
 
 
@@ -449,10 +470,17 @@ class TriBool:
         return TriBool("unknown", witness)
 
 
-def equal_mod_p(w1: Word, w2: Word, pres: Presentation, caps: SearchCaps) -> TriBool:
+def equal_mod_p(
+    w1: Word,
+    w2: Word,
+    pres: Presentation,
+    caps: SearchCaps,
+    rewrites: Optional[Rewrites] = None,
+) -> TriBool:
     """Decide ``w1 = w2`` modulo the presentation, within caps.
 
-    Bidirectional BFS from both words.  ``yes`` carries a connecting
+    Bidirectional BFS from both words, with neighbours read as in
+    :func:`enumerate_class`.  ``yes`` carries a connecting
     :class:`Derivation` from ``w1`` to ``w2``; ``no`` carries the complete
     :class:`ClassEnumeration` that excludes the other word, the one
     :func:`enumerate_class` gives for its seed; ``unknown`` means both
@@ -462,6 +490,7 @@ def equal_mod_p(w1: Word, w2: Word, pres: Presentation, caps: SearchCaps) -> Tri
     pres.check_word(w2)
     if w1 == w2:
         return TriBool.yes(Derivation(w1, ()))
+    rewrites = rewrites or _scan(pres)
     sides = (_BfsSide(w1), _BfsSide(w2))
     while True:
         active = [s for s in sides if s.queue]
@@ -469,7 +498,7 @@ def equal_mod_p(w1: Word, w2: Word, pres: Presentation, caps: SearchCaps) -> Tri
             return TriBool.unknown()
         side = min(active, key=lambda s: len(s.queue))
         other = sides[1] if side is sides[0] else sides[0]
-        meet = side.expand(pres, caps, other)
+        meet = side.expand(rewrites, caps, other)
         if meet is not None:
             there = _tree_steps(sides[0].parent, w1, meet)
             back = _tree_steps(sides[1].parent, w2, meet)
@@ -490,13 +519,24 @@ class ClassSearch:
     hands it to every consumer, so each answer is computed once per run
     and nothing is shared between runs.  Anything else built from those
     answers alone goes through :meth:`once` too: the Squier ball of each
-    base word is built once per run that way.
+    base word is built once per run that way.  Every search reads its
+    neighbours from one table, :meth:`rewrites`, which scans a word the
+    first time it is asked for, and a ``no`` carries :meth:`enum`'s object.
     """
 
     def __init__(self, pres: Presentation, caps: SearchCaps) -> None:
         self.pres = pres
         self.caps = caps
         self._memo: Dict[tuple, Any] = {}
+        self._rewrites: Dict[Word, Tuple[Tuple[Move, Word], ...]] = {}
+
+    def rewrites(self, w: Word) -> Tuple[Tuple[Move, Word], ...]:
+        """:func:`one_step_rewrites` of ``w``, scanned on the first call
+        (it depends on the word alone, not on the caps)."""
+        found = self._rewrites.get(w)
+        if found is None:
+            found = self._rewrites[w] = one_step_rewrites(w, self.pres)
+        return found
 
     def once(self, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(self, *args)``, computed on the first call with these
@@ -523,11 +563,16 @@ class ClassSearch:
 
 
 def _enumerate(search: ClassSearch, w: Word) -> ClassEnumeration:
-    return enumerate_class(w, search.pres, search.caps)
+    return enumerate_class(w, search.pres, search.caps, rewrites=search.rewrites)
 
 
 def _equal_pair(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
-    return equal_mod_p(w1, w2, search.pres, search.caps)
+    verdict = equal_mod_p(w1, w2, search.pres, search.caps, rewrites=search.rewrites)
+    if verdict.is_no:
+        # the exhausted side grew exactly as enumerate_class grows its seed
+        key = (_enumerate, (verdict.witness.seed,))
+        return TriBool.no(search._memo.setdefault(key, verdict.witness))
+    return verdict
 
 
 # ---------------------------------------------------------------------------

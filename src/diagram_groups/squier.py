@@ -65,7 +65,6 @@ from .rewriting import (
     invariant_letter_subsets,
     last_letter_closure,
     letter_count,
-    one_step_rewrites,
 )
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def _build_ball(search: ClassSearch, base: Word) -> SquierBall:
     up: List[Dict[Move, int]] = []
     for w in enum.members:
         up.append({})
-        for move, result in one_step_rewrites(w, pres):
+        for move, result in search.rewrites(w):
             j = position.get(result)
             if move.forward and j is not None:
                 edges.append(BallEdge(w, move))
@@ -978,9 +977,10 @@ def _probe_budget(caps: SearchCaps) -> int:
 
 def _prefix_extensions(
     search: ClassSearch, base: Word, middle: Word
-) -> List[Tuple[Word, Derivation]]:
-    """All t with base·middle·t found inside [base], with a derivation."""
-    out: List[Tuple[Word, Derivation]] = []
+) -> List[Tuple[Word, Word]]:
+    """All t with base·middle·t found inside [base], each with the member
+    base·middle·t, whose derivation ``search.enum(base).derivation`` gives."""
+    out: List[Tuple[Word, Word]] = []
     enum = search.enum(base)
     seen: Set[Word] = set()
     for z in enum.members:
@@ -991,7 +991,7 @@ def _prefix_extensions(
         t = z[len(base) + len(middle):]
         if t not in seen:
             seen.add(t)
-            out.append((t, enum.derivation(z)))
+            out.append((t, z))
     return out
 
 
@@ -1010,7 +1010,7 @@ def find_self_intersections(
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if not search.enum(hid.left).complete:
                 exhaustive = False
-            for b, deriv_a in _prefix_extensions(search, hid.left, p):
+            for b, member in _prefix_extensions(search, hid.left, p):
                 b = b or p  # witness parts must be nonempty; empty b uses p
                 if budget <= 0:
                     return tuple(found), False
@@ -1020,7 +1020,10 @@ def find_self_intersections(
                     found.append(
                         SelfIntersection(
                             hid.left, p, q, b, hid.right,
-                            evidence=(deriv_a, verdict.witness),
+                            evidence=(
+                                search.enum(hid.left).derivation(member),
+                                verdict.witness,
+                            ),
                         )
                     )
                 elif verdict.is_unknown:
@@ -1129,7 +1132,7 @@ def find_absorbing_splits(
             a, b = member[:cut], member[cut:]
             if not search.enum(a).complete:
                 exhaustive = False
-            for p, deriv_a in _prefix_extensions(search, a, ()):
+            for p, extended in _prefix_extensions(search, a, ()):
                 if not p or has_singleton_class(p, pres):
                     continue
                 if budget <= 0:
@@ -1141,13 +1144,13 @@ def find_absorbing_splits(
                 if verdict.is_yes:
                     # [p] is nontrivial because a relation side occurs in it;
                     # exhibit the rewrite directly
-                    p_move, _ = one_step_rewrites(p, pres)[0]
+                    p_move, _ = search.rewrites(p)[0]
                     found.append(
                         AbsorbingSplit(
                             a, b, p,
                             evidence=(
                                 enum.derivation(member),
-                                deriv_a,
+                                search.enum(a).derivation(extended),
                                 verdict.witness,
                                 Derivation(p, (p_move,)),
                             ),
@@ -1240,12 +1243,13 @@ def scan_self_osculations(
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
     """Geometric route: two overlapping co-initial (or, symmetrically at the
     common target, co-terminal) rewrites crossing one oriented hyperplane."""
-    pres, equal = ball.pres, ball.search.equal
+    pres, search = ball.pres, ball.search
+    equal = search.equal
     found: List[SelfOsculation] = []
     definite = True
     seen: Set[Tuple] = set()
     for w in ball.vertices:
-        for (m1, _), (m2, _) in itertools.combinations(one_step_rewrites(w, pres), 2):
+        for (m1, _), (m2, _) in itertools.combinations(search.rewrites(w), 2):
             if m1.relation != m2.relation or m1.forward != m2.forward:
                 continue
             if m1.offset == m2.offset:
@@ -1393,7 +1397,7 @@ def find_inter_osculations(
                 au = a + u
                 if not search.enum(au).complete:
                     exhaustive = False
-                for xi, deriv in _prefix_extensions(search, au, v):
+                for xi, extended in _prefix_extensions(search, au, v):
                     if not xi:
                         continue
                     verdict = search.equal(w + b, xi + v + w + b)
@@ -1407,7 +1411,10 @@ def find_inter_osculations(
                             found.append(
                                 InterOsculation(
                                     a, u, v, w, b, p, q, xi,
-                                    evidence=(deriv, verdict.witness),
+                                    evidence=(
+                                        search.enum(au).derivation(extended),
+                                        verdict.witness,
+                                    ),
                                 )
                             )
                         break
@@ -1465,6 +1472,18 @@ class SpecialnessReport:
     notes: Tuple[str, ...]
 
 
+def _with_new(listed: Sequence, extra: Sequence) -> List:
+    """``listed`` as it is, then each witness of ``extra`` not equal to one
+    listed before it."""
+    out = list(listed)
+    seen = set(out)
+    for wit in extra:
+        if wit not in seen:
+            seen.add(wit)
+            out.append(wit)
+    return out
+
+
 def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
     """Decide cleanliness and specialness of the class complex of ``w0``.
 
@@ -1480,24 +1499,17 @@ def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
     scan_si, scan_si_def = scan_self_intersections(ball)
     find_si, find_si_def = find_self_intersections(ball)
     splits, splits_def = find_absorbing_splits(search, w0)
-    self_ints = list(scan_si)
-    for wit in find_si:
-        if wit not in self_ints:
-            self_ints.append(wit)
+    converted = []
     for split in splits:
         try:
-            wit = split_to_self_intersection(search, split)
+            converted.append(split_to_self_intersection(search, split))
         except ValueError:
-            continue
-        if wit not in self_ints:
-            self_ints.append(wit)
+            pass
+    self_ints = _with_new(scan_si, find_si + tuple(converted))
 
     osc, osc_def = scan_self_osculations(ball)
     find_osc, find_osc_def = find_self_osculations(ball)
-    self_oscs = list(osc)
-    for wit in find_osc:
-        if wit not in self_oscs:
-            self_oscs.append(wit)
+    self_oscs = _with_new(osc, find_osc)
 
     inter, inter_def = find_inter_osculations(search, w0)
     # an exhaustive scan settles a verdict only on the whole complex

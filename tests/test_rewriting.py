@@ -119,6 +119,16 @@ def test_one_step_rewrites_empty_word():
     assert one_step_rewrites((), COMM) == ()
 
 
+def test_one_step_rewrites_share_one_move_per_site():
+    pres = parse_presentation("letters: a b c\nrel: a b = b a")
+    # the site (1, a b -> b a) in two words
+    move = one_step_rewrites(W("c a b"), pres)[0][0]
+    again = one_step_rewrites(W("b a b a"), pres)[1][0]
+    assert again is move
+    built = Move(1, 0, True)
+    assert built is not move and built == move and hash(built) == hash(move)
+
+
 @given(words3)
 def test_one_step_order_and_involution(w):
     rewrites = one_step_rewrites(w, COMM)
@@ -385,9 +395,9 @@ def test_class_search_rep():
 def test_class_search_enumerates_each_word_once(monkeypatch):
     calls = []
 
-    def counted(seed, pres, caps):
+    def counted(seed, pres, caps, rewrites=None):
         calls.append(seed)
-        return enumerate_class(seed, pres, caps)
+        return enumerate_class(seed, pres, caps, rewrites=rewrites)
 
     monkeypatch.setattr(rewriting, "enumerate_class", counted)
     search = ClassSearch(COMM, CAPS)
@@ -413,6 +423,27 @@ def test_class_searches_do_not_share_answers(order):
     searches = [tight, loose] if order == "tight first" else [loose, tight]
     answers = {id(s): s.enum(W("a b c")).complete for s in searches}
     assert answers == {id(tight): False, id(loose): True}
+    # nor neighbour tables: the capped search scanned the seed and the one
+    # neighbour it kept, the other all six permutations
+    assert set(tight._rewrites) == {W("a b c"), W("b a c")}
+    assert set(loose._rewrites) == comm_class(W("a b c"))
+
+
+def test_no_verdict_carries_the_runs_enumeration():
+    """A ``no`` is the enumeration of the exhausted seed, shared with
+    ``enum`` whichever of the two asks first."""
+    fresh = ClassSearch(COMM, CAPS)
+    verdict = fresh.equal(W("a b"), W("a c"))
+    assert verdict.is_no
+    seed = verdict.witness.seed
+    assert verdict.witness is fresh.enum(seed)
+    again = enumerate_class(seed, COMM, CAPS)
+    assert verdict.witness.members == again.members
+    assert verdict.witness.parent == again.parent
+    enumerated = ClassSearch(COMM, CAPS)
+    before = {w: enumerated.enum(w) for w in (W("a b"), W("a c"))}
+    verdict = enumerated.equal(W("a b"), W("a c"))
+    assert verdict.is_no and verdict.witness is before[verdict.witness.seed]
 
 
 def test_no_module_caches_across_runs():

@@ -28,6 +28,7 @@ from conftest import (
     TIGHT_CAPS,
     W,
 )
+from diagram_groups import rewriting
 from diagram_groups.rewriting import (
     ClassSearch,
     Move,
@@ -862,6 +863,19 @@ class TestSpecialness:
     def test_commuting_bigger_class_special_yes(self):
         report = specialness_report(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         assert report.special.is_yes
+
+    def test_report_scans_each_word_once(self, monkeypatch):
+        """Every class search of a run reads its neighbours from the run's
+        table, so no word is scanned twice however often it is probed."""
+        scanned = []
+
+        def counted(w, pres):
+            scanned.append(w)
+            return one_step_rewrites(w, pres)
+
+        monkeypatch.setattr(rewriting, "one_step_rewrites", counted)
+        specialness_report(ClassSearch(GROW, TIGHT_CAPS), W("x"))
+        assert scanned and len(scanned) == len(set(scanned))
 
 
 # ---------------------------------------------------------------------------
