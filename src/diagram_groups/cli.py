@@ -581,7 +581,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
 
 
 def _cmd_farley(ns: argparse.Namespace) -> int:
-    ball = farley_ball(ns.pres, ns.w, ns.radius)
+    ball = farley_ball(ns.search, ns.w, ns.radius)
     if ns.format == "dot":
         print(farley_to_dot(ball))
         return EXIT_OK
@@ -613,7 +613,7 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
         return _emit_unknown(
             ns, head, "rank partition is not exact under these caps"
         )
-    ball = farley_ball(ns.pres, ns.w, ns.radius)
+    ball = farley_ball(ns.search, ns.w, ns.radius)
     try:
         report = check_isometric_embedding(ball, partition)
     except OutsideCatalogError as e:

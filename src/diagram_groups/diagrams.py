@@ -22,7 +22,8 @@ The algebra:
   cancelling the cell that produced the wires the atom consumes or firing
   one.  It is the one place that decides a dipole (a cell immediately
   undone by its mirror, possibly across independent cells):
-  ``cayley_ball`` takes one step per generator cell for
+  ``farley.farley_ball`` takes one step per edge of the complex of
+  reduced diagrams, and ``cayley_ball`` one step per generator cell for
   ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``,
 * ``reduce_diagram`` folds that step over a diagram's moves; the reduced
   form of a diagram is unique, because cancelling dipoles is confluent.

@@ -11,12 +11,20 @@ distance from the trivial diagram, and more generally
 
 A vertex ``A`` is already reduced, so ``A . atom`` has at most one dipole:
 the new cell against a cell of ``A`` exposed on the bottom boundary (the
-dipole normal form of Guba and Sapir).  ``farley_ball`` reads that step
-off up/down tables between vertex indices and keeps only bottom words, so
-no vertex is keyed or replayed.  ``property_b_scan``, like
-``interval.diagram_ball_sizes``, multiplies group elements through
-``diagrams.cayley_ball``, one step per generator cell, and tells them apart
-by their bottom words in canonical wire ids.
+dipole normal form of Guba and Sapir).  ``farley_ball`` fires every vertex
+through one ``diagrams.Wires`` table on the base word, one
+``Wires.extend_reduced`` step per move, and keys each vertex by its bottom
+tuple of wire ids, which means nothing outside that table (the ball keeps
+it as ``ball.wires``).  The same table names every cell, so a vertex is also
+the set of its cells, and the cells two vertices share are closed under
+ancestors; a dipole of ``inverse(A) . B`` would be a shared cell, hence
+
+    distance(A, B) = |cells(A) △ cells(B)|,
+
+which ``guarded_pairs`` measures without replaying a diagram.
+``property_b_scan``, like ``interval.diagram_ball_sizes``, multiplies group
+elements through ``diagrams.cayley_ball``, one step per generator cell, and
+tells them apart by their bottom words in canonical wire ids.
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
@@ -30,12 +38,13 @@ identity pair by pair; ``property_b_scan`` compares cell count against word
 length over a chosen generating set, the other length comparison the group
 carries.
 
-Balls are exact objects — no search caps are involved in building them.
-Caps enter only where the Squier side is consulted (hyperplane identities
-and ranks), and every such result carries its own exactness flag.  Pair
-checks are guarded: only when two vertices sit within ``radius/3`` of the
-base and of each other is their combinatorial interval provably inside the
-ball, so only such pairs are judged.
+Balls are exact objects — building one reads only the neighbour table of
+the run's class search, which no search cap touches.  Caps enter only
+where the Squier side is consulted (hyperplane identities and ranks), and
+every such result carries its own exactness flag.  Pair checks are
+guarded: only when two vertices sit within ``radius/3`` of the base and of
+each other is their combinatorial interval provably inside the ball, so
+only such pairs are judged.
 """
 
 from __future__ import annotations
@@ -43,13 +52,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import (
-    CanonicalKey,
     Diagram,
-    canonical_key,
+    Wires,
     cayley_ball,
     compose,
     inverse,
@@ -62,7 +69,6 @@ from .rewriting import (
     Presentation,
     Word,
     format_word,
-    one_step_rewrites,
 )
 from .squier import (
     CubeTable,
@@ -122,7 +128,9 @@ class FarleyBall(CubeTable):
     ``i`` (an atomic extension changes the cell count by exactly one, so the
     sublevel sets are connected and the search exhausts them), ``words[i]``
     is its bottom word and ``parents[i]`` the first edge into it (``-1`` at
-    the base), whose chain :meth:`diagram` replays.
+    the base), whose chain :meth:`diagram` replays.  ``keys[i]`` is its
+    bottom tuple of wire ids, which identifies it only against ``wires``,
+    the table the ball was fired through.
     """
 
     pres: Presentation
@@ -133,6 +141,8 @@ class FarleyBall(CubeTable):
     parents: Tuple[int, ...]
     edges: Tuple[FarleyEdge, ...]
     cubes: Tuple[Tuple[int, Tuple[FarleyCube, ...]], ...]
+    keys: Tuple[Tuple[int, ...], ...]
+    wires: Wires = field(compare=False, repr=False)
 
     def diagram(self, i: int) -> Diagram:
         """The reduced diagram of vertex ``i``, replayed from its first parents."""
@@ -143,82 +153,52 @@ class FarleyBall(CubeTable):
             i = e.low
         return Diagram(self.pres, self.base, tuple(reversed(moves)))
 
-    @cached_property
-    def keys(self) -> Tuple[CanonicalKey, ...]:
-        """The canonical key of every vertex, computed on first use; the
-        benchmark tracer (``perfbench/tracer.py``) counts vertices by it."""
-        return tuple(canonical_key(self.diagram(i)) for i in range(len(self.depths)))
+    def cells(self, i: int) -> FrozenSet[int]:
+        """The cells of vertex ``i``, each named by its first produced wire."""
+        return frozenset(cell[3][0] for cell in self.wires.cells(self.keys[i]))
 
 
-def _recorded(up: Sequence[Dict[Move, int]], below: Dict[Move, int],
-              move: Move, i: int, pres: Presentation) -> Optional[int]:
-    """The vertex ``i . move`` if a vertex before ``i`` already reached it.
-
-    Every lower neighbour of ``j = i . move`` other than ``i`` cancels a
-    cell ``c`` exposed on the bottom of ``i`` and disjoint from ``move``:
-    with ``q = i . c``, it is ``p = q . move``, and ``j = p . c⁻¹``, both
-    moves shifted past the other's length change.  ``j`` was recorded
-    exactly when some such ``p`` was processed before ``i``.
-    """
-    end = move.offset + len(move.sides(pres)[0])
-    for c, q in below.items():
-        if c.offset + len(c.sides(pres)[0]) <= move.offset:
-            at_q = Move(move.offset + c.delta(pres), move.relation, move.forward)
-            back = c.inverted()
-        elif end <= c.offset:
-            at_q = move
-            back = Move(c.offset + move.delta(pres), c.relation, not c.forward)
-        else:
-            continue
-        p = up[q][at_q]
-        if p < i:
-            return up[p][back]
-    return None
-
-
-def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
+def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
     """Breadth-first enumeration of reduced diagrams by atomic extension.
 
-    ``up[i]`` maps each move of ``words[i]`` that appends a cell to the
-    vertex it reaches, and ``down[i]`` each move that cancels a cell to the
-    vertex one level down: an edge ``q -> i`` by ``m`` records
-    ``down[i][m⁻¹] = q``.  Every lower neighbour of ``i`` is processed
-    first, so a move cancels exactly when it is in ``down[i]``; any other
-    move appends, and square closure (:func:`_recorded`) tells whether its
-    target is recorded, which must then carry the move's bottom word.
-    Cubes come from ``squier.disjoint_cubes`` over the same ``up`` tables.
+    Every vertex is held by its bottom tuple in one :class:`Wires` table and
+    extended by ``Wires.extend_reduced`` along the rewrites of its bottom
+    word, read from ``search.rewrites``.  A cancelling step leads one level
+    down, to a vertex processed earlier that recorded the edge already; any
+    other step leads one level up, to the vertex of its bottom tuple, new or
+    recorded.  ``up[i]`` maps each move that appends a cell at ``i`` to the
+    vertex it reaches, and cubes come from ``squier.disjoint_cubes`` over
+    those tables.
     """
+    pres = search.pres
     pres.check_word(w)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    wires = Wires(pres, w)
+    keys: List[Tuple[int, ...]] = [wires.top]
+    index: Dict[Tuple[int, ...], int] = {wires.top: 0}
     words: List[Word] = [w]
     depths: List[int] = [0]
     parents: List[int] = [-1]
     edges: List[FarleyEdge] = []
     up: List[Dict[Move, int]] = [{}]
-    # kept for the vertices still to be processed, dropped once used
-    down: Dict[int, Dict[Move, int]] = {}
 
     i = 0
     while i < len(words) and depths[i] < radius:
-        u = words[i]
-        below = down.pop(i, {})
-        for move, v in one_step_rewrites(u, pres):
-            if move in below:
+        u, bottom = words[i], keys[i]
+        for move, v in search.rewrites(u):
+            grown, _, cancelled = wires.extend_reduced(bottom, move)
+            if cancelled:
                 continue
-            j = _recorded(up, below, move, i, pres)
+            j = index.get(grown)
             if j is None:
-                j = len(words)
+                j = index[grown] = len(words)
+                keys.append(grown)
                 words.append(v)
                 depths.append(depths[i] + 1)
                 parents.append(len(edges))
                 up.append({})
-            elif words[j] != v:
-                raise RuntimeError(f"vertex {i}: {move} reaches vertex {j} with bottom "
-                                   f"word {format_word(words[j])}, not {format_word(v)}")
             up[i][move] = j
-            if depths[j] < radius:
-                down.setdefault(j, {})[move.inverted()] = i
             edges.append(FarleyEdge(i, j, u, move))
         i += 1
 
@@ -228,7 +208,7 @@ def farley_ball(pres: Presentation, w: Word, radius: int) -> FarleyBall:
     )
     return FarleyBall(
         pres, w, radius, tuple(words), tuple(depths), tuple(parents),
-        tuple(edges), packed,
+        tuple(edges), packed, tuple(keys), wires,
     )
 
 
@@ -451,16 +431,19 @@ def guarded_pairs(ball: FarleyBall) -> Tuple[Tuple[int, int, int], ...]:
     Both endpoints within ``radius/3`` of the base and of each other: any
     vertex on a geodesic between them is then within ``2 radius/3`` of the
     base by the triangle inequality, so the interval cannot escape.  Returns
-    ``(i, j, distance)`` triples with ``i < j``.
+    ``(i, j, distance)`` triples with ``i < j``, the distance being the size
+    of the symmetric difference of the two cell sets (``FarleyBall.cells``):
+    the shared cells are closed under ancestors, so no dipole is left
+    between the rest.
     """
     near = [
-        (i, ball.diagram(i))
+        (i, ball.cells(i))
         for i, d in enumerate(ball.depths) if 3 * d <= ball.radius
     ]
     out = []
     for ai, (i, a) in enumerate(near):
         for j, b in near[ai + 1:]:
-            dist = distance(a, b)
+            dist = len(a ^ b)
             if 3 * dist <= ball.radius:
                 out.append((i, j, dist))
     return tuple(out)

@@ -6,10 +6,10 @@ canonical key, with edges recovered from pairwise diagram distance and squares
 from disjoint rewrite pairs.  The breadth-first construction must reproduce
 them exactly; a live (smaller) instance of the same oracle runs in-test.
 
-``farley_ball`` builds its ball from bottom words and up/down index tables.
-The keyed search it replaced, which extended every vertex's wires with
-``Wires.extend_reduced`` and recognised repeats by ``layered_key``, is kept
-below as ``reference_ball``; the new ball must match it vertex for vertex.
+``farley_ball`` keys its vertices by bottom tuples in one ``Wires`` table.
+``reference_ball`` below is its ``layered_key`` twin: the same
+``Wires.extend_reduced`` steps, with repeats recognised by the layered
+normal form of each vertex's cells; the ball must match it vertex for vertex.
 """
 
 import dataclasses
@@ -111,7 +111,7 @@ def vertex_diagrams(ball):
 
 
 def vertex_index(ball):
-    return {k: i for i, k in enumerate(ball.keys)}
+    return {canonical_key(ball.diagram(i)): i for i in range(len(ball.depths))}
 
 
 def adjacency(ball):
@@ -209,15 +209,19 @@ def reference_ball(pres, w, radius):
 
 
 def assert_matches_reference(pres, w, radius):
-    ball = farley_ball(pres, w, radius)
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
     _, diagrams, depths, edges, cubes = reference_ball(pres, w, radius)
     assert ball.depths == depths
     assert ball.edges == edges
     assert ball.cubes == cubes
     assert ball.words == tuple(d.bot for d in diagrams)
-    assert [ball.diagram(i).moves for i in range(len(depths))] == [
-        d.moves for d in diagrams
-    ]
+    replayed = [ball.diagram(i).moves for i in range(len(depths))]
+    assert replayed == [d.moves for d in diagrams]
+    for key, moves in zip(ball.keys, replayed):
+        bottom = ball.wires.top
+        for move in moves:
+            bottom, _, _ = ball.wires.extend_reduced(bottom, move)
+        assert bottom == key
     return len(depths)
 
 
@@ -296,12 +300,12 @@ def test_ball_matches_keyed_reference_on_random_presentations():
     ],
 )
 def test_ball_shape_frozen(pres, w, radius, expected):
-    assert shape(farley_ball(pres, w, radius)) == expected
+    assert shape(farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)) == expected
 
 
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
-        farley_ball(COMM, W("a b c"), -1)
+        farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"), -1)
 
 
 def test_ball_vertices_match_brute_force():
@@ -326,8 +330,8 @@ def test_ball_vertices_match_brute_force():
                     if rd.cells <= r:
                         found.setdefault(canonical_key(rd), rd)
             level = nxt
-        ball = farley_ball(pres, w, r)
-        assert set(ball.keys) == set(found)
+        ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, r)
+        assert set(vertex_index(ball)) == set(found)
         # edges: exactly the pairs at diagram distance one
         expect_edges = sum(
             1
@@ -350,10 +354,10 @@ def test_ball_vertices_match_brute_force():
 def test_extensions_match_general_reduction(pres, w, radius):
     # the ball cancels or appends one cell at the bottom instead of reducing;
     # every A . atom, reduced in general, must land on a recorded neighbour,
-    # and every recorded edge must come from some A . atom; the ball reads
-    # its cancellations off the edges from below, and here each one is
-    # keyed: it must reach a neighbour one level down
-    ball = farley_ball(pres, w, radius)
+    # and every recorded edge must come from some A . atom; the ball skips
+    # its cancellations, whose edges were recorded from below, and here each
+    # one is keyed: it must reach a neighbour one level down
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
     ds = vertex_diagrams(ball)
     index = vertex_index(ball)
     adj = adjacency(ball)
@@ -383,26 +387,6 @@ def test_extensions_match_general_reduction(pres, w, radius):
     assert produced == set(range(len(ball.edges)))
 
 
-def test_ball_checks_closure_against_bottom_words(monkeypatch):
-    # a square closure that answers with the wrong recorded vertex (here the
-    # vertex being extended, whose bottom word the move always changes) must
-    # be refused by the bottom-word check, also under -O
-    closed = []
-
-    def wrong(up, below, move, i, pres):
-        j = real(up, below, move, i, pres)
-        if j is None:
-            return None
-        closed.append(j)
-        return i
-
-    real = farley._recorded
-    monkeypatch.setattr(farley, "_recorded", wrong)
-    with pytest.raises(RuntimeError, match="bottom word"):
-        farley_ball(PADPAIR, A1B1, 3)
-    assert len(closed) == 1
-
-
 @pytest.mark.parametrize(
     "pres, w, radius",
     [(PADPAIR, A1B1, 4), (DIRTY, W("a b"), 5)],
@@ -411,7 +395,7 @@ def test_ball_checks_closure_against_bottom_words(monkeypatch):
 def test_cube_corners_match_general_reduction(pres, w, radius):
     # cube corners are read off up-edge tables; each must be the vertex of
     # the corner diagram composed with the selected atoms, reduced in general
-    ball = farley_ball(pres, w, radius)
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
     index = vertex_index(ball)
     assert ball.cubes
     for _, cubes in ball.cubes:
@@ -425,9 +409,9 @@ def test_cube_corners_match_general_reduction(pres, w, radius):
 
 
 def test_ball_replays_diagrams_only_when_asked(monkeypatch):
-    # the ball holds bottom words and tables; a vertex's diagram is replayed
-    # from its first parents by ``diagram(i)``, and ``guarded_pairs`` asks
-    # once per vertex within radius/3
+    # the ball holds bottom tuples and tables; a vertex's diagram is replayed
+    # from its first parents by ``diagram(i)``, and ``guarded_pairs`` reads
+    # cell sets instead of replaying or reducing anything
     built = []
     real = farley.FarleyBall.diagram
 
@@ -435,15 +419,19 @@ def test_ball_replays_diagrams_only_when_asked(monkeypatch):
         built.append(i)
         return real(ball, i)
 
+    def refused(*args):
+        raise AssertionError("guarded_pairs ran the diagram algebra")
+
     monkeypatch.setattr(farley.FarleyBall, "diagram", counted)
-    ball = farley_ball(PADPAIR, A1B1, 6)
+    for name in ("compose", "inverse", "reduce_diagram"):
+        monkeypatch.setattr(farley, name, refused)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
+    assert guarded_pairs(ball)
     assert built == []
-    guarded_pairs(ball)
-    assert sorted(built) == [i for i, d in enumerate(ball.depths) if 3 * d <= 6]
 
 
 def test_depth_equals_cell_count():
-    ball = farley_ball(PADPAIR, A1B1, 3)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     for d, depth, word in zip(vertex_diagrams(ball), ball.depths, ball.words):
         assert d.cells == depth
         assert d.bot == word
@@ -451,8 +439,9 @@ def test_depth_equals_cell_count():
 
 
 def test_index_round_trip_and_rejection():
-    # the lazy keys tell the vertices apart and find each one again
-    ball = farley_ball(PADPAIR, A1B1, 2)
+    # the bottom tuples tell the vertices apart, and canonical keys find
+    # each one again
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     assert len(set(ball.keys)) == len(ball.depths)
     for i, d in enumerate(vertex_diagrams(ball)):
         assert index_of(ball, d) == i
@@ -462,7 +451,7 @@ def test_index_round_trip_and_rejection():
 
 
 def test_edges_join_consecutive_levels_at_distance_one():
-    ball = farley_ball(PADPAIR, A1B1, 2)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     ds = vertex_diagrams(ball)
     for e in ball.edges:
         assert ball.depths[e.high] == ball.depths[e.low] + 1
@@ -476,14 +465,14 @@ def test_edges_join_consecutive_levels_at_distance_one():
 
 
 def test_distance_from_identity_is_cell_count():
-    ball = farley_ball(PADPAIR, A1B1, 3)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     base = eps(PADPAIR, A1B1)
     for d in vertex_diagrams(ball):
         assert distance(base, d) == d.cells
 
 
 def test_distance_symmetric_zero_on_diagonal():
-    ball = farley_ball(COMM, W("a a b c"), 3)
+    ball = farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 3)
     ds = vertex_diagrams(ball)[:6]
     for a in ds:
         assert distance(a, a) == 0
@@ -492,7 +481,7 @@ def test_distance_symmetric_zero_on_diagonal():
 
 
 def test_distance_triangle_inequality():
-    ds = vertex_diagrams(farley_ball(PADPAIR, A1B1, 2))[:10]
+    ds = vertex_diagrams(farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2))[:10]
     for a, b, c in itertools.combinations(ds, 3):
         assert distance(a, c) <= distance(a, b) + distance(b, c)
 
@@ -503,11 +492,63 @@ def test_distance_needs_common_top():
 
 
 def test_distance_agrees_with_bfs_on_guarded_pairs():
-    ball = farley_ball(PADPAIR, A1B1, 6)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     pairs = guarded_pairs(ball)
     assert pairs  # depth-2 vertices are guarded at radius 6
     for i, j, dist in pairs:
         assert distance(ball.diagram(i), ball.diagram(j)) == dist
+
+
+def cell_set_mismatches(ball, cells):
+    """Vertex pairs whose cell sets, as ``cells(i)`` names them, differ in
+    size from the general-reduction distance of their diagrams."""
+    ds = vertex_diagrams(ball)
+    sets = [cells(i) for i in range(len(ds))]
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(ds)), 2)
+        if len(sets[i] ^ sets[j]) != distance(ds[i], ds[j])
+    ]
+
+
+@pytest.mark.parametrize(
+    "pres, w, radius",
+    [
+        (PADPAIR, A1B1, 4),
+        (DIRTY, W("a b"), 5),
+        (CYC3, W("a b c a"), 4),
+        (GROW, W("x"), 5),
+        (COMM, W("a b c"), 5),
+    ],
+    ids=["padpair-r4", "dirty-r5", "cyc3-abca-r4", "grow-r5", "comm-abc-r5"],
+)
+def test_cell_sets_measure_distance(pres, w, radius):
+    # every pair, not only the guarded ones: the symmetric difference of the
+    # cell sets is the distance that general reduction computes
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
+    assert cell_set_mismatches(ball, ball.cells) == []
+
+
+def test_cell_sets_measure_distance_on_random_presentations():
+    rng = random.Random(1507)
+    pairs = 0
+    for _ in range(40):
+        pres, base = random_presentation(rng)
+        ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), base, 4)
+        assert cell_set_mismatches(ball, ball.cells) == []
+        pairs += len(ball.depths) * (len(ball.depths) - 1) // 2
+    assert pairs > 10000
+
+
+def test_cell_sets_need_the_consumed_wires():
+    # naming a cell by its relation and direction alone, without the wires
+    # it consumes, merges distinct cells and must be caught
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4)
+
+    def forgetful(i):
+        return frozenset(cell[:2] for cell in ball.wires.cells(ball.keys[i]))
+
+    assert cell_set_mismatches(ball, forgetful)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +557,7 @@ def test_distance_agrees_with_bfs_on_guarded_pairs():
 
 
 def test_squares_have_consistent_corners():
-    ball = farley_ball(PADPAIR, A1B1, 3)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     edge_set = {(e.low, e.high) for e in ball.edges}
     for sq in ball.squares:
         c = sq.corners
@@ -532,7 +573,7 @@ def test_squares_have_consistent_corners():
 def test_no_three_cubes_over_two_letter_base():
     # only two disjoint rewrites fit on a two-letter word, so dimension
     # stops at two
-    assert farley_ball(PADPAIR, A1B1, 4).cube_dims() == (2,)
+    assert farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4).cube_dims() == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +636,7 @@ def test_hyperplane_index_outside_catalog_raises():
 def test_hyperplane_index_agrees_with_hyperplane_id(pres, base, caps, radius):
     # every Farley edge resolves, in both orientations, to the catalog
     # position its shortlex hyperplane id names, wherever that id is cataloged
-    ball = farley_ball(pres, W(base), radius)
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), W(base), radius)
     squier = build_ball(ClassSearch(pres, caps), W(base))
     named = 0
     for e in ball.edges:
@@ -613,7 +654,7 @@ def test_hyperplane_index_agrees_with_hyperplane_id(pres, base, caps, radius):
 
 def test_edges_cover_class_complex_edges():
     # the covering sends each ball edge to an edge of the complex downstairs
-    ball = farley_ball(COMM, W("a a b c"), 3)
+    ball = farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 3)
     squier = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     assert squier.complete
     for e in ball.edges:
@@ -623,7 +664,7 @@ def test_edges_cover_class_complex_edges():
 
     # the pad class is infinite, so downstairs is necessarily truncated;
     # check the edges whose endpoints the truncated ball did reach
-    ball = farley_ball(PADPAIR, A1B1, 2)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     squier = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     assert not squier.complete
     checked = 0
@@ -638,7 +679,7 @@ def test_edges_cover_class_complex_edges():
 
 
 def test_square_edges_pull_back_to_different_ranks():
-    ball = farley_ball(PADPAIR, A1B1, 4)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     ranks = edge_ranks(ball, part)
     by_pair = {
@@ -650,7 +691,7 @@ def test_square_edges_pull_back_to_different_ranks():
 
 
 def test_ball_hyperplanes_well_defined_and_split():
-    ball = farley_ball(PADPAIR, A1B1, 4)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     hyps = ball_hyperplanes(ball, part)
     assert len(hyps) == 64
@@ -671,7 +712,7 @@ def test_ball_hyperplanes_well_defined_and_split():
 
 
 def test_hexagon_cover_quotient_is_a_path():
-    ball = farley_ball(COMM, W("a b c"), 3)
+    ball = farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"), 3)
     part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     (q,) = tree_quotients(ball, part)
     assert q.rank == 0
@@ -683,7 +724,7 @@ def test_hexagon_cover_quotient_is_a_path():
 
 
 def test_quotients_comm_aabc_frozen():
-    ball = farley_ball(COMM, W("a a b c"), 3)
+    ball = farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 3)
     part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
@@ -693,7 +734,7 @@ def test_quotients_comm_aabc_frozen():
 
 
 def test_quotients_padpair_r4_are_trees():
-    ball = farley_ball(PADPAIR, A1B1, 4)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     quots = tree_quotients(ball, part)
     assert [(q.rank, q.node_count, len(q.edges)) for q in quots] == [
@@ -705,7 +746,7 @@ def test_quotients_padpair_r4_are_trees():
 
 
 def test_quotients_refuse_inexact_partition():
-    ball = farley_ball(PADPAIR, A1B1, 2)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     doubted = dataclasses.replace(part, exact=False)
     with pytest.raises(ValueError):
@@ -770,7 +811,7 @@ def separating_counts(a, b, ball, partition):
 
 
 def test_separating_counts_pad_loop():
-    ball = farley_ball(PADPAIR, A1B1, 6)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     base = eps(PADPAIR, A1B1)
     assert separating_counts(base, PAD_LOOP, ball, part) == {
@@ -783,7 +824,7 @@ def test_separating_counts_pad_loop():
 
 
 def test_separating_counts_guard():
-    ball = farley_ball(PADPAIR, A1B1, 4)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     with pytest.raises(ValueError):
         # distance 2 needs radius >= 6 for the interval to provably stay in
@@ -793,15 +834,17 @@ def test_separating_counts_guard():
 
 
 def test_embedding_reports():
-    part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
-    rep = check_isometric_embedding(farley_ball(PADPAIR, A1B1, 4), part)
+    # one search serves the rank partition and the ball, as in embed-check
+    search = ClassSearch(PADPAIR, PADPAIR_CAPS)
+    part = rank_partition(search, A1B1)
+    rep = check_isometric_embedding(farley_ball(search, A1B1, 4), part)
     assert rep.ok and rep.exact
     assert rep.ranks == (0, 1)
     assert rep.pairs_checked == 6  # the seven depth<=1 vertices, distance 1 apart
 
     part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
     rep = check_isometric_embedding(
-        farley_ball(COMM, W("a a b c"), 3), part
+        farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 3), part
     )
     assert rep.ok and rep.exact and rep.ranks == (0, 1)
 
@@ -809,7 +852,7 @@ def test_embedding_reports():
 def test_embedding_radius_six_regression():
     # regression pin: cross-checked against the brute-force enumerator at
     # smaller radii, then frozen at the radius the embedding check needs
-    ball = farley_ball(PADPAIR, A1B1, 6)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     assert (len(ball.depths), len(ball.edges)) == (962, 1696)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
     rep = check_isometric_embedding(ball, part)
@@ -823,11 +866,11 @@ def test_embedding_radius_six_regression():
 
 
 def test_left_multiplication_acts_freely():
-    ball = farley_ball(PADPAIR, A1B1, 3)
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     for g in (LOOP_A, LOOP_B, PAD_LOOP):
-        for i, d in enumerate(vertex_diagrams(ball)):
+        for d in vertex_diagrams(ball):
             moved = reference_reduce(compose(g, d))
-            assert canonical_key(moved) != ball.keys[i]
+            assert canonical_key(moved) != canonical_key(d)
 
 
 def test_property_b_scan_cyc3_loop_ratio_exactly_three():
