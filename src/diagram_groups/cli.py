@@ -16,53 +16,23 @@ and ``decompose`` offer ``--format dot``.  Before dispatch, ``main`` checks
 the flags and loads the shared inputs once (:func:`_load_inputs`), so every
 command reads ``ns.caps``, ``ns.pres`` and its words already validated, and
 asks every class search of the call through the one ``ns.search``.
+
+At load the module imports only the standard library and ``rewriting``,
+which every command needs; each command, and each helper that loads or
+draws a paper object, imports what it calls at the top of its own body.
+A call therefore compiles and runs only the modules its command reaches
+(``class`` none beyond ``rewriting``, ``relate`` only ``squier``), and
+names used only in annotations are imported for type checkers alone.
 """
+
+from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .decomposition import (
-    decompose,
-    euler_characteristic,
-    free_rank,
-    fundamental_group_presentation,
-    gog_to_dot,
-    gog_to_json,
-)
-from .diagrams import (
-    Diagram,
-    compose,
-    from_derivation,
-    is_reduced,
-    parse_diagram,
-    reduce_diagram,
-    serialize_diagram,
-)
-from .farley import (
-    check_isometric_embedding,
-    farley_ball,
-    property_b_scan,
-    rank_partition,
-)
-from .interval import (
-    ElementBoundError,
-    IntervalCollection,
-    base_word,
-    collection_to_json,
-    disjointness_graph,
-    evidence_to_json,
-    interval_graph,
-    is_complement_of_interval,
-    parse_intervals,
-    presentation_for,
-    recognition_to_json,
-    verify_raag_iso,
-)
-from .raag import format_raag_word, hyperplane_generators, phi
 from .rewriting import (
     ClassSearch,
     Presentation,
@@ -73,16 +43,14 @@ from .rewriting import (
     parse_presentation,
     word_of,
 )
-from .squier import (
-    OutsideCatalogError,
-    SquierBall,
-    TransversalityGraph,
-    build_ball,
-    dimension_at_least,
-    specialness_report,
-    transversality_graph,
-)
-from .raag import RaagGraph, raag_graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .diagrams import Diagram
+    from .interval import IntervalCollection
+    from .raag import RaagGraph
+    from .squier import SquierBall, TransversalityGraph
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -150,6 +118,8 @@ def _load_inputs(ns: argparse.Namespace) -> None:
 
 
 def _load_diagram(path: str, pres: Presentation) -> Diagram:
+    from .diagrams import parse_diagram
+
     try:
         return parse_diagram(_read(path), pres)
     except (PresentationError, ValueError) as e:
@@ -159,6 +129,8 @@ def _load_diagram(path: str, pres: Presentation) -> Diagram:
 def _parse_graph(text: str) -> RaagGraph:
     """Line format mirroring the presentation files: ``vertices:`` then
     ``edge: u v`` lines, ``#`` comments."""
+    from .raag import raag_graph
+
     vertices: List[str] = []
     edges: List[Tuple[str, str]] = []
     saw_vertices = False
@@ -185,6 +157,8 @@ def _parse_graph(text: str) -> RaagGraph:
 
 
 def _load_collection(path: str) -> IntervalCollection:
+    from .interval import parse_intervals
+
     try:
         return parse_intervals(_read(path))
     except ValueError as e:
@@ -329,6 +303,8 @@ def _cmd_class(ns: argparse.Namespace) -> int:
 
 
 def _cmd_equal(ns: argparse.Namespace) -> int:
+    from .diagrams import from_derivation
+
     tb = ns.search.equal(ns.w1, ns.w2)
     moves: List[List[object]] = []
     cells = None
@@ -356,6 +332,8 @@ def _cmd_equal(ns: argparse.Namespace) -> int:
 
 
 def _diagram_report(d: Diagram, ns: argparse.Namespace) -> None:
+    from .diagrams import is_reduced, serialize_diagram
+
     if ns.format == "dot":
         print(diagram_to_dot(d))
     elif ns.format == "text":
@@ -374,12 +352,16 @@ def _diagram_report(d: Diagram, ns: argparse.Namespace) -> None:
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
+    from .diagrams import reduce_diagram
+
     d = _load_diagram(ns.diagram, ns.pres)
     _diagram_report(reduce_diagram(d), ns)
     return EXIT_OK
 
 
 def _cmd_compose(ns: argparse.Namespace) -> int:
+    from .diagrams import compose, reduce_diagram
+
     d1 = _load_diagram(ns.d1, ns.pres)
     d2 = _load_diagram(ns.d2, ns.pres)
     try:
@@ -393,6 +375,8 @@ def _cmd_compose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_squier(ns: argparse.Namespace) -> int:
+    from .squier import build_ball
+
     ball = build_ball(ns.search, ns.w)
     if ns.format == "dot":
         print(ball_to_dot(ball))
@@ -417,6 +401,8 @@ def _cmd_squier(ns: argparse.Namespace) -> int:
 
 
 def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
+    from .squier import build_ball
+
     ball = build_ball(ns.search, ns.w)
     catalog = ball.catalog
     if ns.format == "text":
@@ -441,6 +427,8 @@ def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
 
 
 def _cmd_relate(ns: argparse.Namespace) -> int:
+    from .squier import build_ball, transversality_graph
+
     ball = build_ball(ns.search, ns.w)
     tg = transversality_graph(ball)
     if ns.format == "dot":
@@ -465,6 +453,8 @@ def _cmd_relate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_special(ns: argparse.Namespace) -> int:
+    from .squier import specialness_report
+
     report = specialness_report(ns.search, ns.w)
     if ns.format == "text":
         print(f"clean: {report.clean.value}")
@@ -494,6 +484,8 @@ def _cmd_special(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dim(ns: argparse.Namespace) -> int:
+    from .squier import dimension_at_least
+
     tb = dimension_at_least(ns.search, ns.w, ns.n)
     witness: object = None
     if tb.is_yes and tb.witness is not None:
@@ -519,6 +511,8 @@ def _cmd_dim(ns: argparse.Namespace) -> int:
 
 
 def _cmd_rank_table(ns: argparse.Namespace) -> int:
+    from .farley import rank_partition
+
     partition = rank_partition(ns.search, ns.w)
     rows = [
         {
@@ -547,6 +541,9 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
 
 
 def _cmd_phi(ns: argparse.Namespace) -> int:
+    from .raag import format_raag_word, hyperplane_generators, phi
+    from .squier import OutsideCatalogError, build_ball
+
     d = _load_diagram(ns.diagram, ns.pres)
     ball = build_ball(ns.search, ns.w)
     gens = hyperplane_generators(ball)
@@ -581,6 +578,8 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
 
 
 def _cmd_farley(ns: argparse.Namespace) -> int:
+    from .farley import farley_ball
+
     ball = farley_ball(ns.search, ns.w, ns.radius)
     if ns.format == "dot":
         print(farley_to_dot(ball))
@@ -607,6 +606,9 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
 
 
 def _cmd_embed_check(ns: argparse.Namespace) -> int:
+    from .farley import check_isometric_embedding, farley_ball, rank_partition
+    from .squier import OutsideCatalogError
+
     head = {"base": format_word(ns.w), "radius": ns.radius}
     partition = rank_partition(ns.search, ns.w)
     if not partition.exact:
@@ -647,6 +649,8 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
 
 
 def _cmd_propb(ns: argparse.Namespace) -> int:
+    from .farley import property_b_scan
+
     gens = [_load_diagram(path, ns.pres) for path in ns.generator]
     try:
         scan = property_b_scan(ns.pres, ns.w, gens, ns.length)
@@ -676,6 +680,14 @@ def _cmd_propb(ns: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
+    from .decomposition import (
+        decompose,
+        free_rank,
+        fundamental_group_presentation,
+        gog_to_dot,
+        gog_to_json,
+    )
+
     gog = decompose(ns.search, ns.w, depth=ns.depth)
     if ns.format == "dot":
         print(gog_to_dot(gog))
@@ -704,6 +716,9 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_euler(ns: argparse.Namespace) -> int:
+    from .decomposition import euler_characteristic
+    from .squier import build_ball
+
     ball = build_ball(ns.search, ns.w)
     if not ball.complete:
         if ns.format == "text":
@@ -738,6 +753,16 @@ def _cmd_euler(ns: argparse.Namespace) -> int:
 
 
 def _cmd_interval(ns: argparse.Namespace) -> int:
+    from .interval import (
+        base_word,
+        collection_to_json,
+        disjointness_graph,
+        interval_graph,
+        is_complement_of_interval,
+        presentation_for,
+        recognition_to_json,
+    )
+
     if ns.intervals:
         coll = _load_collection(ns.intervals)
         pres = presentation_for(coll)
@@ -768,6 +793,13 @@ def _cmd_interval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_raag(ns: argparse.Namespace) -> int:
+    from .interval import (
+        ElementBoundError,
+        collection_to_json,
+        evidence_to_json,
+        verify_raag_iso,
+    )
+
     coll = _load_collection(ns.intervals)
     try:
         ev = verify_raag_iso(coll, ns.caps, length=ns.length)
@@ -800,6 +832,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     def ratio(text: str) -> Optional[Fraction]:
         """A ratio bound; the empty string sets none."""
+        from fractions import Fraction
+
         try:
             return Fraction(text) if text else None
         except ZeroDivisionError:

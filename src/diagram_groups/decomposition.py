@@ -263,14 +263,6 @@ class FreeBasis:
         return tuple(out)
 
 
-def free_basis(search: ClassSearch, w: Word) -> Optional[FreeBasis]:
-    """Free basis of the group at ``w`` when its enumerated piece is a graph;
-    None as soon as a square shows up (the group need not be free then)."""
-    search.pres.check_word(w)
-    ball = build_ball(search, search.rep(w)[0])
-    return None if ball.squares else FreeBasis(ball)
-
-
 # ---------------------------------------------------------------------------
 # group presentations
 # ---------------------------------------------------------------------------
@@ -977,7 +969,6 @@ __all__ = [
     "decompose",
     "euler_characteristic",
     "factor_group",
-    "free_basis",
     "free_rank",
     "fundamental_group_presentation",
     "gog_to_dot",

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagrams import (
     Diagram,
@@ -78,6 +77,11 @@ from .squier import (
     build_ball,
     disjoint_cubes,
 )
+
+if TYPE_CHECKING:
+    # ``property_b_scan`` imports ``Fraction`` itself: only ``propb`` uses
+    # the module, and every other command would pay for loading it
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -259,64 +263,6 @@ def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
     return tuple(
         partition.ranks[index(e.word, e.move)].value for e in ball.edges
     )
-
-
-@dataclass(frozen=True)
-class BallHyperplane:
-    """A parallelism class of ball edges (opposite edges of shared squares).
-
-    All member edges cover a single hyperplane downstairs — that is the
-    well-definedness of the pullback, and it is checked, not assumed.
-    """
-
-    index: int
-    edges: Tuple[int, ...]
-    squier: HyperplaneId
-    rank: int
-
-
-def ball_hyperplanes(
-    ball: FarleyBall, partition: RankPartition
-) -> Tuple[BallHyperplane, ...]:
-    """Group the ball's edges into hyperplanes by square-parallelism."""
-    parent = list(range(len(ball.edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    eidx = {(e.low, e.high): i for i, e in enumerate(ball.edges)}
-    for sq in ball.squares:
-        c = sq.corners
-        union(eidx[(c[0], c[1])], eidx[(c[2], c[3])])
-        union(eidx[(c[0], c[2])], eidx[(c[1], c[3])])
-
-    classes: Dict[int, List[int]] = {}
-    for i in range(len(ball.edges)):
-        classes.setdefault(find(i), []).append(i)
-
-    index = partition.ball.hyperplane_index
-    ids = partition.ball.catalog.ids
-    out = []
-    for n, root in enumerate(sorted(classes)):
-        members = tuple(sorted(classes[root]))
-        found = {index(ball.edges[i].word, ball.edges[i].move) for i in members}
-        if len(found) != 1:
-            raise ValueError(
-                "parallel edges pulled back to distinct hyperplanes "
-                f"({', '.join(str(ids[h]) for h in sorted(found))}); "
-                "the covering data is too truncated to be trusted"
-            )
-        h = found.pop()
-        out.append(BallHyperplane(n, members, ids[h], partition.ranks[h].value))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +484,8 @@ def property_b_scan(
     the genuine Cayley distance for that generating set, not an estimate.
     The ball yields each element's cell count with its word length.
     """
+    from fractions import Fraction
+
     for g in generators:
         if g.pres != pres or g.top != w or not g.is_spherical:
             raise ValueError(
@@ -562,7 +510,6 @@ def property_b_scan(
 
 
 __all__ = [
-    "BallHyperplane",
     "EmbeddingReport",
     "FarleyBall",
     "FarleyCube",
@@ -570,7 +517,6 @@ __all__ = [
     "PropertyBScan",
     "RankPartition",
     "TreeQuotient",
-    "ball_hyperplanes",
     "check_isometric_embedding",
     "distance",
     "edge_ranks",

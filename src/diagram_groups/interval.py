@@ -410,13 +410,6 @@ def _loop_moves(name: str, exp: int, coll: IntervalCollection) -> Tuple[Move, ..
     return moves if exp == 1 else tuple(m.inverted() for m in reversed(moves))
 
 
-def delta_diagram(name: str, coll: IntervalCollection) -> Diagram:
-    """The five-cell spherical loop of one interval at the base word.
-    Reduced, because no two consecutive cells use the same relation in
-    opposite directions."""
-    return Diagram(presentation_for(coll), base_word(coll), _loop_moves(name, 1, coll))
-
-
 def evaluate_raag_word(w: RaagWord, coll: IntervalCollection) -> Diagram:
     """Image of an abstract word in the interval generators: the named
     loops (or their inverses) one after another, reduced."""
@@ -574,7 +567,6 @@ __all__ = [
     "base_word",
     "collection_to_json",
     "complement",
-    "delta_diagram",
     "diagram_ball_sizes",
     "disjointness_graph",
     "evaluate_raag_word",

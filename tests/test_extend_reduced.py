@@ -52,12 +52,12 @@ from diagram_groups.interval import (
     ElementBoundError,
     IntervalCollection,
     base_word,
-    delta_diagram,
     diagram_ball_sizes,
     parse_intervals,
     presentation_for,
 )
 from diagram_groups.rewriting import Move, one_step_rewrites
+from test_interval import delta_diagram
 
 
 def loop_generators(coll):

@@ -51,7 +51,6 @@ from diagram_groups.diagrams import (
 from diagram_groups.farley import (
     FarleyCube,
     FarleyEdge,
-    ball_hyperplanes,
     check_isometric_embedding,
     distance,
     edge_ranks,
@@ -688,6 +687,62 @@ def test_square_edges_pull_back_to_different_ranks():
     for sq in ball.squares:
         c = sq.corners
         assert by_pair[(c[0], c[1])] != by_pair[(c[0], c[2])]
+
+
+@dataclasses.dataclass(frozen=True)
+class BallHyperplane:
+    """A parallelism class of ball edges (opposite edges of shared squares).
+
+    All member edges cover a single hyperplane downstairs — that is the
+    well-definedness of the pullback, and it is checked, not assumed.
+    """
+
+    index: int
+    edges: tuple
+    squier: HyperplaneId
+    rank: int
+
+
+def ball_hyperplanes(ball, partition):
+    """Group the ball's edges into hyperplanes by square-parallelism."""
+    parent = list(range(len(ball.edges)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    eidx = {(e.low, e.high): i for i, e in enumerate(ball.edges)}
+    for sq in ball.squares:
+        c = sq.corners
+        union(eidx[(c[0], c[1])], eidx[(c[2], c[3])])
+        union(eidx[(c[0], c[2])], eidx[(c[1], c[3])])
+
+    classes = {}
+    for i in range(len(ball.edges)):
+        classes.setdefault(find(i), []).append(i)
+
+    index = partition.ball.hyperplane_index
+    ids = partition.ball.catalog.ids
+    out = []
+    for n, root in enumerate(sorted(classes)):
+        members = tuple(sorted(classes[root]))
+        found = {index(ball.edges[i].word, ball.edges[i].move) for i in members}
+        if len(found) != 1:
+            raise ValueError(
+                "parallel edges pulled back to distinct hyperplanes "
+                f"({', '.join(str(ids[h]) for h in sorted(found))}); "
+                "the covering data is too truncated to be trusted"
+            )
+        h = found.pop()
+        out.append(BallHyperplane(n, members, ids[h], partition.ranks[h].value))
+    return tuple(out)
 
 
 def test_ball_hyperplanes_well_defined_and_split():

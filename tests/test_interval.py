@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagram_groups.diagrams import compose, inverse, is_reduced, reduce_diagram
+from diagram_groups.diagrams import Diagram, compose, inverse, is_reduced, reduce_diagram
 from diagram_groups.interval import (
+    _loop_moves,
     IntervalCollection,
     base_word,
     collection_to_json,
     complement,
-    delta_diagram,
     diagram_ball_sizes,
     disjointness_graph,
     evaluate_raag_word,
@@ -345,6 +345,13 @@ def test_empty_collection_presents_a_point():
     pres = presentation_for(coll)
     assert pres.relations == ()
     assert diagram_ball_sizes(coll, 3) == (1, 1, 1, 1)
+
+
+def delta_diagram(name, coll):
+    """The five-cell spherical loop of one interval at the base word.
+    Reduced, because no two consecutive cells use the same relation in
+    opposite directions."""
+    return Diagram(presentation_for(coll), base_word(coll), _loop_moves(name, 1, coll))
 
 
 def test_delta_diagram_is_a_five_cell_reduced_loop():

@@ -34,6 +34,7 @@ from diagram_groups.rewriting import (
     Move,
     SearchCaps,
     enumerate_class,
+    format_word,
     one_step_rewrites,
     parse_presentation,
 )
@@ -50,15 +51,12 @@ from diagram_groups.squier import (
     find_self_osculations,
     hyperplane_catalog,
     hyperplane_id,
-    inter_osculation_config,
     rank,
     refute_absorbing_splits,
     refute_inter_osculations,
     relate,
     scan_self_intersections,
     scan_self_osculations,
-    self_intersection_square,
-    self_osculation_config,
     specialness_report,
     split_to_self_intersection,
     transversality_graph,
@@ -674,6 +672,33 @@ class TestRank:
 # ---------------------------------------------------------------------------
 
 
+def self_intersection_square(search, wit, w0):
+    """Rebuild and verify the geometric square a·p·b·p·c from a witness.
+
+    Checks that the square's word lies in the base class and that both dual
+    edges have the same hyperplane identity; raises ValueError otherwise.
+    """
+    word = wit.a + wit.p + wit.b + wit.p + wit.c
+    if not search.equal(word, w0).is_yes:
+        raise ValueError("witness square does not lie in the base class")
+    rel_index = None
+    for i, rel in enumerate(search.pres.relations):
+        if (rel.lhs, rel.rhs) in ((wit.p, wit.q), (wit.q, wit.p)):
+            rel_index = i
+            forward = rel.lhs == wit.p
+            break
+    if rel_index is None:
+        raise ValueError("witness side is not a relation side")
+    o1, o2 = len(wit.a), len(wit.a) + len(wit.p) + len(wit.b)
+    m1 = Move(o1, rel_index, forward)
+    m2 = Move(o2, rel_index, forward)
+    if not search.equal(wit.a, wit.a + wit.p + wit.b).is_yes:
+        raise ValueError("left absorption equation fails")
+    if not search.equal(wit.c, wit.b + wit.p + wit.c).is_yes:
+        raise ValueError("right absorption equation fails")
+    return BallCube(word, (m1, m2))
+
+
 class TestSelfIntersection:
     def test_dirty_splits_found(self):
         splits, _ = find_absorbing_splits(ClassSearch(DIRTY, TIGHT_CAPS), W("a b"))
@@ -729,6 +754,37 @@ class TestSelfIntersection:
 # ---------------------------------------------------------------------------
 # pathologies: self-osculation
 # ---------------------------------------------------------------------------
+
+
+def self_osculation_config(search, wit, w0):
+    """Rebuild the geometric configuration: the word a (kh)^{n+1} k b carries
+    two overlapping co-initial rewrites dual to one oriented hyperplane."""
+    sigma = (wit.k + wit.h) * wit.n + wit.k
+    word = wit.a + wit.k + wit.h + sigma + wit.b
+    if not search.equal(word, w0).is_yes:
+        raise ValueError("osculation word does not lie in the base class")
+    rel_index = forward = None
+    for i, rel in enumerate(search.pres.relations):
+        if rel.lhs == sigma:
+            rel_index, forward = i, True
+            break
+        if rel.rhs == sigma:
+            rel_index, forward = i, False
+            break
+    if rel_index is None:
+        raise ValueError("periodic side is not a relation side")
+    delta = len(wit.k) + len(wit.h)
+    m1 = Move(len(wit.a), rel_index, forward)
+    m2 = Move(len(wit.a) + delta, rel_index, forward)
+    if delta >= len(sigma):
+        raise ValueError("occurrences do not overlap")
+    if not search.equal(word[: m1.offset], word[: m2.offset]).is_yes:
+        raise ValueError("left parts differ; not one hyperplane")
+    if not search.equal(
+        word[m1.offset + len(sigma):], word[m2.offset + len(sigma):]
+    ).is_yes:
+        raise ValueError("right parts differ; not one hyperplane")
+    return word, m1, m2
 
 
 class TestSelfOsculation:
@@ -797,6 +853,40 @@ class TestSelfOsculation:
 # ---------------------------------------------------------------------------
 # pathologies: inter-osculation
 # ---------------------------------------------------------------------------
+
+
+def inter_osculation_config(search, wit, w0):
+    """Rebuild the osculation vertex and the separate crossing square."""
+
+    def side_move(word, offset, side):
+        for i, rel in enumerate(search.pres.relations):
+            if rel.lhs == side and word[offset: offset + len(side)] == side:
+                return Move(offset, i, True)
+            if rel.rhs == side and word[offset: offset + len(side)] == side:
+                return Move(offset, i, False)
+        raise ValueError(f"{format_word(side)} is not a relation side here")
+
+    word = wit.a + wit.u + wit.v + wit.w + wit.b
+    if not search.equal(word, w0).is_yes:
+        raise ValueError("osculation word not in the base class")
+    m1 = side_move(word, len(wit.a), wit.p)
+    m2 = side_move(word, len(wit.a) + len(wit.u), wit.q)
+    if m2.offset >= m1.offset + len(wit.p):
+        raise ValueError("occurrences do not overlap")
+    square_word = wit.a + wit.u + wit.v + wit.xi + wit.v + wit.w + wit.b
+    if not search.equal(square_word, w0).is_yes:
+        raise ValueError("crossing square word not in the base class")
+    s1 = side_move(square_word, len(wit.a), wit.p)
+    s2 = side_move(square_word, len(wit.a + wit.u + wit.v + wit.xi), wit.q)
+    # the two square edges must be dual to the same hyperplanes as the
+    # osculating pair
+    if not search.equal(square_word[: s2.offset], word[: m2.offset]).is_yes:
+        raise ValueError("second hyperplane mismatch between square and vertex")
+    if not search.equal(
+        square_word[s1.offset + len(wit.p):], word[m1.offset + len(wit.p):]
+    ).is_yes:
+        raise ValueError("first hyperplane mismatch between square and vertex")
+    return (word, m1, m2), BallCube(square_word, (s1, s2))
 
 
 class TestInterOsculation:
