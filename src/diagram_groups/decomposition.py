@@ -247,10 +247,7 @@ class FreeBasis:
             nxt = move.apply(w, ball.pres)
             if nxt not in ball.enum:
                 return None
-            if move.forward:
-                edge, sign = BallEdge(w, move), 1
-            else:
-                edge, sign = BallEdge(nxt, move.inverted()), -1
+            edge, sign = BallEdge.of(w, move, ball.pres), 1 if move.forward else -1
             if edge in ball.tree:
                 continue
             idx = self._index.get(edge)
@@ -588,21 +585,6 @@ class GraphOfGroups:
     exact: bool
     notes: Tuple[str, ...] = ()
 
-    def component_count(self) -> int:
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            ra, rb = find(e.minus_vertex), find(e.plus_vertex)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return len({find(i) for i in range(len(self.vertices))})
-
 
 def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
     """Cut the class complex of ``w`` along its left hyperplanes.
@@ -669,7 +651,8 @@ def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
 
 def free_rank(gog: GraphOfGroups) -> int:
     """Rank of the fundamental group when every group label is trivial:
-    edges − vertices + components of the underlying graph."""
+    the edges of the underlying graph outside a spanning forest, which is
+    edges − vertices + components (each forest edge reaches one new vertex)."""
     offenders = []
     for i, v in enumerate(gog.vertices):
         if not (v.left_group.is_trivial and v.right_group.is_trivial):
@@ -682,7 +665,7 @@ def free_rank(gog: GraphOfGroups) -> int:
             "free_rank needs every vertex and edge group trivial; not so for "
             + ", ".join(offenders)
         )
-    return len(gog.edges) - len(gog.vertices) + gog.component_count()
+    return len(gog.edges) - len(_spanning_forest(gog))
 
 
 def euler_characteristic(ball: SquierBall) -> int:

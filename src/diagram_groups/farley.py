@@ -71,7 +71,6 @@ from .rewriting import (
 )
 from .squier import (
     CubeTable,
-    HyperplaneId,
     RankResult,
     SquierBall,
     build_ball,
@@ -242,17 +241,11 @@ class RankPartition:
     ranks: Tuple[RankResult, ...]
     exact: bool
 
-    def families(self) -> Dict[int, Tuple[HyperplaneId, ...]]:
-        out: Dict[int, List[HyperplaneId]] = {}
-        for h, r in zip(self.ball.catalog.ids, self.ranks):
-            out.setdefault(r.value, []).append(h)
-        return {k: tuple(v) for k, v in out.items()}
-
 
 def rank_partition(search: ClassSearch, w: Word) -> RankPartition:
     """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
     ball = build_ball(search, w)
-    ranks = tuple(ball.order.rank(h) for h in ball.catalog.ids)
+    ranks = ball.order.ranks
     exact = ball.catalog.exact and all(r.exact for r in ranks)
     return RankPartition(ball, ranks, exact)
 
@@ -461,14 +454,6 @@ class PropertyBScan:
     table: Tuple[Tuple[int, int], ...]
     min_ratio: Optional[Fraction]
     max_ratio: Optional[Fraction]
-
-    def within(self, lo: Fraction, hi: Fraction) -> bool:
-        """Do all ratios lie in ``[lo, hi]``?  (Exact rational comparison.)"""
-        return all(
-            lo * wl <= cells and cells <= hi * wl
-            for wl, cells in self.table
-            if wl > 0
-        )
 
 
 def property_b_scan(

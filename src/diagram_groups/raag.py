@@ -16,12 +16,18 @@ the group iff their normal forms coincide (geodesics in a partially
 commutative group form a single shuffle class).
 """
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from __future__ import annotations
 
-from .diagrams import Diagram
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+
 from .rewriting import Move, Presentation, format_word
-from .squier import SquierBall, transversality_graph
+
+if TYPE_CHECKING:
+    # only the hyperplane morphism reaches the class complex; ``verify-raag``
+    # loads this module for the Artin groups alone
+    from .diagrams import Diagram
+    from .squier import SquierBall
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,8 @@ class HyperplaneGenerators:
 
 
 def hyperplane_generators(ball: SquierBall) -> HyperplaneGenerators:
+    from .squier import transversality_graph
+
     labels = tuple(f"H{i}" for i in range(len(ball.catalog.ids)))
     tg = transversality_graph(ball)
     edges = []

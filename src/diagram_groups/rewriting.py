@@ -345,9 +345,6 @@ class ClassEnumeration:
         return Derivation(self.seed, _tree_steps(self.parent, self.seed, target))
 
 
-Rewrites = Callable[[Word], Tuple[Tuple[Move, Word], ...]]
-
-
 def _tree_steps(
     parent: Dict[Word, Tuple[Word, Move]], seed: Word, target: Word
 ) -> Tuple[Move, ...]:
@@ -371,10 +368,10 @@ class _BfsSide:
         self.capped = False
 
     def expand(
-        self, rewrites: Rewrites, caps: SearchCaps, other: Optional["_BfsSide"] = None
+        self, search: ClassSearch, other: Optional["_BfsSide"] = None
     ) -> Optional[Word]:
         """Pop the next frontier word and record its unvisited neighbours,
-        read from ``rewrites``.
+        read from the run's neighbour table :meth:`ClassSearch.rewrites`.
 
         This is the one place the caps are applied: a neighbour deeper than
         ``max_bfs_depth``, longer than ``max_word_len``, or past
@@ -384,8 +381,8 @@ class _BfsSide:
         """
         w, depth = self.queue.popleft()
         depth += 1
-        parent, seed = self.parent, self.seed
-        for move, nxt in rewrites(w):
+        parent, seed, caps = self.parent, self.seed, search.caps
+        for move, nxt in search.rewrites(w):
             if nxt in parent or nxt == seed:
                 continue
             if (
@@ -406,26 +403,20 @@ class _BfsSide:
         return ClassEnumeration(self.seed, members, not self.capped, self.parent)
 
 
-def _scan(pres: Presentation) -> Rewrites:
-    return lambda w: one_step_rewrites(w, pres)
-
-
-def enumerate_class(
-    seed: Word, pres: Presentation, caps: SearchCaps, rewrites: Optional[Rewrites] = None
-) -> ClassEnumeration:
-    """Breadth-first closure of ``[seed]`` under elementary rewrites.
+def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
+    """Breadth-first closure of ``[seed]`` under elementary rewrites, within
+    the caps of ``search``; read it as :meth:`ClassSearch.enum`, which runs
+    it once per word per run.
 
     The seed itself is always retained (even when longer than the word cap);
     a neighbour is pruned, and completeness lost, when it would exceed any
-    cap.  Neighbours come from ``rewrites`` (a run's
-    :meth:`ClassSearch.rewrites`), by default a fresh scan of each word.
+    cap.
     """
-    pres.check_word(seed)
-    rewrites = rewrites or _scan(pres)
+    search.pres.check_word(seed)
     side = _BfsSide(seed)
     while side.queue:
-        side.expand(rewrites, caps)
-    return side.enumeration(pres)
+        side.expand(search)
+    return side.enumeration(search.pres)
 
 
 @dataclass(frozen=True)
@@ -470,14 +461,10 @@ class TriBool:
         return TriBool("unknown", witness)
 
 
-def equal_mod_p(
-    w1: Word,
-    w2: Word,
-    pres: Presentation,
-    caps: SearchCaps,
-    rewrites: Optional[Rewrites] = None,
-) -> TriBool:
-    """Decide ``w1 = w2`` modulo the presentation, within caps.
+def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
+    """Decide ``w1 = w2`` modulo the presentation, within the caps of
+    ``search``; read it as :meth:`ClassSearch.equal`, which runs it once per
+    pair per run.
 
     Bidirectional BFS from both words, with neighbours read as in
     :func:`enumerate_class`.  ``yes`` carries a connecting
@@ -486,11 +473,11 @@ def equal_mod_p(
     :func:`enumerate_class` gives for its seed; ``unknown`` means both
     frontiers were capped before meeting.
     """
+    pres = search.pres
     pres.check_word(w1)
     pres.check_word(w2)
     if w1 == w2:
         return TriBool.yes(Derivation(w1, ()))
-    rewrites = rewrites or _scan(pres)
     sides = (_BfsSide(w1), _BfsSide(w2))
     while True:
         active = [s for s in sides if s.queue]
@@ -498,7 +485,7 @@ def equal_mod_p(
             return TriBool.unknown()
         side = min(active, key=lambda s: len(s.queue))
         other = sides[1] if side is sides[0] else sides[0]
-        meet = side.expand(rewrites, caps, other)
+        meet = side.expand(search, other)
         if meet is not None:
             there = _tree_steps(sides[0].parent, w1, meet)
             back = _tree_steps(sides[1].parent, w2, meet)
@@ -549,7 +536,7 @@ class ClassSearch:
 
     def enum(self, w: Word) -> ClassEnumeration:
         """:func:`enumerate_class` of ``w``."""
-        return self.once(_enumerate, w)
+        return self.once(enumerate_class, w)
 
     def equal(self, w1: Word, w2: Word) -> TriBool:
         """:func:`equal_mod_p` of ``w1`` and ``w2``."""
@@ -562,15 +549,11 @@ class ClassSearch:
         return enum.members[0], enum.complete
 
 
-def _enumerate(search: ClassSearch, w: Word) -> ClassEnumeration:
-    return enumerate_class(w, search.pres, search.caps, rewrites=search.rewrites)
-
-
 def _equal_pair(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
-    verdict = equal_mod_p(w1, w2, search.pres, search.caps, rewrites=search.rewrites)
+    verdict = equal_mod_p(search, w1, w2)
     if verdict.is_no:
         # the exhausted side grew exactly as enumerate_class grows its seed
-        key = (_enumerate, (verdict.witness.seed,))
+        key = (enumerate_class, (verdict.witness.seed,))
         return TriBool.no(search._memo.setdefault(key, verdict.witness))
     return verdict
 

@@ -4,16 +4,17 @@ The words congruent to a base word form the vertices of a cube complex: edges
 are elementary rewrites, and ``n`` rewrites applicable at pairwise-disjoint
 intervals of a word span an ``n``-cube.  A *hyperplane* is what a single
 relation application looks like from far away: two edges ``(a, u -> v, b)``
-and ``(c, u -> v, d)`` are dual to the same oriented hyperplane exactly when
-they use the same relation in the same direction and ``a = c``, ``b = d``
-modulo the presentation.
+and ``(c, u -> v, d)`` are dual to the same hyperplane exactly when they use
+the same relation and ``a = c``, ``b = d`` modulo the presentation.  An edge
+crossed in either direction has one hyperplane, so a :class:`HyperplaneId`
+carries no orientation.
 
 This module builds bounded balls of that complex and answers the geometric
 questions that control the diagram group of the base word:
 
 * ``crossing_order`` — do two hyperplanes cross, and in which left/right
-  order (the order ≺), for every pair of the ball's hyperplanes;
-* ``rank`` — the longest chain of crossings strictly below a hyperplane;
+  order (the order ≺), for every pair of the ball's hyperplanes, with the
+  rank of each: the longest chain of crossings strictly below it;
 * ``dimension_at_least`` — does the complex contain an ``n``-cube;
 * ``specialness_report`` — certificates for cleanliness (no hyperplane
   crosses itself) and specialness (additionally, no two crossing
@@ -32,10 +33,12 @@ A :class:`SquierBall` is the one object these questions are read from, and
 ``build_ball`` builds one per base word per run.  It carries the run's
 search and owns its generating ``loops``, its hyperplane ``catalog`` and its
 crossing ``order``, each built on first use: ``decomposition`` reads the
-loops, and ``rank``, ``relate``, ``transversality_graph``, the rank
-partition, the RAAG generators and the left hyperplanes read the rest.  An
-edge, in or out of the ball, learns its hyperplane through
-``ball.hyperplane_index``, the one map from edges to catalog positions.
+loops, and ``transversality_graph``, the rank partition, the RAAG
+generators and the left hyperplanes read the rest.  The order is one table
+over catalog positions that holds ≺ and the ranks; ``relate`` and ``rank``
+only look a cataloged hyperplane up in ``ball.order``.  An edge, in or out
+of the ball, learns its hyperplane through ``ball.hyperplane_index``, the
+one map from edges to catalog positions.
 
 Cubes of this complex and of Farley's complex of reduced diagrams, which
 covers it, come from one routine, ``disjoint_cubes``, over tables of the
@@ -47,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
     ClassEnumeration,
@@ -78,6 +81,13 @@ class BallEdge:
 
     source: Word
     move: Move
+
+    @staticmethod
+    def of(word: Word, move: Move, pres: Presentation) -> "BallEdge":
+        """The edge that ``move`` crosses at ``word``, turned forward."""
+        if move.forward:
+            return BallEdge(word, move)
+        return BallEdge(move.apply(word, pres), move.inverted())
 
     def target(self, pres: Presentation) -> Word:
         return self.move.apply(self.source, pres)
@@ -215,10 +225,7 @@ class SquierBall(CubeTable):
     @cached_property
     def tree(self) -> FrozenSet[BallEdge]:
         pres = self.pres
-        return frozenset(
-            BallEdge(p, m) if m.forward else BallEdge(m.apply(p, pres), m.inverted())
-            for p, m in self.enum.parent.values()
-        )
+        return frozenset(BallEdge.of(p, m, pres) for p, m in self.enum.parent.values())
 
     @cached_property
     def loops(self) -> Tuple[BallEdge, ...]:
@@ -243,11 +250,7 @@ class SquierBall(CubeTable):
         match in catalog order wins.  Raises :class:`OutsideCatalogError`
         when nothing matches.
         """
-        edge = (
-            BallEdge(word, move)
-            if move.forward
-            else BallEdge(move.apply(word, self.pres), move.inverted())
-        )
+        edge = BallEdge.of(word, move, self.pres)
         catalog = self.catalog
         i = catalog.edge_index.get(edge)
         if i is not None:
@@ -261,9 +264,7 @@ class SquierBall(CubeTable):
                 and equal(b, hid.right).is_yes
             ):
                 return i
-        raise OutsideCatalogError(
-            hyperplane_id(self.search, word, move, oriented=False)
-        )
+        raise OutsideCatalogError(hyperplane_id(self.search, word, move))
 
 
 def build_ball(search: ClassSearch, base: Word) -> SquierBall:
@@ -305,44 +306,35 @@ def _build_ball(search: ClassSearch, base: Word) -> SquierBall:
 
 @dataclass(frozen=True)
 class HyperplaneId:
-    """Identity of a (possibly oriented) hyperplane.
+    """Identity of a hyperplane; hyperplanes carry no orientation.
 
     ``left`` and ``right`` are canonical representatives of the congruence
-    classes of the parts; ``forward`` is None for the unoriented hyperplane.
-    ``exact`` records whether both part classes were completely enumerated
-    (two ids with equal fields denote one hyperplane regardless, since the
-    representatives are reached by replayable derivations).
+    classes of the parts.  ``exact`` records whether both part classes were
+    completely enumerated (two ids with equal fields denote one hyperplane
+    regardless, since the representatives are reached by replayable
+    derivations).
     """
 
     left: Word
     relation: int
-    forward: Optional[bool]
     right: Word
     exact: bool = field(compare=False, default=True)
 
-    def unoriented(self) -> "HyperplaneId":
-        return HyperplaneId(self.left, self.relation, None, self.right, self.exact)
-
     def __str__(self) -> str:
-        direction = "" if self.forward is None else (" fwd" if self.forward else " bwd")
         return (
-            f"[{format_word(self.left)} | r{self.relation}{direction} | "
+            f"[{format_word(self.left)} | r{self.relation} | "
             f"{format_word(self.right)}]"
         )
 
 
-def hyperplane_id(
-    search: ClassSearch, source: Word, move: Move, oriented: bool = True
-) -> HyperplaneId:
+def hyperplane_id(search: ClassSearch, source: Word, move: Move) -> HyperplaneId:
     """Identity of the hyperplane dual to the rewrite ``move`` applied at
-    ``source``; the orientation is the direction of that crossing."""
+    ``source``; both directions of one edge get the same id."""
     src, _ = move.sides(search.pres)
     o = move.offset
     left, lx = search.rep(source[:o])
     right, rx = search.rep(source[o + len(src):])
-    return HyperplaneId(
-        left, move.relation, move.forward if oriented else None, right, lx and rx
-    )
+    return HyperplaneId(left, move.relation, right, lx and rx)
 
 
 class OutsideCatalogError(KeyError):
@@ -448,7 +440,7 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
     for (a, b), members in groups:
         la, xa = search.rep(a)
         rb, xb = search.rep(b)
-        hid = HyperplaneId(la, members[0].move.relation, None, rb, xa and xb)
+        hid = HyperplaneId(la, members[0].move.relation, rb, xa and xb)
         packed.append((hid, tuple(members)))
     packed.sort(
         key=lambda hp: (
@@ -537,21 +529,19 @@ def _search_prec_witness(
     return None, exhaustive
 
 
-_Comparer = Callable[[HyperplaneId, HyperplaneId], HyperplaneRelation]
-
-
-def _comparer(ball: SquierBall) -> _Comparer:
-    """Compare two unoriented hyperplanes of the ball.
+def crossing_order(ball: SquierBall) -> CrossingOrder:
+    """Compare every pair of cataloged hyperplanes once, in catalog order;
+    read it as ``ball.order``, which builds it once per ball.
 
     What every comparison shares is built once: the first square (in
-    ``ball.squares`` order) dual to each pair of cataloged hyperplanes, and
-    the letter-count invariants of the presentation.  A square settles a
-    pair immediately; otherwise a bounded witness search and the structural
+    ``ball.squares`` order) dual to each pair of catalog positions, and the
+    letter-count invariants of the presentation.  A square settles a pair
+    immediately; otherwise a bounded witness search and the structural
     certificates decide, and anything left over is unknown.
     """
-    pres = ball.pres
-    index, hyperplane = ball.catalog.index, ball.hyperplane_index
-    # pair (low, high) of catalog indices -> (index of the left dual, square)
+    pres, ids = ball.pres, ball.catalog.ids
+    hyperplane = ball.hyperplane_index
+    # pair (low, high) of catalog positions -> (position of the left dual, square)
     first_square: Dict[Tuple[int, int], Tuple[int, BallCube]] = {}
     for square in ball.squares:
         left = hyperplane(square.corner, square.moves[0])
@@ -576,18 +566,16 @@ def _comparer(ball: SquierBall) -> _Comparer:
             return "yes", y
         return ("no", "exhaustive search") if exhaustive else ("unknown", None)
 
-    def compare(j1: HyperplaneId, j2: HyperplaneId) -> HyperplaneRelation:
-        i1, i2 = index.get(j1), index.get(j2)
-        if i1 is not None and i2 is not None:
-            hit = first_square.get((min(i1, i2), max(i1, i2)))
-            if hit is not None:
-                left, square = hit
-                value = "first_prec_second" if left == i1 else "second_prec_first"
-                return HyperplaneRelation(value, square)
-        first, w_first = one_direction(j1, j2)
+    def compare(i: int, j: int) -> HyperplaneRelation:
+        hit = first_square.get((i, j))
+        if hit is not None:
+            left, square = hit
+            value = "first_prec_second" if left == i else "second_prec_first"
+            return HyperplaneRelation(value, square)
+        first, w_first = one_direction(ids[i], ids[j])
         if first == "yes":
             return HyperplaneRelation("first_prec_second", w_first)
-        second, w_second = one_direction(j2, j1)
+        second, w_second = one_direction(ids[j], ids[i])
         if second == "yes":
             return HyperplaneRelation("second_prec_first", w_second)
         if first == "no" and second == "no":
@@ -597,18 +585,35 @@ def _comparer(ball: SquierBall) -> _Comparer:
             return disjoint[reasons]
         return HyperplaneRelation("unknown")
 
-    return compare
+    relations = {
+        (i, j): compare(i, j)
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+    }
+    definite = all(rel.value != "unknown" for rel in relations.values())
+    return CrossingOrder(ball, relations, definite)
+
+
+_FLIPPED = {
+    "first_prec_second": "second_prec_first",
+    "second_prec_first": "first_prec_second",
+}
 
 
 def relate(j1: HyperplaneId, j2: HyperplaneId, ball: SquierBall) -> HyperplaneRelation:
-    """Compare two (unoriented) hyperplanes of the ball with the comparison
-    behind ``ball.order``.
+    """How two distinct cataloged hyperplanes of the ball compare in
+    ``ball.order``, with ``j1`` first; a hyperplane outside the catalog
+    raises :class:`KeyError`.
 
     The package itself reads ``ball.order``.  This name stays because the
     per-layer benchmark tracer (``perfbench/tracer.py``) wraps
     ``squier.relate`` by name; it can go once the tracer stops naming it.
     """
-    return ball.order.compare(j1.unoriented(), j2.unoriented())
+    i1, i2 = ball.catalog.index[j1], ball.catalog.index[j2]
+    rel = ball.order.relations[min(i1, i2), max(i1, i2)]
+    if i1 < i2 or rel.value not in _FLIPPED:
+        return rel
+    return HyperplaneRelation(_FLIPPED[rel.value], rel.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +627,16 @@ class TransversalityGraph:
 
     ``edges`` holds (i, j, value) with i < j and the relate value that
     established the crossing; ``odd_cycle`` reports an induced odd cycle of
-    length 5..9 if one exists (None otherwise).
+    length 5..9 if one exists (None otherwise), found on first use.
     """
 
     ids: Tuple[HyperplaneId, ...]
     edges: Tuple[Tuple[int, int, str], ...]
     exact: bool
-    odd_cycle: Optional[Tuple[int, ...]]
+
+    @cached_property
+    def odd_cycle(self) -> Optional[Tuple[int, ...]]:
+        return find_induced_odd_cycle(self.adjacency())
 
     def adjacency(self) -> List[Set[int]]:
         adj: List[Set[int]] = [set() for _ in self.ids]
@@ -675,18 +683,14 @@ def find_induced_odd_cycle(
 
 def transversality_graph(ball: SquierBall) -> TransversalityGraph:
     order = ball.order
-    ids = ball.catalog.ids
     edges = tuple(
         (i, j, rel.value)
         for (i, j), rel in order.relations.items()
         if rel.value in ("first_prec_second", "second_prec_first")
     )
-    exact = ball.catalog.exact and all(
-        rel.value != "unknown" for rel in order.relations.values()
+    return TransversalityGraph(
+        ball.catalog.ids, edges, ball.catalog.exact and order.definite
     )
-    adjacency = TransversalityGraph(ids, edges, exact, None).adjacency()
-    cycle = find_induced_odd_cycle(adjacency)
-    return TransversalityGraph(ids, edges, exact, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -787,113 +791,92 @@ class RankResult:
 
 @dataclass(frozen=True)
 class CrossingOrder:
-    """The crossing order on the cataloged hyperplanes of one ball.
+    """The crossing order ≺ on the cataloged hyperplanes of one ball, by
+    catalog position.
 
     ``relations[i, j]`` (``i < j``) compares ``ball.catalog.ids[i]`` with
     ``ball.catalog.ids[j]``.  The pairs were compared in that order, row by
     row, so the run's class search fills the same way whichever consumer
-    reads them.  ``compare`` settles a pair involving a hyperplane outside the
-    catalog.
+    reads them.  ``definite`` means no pair came back unknown.
     """
 
     ball: SquierBall
     relations: Dict[Tuple[int, int], HyperplaneRelation]
-    compare: _Comparer = field(repr=False)
+    definite: bool
 
-    def rank(self, j: HyperplaneId) -> RankResult:
-        """Longest chain J_1 < ... < J_k < J found below ``j``, with exactness.
+    @cached_property
+    def ranks(self) -> Tuple[RankResult, ...]:
+        """``ranks[i]``: the longest chain J_1 ≺ ... ≺ J_k ≺ J found below
+        ``J = ball.catalog.ids[i]``, with exactness.
 
-        Exact when the ball's order data is definite and complete, or when a
+        Exact when the order is definite and the ball complete, or when a
         dimension certificate squeezes the upper bound to the found value.
         """
-        j = j.unoriented()
-        if not j.left:
-            # anything below j would need its own left part, a relation side
-            # and a connector to equal the empty word — impossible
-            return RankResult(
-                0, True, (), ("nothing fits left of an empty left part",)
-            )
-        ids = list(self.ball.catalog.ids)
-        cataloged = len(ids)
-        target = self.ball.catalog.index.get(j)
-        if target is None:
-            target = len(ids)
-            ids.append(j)
-        prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
-        all_definite = True
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                if b < cataloged:
-                    rel = self.relations[a, b]
-                else:
-                    rel = self.compare(ids[a], ids[b])
-                if rel.value == "first_prec_second":
-                    prec[b].add(a)
-                elif rel.value == "second_prec_first":
-                    prec[a].add(b)
-                elif rel.value == "unknown":
-                    all_definite = False
-        notes: List[str] = []
-
-        depth_memo: Dict[int, int] = {}
-        parent: Dict[int, Optional[int]] = {}
-
-        def depth(v: int, stack: Tuple[int, ...]) -> int:
-            if v in stack:
-                notes.append("cycle detected in the crossing order (inexact data)")
-                return 0
-            if v in depth_memo:
-                return depth_memo[v]
-            best, arg = 0, None
-            for u in prec[v]:
-                d = depth(u, stack + (v,)) + 1
-                if d > best:
-                    best, arg = d, u
-            depth_memo[v] = best
-            parent[v] = arg
-            return best
-
-        value = depth(target, ())
-        chain: List[HyperplaneId] = []
-        cur = parent.get(target)
-        while cur is not None:
-            chain.append(ids[cur])
-            cur = parent.get(cur)
-        chain.reverse()
         ball = self.ball
-        exact = all_definite and ball.complete and not notes
-        if not exact:
-            squeeze = dimension_at_least(ball.search, ball.base, value + 2)
-            if squeeze.is_no:
-                exact = not notes
-                notes.append(
-                    f"upper bound from dimension: no {value + 2}-cube exists"
+        ids = ball.catalog.ids
+        prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
+        for (a, b), rel in self.relations.items():
+            if rel.value == "first_prec_second":
+                prec[b].add(a)
+            elif rel.value == "second_prec_first":
+                prec[a].add(b)
+
+        def rank_of(target: int) -> RankResult:
+            if not ids[target].left:
+                # anything below it would need its own left part, a relation
+                # side and a connector to equal the empty word — impossible
+                return RankResult(
+                    0, True, (), ("nothing fits left of an empty left part",)
                 )
-        return RankResult(value, exact, tuple(chain), tuple(notes))
+            notes: List[str] = []
+            depth_memo: Dict[int, int] = {}
+            parent: Dict[int, Optional[int]] = {}
 
+            def depth(v: int, stack: Tuple[int, ...]) -> int:
+                if v in stack:
+                    notes.append("cycle detected in the crossing order (inexact data)")
+                    return 0
+                if v in depth_memo:
+                    return depth_memo[v]
+                best, arg = 0, None
+                for u in prec[v]:
+                    d = depth(u, stack + (v,)) + 1
+                    if d > best:
+                        best, arg = d, u
+                depth_memo[v] = best
+                parent[v] = arg
+                return best
 
-def crossing_order(ball: SquierBall) -> CrossingOrder:
-    """Compare every pair of cataloged hyperplanes once, in catalog order;
-    read it as ``ball.order``, which builds it once per ball."""
-    compare = _comparer(ball)
-    ids = ball.catalog.ids
-    relations = {
-        (i, j): compare(ids[i], ids[j])
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
-    }
-    return CrossingOrder(ball, relations, compare)
+            value = depth(target, ())
+            chain: List[HyperplaneId] = []
+            cur = parent.get(target)
+            while cur is not None:
+                chain.append(ids[cur])
+                cur = parent.get(cur)
+            chain.reverse()
+            exact = self.definite and ball.complete and not notes
+            if not exact:
+                squeeze = dimension_at_least(ball.search, ball.base, value + 2)
+                if squeeze.is_no:
+                    exact = not notes
+                    notes.append(
+                        f"upper bound from dimension: no {value + 2}-cube exists"
+                    )
+            return RankResult(value, exact, tuple(chain), tuple(notes))
+
+        return tuple(rank_of(i) for i in range(len(ids)))
 
 
 def rank(j: HyperplaneId, ball: SquierBall) -> RankResult:
-    """Longest chain J_1 < ... < J_k < J found below ``j``; see
-    :meth:`CrossingOrder.rank`.
+    """Longest chain J_1 ≺ ... ≺ J_k ≺ J found below the cataloged
+    hyperplane ``j``; see :attr:`CrossingOrder.ranks`.  A hyperplane outside
+    the catalog raises :class:`KeyError`.
 
-    The package itself calls ``ball.order.rank``.  This name stays because
+    The package itself reads ``ball.order.ranks``.  This name stays because
     the per-layer benchmark tracer (``perfbench/tracer.py``) wraps
     ``squier.rank`` by name; it can go once the tracer stops naming it.
     """
-    return ball.order.rank(j)
+    return ball.order.ranks[ball.catalog.index[j]]
 
 
 # ---------------------------------------------------------------------------

@@ -629,7 +629,7 @@ COMMANDS = {
     "rank-table": (["rank-table", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
                    ("decomposition", "interval", "raag")),
     "verify-raag": (["verify-raag", "-i", "{f2}", "--length", "2"], 0, ("ok", True),
-                    ("decomposition", "farley")),
+                    ("squier", "decomposition", "farley")),
     "decompose": (["decompose", "-p", "{comm}", "-w", "a b"], 0, ("exact", True),
                   ("farley", "interval", "raag")),
 }

@@ -232,7 +232,7 @@ def test_move_apply_rejects_mismatch():
 
 
 def test_enumerate_class_abc_frozen():
-    enum = enumerate_class(tuple("abc"), COMM, CAPS)
+    enum = enumerate_class(ClassSearch(COMM, CAPS), tuple("abc"))
     assert enum.complete
     assert enum.members == (
         tuple("abc"),
@@ -251,20 +251,20 @@ def test_enumerate_class_abc_frozen():
 
 def test_enumerate_class_matches_permutation_oracle():
     for text in ["aabc", "abbcc", "aa", "abc", "b"]:
-        enum = enumerate_class(tuple(text), COMM, CAPS)
+        enum = enumerate_class(ClassSearch(COMM, CAPS), tuple(text))
         assert enum.complete
         assert set(enum.members) == comm_class(tuple(text))
 
 
 def test_enumerate_class_size_cap():
-    enum = enumerate_class(tuple("abc"), COMM, SearchCaps(max_class_size=3))
+    enum = enumerate_class(ClassSearch(COMM, SearchCaps(max_class_size=3)), tuple("abc"))
     assert not enum.complete
     assert len(enum.members) <= 3
 
 
 def test_enumerate_class_word_len_cap_frozen():
     pres = parse_presentation("letters: a p\nrel: a = a p")
-    enum = enumerate_class(("a",), pres, SearchCaps(max_word_len=5))
+    enum = enumerate_class(ClassSearch(pres, SearchCaps(max_word_len=5)), ("a",))
     assert not enum.complete
     assert enum.members == (
         ("a",),
@@ -277,7 +277,7 @@ def test_enumerate_class_word_len_cap_frozen():
 
 def test_enumerate_class_depth_cap():
     # [a a] over CYC3 is all nine length-2 words; only five are within one move
-    enum = enumerate_class(tuple("aa"), CYC3, SearchCaps(max_bfs_depth=1))
+    enum = enumerate_class(ClassSearch(CYC3, SearchCaps(max_bfs_depth=1)), tuple("aa"))
     assert set(enum.members) == {tuple("aa"), tuple("ab"), tuple("ac"), tuple("ba"), tuple("ca")}
     assert not enum.complete
 
@@ -285,13 +285,13 @@ def test_enumerate_class_depth_cap():
 def test_enumerate_class_completes_exactly_at_depth():
     # [a] over CYC3 is {a, b, c}, all within one move: the depth cap is
     # touched but nothing new lies beyond it, so the closure is complete
-    enum = enumerate_class(("a",), CYC3, SearchCaps(max_bfs_depth=1))
+    enum = enumerate_class(ClassSearch(CYC3, SearchCaps(max_bfs_depth=1)), ("a",))
     assert set(enum.members) == {("a",), ("b",), ("c",)}
     assert enum.complete
 
 
 def test_cyc3_class_is_all_words_of_same_length():
-    enum = enumerate_class(tuple("ab"), CYC3, CAPS)
+    enum = enumerate_class(ClassSearch(CYC3, CAPS), tuple("ab"))
     assert enum.complete
     assert set(enum.members) == {
         (x, y) for x in "abc" for y in "abc"
@@ -301,10 +301,11 @@ def test_cyc3_class_is_all_words_of_same_length():
 @given(words3.filter(lambda w: 0 < len(w) <= 4))
 @settings(max_examples=40, deadline=None)
 def test_member_set_is_seed_invariant(w):
-    base = enumerate_class(w, COMM, CAPS)
+    search = ClassSearch(COMM, CAPS)
+    base = enumerate_class(search, w)
     assert base.complete
     for other in base.members:
-        again = enumerate_class(other, COMM, CAPS)
+        again = enumerate_class(search, other)
         assert again.members == base.members
 
 
@@ -315,7 +316,7 @@ def test_member_set_is_seed_invariant(w):
 
 def test_equal_frozen_four_move_derivation():
     # minimum adjacent-swap count between aabc and caba is 4
-    verdict = equal_mod_p(tuple("aabc"), tuple("caba"), COMM, CAPS)
+    verdict = equal_mod_p(ClassSearch(COMM, CAPS), tuple("aabc"), tuple("caba"))
     assert verdict.is_yes
     d = verdict.witness
     assert isinstance(d, Derivation)
@@ -340,12 +341,12 @@ def test_known_derivation_replays():
 
 
 def test_equal_same_word():
-    verdict = equal_mod_p(tuple("ab"), tuple("ab"), COMM, CAPS)
+    verdict = equal_mod_p(ClassSearch(COMM, CAPS), tuple("ab"), tuple("ab"))
     assert verdict.is_yes and len(verdict.witness) == 0
 
 
 def test_equal_no_with_complete_class_witness():
-    verdict = equal_mod_p(tuple("aab"), tuple("abb"), COMM, CAPS)
+    verdict = equal_mod_p(ClassSearch(COMM, CAPS), tuple("aab"), tuple("abb"))
     assert verdict.is_no
     enum = verdict.witness
     assert isinstance(enum, ClassEnumeration)
@@ -356,7 +357,7 @@ def test_equal_no_with_complete_class_witness():
 def test_equal_no_via_singleton_side():
     # [p] = {p} completes instantly even though [a] is infinite
     pres = parse_presentation("letters: a p\nrel: a = a p")
-    verdict = equal_mod_p(("a",), ("p",), pres, SMALL_CAPS)
+    verdict = equal_mod_p(ClassSearch(pres, SMALL_CAPS), ("a",), ("p",))
     assert verdict.is_no
     assert verdict.witness.members == (("p",),)
 
@@ -364,14 +365,14 @@ def test_equal_no_via_singleton_side():
 def test_equal_unknown_when_both_sides_capped():
     # [a b] and [b a] over HALFPAD are disjoint infinite classes; plain
     # search cannot prove it
-    verdict = equal_mod_p(W("a b"), W("b a"), HALFPAD, SMALL_CAPS)
+    verdict = equal_mod_p(ClassSearch(HALFPAD, SMALL_CAPS), W("a b"), W("b a"))
     assert verdict.is_unknown
 
 
 @given(words3.filter(lambda w: len(w) <= 5), words3.filter(lambda w: len(w) <= 5))
 @settings(max_examples=60, deadline=None)
 def test_equal_agrees_with_permutation_oracle(w1, w2):
-    verdict = equal_mod_p(w1, w2, COMM, CAPS)
+    verdict = equal_mod_p(ClassSearch(COMM, CAPS), w1, w2)
     expected = sorted(w1) == sorted(w2)
     assert verdict.is_yes == expected
     assert not verdict.is_unknown  # finite classes, generous caps
@@ -395,9 +396,9 @@ def test_class_search_rep():
 def test_class_search_enumerates_each_word_once(monkeypatch):
     calls = []
 
-    def counted(seed, pres, caps, rewrites=None):
+    def counted(search, seed):
         calls.append(seed)
-        return enumerate_class(seed, pres, caps, rewrites=rewrites)
+        return enumerate_class(search, seed)
 
     monkeypatch.setattr(rewriting, "enumerate_class", counted)
     search = ClassSearch(COMM, CAPS)
@@ -412,7 +413,7 @@ def test_class_search_enumerates_each_word_once(monkeypatch):
 def test_class_search_equal_matches_equal_mod_p():
     search = ClassSearch(COMM, CAPS)
     for w1, w2 in ((W("a b c"), W("c b a")), (W("a b"), W("a c")), (W("a"), W("a"))):
-        assert search.equal(w1, w2) == equal_mod_p(w1, w2, COMM, CAPS)
+        assert search.equal(w1, w2) == equal_mod_p(ClassSearch(COMM, CAPS), w1, w2)
         assert search.equal(w1, w2) is search.equal(w1, w2)
 
 
@@ -437,7 +438,7 @@ def test_no_verdict_carries_the_runs_enumeration():
     assert verdict.is_no
     seed = verdict.witness.seed
     assert verdict.witness is fresh.enum(seed)
-    again = enumerate_class(seed, COMM, CAPS)
+    again = enumerate_class(ClassSearch(COMM, CAPS), seed)
     assert verdict.witness.members == again.members
     assert verdict.witness.parent == again.parent
     enumerated = ClassSearch(COMM, CAPS)
@@ -495,16 +496,17 @@ def _assert_no_witnesses_are_enumerations(pres, words, caps):
     """Every ``no`` witness of ``equal_mod_p`` is ``enumerate_class`` of its
     seed: same members, completeness and tree edges in the same order.
     Returns how many witnesses were seeded at the first and second word."""
+    search = ClassSearch(pres, caps)
     seeded = [0, 0]
     for w in words:
         for x in words:
-            verdict = equal_mod_p(w, x, pres, caps)
+            verdict = equal_mod_p(search, w, x)
             if not verdict.is_no:
                 continue
             witness = verdict.witness
             assert witness.seed in (w, x)
             seeded[witness.seed != w] += 1
-            enum = enumerate_class(witness.seed, pres, caps)
+            enum = enumerate_class(search, witness.seed)
             assert (witness.members, witness.complete) == (enum.members, enum.complete)
             assert witness.edges == enum.edges
     return seeded

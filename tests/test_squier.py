@@ -243,12 +243,15 @@ def test_cubes_match_brute_force_on_random_presentations():
 
 
 class TestHyperplaneId:
-    def test_oriented_id_of_hexagon_edge(self):
+    def test_both_directions_of_a_hexagon_edge_get_one_id(self):
         search = ClassSearch(COMM, DEFAULT_CAPS)
-        hid = hyperplane_id(search, W("a b c"), Move(0, 0, True))
-        assert hid == HyperplaneId(W(""), 0, True, W("c"))
+        move = Move(0, 0, True)
+        hid = hyperplane_id(search, W("a b c"), move)
+        assert hid == HyperplaneId(W(""), 0, W("c"))
         assert hid.exact
-        assert hid.unoriented() == HyperplaneId(W(""), 0, None, W("c"))
+        back = move.apply(W("a b c"), COMM)
+        assert hyperplane_id(search, back, move.inverted()) == hid
+        assert str(hid) == "[1 | r0 | c]"
 
     def test_parts_are_canonical_reps(self):
         # left part a2 p of a b-edge collapses to the class rep a1
@@ -263,12 +266,12 @@ class TestHyperplaneId:
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
-            HyperplaneId(W(""), 0, None, W("c")),
-            HyperplaneId(W("c"), 0, None, W("")),
-            HyperplaneId(W(""), 1, None, W("b")),
-            HyperplaneId(W("b"), 1, None, W("")),
-            HyperplaneId(W(""), 2, None, W("a")),
-            HyperplaneId(W("a"), 2, None, W("")),
+            HyperplaneId(W(""), 0, W("c")),
+            HyperplaneId(W("c"), 0, W("")),
+            HyperplaneId(W(""), 1, W("b")),
+            HyperplaneId(W("b"), 1, W("")),
+            HyperplaneId(W(""), 2, W("a")),
+            HyperplaneId(W("a"), 2, W("")),
         )
         # each hyperplane of the hexagon is dual to exactly one edge
         assert all(len(es) == 1 for _, es in catalog.edges_of)
@@ -278,14 +281,14 @@ class TestHyperplaneId:
         catalog = hyperplane_catalog(ball)
         assert catalog.exact
         assert catalog.ids == (
-            HyperplaneId(W(""), 0, None, W("b1")),
-            HyperplaneId(W(""), 1, None, W("b1")),
-            HyperplaneId(W(""), 2, None, W("b1")),
-            HyperplaneId(W("a1"), 3, None, W("")),
-            HyperplaneId(W("a1"), 4, None, W("")),
-            HyperplaneId(W("a1"), 5, None, W("")),
-            HyperplaneId(W(""), 6, None, W("b1")),
-            HyperplaneId(W("a1"), 7, None, W("")),
+            HyperplaneId(W(""), 0, W("b1")),
+            HyperplaneId(W(""), 1, W("b1")),
+            HyperplaneId(W(""), 2, W("b1")),
+            HyperplaneId(W("a1"), 3, W("")),
+            HyperplaneId(W("a1"), 4, W("")),
+            HyperplaneId(W("a1"), 5, W("")),
+            HyperplaneId(W(""), 6, W("b1")),
+            HyperplaneId(W("a1"), 7, W("")),
         )
         assert [len(es) for _, es in catalog.edges_of] == [
             27, 27, 27, 27, 27, 27, 24, 24,
@@ -327,7 +330,7 @@ def reference_hyperplane_catalog(ball):
     for (a, b), members in groups:
         la, xa = ball.search.rep(a)
         rb, xb = ball.search.rep(b)
-        packed.append((HyperplaneId(la, members[0].move.relation, None, rb, xa and xb),
+        packed.append((HyperplaneId(la, members[0].move.relation, rb, xa and xb),
                        tuple(members)))
     packed.sort(key=lambda hp: (hp[0].relation, pres.shortlex_key(hp[0].left),
                                 pres.shortlex_key(hp[0].right)))
@@ -426,7 +429,7 @@ def test_loops_are_the_edges_off_the_tree_on_corpus(caps, corpus):
 def _bfs_depth(pres, base, caps):
     """Largest number of rewrites from ``base`` to a member of its class, or
     None when the class does not close under ``caps``."""
-    enum = enumerate_class(base, pres, caps)
+    enum = enumerate_class(ClassSearch(pres, caps), base)
     if not enum.complete:
         return None
     depth = {base: 0}
@@ -490,12 +493,12 @@ def test_catalog_probes_parts_capped_from_their_own_seed():
 # ---------------------------------------------------------------------------
 
 
-A1 = HyperplaneId(W(""), 0, None, W("b1"))
-A2 = HyperplaneId(W(""), 1, None, W("b1"))
-B1 = HyperplaneId(W("a1"), 3, None, W(""))
-B2 = HyperplaneId(W("a1"), 4, None, W(""))
-C = HyperplaneId(W(""), 6, None, W("b1"))
-D = HyperplaneId(W("a1"), 7, None, W(""))
+A1 = HyperplaneId(W(""), 0, W("b1"))
+A2 = HyperplaneId(W(""), 1, W("b1"))
+B1 = HyperplaneId(W("a1"), 3, W(""))
+B2 = HyperplaneId(W("a1"), 4, W(""))
+C = HyperplaneId(W(""), 6, W("b1"))
+D = HyperplaneId(W("a1"), 7, W(""))
 
 
 class TestRelate:
@@ -652,7 +655,7 @@ class TestRank:
             assert result.value == 1, j
             assert result.exact, j
             assert len(result.chain) == 1
-            assert result.chain[0] in (A1, A2, HyperplaneId(W(""), 2, None, W("b1")), C)
+            assert result.chain[0] in (A1, A2, HyperplaneId(W(""), 2, W("b1")), C)
 
     def test_squeeze_note_present_on_truncated_ball(self):
         result = rank(B1, self.ball)
