@@ -22,13 +22,15 @@ which every command needs; each command, and each helper that loads or
 draws a paper object, imports what it calls at the top of its own body.
 A call therefore compiles and runs only the modules its command reaches
 (``class`` none beyond ``rewriting``, ``relate`` only ``squier``), and
-names used only in annotations are imported for type checkers alone.
+names used only in annotations are imported for type checkers alone.  The
+package's records are named tuples and classes with written-out methods,
+so importing a module generates and compiles no record methods, and no
+call loads ``inspect``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -57,7 +59,8 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 
-_CAP_FIELDS = dataclasses.fields(SearchCaps)
+#: the cap flags by name, with their defaults
+_CAP_DEFAULTS = SearchCaps().as_dict()
 
 # fixed palette so hyperplane classes keep their colors across runs
 _DOT_COLORS = (
@@ -96,7 +99,7 @@ def _load_inputs(ns: argparse.Namespace) -> None:
     ``ns.caps`` from the cap flags, ``ns.pres`` from ``-p``, ``ns.search``
     as the call's one class search over both, and replaces the words of
     ``-w``, ``-w1`` and ``-w2`` by checked words of ``ns.pres``."""
-    caps = {f.name: getattr(ns, f.name) for f in _CAP_FIELDS if f.name in ns}
+    caps = {name: getattr(ns, name) for name in _CAP_DEFAULTS if name in ns}
     try:
         ns.caps = SearchCaps(**caps)
     except ValueError as e:
@@ -186,7 +189,7 @@ def _emit_unknown(ns: argparse.Namespace, head: Dict[str, object], reason: str) 
                 "verdict": "unknown",
                 "reason": reason,
                 "exact": False,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_UNKNOWN
@@ -197,17 +200,18 @@ def _exit_for(tb: TriBool) -> int:
 
 
 def _witness_json(wit: object) -> Dict[str, object]:
-    """Generic pathology-witness serialization: words formatted, evidence
-    summarized by derivation lengths so the report stays readable."""
+    """Generic pathology-witness serialization, fields in the witness's own
+    ``__slots__`` order: words formatted, evidence summarized by derivation
+    lengths so the report stays readable."""
     out: Dict[str, object] = {"kind": type(wit).__name__}
-    for f in dataclasses.fields(wit):
-        value = getattr(wit, f.name)
-        if f.name == "evidence":
+    for name in wit.__slots__:
+        value = getattr(wit, name)
+        if name == "evidence":
             out["evidence_lengths"] = [len(d.steps) for d in value]
         elif isinstance(value, tuple) and all(isinstance(x, str) for x in value):
-            out[f.name] = format_word(value)
+            out[name] = format_word(value)
         elif isinstance(value, (int, str, bool)):
-            out[f.name] = value
+            out[name] = value
     return out
 
 
@@ -296,7 +300,7 @@ def _cmd_class(ns: argparse.Namespace) -> int:
                 "members": [format_word(m) for m in enum.members],
                 "count": len(enum.members),
                 "complete": enum.complete,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if enum.complete else EXIT_UNKNOWN
@@ -325,7 +329,7 @@ def _cmd_equal(ns: argparse.Namespace) -> int:
                 "verdict": tb.value,
                 "moves": moves,
                 "cells": cells,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return _exit_for(tb)
@@ -394,7 +398,7 @@ def _cmd_squier(ns: argparse.Namespace) -> int:
                 "edge_count": len(ball.edges),
                 "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
                 "complete": ball.complete,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if ball.complete else EXIT_UNKNOWN
@@ -420,7 +424,7 @@ def _cmd_hyperplanes(ns: argparse.Namespace) -> int:
                 ],
                 "exact": catalog.exact,
                 "complete": ball.complete,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if catalog.exact else EXIT_UNKNOWN
@@ -446,7 +450,7 @@ def _cmd_relate(ns: argparse.Namespace) -> int:
                 "edges": [[i, j, value] for i, j, value in tg.edges],
                 "exact": tg.exact,
                 "odd_cycle": list(tg.odd_cycle) if tg.odd_cycle else None,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if tg.exact else EXIT_UNKNOWN
@@ -477,7 +481,7 @@ def _cmd_special(ns: argparse.Namespace) -> int:
                     _witness_json(x) for x in report.inter_osculations
                 ],
                 "notes": list(report.notes),
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return _exit_for(report.special)
@@ -504,7 +508,7 @@ def _cmd_dim(ns: argparse.Namespace) -> int:
                 "n": ns.n,
                 "verdict": tb.value,
                 "witness": witness,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return _exit_for(tb)
@@ -534,7 +538,7 @@ def _cmd_rank_table(ns: argparse.Namespace) -> int:
                 "base": format_word(ns.w),
                 "hyperplanes": rows,
                 "exact": partition.exact,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if partition.exact else EXIT_UNKNOWN
@@ -571,7 +575,7 @@ def _cmd_phi(ns: argparse.Namespace) -> int:
                     for label, hid in zip(gens.labels, ball.catalog.ids)
                 ],
                 "exact": gens.exact,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK if gens.exact else EXIT_UNKNOWN
@@ -640,7 +644,7 @@ def _cmd_embed_check(ns: argparse.Namespace) -> int:
                 "failures": [list(f) for f in report.failures],
                 "ok": report.ok,
                 "exact": report.exact,
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     if not report.ok:
@@ -710,7 +714,7 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
         blob = gog_to_json(gog)
         blob["free_rank"] = rank_value
         blob["fundamental_group"] = pi1
-        blob["caps"] = dataclasses.asdict(ns.caps)
+        blob["caps"] = ns.caps.as_dict()
         _emit_json(blob)
     return EXIT_OK if gog.exact else EXIT_UNKNOWN
 
@@ -730,7 +734,7 @@ def _cmd_euler(ns: argparse.Namespace) -> int:
                     "base": format_word(ns.w),
                     "complete": False,
                     "chi": None,
-                    "caps": dataclasses.asdict(ns.caps),
+                    "caps": ns.caps.as_dict(),
                 }
             )
         return EXIT_UNKNOWN
@@ -746,7 +750,7 @@ def _cmd_euler(ns: argparse.Namespace) -> int:
                 "chi": chi,
                 "one_minus_chi": 1 - chi,
                 "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
-                "caps": dataclasses.asdict(ns.caps),
+                "caps": ns.caps.as_dict(),
             }
         )
     return EXIT_OK
@@ -813,7 +817,7 @@ def _cmd_verify_raag(ns: argparse.Namespace) -> int:
         print(f"ok: {ev.ok}")
     else:
         blob = evidence_to_json(ev)
-        blob["caps"] = dataclasses.asdict(ns.caps)
+        blob["caps"] = ns.caps.as_dict()
         blob["length"] = ns.length
         _emit_json(blob)
     return EXIT_OK if ev.ok else EXIT_NO
@@ -840,8 +844,8 @@ def _build_parser() -> _Parser:
             raise ValueError(text) from None
 
     caps = _Parser(add_help=False)
-    for f in _CAP_FIELDS:
-        caps.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+    for name, default in _CAP_DEFAULTS.items():
+        caps.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     text = _Parser(add_help=False)
     text.add_argument("--format", choices=("json", "text"), default="json")
     dot = _Parser(add_help=False)

@@ -16,8 +16,7 @@ question.  On truncated data a nontrivial reduced spherical loop is still a
 valid "No" certificate; otherwise the verdict is Unknown.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagrams import Diagram, dsum, eps, reduce_diagram
 from .rewriting import (
@@ -81,8 +80,7 @@ def is_trivial_group(search: ClassSearch, w: Word) -> TriBool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LetterSplit:
+class LetterSplit(NamedTuple):
     """A context side cut as prefix . letter . suffix at the triviality edge.
 
     The prefix is the maximal one whose extension of the outer context still
@@ -96,8 +94,7 @@ class LetterSplit:
     exact: bool
 
 
-@dataclass(frozen=True)
-class LeftHyperplane:
+class LeftHyperplane(NamedTuple):
     """A hyperplane whose left context group is trivial but stops being so
     when extended through the rewrite, together with the splits of both
     rewrite sides used by the decomposition."""
@@ -134,8 +131,7 @@ def _split_side(
     )
 
 
-@dataclass(frozen=True)
-class LeftHyperplaneScan:
+class LeftHyperplaneScan(NamedTuple):
     """All hyperplanes of a ball classified by leftness.
 
     ``undecided`` collects hyperplanes whose leftness (or split) could not be
@@ -209,7 +205,6 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FreeBasis:
     """Free generating loops of the fundamental group of a class *graph*.
 
@@ -220,12 +215,11 @@ class FreeBasis:
     so no base-point transport is ever needed.
     """
 
-    ball: SquierBall
+    __slots__ = ("ball", "_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(self.ball.loops)}
-        )
+    def __init__(self, ball: SquierBall) -> None:
+        self.ball = ball
+        self._index = {e: i for i, e in enumerate(ball.loops)}
 
     @property
     def rank(self) -> int:
@@ -297,8 +291,7 @@ def _relator_key(word: Relator) -> Relator:
     return min(candidates) if candidates else ()
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """A finite presentation with honesty markers.
 
     ``truncated`` warns that relators (or generators) belonging to an
@@ -460,7 +453,6 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FactorGroup:
     """The group of one factor of a product piece, as well as we can tell.
 
@@ -470,12 +462,35 @@ class FactorGroup:
     ones just a marker.
     """
 
-    kind: str
-    seed: Word
-    exact: bool
-    basis: Optional[FreeBasis] = field(default=None, compare=False, repr=False)
-    presentation: Optional[GroupPresentation] = None
-    note: str = ""
+    __slots__ = ("kind", "seed", "exact", "basis", "presentation", "note")
+
+    def __init__(
+        self,
+        kind: str,
+        seed: Word,
+        exact: bool,
+        basis: Optional[FreeBasis] = None,
+        presentation: Optional[GroupPresentation] = None,
+        note: str = "",
+    ) -> None:
+        self.kind = kind
+        self.seed = seed
+        self.exact = exact
+        self.basis = basis
+        self.presentation = presentation
+        self.note = note
+
+    def _parts(self) -> tuple:
+        # the basis is a view of a ball; equal groups need not share one
+        return (self.kind, self.seed, self.exact, self.presentation, self.note)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FactorGroup):
+            return NotImplemented
+        return self._parts() == other._parts()
+
+    def __hash__(self) -> int:
+        return hash(self._parts())
 
     @property
     def is_trivial(self) -> bool:
@@ -534,8 +549,7 @@ def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexSpace:
+class VertexSpace(NamedTuple):
     """A vertex of the decomposition: the subcomplex of words x·letter·y with
     x in the class of ``left`` and y in the class of ``right`` (either side
     may be empty), which is a product of two class complexes."""
@@ -557,8 +571,7 @@ class VertexSpace:
         return " · ".join(parts) if parts else "S(1)"
 
 
-@dataclass(frozen=True)
-class DecompositionEdge:
+class DecompositionEdge(NamedTuple):
     """An edge of the decomposition: one left hyperplane, its two endpoint
     vertices, and the groups of the two product factors of its edge space."""
 
@@ -569,8 +582,7 @@ class DecompositionEdge:
     right_group: FactorGroup
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
+class GraphOfGroups(NamedTuple):
     """The graph-of-groups decomposition induced by the left hyperplanes.
 
     Identical vertex descriptors merge into one vertex; identical edge spaces

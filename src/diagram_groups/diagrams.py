@@ -35,8 +35,7 @@ else in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import (
     Derivation,
@@ -48,24 +47,29 @@ from .rewriting import (
 )
 
 
-@dataclass(frozen=True)
 class Diagram:
     """A replayable move sequence considered up to independent swaps.
 
-    Equality of the dataclass is equality of the *representative* sequence;
-    use :func:`canonical_key` for trace-class identity.
+    Equality is equality of the *representative* sequence; use
+    :func:`canonical_key` for trace-class identity.
     """
 
-    pres: Presentation
-    top: Word
-    moves: Tuple[Move, ...]
-    _words: Tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("pres", "top", "moves", "_words")
 
-    def __post_init__(self) -> None:
-        self.pres.check_word(self.top)
-        object.__setattr__(
-            self, "_words", Derivation(self.top, self.moves).replay(self.pres)
-        )
+    def __init__(self, pres: Presentation, top: Word, moves: Tuple[Move, ...]) -> None:
+        pres.check_word(top)
+        self.pres = pres
+        self.top = top
+        self.moves = moves
+        self._words = Derivation(top, moves).replay(pres)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (self.pres, self.top, self.moves) == (other.pres, other.top, other.moves)
+
+    def __hash__(self) -> int:
+        return hash((self.pres, self.top, self.moves))
 
     @property
     def bot(self) -> Word:
@@ -139,8 +143,7 @@ def inverse(d: Diagram) -> Diagram:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     """Layered normal form of a diagram's trace class.
 
     ``layers[k]`` holds (offset, relation, forward) triples in ascending

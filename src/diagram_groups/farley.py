@@ -50,8 +50,18 @@ only such pairs are judged.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .diagrams import (
     Diagram,
@@ -88,8 +98,7 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FarleyEdge:
+class FarleyEdge(NamedTuple):
     """An edge of the ball, oriented from the endpoint with fewer cells.
 
     ``word`` is the bottom word of the ``low`` endpoint and ``move`` the
@@ -104,8 +113,7 @@ class FarleyEdge:
     move: Move
 
 
-@dataclass(frozen=True)
-class FarleyCube:
+class FarleyCube(NamedTuple):
     """An ``n``-cube, stored at the corner with the fewest cells.
 
     ``moves`` are pairwise disjoint rewrites of that corner's bottom word in
@@ -122,7 +130,6 @@ class FarleyCube:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
 class FarleyBall(CubeTable):
     """All reduced diagrams with the given top and at most ``radius`` cells.
 
@@ -133,19 +140,41 @@ class FarleyBall(CubeTable):
     is its bottom word and ``parents[i]`` the first edge into it (``-1`` at
     the base), whose chain :meth:`diagram` replays.  ``keys[i]`` is its
     bottom tuple of wire ids, which identifies it only against ``wires``,
-    the table the ball was fired through.
+    the table the ball was fired through.  ``up[i]`` maps each move that
+    appends a cell at ``i`` to the vertex it reaches; ``cubes`` are computed
+    from those tables on first use, since only some commands read them.
     """
 
-    pres: Presentation
-    base: Word
-    radius: int
-    words: Tuple[Word, ...]
-    depths: Tuple[int, ...]
-    parents: Tuple[int, ...]
-    edges: Tuple[FarleyEdge, ...]
-    cubes: Tuple[Tuple[int, Tuple[FarleyCube, ...]], ...]
-    keys: Tuple[Tuple[int, ...], ...]
-    wires: Wires = field(compare=False, repr=False)
+    def __init__(
+        self,
+        pres: Presentation,
+        base: Word,
+        radius: int,
+        words: Tuple[Word, ...],
+        depths: Tuple[int, ...],
+        parents: Tuple[int, ...],
+        edges: Tuple[FarleyEdge, ...],
+        up: Tuple[Dict[Move, int], ...],
+        keys: Tuple[Tuple[int, ...], ...],
+        wires: Wires,
+    ) -> None:
+        self.pres = pres
+        self.base = base
+        self.radius = radius
+        self.words = words
+        self.depths = depths
+        self.parents = parents
+        self.edges = edges
+        self.up = up
+        self.keys = keys
+        self.wires = wires
+
+    @cached_property
+    def cubes(self) -> Tuple[Tuple[int, Tuple[FarleyCube, ...]], ...]:
+        return tuple(
+            (dim, tuple(FarleyCube(*cube) for cube in cs))
+            for dim, cs in disjoint_cubes(self.up, self.pres)
+        )
 
     def diagram(self, i: int) -> Diagram:
         """The reduced diagram of vertex ``i``, replayed from its first parents."""
@@ -170,8 +199,8 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
     down, to a vertex processed earlier that recorded the edge already; any
     other step leads one level up, to the vertex of its bottom tuple, new or
     recorded.  ``up[i]`` maps each move that appends a cell at ``i`` to the
-    vertex it reaches, and cubes come from ``squier.disjoint_cubes`` over
-    those tables.
+    vertex it reaches; the ball's cubes come from ``squier.disjoint_cubes``
+    over those tables when first read.
     """
     pres = search.pres
     pres.check_word(w)
@@ -205,13 +234,9 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
             edges.append(FarleyEdge(i, j, u, move))
         i += 1
 
-    packed = tuple(
-        (dim, tuple(FarleyCube(*cube) for cube in cs))
-        for dim, cs in disjoint_cubes(up, pres)
-    )
     return FarleyBall(
         pres, w, radius, tuple(words), tuple(depths), tuple(parents),
-        tuple(edges), packed, tuple(keys), wires,
+        tuple(edges), tuple(up), tuple(keys), wires,
     )
 
 
@@ -227,8 +252,7 @@ def distance(a: Diagram, b: Diagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankPartition:
+class RankPartition(NamedTuple):
     """Ranks of the unoriented hyperplanes of the class complex downstairs.
 
     ``ranks[i]`` is the rank of ``ball.catalog.ids[i]``.  ``exact`` asserts
@@ -263,7 +287,6 @@ def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TreeQuotient:
     """Contact graph of the pieces left after deleting one rank's edges.
 
@@ -274,20 +297,24 @@ class TreeQuotient:
     not exact after all.
     """
 
-    rank: int
-    node_of: Tuple[int, ...]
-    node_count: int
-    edges: Tuple[Tuple[int, int], ...]
-    neighbors: Tuple[Tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("rank", "node_of", "node_count", "edges", "neighbors")
 
-    def __post_init__(self) -> None:
-        adj: List[List[int]] = [[] for _ in range(self.node_count)]
-        for a, b in self.edges:
+    def __init__(
+        self,
+        rank: int,
+        node_of: Tuple[int, ...],
+        node_count: int,
+        edges: Tuple[Tuple[int, int], ...],
+    ) -> None:
+        self.rank = rank
+        self.node_of = node_of
+        self.node_count = node_count
+        self.edges = edges
+        adj: List[List[int]] = [[] for _ in range(node_count)]
+        for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
-        object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
+        self.neighbors = tuple(tuple(a) for a in adj)
 
     def distance(self, a: int, b: int) -> int:
         """Edge distance between two pieces (BFS; the graph is a tree)."""
@@ -388,8 +415,7 @@ def guarded_pairs(ball: FarleyBall) -> Tuple[Tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Outcome of checking distance = sum of tree distances on guarded pairs."""
 
     radius: int
@@ -439,8 +465,7 @@ def check_isometric_embedding(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyBScan:
+class PropertyBScan(NamedTuple):
     """Cell counts tabulated against word length over a generating set.
 
     ``table`` holds one ``(word_length, cells)`` row per group element

@@ -24,9 +24,8 @@ The recognizers are brute force on purpose: the graphs of interest have a
 handful of vertices and what matters is the certificate, not asymptotics.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .diagrams import Diagram, cayley_ball, reduce_diagram
 from .raag import RaagGraph, RaagWord, raag_graph, raag_normal_form
@@ -52,27 +51,35 @@ _BAD_NAME_CHARS = set("#=:|")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntervalCollection:
     """Named closed integer intervals on the ground set ``{1, …, ground}``."""
 
-    ground: int
-    intervals: Tuple[Tuple[str, int, int], ...]
+    __slots__ = ("ground", "intervals")
 
-    def __post_init__(self) -> None:
-        if self.ground < 1:
+    def __init__(self, ground: int, intervals: Tuple[Tuple[str, int, int], ...]) -> None:
+        if ground < 1:
             raise ValueError("ground set must contain at least one point")
         seen = set()
-        for name, lo, hi in self.intervals:
+        for name, lo, hi in intervals:
             if not name or any(c in _BAD_NAME_CHARS or c.isspace() for c in name):
                 raise ValueError(f"illegal interval name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate interval name {name!r}")
             seen.add(name)
-            if not (1 <= lo <= hi <= self.ground):
+            if not (1 <= lo <= hi <= ground):
                 raise ValueError(
-                    f"interval {name}: [{lo}, {hi}] is not inside [1, {self.ground}]"
+                    f"interval {name}: [{lo}, {hi}] is not inside [1, {ground}]"
                 )
+        self.ground = ground
+        self.intervals = intervals
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalCollection):
+            return NotImplemented
+        return self.ground == other.ground and self.intervals == other.intervals
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.intervals))
 
     def names(self) -> Tuple[str, ...]:
         return tuple(name for name, _, _ in self.intervals)
@@ -299,8 +306,7 @@ def realize_interval_graph(
     return None
 
 
-@dataclass(frozen=True)
-class IntervalRecognition:
+class IntervalRecognition(NamedTuple):
     """Outcome of the complement-of-interval-graph test, with certificates.
 
     On yes: ``orientation`` is a transitive orientation of the graph and
@@ -468,8 +474,7 @@ def diagram_ball_sizes(
     return tuple(accumulate(sizes))
 
 
-@dataclass(frozen=True)
-class RaagEvidence:
+class RaagEvidence(NamedTuple):
     """Corroboration report for one collection.
 
     ``commutation`` rows are (I, J, disjoint, loops commute): the pattern

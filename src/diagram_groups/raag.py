@@ -18,8 +18,7 @@ commutative group form a single shuffle class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import Move, Presentation, format_word
 
@@ -38,24 +37,34 @@ if TYPE_CHECKING:
 Syllable = Tuple[str, int]  # (generator label, +1 | -1)
 
 
-@dataclass(frozen=True)
 class RaagGraph:
     """A finite simple graph; vertices generate, edges commute."""
 
-    vertices: Tuple[str, ...]
-    edges: FrozenSet[Tuple[str, str]]  # pairs stored sorted
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+    def __init__(
+        self, vertices: Tuple[str, ...], edges: FrozenSet[Tuple[str, str]]
+    ) -> None:
+        seen = set(vertices)
+        if len(seen) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at {u}")
             if (u, v) != tuple(sorted((u, v))):
                 raise ValueError("edge pairs must be stored sorted")
             if u not in seen or v not in seen:
                 raise ValueError(f"edge ({u}, {v}) uses unknown vertices")
+        self.vertices = vertices
+        self.edges = edges  # pairs stored sorted
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RaagGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     def adjacent(self, u: str, v: str) -> bool:
         return tuple(sorted((u, v))) in self.edges
@@ -69,17 +78,25 @@ def raag_graph(vertices: Sequence[str], edges: Sequence[Tuple[str, str]]) -> Raa
     )
 
 
-@dataclass(frozen=True)
 class RaagWord:
     """A word in generators and their inverses."""
 
-    syllables: Tuple[Syllable, ...]
+    __slots__ = ("syllables",)
 
-    def __post_init__(self) -> None:
-        for gen, exp in self.syllables:
+    def __init__(self, syllables: Tuple[Syllable, ...]) -> None:
+        for gen, exp in syllables:
             if exp not in (1, -1):
                 raise ValueError(f"exponent {exp} is not +1 or -1")
             assert isinstance(gen, str)
+        self.syllables = syllables
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RaagWord):
+            return NotImplemented
+        return self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash(self.syllables)
 
     def __mul__(self, other: "RaagWord") -> "RaagWord":
         return RaagWord(self.syllables + other.syllables)
@@ -183,8 +200,7 @@ def raag_normal_form(w: RaagWord, graph: RaagGraph) -> RaagWord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneGenerators:
+class HyperplaneGenerators(NamedTuple):
     """Label table pairing the ball's catalog hyperplanes with Artin
     generators.
 

@@ -30,8 +30,18 @@ to upgrade bounded searches to exact verdicts where the combinatorics allow.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 Letter = str
 Word = Tuple[Letter, ...]
@@ -67,20 +77,28 @@ def _check_letter_name(name: Letter) -> None:
         raise PresentationError(f"illegal letter name {name!r}")
 
 
-@dataclass(frozen=True)
 class Relation:
     """One defining relation ``lhs = rhs`` (both sides nonempty words)."""
 
-    lhs: Word
-    rhs: Word
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if not self.lhs or not self.rhs:
+    def __init__(self, lhs: Word, rhs: Word) -> None:
+        if not lhs or not rhs:
             raise PresentationError("relation sides must be nonempty words")
-        if self.lhs == self.rhs:
+        if lhs == rhs:
             raise PresentationError(
-                f"trivial relation {format_word(self.lhs)} = {format_word(self.rhs)}"
+                f"trivial relation {format_word(lhs)} = {format_word(rhs)}"
             )
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.lhs == other.lhs and self.rhs == other.rhs
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
     def sides(self, forward: bool) -> Tuple[Word, Word]:
         """The (source, target) pair: forward rewrites lhs into rhs."""
@@ -90,7 +108,6 @@ class Relation:
         return f"{format_word(self.lhs)} = {format_word(self.rhs)}"
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite semigroup presentation.
 
@@ -106,27 +123,22 @@ class Presentation:
     and the scan interns one :class:`Move` per site in ``_moves``.
     """
 
-    letters: Tuple[Letter, ...]
-    relations: Tuple[Relation, ...]
-    _index: Dict[Letter, int] = field(init=False, repr=False, compare=False)
-    _sides: Dict[Letter, Tuple[Tuple[int, bool, Word, Word], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _moves: Dict[Tuple[int, int, bool], Move] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("letters", "relations", "_index", "_sides", "_moves")
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(
+        self, letters: Tuple[Letter, ...], relations: Tuple[Relation, ...]
+    ) -> None:
+        if not letters:
             raise PresentationError("empty alphabet")
-        for name in self.letters:
+        for name in letters:
             _check_letter_name(name)
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise PresentationError("duplicate letters in alphabet")
-        index = {x: i for i, x in enumerate(self.letters)}
-        object.__setattr__(self, "_index", index)
+        self.letters = letters
+        self.relations = relations
+        index = self._index = {x: i for i, x in enumerate(letters)}
         seen = set()
-        for rel in self.relations:
+        for rel in relations:
             for x in rel.lhs + rel.rhs:
                 if x not in index:
                     raise PresentationError(f"relation {rel} uses unknown letter {x!r}")
@@ -134,13 +146,23 @@ class Presentation:
             if key in seen:
                 raise PresentationError(f"duplicate relation {rel} (up to orientation)")
             seen.add(key)
-        sides: Dict[Letter, list] = {x: [] for x in self.letters}
-        for i, rel in enumerate(self.relations):
+        sides: Dict[Letter, list] = {x: [] for x in letters}
+        for i, rel in enumerate(relations):
             for forward in (True, False):
                 src, dst = rel.sides(forward)
                 sides[src[0]].append((i, forward, src, dst))
-        object.__setattr__(self, "_sides", {x: tuple(v) for x, v in sides.items()})
-        object.__setattr__(self, "_moves", {})
+        self._sides: Dict[Letter, Tuple[Tuple[int, bool, Word, Word], ...]] = {
+            x: tuple(v) for x, v in sides.items()
+        }
+        self._moves: Dict[Tuple[int, int, bool], Move] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return self.letters == other.letters and self.relations == other.relations
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.relations))
 
     def side_spans(self, w: Word) -> Iterator[Tuple[int, int]]:
         """``(start, end)`` of every literal occurrence of a relation side in
@@ -210,7 +232,6 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError(str(exc)) from None
 
 
-@dataclass(frozen=True)
 class SearchCaps:
     """Bounds for class searches; any bound hit makes results inexact.
 
@@ -219,17 +240,31 @@ class SearchCaps:
     ``max_bfs_depth`` bounds the number of rewrites from the seed.
     """
 
-    max_word_len: int = 16
-    max_class_size: int = 1000
-    max_bfs_depth: int = 48
+    __slots__ = ("max_word_len", "max_class_size", "max_bfs_depth")
 
-    def __post_init__(self) -> None:
-        if min(self.max_word_len, self.max_class_size, self.max_bfs_depth) < 1:
+    def __init__(
+        self, max_word_len: int = 16, max_class_size: int = 1000, max_bfs_depth: int = 48
+    ) -> None:
+        if min(max_word_len, max_class_size, max_bfs_depth) < 1:
             raise ValueError("all caps must be positive")
+        self.max_word_len = max_word_len
+        self.max_class_size = max_class_size
+        self.max_bfs_depth = max_bfs_depth
+
+    def as_dict(self) -> Dict[str, int]:
+        """The caps by name, in the order of the constructor's parameters."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchCaps):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.as_dict().values()))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One elementary rewrite site: apply relation ``relation`` at ``offset``.
 
     ``forward`` rewrites the stored lhs into the rhs; backward the reverse.
@@ -286,12 +321,22 @@ def one_step_rewrites(w: Word, pres: Presentation) -> Tuple[Tuple[Move, Word], .
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A replayable chain of moves starting at ``start``."""
 
-    start: Word
-    steps: Tuple[Move, ...]
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: Word, steps: Tuple[Move, ...]) -> None:
+        self.start = start
+        self.steps = steps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        return self.start == other.start and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -310,7 +355,6 @@ class Derivation:
         return Derivation(self.end(pres), tuple(m.inverted() for m in reversed(self.steps)))
 
 
-@dataclass(frozen=True)
 class ClassEnumeration:
     """Bounded BFS closure of a congruence class.
 
@@ -322,10 +366,29 @@ class ClassEnumeration:
     from the seed can be replayed.
     """
 
-    seed: Word
-    members: Tuple[Word, ...]
-    complete: bool
-    parent: Dict[Word, Tuple[Word, Move]] = field(repr=False, compare=False)
+    __slots__ = ("seed", "members", "complete", "parent")
+
+    def __init__(
+        self,
+        seed: Word,
+        members: Tuple[Word, ...],
+        complete: bool,
+        parent: Dict[Word, Tuple[Word, Move]],
+    ) -> None:
+        self.seed = seed
+        self.members = members
+        self.complete = complete
+        self.parent = parent
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassEnumeration):
+            return NotImplemented
+        return (self.seed, self.members, self.complete) == (
+            other.seed, other.members, other.complete
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.members, self.complete))
 
     @property
     def edges(self) -> Tuple[Tuple[Word, Move, Word], ...]:
@@ -419,7 +482,6 @@ def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
     return side.enumeration(search.pres)
 
 
-@dataclass(frozen=True)
 class TriBool:
     """Three-valued verdict with an attached witness.
 
@@ -429,12 +491,21 @@ class TriBool:
     search cap was hit before either.
     """
 
-    value: str
-    witness: Any = None
+    __slots__ = ("value", "witness")
 
-    def __post_init__(self) -> None:
-        if self.value not in ("yes", "no", "unknown"):
-            raise ValueError(f"bad TriBool value {self.value!r}")
+    def __init__(self, value: str, witness: Any = None) -> None:
+        if value not in ("yes", "no", "unknown"):
+            raise ValueError(f"bad TriBool value {value!r}")
+        self.value = value
+        self.witness = witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TriBool):
+            return NotImplemented
+        return self.value == other.value and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.witness))
 
     @property
     def is_yes(self) -> bool:

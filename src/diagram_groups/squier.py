@@ -48,9 +48,8 @@ moves out of each vertex; both balls read them through ``CubeTable``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
     ClassEnumeration,
@@ -75,8 +74,7 @@ from .rewriting import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallEdge:
+class BallEdge(NamedTuple):
     """An edge in canonical orientation: a forward move applied at ``source``."""
 
     source: Word
@@ -98,8 +96,7 @@ class BallEdge:
         return self.source[:o], self.source[o + len(src):]
 
 
-@dataclass(frozen=True)
-class BallCube:
+class BallCube(NamedTuple):
     """An ``n``-cube, encoded at the corner where all moves apply forward.
 
     ``moves`` are pairwise disjoint forward moves, ascending offsets.
@@ -192,7 +189,6 @@ def disjoint_cubes(
     return tuple((dim, tuple(cubes[dim])) for dim in sorted(cubes))
 
 
-@dataclass(frozen=True)
 class SquierBall(CubeTable):
     """A bounded piece of the class complex around ``base``, within the caps
     of ``search``, the run's class search that every question about the ball
@@ -201,14 +197,23 @@ class SquierBall(CubeTable):
     ``edges`` lists each edge once, forward, in the order of
     ``enum.members``; ``tree`` holds those of the enumeration's spanning
     tree, and ``loops`` the others, each closing one generating loop.  They,
-    ``catalog`` and ``order`` are computed on first use and kept.
+    ``catalog`` and ``order`` are computed on first use and kept.  A ball is
+    built once per run and base word, so it is equal only to itself.
     """
 
-    search: ClassSearch
-    base: Word
-    enum: ClassEnumeration
-    edges: Tuple[BallEdge, ...]
-    cubes: Tuple[Tuple[int, Tuple[BallCube, ...]], ...]
+    def __init__(
+        self,
+        search: ClassSearch,
+        base: Word,
+        enum: ClassEnumeration,
+        edges: Tuple[BallEdge, ...],
+        cubes: Tuple[Tuple[int, Tuple[BallCube, ...]], ...],
+    ) -> None:
+        self.search = search
+        self.base = base
+        self.enum = enum
+        self.edges = edges
+        self.cubes = cubes
 
     @property
     def pres(self) -> Presentation:
@@ -304,21 +309,33 @@ def _build_ball(search: ClassSearch, base: Word) -> SquierBall:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HyperplaneId:
     """Identity of a hyperplane; hyperplanes carry no orientation.
 
     ``left`` and ``right`` are canonical representatives of the congruence
     classes of the parts.  ``exact`` records whether both part classes were
-    completely enumerated (two ids with equal fields denote one hyperplane
-    regardless, since the representatives are reached by replayable
-    derivations).
+    completely enumerated; it takes no part in equality, since two ids with
+    equal parts and relation denote one hyperplane regardless (the
+    representatives are reached by replayable derivations).
     """
 
-    left: Word
-    relation: int
-    right: Word
-    exact: bool = field(compare=False, default=True)
+    __slots__ = ("left", "relation", "right", "exact")
+
+    def __init__(self, left: Word, relation: int, right: Word, exact: bool = True) -> None:
+        self.left = left
+        self.relation = relation
+        self.right = right
+        self.exact = exact
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HyperplaneId):
+            return NotImplemented
+        return (self.left, self.relation, self.right) == (
+            other.left, other.relation, other.right
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.relation, self.right))
 
     def __str__(self) -> str:
         return (
@@ -348,7 +365,6 @@ class OutsideCatalogError(KeyError):
         self.hyperplane = hyperplane
 
 
-@dataclass(frozen=True)
 class HyperplaneCatalog:
     """The distinct unoriented hyperplanes of a ball.
 
@@ -365,19 +381,21 @@ class HyperplaneCatalog:
     complete enumeration, and a probe from such a word is never unknown.
     """
 
-    ids: Tuple[HyperplaneId, ...]
-    edges_of: Tuple[Tuple[HyperplaneId, Tuple[BallEdge, ...]], ...]
-    exact: bool
-    index: Dict[HyperplaneId, int] = field(init=False, repr=False, compare=False)
-    edge_index: Dict[BallEdge, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ids", "edges_of", "exact", "index", "edge_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {h: i for i, h in enumerate(self.ids)})
-        object.__setattr__(
-            self,
-            "edge_index",
-            {e: i for i, (_, es) in enumerate(self.edges_of) for e in es},
-        )
+    def __init__(
+        self,
+        ids: Tuple[HyperplaneId, ...],
+        edges_of: Tuple[Tuple[HyperplaneId, Tuple[BallEdge, ...]], ...],
+        exact: bool,
+    ) -> None:
+        self.ids = ids
+        self.edges_of = edges_of
+        self.exact = exact
+        self.index: Dict[HyperplaneId, int] = {h: i for i, h in enumerate(ids)}
+        self.edge_index: Dict[BallEdge, int] = {
+            e: i for i, (_, es) in enumerate(edges_of) for e in es
+        }
 
 
 def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
@@ -457,8 +475,7 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class HyperplaneRelation:
+class HyperplaneRelation(NamedTuple):
     """Outcome of comparing two hyperplanes.
 
     ``value`` is one of ``disjoint``, ``first_prec_second``,
@@ -621,7 +638,6 @@ def relate(j1: HyperplaneId, j2: HyperplaneId, ball: SquierBall) -> HyperplaneRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransversalityGraph:
     """Crossing graph of the ball's unoriented hyperplanes.
 
@@ -630,9 +646,15 @@ class TransversalityGraph:
     length 5..9 if one exists (None otherwise), found on first use.
     """
 
-    ids: Tuple[HyperplaneId, ...]
-    edges: Tuple[Tuple[int, int, str], ...]
-    exact: bool
+    def __init__(
+        self,
+        ids: Tuple[HyperplaneId, ...],
+        edges: Tuple[Tuple[int, int, str], ...],
+        exact: bool,
+    ) -> None:
+        self.ids = ids
+        self.edges = edges
+        self.exact = exact
 
     @cached_property
     def odd_cycle(self) -> Optional[Tuple[int, ...]]:
@@ -698,8 +720,7 @@ def transversality_graph(ball: SquierBall) -> TransversalityGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimensionWitness:
+class DimensionWitness(NamedTuple):
     """A class member split into factors, each with a nontrivial class."""
 
     member: Word
@@ -779,8 +800,7 @@ def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
     return TriBool.unknown()
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """Longest crossing chain strictly below a hyperplane."""
 
     value: int
@@ -789,7 +809,6 @@ class RankResult:
     notes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class CrossingOrder:
     """The crossing order ≺ on the cataloged hyperplanes of one ball, by
     catalog position.
@@ -800,9 +819,15 @@ class CrossingOrder:
     reads them.  ``definite`` means no pair came back unknown.
     """
 
-    ball: SquierBall
-    relations: Dict[Tuple[int, int], HyperplaneRelation]
-    definite: bool
+    def __init__(
+        self,
+        ball: SquierBall,
+        relations: Dict[Tuple[int, int], HyperplaneRelation],
+        definite: bool,
+    ) -> None:
+        self.ball = ball
+        self.relations = relations
+        self.definite = definite
 
     @cached_property
     def ranks(self) -> Tuple[RankResult, ...]:
@@ -884,35 +909,59 @@ def rank(j: HyperplaneId, ball: SquierBall) -> RankResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _parts(wit: object) -> tuple:
+    """The fields of a pathology witness but ``evidence``, in their order.
+
+    They alone decide equality: one witness found along two routes carries
+    two sets of derivations, and the report lists it once."""
+    return tuple(getattr(wit, name) for name in wit.__slots__ if name != "evidence")
+
+
 class SelfIntersection:
     """Witness that [a, p -> q, c] crosses itself: a = a p b and c = b p c
     modulo the presentation (with a p c in the base class)."""
 
-    a: Word
-    p: Word
-    q: Word
-    b: Word
-    c: Word
-    evidence: Tuple[Derivation, ...] = field(compare=False, default=())
+    __slots__ = ("a", "p", "q", "b", "c", "evidence")
+
+    def __init__(
+        self, a: Word, p: Word, q: Word, b: Word, c: Word,
+        evidence: Tuple[Derivation, ...] = (),
+    ) -> None:
+        self.a, self.p, self.q, self.b, self.c = a, p, q, b, c
+        self.evidence = evidence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SelfIntersection):
+            return NotImplemented
+        return _parts(self) == _parts(other)
+
+    def __hash__(self) -> int:
+        return hash(_parts(self))
 
 
-@dataclass(frozen=True)
 class SelfOsculation:
     """Witness that [a, (kh)^n k -> p, b] touches itself at a vertex:
     a = a k h and b = h k b modulo the presentation.  ``k`` may be empty
     when the side is a proper power (then n >= 2)."""
 
-    n: int
-    a: Word
-    k: Word
-    h: Word
-    p: Word
-    b: Word
-    evidence: Tuple[Derivation, ...] = field(compare=False, default=())
+    __slots__ = ("n", "a", "k", "h", "p", "b", "evidence")
+
+    def __init__(
+        self, n: int, a: Word, k: Word, h: Word, p: Word, b: Word,
+        evidence: Tuple[Derivation, ...] = (),
+    ) -> None:
+        self.n, self.a, self.k, self.h, self.p, self.b = n, a, k, h, p, b
+        self.evidence = evidence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SelfOsculation):
+            return NotImplemented
+        return _parts(self) == _parts(other)
+
+    def __hash__(self) -> int:
+        return hash(_parts(self))
 
 
-@dataclass(frozen=True)
 class InterOsculation:
     """Witness for two crossing hyperplanes touching at an extra vertex.
 
@@ -922,27 +971,45 @@ class InterOsculation:
     presentation.
     """
 
-    a: Word
-    u: Word
-    v: Word
-    w: Word
-    b: Word
-    p: Word
-    q: Word
-    xi: Word
-    evidence: Tuple[Derivation, ...] = field(compare=False, default=())
+    __slots__ = ("a", "u", "v", "w", "b", "p", "q", "xi", "evidence")
+
+    def __init__(
+        self, a: Word, u: Word, v: Word, w: Word, b: Word, p: Word, q: Word,
+        xi: Word, evidence: Tuple[Derivation, ...] = (),
+    ) -> None:
+        self.a, self.u, self.v, self.w, self.b = a, u, v, w, b
+        self.p, self.q, self.xi = p, q, xi
+        self.evidence = evidence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InterOsculation):
+            return NotImplemented
+        return _parts(self) == _parts(other)
+
+    def __hash__(self) -> int:
+        return hash(_parts(self))
 
 
-@dataclass(frozen=True)
 class AbsorbingSplit:
     """A split of the base class: w0 = a b with a = a p, b = p b modulo the
     presentation and [p] nontrivial — the word-level form of a
     self-crossing."""
 
-    a: Word
-    b: Word
-    p: Word
-    evidence: Tuple[Derivation, ...] = field(compare=False, default=())
+    __slots__ = ("a", "b", "p", "evidence")
+
+    def __init__(
+        self, a: Word, b: Word, p: Word, evidence: Tuple[Derivation, ...] = ()
+    ) -> None:
+        self.a, self.b, self.p = a, b, p
+        self.evidence = evidence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AbsorbingSplit):
+            return NotImplemented
+        return _parts(self) == _parts(other)
+
+    def __hash__(self) -> int:
+        return hash(_parts(self))
 
 
 # -- self-intersections ------------------------------------------------------
@@ -1350,8 +1417,7 @@ def find_inter_osculations(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialnessReport:
+class SpecialnessReport(NamedTuple):
     clean: TriBool
     special: TriBool
     self_intersections: Tuple[SelfIntersection, ...]

@@ -614,7 +614,8 @@ def _child_env():
 
 # one command from each group of modules a call reaches: the exit code, a
 # key of the JSON output with its value, and the modules the call must not
-# load (``fractions`` only ever loads for ``propb``)
+# load (``fractions`` only ever loads for ``propb``, and no call loads
+# ``dataclasses`` or ``inspect``: see STDLIB_UNREACHED)
 COMMANDS = {
     "class": (["class", "-p", "{comm}", "-w", "a b"], 0, ("complete", True),
               ("squier", "farley", "decomposition", "interval", "raag")),
@@ -635,6 +636,10 @@ COMMANDS = {
 }
 
 
+# standard modules that no command loads
+STDLIB_UNREACHED = ("fractions", "dataclasses", "inspect")
+
+
 def _with_files(tmp_path, argv):
     comm = tmp_path / "comm.pres"
     comm.write_text(COMM)
@@ -652,7 +657,7 @@ def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
         "from diagram_groups import cli\n"
         "with redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
-        "mods = [m for m in sys.modules if m.startswith('diagram_groups.') or m == 'fractions']\n"
+        f"mods = [m for m in sys.modules if m.startswith('diagram_groups.') or m in {STDLIB_UNREACHED}]\n"
         "print(code, *sorted(mods))\n"
     )
     proc = subprocess.run(
@@ -662,7 +667,7 @@ def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
     assert proc.stderr == ""
     got, *loaded = proc.stdout.split()
     assert int(got) == code
-    forbidden = {f"diagram_groups.{m}" for m in unreached} | {"fractions"}
+    forbidden = {f"diagram_groups.{m}" for m in unreached} | set(STDLIB_UNREACHED)
     assert "diagram_groups.rewriting" in loaded
     assert forbidden.isdisjoint(loaded)
 

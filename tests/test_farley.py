@@ -224,7 +224,7 @@ def assert_matches_reference(pres, w, radius):
     return len(depths)
 
 
-@pytest.mark.parametrize(
+CORPUS_BALLS = pytest.mark.parametrize(
     "pres,w,radius",
     [
         (PADPAIR, A1B1, 6),
@@ -238,8 +238,41 @@ def assert_matches_reference(pres, w, radius):
     ],
     ids=["padpair", "dirty", "cyc3-abca", "grow", "comm", "halfpad", "osc-plain", "interosc"],
 )
+
+
+@CORPUS_BALLS
 def test_ball_matches_keyed_reference(pres, w, radius):
     assert assert_matches_reference(pres, w, radius) > 1
+
+
+def _count_cube_searches(monkeypatch):
+    """Ball sizes ``farley.disjoint_cubes`` is called with, from now on."""
+    found = []
+    real = farley.disjoint_cubes
+
+    def counted(up, pres):
+        found.append(len(up))
+        return real(up, pres)
+
+    monkeypatch.setattr(farley, "disjoint_cubes", counted)
+    return found
+
+
+@CORPUS_BALLS
+def test_cubes_are_found_on_first_read(monkeypatch, pres, w, radius):
+    # building a ball finds no cube; the first read of ``cubes`` runs
+    # ``disjoint_cubes`` over the ball's up tables, once
+    found = _count_cube_searches(monkeypatch)
+    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
+    assert len(ball.up) == len(ball.depths)
+    assert found == []
+    expected = tuple(
+        (dim, tuple(FarleyCube(*cube) for cube in cs))
+        for dim, cs in disjoint_cubes(ball.up, pres)
+    )
+    assert ball.cubes == expected
+    assert ball.cubes is ball.cubes
+    assert found == [len(ball.depths)]
 
 
 def random_presentation(rng):
@@ -809,7 +842,7 @@ def test_quotients_padpair_r4_are_trees():
 def test_quotients_refuse_inexact_partition():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
-    doubted = dataclasses.replace(part, exact=False)
+    doubted = part._replace(exact=False)
     with pytest.raises(ValueError):
         tree_quotients(ball, doubted)
 
@@ -894,12 +927,15 @@ def test_separating_counts_guard():
         )
 
 
-def test_embedding_reports():
-    # one search serves the rank partition and the ball, as in embed-check
+def test_embedding_reports(monkeypatch):
+    # one search serves the rank partition and the ball, as in embed-check,
+    # which finds no cube of the ball
+    cube_searches = _count_cube_searches(monkeypatch)
     search = ClassSearch(PADPAIR, PADPAIR_CAPS)
     part = rank_partition(search, A1B1)
     rep = check_isometric_embedding(farley_ball(search, A1B1, 4), part)
     assert rep.ok and rep.exact
+    assert cube_searches == []
     assert rep.ranks == (0, 1)
     assert rep.pairs_checked == 6  # the seven depth<=1 vertices, distance 1 apart
 

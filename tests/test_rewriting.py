@@ -12,6 +12,7 @@ import inspect
 import itertools
 import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +464,21 @@ def test_no_module_caches_across_runs():
     assert cached == []
 
 
+def test_no_module_uses_dataclasses():
+    """Records are named tuples or classes with written-out methods.  A
+    dataclass generates and compiles its methods each time its module is
+    imported, and ``dataclasses`` loads ``inspect`` with it, so every CLI
+    call would pay for both at start-up."""
+    package = Path(diagram_groups.__file__).parent
+    found = [
+        (path.name, n)
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "dataclass" in line
+    ]
+    assert found == []
+
+
 def _cap_comparisons(node, qual=()):
     """(enclosing class/function path, cap) for every comparison that has a
     depth or word length cap as an operand."""
@@ -581,3 +597,58 @@ def test_tribool_validation():
 def test_caps_validation():
     with pytest.raises(ValueError):
         SearchCaps(max_word_len=0)
+    for caps in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 5, 5)]:
+        with pytest.raises(ValueError):
+            SearchCaps(*caps)
+
+
+# ---------------------------------------------------------------------------
+# what the records promise: validation, equality, length
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [((), ("a",)), (("a",), ()), ((), ()), (("a", "b"), ("a", "b"))],
+)
+def test_relation_rejects_empty_and_trivial_sides(lhs, rhs):
+    with pytest.raises(PresentationError):
+        Relation(lhs, rhs)
+
+
+def test_presentation_rejects_duplicate_letters():
+    with pytest.raises(PresentationError):
+        Presentation(("a", "b", "a"), ())
+    with pytest.raises(PresentationError):
+        Presentation((), ())
+
+
+def test_caps_as_dict_in_parameter_order():
+    assert SearchCaps().as_dict() == {
+        "max_word_len": 16, "max_class_size": 1000, "max_bfs_depth": 48,
+    }
+    assert list(CAPS.as_dict()) == ["max_word_len", "max_class_size", "max_bfs_depth"]
+    assert SearchCaps(12, 2000, 40) == CAPS and hash(SearchCaps(12, 2000, 40)) == hash(CAPS)
+    assert SearchCaps(12, 2000, 41) != CAPS
+
+
+def test_tribool_equality_is_value_and_witness():
+    assert TriBool("yes") == TriBool.yes()
+    assert TriBool.no("cert") == TriBool("no", "cert")
+    assert TriBool.no("cert") != TriBool.no("other")
+    assert len({TriBool.yes(), TriBool("yes", None)}) == 1
+
+
+def test_zero_step_derivation_has_length_zero():
+    d = Derivation(W("a b"), ())
+    assert len(d) == 0 and not d
+    assert d.end(COMM) == W("a b")
+    assert Derivation(W("a b"), (Move(0, 0, True),)) == Derivation(W("a b"), (Move(0, 0, True),))
+    assert len({d, Derivation(W("a b"), ())}) == 1
+
+
+def test_enumeration_equality_ignores_the_tree():
+    enum = ClassSearch(COMM, CAPS).enum(W("a b c"))
+    other = ClassEnumeration(enum.seed, enum.members, enum.complete, {})
+    assert other == enum and hash(other) == hash(enum)
+    assert len(enum) == 6 and W("c b a") in enum and W("a a") not in enum

@@ -39,9 +39,11 @@ from diagram_groups.rewriting import (
     parse_presentation,
 )
 from diagram_groups.squier import (
+    AbsorbingSplit,
     BallCube,
     BallEdge,
     HyperplaneId,
+    SelfIntersection,
     build_ball,
     dimension_at_least,
     find_absorbing_splits,
@@ -303,6 +305,24 @@ class TestHyperplaneId:
         for hid, es in catalog.edges_of:
             for e in es:
                 assert catalog.ids[catalog.edge_index[e]] == hid
+
+    def test_exactness_takes_no_part_in_equality(self):
+        exact = HyperplaneId(W("a"), 2, W(""), True)
+        doubted = HyperplaneId(W("a"), 2, W(""), False)
+        assert exact == doubted and hash(exact) == hash(doubted)
+        assert exact != HyperplaneId(W("a"), 1, W(""))
+        assert exact != HyperplaneId(W(""), 2, W("a"))
+
+    def test_separately_built_values_find_one_entry(self):
+        ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
+        catalog = ball.catalog
+        # keys rebuilt from plain tuples, not the objects the catalog holds
+        edge = BallEdge(W("a b c"), Move(0, 0, True))
+        assert edge == ball.edges[0] and edge is not ball.edges[0]
+        assert catalog.edge_index[edge] == 0
+        hid = HyperplaneId(W(""), 0, W("c"), False)
+        assert catalog.index[hid] == 0
+        assert {Move(0, 0, True): 1}[ball.edges[0].move] == 1
 
 
 def reference_hyperplane_catalog(ball):
@@ -703,6 +723,18 @@ def self_intersection_square(search, wit, w0):
 
 
 class TestSelfIntersection:
+    def test_witness_equality_ignores_evidence(self):
+        search = ClassSearch(DIRTY, TIGHT_CAPS)
+        splits, _ = find_absorbing_splits(search, W("a b"))
+        split = next(s for s in splits if s.p == W("p"))
+        bare = AbsorbingSplit(split.a, split.b, split.p)
+        assert bare.evidence == () and split.evidence
+        assert bare == split and hash(bare) == hash(split)
+        wit = split_to_self_intersection(search, split)
+        again = SelfIntersection(wit.a, wit.p, wit.q, wit.b, wit.c, evidence=split.evidence)
+        assert again == wit and len({again, wit}) == 1
+        assert SelfIntersection(wit.a, wit.p, wit.q, wit.b, wit.c + W("a")) != wit
+
     def test_dirty_splits_found(self):
         splits, _ = find_absorbing_splits(ClassSearch(DIRTY, TIGHT_CAPS), W("a b"))
         assert any(
