@@ -102,12 +102,6 @@ def eps(pres: Presentation, w: Word) -> Diagram:
     return Diagram(pres, w, ())
 
 
-def atom(pres: Presentation, a: Word, relation: int, forward: bool, b: Word) -> Diagram:
-    """The one-cell diagram ``a (lhs -> rhs) b`` (or backward)."""
-    src, _ = pres.relations[relation].sides(forward)
-    return Diagram(pres, a + src + b, (Move(len(a), relation, forward),))
-
-
 def from_derivation(derivation: Derivation, pres: Presentation) -> Diagram:
     return Diagram(pres, derivation.start, derivation.steps)
 
@@ -189,23 +183,27 @@ class Wires:
     """
 
     def __init__(self, pres: Presentation, top: Word) -> None:
-        self.pres = pres
         self.top: Tuple[int, ...] = tuple(range(len(top)))
         self.producer: List[Optional[WireCell]] = [None] * len(top)
         self._named: Dict[Tuple[int, bool, Tuple[int, ...]], WireCell] = {}
+        # (relation, forward) -> (source length, target length)
+        self._lengths: Dict[Tuple[int, bool], Tuple[int, int]] = {}
+        for r, rel in enumerate(pres.relations):
+            self._lengths[r, True] = (len(rel.lhs), len(rel.rhs))
+            self._lengths[r, False] = (len(rel.rhs), len(rel.lhs))
 
     def fire(self, bottom: Tuple[int, ...], move: Move) -> Tuple[Tuple[int, ...], WireCell]:
         """The bottom after one more cell, and that cell, named canonically."""
-        src, dst = move.sides(self.pres)
-        o = move.offset
-        end = o + len(src)
-        name = (move.relation, move.forward, bottom[o:end])
+        o, relation, forward = move
+        consumed, produced = self._lengths[relation, forward]
+        end = o + consumed
+        name = (relation, forward, bottom[o:end])
         cell = self._named.get(name)
         if cell is None:
             fresh = len(self.producer)
-            cell = name + (tuple(range(fresh, fresh + len(dst))),)
+            cell = name + (tuple(range(fresh, fresh + produced)),)
             self._named[name] = cell
-            self.producer.extend([cell] * len(dst))
+            self.producer.extend([cell] * produced)
         return bottom[:o] + cell[3] + bottom[end:], cell
 
     def extend_reduced(
@@ -221,15 +219,15 @@ class Wires:
         the cell cancelled or fired, and whether it cancelled.  Every ball
         of reduced diagrams and :func:`reduce_diagram` reduce through it.
         """
-        o = move.offset
-        end = o + len(move.sides(self.pres)[0])
+        o, relation, forward = move
+        end = o + self._lengths[relation, forward][0]
         consumed = bottom[o:end]
         cell = self.producer[consumed[0]]
         if (
             cell is not None
             and cell[3] == consumed
-            and cell[0] == move.relation
-            and cell[1] != move.forward
+            and cell[0] == relation
+            and cell[1] != forward
         ):
             return bottom[:o] + cell[2] + bottom[end:], cell, True
         bottom, cell = self.fire(bottom, move)
@@ -402,7 +400,6 @@ __all__ = [
     "Diagram",
     "CanonicalKey",
     "eps",
-    "atom",
     "from_derivation",
     "compose",
     "dsum",

@@ -67,10 +67,8 @@ from .diagrams import (
     Diagram,
     Wires,
     cayley_ball,
-    compose,
     inverse,
     is_reduced,
-    reduce_diagram,
 )
 from .rewriting import (
     ClassSearch,
@@ -238,13 +236,6 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
         pres, w, radius, tuple(words), tuple(depths), tuple(parents),
         tuple(edges), tuple(up), tuple(keys), wires,
     )
-
-
-def distance(a: Diagram, b: Diagram) -> int:
-    """Cells of ``reduce(inverse(a) . b)`` — the combinatorial distance."""
-    if a.pres != b.pres or a.top != b.top:
-        raise ValueError("distance needs two diagrams with a common top")
-    return reduce_diagram(compose(inverse(a), b)).cells
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +519,6 @@ __all__ = [
     "RankPartition",
     "TreeQuotient",
     "check_isometric_embedding",
-    "distance",
     "edge_ranks",
     "farley_ball",
     "guarded_pairs",

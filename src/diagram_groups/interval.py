@@ -28,7 +28,7 @@ from itertools import accumulate, combinations, permutations
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .diagrams import Diagram, cayley_ball, reduce_diagram
-from .raag import RaagGraph, RaagWord, raag_graph, raag_normal_form
+from .raag import RaagGraph, RaagWord, Syllable, multiply_syllable, raag_graph
 from .rewriting import (
     Move,
     Presentation,
@@ -430,22 +430,24 @@ def evaluate_raag_word(w: RaagWord, coll: IntervalCollection) -> Diagram:
 
 def raag_ball_sizes(graph: SimpleGraph, length: int) -> Tuple[int, ...]:
     """Ball sizes |B(0)|, …, |B(length)| in the right-angled Artin group of
-    ``graph``, counted by breadth-first search over normal forms."""
-    start = RaagWord(())
-    seen = {start.syllables}
-    frontier = [start]
+    ``graph``, counted by breadth-first search over normal-form tuples.
+
+    A product with a generator or its inverse is one
+    :func:`raag.multiply_syllable` step on the normal form: it cancels a
+    syllable that shuffles to the end or inserts one, and the lex-least
+    order of the other syllables stays as it was."""
+    steps = [(gen, exp) for gen in graph.vertices for exp in (1, -1)]
+    seen: Set[Tuple[Syllable, ...]] = {()}
+    frontier: List[Tuple[Syllable, ...]] = [()]
     sizes = [1]
     for _ in range(length):
-        grown: List[RaagWord] = []
-        for w in frontier:
-            for gen in graph.vertices:
-                for exp in (1, -1):
-                    nf = raag_normal_form(
-                        RaagWord(w.syllables + ((gen, exp),)), graph
-                    )
-                    if nf.syllables not in seen:
-                        seen.add(nf.syllables)
-                        grown.append(nf)
+        grown = []
+        for nf in frontier:
+            for s in steps:
+                product = multiply_syllable(nf, s, graph)
+                if product not in seen:
+                    seen.add(product)
+                    grown.append(product)
         frontier = grown
         sizes.append(len(seen))
     return tuple(sizes)

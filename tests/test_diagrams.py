@@ -34,7 +34,6 @@ from conftest import (
 from diagram_groups.diagrams import (
     CanonicalKey,
     Diagram,
-    atom,
     canonical_key,
     compose,
     dsum,
@@ -54,6 +53,12 @@ from diagram_groups.rewriting import (
     Word,
     one_step_rewrites,
 )
+
+
+def atom(pres, a: Word, relation: int, forward: bool, b: Word) -> Diagram:
+    """The one-cell diagram ``a (lhs -> rhs) b`` (or backward)."""
+    src, _ = pres.relations[relation].sides(forward)
+    return Diagram(pres, a + src + b, (Move(len(a), relation, forward),))
 
 
 def replay_key(key: CanonicalKey, pres) -> Word:

@@ -52,7 +52,6 @@ from diagram_groups.farley import (
     FarleyCube,
     FarleyEdge,
     check_isometric_embedding,
-    distance,
     edge_ranks,
     farley_ball,
     guarded_pairs,
@@ -119,6 +118,14 @@ def adjacency(ball):
         adj[e.low].append((e.high, ei))
         adj[e.high].append((e.low, ei))
     return adj
+
+
+def distance(a, b):
+    """Cells of ``reduce(inverse(a) . b)``: the combinatorial distance,
+    computed by general reduction, independently of the ball's cell sets."""
+    if a.pres != b.pres or a.top != b.top:
+        raise ValueError("distance needs two diagrams with a common top")
+    return reduce_diagram(compose(inverse(a), b)).cells
 
 
 def index_of(ball, d):
@@ -454,9 +461,14 @@ def test_ball_replays_diagrams_only_when_asked(monkeypatch):
     def refused(*args):
         raise AssertionError("guarded_pairs ran the diagram algebra")
 
+    # farley imports ``inverse`` alone of the three; the other two could
+    # only be reached through the diagrams module
+    from diagram_groups import diagrams as algebra
+
     monkeypatch.setattr(farley.FarleyBall, "diagram", counted)
+    monkeypatch.setattr(farley, "inverse", refused)
     for name in ("compose", "inverse", "reduce_diagram"):
-        monkeypatch.setattr(farley, name, refused)
+        monkeypatch.setattr(algebra, name, refused)
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     assert guarded_pairs(ball)
     assert built == []

@@ -1,15 +1,19 @@
 """Interval collections, recognition certificates, and the Artin-group
 corroboration suite.
 
-Ball-size oracles: a free group of rank r has |B(L)| following
-s(0)=1, s(L+1) = s(L) + (2r)·(2r−1)^(L−1)-ish growth — concretely rank 1
-gives 1,3,5,7, rank 2 gives 1,5,17,53 — while the free abelian groups give
+Ball-size oracles: a free group of rank r has spheres of size
+|S(0)| = 1 and |S(L)| = 2r(2r−1)^(L−1) for L ≥ 1, so rank 1 gives balls
+1,3,5,7 and rank 2 gives 1,5,17,53, while the free abelian groups give
 1,5,13,25 (rank 2) and 1,7,25,63 (rank 3).  These literals were computed by
 hand from the standard counting formulas and are frozen below; both search
-routes (normal forms and reduced diagrams) must reproduce them.
+routes (normal forms and reduced diagrams) must reproduce them.  On random
+graphs the normal-form route must reproduce the growth series
+1/C_Γ(−2t/(1+t)) of the right-angled Artin group, C_Γ being the clique
+polynomial.
 """
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -421,6 +425,70 @@ def test_raag_ball_sizes_frozen():
     assert raag_ball_sizes(edgeless_graph(2), 3) == (1, 5, 17, 53)  # free rank 2
     assert raag_ball_sizes(complete_graph(3), 3) == (1, 7, 25, 63)  # Z^3
     assert raag_ball_sizes(edgeless_graph(3), 2) == (1, 7, 37)  # free rank 3
+
+
+def growth_ball_sizes(graph, length):
+    """Partial sums of the growth series 1/C(−2t/(1+t)), C the clique
+    polynomial Σ c_k x^k, in integer power series: multiplied through by
+    (1+t)^n, n the clique number, the series is (1+t)^n / N(t) with
+    N(t) = Σ c_k (−2t)^k (1+t)^(n−k), and N(0) = 1."""
+    verts = graph.vertices
+    counts = [
+        sum(
+            1
+            for clique in combinations(verts, k)
+            if all(tuple(sorted(p)) in graph.edges for p in combinations(clique, 2))
+        )
+        for k in range(len(verts) + 1)
+    ]
+    while counts[-1] == 0:
+        counts.pop()
+    n = len(counts) - 1
+
+    def times(f, g):
+        h = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                h[i + j] += a * b
+        return h
+
+    def power(f, k):
+        out = [1]
+        for _ in range(k):
+            out = times(out, f)
+        return out
+
+    denom = [0] * (n + 1)
+    for k, c in enumerate(counts):
+        for i, a in enumerate(times(power([0, -2], k), power([1, 1], n - k))):
+            denom[i] += c * a
+    assert denom[0] == 1
+    numer = power([1, 1], n) + [0] * length
+    series = []
+    for m in range(length + 1):
+        series.append(
+            numer[m] - sum(denom[i] * series[m - i] for i in range(1, min(m, n) + 1))
+        )
+    sums, total = [], 0
+    for a in series:
+        total += a
+        sums.append(total)
+    return tuple(sums)
+
+
+def test_growth_series_matches_free_and_abelian_literals():
+    assert growth_ball_sizes(edgeless_graph(2), 3) == (1, 5, 17, 53)
+    assert growth_ball_sizes(complete_graph(3), 3) == (1, 7, 25, 63)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_raag_ball_sizes_follow_growth_series(seed):
+    rng = random.Random(seed)
+    verts = [f"v{i}" for i in range(1 + seed % 6)]
+    graph = raag_graph(
+        verts, [e for e in combinations(verts, 2) if rng.random() < 0.5]
+    )
+    assert raag_ball_sizes(graph, 4) == growth_ball_sizes(graph, 4)
 
 
 @pytest.mark.parametrize(

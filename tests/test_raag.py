@@ -17,6 +17,7 @@ from diagram_groups.raag import (
     RaagWord,
     format_raag_word,
     hyperplane_generators,
+    multiply_syllable,
     phi,
     positive_direction,
     raag_graph,
@@ -96,6 +97,10 @@ class TestParseFormat:
             parse_raag_word("q", K22)
         with pytest.raises(ValueError):
             raag_normal_form(RaagWord((("q", 1),)), K22)
+
+    def test_non_string_generator_rejected(self):
+        with pytest.raises(TypeError):
+            RaagWord(((1, 1),))
 
     def test_inverse_and_product(self):
         word = w("a b^-1")
@@ -183,7 +188,26 @@ syllables_abc = st.lists(
 ).map(tuple)
 
 
+@st.composite
+def graph_word_syllable(draw):
+    """A graph on at most four vertices, a word and one syllable over it."""
+    verts = "abcd"[: draw(st.integers(1, 4))]
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+    graph = raag_graph(verts, [p for p in pairs if draw(st.booleans())])
+    syllable = st.tuples(st.sampled_from(verts), st.sampled_from((1, -1)))
+    word = draw(st.lists(syllable, max_size=7).map(tuple))
+    return graph, word, draw(syllable)
+
+
 class TestNormalFormOracle:
+    @given(graph_word_syllable())
+    @settings(max_examples=150, deadline=None)
+    def test_one_step_matches_orbit(self, case):
+        graph, sylls, s = case
+        nf = raag_normal_form(RaagWord(sylls), graph).syllables
+        expected = _orbit_normal_form(RaagWord(sylls + (s,)), graph)
+        assert multiply_syllable(nf, s, graph) == expected.syllables
+
     @given(syllables_abc, st.sampled_from([P3, K3, FREE3]))
     @settings(max_examples=120, deadline=None)
     def test_matches_orbit(self, sylls, graph):
