@@ -603,7 +603,7 @@ def _cmd_farley(ns: argparse.Namespace) -> int:
                 "vertex_count": len(ball.depths),
                 "edge_count": len(ball.edges),
                 "sizes_by_depth": sizes,
-                "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
+                "cube_counts": {str(dim): n for dim, n in ball.cube_counts.items()},
             }
         )
     return EXIT_OK

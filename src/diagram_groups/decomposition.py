@@ -343,8 +343,18 @@ def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
     def total_size() -> int:
         return sum(len(r) for r in rels)
 
+    # a relator a pass leaves alone is the same tuple in the next pass, and
+    # a key is its own key, so each distinct relator is keyed once per call
+    keys: Dict[Relator, Relator] = {}
+
+    def key(r: Relator) -> Relator:
+        k = keys.get(r)
+        if k is None:
+            k = keys[r] = keys[k] = _relator_key(_cyclic_reduce(r))
+        return k
+
     for _ in range(_SIMPLIFY_PASSES):
-        rels = [r for r in {_relator_key(_cyclic_reduce(r)) for r in rels} if r]
+        rels = [r for r in {key(r) for r in rels} if r]
         rels.sort(key=lambda r: (len(r), r))
         changed = False
         # a length-one relator kills its generator outright

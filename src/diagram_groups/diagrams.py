@@ -186,16 +186,16 @@ class Wires:
         self.top: Tuple[int, ...] = tuple(range(len(top)))
         self.producer: List[Optional[WireCell]] = [None] * len(top)
         self._named: Dict[Tuple[int, bool, Tuple[int, ...]], WireCell] = {}
-        # (relation, forward) -> (source length, target length)
-        self._lengths: Dict[Tuple[int, bool], Tuple[int, int]] = {}
+        # (relation, forward) -> (source length, target length) of a move
+        self.lengths: Dict[Tuple[int, bool], Tuple[int, int]] = {}
         for r, rel in enumerate(pres.relations):
-            self._lengths[r, True] = (len(rel.lhs), len(rel.rhs))
-            self._lengths[r, False] = (len(rel.rhs), len(rel.lhs))
+            self.lengths[r, True] = (len(rel.lhs), len(rel.rhs))
+            self.lengths[r, False] = (len(rel.rhs), len(rel.lhs))
 
     def fire(self, bottom: Tuple[int, ...], move: Move) -> Tuple[Tuple[int, ...], WireCell]:
         """The bottom after one more cell, and that cell, named canonically."""
         o, relation, forward = move
-        consumed, produced = self._lengths[relation, forward]
+        consumed, produced = self.lengths[relation, forward]
         end = o + consumed
         name = (relation, forward, bottom[o:end])
         cell = self._named.get(name)
@@ -220,7 +220,7 @@ class Wires:
         of reduced diagrams and :func:`reduce_diagram` reduce through it.
         """
         o, relation, forward = move
-        end = o + self._lengths[relation, forward][0]
+        end = o + self.lengths[relation, forward][0]
         consumed = bottom[o:end]
         cell = self.producer[consumed[0]]
         if (

@@ -49,6 +49,7 @@ only such pairs are judged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from typing import (
@@ -77,13 +78,7 @@ from .rewriting import (
     Word,
     format_word,
 )
-from .squier import (
-    CubeTable,
-    RankResult,
-    SquierBall,
-    build_ball,
-    disjoint_cubes,
-)
+from .squier import RankResult, SquierBall, build_ball
 
 if TYPE_CHECKING:
     # ``property_b_scan`` imports ``Fraction`` itself: only ``propb`` uses
@@ -111,24 +106,7 @@ class FarleyEdge(NamedTuple):
     move: Move
 
 
-class FarleyCube(NamedTuple):
-    """An ``n``-cube, stored at the corner with the fewest cells.
-
-    ``moves`` are pairwise disjoint rewrites of that corner's bottom word in
-    ascending offset order; ``corners[mask]`` is the vertex reached by
-    applying the subset of ``moves`` selected by the bits of ``mask``.
-    """
-
-    corner: int
-    moves: Tuple[Move, ...]
-    corners: Tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.moves)
-
-
-class FarleyBall(CubeTable):
+class FarleyBall:
     """All reduced diagrams with the given top and at most ``radius`` cells.
 
     Vertices are indexed in breadth-first order from the trivial diagram;
@@ -139,8 +117,15 @@ class FarleyBall(CubeTable):
     the base), whose chain :meth:`diagram` replays.  ``keys[i]`` is its
     bottom tuple of wire ids, which identifies it only against ``wires``,
     the table the ball was fired through.  ``up[i]`` maps each move that
-    appends a cell at ``i`` to the vertex it reaches; ``cubes`` are computed
-    from those tables on first use, since only some commands read them.
+    appends a cell at ``i`` to the vertex it reaches.
+
+    The ``k``-cubes at a vertex of Farley's complex are its sets of ``k``
+    pairwise disjoint moves that append cells.  Such moves consume wires
+    the others leave alone, so no subset of them cancels, and the corner a
+    subset of ``k`` of them reaches holds ``k`` more cells.  A cube is thus
+    in the ball exactly when its lowest corner has at least ``k`` cells to
+    spare, and ``cube_counts`` (dimension to count, from dimension two up,
+    computed on first read) counts sets of disjoint moves, listing no cube.
     """
 
     def __init__(
@@ -168,11 +153,30 @@ class FarleyBall(CubeTable):
         self.wires = wires
 
     @cached_property
-    def cubes(self) -> Tuple[Tuple[int, Tuple[FarleyCube, ...]], ...]:
-        return tuple(
-            (dim, tuple(FarleyCube(*cube) for cube in cs))
-            for dim, cs in disjoint_cubes(self.up, self.pres)
-        )
+    def cube_counts(self) -> Dict[int, int]:
+        lengths = self.wires.lengths
+        totals = [0] * (self.radius + 1)
+        for moves, depth in zip(self.up, self.depths):
+            # no more than len(moves) of them are disjoint
+            spare = min(self.radius - depth, len(moves))
+            if spare < 2:
+                continue
+            # (end, offset) intervals, sorted by end: the ones ending at or
+            # before an offset are a prefix, and ``prefix[m][k]`` counts the
+            # k-sets of pairwise disjoint intervals among the first m
+            spans = sorted(
+                (o + lengths[r, f][0], o) for o, r, f in moves
+            )
+            ends = [end for end, _ in spans]
+            prefix = [[1] + [0] * spare]
+            for _, o in spans:
+                last, before = prefix[-1], prefix[bisect_right(ends, o)]
+                prefix.append(
+                    [1] + [a + b for a, b in zip(last[1:], before)]
+                )
+            for k in range(2, spare + 1):
+                totals[k] += prefix[-1][k]
+        return {k: n for k, n in enumerate(totals) if n}
 
     def diagram(self, i: int) -> Diagram:
         """The reduced diagram of vertex ``i``, replayed from its first parents."""
@@ -197,8 +201,8 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
     down, to a vertex processed earlier that recorded the edge already; any
     other step leads one level up, to the vertex of its bottom tuple, new or
     recorded.  ``up[i]`` maps each move that appends a cell at ``i`` to the
-    vertex it reaches; the ball's cubes come from ``squier.disjoint_cubes``
-    over those tables when first read.
+    vertex it reaches; the ball counts its cubes from those tables when
+    ``cube_counts`` is first read.
     """
     pres = search.pres
     pres.check_word(w)
@@ -513,7 +517,6 @@ def property_b_scan(
 __all__ = [
     "EmbeddingReport",
     "FarleyBall",
-    "FarleyCube",
     "FarleyEdge",
     "PropertyBScan",
     "RankPartition",

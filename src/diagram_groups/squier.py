@@ -40,9 +40,11 @@ only look a cataloged hyperplane up in ``ball.order``.  An edge, in or out
 of the ball, learns its hyperplane through ``ball.hyperplane_index``, the
 one map from edges to catalog positions.
 
-Cubes of this complex and of Farley's complex of reduced diagrams, which
-covers it, come from one routine, ``disjoint_cubes``, over tables of the
-moves out of each vertex; both balls read them through ``CubeTable``.
+The ball's cubes come from ``disjoint_cubes``, over tables of the moves
+out of each vertex, and the ball keeps them as ``cubes`` (``(dim, cubes)``
+pairs of ascending dimension), ``squares`` and ``cubes_of``.  Farley's
+complex of reduced diagrams, which covers this one, only counts its cubes
+(``farley.FarleyBall.cube_counts``).
 """
 
 from __future__ import annotations
@@ -113,26 +115,6 @@ class BallCube(NamedTuple):
         return BallEdge(self.corner, self.moves[i])
 
 
-class CubeTable:
-    """Read access to ``cubes``, the ``(dim, cubes)`` pairs of ascending
-    dimension that :func:`disjoint_cubes` lists; shared by both balls."""
-
-    cubes: Tuple[Tuple[int, tuple], ...]
-
-    @property
-    def squares(self) -> tuple:
-        return self.cubes_of(2)
-
-    def cubes_of(self, n: int) -> tuple:
-        for dim, cs in self.cubes:
-            if dim == n:
-                return cs
-        return ()
-
-    def cube_dims(self) -> Tuple[int, ...]:
-        return tuple(dim for dim, _ in self.cubes)
-
-
 def disjoint_cubes(
     up: Sequence[Dict[Move, int]], pres: Presentation
 ) -> Tuple[Tuple[int, tuple], ...]:
@@ -147,6 +129,8 @@ def disjoint_cubes(
     ``(offset, end, relation, forward)`` order; each cube is returned as
     ``(corner, moves, corners)``, where ``corners[mask]`` is reached by the
     moves whose bits are set in ``mask``, grouped by ascending dimension.
+    The Squier ball (``_build_ball``) is its one caller; Farley balls only
+    count their cubes, and the tests check that count against this list.
     """
 
     def end(move: Move) -> int:
@@ -189,7 +173,7 @@ def disjoint_cubes(
     return tuple((dim, tuple(cubes[dim])) for dim in sorted(cubes))
 
 
-class SquierBall(CubeTable):
+class SquierBall:
     """A bounded piece of the class complex around ``base``, within the caps
     of ``search``, the run's class search that every question about the ball
     goes through.
@@ -218,6 +202,19 @@ class SquierBall(CubeTable):
     @property
     def pres(self) -> Presentation:
         return self.search.pres
+
+    @property
+    def squares(self) -> Tuple[BallCube, ...]:
+        return self.cubes_of(2)
+
+    def cubes_of(self, n: int) -> Tuple[BallCube, ...]:
+        for dim, cs in self.cubes:
+            if dim == n:
+                return cs
+        return ()
+
+    def cube_dims(self) -> Tuple[int, ...]:
+        return tuple(dim for dim, _ in self.cubes)
 
     @property
     def vertices(self) -> Tuple[Word, ...]:
@@ -1512,7 +1509,6 @@ def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
 __all__ = [
     "BallEdge",
     "BallCube",
-    "CubeTable",
     "disjoint_cubes",
     "SquierBall",
     "build_ball",

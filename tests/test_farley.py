@@ -12,11 +12,12 @@ them exactly; a live (smaller) instance of the same oracle runs in-test.
 normal form of each vertex's cells; the ball must match it vertex for vertex.
 """
 
+import copy
 import dataclasses
 import itertools
 import random
 from collections import Counter, deque
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 from fractions import Fraction
@@ -49,7 +50,6 @@ from diagram_groups.diagrams import (
     reduce_diagram,
 )
 from diagram_groups.farley import (
-    FarleyCube,
     FarleyEdge,
     check_isometric_embedding,
     edge_ranks,
@@ -99,9 +99,39 @@ def shape(ball):
     return (
         len(ball.depths),
         len(ball.edges),
-        len(ball.squares),
+        ball.cube_counts.get(2, 0),
         tuple(counts[i] for i in sorted(counts)),
     )
+
+
+class FarleyCube(NamedTuple):
+    """A cube of a Farley ball, at its corner with the fewest cells.
+
+    ``moves`` are pairwise disjoint rewrites of that corner's bottom word in
+    ascending offset order; ``corners[mask]`` is the vertex reached by the
+    moves whose bits are set in ``mask``.
+    """
+
+    corner: int
+    moves: Tuple[Move, ...]
+    corners: Tuple[int, ...]
+
+
+def farley_cubes(ball):
+    """The cubes of a Farley ball by dimension, as ``squier.disjoint_cubes``
+    lists them from the ball's up tables; the ball itself only counts them."""
+    return {
+        dim: tuple(FarleyCube(*cube) for cube in cs)
+        for dim, cs in disjoint_cubes(ball.up, ball.pres)
+    }
+
+
+def farley_squares(ball):
+    return farley_cubes(ball).get(2, ())
+
+
+def listed_cube_counts(up, pres):
+    return {dim: len(cs) for dim, cs in disjoint_cubes(up, pres)}
 
 
 def vertex_diagrams(ball):
@@ -145,7 +175,7 @@ def index_of(ball, d):
 
 
 def reference_ball(pres, w, radius):
-    """The keyed search: ``(keys, diagrams, depths, edges, cubes)``.
+    """The keyed search: ``(keys, diagrams, depths, edges, up)``.
 
     A vertex ``A`` on the frontier is held by its bottom wires and extended
     by ``Wires.extend_reduced``: a cancelling step leads one level down, to
@@ -207,19 +237,16 @@ def reference_ball(pres, w, radius):
         if cancels != down[i]:
             raise RuntimeError(f"vertex {i}: {cancels} cancellations, {down[i]} edges below")
 
-    packed = tuple(
-        (dim, tuple(FarleyCube(*cube) for cube in cs))
-        for dim, cs in disjoint_cubes(up, pres)
-    )
-    return tuple(keys), tuple(diagrams), tuple(depths), tuple(edges), packed
+    return tuple(keys), tuple(diagrams), tuple(depths), tuple(edges), tuple(up)
 
 
 def assert_matches_reference(pres, w, radius):
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
-    _, diagrams, depths, edges, cubes = reference_ball(pres, w, radius)
+    _, diagrams, depths, edges, up = reference_ball(pres, w, radius)
     assert ball.depths == depths
     assert ball.edges == edges
-    assert ball.cubes == cubes
+    assert ball.up == up
+    assert ball.cube_counts == listed_cube_counts(up, pres)
     assert ball.words == tuple(d.bot for d in diagrams)
     replayed = [ball.diagram(i).moves for i in range(len(depths))]
     assert replayed == [d.moves for d in diagrams]
@@ -252,34 +279,21 @@ def test_ball_matches_keyed_reference(pres, w, radius):
     assert assert_matches_reference(pres, w, radius) > 1
 
 
-def _count_cube_searches(monkeypatch):
-    """Ball sizes ``farley.disjoint_cubes`` is called with, from now on."""
-    found = []
-    real = farley.disjoint_cubes
-
-    def counted(up, pres):
-        found.append(len(up))
-        return real(up, pres)
-
-    monkeypatch.setattr(farley, "disjoint_cubes", counted)
-    return found
-
-
 @CORPUS_BALLS
-def test_cubes_are_found_on_first_read(monkeypatch, pres, w, radius):
-    # building a ball finds no cube; the first read of ``cubes`` runs
-    # ``disjoint_cubes`` over the ball's up tables, once
-    found = _count_cube_searches(monkeypatch)
-    ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
-    assert len(ball.up) == len(ball.depths)
-    assert found == []
-    expected = tuple(
-        (dim, tuple(FarleyCube(*cube) for cube in cs))
-        for dim, cs in disjoint_cubes(ball.up, pres)
-    )
-    assert ball.cubes == expected
-    assert ball.cubes is ball.cubes
-    assert found == [len(ball.depths)]
+def test_cubes_are_found_on_first_read(pres, w, radius):
+    # every radius up to the listed one: a k-set of disjoint moves at depth
+    # d spans a cube of the ball exactly when d + k <= radius; building a
+    # ball counts nothing, and the first read of ``cube_counts`` counts once
+    search = ClassSearch(pres, DEFAULT_CAPS)
+    for r in range(radius + 1):
+        ball = farley_ball(search, w, r)
+        expected = listed_cube_counts(ball.up, pres)
+        assert "cube_counts" not in vars(ball)
+        counts = ball.cube_counts
+        assert counts == expected, r
+        # a second read touches no table
+        ball.up = ball.depths = ball.wires = None
+        assert ball.cube_counts is counts
 
 
 def random_presentation(rng):
@@ -304,6 +318,27 @@ def test_ball_matches_keyed_reference_on_random_presentations():
         pres, base = random_presentation(rng)
         vertices += assert_matches_reference(pres, base, 5)
     assert vertices > 1000
+
+
+def test_cube_counts_match_enumerator_on_random_presentations():
+    rng = random.Random(2003)
+    cubes = 0
+    for n in range(240):
+        pres, base = random_presentation(rng)
+        ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), base, 2 + n % 4)
+        assert ball.cube_counts == listed_cube_counts(ball.up, pres), n
+        cubes += sum(ball.cube_counts.values())
+    assert cubes > 5000
+
+
+def test_cube_counts_need_the_depth_bound():
+    # counted without the radius - depth bound, disjoint moves near the rim
+    # would span cubes whose far corners leave the ball
+    ball = farley_ball(ClassSearch(DIRTY, DEFAULT_CAPS), W("a b"), 5)
+    unbounded = copy.copy(ball)
+    unbounded.radius = ball.radius + max(len(u) for u in ball.words)
+    assert unbounded.cube_counts != listed_cube_counts(ball.up, DIRTY)
+    assert ball.cube_counts == listed_cube_counts(ball.up, DIRTY)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +471,9 @@ def test_cube_corners_match_general_reduction(pres, w, radius):
     # the corner diagram composed with the selected atoms, reduced in general
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
     index = vertex_index(ball)
-    assert ball.cubes
-    for _, cubes in ball.cubes:
+    cubes_by_dim = farley_cubes(ball)
+    assert cubes_by_dim
+    for cubes in cubes_by_dim.values():
         for cube in cubes:
             a = ball.diagram(cube.corner)
             for mask, vertex in enumerate(cube.corners):
@@ -603,7 +639,7 @@ def test_cell_sets_need_the_consumed_wires():
 def test_squares_have_consistent_corners():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     edge_set = {(e.low, e.high) for e in ball.edges}
-    for sq in ball.squares:
+    for sq in farley_squares(ball):
         c = sq.corners
         assert c[0] == sq.corner
         d = ball.depths[c[0]]
@@ -617,7 +653,7 @@ def test_squares_have_consistent_corners():
 def test_no_three_cubes_over_two_letter_base():
     # only two disjoint rewrites fit on a two-letter word, so dimension
     # stops at two
-    assert farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4).cube_dims() == (2,)
+    assert list(farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 4).cube_counts) == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +771,7 @@ def test_square_edges_pull_back_to_different_ranks():
     by_pair = {
         (e.low, e.high): r for e, r in zip(ball.edges, ranks)
     }
-    for sq in ball.squares:
+    for sq in farley_squares(ball):
         c = sq.corners
         assert by_pair[(c[0], c[1])] != by_pair[(c[0], c[2])]
 
@@ -770,7 +806,7 @@ def ball_hyperplanes(ball, partition):
             parent[max(rx, ry)] = min(rx, ry)
 
     eidx = {(e.low, e.high): i for i, e in enumerate(ball.edges)}
-    for sq in ball.squares:
+    for sq in farley_squares(ball):
         c = sq.corners
         union(eidx[(c[0], c[1])], eidx[(c[2], c[3])])
         union(eidx[(c[0], c[2])], eidx[(c[1], c[3])])
@@ -939,15 +975,15 @@ def test_separating_counts_guard():
         )
 
 
-def test_embedding_reports(monkeypatch):
+def test_embedding_reports():
     # one search serves the rank partition and the ball, as in embed-check,
-    # which finds no cube of the ball
-    cube_searches = _count_cube_searches(monkeypatch)
+    # which counts no cube of the ball
     search = ClassSearch(PADPAIR, PADPAIR_CAPS)
     part = rank_partition(search, A1B1)
-    rep = check_isometric_embedding(farley_ball(search, A1B1, 4), part)
+    ball = farley_ball(search, A1B1, 4)
+    rep = check_isometric_embedding(ball, part)
     assert rep.ok and rep.exact
-    assert cube_searches == []
+    assert "cube_counts" not in vars(ball)
     assert rep.ranks == (0, 1)
     assert rep.pairs_checked == 6  # the seven depth<=1 vertices, distance 1 apart
 

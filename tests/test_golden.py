@@ -40,7 +40,11 @@ from the implementation that composed and reduced whole diagrams for every
 product, so they pin the move of those balls onto the cancel-or-append step.
 The ``farley`` (JSON, text and dot) and ``embed-check`` outputs also predate
 the Farley ball built from bottom words and up/down index tables, so they
-pin that move too: vertex numbering, edge order and cube counts.
+pin that move too: vertex numbering, edge order and cube counts.  The
+``farley`` case on CYC3 ``a b a b`` at radius 6 (cubes up to dimension 4)
+was captured from the implementation that listed every Farley cube with its
+corners, so it pins, with the PADPAIR and DIRTY cases, the move to counting
+sets of disjoint moves on a third presentation.
 
 The ``reduce`` cases on ``far.diag`` (PADPAIR ``a1 b1``: pad the ``a1``,
 turn ``b1`` into ``b2``, unpad; JSON and text) and every other ``reduce``,
