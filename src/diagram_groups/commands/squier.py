@@ -1,0 +1,234 @@
+"""``squier``, ``hyperplanes``, ``relate``, ``special`` and ``phi``: the
+class complex of a base word read off its Squier ball."""
+
+from __future__ import annotations
+
+import argparse
+from typing import Dict
+
+from ..cli import (
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    CliError,
+    _emit_json,
+    _emit_unknown,
+    _exit_for,
+    _load_diagram,
+)
+from ..rewriting import format_word
+from ..squier import (
+    OutsideCatalogError,
+    SquierBall,
+    TransversalityGraph,
+    build_ball,
+    specialness_report,
+    transversality_graph,
+)
+
+# fixed palette so hyperplane classes keep their colors across runs
+_DOT_COLORS = (
+    "blue",
+    "red",
+    "darkgreen",
+    "orange",
+    "purple",
+    "brown",
+    "cadetblue",
+    "magenta",
+    "goldenrod",
+    "black",
+)
+
+
+def ball_to_dot(ball: SquierBall) -> str:
+    """One-skeleton of the ball; arcs follow the forward rewrite and carry
+    the hyperplane class as a stable color + label."""
+    index = {w: i for i, w in enumerate(ball.vertices)}
+    lines = ["digraph squier_ball {", "  rankdir=TB;"]
+    for i, w in enumerate(ball.vertices):
+        lines.append(f'  n{i} [label="{format_word(w)}"];')
+    for edge in ball.edges:
+        src = index[edge.source]
+        dst = index[edge.target(ball.pres)]
+        h = ball.hyperplane_index(edge.source, edge.move)
+        color = _DOT_COLORS[h % len(_DOT_COLORS)]
+        lines.append(f'  n{src} -> n{dst} [color={color}, label="H{h}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def transversality_to_dot(tg: TransversalityGraph) -> str:
+    """Crossing graph with arcs pointing along the order that certified
+    each crossing."""
+    lines = ["digraph transversality {"]
+    for i, hid in enumerate(tg.ids):
+        lines.append(f'  h{i} [label="{hid}"];')
+    for i, j, value in tg.edges:
+        a, b = (i, j) if value == "first_prec_second" else (j, i)
+        lines.append(f"  h{a} -> h{b};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _witness_json(wit: object) -> Dict[str, object]:
+    """Generic pathology-witness serialization, fields in the witness's own
+    ``__slots__`` order: words formatted, evidence summarized by derivation
+    lengths so the report stays readable."""
+    out: Dict[str, object] = {"kind": type(wit).__name__}
+    for name in wit.__slots__:
+        value = getattr(wit, name)
+        if name == "evidence":
+            out["evidence_lengths"] = [len(d.steps) for d in value]
+        elif isinstance(value, tuple) and all(isinstance(x, str) for x in value):
+            out[name] = format_word(value)
+        elif isinstance(value, (int, str, bool)):
+            out[name] = value
+    return out
+
+
+def run_squier(ns: argparse.Namespace) -> int:
+    ball = build_ball(ns.search, ns.w)
+    if ns.format == "dot":
+        print(ball_to_dot(ball))
+    elif ns.format == "text":
+        print(f"vertices: {len(ball.vertices)}")
+        print(f"edges: {len(ball.edges)}")
+        for dim, cubes in ball.cubes:
+            print(f"cubes[{dim}]: {len(cubes)}")
+        print(f"complete: {ball.complete}")
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "vertices": [format_word(v) for v in ball.vertices],
+                "edge_count": len(ball.edges),
+                "cube_counts": {str(dim): len(cs) for dim, cs in ball.cubes},
+                "complete": ball.complete,
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return EXIT_OK if ball.complete else EXIT_UNKNOWN
+
+
+def run_hyperplanes(ns: argparse.Namespace) -> int:
+    ball = build_ball(ns.search, ns.w)
+    catalog = ball.catalog
+    if ns.format == "text":
+        for hid, edges in catalog.edges_of:
+            print(f"{hid}  ({len(edges)} edges)")
+        print(f"# exact={catalog.exact}")
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "count": len(catalog.ids),
+                "hyperplanes": [
+                    {"id": str(hid), "edges": len(edges)}
+                    for hid, edges in catalog.edges_of
+                ],
+                "exact": catalog.exact,
+                "complete": ball.complete,
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return EXIT_OK if catalog.exact else EXIT_UNKNOWN
+
+
+def run_relate(ns: argparse.Namespace) -> int:
+    ball = build_ball(ns.search, ns.w)
+    tg = transversality_graph(ball)
+    if ns.format == "dot":
+        print(transversality_to_dot(tg))
+    elif ns.format == "text":
+        for i, j, value in tg.edges:
+            arrow = "<" if value == "first_prec_second" else ">"
+            print(f"{tg.ids[i]} {arrow} {tg.ids[j]}")
+        print(f"# exact={tg.exact} odd_cycle={tg.odd_cycle}")
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "hyperplanes": [str(h) for h in tg.ids],
+                "edges": [[i, j, value] for i, j, value in tg.edges],
+                "exact": tg.exact,
+                "odd_cycle": list(tg.odd_cycle) if tg.odd_cycle else None,
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return EXIT_OK if tg.exact else EXIT_UNKNOWN
+
+
+def run_special(ns: argparse.Namespace) -> int:
+    report = specialness_report(ns.search, ns.w)
+    if ns.format == "text":
+        print(f"clean: {report.clean.value}")
+        print(f"special: {report.special.value}")
+        for note in report.notes:
+            print(f"# {note}")
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "clean": report.clean.value,
+                "special": report.special.value,
+                "self_intersections": [
+                    _witness_json(x) for x in report.self_intersections
+                ],
+                "self_osculations": [
+                    _witness_json(x) for x in report.self_osculations
+                ],
+                "inter_osculations": [
+                    _witness_json(x) for x in report.inter_osculations
+                ],
+                "notes": list(report.notes),
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return _exit_for(report.special)
+
+
+def run_phi(ns: argparse.Namespace) -> int:
+    from ..raag import format_raag_word, hyperplane_generators, phi
+
+    d = _load_diagram(ns.diagram, ns.pres)
+    ball = build_ball(ns.search, ns.w)
+    gens = hyperplane_generators(ball)
+    try:
+        image = phi(d, gens)
+    except OutsideCatalogError as e:
+        return _emit_unknown(
+            ns,
+            {"base": format_word(ns.w)},
+            f"the diagram crosses {e.hyperplane}, which the capped search"
+            " did not find in the hyperplane catalog",
+        )
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    if ns.format == "text":
+        print(format_raag_word(image))
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "word": format_raag_word(image),
+                "syllables": [[g, e] for g, e in image.syllables],
+                "generators": [
+                    {"label": label, "hyperplane": str(hid)}
+                    for label, hid in zip(gens.labels, ball.catalog.ids)
+                ],
+                "exact": gens.exact,
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return EXIT_OK if gens.exact else EXIT_UNKNOWN
+
+
+__all__ = [
+    "ball_to_dot",
+    "run_hyperplanes",
+    "run_phi",
+    "run_relate",
+    "run_special",
+    "run_squier",
+    "transversality_to_dot",
+]

@@ -78,12 +78,15 @@ from .rewriting import (
     Word,
     format_word,
 )
-from .squier import RankResult, SquierBall, build_ball
 
 if TYPE_CHECKING:
-    # ``property_b_scan`` imports ``Fraction`` itself: only ``propb`` uses
-    # the module, and every other command would pay for loading it
+    # ``rank_partition`` imports ``squier`` itself and ``property_b_scan``
+    # imports ``Fraction`` itself: building a ball needs neither, so the
+    # ``farley`` command compiles no Squier code and only ``propb`` loads
+    # ``fractions``
     from fractions import Fraction
+
+    from .squier import RankResult, SquierBall
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,8 @@ class RankPartition(NamedTuple):
 
 def rank_partition(search: ClassSearch, w: Word) -> RankPartition:
     """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
+    from .squier import build_ball
+
     ball = build_ball(search, w)
     ranks = ball.order.ranks
     exact = ball.catalog.exact and all(r.exact for r in ranks)
@@ -270,11 +275,20 @@ def rank_partition(search: ClassSearch, w: Word) -> RankPartition:
 
 
 def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
-    """Rank of every ball edge, via the covering onto the class complex."""
-    index = partition.ball.hyperplane_index
-    return tuple(
-        partition.ranks[index(e.word, e.move)].value for e in ball.edges
-    )
+    """Rank of every ball edge, via the covering onto the class complex.
+
+    Edges with the same image ``(word, move)`` downstairs share a
+    hyperplane, so each image is looked up once."""
+    index, ranks = partition.ball.hyperplane_index, partition.ranks
+    rank_of: Dict[Tuple[Word, Move], int] = {}
+    out = []
+    for e in ball.edges:
+        image = (e.word, e.move)
+        r = rank_of.get(image)
+        if r is None:
+            r = rank_of[image] = ranks[index(e.word, e.move)].value
+        out.append(r)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants, first/last-letter
 closures, the literal-subword rewritability test).  Later modules use them
 to upgrade bounded searches to exact verdicts where the combinatorics allow.
+The one such verdict that needs nothing else is kept here beside them:
+``dimension_at_least``, whether the class complex of a word contains an
+``n``-cube, read off factorizations of class members and refuted by letter
+counts (``squier`` squeezes its ranks with it).
 """
 
 from __future__ import annotations
@@ -358,27 +362,38 @@ class Derivation:
 class ClassEnumeration:
     """Bounded BFS closure of a congruence class.
 
-    ``members`` is shortlex-sorted; ``complete`` is True exactly when the
-    closure finished without suppressing any unvisited neighbour.
-    ``parent`` is the BFS spanning tree, kept as the search grew it: every
-    member but the seed maps to the member it was discovered from and the
-    move that reached it, in discovery order, so any member's derivation
-    from the seed can be replayed.
+    ``complete`` is True exactly when the closure finished without
+    suppressing any unvisited neighbour.  ``parent`` is the BFS spanning
+    tree, kept as the search grew it: every member but the seed maps to the
+    member it was discovered from and the move that reached it, in discovery
+    order, so any member's derivation from the seed can be replayed.
+    ``members`` lists the seed and the tree's words shortlex-sorted, sorted
+    on first read: a caller that only tests membership (``in``, ``len``)
+    never sorts them.
     """
 
-    __slots__ = ("seed", "members", "complete", "parent")
+    __slots__ = ("seed", "complete", "parent", "_pres", "_members")
 
     def __init__(
         self,
         seed: Word,
-        members: Tuple[Word, ...],
         complete: bool,
         parent: Dict[Word, Tuple[Word, Move]],
+        pres: Presentation,
     ) -> None:
         self.seed = seed
-        self.members = members
         self.complete = complete
         self.parent = parent
+        self._pres = pres
+        self._members: Optional[Tuple[Word, ...]] = None
+
+    @property
+    def members(self) -> Tuple[Word, ...]:
+        if self._members is None:
+            self._members = tuple(
+                sorted((self.seed, *self.parent), key=self._pres.shortlex_key)
+            )
+        return self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassEnumeration):
@@ -399,7 +414,7 @@ class ClassEnumeration:
         return w in self.parent or w == self.seed
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.parent) + 1
 
     def derivation(self, target: Word) -> Derivation:
         """Replayable derivation seed -> target along the BFS tree."""
@@ -462,8 +477,7 @@ class _BfsSide:
         return None
 
     def enumeration(self, pres: Presentation) -> ClassEnumeration:
-        members = tuple(sorted((self.seed, *self.parent), key=pres.shortlex_key))
-        return ClassEnumeration(self.seed, members, not self.capped, self.parent)
+        return ClassEnumeration(self.seed, not self.capped, self.parent, pres)
 
 
 def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
@@ -754,6 +768,91 @@ def letter_count(w: Word, subset: FrozenSet[Letter]) -> int:
     return sum(1 for x in w if x in subset)
 
 
+# ---------------------------------------------------------------------------
+# cube dimension: factorizations of members, refuted by letter counts
+# ---------------------------------------------------------------------------
+
+
+class DimensionWitness(NamedTuple):
+    """A class member split into factors, each with a nontrivial class."""
+
+    member: Word
+    splits: Tuple[int, ...]  # cut positions, strictly increasing, excluding 0 and len
+
+    def factors(self) -> Tuple[Word, ...]:
+        cuts = (0,) + self.splits + (len(self.member),)
+        return tuple(self.member[cuts[i]: cuts[i + 1]] for i in range(len(cuts) - 1))
+
+
+def _max_rewritable_parts(w: Word, pres: Presentation) -> Tuple[int, List[int]]:
+    """DP: max number of factors each containing a relation-side occurrence.
+
+    Returns (count, best cut positions).  A factor has a nontrivial class
+    exactly when some relation side occurs in it, so this computes the
+    largest cube dimension visible at this word.
+    """
+    n = len(w)
+    occ = list(pres.side_spans(w))
+    best = [-1] * (n + 1)
+    prev = [-1] * (n + 1)
+    best[0] = 0
+    for i in range(1, n + 1):
+        for j in range(i):
+            if best[j] < 0:
+                continue
+            if any(j <= s and e <= i for s, e in occ):
+                if best[j] + 1 > best[i]:
+                    best[i] = best[j] + 1
+                    prev[i] = j
+    if best[n] <= 0:
+        return 0, []
+    cuts = []
+    i = n
+    while i > 0:
+        cuts.append(i)
+        i = prev[i]
+    cuts.reverse()
+    return best[n], cuts  # cuts include n itself
+
+
+def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
+    """Does the class complex of ``w`` contain an ``n``-cube?
+
+    Yes iff some member of ``[w]`` factors into ``n`` nonempty parts each
+    with a nontrivial class.  Letter-count certificates refute impossible
+    ``n`` even when the class is infinite.
+    """
+    if n <= 0:
+        return TriBool.yes(DimensionWitness(w, ()))
+    pres = search.pres
+    if not pres.relations:
+        return TriBool.no("the presentation has no relations, so no factor is rewritable")
+    sides = [s for rel in pres.relations for s in (rel.lhs, rel.rhs)]
+    for s in invariant_letter_subsets(pres):
+        m = min(letter_count(side, s) for side in sides)
+        if n * m > letter_count(w, s):
+            return TriBool.no(
+                f"letter-count invariant {sorted(s)}: {n} factors need at least "
+                f"{n * m} such letters, the class carries {letter_count(w, s)}"
+            )
+    enum = search.enum(w)
+    for member in enum.members:
+        count, cuts = _max_rewritable_parts(member, pres)
+        if count >= n:
+            # merge surplus parts from the left (a superset of a rewritable
+            # factor is rewritable)
+            cuts_full = cuts[:]  # ends at len(member)
+            while len(cuts_full) > n:
+                cuts_full.pop(0)
+            splits = tuple(cuts_full[:-1])
+            witness = DimensionWitness(member, splits)
+            assert len(witness.factors()) == n
+            return TriBool.yes(witness)
+    if enum.complete:
+        return TriBool.no("no member of the complete class factors")
+    return TriBool.unknown()
+
+
 __all__ = [
     "Letter",
     "Word",
@@ -780,4 +879,6 @@ __all__ = [
     "first_letter_closure",
     "last_letter_closure",
     "letter_count",
+    "DimensionWitness",
+    "dimension_at_least",
 ]

@@ -15,7 +15,6 @@ questions that control the diagram group of the base word:
 * ``crossing_order`` — do two hyperplanes cross, and in which left/right
   order (the order ≺), for every pair of the ball's hyperplanes, with the
   rank of each: the longest chain of crossings strictly below it;
-* ``dimension_at_least`` — does the complex contain an ``n``-cube;
 * ``specialness_report`` — certificates for cleanliness (no hyperplane
   crosses itself) and specialness (additionally, no two crossing
   hyperplanes also touch at a vertex away from their crossings).
@@ -23,7 +22,11 @@ questions that control the diagram group of the base word:
 Most classes are infinite, so definite verdicts come from three sources:
 exhaustive enumeration when a class is finite, replayable witnesses for
 positives, and letter-counting certificates (see ``rewriting``) that remain
-sound on infinite classes.  Anything else is reported as unknown.
+sound on infinite classes.  A rank found on a truncated ball is squeezed
+exact by ``rewriting.dimension_at_least``, which asks whether the complex
+contains an ``n``-cube from factorizations of members and letter counts
+alone; it lives there, beside the certificates it uses, so that the ``dim``
+command loads no ball code.  Anything else is reported as unknown.
 
 Every class search goes through the run's :class:`~.rewriting.ClassSearch`,
 which holds the presentation and the caps and answers each search once per
@@ -42,9 +45,9 @@ one map from edges to catalog positions.
 
 The ball's cubes come from ``disjoint_cubes``, over tables of the moves
 out of each vertex, and the ball keeps them as ``cubes`` (``(dim, cubes)``
-pairs of ascending dimension), ``squares`` and ``cubes_of``.  Farley's
-complex of reduced diagrams, which covers this one, only counts its cubes
-(``farley.FarleyBall.cube_counts``).
+pairs of ascending dimension), whose dimension-2 entry is ``squares``.
+Farley's complex of reduced diagrams, which covers this one, only counts its
+cubes (``farley.FarleyBall.cube_counts``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .rewriting import (
     SearchCaps,
     TriBool,
     Word,
+    dimension_at_least,
     first_letter_closure,
     forced_support,
     format_word,
@@ -205,16 +209,7 @@ class SquierBall:
 
     @property
     def squares(self) -> Tuple[BallCube, ...]:
-        return self.cubes_of(2)
-
-    def cubes_of(self, n: int) -> Tuple[BallCube, ...]:
-        for dim, cs in self.cubes:
-            if dim == n:
-                return cs
-        return ()
-
-    def cube_dims(self) -> Tuple[int, ...]:
-        return tuple(dim for dim, _ in self.cubes)
+        return dict(self.cubes).get(2, ())
 
     @property
     def vertices(self) -> Tuple[Word, ...]:
@@ -713,88 +708,8 @@ def transversality_graph(ball: SquierBall) -> TransversalityGraph:
 
 
 # ---------------------------------------------------------------------------
-# dimension and rank
+# ranks, squeezed by the cube dimension of ``rewriting``
 # ---------------------------------------------------------------------------
-
-
-class DimensionWitness(NamedTuple):
-    """A class member split into factors, each with a nontrivial class."""
-
-    member: Word
-    splits: Tuple[int, ...]  # cut positions, strictly increasing, excluding 0 and len
-
-    def factors(self) -> Tuple[Word, ...]:
-        cuts = (0,) + self.splits + (len(self.member),)
-        return tuple(self.member[cuts[i]: cuts[i + 1]] for i in range(len(cuts) - 1))
-
-
-def _max_rewritable_parts(w: Word, pres: Presentation) -> Tuple[int, List[int]]:
-    """DP: max number of factors each containing a relation-side occurrence.
-
-    Returns (count, best cut positions).  A factor has a nontrivial class
-    exactly when some relation side occurs in it, so this computes the
-    largest cube dimension visible at this word.
-    """
-    n = len(w)
-    occ = list(pres.side_spans(w))
-    best = [-1] * (n + 1)
-    prev = [-1] * (n + 1)
-    best[0] = 0
-    for i in range(1, n + 1):
-        for j in range(i):
-            if best[j] < 0:
-                continue
-            if any(j <= s and e <= i for s, e in occ):
-                if best[j] + 1 > best[i]:
-                    best[i] = best[j] + 1
-                    prev[i] = j
-    if best[n] <= 0:
-        return 0, []
-    cuts = []
-    i = n
-    while i > 0:
-        cuts.append(i)
-        i = prev[i]
-    cuts.reverse()
-    return best[n], cuts  # cuts include n itself
-
-
-def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
-    """Does the class complex of ``w`` contain an ``n``-cube?
-
-    Yes iff some member of ``[w]`` factors into ``n`` nonempty parts each
-    with a nontrivial class.  Letter-count certificates refute impossible
-    ``n`` even when the class is infinite.
-    """
-    if n <= 0:
-        return TriBool.yes(DimensionWitness(w, ()))
-    pres = search.pres
-    if not pres.relations:
-        return TriBool.no("the presentation has no relations, so no factor is rewritable")
-    sides = [s for rel in pres.relations for s in (rel.lhs, rel.rhs)]
-    for s in invariant_letter_subsets(pres):
-        m = min(letter_count(side, s) for side in sides)
-        if n * m > letter_count(w, s):
-            return TriBool.no(
-                f"letter-count invariant {sorted(s)}: {n} factors need at least "
-                f"{n * m} such letters, the class carries {letter_count(w, s)}"
-            )
-    enum = search.enum(w)
-    for member in enum.members:
-        count, cuts = _max_rewritable_parts(member, pres)
-        if count >= n:
-            # merge surplus parts from the left (a superset of a rewritable
-            # factor is rewritable)
-            cuts_full = cuts[:]  # ends at len(member)
-            while len(cuts_full) > n:
-                cuts_full.pop(0)
-            splits = tuple(cuts_full[:-1])
-            witness = DimensionWitness(member, splits)
-            assert len(witness.factors()) == n
-            return TriBool.yes(witness)
-    if enum.complete:
-        return TriBool.no("no member of the complete class factors")
-    return TriBool.unknown()
 
 
 class RankResult(NamedTuple):
@@ -1524,8 +1439,6 @@ __all__ = [
     "TransversalityGraph",
     "transversality_graph",
     "find_induced_odd_cycle",
-    "DimensionWitness",
-    "dimension_at_least",
     "RankResult",
     "rank",
     "SelfIntersection",

@@ -5,16 +5,18 @@ tests double as a check of the documented file formats and of the exit-code
 contract (0 yes/complete, 1 definite no, 2 capped, 3 bad input).
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import diagram_groups
-from diagram_groups.cli import main
+from diagram_groups.cli import _COMMANDS, CliError, _build_parser, main
 
 COMM = """\
 # pairwise commuting letters
@@ -42,6 +44,10 @@ rel: a = a p
 rel: b = p b
 rel: p = q
 """
+
+GOLDEN_CASES = json.loads(
+    (Path(__file__).parent / "golden" / "cases.json").read_text()
+)
 
 PAD_CAPS = ["--max-word-len", "10", "--max-class-size", "500"]
 
@@ -598,6 +604,49 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def _full_parser_prints(argv):
+    """What the parser of every command prints for ``argv``, as ``main``
+    reports it: (exit code, standard output, standard error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0), out.getvalue(), err.getvalue()
+        except CliError as e:
+            return 3, out.getvalue(), f"error: {e}\n"
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["frobnicate"], ["frobnicate", "--help"]]
+    + [[name, "--help"] for name in _COMMANDS],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_and_unknown_commands_print_what_the_full_parser_prints(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == _full_parser_prints(argv)
+    assert captured.out or captured.err
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except CliError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_single_command_parser_parses_like_the_full_parser(case):
+    argv = case["argv"]
+    single = _parse(_build_parser(argv[0]), argv)
+    assert single == _parse(_build_parser(), argv)
+    sub = next(a for a in _build_parser(argv[0])._actions if a.dest == "command")
+    assert list(sub.choices) == [argv[0]]
+
+
 def test_json_output_is_deterministic(capsys, comm):
     _, first = run(capsys, "decompose", "-p", comm, "-w", "a b c")
     _, second = run(capsys, "decompose", "-p", comm, "-w", "a b c")
@@ -615,7 +664,8 @@ def _child_env():
 # one command from each group of modules a call reaches: the exit code, a
 # key of the JSON output with its value, and the modules the call must not
 # load (``fractions`` only ever loads for ``propb``, and no call loads
-# ``dataclasses`` or ``inspect``: see STDLIB_UNREACHED)
+# ``dataclasses`` or ``inspect``: see STDLIB_UNREACHED); besides, a call
+# loads exactly one module of ``diagram_groups.commands``, its command's
 COMMANDS = {
     "class": (["class", "-p", "{comm}", "-w", "a b"], 0, ("complete", True),
               ("squier", "farley", "decomposition", "interval", "raag")),
@@ -624,11 +674,15 @@ COMMANDS = {
     "relate": (["relate", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
                ("diagrams", "farley", "decomposition", "interval", "raag")),
     "dim": (["dim", "-p", "{comm}", "-w", "a b c", "-n", "2"], 1, ("verdict", "no"),
-            ("diagrams", "farley", "decomposition", "interval", "raag")),
+            ("squier", "diagrams", "farley", "decomposition", "interval", "raag")),
     "special": (["special", "-p", "{comm}", "-w", "a b"], 0, ("special", "yes"),
                 ("diagrams", "farley", "decomposition", "interval", "raag")),
     "rank-table": (["rank-table", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
                    ("decomposition", "interval", "raag")),
+    "farley": (["farley", "-p", "{comm}", "-w", "a b c", "--radius", "3"], 0,
+               ("vertex_count", 7), ("squier", "decomposition", "interval", "raag")),
+    "embed-check": (["embed-check", "-p", "{comm}", "-w", "a b c a", "--radius", "3"], 0,
+                    ("ok", True), ("decomposition", "interval", "raag")),
     "verify-raag": (["verify-raag", "-i", "{f2}", "--length", "2"], 0, ("ok", True),
                     ("squier", "decomposition", "farley")),
     "decompose": (["decompose", "-p", "{comm}", "-w", "a b"], 0, ("exact", True),
@@ -670,10 +724,12 @@ def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
     forbidden = {f"diagram_groups.{m}" for m in unreached} | set(STDLIB_UNREACHED)
     assert "diagram_groups.rewriting" in loaded
     assert forbidden.isdisjoint(loaded)
+    handlers = [m for m in loaded if m.startswith("diagram_groups.commands.")]
+    assert handlers == [f"diagram_groups.commands.{_COMMANDS[name][0]}"]
 
 
 def test_console_entry_point(tmp_path):
-    for name in ("equal", "relate", "rank-table", "verify-raag", "decompose"):
+    for name in ("equal", "relate", "dim", "rank-table", "farley", "verify-raag", "decompose"):
         argv, code, (key, value), _ = COMMANDS[name]
         proc = subprocess.run(
             [sys.executable, "-m", "diagram_groups", *_with_files(tmp_path, argv)],

@@ -13,9 +13,9 @@ import pytest
 import diagram_groups
 
 MODULES = sorted(
-    f"diagram_groups.{m.name}"
-    for m in pkgutil.iter_modules(diagram_groups.__path__)
-    if m.name != "__main__"
+    m.name
+    for m in pkgutil.walk_packages(diagram_groups.__path__, "diagram_groups.")
+    if m.name != "diagram_groups.__main__"
 )
 
 

@@ -649,6 +649,9 @@ def test_zero_step_derivation_has_length_zero():
 
 def test_enumeration_equality_ignores_the_tree():
     enum = ClassSearch(COMM, CAPS).enum(W("a b c"))
-    other = ClassEnumeration(enum.seed, enum.members, enum.complete, {})
+    # the same words, each hung straight off the seed by a dummy move
+    star = {w: (enum.seed, Move(0, 0, True)) for w in reversed(enum.parent)}
+    other = ClassEnumeration(enum.seed, enum.complete, star, COMM)
     assert other == enum and hash(other) == hash(enum)
     assert len(enum) == 6 and W("c b a") in enum and W("a a") not in enum
+    assert ClassEnumeration(enum.seed, enum.complete, {}, COMM) != enum

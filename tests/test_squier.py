@@ -33,6 +33,7 @@ from diagram_groups.rewriting import (
     ClassSearch,
     Move,
     SearchCaps,
+    dimension_at_least,
     enumerate_class,
     format_word,
     one_step_rewrites,
@@ -45,7 +46,6 @@ from diagram_groups.squier import (
     HyperplaneId,
     SelfIntersection,
     build_ball,
-    dimension_at_least,
     find_absorbing_splits,
     find_induced_odd_cycle,
     find_inter_osculations,
@@ -68,6 +68,16 @@ from diagram_groups.squier import (
 # ---------------------------------------------------------------------------
 # balls
 # ---------------------------------------------------------------------------
+
+
+def cube_dims(ball):
+    """The dimensions of the ball's cubes, ascending."""
+    return tuple(dim for dim, _ in ball.cubes)
+
+
+def cubes_of(ball, n):
+    """The ball's ``n``-cubes."""
+    return dict(ball.cubes).get(n, ())
 
 
 class TestHexagonBall:
@@ -96,7 +106,7 @@ class TestHexagonBall:
     def test_no_squares(self):
         # two rewrites in a length-3 word always overlap
         assert self.ball.squares == ()
-        assert self.ball.cube_dims() == ()
+        assert cube_dims(self.ball) == ()
 
     def test_edge_targets(self):
         targets = {e.target(COMM) for e in self.ball.edges}
@@ -118,7 +128,7 @@ class TestPadpairBall:
         assert len(self.ball.vertices) == 81  # 3 * 3 * 9
         assert len(self.ball.edges) == 210  # 81 + 81 + 24 + 24
         assert len(self.ball.squares) == 136  # 81 + 24 + 24 + 7
-        assert self.ball.cube_dims() == (2,)
+        assert cube_dims(self.ball) == (2,)
         assert not self.ball.complete
 
     def test_vertex_shape(self):
@@ -144,11 +154,11 @@ class TestCubes:
         # a b a b a b admits three disjoint ab -> ba rewrites
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b a b a b"))
         assert ball.complete
-        assert 3 in ball.cube_dims()
-        corners = {c.corner for c in ball.cubes_of(3)}
+        assert 3 in cube_dims(ball)
+        corners = {c.corner for c in cubes_of(ball, 3)}
         assert W("a b a b a b") in corners
         cube = next(
-            c for c in ball.cubes_of(3) if c.corner == W("a b a b a b")
+            c for c in cubes_of(ball, 3) if c.corner == W("a b a b a b")
         )
         assert cube.moves == (
             Move(0, 0, True), Move(2, 0, True), Move(4, 0, True),
@@ -223,7 +233,7 @@ def _random_presentation(rng):
 def test_cubes_match_brute_force(pres, base, caps):
     ball = build_ball(ClassSearch(pres, caps), W(base))
     assert ball.cubes == _brute_force_cubes(ball)
-    assert ball.cube_dims()
+    assert cube_dims(ball)
 
 
 def test_cubes_match_brute_force_on_random_presentations():
