@@ -19,7 +19,10 @@ map as its spanning tree.  A run asks its searches through one
 :class:`ClassSearch`, which holds the presentation and the caps, answers
 each closure and equality probe once per run, and keeps one neighbour
 table: every frontier of the run reads a word's rewrites from it, so each
-word is scanned once per run however many searches pass through it.
+word is scanned once per run however many searches pass through it.  An
+equality probe grows no side whose class the run has already enumerated:
+it reads that enumeration and searches from the other word alone, which
+gives the answer the bidirectional search would (see ``equal_mod_p``).
 
 The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants, first/last-letter
@@ -45,6 +48,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 Letter = str
@@ -437,7 +441,15 @@ def _tree_steps(
 class _BfsSide:
     """One BFS frontier grown from ``seed``, the core of every class search:
     :func:`enumerate_class` expands one side until its queue is empty, and
-    :func:`equal_mod_p` expands two sides toward each other."""
+    :func:`equal_mod_p` expands two sides toward each other, or one side
+    toward a class the run has already enumerated.
+
+    How far a side has grown never depends on what it is grown against:
+    ``other`` only decides where :meth:`expand` stops.  So a side that
+    empties its queue without meeting anything has visited exactly the
+    words, in the same order and along the same tree, that
+    :func:`enumerate_class` visits from its seed.
+    """
 
     def __init__(self, seed: Word) -> None:
         self.seed = seed
@@ -446,7 +458,9 @@ class _BfsSide:
         self.capped = False
 
     def expand(
-        self, search: ClassSearch, other: Optional["_BfsSide"] = None
+        self,
+        search: ClassSearch,
+        other: Union["_BfsSide", ClassEnumeration, None] = None,
     ) -> Optional[Word]:
         """Pop the next frontier word and record its unvisited neighbours,
         read from the run's neighbour table :meth:`ClassSearch.rewrites`.
@@ -454,25 +468,35 @@ class _BfsSide:
         This is the one place the caps are applied: a neighbour deeper than
         ``max_bfs_depth``, longer than ``max_word_len``, or past
         ``max_class_size`` visited words is suppressed, and the side is then
-        capped.  Returns the first recorded word that ``other`` has already
-        visited, if any, and stops there.
+        capped.  Returns the first recorded word that ``other``, another
+        side or a known enumeration, has already visited, if any, and stops
+        there.
         """
         w, depth = self.queue.popleft()
-        depth += 1
         parent, seed, caps = self.parent, self.seed, search.caps
-        for move, nxt in search.rewrites(w):
+        rewrites = search._rewrites.get(w)
+        if rewrites is None:
+            rewrites = search.rewrites(w)
+        if depth >= caps.max_bfs_depth:
+            # every neighbour is one rewrite too deep: only a new one caps
+            for _, nxt in rewrites:
+                if nxt not in parent and nxt != seed:
+                    self.capped = True
+                    break
+            return None
+        depth += 1
+        full = caps.max_class_size - 1
+        queue = self.queue
+        met = None if other is None else other.parent
+        for move, nxt in rewrites:
             if nxt in parent or nxt == seed:
                 continue
-            if (
-                depth > caps.max_bfs_depth
-                or len(nxt) > caps.max_word_len
-                or len(parent) + 1 >= caps.max_class_size
-            ):
+            if len(nxt) > caps.max_word_len or len(parent) >= full:
                 self.capped = True
                 continue
             parent[nxt] = (w, move)
-            self.queue.append((nxt, depth))
-            if other is not None and (nxt in other.parent or nxt == other.seed):
+            queue.append((nxt, depth))
+            if met is not None and (nxt in met or nxt == other.seed):
                 return nxt
         return None
 
@@ -552,34 +576,67 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
     pair per run.
 
     Bidirectional BFS from both words, with neighbours read as in
-    :func:`enumerate_class`.  ``yes`` carries a connecting
+    :func:`enumerate_class`, always expanding the side with the shorter
+    queue (the first on a tie).  ``yes`` carries a connecting
     :class:`Derivation` from ``w1`` to ``w2``; ``no`` carries the complete
     :class:`ClassEnumeration` that excludes the other word, the one
-    :func:`enumerate_class` gives for its seed; ``unknown`` means both
-    frontiers were capped before meeting.
+    :func:`enumerate_class` gives for its seed, and the run's
+    :meth:`ClassSearch.enum` answers with it from then on; ``unknown``
+    means both frontiers were capped before meeting.
+
+    One side is not grown again when the run has already enumerated it.
+    If ``enum(w1)``, else ``enum(w2)``, is known and lacks the other word,
+    a complete known class answers ``no`` at once.  A capped one is the
+    target of one frontier grown from the other word; if that frontier
+    empties its queue without meeting it, it is exactly the other word's
+    enumeration, is stored as such, and answers ``no`` when it was not
+    capped and ``unknown`` when it was.  These are the bidirectional
+    search's answers: its side from a word never grows past the word's
+    enumeration, and here the two are disjoint, so that search can end
+    only when a side exhausts, and the side from the known class can
+    exhaust uncapped only if that class is complete.  When the classes do
+    meet, the bidirectional search runs as if nothing were known, so each
+    ``yes`` carries the same derivation however the run's memo was filled.
     """
     pres = search.pres
     pres.check_word(w1)
     pres.check_word(w2)
     if w1 == w2:
         return TriBool.yes(Derivation(w1, ()))
-    sides = (_BfsSide(w1), _BfsSide(w2))
+    memo = search._memo
+    known, word = memo.get((enumerate_class, (w1,))), w2
+    if known is None:
+        known, word = memo.get((enumerate_class, (w2,))), w1
+    if known is not None and word not in known:
+        if known.complete:
+            return TriBool.no(known)
+        side = _BfsSide(word)
+        while side.queue:
+            if side.expand(search, known) is not None:
+                break
+        else:
+            enum = memo.setdefault((enumerate_class, (word,)), side.enumeration(pres))
+            return TriBool.no(enum) if enum.complete else TriBool.unknown()
+    one, two = _BfsSide(w1), _BfsSide(w2)
     while True:
-        active = [s for s in sides if s.queue]
-        if not active:
+        n1, n2 = len(one.queue), len(two.queue)
+        if n1 and (n1 <= n2 or not n2):
+            side, other = one, two
+        elif n2:
+            side, other = two, one
+        else:
             return TriBool.unknown()
-        side = min(active, key=lambda s: len(s.queue))
-        other = sides[1] if side is sides[0] else sides[0]
         meet = side.expand(search, other)
         if meet is not None:
-            there = _tree_steps(sides[0].parent, w1, meet)
-            back = _tree_steps(sides[1].parent, w2, meet)
+            there = _tree_steps(one.parent, w1, meet)
+            back = _tree_steps(two.parent, w2, meet)
             return TriBool.yes(
                 Derivation(w1, there + tuple(m.inverted() for m in reversed(back)))
             )
         if not side.queue and not side.capped:
             # this class is completely enumerated and the other seed is not in it
-            return TriBool.no(side.enumeration(pres))
+            key = (enumerate_class, (side.seed,))
+            return TriBool.no(memo.setdefault(key, side.enumeration(pres)))
 
 
 class ClassSearch:
@@ -593,7 +650,15 @@ class ClassSearch:
     answers alone goes through :meth:`once` too: the Squier ball of each
     base word is built once per run that way.  Every search reads its
     neighbours from one table, :meth:`rewrites`, which scans a word the
-    first time it is asked for, and a ``no`` carries :meth:`enum`'s object.
+    first time it is asked for.
+
+    The enumerations and the equality probes share one memo.  A probe
+    whose search exhausts a word's class without meeting the other word
+    stores that frontier as the word's :meth:`enum`, since it is exactly
+    what :func:`enumerate_class` would grow, and a probe from a word whose
+    enumeration is known searches only from the other word (see
+    :func:`equal_mod_p`).  So a ``no`` carries :meth:`enum`'s object, and
+    a probe grows a class the run knows only to derive a ``yes``.
     """
 
     def __init__(self, pres: Presentation, caps: SearchCaps) -> None:
@@ -625,22 +690,13 @@ class ClassSearch:
 
     def equal(self, w1: Word, w2: Word) -> TriBool:
         """:func:`equal_mod_p` of ``w1`` and ``w2``."""
-        return self.once(_equal_pair, w1, w2)
+        return self.once(equal_mod_p, w1, w2)
 
     def rep(self, w: Word) -> Tuple[Word, bool]:
         """Shortlex-least member found in ``[w]``, and whether the class was
         enumerated completely (so that it is the least of all)."""
         enum = self.enum(w)
         return enum.members[0], enum.complete
-
-
-def _equal_pair(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
-    verdict = equal_mod_p(search, w1, w2)
-    if verdict.is_no:
-        # the exhausted side grew exactly as enumerate_class grows its seed
-        key = (enumerate_class, (verdict.witness.seed,))
-        return TriBool.no(search._memo.setdefault(key, verdict.witness))
-    return verdict
 
 
 # ---------------------------------------------------------------------------

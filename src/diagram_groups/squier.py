@@ -407,7 +407,8 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
     class enumerates completely under the caps exhausts that side, so it is
     never unknown.  The groups, and so ``exact``, are those of probing every
     edge.  Capped balls probe every edge, because enumerating each part word
-    costs more there than the probes it saves.
+    costs more there than the probes it saves, even though a probe from an
+    enumerated word searches from the other word alone.
     """
     pres, search = ball.pres, ball.search
     equal = search.equal
@@ -511,30 +512,19 @@ def _search_prec_witness(
     search: ClassSearch, j1: HyperplaneId, j2: HyperplaneId
 ) -> Tuple[Optional[Word], bool]:
     """Bounded search for ``y`` with ``left2 = left1 u y`` and
-    ``right1 = y p right2``; returns (witness or None, search-was-exhaustive)."""
+    ``right1 = y p right2``; returns (witness or None, search-was-exhaustive).
+
+    The candidates ``y`` are the extensions of ``[left2]`` past a member of
+    ``[left1]`` and ``u``, each probed once, in shortlex order."""
     u = search.pres.relations[j1.relation].lhs
     p = search.pres.relations[j2.relation].lhs
-    left2_enum = search.enum(j2.left)
-    left1_enum = search.enum(j1.left)
-    exhaustive = left2_enum.complete
-    seen: Set[Word] = set()
-    for z in left2_enum.members:
-        for alpha in left1_enum.members:
-            if len(alpha) + len(u) > len(z):
-                continue
-            if z[: len(alpha)] != alpha:
-                continue
-            if z[len(alpha): len(alpha) + len(u)] != u:
-                continue
-            y = z[len(alpha) + len(u):]
-            if y in seen:
-                continue
-            seen.add(y)
-            verdict = search.equal(j1.right, y + p + j2.right)
-            if verdict.is_yes:
-                return y, exhaustive
-            if verdict.is_unknown:
-                exhaustive = False
+    exhaustive = search.enum(j2.left).complete
+    for y, _ in search.once(_extensions, j2.left, u, j1.left):
+        verdict = search.equal(j1.right, y + p + j2.right)
+        if verdict.is_yes:
+            return y, exhaustive
+        if verdict.is_unknown:
+            exhaustive = False
     return None, exhaustive
 
 
@@ -937,26 +927,33 @@ def _probe_budget(caps: SearchCaps) -> int:
     return caps.max_class_size * 4
 
 
-def _prefix_extensions(
-    search: ClassSearch, base: Word, middle: Word
+def _extensions(
+    search: ClassSearch, base: Word, middle: Word, head: Optional[Word] = None
 ) -> Tuple[Tuple[Word, Word], ...]:
-    """All t with base·middle·t found inside [base], each with the member
-    base·middle·t, whose derivation ``search.enum(base).derivation`` gives.
+    """Every ``t`` such that a member of ``[base]`` found by ``search.enum``
+    reads ``h·middle·t``, where ``h`` is ``base`` itself, or, when ``head``
+    is given, any member found in ``[head]``; each ``t`` once, with the
+    first member that gives it, whose derivation
+    ``search.enum(base).derivation`` gives.
 
+    This is the one candidate search behind the pathology searches'
+    equations ``base = base·middle·t`` and the ≺ search's equation
+    ``left2 = left1·u·y``.
+    Members are taken in shortlex order and, within one, ``h`` shortest
+    first, which is the shortlex order of the pairs (member, ``h``).
     Callers go through ``search.once``, so the result is shared by the
     whole run; it is a tuple so that no caller can change it."""
+    heads = (base,) if head is None else search.enum(head)
+    n = len(middle)
     out: List[Tuple[Word, Word]] = []
-    enum = search.enum(base)
     seen: Set[Word] = set()
-    for z in enum.members:
-        if len(z) < len(base) + len(middle):
-            continue
-        if z[: len(base)] != base or z[len(base): len(base) + len(middle)] != middle:
-            continue
-        t = z[len(base) + len(middle):]
-        if t not in seen:
-            seen.add(t)
-            out.append((t, z))
+    for z in search.enum(base).members:
+        for k in (len(base),) if head is None else range(len(z) - n + 1):
+            if z[k: k + n] == middle and z[:k] in heads:
+                t = z[k + n:]
+                if t not in seen:
+                    seen.add(t)
+                    out.append((t, z))
     return tuple(out)
 
 
@@ -975,7 +972,7 @@ def find_self_intersections(
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if not search.enum(hid.left).complete:
                 exhaustive = False
-            for b, member in search.once(_prefix_extensions, hid.left, p):
+            for b, member in search.once(_extensions, hid.left, p):
                 b = b or p  # witness parts must be nonempty; empty b uses p
                 if budget <= 0:
                     return tuple(found), False
@@ -1068,7 +1065,7 @@ def find_absorbing_splits(
             a, b = member[:cut], member[cut:]
             if not search.enum(a).complete:
                 exhaustive = False
-            for p, extended in search.once(_prefix_extensions, a, ()):
+            for p, extended in search.once(_extensions, a, ()):
                 if not p or has_singleton_class(p, pres):
                     continue
                 if budget <= 0:
@@ -1300,7 +1297,7 @@ def find_inter_osculations(
                 au = a + u
                 if not search.enum(au).complete:
                     exhaustive = False
-                for xi, extended in search.once(_prefix_extensions, au, v):
+                for xi, extended in search.once(_extensions, au, v):
                     if not xi:
                         continue
                     verdict = search.equal(w + b, xi + v + w + b)

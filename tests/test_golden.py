@@ -53,6 +53,16 @@ that bubbled each move back past independent cells to find a dipole, so
 they pin the move of ``reduce_diagram`` onto folding ``extend_reduced``.
 In ``far.diag`` the dipole is not adjacent, and the surviving cell's offset
 falls from 2 to 1.
+
+The ``special`` cases on GROW ``x``, OSC_EMPTY ``x k k k y`` and INTEROSC
+``c u v w d`` at the tight caps (``grow.pres``, ``osc_empty.pres`` and
+``interosc.pres`` are copies of the benchmark's inputs) and the
+``rank-table`` case on GROW ``x`` at ``--max-class-size 100`` were captured
+from the implementation in which every equality probe ran a bidirectional
+search from both words and the ≺ search looped over both part classes, so
+they pin the move to probes that read the run's known classes and to one
+extension search; these jobs make the most probes, and every derivation
+they print is measured in ``evidence_lengths``.
 """
 
 import argparse

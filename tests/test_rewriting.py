@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import diagram_groups
 import conftest
-from conftest import COMM, CYC3, DIRTY, HALFPAD, PADPAIR, SMALL_CAPS, W
+from conftest import COMM, CYC3, DIRTY, GROW, HALFPAD, PADPAIR, SMALL_CAPS, TIGHT_CAPS, W
 from diagram_groups import rewriting
 from diagram_groups.rewriting import (
     ClassEnumeration,
@@ -544,6 +544,74 @@ def test_no_witness_is_the_enumeration_on_random_presentations():
         f, s = _assert_no_witnesses_are_enumerations(pres, words, SMALL_CAPS)
         first, second = first + f, second + s
     assert first and second
+
+
+def _warm(search, rng, words, pairs, mode):
+    """Fill the run's memo before the checked probes: some classes
+    enumerated, some of the pairs probed, or every pair probed reversed."""
+    if mode == "enumerations first":
+        for w in rng.sample(words, len(words) // 2):
+            search.enum(w)
+    elif mode == "earlier probes first":
+        for w1, w2 in rng.sample(pairs, len(pairs) // 2):
+            search.equal(w1, w2)
+    else:
+        for w1, w2 in rng.sample(pairs, len(pairs)):
+            search.equal(w2, w1)
+
+
+@pytest.mark.parametrize("caps", [SMALL_CAPS, TIGHT_CAPS], ids=["small", "tight"])
+def test_probes_answer_as_a_fresh_search_however_the_memo_was_filled(caps):
+    """A probe that reads a class the run already knows searches from one
+    side only; its verdict, its ``yes`` derivation and its ``no`` witness
+    must be those of a bidirectional search in a run that knows nothing."""
+    rng = random.Random(24)
+    words = [w for w in _words("abc", 3) if w]
+    seen = {"yes": 0, "no": 0, "unknown": 0}
+    read_known = {True: 0, False: 0}  # keyed by whether the known class is complete
+    modes = ("enumerations first", "earlier probes first", "the pair reversed")
+    for seed in range(12):
+        pres = _random_overlapping_presentation(random.Random(seed))
+        pairs = [(rng.choice(words), rng.choice(words)) for _ in range(24)]
+        search = ClassSearch(pres, caps)
+        _warm(search, rng, words, pairs, modes[seed % 3])
+        for w1, w2 in rng.sample(pairs, len(pairs)):
+            for w in (w1, w2):
+                known = search._memo.get((enumerate_class, (w,)))
+                if known is not None:
+                    read_known[known.complete] += 1
+                    break
+            got = search.equal(w1, w2)
+            fresh = equal_mod_p(ClassSearch(pres, caps), w1, w2)
+            assert got.value == fresh.value, (seed, w1, w2)
+            seen[got.value] += 1
+            if got.is_yes:
+                assert got.witness == fresh.witness
+            if got.is_no:
+                enum = enumerate_class(ClassSearch(pres, caps), got.witness.seed)
+                assert got.witness.seed in (w1, w2) and got.witness.complete
+                assert got.witness.edges == enum.edges
+    assert all(seen.values()) and all(read_known.values()), (seen, read_known)
+
+
+def test_a_probe_from_an_exhausted_class_grows_it_no_more(monkeypatch):
+    """The first probe exhausts ``[b c]`` (nine words, while ``[x]`` is
+    infinite); the second reads that enumeration and pops none of them."""
+    search = ClassSearch(GROW, SMALL_CAPS)
+    c = W("b c")
+    members = set(enumerate_class(ClassSearch(GROW, SMALL_CAPS), c).members)
+    assert len(members) == 9
+    assert search.equal(c, W("x")).is_no
+    popped = []
+    expand = rewriting._BfsSide.expand
+
+    def recording(side, *args):
+        popped.append(side.queue[0][0])
+        return expand(side, *args)
+
+    monkeypatch.setattr(rewriting._BfsSide, "expand", recording)
+    assert search.equal(c, W("a")).is_no
+    assert not members & set(popped)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ sets), giving an independent route for counts and exhaustiveness flags.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from conftest import (
     TIGHT_CAPS,
     W,
 )
-from diagram_groups import rewriting
+from diagram_groups import rewriting, squier
 from diagram_groups.rewriting import (
     ClassSearch,
     Move,
@@ -557,6 +558,80 @@ class TestRelate:
         catalog = hyperplane_catalog(ball)
         for j1, j2 in itertools.combinations(catalog.ids, 2):
             assert relate(j1, j2, ball).value == "disjoint"
+
+
+def reference_extensions(search, base, middle, head=None):
+    """The candidate lists as the searches built them before they shared
+    ``squier._extensions``: with ``head`` the ≺ search's loop over
+    ``[base]`` times ``[head]``, both in shortlex order; without it the
+    members of ``[base]`` that start with ``base`` and ``middle``."""
+    heads = (base,) if head is None else search.enum(head).members
+    out, seen = [], set()
+    for z in search.enum(base).members:
+        for alpha in heads:
+            k = len(alpha)
+            if len(z) < k + len(middle) or z[:k] != alpha or z[k: k + len(middle)] != middle:
+                continue
+            t = z[k + len(middle):]
+            if t not in seen:
+                seen.add(t)
+                out.append((t, z))
+    return tuple(out)
+
+
+CAPPED = SearchCaps(max_word_len=6, max_class_size=40, max_bfs_depth=12)
+
+
+@pytest.mark.parametrize(
+    "pres, base, caps",
+    [
+        (GROW, "x", CAPPED),
+        (DIRTY, "a b", CAPPED),
+        (PADPAIR, "a1 b1", PADPAIR_CAPS),
+        (OSC_PLAIN, "x k h k h k y", CAPPED),
+        (COMM, "a b c a b", DEFAULT_CAPS),
+    ],
+)
+def test_extensions_match_the_loops_they_replace(pres, base, caps):
+    search = ClassSearch(pres, caps)
+    catalog = build_ball(search, W(base)).catalog
+    found = 0
+    for j1, j2 in itertools.permutations(catalog.ids, 2):
+        u = pres.relations[j1.relation].lhs
+        got = search.once(squier._extensions, j2.left, u, j1.left)
+        assert got == reference_extensions(search, j2.left, u, j1.left), (j1, j2)
+        found += bool(got)
+    for hid in catalog.ids:
+        rel = pres.relations[hid.relation]
+        for middle in (rel.lhs, rel.rhs, ()):
+            got = search.once(squier._extensions, hid.left, middle)
+            assert got == reference_extensions(search, hid.left, middle)
+            found += bool(got)
+    assert found
+
+
+def test_each_probe_pair_runs_one_equality_search(monkeypatch):
+    """Every pair asked of ``ClassSearch.equal`` is decided by exactly one
+    ``rewriting.equal_mod_p`` call, looked up through the module, so a
+    tracer that wraps that name times all of a run's equality work."""
+    asked, computed = set(), Counter()
+    equal, equal_mod_p = ClassSearch.equal, rewriting.equal_mod_p
+
+    def asking(search, w1, w2):
+        asked.add((w1, w2))
+        return equal(search, w1, w2)
+
+    def counted(search, w1, w2):
+        computed[w1, w2] += 1
+        return equal_mod_p(search, w1, w2)
+
+    monkeypatch.setattr(ClassSearch, "equal", asking)
+    monkeypatch.setattr(rewriting, "equal_mod_p", counted)
+    search = ClassSearch(GROW, TIGHT_CAPS)
+    specialness_report(search, W("x"))
+    build_ball(search, W("x")).order
+    assert asked and set(computed) == asked
+    assert set(computed.values()) == {1}
 
 
 class TestTransversality:
