@@ -1,5 +1,11 @@
 """``squier``, ``hyperplanes``, ``relate``, ``special`` and ``phi``: the
-class complex of a base word read off its Squier ball."""
+class complex of a base word read off its Squier ball.
+
+``relate`` and ``phi`` read the hyperplanes from ``ball.catalog.ids`` and
+everything about their crossings (the crossing pairs, ``exact`` and the
+odd-cycle check) from ``ball.order``; only ``relate`` runs that check.
+Generator ``H<i>`` of ``phi`` and arc label ``H<i>`` of the ``squier`` dot
+drawing both name catalog position ``i``."""
 
 from __future__ import annotations
 
@@ -19,10 +25,8 @@ from ..rewriting import format_word
 from ..squier import (
     OutsideCatalogError,
     SquierBall,
-    TransversalityGraph,
     build_ball,
     specialness_report,
-    transversality_graph,
 )
 
 # fixed palette so hyperplane classes keep their colors across runs
@@ -57,13 +61,13 @@ def ball_to_dot(ball: SquierBall) -> str:
     return "\n".join(lines)
 
 
-def transversality_to_dot(tg: TransversalityGraph) -> str:
-    """Crossing graph with arcs pointing along the order that certified
-    each crossing."""
+def transversality_to_dot(ball: SquierBall) -> str:
+    """Crossing graph of ``ball.order`` with arcs pointing along the order
+    that certified each crossing."""
     lines = ["digraph transversality {"]
-    for i, hid in enumerate(tg.ids):
+    for i, hid in enumerate(ball.catalog.ids):
         lines.append(f'  h{i} [label="{hid}"];')
-    for i, j, value in tg.edges:
+    for i, j, value in ball.order.crossings:
         a, b = (i, j) if value == "first_prec_second" else (j, i)
         lines.append(f"  h{a} -> h{b};")
     lines.append("}")
@@ -136,26 +140,26 @@ def run_hyperplanes(ns: argparse.Namespace) -> int:
 
 def run_relate(ns: argparse.Namespace) -> int:
     ball = build_ball(ns.search, ns.w)
-    tg = transversality_graph(ball)
+    ids, order = ball.catalog.ids, ball.order
     if ns.format == "dot":
-        print(transversality_to_dot(tg))
+        print(transversality_to_dot(ball))
     elif ns.format == "text":
-        for i, j, value in tg.edges:
+        for i, j, value in order.crossings:
             arrow = "<" if value == "first_prec_second" else ">"
-            print(f"{tg.ids[i]} {arrow} {tg.ids[j]}")
-        print(f"# exact={tg.exact} odd_cycle={tg.odd_cycle}")
+            print(f"{ids[i]} {arrow} {ids[j]}")
+        print(f"# exact={order.exact} odd_cycle={order.odd_cycle}")
     else:
         _emit_json(
             {
                 "base": format_word(ns.w),
-                "hyperplanes": [str(h) for h in tg.ids],
-                "edges": [[i, j, value] for i, j, value in tg.edges],
-                "exact": tg.exact,
-                "odd_cycle": list(tg.odd_cycle) if tg.odd_cycle else None,
+                "hyperplanes": [str(h) for h in ids],
+                "edges": [[i, j, value] for i, j, value in order.crossings],
+                "exact": order.exact,
+                "odd_cycle": list(order.odd_cycle) if order.odd_cycle else None,
                 "caps": ns.caps.as_dict(),
             }
         )
-    return EXIT_OK if tg.exact else EXIT_UNKNOWN
+    return EXIT_OK if order.exact else EXIT_UNKNOWN
 
 
 def run_special(ns: argparse.Namespace) -> int:
@@ -188,13 +192,12 @@ def run_special(ns: argparse.Namespace) -> int:
 
 
 def run_phi(ns: argparse.Namespace) -> int:
-    from ..raag import format_raag_word, hyperplane_generators, phi
+    from ..raag import format_raag_word, phi
 
     d = _load_diagram(ns.diagram, ns.pres)
     ball = build_ball(ns.search, ns.w)
-    gens = hyperplane_generators(ball)
     try:
-        image = phi(d, gens)
+        image = phi(d, ball)
     except OutsideCatalogError as e:
         return _emit_unknown(
             ns,
@@ -213,14 +216,14 @@ def run_phi(ns: argparse.Namespace) -> int:
                 "word": format_raag_word(image),
                 "syllables": [[g, e] for g, e in image.syllables],
                 "generators": [
-                    {"label": label, "hyperplane": str(hid)}
-                    for label, hid in zip(gens.labels, ball.catalog.ids)
+                    {"label": f"H{i}", "hyperplane": str(hid)}
+                    for i, hid in enumerate(ball.catalog.ids)
                 ],
-                "exact": gens.exact,
+                "exact": ball.order.exact,
                 "caps": ns.caps.as_dict(),
             }
         )
-    return EXIT_OK if gens.exact else EXIT_UNKNOWN
+    return EXIT_OK if ball.order.exact else EXIT_UNKNOWN
 
 
 __all__ = [

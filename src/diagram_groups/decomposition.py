@@ -84,14 +84,14 @@ class LetterSplit(NamedTuple):
     """A context side cut as prefix . letter . suffix at the triviality edge.
 
     The prefix is the maximal one whose extension of the outer context still
-    carries a trivial group; the letter is where triviality first fails, so
-    the cut is unique whenever the underlying verdicts are definite.
+    carries a trivial group; the letter is where triviality first fails.  A
+    cut is made only after a definite ``no`` with every verdict before it
+    definite, so it is unique.
     """
 
     prefix: Word
     letter: Letter
     suffix: Word
-    exact: bool
 
 
 class LeftHyperplane(NamedTuple):
@@ -102,7 +102,6 @@ class LeftHyperplane(NamedTuple):
     id: HyperplaneId
     source_split: LetterSplit
     target_split: LetterSplit
-    exact: bool
 
     def __str__(self) -> str:
         return str(self.id)
@@ -112,7 +111,6 @@ def _split_side(
     search: ClassSearch, context: Word, side: Word
 ) -> Tuple[Optional[LetterSplit], Tuple[str, ...]]:
     """Cut ``side`` at the maximal prefix keeping ``context + prefix`` trivial."""
-    exact = True
     for i, letter in enumerate(side):
         verdict = is_trivial_group(search, context + side[: i + 1])
         if verdict.is_unknown:
@@ -121,10 +119,7 @@ def _split_side(
                 f" {format_word(context + side[: i + 1])} is unknown",
             )
         if verdict.is_no:
-            return (
-                LetterSplit(side[:i], letter, side[i + 1 :], exact),
-                (),
-            )
+            return LetterSplit(side[:i], letter, side[i + 1 :]), ()
     return None, (
         f"no cut in {format_word(side)}: the whole side keeps the context"
         " trivial, which contradicts the hyperplane being left",
@@ -183,16 +178,11 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
         if source_split is None or target_split is None:
             undecided.append(hid)
             continue
-        exact = (
-            hid.exact
-            and source_split.exact
-            and target_split.exact
-        )
-        found.append(LeftHyperplane(hid, source_split, target_split, exact))
+        found.append(LeftHyperplane(hid, source_split, target_split))
     exact = (
         catalog.exact
         and not undecided
-        and all(h.exact for h in found)
+        and all(h.id.exact for h in found)
     )
     return LeftHyperplaneScan(
         pres, w, tuple(found), tuple(rejected), tuple(undecided), exact,
@@ -802,22 +792,22 @@ def fundamental_group_presentation(
             names.append(f"t{ei}")
 
     def express_image(
-        fg_edge: FactorGroup,
-        loop_index: int,
-        vertex: VertexSpace,
-        side: str,
-        vertex_idx: int,
-        pad_before: Word,
-        pad_after: Word,
+        fg_edge: FactorGroup, k: int, side: str, vertex_idx: int, split: LetterSplit
     ) -> Optional[List[Tuple[int, int]]]:
+        """Loop ``k`` of an edge group, padded by ``split`` into the ``side``
+        group of one end vertex, in that group's generators; None unless
+        that group is free and contains it.  The split's prefix pads a left
+        image after, its suffix a right one before."""
+        vertex = gog.vertices[vertex_idx]
         vfg = vertex.left_group if side == "L" else vertex.right_group
-        if vfg.kind == "trivial":
-            return None
         if vfg.kind != "free":
             return None
         ball = fg_edge.basis.ball
-        loop = _loop_diagram(ball, ball.loops[loop_index])
-        image = _pad_loop(pres, loop, pad_before, pad_after)
+        loop = _loop_diagram(ball, ball.loops[k])
+        if side == "L":
+            image = _pad_loop(pres, loop, (), split.prefix)
+        else:
+            image = _pad_loop(pres, loop, split.suffix, ())
         word = vfg.basis.express(image)
         if word is None:
             return None
@@ -839,24 +829,8 @@ def fundamental_group_presentation(
                 truncated = True
                 continue
             for k in range(fg.basis.rank):
-                if side == "L":
-                    minus_img = express_image(
-                        fg, k, gog.vertices[e.minus_vertex], "L",
-                        e.minus_vertex, (), hyp.source_split.prefix,
-                    )
-                    plus_img = express_image(
-                        fg, k, gog.vertices[e.plus_vertex], "L",
-                        e.plus_vertex, (), hyp.target_split.prefix,
-                    )
-                else:
-                    minus_img = express_image(
-                        fg, k, gog.vertices[e.minus_vertex], "R",
-                        e.minus_vertex, hyp.source_split.suffix, (),
-                    )
-                    plus_img = express_image(
-                        fg, k, gog.vertices[e.plus_vertex], "R",
-                        e.plus_vertex, hyp.target_split.suffix, (),
-                    )
+                minus_img = express_image(fg, k, side, e.minus_vertex, hyp.source_split)
+                plus_img = express_image(fg, k, side, e.plus_vertex, hyp.target_split)
                 if minus_img is None or plus_img is None:
                     notes.append(
                         f"edge {ei} {side} generator {k}: image escapes the"

@@ -1,11 +1,13 @@
 """Right-angled Artin group words and the hyperplane morphism.
 
-The transversality graph of a ball induces a right-angled Artin group:
-one generator per unoriented hyperplane, one commutation relation per
-crossing pair.  A spherical diagram replays as a loop of ball edges, each
-dual to an oriented hyperplane; reading off the corresponding generators
-(signed against a fixed orientation of each hyperplane) is a morphism from
-the diagram group into that Artin group.  Over a special complex the
+The crossing graph of a ball's hyperplanes, read off its crossing order
+``ball.order``, induces a right-angled Artin group
+(:func:`hyperplane_graph`): one generator ``H<i>`` per cataloged
+hyperplane, one commutation relation per crossing pair.  A spherical
+diagram replays as a loop of ball edges, each dual to an oriented
+hyperplane; reading off the corresponding generators (signed against a
+fixed orientation of each hyperplane) is a morphism from the diagram group
+into that Artin group (:func:`phi`).  Over a special complex the
 morphism is injective, which is what makes the image worth computing: the
 Artin side has a fast normal form.
 
@@ -24,7 +26,7 @@ others unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .rewriting import Move, Presentation, format_word
 
@@ -186,30 +188,13 @@ def raag_normal_form(w: RaagWord, graph: RaagGraph) -> RaagWord:
 # ---------------------------------------------------------------------------
 
 
-class HyperplaneGenerators(NamedTuple):
-    """Label table pairing the ball's catalog hyperplanes with Artin
-    generators.
-
-    Labels are ``H0``, ``H1``, ... in catalog order (sorted by relation,
-    then parts), so they are stable across runs.
-    """
-
-    ball: SquierBall
-    labels: Tuple[str, ...]
-    graph: RaagGraph
-    exact: bool
-
-
-def hyperplane_generators(ball: SquierBall) -> HyperplaneGenerators:
-    from .squier import transversality_graph
-
+def hyperplane_graph(ball: SquierBall) -> RaagGraph:
+    """The crossing graph of ``ball.order`` as an Artin graph: vertex
+    ``H<i>`` is ``ball.catalog.ids[i]``, so labels follow catalog order
+    (sorted by relation, then parts) and are stable across runs, and each
+    crossing pair is one edge."""
     labels = tuple(f"H{i}" for i in range(len(ball.catalog.ids)))
-    tg = transversality_graph(ball)
-    edges = []
-    for i, j, _value in tg.edges:
-        edges.append(tuple(sorted((labels[i], labels[j]))))
-    # tg.exact already requires an exact catalog
-    return HyperplaneGenerators(ball, labels, raag_graph(labels, edges), tg.exact)
+    return raag_graph(labels, [(labels[i], labels[j]) for i, j, _ in ball.order.crossings])
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +211,16 @@ def positive_direction(move: Move, pres: Presentation) -> bool:
     return move.forward == lhs_first
 
 
-def phi(d: Diagram, gens: HyperplaneGenerators) -> RaagWord:
+def phi(d: Diagram, ball: SquierBall) -> RaagWord:
     """Image of a spherical diagram in the hyperplane Artin group of
-    ``gens.ball``.
+    ``ball``, over :func:`hyperplane_graph`.
 
     Replays the diagram as a loop of edges; each edge contributes its
     hyperplane's generator, inverted when the edge runs against the fixed
     orientation.  The result is returned in normal form.  An edge whose
     hyperplane is not cataloged raises ``squier.OutsideCatalogError``.
     """
-    ball = gens.ball
+    graph = hyperplane_graph(ball)
     if d.pres != ball.pres:
         raise ValueError("diagram is over a different presentation")
     if not d.is_spherical:
@@ -246,20 +231,19 @@ def phi(d: Diagram, gens: HyperplaneGenerators) -> RaagWord:
         )
     sylls: List[Syllable] = []
     for word, move in zip(d.words(), d.moves):
-        label = gens.labels[ball.hyperplane_index(word, move)]
+        label = graph.vertices[ball.hyperplane_index(word, move)]
         sign = 1 if positive_direction(move, ball.pres) else -1
         sylls.append((label, sign))
-    return raag_normal_form(RaagWord(tuple(sylls)), gens.graph)
+    return raag_normal_form(RaagWord(tuple(sylls)), graph)
 
 
 __all__ = [
     "EMPTY_WORD",
-    "HyperplaneGenerators",
     "RaagGraph",
     "RaagWord",
     "Syllable",
     "format_raag_word",
-    "hyperplane_generators",
+    "hyperplane_graph",
     "multiply_syllable",
     "phi",
     "positive_direction",

@@ -36,12 +36,13 @@ A :class:`SquierBall` is the one object these questions are read from, and
 ``build_ball`` builds one per base word per run.  It carries the run's
 search and owns its generating ``loops``, its hyperplane ``catalog`` and its
 crossing ``order``, each built on first use: ``decomposition`` reads the
-loops, and ``transversality_graph``, the rank partition, the RAAG
-generators and the left hyperplanes read the rest.  The order is one table
-over catalog positions that holds ≺ and the ranks; ``relate`` and ``rank``
-only look a cataloged hyperplane up in ``ball.order``.  An edge, in or out
-of the ball, learns its hyperplane through ``ball.hyperplane_index``, the
-one map from edges to catalog positions.
+loops, and the rank partition, the RAAG of the crossing graph and the left
+hyperplanes read the rest.  The order is one table over catalog positions
+that holds ≺, the ranks, the crossing pairs and the odd-cycle check of the
+crossing graph; ``relate`` and ``rank`` only look a cataloged hyperplane up
+in ``ball.order``.  An edge, in or out of the ball, learns its hyperplane
+through ``ball.hyperplane_index``, the one map from edges to catalog
+positions.
 
 The ball's cubes come from ``disjoint_cubes``, over tables of the moves
 out of each vertex, and the ball keeps them as ``cubes`` (``(dim, cubes)``
@@ -615,41 +616,6 @@ def relate(j1: HyperplaneId, j2: HyperplaneId, ball: SquierBall) -> HyperplaneRe
     return HyperplaneRelation(_FLIPPED[rel.value], rel.witness)
 
 
-# ---------------------------------------------------------------------------
-# transversality graph
-# ---------------------------------------------------------------------------
-
-
-class TransversalityGraph:
-    """Crossing graph of the ball's unoriented hyperplanes.
-
-    ``edges`` holds (i, j, value) with i < j and the relate value that
-    established the crossing; ``odd_cycle`` reports an induced odd cycle of
-    length 5..9 if one exists (None otherwise), found on first use.
-    """
-
-    def __init__(
-        self,
-        ids: Tuple[HyperplaneId, ...],
-        edges: Tuple[Tuple[int, int, str], ...],
-        exact: bool,
-    ) -> None:
-        self.ids = ids
-        self.edges = edges
-        self.exact = exact
-
-    @cached_property
-    def odd_cycle(self) -> Optional[Tuple[int, ...]]:
-        return find_induced_odd_cycle(self.adjacency())
-
-    def adjacency(self) -> List[Set[int]]:
-        adj: List[Set[int]] = [set() for _ in self.ids]
-        for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-
 def find_induced_odd_cycle(
     adj: List[Set[int]], max_len: int = 9
 ) -> Optional[Tuple[int, ...]]:
@@ -685,18 +651,6 @@ def find_induced_odd_cycle(
     return None
 
 
-def transversality_graph(ball: SquierBall) -> TransversalityGraph:
-    order = ball.order
-    edges = tuple(
-        (i, j, rel.value)
-        for (i, j), rel in order.relations.items()
-        if rel.value in ("first_prec_second", "second_prec_first")
-    )
-    return TransversalityGraph(
-        ball.catalog.ids, edges, ball.catalog.exact and order.definite
-    )
-
-
 # ---------------------------------------------------------------------------
 # ranks, squeezed by the cube dimension of ``rewriting``
 # ---------------------------------------------------------------------------
@@ -718,7 +672,13 @@ class CrossingOrder:
     ``relations[i, j]`` (``i < j``) compares ``ball.catalog.ids[i]`` with
     ``ball.catalog.ids[j]``.  The pairs were compared in that order, row by
     row, so the run's class search fills the same way whichever consumer
-    reads them.  ``definite`` means no pair came back unknown.
+    reads them.  ``definite`` means no pair came back unknown, and ``exact``
+    that besides the catalog is certified.
+
+    The crossing graph is read off the same table: ``crossings`` lists the
+    crossing pairs as ``(i, j, value)`` in table order, and ``odd_cycle``
+    is an induced odd cycle of length 5..9 in it (None if there is none),
+    searched for on first read only, since that search has no budget.
     """
 
     def __init__(
@@ -730,6 +690,23 @@ class CrossingOrder:
         self.ball = ball
         self.relations = relations
         self.definite = definite
+        self.exact = ball.catalog.exact and definite
+
+    @cached_property
+    def crossings(self) -> Tuple[Tuple[int, int, str], ...]:
+        return tuple(
+            (i, j, rel.value)
+            for (i, j), rel in self.relations.items()
+            if rel.value in _FLIPPED
+        )
+
+    @cached_property
+    def odd_cycle(self) -> Optional[Tuple[int, ...]]:
+        adj: List[Set[int]] = [set() for _ in self.ball.catalog.ids]
+        for i, j, _ in self.crossings:
+            adj[i].add(j)
+            adj[j].add(i)
+        return find_induced_odd_cycle(adj)
 
     @cached_property
     def ranks(self) -> Tuple[RankResult, ...]:
@@ -742,10 +719,10 @@ class CrossingOrder:
         ball = self.ball
         ids = ball.catalog.ids
         prec: Dict[int, Set[int]] = {i: set() for i in range(len(ids))}
-        for (a, b), rel in self.relations.items():
-            if rel.value == "first_prec_second":
+        for a, b, value in self.crossings:
+            if value == "first_prec_second":
                 prec[b].add(a)
-            elif rel.value == "second_prec_first":
+            else:
                 prec[a].add(b)
 
         def rank_of(target: int) -> RankResult:
@@ -1433,8 +1410,6 @@ __all__ = [
     "relate",
     "CrossingOrder",
     "crossing_order",
-    "TransversalityGraph",
-    "transversality_graph",
     "find_induced_odd_cycle",
     "RankResult",
     "rank",

@@ -55,7 +55,6 @@ from diagram_groups.squier import (
     hyperplane_id,
     scan_self_intersections,
     scan_self_osculations,
-    transversality_graph,
 )
 
 # product of two identified triples: the class of a1 b1 is a torus, so the
@@ -227,8 +226,6 @@ def test_left_scan_padpair_splits_frozen():
         "[1 | r2 | b1]": ((), "a3", (), (), "a1", ()),
         "[1 | r6 | b1]": ((), "a1", (), (), "a1", ("p",)),
     }
-    assert all(h.source_split.exact and h.target_split.exact
-               for h in scan.hyperplanes)
 
 
 def test_left_scan_hexagon_frozen():
@@ -306,7 +303,7 @@ def test_split_boundaries_audit(pres, base, caps):
 def test_left_hyperplanes_clean_and_pairwise_disjoint(pres, base, caps):
     # left hyperplanes neither self-intersect nor self-osculate, and no two
     # of them cross: on these balls nothing pathological exists at all, and
-    # the transversality graph never joins two left ids
+    # the crossing graph never joins two left ids
     ball = build_ball(ClassSearch(pres, caps), base)
     catalog = hyperplane_catalog(ball)
     hits, _ = scan_self_intersections(ball)
@@ -315,9 +312,9 @@ def test_left_hyperplanes_clean_and_pairwise_disjoint(pres, base, caps):
     assert osc == ()
     scan = left_hyperplanes(ball.search, base)
     left_ids = {h.id for h in scan.hyperplanes}
-    graph = transversality_graph(ball)
-    for i, j, _ in graph.edges:
-        assert not (graph.ids[i] in left_ids and graph.ids[j] in left_ids)
+    ids = ball.catalog.ids
+    for i, j, _ in ball.order.crossings:
+        assert not (ids[i] in left_ids and ids[j] in left_ids)
 
 
 @pytest.mark.parametrize(

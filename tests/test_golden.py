@@ -63,6 +63,13 @@ search from both words and the ≺ search looped over both part classes, so
 they pin the move to probes that read the run's known classes and to one
 extension search; these jobs make the most probes, and every derivation
 they print is measured in ``evidence_lengths``.
+
+The ``relate`` cases on GROW ``x`` at the tight caps (JSON and text) are
+the only ``relate`` cases whose order is not exact (exit 2).  They were
+captured from the implementation in which a transversality-graph record
+and a label-table record each re-read the crossing order and worked out
+its ``exact`` flag again, so they pin the move of the crossing pairs,
+``exact`` and the odd-cycle check onto ``ball.order``.
 """
 
 import argparse

@@ -16,7 +16,7 @@ from diagram_groups.raag import (
     EMPTY_WORD,
     RaagWord,
     format_raag_word,
-    hyperplane_generators,
+    hyperplane_graph,
     multiply_syllable,
     phi,
     positive_direction,
@@ -241,39 +241,38 @@ class TestNormalFormOracle:
 
 
 @pytest.fixture(scope="module")
-def padpair_gens():
-    ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
-    return hyperplane_generators(ball)
+def padpair_ball():
+    return build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
 
 
 class TestBuildApw:
-    def test_padpair_is_k44(self, padpair_gens):
-        graph = padpair_gens.graph
+    def test_padpair_is_k44(self, padpair_ball):
+        graph = hyperplane_graph(padpair_ball)
         assert graph.vertices == tuple(f"H{i}" for i in range(8))
         left = {"H0", "H1", "H2", "H6"}
         right = {"H3", "H4", "H5", "H7"}
         assert graph.edges == frozenset(
             tuple(sorted((u, v))) for u in left for v in right
         )
-        assert padpair_gens.exact
+        assert padpair_ball.order.exact
 
     def test_padpair_vertex_and_edge_counts(self):
-        graph = hyperplane_generators(
+        graph = hyperplane_graph(
             build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
-        ).graph
+        )
         assert len(graph.vertices) == 8
         assert len(graph.edges) == 16
 
     def test_hexagon_edgeless(self):
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
-        graph = hyperplane_generators(ball).graph
+        graph = hyperplane_graph(ball)
         assert len(graph.vertices) == 6
         assert graph.edges == frozenset()
 
     def test_single_relation_single_vertex(self):
         pres = parse_presentation("letters: a b\nrel: a = b")
         ball = build_ball(ClassSearch(pres, DEFAULT_CAPS), W("a"))
-        graph = hyperplane_generators(ball).graph
+        graph = hyperplane_graph(ball)
         assert graph.vertices == ("H0",)
         assert graph.edges == frozenset()
 
@@ -301,31 +300,31 @@ class TestPhi:
         assert not positive_direction(Move(0, 2, True), PADPAIR)
         assert positive_direction(Move(0, 2, False), PADPAIR)
 
-    def test_empty_diagram(self, padpair_gens):
-        image = phi(eps(PADPAIR, W("a1 b1")), padpair_gens)
+    def test_empty_diagram(self, padpair_ball):
+        image = phi(eps(PADPAIR, W("a1 b1")), padpair_ball)
         assert image == EMPTY_WORD
 
-    def test_images_of_the_three_loops(self, padpair_gens):
-        assert phi(delta(1), padpair_gens).syllables == (
+    def test_images_of_the_three_loops(self, padpair_ball):
+        assert phi(delta(1), padpair_ball).syllables == (
             ("H0", 1), ("H1", 1), ("H2", -1),
         )
-        assert phi(delta(2), padpair_gens).syllables == (
+        assert phi(delta(2), padpair_ball).syllables == (
             ("H3", 1), ("H4", 1), ("H5", -1),
         )
-        assert phi(delta(3), padpair_gens).syllables == (
+        assert phi(delta(3), padpair_ball).syllables == (
             ("H6", 1), ("H7", -1),
         )
 
-    def test_crossing_loops_commute(self, padpair_gens):
-        image12 = phi(delta(1) * delta(2), padpair_gens)
-        image21 = phi(delta(2) * delta(1), padpair_gens)
+    def test_crossing_loops_commute(self, padpair_ball):
+        image12 = phi(delta(1) * delta(2), padpair_ball)
+        image21 = phi(delta(2) * delta(1), padpair_ball)
         assert image12 == image21
         assert image12.syllables == (
             ("H0", 1), ("H1", 1), ("H2", -1),
             ("H3", 1), ("H4", 1), ("H5", -1),
         )
 
-    def test_homomorphism_law(self, padpair_gens):
+    def test_homomorphism_law(self, padpair_ball):
         pairs = [
             (delta(1), delta(2)),
             (delta(1), delta(3)),
@@ -333,17 +332,17 @@ class TestPhi:
             (delta(2), delta(2)),
         ]
         for g, h in pairs:
-            lhs = phi(reduce_diagram(g * h), padpair_gens)
-            gh = phi(g, padpair_gens) * phi(h, padpair_gens)
-            assert lhs == raag_normal_form(gh, padpair_gens.graph)
+            lhs = phi(reduce_diagram(g * h), padpair_ball)
+            gh = phi(g, padpair_ball) * phi(h, padpair_ball)
+            assert lhs == raag_normal_form(gh, hyperplane_graph(padpair_ball))
 
-    def test_inverse_law(self, padpair_gens):
+    def test_inverse_law(self, padpair_ball):
         for g in (delta(1), delta(2), delta(3), delta(1) * delta(3)):
-            img = phi(g, padpair_gens)
-            img_inv = phi(inverse(g), padpair_gens)
-            assert img_inv == raag_normal_form(img.inverse(), padpair_gens.graph)
+            img = phi(g, padpair_ball)
+            img_inv = phi(inverse(g), padpair_ball)
+            assert img_inv == raag_normal_form(img.inverse(), hyperplane_graph(padpair_ball))
 
-    def test_injectivity_evidence(self, padpair_gens):
+    def test_injectivity_evidence(self, padpair_ball):
         # the complex is special here, so a trivial image forces a trivial
         # diagram; check the contrapositive pairs we can build by hand
         trivial = [
@@ -352,11 +351,11 @@ class TestPhi:
             delta(1) * delta(2) * inverse(delta(2)) * inverse(delta(1)),
         ]
         for g in trivial:
-            assert phi(g, padpair_gens) == EMPTY_WORD
+            assert phi(g, padpair_ball) == EMPTY_WORD
             assert reduce_diagram(g).cells == 0
         nontrivial = [delta(1), delta(2), delta(3), delta(1) * delta(2)]
         for g in nontrivial:
-            assert phi(g, padpair_gens) != EMPTY_WORD
+            assert phi(g, padpair_ball) != EMPTY_WORD
             assert reduce_diagram(g).cells > 0
 
     def test_hexagon_loop(self):
@@ -371,21 +370,20 @@ class TestPhi:
         loop = from_derivation(Derivation(W("a b c"), moves), COMM)
         assert loop.is_spherical
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
-        gens = hyperplane_generators(ball)
-        image = phi(loop, gens)
+        image = phi(loop, ball)
         assert image.syllables == (
             ("H0", 1), ("H3", 1), ("H4", 1),
             ("H1", -1), ("H2", -1), ("H5", -1),
         )
 
-    def test_rejects_non_spherical(self, padpair_gens):
+    def test_rejects_non_spherical(self, padpair_ball):
         d = from_derivation(
             Derivation(W("a1 b1"), (Move(0, 0, True),)), PADPAIR
         )
         with pytest.raises(ValueError):
-            phi(d, padpair_gens)
+            phi(d, padpair_ball)
 
-    def test_rejects_wrong_base(self, padpair_gens):
+    def test_rejects_wrong_base(self, padpair_ball):
         d = from_derivation(
             Derivation(
                 W("a2 b1"), (Move(0, 1, True), Move(0, 2, True), Move(0, 0, True))
@@ -394,4 +392,4 @@ class TestPhi:
         )
         assert d.is_spherical
         with pytest.raises(ValueError):
-            phi(d, padpair_gens)
+            phi(d, padpair_ball)

@@ -9,6 +9,7 @@ sets), giving an independent route for counts and exhaustiveness flags.
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from conftest import (
     W,
 )
 from diagram_groups import rewriting, squier
+from diagram_groups.cli import main
+from diagram_groups.farley import rank_partition
 from diagram_groups.rewriting import (
     ClassSearch,
     Move,
@@ -62,7 +65,6 @@ from diagram_groups.squier import (
     scan_self_osculations,
     specialness_report,
     split_to_self_intersection,
-    transversality_graph,
 )
 
 
@@ -637,18 +639,18 @@ def test_each_probe_pair_runs_one_equality_search(monkeypatch):
 class TestTransversality:
     def test_padpair_is_k44(self):
         ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
-        graph = transversality_graph(ball)
-        assert graph.exact
-        assert graph.odd_cycle is None
-        assert len(graph.edges) == 16
+        order = ball.order
+        assert order.exact
+        assert order.odd_cycle is None
+        assert len(order.crossings) == 16
         left = {0, 1, 2, 6}   # A1 A2 A3 C
         right = {3, 4, 5, 7}  # B1 B2 B3 D
-        pairs = {(i, j) for i, j, _ in graph.edges}
+        pairs = {(i, j) for i, j, _ in order.crossings}
         assert pairs == {(i, j) for i in left for j in right if i < j} | {
             (i, j) for i in right for j in left if i < j
         }
         # the a-side always sits left of the b-side in the squares
-        for i, j, value in graph.edges:
+        for i, j, value in order.crossings:
             if i in left:
                 assert value == "first_prec_second"
             else:
@@ -656,17 +658,52 @@ class TestTransversality:
 
     def test_hexagon_graph_empty(self):
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
-        graph = transversality_graph(ball)
-        assert graph.exact
-        assert graph.edges == ()
-        assert graph.odd_cycle is None
+        order = ball.order
+        assert order.exact
+        assert order.crossings == ()
+        assert order.odd_cycle is None
 
     def test_complete_commuting_ball_graph_exact(self):
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
-        graph = transversality_graph(ball)
-        assert graph.exact
-        assert graph.odd_cycle is None
-        assert len(graph.edges) > 0
+        order = ball.order
+        assert order.exact
+        assert order.odd_cycle is None
+        assert len(order.crossings) > 0
+
+
+class _OddCycleSearched(Exception):
+    pass
+
+
+def test_only_relate_runs_the_odd_cycle_check(monkeypatch, capsys):
+    # the odd-cycle search has no budget, so the commands that read the
+    # crossing order without printing the check must never start it
+    def refuse(adj, max_len=9):
+        raise _OddCycleSearched
+
+    monkeypatch.setattr(squier, "find_induced_odd_cycle", refuse)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    pad = ["-p", "padpair.pres", "-w", "a1 b1", "--max-word-len", "10",
+           "--max-class-size", "500", "--max-bfs-depth", "48"]
+    assert main(["phi", *pad, "-d", "d1.diag", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "H0 H1 H2^-1\n"
+    partition = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
+    assert partition.exact
+    assert [r.value for r in partition.ranks] == [0, 0, 0, 1, 1, 1, 0, 1]
+    with pytest.raises(_OddCycleSearched):
+        main(["relate", *pad])
+
+    searched = []
+
+    def counted(adj, max_len=9):
+        searched.append(len(adj))
+        return None
+
+    monkeypatch.setattr(squier, "find_induced_odd_cycle", counted)
+    order = partition.ball.order
+    assert order.odd_cycle is None
+    assert order.odd_cycle is None
+    assert searched == [8]
 
 
 class TestInducedOddCycle:
