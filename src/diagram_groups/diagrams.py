@@ -23,8 +23,10 @@ The algebra:
   one.  It is the one place that decides a dipole (a cell immediately
   undone by its mirror, possibly across independent cells):
   ``farley.farley_ball`` takes one step per edge of the complex of
-  reduced diagrams, and ``cayley_ball`` one step per generator cell for
-  ``farley.property_b_scan`` and ``interval.diagram_ball_sizes``,
+  reduced diagrams, and ``cayley_ball``, for ``farley.property_b_scan``
+  and ``interval.diagram_ball_sizes``, takes one step per generator cell
+  only the first time a generator meets the wires under its window, and
+  looks the product up afterwards,
 * ``reduce_diagram`` folds that step over a diagram's moves; the reduced
   form of a diagram is unique, because cancelling dipoles is confluent.
 
@@ -293,6 +295,25 @@ def is_reduced(d: Diagram) -> bool:
     return len(_reduced_cells(d)) == d.cells
 
 
+def _window(
+    moves: Sequence[Move], lengths: Dict[Tuple[int, bool], Tuple[int, int]], n: int
+) -> Tuple[int, int, Tuple[Move, ...]]:
+    """The positions ``[lo, hi)`` of a spherical generator's moves on a
+    word of length ``n``, and the moves shifted by ``-lo``.
+
+    ``lo`` is the least offset and ``n - hi`` the least right margin any
+    move leaves, so no move reads outside the window; the generator is
+    spherical, so the window has one length on the top and the bottom.
+    """
+    lo = min(m.offset for m in moves)
+    margin = cur = n
+    for o, relation, forward in moves:
+        consumed, produced = lengths[relation, forward]
+        margin = min(margin, cur - o - consumed)
+        cur += produced - consumed
+    return lo, n - margin, tuple(Move(o - lo, r, f) for o, r, f in moves)
+
+
 def cayley_ball(
     pres: Presentation, w: Word, generators: Sequence[Tuple[Move, ...]], length: int
 ) -> Iterator[Tuple[int, int]]:
@@ -300,27 +321,49 @@ def cayley_ball(
 
     ``generators`` are spherical diagrams on ``w`` given by their moves.
     Yields ``(word length, cell count)`` for each new element, the identity
-    first.  A product takes one :meth:`Wires.extend_reduced` step per cell
-    of the generator, and elements are told apart by their bottom tuples in
-    one :class:`Wires` table.
+    first.  Elements are told apart by their bottom tuples in one
+    :class:`Wires` table.
+
+    A product rewrites only the window of the bottom that the generator's
+    moves touch (:func:`_window`), and each generator keeps a table from a
+    window's wire ids to their image and the change in cell count.  A miss
+    folds :meth:`Wires.extend_reduced` over the shifted moves on the window
+    alone; a hit is one slice, one lookup and one concatenation.  This is
+    exact: a step reads only the wires it consumes, ``producer`` (written
+    once, when a wire is created) and ``lengths``, and ``Wires`` hash-conses
+    cell names, so a window's image, once computed, never changes, and a
+    hit would have fired only cells that already have names and ids.  A
+    generator with no moves fixes every element, and a window spanning the
+    whole word never recurs, since each (element, generator) product is
+    formed once, so neither is tabled.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     wires = Wires(pres, w)
     step = wires.extend_reduced
+    n = len(w)
+    plans = [_window(moves, wires.lengths, n) + ({},) for moves in generators if moves]
     seen = {wires.top}
     level = [(wires.top, 0)]
     yield 0, 0
     for depth in range(1, length + 1):
         grown: List[Tuple[Tuple[int, ...], int]] = []
         for bottom, cells in level:
-            for moves in generators:
-                nb, nc = bottom, cells
-                for move in moves:
-                    nb, _, cancelled = step(nb, move)
-                    nc += -1 if cancelled else 1
+            for lo, hi, moves, table in plans:
+                window = bottom[lo:hi]
+                hit = table.get(window)
+                if hit is None:
+                    image, delta = window, 0
+                    for move in moves:
+                        image, _, cancelled = step(image, move)
+                        delta += -1 if cancelled else 1
+                    hit = image, delta
+                    if hi - lo < n:
+                        table[window] = hit
+                nb = bottom[:lo] + hit[0] + bottom[hi:]
                 if nb not in seen:
                     seen.add(nb)
+                    nc = cells + hit[1]
                     grown.append((nb, nc))
                     yield depth, nc
         level = grown

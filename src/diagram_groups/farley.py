@@ -23,7 +23,8 @@ ancestors; a dipole of ``inverse(A) . B`` would be a shared cell, hence
 
 which ``guarded_pairs`` measures without replaying a diagram.
 ``property_b_scan``, like ``interval.diagram_ball_sizes``, multiplies group
-elements through ``diagrams.cayley_ball``, one step per generator cell, and
+elements through ``diagrams.cayley_ball``, which rewrites only the window of
+the bottom word a generator touches and tables each window's image, and
 tells them apart by their bottom words in canonical wire ids.
 
 Mapping a vertex to its bottom word is a covering onto the class complex of
@@ -501,7 +502,9 @@ def property_b_scan(
     ``diagrams.cayley_ball`` searches breadth first over right
     multiplication by the generators and their inverses, so word length is
     the genuine Cayley distance for that generating set, not an estimate.
-    The ball yields each element's cell count with its word length.
+    The ball yields each element's cell count with its word length; a
+    product is one table lookup once a generator has met the wires under
+    its window.
     """
     from fractions import Fraction
 

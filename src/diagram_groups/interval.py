@@ -461,9 +461,10 @@ def diagram_ball_sizes(
     coll: IntervalCollection, length: int, max_elements: int = 100_000
 ) -> Tuple[int, ...]:
     """The same count on the concrete side: ``diagrams.cayley_ball`` over
-    the interval loops and their inverses, so a product is five
-    ``Wires.extend_reduced`` steps on a reduced diagram, which the ball
-    knows by its bottom word in canonical wire ids.  Raises
+    the interval loops and their inverses, on reduced diagrams that the
+    ball knows by their bottom words in canonical wire ids.  A loop
+    rewrites only the wires under its interval, so a product is a table
+    lookup on that window once the loop has met those wires.  Raises
     :class:`ElementBoundError` once the ball would hold more than
     ``max_elements`` diagrams."""
     gens = [_loop_moves(name, exp, coll) for name in coll.names() for exp in (1, -1)]

@@ -125,9 +125,6 @@ class RaagWord:
         return format_raag_word(self)
 
 
-EMPTY_WORD = RaagWord(())
-
-
 def format_raag_word(w: RaagWord) -> str:
     if not w.syllables:
         return "1"
@@ -238,7 +235,6 @@ def phi(d: Diagram, ball: SquierBall) -> RaagWord:
 
 
 __all__ = [
-    "EMPTY_WORD",
     "RaagGraph",
     "RaagWord",
     "Syllable",

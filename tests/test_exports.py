@@ -5,7 +5,9 @@ A function deleted from a module but left in its ``__all__`` only fails on
 ``from module import *``, which nothing in the package does; the first test
 makes the stale entry fail at once.  A public name that no code of the
 package reads is surface kept for the tests alone; the second test makes it
-fail too.
+fail too.  A use is a binding, not a spelling: another module imports the
+name from the module that exports it, or that module reads it as a bare
+name, so an unrelated attribute of the same name does not count.
 """
 
 import ast
@@ -28,21 +30,37 @@ MODULES = sorted(
 # name, and nothing in the package calls them
 TRACED_ONLY = {
     ("diagram_groups.squier", "relate"),
+    ("diagram_groups.squier", "rank"),
     ("diagram_groups.diagrams", "canonical_key"),
 }
 
 
-def _referenced_names():
-    """Every identifier the package's source reads or writes as a name or
-    an attribute."""
-    names = set()
-    for path in Path(diagram_groups.__file__).parent.rglob("*.py"):
+def _module_name(path, root):
+    parts = list(path.relative_to(root.parent).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _used_bindings():
+    """Every ``(module, name)`` that the package's source uses: imported by
+    a ``from module import name``, or read as a bare name in the module's
+    own source."""
+    root = Path(diagram_groups.__file__).parent
+    used = set()
+    for path in root.rglob("*.py"):
+        module = _module_name(path, root)
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+            if isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    base = package.rsplit(".", node.level - 1)[0]
+                    source = f"{base}.{source}" if source else base
+                used.update((source, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+    return used
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -53,7 +71,7 @@ def test_exported_names_resolve(module):
 
 
 def test_exported_names_are_used_in_the_package():
-    referenced = _referenced_names()
+    used = _used_bindings()
     # ``main`` dispatches to a handler by its name in the command table
     handlers = {
         (f"diagram_groups.commands.{module}", handler)
@@ -64,9 +82,7 @@ def test_exported_names_are_used_in_the_package():
         for module in MODULES
         for name in importlib.import_module(module).__all__
     }
-    unused = {
-        (module, name) for module, name in exported if name not in referenced
-    }
+    unused = exported - used
     assert sorted(unused - handlers - TRACED_ONLY) == []
     # an exemption goes once its name is gone or used
     assert TRACED_ONLY <= unused

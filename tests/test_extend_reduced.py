@@ -13,6 +13,10 @@ table.  The checks of that identity fire every diagram through one table:
 each ordering of a swap orbit ends on one bottom, different orbits end on
 different bottoms, and along random walks two reduced states share a
 bottom exactly when their canonical keys agree.
+
+``cayley_ball`` tables each generator's action on the window of wires it
+touches; the same ball without that table, folding ``extend_reduced``
+over every move on the whole bottom, must yield the same rows in order.
 """
 
 import random
@@ -35,16 +39,19 @@ from conftest import (
     reference_reduce,
     swap_orbit,
 )
-from diagram_groups import diagrams
+from diagram_groups import diagrams, interval
+from diagram_groups.cli import main
 from diagram_groups.diagrams import (
     Diagram,
     Wires,
     canonical_key,
     cayley_ball,
     compose,
+    dsum,
     eps,
     inverse,
     layered_key,
+    parse_diagram,
     reduce_diagram,
 )
 from diagram_groups.farley import property_b_scan
@@ -217,6 +224,130 @@ def test_ball_needs_no_keys(monkeypatch):
     assert scan.sizes == (1, 6, 26, 110, 458)
     assert (scan.min_ratio, scan.max_ratio) == (Fraction(5, 3), 3)
     assert sum(cells for _, cells in scan.table) == 5664
+
+
+def unwindowed_ball(pres, w, generators, length):
+    """``cayley_ball`` without its window table: each product folds
+    ``Wires.extend_reduced`` over every move of the generator on the whole
+    bottom.  Returns the rows and the number of steps taken."""
+    wires = Wires(pres, w)
+    seen = {wires.top}
+    level = [(wires.top, 0)]
+    rows = [(0, 0)]
+    steps = 0
+    for depth in range(1, length + 1):
+        grown = []
+        for bottom, cells in level:
+            for moves in generators:
+                nb, nc = bottom, cells
+                for move in moves:
+                    nb, _, cancelled = wires.extend_reduced(nb, move)
+                    nc += -1 if cancelled else 1
+                steps += len(moves)
+                if nb not in seen:
+                    seen.add(nb)
+                    grown.append((nb, nc))
+                    rows.append((depth, nc))
+        level = grown
+    return rows, steps
+
+
+def windowed_ball(monkeypatch, pres, w, generators, length):
+    """The rows of ``cayley_ball`` and the ``extend_reduced`` steps it took."""
+    calls = []
+    step = Wires.extend_reduced
+
+    def counted(self, bottom, move):
+        calls.append(move)
+        return step(self, bottom, move)
+
+    with monkeypatch.context() as m:
+        m.setattr(Wires, "extend_reduced", counted)
+        rows = list(cayley_ball(pres, w, generators, length))
+    return rows, len(calls)
+
+
+def golden_diagrams():
+    """The PADPAIR ``propb`` generators d1-d4 on ``a1 b1``; d3 and d4 change
+    the word's length between their first and last move."""
+    return [
+        parse_diagram((GOLDEN / f"d{k}.diag").read_text(), PADPAIR)
+        for k in range(1, 5)
+    ]
+
+
+def has_disjoint_intervals(coll):
+    """Whether two loops act on disjoint windows: a loop's window is its
+    interval."""
+    spans = [coll.span(name) for name in coll.names()]
+    return any(a[1] < b[0] for a in spans for b in spans)
+
+
+def window_cases():
+    """``(id, pres, w, generator moves, length, saves)``.  Every list but
+    the full-width one holds the identity generator ``()``.  ``saves`` says
+    that two generators act on disjoint windows, so that at length 2 one of
+    them meets, beside the other, a window it met at the identity."""
+    for seed in range(12):
+        coll = random_collection(random.Random(1000 + seed))
+        gens = [g.moves for g in loop_generators(coll)] + [()]
+        yield (
+            f"intervals-{seed}", presentation_for(coll), base_word(coll), gens, 3,
+            has_disjoint_intervals(coll),
+        )
+    ds = golden_diagrams()
+    gens = [g.moves for d in ds for g in (d, inverse(d))] + [()]
+    yield "padpair-d1-d4", PADPAIR, A1B1, gens, 4, True
+    # the same generators on either half of a longer word, so the windows
+    # that change length sit strictly inside it
+    pad = eps(PADPAIR, A1B1)
+    halves = [h for d in ds for h in (dsum(d, pad), dsum(pad, d))]
+    gens = [g.moves for h in halves for g in (h, inverse(h))] + [()]
+    yield "padpair-halves", PADPAIR, A1B1 + A1B1, gens, 3, True
+    # one letter, so every window spans the whole word and nothing is tabled
+    yield "cyc3-full-width", CYC3, W("a"), [CYC_A.moves, inverse(CYC_A).moves], 5, False
+
+
+@pytest.mark.parametrize(
+    "pres, w, gens, length, saves",
+    [case[1:] for case in window_cases()],
+    ids=[case[0] for case in window_cases()],
+)
+def test_window_table_matches_unwindowed_ball(monkeypatch, pres, w, gens, length, saves):
+    rows, steps = windowed_ball(monkeypatch, pres, w, gens, length)
+    expected, expected_steps = unwindowed_ball(pres, w, gens, length)
+    # the same elements in the same order, with the same cell counts
+    assert rows == expected
+    assert steps <= expected_steps
+    if saves:
+        assert steps < expected_steps
+    if len(w) == 1:
+        assert steps == expected_steps
+
+
+def test_element_bound_fires_at_the_same_element(monkeypatch, capsys):
+    five = parse_intervals((GOLDEN / "five.int").read_text())
+    yielded = []
+
+    def recorded(*args):
+        for row in cayley_ball(*args):
+            yielded.append(row)
+            yield row
+
+    with monkeypatch.context() as m:
+        m.setattr(interval, "cayley_ball", recorded)
+        with pytest.raises(ElementBoundError, match="bound 1000$"):
+            diagram_ball_sizes(five, 4, max_elements=1000)
+    # the ball held 1000 elements when the next one arrived, and the rows up
+    # to that one are those of the search without a window table
+    assert len(yielded) == 1001
+    gens = [g.moves for g in loop_generators(five)]
+    rows, _ = unwindowed_ball(presentation_for(five), base_word(five), gens, 4)
+    assert yielded == rows[:1001]
+    # the CLI's default bound is 1000
+    code = main(["verify-raag", "-i", str(GOLDEN / "five.int"), "--length", "4"])
+    assert code == 2
+    assert "element bound 1000" in capsys.readouterr().out
 
 
 def fired_bottom(wires, moves):

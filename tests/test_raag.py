@@ -13,7 +13,6 @@ from diagram_groups.diagrams import (
     reduce_diagram,
 )
 from diagram_groups.raag import (
-    EMPTY_WORD,
     RaagWord,
     format_raag_word,
     hyperplane_graph,
@@ -30,6 +29,8 @@ from diagram_groups.rewriting import (
     parse_presentation,
 )
 from diagram_groups.squier import build_ball
+
+EMPTY_WORD = RaagWord(())
 
 
 def raag_equal(w1, w2, graph):
