@@ -75,12 +75,11 @@ def transversality_to_dot(ball: SquierBall) -> str:
 
 
 def _witness_json(wit: object) -> Dict[str, object]:
-    """Generic pathology-witness serialization, fields in the witness's own
-    ``__slots__`` order: words formatted, evidence summarized by derivation
-    lengths so the report stays readable."""
+    """Generic pathology-witness serialization over the witness's
+    ``_fields``: words formatted, evidence summarized by derivation lengths
+    so the report stays readable."""
     out: Dict[str, object] = {"kind": type(wit).__name__}
-    for name in wit.__slots__:
-        value = getattr(wit, name)
+    for name, value in zip(wit._fields, wit):
         if name == "evidence":
             out["evidence_lengths"] = [len(d.steps) for d in value]
         elif isinstance(value, tuple) and all(isinstance(x, str) for x in value):

@@ -782,40 +782,25 @@ def forced_support(pres: Presentation) -> FrozenSet[Letter]:
     return frozenset(pres.letters) - covered
 
 
-def first_letter_closure(pres: Presentation, w: Word) -> FrozenSet[Letter]:
-    """Sound overapproximation of first letters across ``[w]``.
+def end_letter_closure(pres: Presentation, w: Word, end: int) -> FrozenSet[Letter]:
+    """Sound overapproximation of the letters at one end of the words of
+    ``[w]``: the first letters for ``end = 0``, the last for ``end = -1``.
 
-    Only a rewrite at offset 0 can change the first letter, and then only to
-    the first letter of the replacing relation side; iterate to closure.
+    Only a rewrite at that end can change the letter there, and then only to
+    the letter at that end of the replacing relation side; iterate to
+    closure.
     """
     if not w:
-        raise ValueError("empty word has no first letter")
-    reach = {w[0]}
+        raise ValueError("empty word has no first or last letter")
+    reach = {w[end]}
     changed = True
     while changed:
         changed = False
         for rel in pres.relations:
             for forward in (True, False):
                 src, dst = rel.sides(forward)
-                if src[0] in reach and dst[0] not in reach:
-                    reach.add(dst[0])
-                    changed = True
-    return frozenset(reach)
-
-
-def last_letter_closure(pres: Presentation, w: Word) -> FrozenSet[Letter]:
-    """Mirror of :func:`first_letter_closure` for last letters."""
-    if not w:
-        raise ValueError("empty word has no last letter")
-    reach = {w[-1]}
-    changed = True
-    while changed:
-        changed = False
-        for rel in pres.relations:
-            for forward in (True, False):
-                src, dst = rel.sides(forward)
-                if src[-1] in reach and dst[-1] not in reach:
-                    reach.add(dst[-1])
+                if src[end] in reach and dst[end] not in reach:
+                    reach.add(dst[end])
                     changed = True
     return frozenset(reach)
 
@@ -932,8 +917,7 @@ __all__ = [
     "has_singleton_class",
     "invariant_letter_subsets",
     "forced_support",
-    "first_letter_closure",
-    "last_letter_closure",
+    "end_letter_closure",
     "letter_count",
     "DimensionWitness",
     "dimension_at_least",

@@ -49,6 +49,12 @@ out of each vertex, and the ball keeps them as ``cubes`` (``(dim, cubes)``
 pairs of ascending dimension), whose dimension-2 entry is ``squares``.
 Farley's complex of reduced diagrams, which covers this one, only counts its
 cubes (``farley.FarleyBall.cube_counts``).
+
+A pathology witness is a named tuple whose last field, ``evidence``, holds
+one derivation, run either way, per equation its docstring states, in that
+order.  Where ``b = p`` stands in for an empty middle, the first equation is
+proved with the empty middle.  The witnesses of ``find_absorbing_splits``
+run ``a → a·p·b`` and ``c → b·p·c``.
 """
 
 from __future__ import annotations
@@ -67,12 +73,11 @@ from .rewriting import (
     TriBool,
     Word,
     dimension_at_least,
-    first_letter_closure,
+    end_letter_closure,
     forced_support,
     format_word,
     has_singleton_class,
     invariant_letter_subsets,
-    last_letter_closure,
     letter_count,
 )
 
@@ -111,13 +116,6 @@ class BallCube(NamedTuple):
 
     corner: Word
     moves: Tuple[Move, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.moves)
-
-    def edge_at(self, i: int) -> BallEdge:
-        return BallEdge(self.corner, self.moves[i])
 
 
 def disjoint_cubes(
@@ -788,60 +786,33 @@ def rank(j: HyperplaneId, ball: SquierBall) -> RankResult:
 # ---------------------------------------------------------------------------
 
 
-def _parts(wit: object) -> tuple:
-    """The fields of a pathology witness but ``evidence``, in their order.
-
-    They alone decide equality: one witness found along two routes carries
-    two sets of derivations, and the report lists it once."""
-    return tuple(getattr(wit, name) for name in wit.__slots__ if name != "evidence")
-
-
-class SelfIntersection:
+class SelfIntersection(NamedTuple):
     """Witness that [a, p -> q, c] crosses itself: a = a p b and c = b p c
     modulo the presentation (with a p c in the base class)."""
 
-    __slots__ = ("a", "p", "q", "b", "c", "evidence")
-
-    def __init__(
-        self, a: Word, p: Word, q: Word, b: Word, c: Word,
-        evidence: Tuple[Derivation, ...] = (),
-    ) -> None:
-        self.a, self.p, self.q, self.b, self.c = a, p, q, b, c
-        self.evidence = evidence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SelfIntersection):
-            return NotImplemented
-        return _parts(self) == _parts(other)
-
-    def __hash__(self) -> int:
-        return hash(_parts(self))
+    a: Word
+    p: Word
+    q: Word
+    b: Word
+    c: Word
+    evidence: Tuple[Derivation, ...] = ()
 
 
-class SelfOsculation:
+class SelfOsculation(NamedTuple):
     """Witness that [a, (kh)^n k -> p, b] touches itself at a vertex:
     a = a k h and b = h k b modulo the presentation.  ``k`` may be empty
     when the side is a proper power (then n >= 2)."""
 
-    __slots__ = ("n", "a", "k", "h", "p", "b", "evidence")
-
-    def __init__(
-        self, n: int, a: Word, k: Word, h: Word, p: Word, b: Word,
-        evidence: Tuple[Derivation, ...] = (),
-    ) -> None:
-        self.n, self.a, self.k, self.h, self.p, self.b = n, a, k, h, p, b
-        self.evidence = evidence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SelfOsculation):
-            return NotImplemented
-        return _parts(self) == _parts(other)
-
-    def __hash__(self) -> int:
-        return hash(_parts(self))
+    n: int
+    a: Word
+    k: Word
+    h: Word
+    p: Word
+    b: Word
+    evidence: Tuple[Derivation, ...] = ()
 
 
-class InterOsculation:
+class InterOsculation(NamedTuple):
     """Witness for two crossing hyperplanes touching at an extra vertex.
 
     The sides ``p = u v`` and ``q = v w`` overlap in ``v`` inside the class
@@ -850,45 +821,15 @@ class InterOsculation:
     presentation.
     """
 
-    __slots__ = ("a", "u", "v", "w", "b", "p", "q", "xi", "evidence")
-
-    def __init__(
-        self, a: Word, u: Word, v: Word, w: Word, b: Word, p: Word, q: Word,
-        xi: Word, evidence: Tuple[Derivation, ...] = (),
-    ) -> None:
-        self.a, self.u, self.v, self.w, self.b = a, u, v, w, b
-        self.p, self.q, self.xi = p, q, xi
-        self.evidence = evidence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InterOsculation):
-            return NotImplemented
-        return _parts(self) == _parts(other)
-
-    def __hash__(self) -> int:
-        return hash(_parts(self))
-
-
-class AbsorbingSplit:
-    """A split of the base class: w0 = a b with a = a p, b = p b modulo the
-    presentation and [p] nontrivial — the word-level form of a
-    self-crossing."""
-
-    __slots__ = ("a", "b", "p", "evidence")
-
-    def __init__(
-        self, a: Word, b: Word, p: Word, evidence: Tuple[Derivation, ...] = ()
-    ) -> None:
-        self.a, self.b, self.p = a, b, p
-        self.evidence = evidence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbsorbingSplit):
-            return NotImplemented
-        return _parts(self) == _parts(other)
-
-    def __hash__(self) -> int:
-        return hash(_parts(self))
+    a: Word
+    u: Word
+    v: Word
+    w: Word
+    b: Word
+    p: Word
+    q: Word
+    xi: Word
+    evidence: Tuple[Derivation, ...] = ()
 
 
 # -- self-intersections ------------------------------------------------------
@@ -1027,10 +968,15 @@ def refute_absorbing_splits(pres: Presentation) -> Optional[str]:
 
 def find_absorbing_splits(
     search: ClassSearch, w0: Word
-) -> Tuple[Tuple[AbsorbingSplit, ...], bool]:
-    """Search members of [w0] for splits a|b with a = a p, b = p b, [p] != {p}."""
+) -> Tuple[Tuple[SelfIntersection, ...], bool]:
+    """Self-crossings from the splits a|b of members of [w0] with a = a p,
+    b = p b and [p] nontrivial; returns (witnesses, search-was-exhaustive).
+
+    With p = e·sigma·f for a relation side sigma, [a e, sigma -> tau, f b]
+    crosses itself with middle f·e (or sigma when that is empty); see
+    :func:`_split_crossing`.  Each split point gives at most one witness."""
     pres = search.pres
-    found: List[AbsorbingSplit] = []
+    found: List[SelfIntersection] = []
     enum = search.enum(w0)
     exhaustive = enum.complete
     budget = _probe_budget(search.caps)
@@ -1042,7 +988,7 @@ def find_absorbing_splits(
             a, b = member[:cut], member[cut:]
             if not search.enum(a).complete:
                 exhaustive = False
-            for p, extended in search.once(_extensions, a, ()):
+            for p, _ in search.once(_extensions, a, ()):
                 if not p or has_singleton_class(p, pres):
                     continue
                 if budget <= 0:
@@ -1052,50 +998,44 @@ def find_absorbing_splits(
                 if verdict.is_unknown:
                     exhaustive = False
                 if verdict.is_yes:
-                    # [p] is nontrivial because a relation side occurs in it;
-                    # exhibit the rewrite directly
-                    p_move, _ = search.rewrites(p)[0]
-                    found.append(
-                        AbsorbingSplit(
-                            a, b, p,
-                            evidence=(
-                                enum.derivation(member),
-                                search.enum(a).derivation(extended),
-                                verdict.witness,
-                                Derivation(p, (p_move,)),
-                            ),
-                        )
-                    )
+                    wit = _split_crossing(search, a, p, b)
+                    if wit is not None:
+                        found.append(wit)
                     break  # one witness per split point is enough
     return tuple(found), exhaustive
 
 
-def split_to_self_intersection(
-    search: ClassSearch, split: AbsorbingSplit
-) -> SelfIntersection:
-    """Convert a = a p, b = p b into a bona-fide self-crossing witness.
-
-    With p = e·sigma·f for a relation side sigma: the hyperplane
-    [a e, sigma -> tau, f b] crosses itself with middle f·e (or sigma when
-    that middle is empty).
-    """
-    for o in range(len(split.p)):
+def _split_crossing(
+    search: ClassSearch, a: Word, p: Word, b: Word
+) -> Optional[SelfIntersection]:
+    """The witness of the first side occurrence in ``p`` whose equations
+    a e = a e·sigma·mid and f b = mid·sigma·f b both come back yes, with
+    their derivations as evidence, or None."""
+    for o in range(len(p)):
         for rel in search.pres.relations:
             for sigma, tau in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-                if split.p[o: o + len(sigma)] == sigma:
-                    e, f = split.p[:o], split.p[o + len(sigma):]
-                    mid = f + e if f + e else sigma
-                    wit = SelfIntersection(
-                        split.a + e, sigma, tau, mid, f + split.b
+                if p[o: o + len(sigma)] != sigma:
+                    continue
+                e, f = p[:o], p[o + len(sigma):]
+                mid = f + e or sigma
+                left = search.equal(a + e, a + e + sigma + mid)
+                right = search.equal(f + b, mid + sigma + f + b)
+                if left.is_yes and right.is_yes:
+                    return SelfIntersection(
+                        a + e, sigma, tau, mid, f + b,
+                        evidence=(left.witness, right.witness),
                     )
-                    ok1 = search.equal(wit.a, wit.a + wit.p + wit.b).is_yes
-                    ok2 = search.equal(wit.c, wit.b + wit.p + wit.c).is_yes
-                    if ok1 and ok2:
-                        return wit
-    raise ValueError("split has no rewritable middle; not convertible")
+    return None
 
 
 # -- self-osculations --------------------------------------------------------
+
+
+def _period_split(side: Word, delta: int) -> Tuple[int, Word, Word]:
+    """The (n, k, h) with side = (k h)^n k and len(k h) = delta, for a
+    period delta of side."""
+    rem = len(side) % delta
+    return len(side) // delta, side[:rem], side[rem:delta]
 
 
 def _periodic_factorizations(side: Word) -> List[Tuple[int, Word, Word]]:
@@ -1105,15 +1045,12 @@ def _periodic_factorizations(side: Word) -> List[Tuple[int, Word, Word]]:
     condition (k nonempty or n >= 2) holds automatically because
     delta <= len(side) - 1.
     """
-    out = []
     L = len(side)
-    for delta in range(1, L):
-        if all(side[i] == side[i + delta] for i in range(L - delta)):
-            rem = L % delta
-            n = L // delta
-            k, h = side[:rem], side[rem:delta]
-            out.append((n, k, h))
-    return out
+    return [
+        _period_split(side, delta)
+        for delta in range(1, L)
+        if all(side[i] == side[i + delta] for i in range(L - delta))
+    ]
 
 
 def find_self_osculations(
@@ -1177,9 +1114,7 @@ def scan_self_osculations(
                 continue
             if not (va.is_yes and vb.is_yes):
                 continue
-            rem = len(sigma) % delta
-            n = len(sigma) // delta
-            k, h = sigma[:rem], sigma[rem:delta]
+            n, k, h = _period_split(sigma, delta)
             a = w[: m1.offset]
             b = w[m2.offset + len(sigma):]
             key = (n, a, k, h, b, m1.relation, m1.forward)
@@ -1227,8 +1162,8 @@ def refute_inter_osculations(pres: Presentation, w0: Word) -> Optional[str]:
         return "the empty word's class is a single word with no room for overlapping sides"
     subsets = invariant_letter_subsets(pres)
     z = forced_support(pres)
-    first = first_letter_closure(pres, w0)
-    last = last_letter_closure(pres, w0)
+    first = end_letter_closure(pres, w0, 0)
+    last = end_letter_closure(pres, w0, -1)
     letters = set(pres.letters)
     for u, v, w, p, q in _side_overlaps(pres):
         m = u + v + w
@@ -1313,13 +1248,14 @@ class SpecialnessReport(NamedTuple):
 
 
 def _with_new(listed: Sequence, extra: Sequence) -> List:
-    """``listed`` as it is, then each witness of ``extra`` not equal to one
-    listed before it."""
+    """``listed`` as it is, then each witness of ``extra`` whose fields but
+    ``evidence``, the last, differ from those of every one listed before it.
+    This is the one place where witness identity ignores evidence."""
     out = list(listed)
-    seen = set(out)
+    seen = {wit[:-1] for wit in out}
     for wit in extra:
-        if wit not in seen:
-            seen.add(wit)
+        if wit[:-1] not in seen:
+            seen.add(wit[:-1])
             out.append(wit)
     return out
 
@@ -1327,10 +1263,13 @@ def _with_new(listed: Sequence, extra: Sequence) -> List:
 def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
     """Decide cleanliness and specialness of the class complex of ``w0``.
 
-    Positive pathology reports carry replayable witnesses; clean/special
-    verdicts of ``yes`` carry either an exhaustiveness argument (complete
-    class, definite comparisons) or a letter-counting certificate that
-    remains sound on infinite classes.
+    Positive pathology reports carry replayable witnesses, whose
+    ``evidence`` derives a = a p b and c = b p c (self-intersections),
+    a = a k h and b = h k b (self-osculations) or a u = a u v xi and
+    w b = xi v w b (inter-osculations).  Clean/special verdicts of ``yes``
+    carry either an exhaustiveness argument (complete class, definite
+    comparisons) or a letter-counting certificate that remains sound on
+    infinite classes.
     """
     pres = search.pres
     ball = build_ball(search, w0)
@@ -1339,13 +1278,7 @@ def specialness_report(search: ClassSearch, w0: Word) -> SpecialnessReport:
     scan_si, scan_si_def = scan_self_intersections(ball)
     find_si, find_si_def = find_self_intersections(ball)
     splits, splits_def = find_absorbing_splits(search, w0)
-    converted = []
-    for split in splits:
-        try:
-            converted.append(split_to_self_intersection(search, split))
-        except ValueError:
-            pass
-    self_ints = _with_new(scan_si, find_si + tuple(converted))
+    self_ints = _with_new(scan_si, find_si + splits)
 
     osc, osc_def = scan_self_osculations(ball)
     find_osc, find_osc_def = find_self_osculations(ball)
@@ -1416,12 +1349,10 @@ __all__ = [
     "SelfIntersection",
     "SelfOsculation",
     "InterOsculation",
-    "AbsorbingSplit",
     "find_self_intersections",
     "scan_self_intersections",
     "refute_absorbing_splits",
     "find_absorbing_splits",
-    "split_to_self_intersection",
     "find_self_osculations",
     "scan_self_osculations",
     "refute_inter_osculations",

@@ -34,12 +34,11 @@ from diagram_groups.rewriting import (
     TriBool,
     enumerate_class,
     equal_mod_p,
-    first_letter_closure,
+    end_letter_closure,
     forced_support,
     format_word,
     has_singleton_class,
     invariant_letter_subsets,
-    last_letter_closure,
     one_step_rewrites,
     parse_presentation,
     word_of,
@@ -646,14 +645,14 @@ def test_forced_support_comm_empty():
 
 
 def test_letter_closures_padpair():
-    assert first_letter_closure(PADPAIR, W("a1 b1")) == frozenset({"a1", "a2", "a3"})
-    assert last_letter_closure(PADPAIR, W("a1 b1")) == frozenset({"b1", "b2", "b3"})
+    assert end_letter_closure(PADPAIR, W("a1 b1"), 0) == frozenset({"a1", "a2", "a3"})
+    assert end_letter_closure(PADPAIR, W("a1 b1"), -1) == frozenset({"b1", "b2", "b3"})
 
 
 def test_letter_closures_halfpad():
     # b = p b makes p reachable as a first letter from b
-    assert first_letter_closure(HALFPAD, W("b a")) == frozenset({"b", "p"})
-    assert first_letter_closure(HALFPAD, W("a b")) == frozenset({"a"})
+    assert end_letter_closure(HALFPAD, W("b a"), 0) == frozenset({"b", "p"})
+    assert end_letter_closure(HALFPAD, W("a b"), 0) == frozenset({"a"})
 
 
 def test_tribool_validation():

@@ -44,7 +44,6 @@ from diagram_groups.rewriting import (
     parse_presentation,
 )
 from diagram_groups.squier import (
-    AbsorbingSplit,
     BallCube,
     BallEdge,
     HyperplaneId,
@@ -64,7 +63,6 @@ from diagram_groups.squier import (
     scan_self_intersections,
     scan_self_osculations,
     specialness_report,
-    split_to_self_intersection,
 )
 
 
@@ -844,43 +842,42 @@ def self_intersection_square(search, wit, w0):
     return BallCube(word, (m1, m2))
 
 
+def dirty_split_witness(search):
+    """The self-crossing that ``find_absorbing_splits`` reads off the DIRTY
+    split ``a|b`` with absorbed middle ``p``."""
+    found, _ = find_absorbing_splits(search, W("a b"))
+    hits = [wit for wit in found if (wit.a, wit.p, wit.c) == (W("a"), W("p"), W("b"))]
+    assert hits
+    return hits[0]
+
+
 class TestSelfIntersection:
     def test_witness_equality_ignores_evidence(self):
         search = ClassSearch(DIRTY, TIGHT_CAPS)
-        splits, _ = find_absorbing_splits(search, W("a b"))
-        split = next(s for s in splits if s.p == W("p"))
-        bare = AbsorbingSplit(split.a, split.b, split.p)
-        assert bare.evidence == () and split.evidence
-        assert bare == split and hash(bare) == hash(split)
-        wit = split_to_self_intersection(search, split)
-        again = SelfIntersection(wit.a, wit.p, wit.q, wit.b, wit.c, evidence=split.evidence)
-        assert again == wit and len({again, wit}) == 1
-        assert SelfIntersection(wit.a, wit.p, wit.q, wit.b, wit.c + W("a")) != wit
+        wit = dirty_split_witness(search)
+        bare = wit._replace(evidence=())
+        assert wit.evidence and bare != wit
+        # the report lists each parts tuple once, with the first evidence
+        assert squier._with_new([bare], [wit]) == [bare]
+        assert squier._with_new([], [wit, bare, wit]) == [wit]
+        other = wit._replace(c=wit.c + W("a"))
+        assert squier._with_new([wit], [other]) == [wit, other]
 
     def test_dirty_splits_found(self):
-        splits, _ = find_absorbing_splits(ClassSearch(DIRTY, TIGHT_CAPS), W("a b"))
-        assert any(
-            s.a == W("a") and s.b == W("b") and s.p == W("p") for s in splits
-        )
-        split = next(s for s in splits if s.p == W("p"))
-        # all four evidence derivations replay
-        for deriv in split.evidence:
+        wit = dirty_split_witness(ClassSearch(DIRTY, TIGHT_CAPS))
+        # both equation derivations replay
+        assert len(wit.evidence) == 2
+        for deriv in wit.evidence:
             deriv.replay(DIRTY)
 
     def test_dirty_split_converts_to_self_intersection(self):
-        search = ClassSearch(DIRTY, TIGHT_CAPS)
-        splits, _ = find_absorbing_splits(search, W("a b"))
-        split = next(s for s in splits if s.p == W("p"))
-        wit = split_to_self_intersection(search, split)
+        wit = dirty_split_witness(ClassSearch(DIRTY, TIGHT_CAPS))
         assert wit.p == W("p") and wit.q == W("q")
         assert wit.b == W("p")  # empty middle replaced by the side itself
 
     def test_dirty_witness_round_trips_to_square(self):
         search = ClassSearch(DIRTY, TIGHT_CAPS)
-        splits, _ = find_absorbing_splits(search, W("a b"))
-        wit = split_to_self_intersection(
-            search, next(s for s in splits if s.p == W("p"))
-        )
+        wit = dirty_split_witness(search)
         square = self_intersection_square(search, wit, W("a b"))
         m1, m2 = square.moves
         assert m1.relation == m2.relation == 2  # p = q
@@ -1123,6 +1120,37 @@ class TestSpecialness:
         monkeypatch.setattr(rewriting, "one_step_rewrites", counted)
         specialness_report(ClassSearch(GROW, TIGHT_CAPS), W("x"))
         assert scanned and len(scanned) == len(set(scanned))
+
+
+@pytest.mark.parametrize(
+    "pres, base, from_splits",
+    [
+        (DIRTY, "a b", True),
+        (OSC_PLAIN, "x k h k h k y", True),
+        (OSC_EMPTY, "x k k k y", True),
+        (INTEROSC, "c u v w d", False),
+    ],
+    ids=["dirty", "osc_plain", "osc_empty", "interosc"],
+)
+def test_every_witness_carries_evidence_that_replays(pres, base, from_splits):
+    """Every witness of the report derives its equations in ``evidence``;
+    those read off absorbing splits run a → a·p·b and c → b·p·c."""
+    search = ClassSearch(pres, TIGHT_CAPS)
+    report = specialness_report(search, W(base))
+    witnesses = (
+        report.self_intersections + report.self_osculations + report.inter_osculations
+    )
+    assert witnesses
+    for wit in witnesses:
+        assert wit.evidence, wit
+        for deriv in wit.evidence:
+            deriv.replay(pres)
+    splits, _ = find_absorbing_splits(search, W(base))
+    assert bool(splits) == from_splits
+    for wit in splits:
+        first, second = wit.evidence
+        assert (first.start, first.end(pres)) == (wit.a, wit.a + wit.p + wit.b)
+        assert (second.start, second.end(pres)) == (wit.c, wit.b + wit.p + wit.c)
 
 
 # ---------------------------------------------------------------------------
