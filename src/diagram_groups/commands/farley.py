@@ -38,7 +38,7 @@ def farley_to_dot(ball: FarleyBall) -> str:
 
 
 def run_rank_table(ns: argparse.Namespace) -> int:
-    partition = rank_partition(ns.search, ns.w)
+    order = rank_partition(ns.search, ns.w)
     rows = [
         {
             "id": str(hid),
@@ -46,23 +46,23 @@ def run_rank_table(ns: argparse.Namespace) -> int:
             "exact": r.exact,
             "chain": [str(h) for h in r.chain],
         }
-        for hid, r in zip(partition.ball.catalog.ids, partition.ranks)
+        for hid, r in zip(order.ball.catalog.ids, order.ranks)
     ]
     if ns.format == "text":
         for row in rows:
             star = "" if row["exact"] else " (bound)"
             print(f'{row["id"]}  rank {row["rank"]}{star}')
-        print(f"# exact={partition.exact}")
+        print(f"# exact={order.ranks_exact}")
     else:
         _emit_json(
             {
                 "base": format_word(ns.w),
                 "hyperplanes": rows,
-                "exact": partition.exact,
+                "exact": order.ranks_exact,
                 "caps": ns.caps.as_dict(),
             }
         )
-    return EXIT_OK if partition.exact else EXIT_UNKNOWN
+    return EXIT_OK if order.ranks_exact else EXIT_UNKNOWN
 
 
 def run_farley(ns: argparse.Namespace) -> int:
@@ -95,14 +95,14 @@ def run_embed_check(ns: argparse.Namespace) -> int:
     from ..squier import OutsideCatalogError
 
     head = {"base": format_word(ns.w), "radius": ns.radius}
-    partition = rank_partition(ns.search, ns.w)
-    if not partition.exact:
+    order = rank_partition(ns.search, ns.w)
+    if not order.ranks_exact:
         return _emit_unknown(
             ns, head, "rank partition is not exact under these caps"
         )
     ball = farley_ball(ns.search, ns.w, ns.radius)
     try:
-        report = check_isometric_embedding(ball, partition)
+        report = check_isometric_embedding(ball, order)
     except OutsideCatalogError as e:
         return _emit_unknown(
             ns,

@@ -14,6 +14,11 @@ tree generate the fundamental group, and an element is trivial exactly when
 its reduced diagram is empty, so reducing every generator loop settles the
 question.  On truncated data a nontrivial reduced spherical loop is still a
 valid "No" certificate; otherwise the verdict is Unknown.
+
+A free factor holds the ball of its class (``FactorGroup.ball``): the
+ball's ``loops`` are its basis, and ``SquierBall.express`` writes the
+images of edge-group loops in that basis when the fundamental group of the
+decomposition is presented.
 """
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -188,60 +193,6 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
         pres, w, tuple(found), tuple(rejected), tuple(undecided), exact,
         tuple(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# fundamental groups of class pieces
-# ---------------------------------------------------------------------------
-
-
-class FreeBasis:
-    """Free generating loops of the fundamental group of a class *graph*.
-
-    A view of one ball with no squares: the ball's ``loops`` then freely
-    generate, and the basis is ``exact`` when the ball is the whole class.
-    ``express`` folds any spherical diagram over a word of the class into
-    the basis by walking its derivation edge by edge — tree edges vanish,
-    so no base-point transport is ever needed.
-    """
-
-    __slots__ = ("ball", "_index")
-
-    def __init__(self, ball: SquierBall) -> None:
-        self.ball = ball
-        self._index = {e: i for i, e in enumerate(ball.loops)}
-
-    @property
-    def rank(self) -> int:
-        return len(self.ball.loops)
-
-    @property
-    def exact(self) -> bool:
-        return self.ball.complete
-
-    def express(self, d: Diagram) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """Word in the basis representing the loop ``d``, or None if the walk
-        leaves the enumerated piece (truncation)."""
-        assert d.is_spherical, "only loops have a class in the fundamental group"
-        ball = self.ball
-        if d.top not in ball.enum:
-            return None
-        out: List[Tuple[int, int]] = []
-        for w, move in zip(d.words(), d.moves):
-            nxt = move.apply(w, ball.pres)
-            if nxt not in ball.enum:
-                return None
-            edge, sign = BallEdge.of(w, move, ball.pres), 1 if move.forward else -1
-            if edge in ball.tree:
-                continue
-            idx = self._index.get(edge)
-            if idx is None:
-                return None
-            if out and out[-1] == (idx, -sign):
-                out.pop()
-            else:
-                out.append((idx, sign))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +381,15 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
         raise ValueError(
             f"the class of {format_word(w)} was not completely enumerated"
         )
-    basis = FreeBasis(ball)
     relators: List[Relator] = []
     for sq in ball.squares:
         m1, m2 = sq.moves
         shifted = Move(m2.offset + m1.delta(pres), m2.relation, m2.forward)
         loop = Diagram(pres, sq.corner, (m1, shifted, m1.inverted(), m2.inverted()))
-        folded = basis.express(loop)
+        folded = ball.express(loop)
         assert folded is not None, "square boundary left the complete ball"
         relators.append(_cyclic_reduce(folded))
-    names = tuple(f"g{i}" for i in range(basis.rank))
+    names = tuple(f"g{i}" for i in range(len(ball.loops)))
     return GroupPresentation(
         names,
         tuple(sorted({_relator_key(r) for r in relators if r})),
@@ -453,58 +403,27 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
 # ---------------------------------------------------------------------------
 
 
-class FactorGroup:
+class FactorGroup(NamedTuple):
     """The group of one factor of a product piece, as well as we can tell.
 
     ``kind`` is one of trivial / free / presented / unknown, in decreasing
     order of how much structure the emission downstream can use: free factors
-    carry an expressible basis, presented ones a presentation only, unknown
-    ones just a marker.
+    hold their ball, whose ``loops`` are a basis that ``express`` writes
+    loops in, presented ones a presentation only, unknown ones just a marker.
+    A ball is equal only to itself, so two free factors are equal when they
+    come from the ball of one run.
     """
 
-    __slots__ = ("kind", "seed", "exact", "basis", "presentation", "note")
-
-    def __init__(
-        self,
-        kind: str,
-        seed: Word,
-        exact: bool,
-        basis: Optional[FreeBasis] = None,
-        presentation: Optional[GroupPresentation] = None,
-        note: str = "",
-    ) -> None:
-        self.kind = kind
-        self.seed = seed
-        self.exact = exact
-        self.basis = basis
-        self.presentation = presentation
-        self.note = note
-
-    def _parts(self) -> tuple:
-        # the basis is a view of a ball; equal groups need not share one
-        return (self.kind, self.seed, self.exact, self.presentation, self.note)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FactorGroup):
-            return NotImplemented
-        return self._parts() == other._parts()
-
-    def __hash__(self) -> int:
-        return hash(self._parts())
+    kind: str
+    seed: Word
+    exact: bool
+    ball: Optional[SquierBall] = None
+    presentation: Optional[GroupPresentation] = None
+    note: str = ""
 
     @property
     def is_trivial(self) -> bool:
         return self.kind == "trivial"
-
-    @property
-    def generator_count(self) -> int:
-        if self.kind == "trivial":
-            return 0
-        if self.kind == "free":
-            return self.basis.rank
-        if self.kind == "presented":
-            return len(self.presentation.generators)
-        return 0
 
 
 def factor_group(search: ClassSearch, w: Word, depth: int = 1) -> FactorGroup:
@@ -526,7 +445,7 @@ def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
         note = "" if ball.complete else (
             "free on the loops seen so far; the class was truncated"
         )
-        return FactorGroup("free", rep, ball.complete, FreeBasis(ball), None, note)
+        return FactorGroup("free", rep, ball.complete, ball, None, note)
     if ball.complete:
         return FactorGroup(
             "presented", rep, True, None, complete_ball_presentation(search, rep)
@@ -734,9 +653,7 @@ def _pad_loop(
     return out
 
 
-def fundamental_group_presentation(
-    gog: GraphOfGroups, simplify: bool = True
-) -> GroupPresentation:
+def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
     """Present the fundamental group of the decomposition.
 
     Generators: the generators of every vertex group plus one letter per
@@ -744,7 +661,8 @@ def fundamental_group_presentation(
     vertex-group relators, and, for each edge and each edge-group generator,
     the conjugation relator identifying its two padded images.  Images that
     cannot be expressed inside truncated vertex data are skipped and flagged
-    rather than guessed.
+    rather than guessed.  The result is cleaned up by
+    ``simplify_presentation``.
     """
     pres = gog.pres
     names: List[str] = []
@@ -759,7 +677,7 @@ def fundamental_group_presentation(
         for side, fg in (("L", v.left_group), ("R", v.right_group)):
             ids: List[int] = []
             if fg.kind == "free":
-                for k in range(fg.basis.rank):
+                for k in range(len(fg.ball.loops)):
                     ids.append(len(names))
                     names.append(f"v{vi}{side}{k}")
             elif fg.kind == "presented":
@@ -802,13 +720,13 @@ def fundamental_group_presentation(
         vfg = vertex.left_group if side == "L" else vertex.right_group
         if vfg.kind != "free":
             return None
-        ball = fg_edge.basis.ball
+        ball = fg_edge.ball
         loop = _loop_diagram(ball, ball.loops[k])
         if side == "L":
             image = _pad_loop(pres, loop, (), split.prefix)
         else:
             image = _pad_loop(pres, loop, split.suffix, ())
-        word = vfg.basis.express(image)
+        word = vfg.ball.express(image)
         if word is None:
             return None
         base = vgens[(vertex_idx, side)]
@@ -828,7 +746,7 @@ def fundamental_group_presentation(
                 exact = False
                 truncated = True
                 continue
-            for k in range(fg.basis.rank):
+            for k in range(len(fg.ball.loops)):
                 minus_img = express_image(fg, k, side, e.minus_vertex, hyp.source_split)
                 plus_img = express_image(fg, k, side, e.plus_vertex, hyp.target_split)
                 if minus_img is None or plus_img is None:
@@ -855,7 +773,7 @@ def fundamental_group_presentation(
         exact,
         tuple(notes),
     )
-    return simplify_presentation(doc) if simplify else doc
+    return simplify_presentation(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +788,7 @@ def _factor_json(fg: FactorGroup) -> Dict[str, object]:
         "seed": list(fg.seed),
     }
     if fg.kind == "free":
-        out["rank"] = fg.basis.rank
+        out["rank"] = len(fg.ball.loops)
     if fg.presentation is not None:
         out["presentation"] = str(fg.presentation)
     if fg.note:
@@ -937,7 +855,6 @@ def gog_to_dot(gog: GraphOfGroups) -> str:
 __all__ = [
     "DecompositionEdge",
     "FactorGroup",
-    "FreeBasis",
     "GraphOfGroups",
     "GroupPresentation",
     "LeftHyperplane",

@@ -31,13 +31,16 @@ Mapping a vertex to its bottom word is a covering onto the class complex of
 the base word (``squier``), so every edge upstairs inherits the identity of
 a hyperplane downstairs, whose catalog position the Squier ball's
 ``ball.hyperplane_index`` gives, and with it that hyperplane's rank (the
-longest chain of crossings strictly below it).  The payoff of the rank
-grading: removing all rank-``k`` edges from a ball cuts it into pieces whose
-contact graph is a tree, and summing the per-rank tree distances recovers
-the combinatorial distance.  ``check_isometric_embedding`` verifies that
-identity pair by pair; ``property_b_scan`` compares cell count against word
-length over a chosen generating set, the other length comparison the group
-carries.
+longest chain of crossings strictly below it).  ``rank_partition``
+returns that ball's crossing order with its ranks read, and ``edge_ranks``
+pulls them back to the edges upstairs.  The payoff of the rank grading:
+removing all rank-``k`` edges from a ball cuts it into pieces whose contact
+graph is a tree, and summing the per-rank tree distances recovers the
+combinatorial distance.  ``check_isometric_embedding`` verifies that
+identity pair by pair, on ranks the order calls exact
+(``order.ranks_exact``); ``property_b_scan`` compares cell count against
+word length over a chosen generating set, the other length comparison the
+group carries.
 
 Balls are exact objects — building one reads only the neighbour table of
 the run's class search, which no search cap touches.  Caps enter only
@@ -87,7 +90,7 @@ if TYPE_CHECKING:
     # ``fractions``
     from fractions import Fraction
 
-    from .squier import RankResult, SquierBall
+    from .squier import CrossingOrder
 
 
 # ---------------------------------------------------------------------------
@@ -251,36 +254,22 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
 # ---------------------------------------------------------------------------
 
 
-class RankPartition(NamedTuple):
-    """Ranks of the unoriented hyperplanes of the class complex downstairs.
-
-    ``ranks[i]`` is the rank of ``ball.catalog.ids[i]``.  ``exact`` asserts
-    both that the catalog's edge partition is certified and that every
-    individual rank came back definite; the tree-quotient construction
-    refuses to run on anything less.
-    """
-
-    ball: SquierBall
-    ranks: Tuple[RankResult, ...]
-    exact: bool
-
-
-def rank_partition(search: ClassSearch, w: Word) -> RankPartition:
-    """Catalog the hyperplanes around ``w`` downstairs and rank each one."""
+def rank_partition(search: ClassSearch, w: Word) -> CrossingOrder:
+    """Catalog the hyperplanes around ``w`` downstairs and rank each one:
+    the crossing order of the Squier ball of ``w``, its ``ranks`` read."""
     from .squier import build_ball
 
-    ball = build_ball(search, w)
-    ranks = ball.order.ranks
-    exact = ball.catalog.exact and all(r.exact for r in ranks)
-    return RankPartition(ball, ranks, exact)
+    order = build_ball(search, w).order
+    order.ranks  # ranked here, so that this call's time holds the ranking
+    return order
 
 
-def edge_ranks(ball: FarleyBall, partition: RankPartition) -> Tuple[int, ...]:
+def edge_ranks(ball: FarleyBall, order: CrossingOrder) -> Tuple[int, ...]:
     """Rank of every ball edge, via the covering onto the class complex.
 
     Edges with the same image ``(word, move)`` downstairs share a
     hyperplane, so each image is looked up once."""
-    index, ranks = partition.ball.hyperplane_index, partition.ranks
+    index, ranks = order.ball.hyperplane_index, order.ranks
     rank_of: Dict[Tuple[Word, Move], int] = {}
     out = []
     for e in ball.edges:
@@ -344,19 +333,19 @@ class TreeQuotient:
 
 
 def tree_quotients(
-    ball: FarleyBall, partition: RankPartition
+    ball: FarleyBall, order: CrossingOrder
 ) -> Tuple[TreeQuotient, ...]:
     """One quotient per rank present among the ball's edges.
 
-    Requires an exact partition: with a wrong rank even one mislabeled edge
-    can manufacture or destroy cycles, and the whole point of the quotient
-    is that it is a tree.
+    Requires exact ranks (``order.ranks_exact``): with a wrong rank even one
+    mislabeled edge can manufacture or destroy cycles, and the whole point
+    of the quotient is that it is a tree.
     """
-    if not partition.exact:
+    if not order.ranks_exact:
         raise ValueError(
             "rank partition is not exact; tree quotients need definite ranks"
         )
-    ranks = edge_ranks(ball, partition)
+    ranks = edge_ranks(ball, order)
     out: List[TreeQuotient] = []
     for k in sorted(set(ranks)):
         parent = list(range(len(ball.depths)))
@@ -441,7 +430,7 @@ class EmbeddingReport(NamedTuple):
 
 
 def check_isometric_embedding(
-    ball: FarleyBall, partition: RankPartition
+    ball: FarleyBall, order: CrossingOrder
 ) -> EmbeddingReport:
     """Verify, pair by guarded pair, that the rank trees see every step.
 
@@ -451,7 +440,7 @@ def check_isometric_embedding(
     ``(i, j, tree_sum, distance)`` rather than raised: a non-empty list is a
     finding about the data, not a crash.
     """
-    quotients = tree_quotients(ball, partition)
+    quotients = tree_quotients(ball, order)
     failures = []
     pairs = guarded_pairs(ball)
     for i, j, dist in pairs:
@@ -466,7 +455,7 @@ def check_isometric_embedding(
         tuple(q.node_count for q in quotients),
         len(pairs),
         tuple(failures),
-        partition.exact,
+        order.ranks_exact,
     )
 
 
@@ -536,7 +525,6 @@ __all__ = [
     "FarleyBall",
     "FarleyEdge",
     "PropertyBScan",
-    "RankPartition",
     "TreeQuotient",
     "check_isometric_embedding",
     "edge_ranks",

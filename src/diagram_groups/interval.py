@@ -37,10 +37,6 @@ from .rewriting import (
     Word,
 )
 
-# a simple graph is exactly what the Artin-group machinery already uses:
-# vertex tuple plus sorted-pair edge set
-SimpleGraph = RaagGraph
-
 Span = Tuple[int, int]
 
 _BAD_NAME_CHARS = set("#=:|")
@@ -134,7 +130,7 @@ def collection_to_json(coll: IntervalCollection) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def interval_graph(coll: IntervalCollection) -> SimpleGraph:
+def interval_graph(coll: IntervalCollection) -> RaagGraph:
     """Vertices are the interval names; edges join intersecting intervals."""
     edges = [
         (n1, n2)
@@ -144,14 +140,14 @@ def interval_graph(coll: IntervalCollection) -> SimpleGraph:
     return raag_graph(coll.names(), edges)
 
 
-def complement(g: SimpleGraph) -> SimpleGraph:
+def complement(g: RaagGraph) -> RaagGraph:
     edges = [
         (u, v) for u, v in combinations(g.vertices, 2) if not g.adjacent(u, v)
     ]
     return raag_graph(g.vertices, edges)
 
 
-def disjointness_graph(coll: IntervalCollection) -> SimpleGraph:
+def disjointness_graph(coll: IntervalCollection) -> RaagGraph:
     """The commutation graph of the interval loops: edges join disjoint
     intervals (the complement of the intersection graph)."""
     return complement(interval_graph(coll))
@@ -163,7 +159,7 @@ def disjointness_graph(coll: IntervalCollection) -> SimpleGraph:
 
 
 def independent_edge_pair(
-    g: SimpleGraph,
+    g: RaagGraph,
 ) -> Optional[Tuple[str, str, str, str]]:
     """An induced pair of independent edges (a, b, c, d), if one exists.
 
@@ -189,7 +185,7 @@ def _pair(u: str, v: str) -> Tuple[str, str]:
 
 
 def _consistent(
-    g: SimpleGraph,
+    g: RaagGraph,
     assigned: Dict[Tuple[str, str], Tuple[str, str]],
     arc: Tuple[str, str],
 ) -> bool:
@@ -217,7 +213,7 @@ def _consistent(
 
 
 def transitive_orientation(
-    g: SimpleGraph,
+    g: RaagGraph,
 ) -> Optional[Tuple[Tuple[str, str], ...]]:
     """A direction for every edge such that u→v→w always has the shortcut
     u→w, found by plain backtracking; None when every assignment dies."""
@@ -241,7 +237,7 @@ def transitive_orientation(
     return tuple(assigned[e] for e in edges)
 
 
-def maximal_cliques(g: SimpleGraph) -> Tuple[Tuple[str, ...], ...]:
+def maximal_cliques(g: RaagGraph) -> Tuple[Tuple[str, ...], ...]:
     """All maximal cliques (plain Bron–Kerbosch; fine below ~20 vertices)."""
     idx = {v: i for i, v in enumerate(g.vertices)}
     out: List[Tuple[str, ...]] = []
@@ -263,9 +259,11 @@ def maximal_cliques(g: SimpleGraph) -> Tuple[Tuple[str, ...], ...]:
     return tuple(sorted(out, key=lambda c: tuple(idx[v] for v in c)))
 
 
-def realize_interval_graph(
-    g: SimpleGraph, max_cliques: int = 8
-) -> Optional[IntervalCollection]:
+# the most maximal cliques whose orderings ``realize_interval_graph`` tries
+_MAX_CLIQUES = 8
+
+
+def realize_interval_graph(g: RaagGraph) -> Optional[IntervalCollection]:
     """A concrete interval realization of ``g``, or None if none exists.
 
     A graph is an interval graph exactly when its maximal cliques can be
@@ -277,9 +275,9 @@ def realize_interval_graph(
     if not g.vertices:
         return IntervalCollection(1, ())
     cliques = maximal_cliques(g)
-    if len(cliques) > max_cliques:
+    if len(cliques) > _MAX_CLIQUES:
         raise ValueError(
-            f"{len(cliques)} maximal cliques exceed the search bound {max_cliques}"
+            f"{len(cliques)} maximal cliques exceed the search bound {_MAX_CLIQUES}"
         )
     member: Dict[str, List[int]] = {v: [] for v in g.vertices}
     for ci, clique in enumerate(cliques):
@@ -314,7 +312,7 @@ class IntervalRecognition(NamedTuple):
     complement(graph)``.  On no: ``obstruction`` names the reason.
     """
 
-    graph: SimpleGraph
+    graph: RaagGraph
     verdict: bool
     orientation: Optional[Tuple[Tuple[str, str], ...]] = None
     obstruction: Optional[str] = None
@@ -325,7 +323,7 @@ class IntervalRecognition(NamedTuple):
 _MAX_VERTICES = 12
 
 
-def is_complement_of_interval(g: SimpleGraph) -> IntervalRecognition:
+def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
     """Decide whether ``g`` is the complement of an interval graph.
 
     The two obstructions are exhaustive: a graph is a complement of an
@@ -428,7 +426,7 @@ def evaluate_raag_word(w: RaagWord, coll: IntervalCollection) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def raag_ball_sizes(graph: SimpleGraph, length: int) -> Tuple[int, ...]:
+def raag_ball_sizes(graph: RaagGraph, length: int) -> Tuple[int, ...]:
     """Ball sizes |B(0)|, …, |B(length)| in the right-angled Artin group of
     ``graph``, counted by breadth-first search over normal-form tuples.
 
@@ -488,7 +486,7 @@ class RaagEvidence(NamedTuple):
     """
 
     collection: IntervalCollection
-    graph: SimpleGraph
+    graph: RaagGraph
     commutation: Tuple[Tuple[str, str, bool, bool], ...]
     relators_checked: int
     relators_ok: bool
@@ -566,7 +564,6 @@ __all__ = [
     "IntervalCollection",
     "IntervalRecognition",
     "RaagEvidence",
-    "SimpleGraph",
     "base_word",
     "collection_to_json",
     "complement",

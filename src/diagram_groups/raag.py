@@ -113,11 +113,6 @@ class RaagWord:
     def __mul__(self, other: "RaagWord") -> "RaagWord":
         return RaagWord(self.syllables + other.syllables)
 
-    def inverse(self) -> "RaagWord":
-        return RaagWord(
-            tuple((g, -e) for g, e in reversed(self.syllables))
-        )
-
     def __len__(self) -> int:
         return len(self.syllables)
 

@@ -283,9 +283,6 @@ class Move(NamedTuple):
     relation: int
     forward: bool
 
-    def key(self) -> Tuple[int, int, int]:
-        return (self.offset, self.relation, 0 if self.forward else 1)
-
     def inverted(self) -> "Move":
         return Move(self.offset, self.relation, not self.forward)
 

@@ -35,14 +35,16 @@ run; the functions here take it, or a ball that carries it.
 A :class:`SquierBall` is the one object these questions are read from, and
 ``build_ball`` builds one per base word per run.  It carries the run's
 search and owns its generating ``loops``, its hyperplane ``catalog`` and its
-crossing ``order``, each built on first use: ``decomposition`` reads the
-loops, and the rank partition, the RAAG of the crossing graph and the left
-hyperplanes read the rest.  The order is one table over catalog positions
-that holds ≺, the ranks, the crossing pairs and the odd-cycle check of the
-crossing graph; ``relate`` and ``rank`` only look a cataloged hyperplane up
-in ``ball.order``.  An edge, in or out of the ball, learns its hyperplane
-through ``ball.hyperplane_index``, the one map from edges to catalog
-positions.
+crossing ``order``, each built on first use.  ``express`` writes any loop
+of the class in the loops, which is how ``decomposition``, whose free
+factors hold their ball, presents groups; the Farley ranks
+(``farley.rank_partition`` returns the order), the RAAG of the crossing
+graph and the left hyperplanes read the rest.  The order is one table over
+catalog positions that holds ≺, the ranks with ``ranks_exact``, the
+crossing pairs and the odd-cycle check of the crossing graph; ``relate``
+and ``rank`` only look a cataloged hyperplane up in ``ball.order``.  An
+edge, in or out of the ball, learns its hyperplane through
+``ball.hyperplane_index``, the one map from edges to catalog positions.
 
 The ball's cubes come from ``disjoint_cubes``, over tables of the moves
 out of each vertex, and the ball keeps them as ``cubes`` (``(dim, cubes)``
@@ -52,16 +54,25 @@ cubes (``farley.FarleyBall.cube_counts``).
 
 A pathology witness is a named tuple whose last field, ``evidence``, holds
 one derivation, run either way, per equation its docstring states, in that
-order.  Where ``b = p`` stands in for an empty middle, the first equation is
-proved with the empty middle.  The witnesses of ``find_absorbing_splits``
-run ``a → a·p·b`` and ``c → b·p·c``.
+order.  The witnesses of ``find_absorbing_splits`` run ``a → a·p·b`` and
+``c → b·p·c``.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .rewriting import (
     ClassEnumeration,
@@ -80,6 +91,11 @@ from .rewriting import (
     invariant_letter_subsets,
     letter_count,
 )
+
+if TYPE_CHECKING:
+    # only ``express`` names diagrams, and it is handed them: the commands
+    # that never build one load no ``diagrams``
+    from .diagrams import Diagram
 
 # ---------------------------------------------------------------------------
 # balls of the class complex
@@ -183,8 +199,9 @@ class SquierBall:
 
     ``edges`` lists each edge once, forward, in the order of
     ``enum.members``; ``tree`` holds those of the enumeration's spanning
-    tree, and ``loops`` the others, each closing one generating loop.  They,
-    ``catalog`` and ``order`` are computed on first use and kept.  A ball is
+    tree, and ``loops`` the others, each closing one generating loop;
+    ``express`` writes any loop of the class in them.  They, ``catalog``
+    and ``order`` are computed on first use and kept.  A ball is
     built once per run and base word, so it is equal only to itself.
     """
 
@@ -227,6 +244,41 @@ class SquierBall:
     def loops(self) -> Tuple[BallEdge, ...]:
         tree = self.tree
         return tuple(e for e in self.edges if e not in tree)
+
+    @cached_property
+    def _loop_index(self) -> Dict[BallEdge, int]:
+        return {e: i for i, e in enumerate(self.loops)}
+
+    def express(self, d: Diagram) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """Word in the ``loops`` representing the loop ``d``, as
+        ``(loop index, ±1)`` pairs, or None if the walk leaves the ball
+        (truncation).
+
+        The walk follows the derivation of ``d`` edge by edge: tree edges
+        vanish, so no base-point transport is ever needed.  The loops
+        generate the fundamental group of the ball, freely when it has no
+        squares.
+        """
+        assert d.is_spherical, "only loops have a class in the fundamental group"
+        pres = self.pres
+        if d.top not in self.enum:
+            return None
+        out: List[Tuple[int, int]] = []
+        for w, move in zip(d.words(), d.moves):
+            nxt = move.apply(w, pres)
+            if nxt not in self.enum:
+                return None
+            edge, sign = BallEdge.of(w, move, pres), 1 if move.forward else -1
+            if edge in self.tree:
+                continue
+            idx = self._loop_index.get(edge)
+            if idx is None:
+                return None
+            if out and out[-1] == (idx, -sign):
+                out.pop()
+            else:
+                out.append((idx, sign))
+        return tuple(out)
 
     @cached_property
     def catalog(self) -> "HyperplaneCatalog":
@@ -614,10 +666,13 @@ def relate(j1: HyperplaneId, j2: HyperplaneId, ball: SquierBall) -> HyperplaneRe
     return HyperplaneRelation(_FLIPPED[rel.value], rel.witness)
 
 
-def find_induced_odd_cycle(
-    adj: List[Set[int]], max_len: int = 9
-) -> Optional[Tuple[int, ...]]:
-    """Smallest-start induced odd cycle of length 5..max_len, or None.
+# the longest induced odd cycle ``find_induced_odd_cycle`` looks for
+_ODD_CYCLE_MAX_LEN = 9
+
+
+def find_induced_odd_cycle(adj: List[Set[int]]) -> Optional[Tuple[int, ...]]:
+    """Smallest-start induced odd cycle of length 5.._ODD_CYCLE_MAX_LEN, or
+    None.
 
     DFS over induced paths: every extension vertex may be adjacent only to
     the path's last vertex (the start is allowed again only when closing).
@@ -633,7 +688,7 @@ def find_induced_odd_cycle(
             if s in adj[nxt] and len(path) + 1 >= 5 and (len(path) + 1) % 2 == 1:
                 if all(nxt not in adj[v] for v in path[1:-1]):
                     return tuple(path + [nxt])
-            if len(path) + 1 < max_len:
+            if len(path) + 1 < _ODD_CYCLE_MAX_LEN:
                 if all(nxt not in adj[v] for v in path[:-1]):
                     path.append(nxt)
                     found = dfs(path)
@@ -768,6 +823,12 @@ class CrossingOrder:
 
         return tuple(rank_of(i) for i in range(len(ids)))
 
+    @property
+    def ranks_exact(self) -> bool:
+        """The catalog is certified and every rank is exact, which the tree
+        quotients of ``farley`` need."""
+        return self.ball.catalog.exact and all(r.exact for r in self.ranks)
+
 
 def rank(j: HyperplaneId, ball: SquierBall) -> RankResult:
     """Longest chain J_1 ≺ ... ≺ J_k ≺ J found below the cataloged
@@ -890,20 +951,20 @@ def find_self_intersections(
         for p, q in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
             if not search.enum(hid.left).complete:
                 exhaustive = False
-            for b, member in search.once(_extensions, hid.left, p):
-                b = b or p  # witness parts must be nonempty; empty b uses p
+            for t, member in search.once(_extensions, hid.left, p):
+                b = t or p  # witness parts must be nonempty; empty b prints p
                 if budget <= 0:
                     return tuple(found), False
                 budget -= 1
                 verdict = search.equal(hid.right, b + p + hid.right)
                 if verdict.is_yes:
+                    first = search.enum(hid.left).derivation(member)
+                    if not t:
+                        first = _twice(first, hid.left, p, False, search.pres)
                     found.append(
                         SelfIntersection(
                             hid.left, p, q, b, hid.right,
-                            evidence=(
-                                search.enum(hid.left).derivation(member),
-                                verdict.witness,
-                            ),
+                            evidence=(first, verdict.witness),
                         )
                     )
                 elif verdict.is_unknown:
@@ -936,12 +997,30 @@ def scan_self_intersections(
         a = square.corner[: m1.offset]
         b = square.corner[m1.offset + src1: m2.offset]
         c = square.corner[m2.offset + src1:]
+        evidence = (va.witness, vb.witness)
         if not b:
             b = p
-        found.append(
-            SelfIntersection(a, p, q, b, c, evidence=(va.witness, vb.witness))
-        )
+            evidence = (
+                _twice(va.witness, a, p, False, pres),
+                _twice(vb.witness, c, p, True, pres),
+            )
+        found.append(SelfIntersection(a, p, q, b, c, evidence=evidence))
     return tuple(found), definite
+
+
+def _twice(
+    d: Derivation, u: Word, x: Word, left: bool, pres: Presentation
+) -> Derivation:
+    """From a derivation between ``u`` and ``u·x`` (``x·u`` when ``left``),
+    run either way, the derivation ``u → u·x·x`` (``u → x·x·u``): its moves
+    run ``u → u·x`` and then again on ``u·x``, shifted past ``x`` when ``x``
+    grows on the left.  This proves an equation whose empty middle the
+    witness prints as ``b = p``."""
+    if d.start != u:
+        d = d.inverted(pres)
+    shift = len(x) if left else 0
+    again = tuple(m._replace(offset=m.offset + shift) for m in d.steps)
+    return Derivation(u, d.steps + again)
 
 
 # -- absorbing splits (word-level self-crossing witnesses) -------------------

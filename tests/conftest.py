@@ -1,6 +1,8 @@
 """Shared presentation corpus for the test suite.
 
-Each presentation is chosen for a specific behaviour:
+Every presentation but ``SQUARES`` is read from ``golden/<name>.pres``, the
+file the golden CLI cases read, so the two cannot drift apart.  Each is
+chosen for a specific behaviour:
 
 * ``COMM``    — three pairwise-commuting letters; every class is the finite
   set of multiset permutations, so everything about it is exactly checkable.
@@ -33,6 +35,7 @@ the bubble-and-swap dipole reduction that
 reference for every reduction the package does with ``Wires.extend_reduced``.
 """
 
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from diagram_groups.diagrams import Diagram
@@ -45,93 +48,23 @@ from diagram_groups.rewriting import (
     word_of,
 )
 
-COMM = parse_presentation(
-    """
-    letters: a b c
-    rel: a b = b a
-    rel: a c = c a
-    rel: b c = c b
-    """
-)
+_PRES_DIR = Path(__file__).parent / "golden"
 
-CYC3 = parse_presentation(
-    """
-    letters: a b c
-    rel: a = b
-    rel: b = c
-    rel: c = a
-    """
-)
 
-PADPAIR = parse_presentation(
-    """
-    letters: a1 a2 a3 b1 b2 b3 p
-    rel: a1 = a2
-    rel: a2 = a3
-    rel: a3 = a1
-    rel: b1 = b2
-    rel: b2 = b3
-    rel: b3 = b1
-    rel: a1 = a1 p
-    rel: b1 = p b1
-    """
-)
+def _corpus(name: str) -> Presentation:
+    """The presentation of ``golden/<name>.pres``."""
+    return parse_presentation((_PRES_DIR / f"{name}.pres").read_text())
 
-HALFPAD = parse_presentation(
-    """
-    letters: a b p
-    rel: a = a p
-    rel: b = p b
-    """
-)
 
-DIRTY = parse_presentation(
-    """
-    letters: a b p q
-    rel: a = a p
-    rel: b = p b
-    rel: p = q
-    """
-)
-
-OSC_EMPTY = parse_presentation(
-    """
-    letters: x k t y
-    rel: x = x k
-    rel: y = k y
-    rel: k k = t
-    """
-)
-
-OSC_PLAIN = parse_presentation(
-    """
-    letters: x y k h p
-    rel: x = x k h
-    rel: y = h k y
-    rel: k h k = p
-    """
-)
-
-GROW = parse_presentation(
-    """
-    letters: x a b c
-    rel: x = x a
-    rel: a = b
-    rel: b = c
-    rel: c = a
-    """
-)
-
-INTEROSC = parse_presentation(
-    """
-    letters: c u v w d m n
-    rel: c u = c u v
-    rel: w d = v w d
-    rel: u v = m
-    rel: v w = n
-    """
-)
-
+COMM = _corpus("comm")
+CYC3 = _corpus("cyc3")
+PADPAIR = _corpus("padpair")
+HALFPAD = _corpus("halfpad")
+DIRTY = _corpus("dirty")
+OSC_EMPTY = _corpus("osc_empty")
+OSC_PLAIN = _corpus("osc_plain")
+GROW = _corpus("grow")
+INTEROSC = _corpus("interosc")
 SQUARES = parse_presentation("letters: k t\nrel: k k = t")
 
 DEFAULT_CAPS = SearchCaps()

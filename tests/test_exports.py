@@ -8,6 +8,11 @@ package reads is surface kept for the tests alone; the second test makes it
 fail too.  A use is a binding, not a spelling: another module imports the
 name from the module that exports it, or that module reads it as a bare
 name, so an unrelated attribute of the same name does not count.
+
+The same holds for the methods and properties of the package's public
+classes: one that no code of the package reads as an attribute is kept for
+the tests alone, and the third test fails on it.  Dunders, which the
+language calls, and private classes are left out.
 """
 
 import ast
@@ -42,16 +47,23 @@ def _module_name(path, root):
     return ".".join(parts)
 
 
+def _sources():
+    """``(module, path, tree)`` for every source file of the package."""
+    root = Path(diagram_groups.__file__).parent
+    return [
+        (_module_name(path, root), path, ast.parse(path.read_text()))
+        for path in sorted(root.rglob("*.py"))
+    ]
+
+
 def _used_bindings():
     """Every ``(module, name)`` that the package's source uses: imported by
     a ``from module import name``, or read as a bare name in the module's
     own source."""
-    root = Path(diagram_groups.__file__).parent
     used = set()
-    for path in root.rglob("*.py"):
-        module = _module_name(path, root)
+    for module, path, tree in _sources():
         package = module if path.name == "__init__.py" else module.rpartition(".")[0]
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 source = node.module or ""
                 if node.level:
@@ -86,3 +98,23 @@ def test_exported_names_are_used_in_the_package():
     assert sorted(unused - handlers - TRACED_ONLY) == []
     # an exemption goes once its name is gone or used
     assert TRACED_ONLY <= unused
+
+
+def test_public_methods_are_read_in_the_package():
+    sources = _sources()
+    read = {
+        node.attr
+        for _, _, tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    defined = [
+        f"{module}.{cls.name}.{item.name}"
+        for module, _, tree in sources
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    assert defined
+    assert [name for name in defined if name.rpartition(".")[2] not in read] == []

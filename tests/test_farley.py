@@ -666,7 +666,7 @@ def hid(left, relation, right):
 
 
 def families(part):
-    """The cataloged hyperplanes of a rank partition, grouped by rank."""
+    """The cataloged hyperplanes of a crossing order, grouped by rank."""
     out = {}
     for h, r in zip(part.ball.catalog.ids, part.ranks):
         out.setdefault(r.value, []).append(h)
@@ -675,7 +675,7 @@ def families(part):
 
 def test_rank_partition_padpair_frozen():
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
-    assert part.exact
+    assert part.ranks_exact
     fams = families(part)
     assert set(fams) == {0, 1}
     assert set(fams[0]) == {
@@ -694,10 +694,10 @@ def test_rank_partition_padpair_frozen():
 
 def test_rank_partition_comm_frozen():
     part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
-    assert part.exact
+    assert part.ranks_exact
     assert set(families(part)) == {0}
     part = rank_partition(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
-    assert part.exact
+    assert part.ranks_exact
     fams = families(part)
     assert set(fams[1]) == {hid("a b", 1, ""), hid("a c", 0, "")}
     assert len(fams[0]) == 9
@@ -890,7 +890,11 @@ def test_quotients_padpair_r4_are_trees():
 def test_quotients_refuse_inexact_partition():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     part = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), A1B1)
-    doubted = part._replace(exact=False)
+    assert part.ranks_exact
+    # one doubted rank is enough: the order's ranks are cached per instance
+    doubted = copy.copy(part)
+    doubted.ranks = (part.ranks[0]._replace(exact=False),) + part.ranks[1:]
+    assert not doubted.ranks_exact
     with pytest.raises(ValueError):
         tree_quotients(ball, doubted)
 

@@ -71,7 +71,12 @@ their two equations, which the conversion from a split used to discard.
 Their 59, 24 and 235 witnesses that printed ``"evidence_lengths": []`` now
 print two lengths each; with ``evidence_lengths`` dropped from every
 witness, each output equals the one captured before, so they still pin the
-witnesses, their order and the verdicts.
+witnesses, their order and the verdicts.  The DIRTY and OSC_EMPTY ones
+were regenerated again when a self-intersection whose middle is empty, and
+is printed as ``b = p``, began to derive the printed equations rather than
+the empty-middle ones: 18 witnesses in each print longer
+``evidence_lengths``, and with those dropped each output equals the one
+before.
 
 The ``relate`` cases on GROW ``x`` at the tight caps (JSON and text) are
 the only ``relate`` cases whose order is not exact (exit 2).  They were

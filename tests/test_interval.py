@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagram_groups import interval
 from diagram_groups.diagrams import Diagram, compose, inverse, is_reduced, reduce_diagram
 from diagram_groups.interval import (
     _loop_moves,
@@ -238,9 +239,12 @@ def test_realize_interval_graph_rejects_cycles():
     assert realize_interval_graph(cycle_graph(5)) is None
 
 
-def test_realize_clique_bound():
-    with pytest.raises(ValueError, match="cliques"):
-        realize_interval_graph(edgeless_graph(9), max_cliques=8)
+def test_realize_clique_bound(monkeypatch):
+    with pytest.raises(ValueError, match="9 maximal cliques exceed the search bound 8"):
+        realize_interval_graph(edgeless_graph(9))
+    monkeypatch.setattr(interval, "_MAX_CLIQUES", 2)
+    with pytest.raises(ValueError, match="3 maximal cliques exceed the search bound 2"):
+        realize_interval_graph(edgeless_graph(3))
 
 
 def test_recognize_c5_rejected_by_orientation():

@@ -33,6 +33,11 @@ from diagram_groups.squier import build_ball
 EMPTY_WORD = RaagWord(())
 
 
+def raag_inverse(word):
+    """The formal inverse: syllables reversed, exponents negated."""
+    return RaagWord(tuple((g, -e) for g, e in reversed(word.syllables)))
+
+
 def raag_equal(w1, w2, graph):
     return raag_normal_form(w1, graph) == raag_normal_form(w2, graph)
 
@@ -105,8 +110,8 @@ class TestParseFormat:
 
     def test_inverse_and_product(self):
         word = w("a b^-1")
-        assert word.inverse().syllables == (("b", 1), ("a", -1))
-        assert (word * word.inverse()).syllables == (
+        assert raag_inverse(word).syllables == (("b", 1), ("a", -1))
+        assert (word * raag_inverse(word)).syllables == (
             ("a", 1), ("b", -1), ("b", 1), ("a", -1),
         )
 
@@ -233,7 +238,7 @@ class TestNormalFormOracle:
     @settings(max_examples=60, deadline=None)
     def test_word_times_inverse_vanishes(self, sylls, graph):
         word = RaagWord(sylls)
-        assert raag_normal_form(word * word.inverse(), graph) == EMPTY_WORD
+        assert raag_normal_form(word * raag_inverse(word), graph) == EMPTY_WORD
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +346,7 @@ class TestPhi:
         for g in (delta(1), delta(2), delta(3), delta(1) * delta(3)):
             img = phi(g, padpair_ball)
             img_inv = phi(inverse(g), padpair_ball)
-            assert img_inv == raag_normal_form(img.inverse(), hyperplane_graph(padpair_ball))
+            assert img_inv == raag_normal_form(raag_inverse(img), hyperplane_graph(padpair_ball))
 
     def test_injectivity_evidence(self, padpair_ball):
         # the complex is special here, so a trivial image forces a trivial

@@ -48,6 +48,7 @@ from diagram_groups.squier import (
     BallEdge,
     HyperplaneId,
     SelfIntersection,
+    SelfOsculation,
     build_ball,
     find_absorbing_splits,
     find_induced_odd_cycle,
@@ -676,7 +677,7 @@ class _OddCycleSearched(Exception):
 def test_only_relate_runs_the_odd_cycle_check(monkeypatch, capsys):
     # the odd-cycle search has no budget, so the commands that read the
     # crossing order without printing the check must never start it
-    def refuse(adj, max_len=9):
+    def refuse(adj):
         raise _OddCycleSearched
 
     monkeypatch.setattr(squier, "find_induced_odd_cycle", refuse)
@@ -686,14 +687,14 @@ def test_only_relate_runs_the_odd_cycle_check(monkeypatch, capsys):
     assert main(["phi", *pad, "-d", "d1.diag", "--format", "text"]) == 0
     assert capsys.readouterr().out == "H0 H1 H2^-1\n"
     partition = rank_partition(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
-    assert partition.exact
+    assert partition.ranks_exact
     assert [r.value for r in partition.ranks] == [0, 0, 0, 1, 1, 1, 0, 1]
     with pytest.raises(_OddCycleSearched):
         main(["relate", *pad])
 
     searched = []
 
-    def counted(adj, max_len=9):
+    def counted(adj):
         searched.append(len(adj))
         return None
 
@@ -727,9 +728,10 @@ class TestInducedOddCycle:
         adj[2].add(0)
         assert find_induced_odd_cycle(adj) is None
 
-    def test_bound_respected(self):
-        assert find_induced_odd_cycle(self._cycle_adj(11), max_len=9) is None
-        assert find_induced_odd_cycle(self._cycle_adj(11), max_len=11) is not None
+    def test_bound_respected(self, monkeypatch):
+        assert find_induced_odd_cycle(self._cycle_adj(11)) is None
+        monkeypatch.setattr(squier, "_ODD_CYCLE_MAX_LEN", 11)
+        assert find_induced_odd_cycle(self._cycle_adj(11)) is not None
 
     def test_triangle_is_not_reported(self):
         assert find_induced_odd_cycle(self._cycle_adj(3)) is None
@@ -1122,6 +1124,16 @@ class TestSpecialness:
         assert scanned and len(scanned) == len(set(scanned))
 
 
+def stated_equations(wit):
+    """The equations a pathology witness states, in its docstring's order."""
+    if isinstance(wit, SelfIntersection):
+        return [(wit.a, wit.a + wit.p + wit.b), (wit.c, wit.b + wit.p + wit.c)]
+    if isinstance(wit, SelfOsculation):
+        return [(wit.a, wit.a + wit.k + wit.h), (wit.b, wit.h + wit.k + wit.b)]
+    au, wb = wit.a + wit.u, wit.w + wit.b
+    return [(au, au + wit.v + wit.xi), (wb, wit.xi + wit.v + wb)]
+
+
 @pytest.mark.parametrize(
     "pres, base, from_splits",
     [
@@ -1133,8 +1145,11 @@ class TestSpecialness:
     ids=["dirty", "osc_plain", "osc_empty", "interosc"],
 )
 def test_every_witness_carries_evidence_that_replays(pres, base, from_splits):
-    """Every witness of the report derives its equations in ``evidence``;
-    those read off absorbing splits run a → a·p·b and c → b·p·c."""
+    """Every witness of the report derives the equations it states in
+    ``evidence``, one derivation per equation, in order, each ending at
+    the equation's two sides (an empty middle printed as ``b = p``
+    included); those read off absorbing splits run a → a·p·b and
+    c → b·p·c."""
     search = ClassSearch(pres, TIGHT_CAPS)
     report = specialness_report(search, W(base))
     witnesses = (
@@ -1143,8 +1158,11 @@ def test_every_witness_carries_evidence_that_replays(pres, base, from_splits):
     assert witnesses
     for wit in witnesses:
         assert wit.evidence, wit
-        for deriv in wit.evidence:
+        equations = stated_equations(wit)
+        assert len(wit.evidence) == len(equations), wit
+        for deriv, sides in zip(wit.evidence, equations):
             deriv.replay(pres)
+            assert {deriv.start, deriv.end(pres)} == set(sides), wit
     splits, _ = find_absorbing_splits(search, W(base))
     assert bool(splits) == from_splits
     for wit in splits:
