@@ -11,6 +11,7 @@ from ..interval import (
     ElementBoundError,
     IntervalCollection,
     base_word,
+    check_interval_name,
     collection_to_json,
     disjointness_graph,
     evidence_to_json,
@@ -27,7 +28,8 @@ from ..rewriting import format_word
 
 def _parse_graph(text: str) -> RaagGraph:
     """Line format mirroring the presentation files: ``vertices:`` then
-    ``edge: u v`` lines, ``#`` comments."""
+    ``edge: u v`` lines, ``#`` comments.  Vertex names follow the rule
+    for interval names."""
     vertices: List[str] = []
     edges: List[Tuple[str, str]] = []
     saw_vertices = False
@@ -48,6 +50,9 @@ def _parse_graph(text: str) -> RaagGraph:
     if not saw_vertices:
         raise CliError("graph file has no 'vertices:' line")
     try:
+        # a yes verdict names its realization's intervals after the vertices
+        for v in vertices:
+            check_interval_name(v)
         return raag_graph(vertices, edges)
     except ValueError as e:
         raise CliError(str(e)) from None

@@ -213,7 +213,7 @@ def run_phi(ns: argparse.Namespace) -> int:
             {
                 "base": format_word(ns.w),
                 "word": format_raag_word(image),
-                "syllables": [[g, e] for g, e in image.syllables],
+                "syllables": [[g, e] for g, e in image],
                 "generators": [
                     {"label": f"H{i}", "hyperplane": str(hid)}
                     for i, hid in enumerate(ball.catalog.ids)

@@ -20,15 +20,19 @@ the generator loops, plus two decision helpers at desk scale:
 * corroborating the isomorphism on concrete instances by comparing the
   commutation pattern, the relator images, and ball growth on both sides.
 
-The recognizers are brute force on purpose: the graphs of interest have a
-handful of vertices and what matters is the certificate, not asymptotics.
+The orientation search is brute force on purpose: the graphs of interest
+have a handful of vertices and what matters is the certificate, not
+asymptotics.  The realization costs no search of its own: once no induced
+pair of independent edges exists, the orientation is an interval order,
+its down-sets form a chain, and the positions in that chain are the
+interval endpoints.
 """
 
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .diagrams import Diagram, cayley_ball, reduce_diagram
-from .raag import RaagGraph, RaagWord, Syllable, multiply_syllable, raag_graph
+from .raag import RaagGraph, Syllable, multiply_syllable, raag_graph
 from .rewriting import (
     Move,
     Presentation,
@@ -40,6 +44,14 @@ from .rewriting import (
 Span = Tuple[int, int]
 
 _BAD_NAME_CHARS = set("#=:|")
+
+
+def check_interval_name(name: str) -> None:
+    """Raise ValueError unless ``name`` can name an interval: it is not
+    empty and holds no whitespace and none of ``#=:|``, the separators of
+    the interval and graph file formats."""
+    if not name or any(c in _BAD_NAME_CHARS or c.isspace() for c in name):
+        raise ValueError(f"illegal interval name {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +69,7 @@ class IntervalCollection:
             raise ValueError("ground set must contain at least one point")
         seen = set()
         for name, lo, hi in intervals:
-            if not name or any(c in _BAD_NAME_CHARS or c.isspace() for c in name):
-                raise ValueError(f"illegal interval name {name!r}")
+            check_interval_name(name)
             if name in seen:
                 raise ValueError(f"duplicate interval name {name!r}")
             seen.add(name)
@@ -237,79 +248,15 @@ def transitive_orientation(
     return tuple(assigned[e] for e in edges)
 
 
-def maximal_cliques(g: RaagGraph) -> Tuple[Tuple[str, ...], ...]:
-    """All maximal cliques (plain Bron–Kerbosch; fine below ~20 vertices)."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    out: List[Tuple[str, ...]] = []
-
-    def extend(r: Set[str], p: Set[str], x: Set[str]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r, key=idx.__getitem__)))
-            return
-        for v in sorted(p, key=idx.__getitem__):
-            extend(
-                r | {v},
-                {u for u in p if g.adjacent(u, v)},
-                {u for u in x if g.adjacent(u, v)},
-            )
-            p = p - {v}
-            x = x | {v}
-
-    extend(set(), set(g.vertices), set())
-    return tuple(sorted(out, key=lambda c: tuple(idx[v] for v in c)))
-
-
-# the most maximal cliques whose orderings ``realize_interval_graph`` tries
-_MAX_CLIQUES = 8
-
-
-def realize_interval_graph(g: RaagGraph) -> Optional[IntervalCollection]:
-    """A concrete interval realization of ``g``, or None if none exists.
-
-    A graph is an interval graph exactly when its maximal cliques can be
-    ordered so that the cliques containing any fixed vertex sit
-    consecutively; each vertex then maps to its range of clique positions.
-    The search over orderings is exhaustive, so None is a proof at this
-    scale, not a timeout.
-    """
-    if not g.vertices:
-        return IntervalCollection(1, ())
-    cliques = maximal_cliques(g)
-    if len(cliques) > _MAX_CLIQUES:
-        raise ValueError(
-            f"{len(cliques)} maximal cliques exceed the search bound {_MAX_CLIQUES}"
-        )
-    member: Dict[str, List[int]] = {v: [] for v in g.vertices}
-    for ci, clique in enumerate(cliques):
-        for v in clique:
-            member[v].append(ci)
-    for order in permutations(range(len(cliques))):
-        pos = {ci: p for p, ci in enumerate(order)}
-        ok = True
-        for v in g.vertices:
-            ps = sorted(pos[ci] for ci in member[v])
-            if ps[-1] - ps[0] + 1 != len(ps):
-                ok = False
-                break
-        if ok:
-            intervals = tuple(
-                (
-                    v,
-                    min(pos[ci] for ci in member[v]) + 1,
-                    max(pos[ci] for ci in member[v]) + 1,
-                )
-                for v in g.vertices
-            )
-            return IntervalCollection(len(cliques), intervals)
-    return None
-
-
 class IntervalRecognition(NamedTuple):
     """Outcome of the complement-of-interval-graph test, with certificates.
 
     On yes: ``orientation`` is a transitive orientation of the graph and
     ``realization`` satisfies ``interval_graph(realization) =
-    complement(graph)``.  On no: ``obstruction`` names the reason.
+    complement(graph)``.  The realization is read off the orientation: the
+    distinct down-sets (sets of predecessors) form a chain, and each vertex
+    spans the positions from its own down-set up to the last one that
+    does not contain it.  On no: ``obstruction`` names the reason.
     """
 
     graph: RaagGraph
@@ -319,7 +266,8 @@ class IntervalRecognition(NamedTuple):
     realization: Optional[IntervalCollection] = None
 
 
-# the most vertices is_complement_of_interval searches by brute force
+# the most vertices whose orientation is_complement_of_interval searches
+# for by backtracking
 _MAX_VERTICES = 12
 
 
@@ -328,7 +276,17 @@ def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
 
     The two obstructions are exhaustive: a graph is a complement of an
     interval graph if and only if it has no induced pair of independent
-    edges and admits a transitive orientation.
+    edges and admits a transitive orientation (Gilmore and Hoffman, 1964).
+    With no induced pair, any transitive orientation is an interval order:
+    an order without two disjoint chains ``a<b``, ``c<d`` that are
+    incomparable across (Fishburn, 1970).  Its down-sets are then nested:
+    ``u`` in ``D(v)`` but not ``D(w)`` and ``u'`` in ``D(w)`` but not
+    ``D(v)`` would make ``u<v``, ``u'<w`` such a pair.  Sorted by size
+    they form a chain ``D_1 ⊂ … ⊂ D_m``, and ``v`` gets
+    ``[pos D(v), j - 1]``, where ``D_j`` is the first down-set holding
+    ``v`` (or ``j = m + 1``).  If ``u<v`` then ``u ∈ D(v)``, so ``u`` ends
+    before ``v`` starts; if neither precedes the other, neither interval
+    ends before the other starts, so they meet.
     """
     if len(g.vertices) > _MAX_VERTICES:
         raise ValueError(
@@ -347,8 +305,14 @@ def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
         return IntervalRecognition(
             g, False, obstruction="no transitive orientation exists"
         )
-    realization = realize_interval_graph(complement(g))
-    assert realization is not None, "orientation found but realization failed"
+    down = {v: frozenset(t for t, h in arcs if h == v) for v in g.vertices}
+    chain = sorted(set(down.values()), key=len)
+    pos = {d: p for p, d in enumerate(chain, 1)}
+    intervals = tuple(
+        (v, pos[down[v]], next((pos[d] - 1 for d in chain if v in d), len(chain)))
+        for v in g.vertices
+    )
+    realization = IntervalCollection(max(1, len(chain)), intervals)
     return IntervalRecognition(g, True, orientation=arcs, realization=realization)
 
 
@@ -414,10 +378,10 @@ def _loop_moves(name: str, exp: int, coll: IntervalCollection) -> Tuple[Move, ..
     return moves if exp == 1 else tuple(m.inverted() for m in reversed(moves))
 
 
-def evaluate_raag_word(w: RaagWord, coll: IntervalCollection) -> Diagram:
+def evaluate_raag_word(w: Tuple[Syllable, ...], coll: IntervalCollection) -> Diagram:
     """Image of an abstract word in the interval generators: the named
     loops (or their inverses) one after another, reduced."""
-    moves = tuple(m for gen, exp in w.syllables for m in _loop_moves(gen, exp, coll))
+    moves = tuple(m for gen, exp in w for m in _loop_moves(gen, exp, coll))
     return reduce_diagram(Diagram(presentation_for(coll), base_word(coll), moves))
 
 
@@ -514,15 +478,14 @@ def verify_raag_iso(
     """Evidence (not proof) that the loop subgroup is the right-angled
     Artin group of the disjointness graph: the pairwise commutation pattern,
     the images of all defining relators, and ball growth up to ``length``.
-    The element bound for the concrete ball search is taken from ``caps``.
+    The element bound for the concrete ball search is
+    ``max(1000, caps.max_class_size)``.
     """
     graph = disjointness_graph(coll)
     rows: List[Tuple[str, str, bool, bool]] = []
     for (n1, l1, h1), (n2, l2, h2) in combinations(coll.intervals, 2):
         disjoint = not intersects((l1, h1), (l2, h2))
-        img = evaluate_raag_word(
-            RaagWord(((n1, 1), (n2, 1), (n1, -1), (n2, -1))), coll
-        )
+        img = evaluate_raag_word(((n1, 1), (n2, 1), (n1, -1), (n2, -1)), coll)
         rows.append((n1, n2, disjoint, img.cells == 0))
     # the defining relators are the commutators of the disjoint pairs, whose
     # rows are already evaluated: [v, u] is the inverse of [u, v]
@@ -565,6 +528,7 @@ __all__ = [
     "IntervalRecognition",
     "RaagEvidence",
     "base_word",
+    "check_interval_name",
     "collection_to_json",
     "complement",
     "diagram_ball_sizes",
@@ -575,11 +539,9 @@ __all__ = [
     "intersects",
     "interval_graph",
     "is_complement_of_interval",
-    "maximal_cliques",
     "parse_intervals",
     "presentation_for",
     "raag_ball_sizes",
-    "realize_interval_graph",
     "recognition_to_json",
     "transitive_orientation",
     "verify_raag_iso",

@@ -11,6 +11,11 @@ into that Artin group (:func:`phi`).  Over a special complex the
 morphism is injective, which is what makes the image worth computing: the
 Artin side has a fast normal form.
 
+A word is a plain tuple of syllables ``(label, +1 | -1)``, read left to
+right, with ``()`` the identity: :func:`raag_normal_form`,
+:func:`multiply_syllable` and :func:`phi` return such tuples, and
+:func:`format_raag_word` prints one.
+
 Normal form here: the lexicographically least geodesic, ``g`` before
 ``g^-1`` before any later label.  Geodesics in a partially commutative
 group form a single shuffle class, so two words are equal in the group iff
@@ -89,41 +94,10 @@ def raag_graph(vertices: Sequence[str], edges: Sequence[Tuple[str, str]]) -> Raa
     )
 
 
-class RaagWord:
-    """A word in generators and their inverses."""
-
-    __slots__ = ("syllables",)
-
-    def __init__(self, syllables: Tuple[Syllable, ...]) -> None:
-        for gen, exp in syllables:
-            if exp not in (1, -1):
-                raise ValueError(f"exponent {exp} is not +1 or -1")
-            if not isinstance(gen, str):
-                raise TypeError(f"generator {gen!r} is not a string")
-        self.syllables = syllables
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RaagWord):
-            return NotImplemented
-        return self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return hash(self.syllables)
-
-    def __mul__(self, other: "RaagWord") -> "RaagWord":
-        return RaagWord(self.syllables + other.syllables)
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __str__(self) -> str:
-        return format_raag_word(self)
-
-
-def format_raag_word(w: RaagWord) -> str:
-    if not w.syllables:
+def format_raag_word(w: Tuple[Syllable, ...]) -> str:
+    if not w:
         return "1"
-    return " ".join(g if e == 1 else f"{g}^-1" for g, e in w.syllables)
+    return " ".join(g if e == 1 else f"{g}^-1" for g, e in w)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +130,7 @@ def multiply_syllable(
     return nf[:j] + (s,) + nf[j:]
 
 
-def raag_normal_form(w: RaagWord, graph: RaagGraph) -> RaagWord:
+def raag_normal_form(w: Tuple[Syllable, ...], graph: RaagGraph) -> Tuple[Syllable, ...]:
     """Canonical representative; identical normal forms <=> equal elements.
 
     Folds :func:`multiply_syllable` over ``w``, starting from the empty
@@ -166,13 +140,13 @@ def raag_normal_form(w: RaagWord, graph: RaagGraph) -> RaagWord:
     end leaves the greedy lex-least order of the others as it was.  A word
     of ``n`` syllables costs ``n`` linear steps.
     """
-    for gen, _ in w.syllables:
+    for gen, _ in w:
         if gen not in graph.neighbours:
             raise ValueError(f"unknown generator {gen!r}")
     nf: Tuple[Syllable, ...] = ()
-    for s in w.syllables:
+    for s in w:
         nf = multiply_syllable(nf, s, graph)
-    return RaagWord(nf)
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +177,7 @@ def positive_direction(move: Move, pres: Presentation) -> bool:
     return move.forward == lhs_first
 
 
-def phi(d: Diagram, ball: SquierBall) -> RaagWord:
+def phi(d: Diagram, ball: SquierBall) -> Tuple[Syllable, ...]:
     """Image of a spherical diagram in the hyperplane Artin group of
     ``ball``, over :func:`hyperplane_graph`.
 
@@ -226,12 +200,11 @@ def phi(d: Diagram, ball: SquierBall) -> RaagWord:
         label = graph.vertices[ball.hyperplane_index(word, move)]
         sign = 1 if positive_direction(move, ball.pres) else -1
         sylls.append((label, sign))
-    return raag_normal_form(RaagWord(tuple(sylls)), graph)
+    return raag_normal_form(tuple(sylls), graph)
 
 
 __all__ = [
     "RaagGraph",
-    "RaagWord",
     "Syllable",
     "format_raag_word",
     "hyperplane_graph",

@@ -534,6 +534,25 @@ def test_interval_recognition_exit_codes(capsys, tmp_path):
     assert blob["realization"]["n"] >= 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices: a=1 b|2 c\nedge: a=1 b|2\n",
+        "vertices: a=1 b|2 c d\nedge: a=1 b|2\nedge: c d\n",
+    ],
+    ids=["yes", "no"],
+)
+def test_interval_graph_rejects_names_an_interval_cannot_carry(capsys, tmp_path, text):
+    # rejected before the verdict, whichever way the verdict would go
+    graph = tmp_path / "bad.graph"
+    graph.write_text(text)
+    code = main(["interval", "-g", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: illegal interval name 'a=1'\n"
+
+
 def test_verify_raag_cli(capsys, tmp_path):
     ints = tmp_path / "f2.txt"
     ints.write_text("n=3 / I: 1 2 / J: 2 3")

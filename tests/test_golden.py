@@ -84,6 +84,13 @@ captured from the implementation in which a transversality-graph record
 and a label-table record each re-read the crossing order and worked out
 its ``exact`` flag again, so they pin the move of the crossing pairs,
 ``exact`` and the odd-cycle check onto ``ball.order``.
+
+The ``interval`` case on ``copath10.graph`` (the complement of the path on
+ten vertices, whose complement has nine maximal cliques) was captured when
+the realization began to be read off the transitive orientation; the
+implementation that searched the orderings of at most eight maximal
+cliques exits 3 on it.  The ``interval_c4`` output is unchanged by that
+move.
 """
 
 import argparse

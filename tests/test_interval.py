@@ -14,13 +14,12 @@ polynomial.
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diagram_groups import interval
 from diagram_groups.diagrams import Diagram, compose, inverse, is_reduced, reduce_diagram
 from diagram_groups.interval import (
     _loop_moves,
@@ -36,16 +35,14 @@ from diagram_groups.interval import (
     intersects,
     interval_graph,
     is_complement_of_interval,
-    maximal_cliques,
     parse_intervals,
     presentation_for,
     raag_ball_sizes,
-    realize_interval_graph,
     recognition_to_json,
     transitive_orientation,
     verify_raag_iso,
 )
-from diagram_groups.raag import RaagWord, raag_graph, raag_normal_form
+from diagram_groups.raag import raag_graph, raag_normal_form
 
 
 def path_graph(length, prefix="v"):
@@ -218,33 +215,52 @@ def test_orientation_checker_rejects_bad_certificates():
     assert not orientation_is_transitive(p2, [("v0", "v1")])
 
 
-def test_maximal_cliques():
-    tri = raag_graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
-    assert maximal_cliques(tri) == (("a", "b", "c"), ("c", "d"))
-    assert maximal_cliques(edgeless_graph(3)) == (("v0",), ("v1",), ("v2",))
-    assert maximal_cliques(complete_graph(4)) == (("v0", "v1", "v2", "v3"),)
-
-
 def test_realize_interval_graph_roundtrips_paths():
+    # the realization read off the orientation of the complement
+    # reproduces each path
     for length in (1, 3, 7):
         g = path_graph(length)
-        coll = realize_interval_graph(g)
-        assert coll is not None
-        assert interval_graph(coll).edges == g.edges
+        rec = is_complement_of_interval(complement(g))
+        assert rec.verdict
+        assert interval_graph(rec.realization).edges == g.edges
 
 
 def test_realize_interval_graph_rejects_cycles():
-    # a chordless 4-cycle is the classic non-interval graph
-    assert realize_interval_graph(cycle_graph(4)) is None
-    assert realize_interval_graph(cycle_graph(5)) is None
+    # a chordless 4-cycle is the classic non-interval graph: its complement
+    # is a pair of independent edges; the 5-cycle is its own complement
+    rec = is_complement_of_interval(complement(cycle_graph(4)))
+    assert rec.obstruction == "induced independent edges v0-v2 and v1-v3"
+    rec = is_complement_of_interval(complement(cycle_graph(5)))
+    assert rec.obstruction == "no transitive orientation exists"
 
 
-def test_realize_clique_bound(monkeypatch):
-    with pytest.raises(ValueError, match="9 maximal cliques exceed the search bound 8"):
-        realize_interval_graph(edgeless_graph(9))
-    monkeypatch.setattr(interval, "_MAX_CLIQUES", 2)
-    with pytest.raises(ValueError, match="3 maximal cliques exceed the search bound 2"):
-        realize_interval_graph(edgeless_graph(3))
+def test_empty_graph_is_realized_on_one_point():
+    rec = is_complement_of_interval(raag_graph((), []))
+    assert rec.verdict
+    assert rec.realization == IntervalCollection(1, ())
+
+
+def test_verdict_matches_all_interval_collections_up_to_four_vertices():
+    # an independent oracle: an interval graph on k <= 4 vertices has a
+    # realization with endpoints among the positions of its at most k
+    # maximal cliques, so the collections of k intervals on [1, 4] give
+    # every one of them
+    spans = [(lo, hi) for lo in range(1, 5) for hi in range(lo, 5)]
+    for n in range(5):
+        verts = [f"v{i}" for i in range(n)]
+        realizable = {
+            interval_graph(IntervalCollection(4, tuple(
+                (v, lo, hi) for v, (lo, hi) in zip(verts, choice)
+            ))).edges
+            for choice in product(spans, repeat=n)
+        }
+        pairs = list(combinations(verts, 2))
+        for mask in range(2 ** len(pairs)):
+            g = raag_graph(verts, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            rec = is_complement_of_interval(g)
+            assert rec.verdict == (complement(g).edges in realizable), sorted(g.edges)
+            if rec.verdict:
+                assert interval_graph(rec.realization).edges == complement(g).edges
 
 
 def test_recognize_c5_rejected_by_orientation():
@@ -281,7 +297,15 @@ def test_recognize_p26_with_certificates():
 
 
 def test_recognize_c4_and_short_path():
-    for g in (cycle_graph(4), path_graph(3)):
+    # K9, K12 and the complement of the ten-vertex path have complements
+    # with nine to twelve maximal cliques
+    for g in (
+        cycle_graph(4),
+        path_graph(3),
+        complete_graph(9),
+        complete_graph(12),
+        complement(path_graph(9)),
+    ):
         rec = is_complement_of_interval(g)
         assert rec.verdict
         assert orientation_is_transitive(g, rec.orientation)
@@ -316,7 +340,8 @@ def collections(draw, max_ground=5, max_intervals=4):
     )
 
 
-@given(collections())
+@given(collections(max_ground=12, max_intervals=12))
+@example(IntervalCollection(9, tuple((f"I{k}", k, k) for k in range(1, 10))))
 @settings(max_examples=60, deadline=None)
 def test_complements_of_generated_interval_graphs_are_recognized(coll):
     # one direction of the recognition theorem, with the realization
@@ -387,7 +412,7 @@ def test_delta_squared_reduces_across_the_seam():
 
 
 def test_commutators_follow_disjointness():
-    comm = RaagWord((("I", 1), ("J", 1), ("I", -1), ("J", -1)))
+    comm = (("I", 1), ("J", 1), ("I", -1), ("J", -1))
     assert evaluate_raag_word(comm, Z2).cells == 0
     assert evaluate_raag_word(comm, F2).cells != 0
     nested = IntervalCollection(3, (("I", 1, 3), ("J", 2, 2)))
@@ -397,7 +422,7 @@ def test_commutators_follow_disjointness():
 words_ij = st.lists(
     st.tuples(st.sampled_from(["I", "J"]), st.sampled_from([1, -1])),
     max_size=6,
-).map(lambda s: RaagWord(tuple(s)))
+).map(tuple)
 
 
 @given(words_ij)
@@ -406,7 +431,7 @@ def test_loop_image_trivial_iff_raag_word_trivial_f2(w):
     # faithfulness evidence on random words: the image diagram reduces to
     # the empty loop exactly when the abstract word is trivial
     graph = disjointness_graph(F2)
-    expected = raag_normal_form(w, graph).syllables == ()
+    expected = raag_normal_form(w, graph) == ()
     assert (evaluate_raag_word(w, F2).cells == 0) == expected
 
 
@@ -414,7 +439,7 @@ def test_loop_image_trivial_iff_raag_word_trivial_f2(w):
 @settings(max_examples=60, deadline=None)
 def test_loop_image_trivial_iff_raag_word_trivial_z2(w):
     graph = disjointness_graph(Z2)
-    expected = raag_normal_form(w, graph).syllables == ()
+    expected = raag_normal_form(w, graph) == ()
     assert (evaluate_raag_word(w, Z2).cells == 0) == expected
 
 
