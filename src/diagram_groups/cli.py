@@ -31,11 +31,11 @@ share, so a call compiles and runs only the modules its command reaches:
 
 * ``class`` and ``dim`` (``commands.words``): nothing beyond ``rewriting``;
 * ``equal``, ``reduce`` and ``compose`` (``commands.diagrams``): ``diagrams``;
-* ``squier``, ``hyperplanes``, ``relate`` and ``special``
-  (``commands.squier``): ``squier``, and ``phi`` also ``diagrams`` and
-  ``raag``;
+* ``squier``, ``hyperplanes``, ``relate``, ``rank-table``, ``special`` and
+  ``phi`` (``commands.squier``): ``squier``, and ``special`` also
+  ``special``, ``phi`` also ``diagrams`` and ``raag``;
 * ``farley`` and ``propb`` (``commands.farley``): ``diagrams`` and
-  ``farley``, and ``rank-table`` and ``embed-check`` also ``squier``;
+  ``farley``, and ``embed-check`` also ``squier``;
 * ``decompose`` and ``euler`` (``commands.decompose``): ``diagrams``,
   ``squier`` and ``decomposition``;
 * ``interval`` and ``verify-raag`` (``commands.interval``): ``diagrams``,
@@ -224,7 +224,7 @@ _COMMANDS: Dict[str, Tuple[str, str, Tuple[str, ...], Tuple[_Arg, ...]]] = {
     "relate": ("squier", "run_relate", _DRAWN, ()),
     "special": ("squier", "run_special", _PLAIN, ()),
     "dim": ("words", "run_dim", _PLAIN, (_arg("-n", type=int, required=True),)),
-    "rank-table": ("farley", "run_rank_table", _PLAIN, ()),
+    "rank-table": ("squier", "run_rank_table", _PLAIN, ()),
     "phi": ("squier", "run_phi", _PLAIN, (_DIAGRAM,)),
     "farley": ("farley", "run_farley", _DRAWN, (_RADIUS,)),
     "embed-check": ("farley", "run_embed_check", _PLAIN, (_RADIUS,)),

@@ -1,8 +1,11 @@
-"""``rank-table``, ``farley``, ``embed-check`` and ``propb``: Farley's
-complex of reduced diagrams and the ranks of the hyperplanes it covers.
+"""``farley``, ``embed-check`` and ``propb``: Farley's complex of reduced
+diagrams and the ranks of the hyperplanes it covers.
 
 ``farley`` and ``propb`` never consult the class complex downstairs, so
-this module imports nothing of ``squier``; ``rank_partition`` loads it."""
+this module imports nothing of ``squier``; ``rank_partition``, which only
+``embed-check`` calls, loads it.  ``rank-table`` reads the ranks off the
+Squier ball alone, so it lives in ``commands.squier`` and loads no Farley
+code."""
 
 from __future__ import annotations
 
@@ -35,34 +38,6 @@ def farley_to_dot(ball: FarleyBall) -> str:
         lines.append(f"  n{edge.low} -> n{edge.high};")
     lines.append("}")
     return "\n".join(lines)
-
-
-def run_rank_table(ns: argparse.Namespace) -> int:
-    order = rank_partition(ns.search, ns.w)
-    rows = [
-        {
-            "id": str(hid),
-            "rank": r.value,
-            "exact": r.exact,
-            "chain": [str(h) for h in r.chain],
-        }
-        for hid, r in zip(order.ball.catalog.ids, order.ranks)
-    ]
-    if ns.format == "text":
-        for row in rows:
-            star = "" if row["exact"] else " (bound)"
-            print(f'{row["id"]}  rank {row["rank"]}{star}')
-        print(f"# exact={order.ranks_exact}")
-    else:
-        _emit_json(
-            {
-                "base": format_word(ns.w),
-                "hyperplanes": rows,
-                "exact": order.ranks_exact,
-                "caps": ns.caps.as_dict(),
-            }
-        )
-    return EXIT_OK if order.ranks_exact else EXIT_UNKNOWN
 
 
 def run_farley(ns: argparse.Namespace) -> int:
@@ -162,4 +137,4 @@ def run_propb(ns: argparse.Namespace) -> int:
     return EXIT_NO if violated else EXIT_OK
 
 
-__all__ = ["farley_to_dot", "run_embed_check", "run_farley", "run_propb", "run_rank_table"]
+__all__ = ["farley_to_dot", "run_embed_check", "run_farley", "run_propb"]

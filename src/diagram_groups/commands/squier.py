@@ -1,11 +1,14 @@
-"""``squier``, ``hyperplanes``, ``relate``, ``special`` and ``phi``: the
-class complex of a base word read off its Squier ball.
+"""``squier``, ``hyperplanes``, ``relate``, ``rank-table``, ``special`` and
+``phi``: the class complex of a base word read off its Squier ball.
 
-``relate`` and ``phi`` read the hyperplanes from ``ball.catalog.ids`` and
-everything about their crossings (the crossing pairs, ``exact`` and the
-odd-cycle check) from ``ball.order``; only ``relate`` runs that check.
-Generator ``H<i>`` of ``phi`` and arc label ``H<i>`` of the ``squier`` dot
-drawing both name catalog position ``i``."""
+``relate``, ``rank-table`` and ``phi`` read the hyperplanes from
+``ball.catalog.ids`` and everything about their crossings (the crossing
+pairs, the ranks, ``exact`` and the odd-cycle check) from ``ball.order``;
+only ``relate`` runs that check.  Generator ``H<i>`` of ``phi`` and arc
+label ``H<i>`` of the ``squier`` dot drawing both name catalog position
+``i``.  ``special`` imports the pathology searches of ``special`` and
+``phi`` the Artin group of ``raag`` when they run, so the other commands
+load neither."""
 
 from __future__ import annotations
 
@@ -22,12 +25,7 @@ from ..cli import (
     _load_diagram,
 )
 from ..rewriting import format_word
-from ..squier import (
-    OutsideCatalogError,
-    SquierBall,
-    build_ball,
-    specialness_report,
-)
+from ..squier import OutsideCatalogError, SquierBall, build_ball
 
 # fixed palette so hyperplane classes keep their colors across runs
 _DOT_COLORS = (
@@ -161,7 +159,37 @@ def run_relate(ns: argparse.Namespace) -> int:
     return EXIT_OK if order.exact else EXIT_UNKNOWN
 
 
+def run_rank_table(ns: argparse.Namespace) -> int:
+    order = build_ball(ns.search, ns.w).order
+    rows = [
+        {
+            "id": str(hid),
+            "rank": r.value,
+            "exact": r.exact,
+            "chain": [str(h) for h in r.chain],
+        }
+        for hid, r in zip(order.ball.catalog.ids, order.ranks)
+    ]
+    if ns.format == "text":
+        for row in rows:
+            star = "" if row["exact"] else " (bound)"
+            print(f'{row["id"]}  rank {row["rank"]}{star}')
+        print(f"# exact={order.ranks_exact}")
+    else:
+        _emit_json(
+            {
+                "base": format_word(ns.w),
+                "hyperplanes": rows,
+                "exact": order.ranks_exact,
+                "caps": ns.caps.as_dict(),
+            }
+        )
+    return EXIT_OK if order.ranks_exact else EXIT_UNKNOWN
+
+
 def run_special(ns: argparse.Namespace) -> int:
+    from ..special import specialness_report
+
     report = specialness_report(ns.search, ns.w)
     if ns.format == "text":
         print(f"clean: {report.clean.value}")
@@ -229,6 +257,7 @@ __all__ = [
     "ball_to_dot",
     "run_hyperplanes",
     "run_phi",
+    "run_rank_table",
     "run_relate",
     "run_special",
     "run_squier",

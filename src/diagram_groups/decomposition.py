@@ -21,6 +21,7 @@ images of edge-group loops in that basis when the fundamental group of the
 decomposition is presented.
 """
 
+import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagrams import Diagram, dsum, eps, reduce_diagram
@@ -199,6 +200,7 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
 # group presentations
 # ---------------------------------------------------------------------------
 
+# a relator: its letters ``(generator, ±1)``
 Relator = Tuple[Tuple[int, int], ...]
 
 
@@ -263,8 +265,9 @@ class GroupPresentation(NamedTuple):
         return f"⟨ {gens} | {rels}{marker} ⟩"
 
 
-# bounds of simplify_presentation: rewriting passes, and the total relator
-# length a substitution may grow the presentation to
+# bounds of simplify_presentation: passes, each of which removes one
+# generator, and the total relator length a substitution may grow the
+# presentation to
 _SIMPLIFY_PASSES = 200
 _SIMPLIFY_SIZE_CAP = 4000
 
@@ -272,6 +275,13 @@ _SIMPLIFY_SIZE_CAP = 4000
 def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
     """Bounded cleanup: free/cyclic reduction, killing generators that some
     relator declares trivial, and substituting generators a relator defines.
+
+    One pass removes one generator: the least one that a length-one
+    relator kills, or, when no relator has length one, the one the first
+    relator in ``(length, relator)`` order that holds some generator once
+    defines.  ``_SIMPLIFY_PASSES`` bounds the passes.  A kill changes only
+    the relators that hold its generator, so consecutive kills re-key just
+    those, and the relators are keyed and sorted again once the kills stop.
 
     Every step is a plain rewriting of the presentation, so the result
     presents the same group; the bounds only stop the search, never change
@@ -294,24 +304,37 @@ def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
             k = keys[r] = keys[k] = _relator_key(_cyclic_reduce(r))
         return k
 
-    for _ in range(_SIMPLIFY_PASSES):
+    passes = 0
+    while passes < _SIMPLIFY_PASSES:
         rels = [r for r in {key(r) for r in rels} if r]
         rels.sort(key=lambda r: (len(r), r))
-        changed = False
-        # a length-one relator kills its generator outright
-        for r in rels:
-            if len(r) == 1:
-                dead = r[0][0]
-                rels = [
-                    tuple((g, e) for g, e in rr if g != dead)
-                    for rr in rels
-                    if rr != r
-                ]
-                alive = [g for g in alive if g != dead]
-                changed = True
-                break
-        if changed:
+        # a length-one relator kills its generator outright; the sorted keys
+        # of length one name their generators in ascending order, a heap
+        dying = [r[0][0] for r in rels if len(r) == 1]
+        if dying:
+            live = set(rels)
+            while dying and passes < _SIMPLIFY_PASSES:
+                dead = heapq.heappop(dying)
+                if dead not in alive:
+                    continue
+                touched = [r for r in live if (dead, 1) in r or (dead, -1) in r]
+                live.difference_update(touched)
+                cut = [tuple((g, e) for g, e in r if g != dead) for r in touched]
+                alive.remove(dead)
+                passes += 1
+                if passes == _SIMPLIFY_PASSES:
+                    # the next pass would key what this one cut; there is none
+                    live.update(cut)
+                    break
+                for k in map(key, cut):
+                    if k:
+                        live.add(k)
+                        if len(k) == 1:
+                            heapq.heappush(dying, k[0][0])
+            rels = list(live)
             continue
+        passes += 1
+        changed = False
         # a relator in which some generator appears exactly once defines it
         for ri, r in enumerate(rels):
             counts: Dict[int, int] = {}
@@ -387,7 +410,8 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
         shifted = Move(m2.offset + m1.delta(pres), m2.relation, m2.forward)
         loop = Diagram(pres, sq.corner, (m1, shifted, m1.inverted(), m2.inverted()))
         folded = ball.express(loop)
-        assert folded is not None, "square boundary left the complete ball"
+        if folded is None:
+            raise RuntimeError("square boundary left the complete ball")
         relators.append(_cyclic_reduce(folded))
     names = tuple(f"g{i}" for i in range(len(ball.loops)))
     return GroupPresentation(

@@ -398,7 +398,8 @@ def layered_key(top: Word, cells: Sequence[WireCell]) -> CanonicalKey:
         placed = sorted((state.index(cell[2][0]), cell) for cell in row)
         packed.append(tuple((pos, cell[0], cell[1]) for pos, cell in placed))
         for pos, (_, _, consumed, produced) in reversed(placed):
-            assert tuple(state[pos:pos + len(consumed)]) == consumed
+            if tuple(state[pos:pos + len(consumed)]) != consumed:
+                raise RuntimeError("a cell does not consume the wires at its position")
             state[pos:pos + len(consumed)] = produced
     return CanonicalKey(top, tuple(packed))
 

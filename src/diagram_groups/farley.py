@@ -256,7 +256,9 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
 
 def rank_partition(search: ClassSearch, w: Word) -> CrossingOrder:
     """Catalog the hyperplanes around ``w`` downstairs and rank each one:
-    the crossing order of the Squier ball of ``w``, its ``ranks`` read."""
+    the crossing order of the Squier ball of ``w``, its ``ranks`` read.
+    ``embed-check`` is its one caller; ``rank-table`` reads the ball's
+    order itself."""
     from .squier import build_ball
 
     order = build_ball(search, w).order

@@ -884,7 +884,8 @@ def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
                 cuts_full.pop(0)
             splits = tuple(cuts_full[:-1])
             witness = DimensionWitness(member, splits)
-            assert len(witness.factors()) == n
+            if len(witness.factors()) != n:
+                raise RuntimeError(f"dimension witness does not have {n} factors")
             return TriBool.yes(witness)
     if enum.complete:
         return TriBool.no("no member of the complete class factors")

@@ -681,31 +681,39 @@ def _child_env():
 
 
 # one command from each group of modules a call reaches: the exit code, a
-# key of the JSON output with its value, and the modules the call must not
-# load (``fractions`` only ever loads for ``propb``, and no call loads
-# ``dataclasses`` or ``inspect``: see STDLIB_UNREACHED); besides, a call
-# loads exactly one module of ``diagram_groups.commands``, its command's
+# key of the JSON output with its value, the modules the call must load
+# besides ``rewriting``, and the modules it must not load (``fractions``
+# only ever loads for ``propb``, and no call loads ``dataclasses`` or
+# ``inspect``: see STDLIB_UNREACHED); besides, a call loads exactly one
+# module of ``diagram_groups.commands``, its command's.  ``relate`` and
+# ``rank-table`` read the crossing order alone, so they must load no other
+# module of the package.
 COMMANDS = {
-    "class": (["class", "-p", "{comm}", "-w", "a b"], 0, ("complete", True),
+    "class": (["class", "-p", "{comm}", "-w", "a b"], 0, ("complete", True), (),
               ("squier", "farley", "decomposition", "interval", "raag")),
     "equal": (["equal", "-p", "{comm}", "-w1", "a b", "-w2", "b a"], 0, ("verdict", "yes"),
-              ("squier", "farley", "decomposition", "interval", "raag")),
-    "relate": (["relate", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
-               ("diagrams", "farley", "decomposition", "interval", "raag")),
-    "dim": (["dim", "-p", "{comm}", "-w", "a b c", "-n", "2"], 1, ("verdict", "no"),
+              ("diagrams",), ("squier", "farley", "decomposition", "interval", "raag")),
+    "relate": (["relate", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True), ("squier",),
+               ("diagrams", "farley", "decomposition", "interval", "raag", "special")),
+    "dim": (["dim", "-p", "{comm}", "-w", "a b c", "-n", "2"], 1, ("verdict", "no"), (),
             ("squier", "diagrams", "farley", "decomposition", "interval", "raag")),
     "special": (["special", "-p", "{comm}", "-w", "a b"], 0, ("special", "yes"),
+                ("squier", "special"),
                 ("diagrams", "farley", "decomposition", "interval", "raag")),
     "rank-table": (["rank-table", "-p", "{comm}", "-w", "a b c"], 0, ("exact", True),
-                   ("decomposition", "interval", "raag")),
+                   ("squier",),
+                   ("diagrams", "farley", "decomposition", "interval", "raag", "special")),
     "farley": (["farley", "-p", "{comm}", "-w", "a b c", "--radius", "3"], 0,
-               ("vertex_count", 7), ("squier", "decomposition", "interval", "raag")),
+               ("vertex_count", 7), ("diagrams", "farley"),
+               ("squier", "decomposition", "interval", "raag")),
     "embed-check": (["embed-check", "-p", "{comm}", "-w", "a b c a", "--radius", "3"], 0,
-                    ("ok", True), ("decomposition", "interval", "raag")),
+                    ("ok", True), ("diagrams", "farley", "squier"),
+                    ("decomposition", "interval", "raag", "special")),
     "verify-raag": (["verify-raag", "-i", "{f2}", "--length", "2"], 0, ("ok", True),
-                    ("squier", "decomposition", "farley")),
+                    ("diagrams", "raag", "interval"), ("squier", "decomposition", "farley")),
     "decompose": (["decompose", "-p", "{comm}", "-w", "a b"], 0, ("exact", True),
-                  ("farley", "interval", "raag")),
+                  ("diagrams", "squier", "decomposition"),
+                  ("farley", "interval", "raag", "special")),
 }
 
 
@@ -723,7 +731,7 @@ def _with_files(tmp_path, argv):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
-    argv, code, _, unreached = COMMANDS[name]
+    argv, code, _, reached, unreached = COMMANDS[name]
     script = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -741,15 +749,36 @@ def test_command_loads_only_the_modules_it_reaches(tmp_path, name):
     got, *loaded = proc.stdout.split()
     assert int(got) == code
     forbidden = {f"diagram_groups.{m}" for m in unreached} | set(STDLIB_UNREACHED)
-    assert "diagram_groups.rewriting" in loaded
+    required = {f"diagram_groups.{m}" for m in ("rewriting",) + reached}
+    assert required <= set(loaded)
     assert forbidden.isdisjoint(loaded)
     handlers = [m for m in loaded if m.startswith("diagram_groups.commands.")]
     assert handlers == [f"diagram_groups.commands.{_COMMANDS[name][0]}"]
 
 
+def test_squier_loads_the_pathology_searches_only_when_a_traced_name_is_read():
+    """``squier`` answers the three names of ``special`` that the benchmark
+    tracer looks up on it, and only those, and loads ``special`` only then."""
+    traced = ("specialness_report", "find_absorbing_splits", "find_self_intersections")
+    script = (
+        "import sys\n"
+        "from diagram_groups import squier\n"
+        "print('diagram_groups.special' in sys.modules)\n"
+        f"found = [getattr(squier, name) for name in {traced}]\n"
+        "from diagram_groups import special\n"
+        f"print(all(f is getattr(special, n) for f, n in zip(found, {traced})))\n"
+        "print(hasattr(squier, 'scan_self_osculations'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["False", "True", "False"]
+
+
 def test_console_entry_point(tmp_path):
     for name in ("equal", "relate", "dim", "rank-table", "farley", "verify-raag", "decompose"):
-        argv, code, (key, value), _ = COMMANDS[name]
+        argv, code, (key, value), _, _ = COMMANDS[name]
         proc = subprocess.run(
             [sys.executable, "-m", "diagram_groups", *_with_files(tmp_path, argv)],
             capture_output=True, text=True, env=_child_env(),

@@ -49,13 +49,8 @@ from diagram_groups.rewriting import (
     enumerate_class,
     parse_presentation,
 )
-from diagram_groups.squier import (
-    build_ball,
-    hyperplane_catalog,
-    hyperplane_id,
-    scan_self_intersections,
-    scan_self_osculations,
-)
+from diagram_groups.special import scan_self_intersections, scan_self_osculations
+from diagram_groups.squier import build_ball, hyperplane_catalog, hyperplane_id
 
 # product of two identified triples: the class of a1 b1 is a torus, so the
 # group is Z x Z — the smallest complete instance with squares and a

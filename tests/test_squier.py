@@ -30,7 +30,7 @@ from conftest import (
     TIGHT_CAPS,
     W,
 )
-from diagram_groups import rewriting, squier
+from diagram_groups import rewriting, special, squier
 from diagram_groups.cli import main
 from diagram_groups.farley import rank_partition
 from diagram_groups.rewriting import (
@@ -43,27 +43,29 @@ from diagram_groups.rewriting import (
     one_step_rewrites,
     parse_presentation,
 )
+from diagram_groups.special import (
+    SelfIntersection,
+    SelfOsculation,
+    find_absorbing_splits,
+    find_inter_osculations,
+    find_self_intersections,
+    find_self_osculations,
+    refute_absorbing_splits,
+    refute_inter_osculations,
+    scan_self_intersections,
+    scan_self_osculations,
+    specialness_report,
+)
 from diagram_groups.squier import (
     BallCube,
     BallEdge,
     HyperplaneId,
-    SelfIntersection,
-    SelfOsculation,
     build_ball,
-    find_absorbing_splits,
     find_induced_odd_cycle,
-    find_inter_osculations,
-    find_self_intersections,
-    find_self_osculations,
     hyperplane_catalog,
     hyperplane_id,
     rank,
-    refute_absorbing_splits,
-    refute_inter_osculations,
     relate,
-    scan_self_intersections,
-    scan_self_osculations,
-    specialness_report,
 )
 
 
@@ -860,10 +862,10 @@ class TestSelfIntersection:
         bare = wit._replace(evidence=())
         assert wit.evidence and bare != wit
         # the report lists each parts tuple once, with the first evidence
-        assert squier._with_new([bare], [wit]) == [bare]
-        assert squier._with_new([], [wit, bare, wit]) == [wit]
+        assert special._with_new([bare], [wit]) == [bare]
+        assert special._with_new([], [wit, bare, wit]) == [wit]
         other = wit._replace(c=wit.c + W("a"))
-        assert squier._with_new([wit], [other]) == [wit, other]
+        assert special._with_new([wit], [other]) == [wit, other]
 
     def test_dirty_splits_found(self):
         wit = dirty_split_witness(ClassSearch(DIRTY, TIGHT_CAPS))
