@@ -4,7 +4,10 @@ Exit codes report what the mathematics said, not merely whether the process
 survived: 0 for a positive or complete answer, 1 for a definite negative,
 2 when a search cap was hit first (unknown / truncated), 3 for unusable
 input.  A scripted caller can therefore distinguish refutation from
-truncation without parsing anything.
+truncation without parsing anything.  A failure of the program itself is
+never a verdict: running out of memory or of recursion depth is a limit
+hit first, exit 2 with a line on standard error naming the limit, and any
+other unexpected exception prints its traceback and exits 3.
 
 All JSON output is deterministic (sorted keys, fixed indentation) and
 embeds the caps that bounded the run together with every exactness flag
@@ -293,6 +296,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     except (CliError, PresentationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except (MemoryError, RecursionError) as e:
+        limit = "memory" if isinstance(e, MemoryError) else "recursion depth"
+        print(f"unknown: the run ran out of {limit} before an answer", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
         return EXIT_INPUT
 
 

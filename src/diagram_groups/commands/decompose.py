@@ -28,23 +28,23 @@ def run_decompose(ns: argparse.Namespace) -> int:
         rank_value: Optional[int] = free_rank(gog)
     except ValueError:
         rank_value = None
-    try:
-        pi1 = str(fundamental_group_presentation(gog))
-    except ValueError:
-        pi1 = None
+    pi1 = fundamental_group_presentation(gog)
+    # the printed presentation is part of the answer, so it must be exact too
+    exact = gog.exact and pi1.exact
     if ns.format == "text":
         for i, v in enumerate(gog.vertices):
             print(f"vertex {i}: {v.descriptor()}")
         for e in gog.edges:
             print(f"edge: {e.minus_vertex} -- {e.plus_vertex}  ({e.hyperplane})")
-        print(f"# free rank: {rank_value}  exact={gog.exact}")
+        print(f"# free rank: {rank_value}  exact={exact}")
     else:
         blob = gog_to_json(gog)
+        blob["exact"] = exact
         blob["free_rank"] = rank_value
-        blob["fundamental_group"] = pi1
+        blob["fundamental_group"] = str(pi1)
         blob["caps"] = ns.caps.as_dict()
         _emit_json(blob)
-    return EXIT_OK if gog.exact else EXIT_UNKNOWN
+    return EXIT_OK if exact else EXIT_UNKNOWN
 
 
 def run_euler(ns: argparse.Namespace) -> int:

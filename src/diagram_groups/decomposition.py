@@ -15,10 +15,13 @@ its reduced diagram is empty, so reducing every generator loop settles the
 question.  On truncated data a nontrivial reduced spherical loop is still a
 valid "No" certificate; otherwise the verdict is Unknown.
 
-A free factor holds the ball of its class (``FactorGroup.ball``): the
-ball's ``loops`` are its basis, and ``SquierBall.express`` writes the
-images of edge-group loops in that basis when the fundamental group of the
-decomposition is presented.
+A factor that is free, or presented from its complete class, holds the
+ball of its class (``FactorGroup.ball``): the ball's ``loops`` are its
+generators, and ``SquierBall.express`` writes the images of edge-group
+loops in them when the fundamental group of the decomposition is
+presented.  On the interval presentations P(Γ) this recovers the paper's
+example: the group of P(Γ) is presented as the right-angled Artin group of
+the complement of Γ.
 """
 
 import heapq
@@ -265,144 +268,117 @@ class GroupPresentation(NamedTuple):
         return f"⟨ {gens} | {rels}{marker} ⟩"
 
 
-# bounds of simplify_presentation: passes, each of which removes one
-# generator, and the total relator length a substitution may grow the
-# presentation to
+# bounds of simplify_presentation: the eliminations, and the total relator
+# length a substitution may grow the presentation to
 _SIMPLIFY_PASSES = 200
 _SIMPLIFY_SIZE_CAP = 4000
 
 
 def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
-    """Bounded cleanup: free/cyclic reduction, killing generators that some
-    relator declares trivial, and substituting generators a relator defines.
+    """Bounded Tietze cleanup by one rule: the first relator in
+    ``(length, relator)`` order in which some generator occurs once defines
+    the least such generator, and that generator is substituted away.
 
-    One pass removes one generator: the least one that a length-one
-    relator kills, or, when no relator has length one, the one the first
-    relator in ``(length, relator)`` order that holds some generator once
-    defines.  ``_SIMPLIFY_PASSES`` bounds the passes.  A kill changes only
-    the relators that hold its generator, so consecutive kills re-key just
-    those, and the relators are keyed and sorted again once the kills stop.
+    A length-one relator defines its generator as the empty word, and is
+    never blocked; any other substitution is skipped while it would grow
+    the total relator length past ``_SIMPLIFY_SIZE_CAP``.
+    ``_SIMPLIFY_PASSES`` bounds the eliminations.  The relators are a set of
+    cyclically reduced keys, indexed by the generators they hold and
+    ordered by a heap, so an elimination re-keys only the relators that
+    hold its generator, and the relators are reduced and deduplicated even
+    when the bound stops the search.
 
     Every step is a plain rewriting of the presentation, so the result
     presents the same group; the bounds only stop the search, never change
     the answer.
     """
-    gens = list(pres.generators)
-    rels = [_cyclic_reduce(r) for r in pres.relators]
-    alive = list(range(len(gens)))
+    live: Set[Relator] = set()
+    holders: List[Set[Relator]] = [set() for _ in pres.generators]
+    heap: List[Tuple[int, Relator]] = []
+    size = 0
 
-    def total_size() -> int:
-        return sum(len(r) for r in rels)
-
-    # a relator a pass leaves alone is the same tuple in the next pass, and
-    # a key is its own key, so each distinct relator is keyed once per call
-    keys: Dict[Relator, Relator] = {}
-
-    def key(r: Relator) -> Relator:
-        k = keys.get(r)
-        if k is None:
-            k = keys[r] = keys[k] = _relator_key(_cyclic_reduce(r))
-        return k
-
-    passes = 0
-    while passes < _SIMPLIFY_PASSES:
-        rels = [r for r in {key(r) for r in rels} if r]
-        rels.sort(key=lambda r: (len(r), r))
-        # a length-one relator kills its generator outright; the sorted keys
-        # of length one name their generators in ascending order, a heap
-        dying = [r[0][0] for r in rels if len(r) == 1]
-        if dying:
-            live = set(rels)
-            while dying and passes < _SIMPLIFY_PASSES:
-                dead = heapq.heappop(dying)
-                if dead not in alive:
-                    continue
-                touched = [r for r in live if (dead, 1) in r or (dead, -1) in r]
-                live.difference_update(touched)
-                cut = [tuple((g, e) for g, e in r if g != dead) for r in touched]
-                alive.remove(dead)
-                passes += 1
-                if passes == _SIMPLIFY_PASSES:
-                    # the next pass would key what this one cut; there is none
-                    live.update(cut)
-                    break
-                for k in map(key, cut):
-                    if k:
-                        live.add(k)
-                        if len(k) == 1:
-                            heapq.heappush(dying, k[0][0])
-            rels = list(live)
-            continue
-        passes += 1
-        changed = False
-        # a relator in which some generator appears exactly once defines it
-        for ri, r in enumerate(rels):
-            counts: Dict[int, int] = {}
+    def add(word: Sequence[Tuple[int, int]]) -> None:
+        nonlocal size
+        r = _relator_key(_cyclic_reduce(word))
+        if r and r not in live:
+            live.add(r)
+            size += len(r)
             for g, _ in r:
-                counts[g] = counts.get(g, 0) + 1
-            once = [g for g, c in counts.items() if c == 1]
-            if not once:
-                continue
-            dead = min(once)
-            k = next(i for i, (g, _) in enumerate(r) if g == dead)
-            g, e = r[k]
-            # r = prefix . dead^e . suffix = 1  =>  dead^e = (suffix.prefix)^-1
-            replacement = _invert(r[k + 1 :] + r[:k])
-            if e == -1:
-                replacement = _invert(replacement)
-            uses = sum(
-                sum(1 for gg, _ in rr if gg == dead)
-                for rj, rr in enumerate(rels)
-                if rj != ri
-            )
-            if total_size() + uses * len(replacement) > _SIMPLIFY_SIZE_CAP:
-                continue
-            new_rels = []
-            for rj, rr in enumerate(rels):
-                if rj == ri:
-                    continue
-                out: List[Tuple[int, int]] = []
-                for gg, ee in rr:
-                    if gg != dead:
-                        out.append((gg, ee))
-                    elif ee == 1:
-                        out.extend(replacement)
-                    else:
-                        out.extend(_invert(replacement))
-                new_rels.append(_free_reduce(out))
-            rels = new_rels
-            alive = [g for g in alive if g != dead]
-            changed = True
+                holders[g].add(r)
+            heapq.heappush(heap, (len(r), r))
+
+    def definition(r: Relator) -> Optional[Tuple[int, Relator]]:
+        """The least generator occurring once in ``r`` and the word ``r``
+        defines it as, unless that substitution would pass the size cap."""
+        counts: Dict[int, int] = {}
+        for g, _ in r:
+            counts[g] = counts.get(g, 0) + 1
+        once = [g for g, c in counts.items() if c == 1]
+        if not once:
+            return None
+        dead = min(once)
+        k = next(i for i, (g, _) in enumerate(r) if g == dead)
+        # r = prefix . dead^e . suffix = 1  =>  dead^e = (suffix.prefix)^-1
+        replacement = _invert(r[k + 1 :] + r[:k])
+        if r[k][1] == -1:
+            replacement = _invert(replacement)
+        uses = sum(g == dead for rr in holders[dead] if rr != r for g, _ in rr)
+        if replacement and size + uses * len(replacement) > _SIMPLIFY_SIZE_CAP:
+            return None
+        return dead, replacement
+
+    for r in pres.relators:
+        add(r)
+    dead_gens: Set[int] = set()
+    while len(dead_gens) < _SIMPLIFY_PASSES:
+        skipped: Set[Relator] = set()
+        chosen, found = (), None
+        while heap and found is None:
+            _, chosen = heapq.heappop(heap)
+            if chosen in live and chosen not in skipped:
+                found = definition(chosen)
+                if found is None:
+                    skipped.add(chosen)
+        for r in skipped:
+            heapq.heappush(heap, (len(r), r))
+        if found is None:
             break
-        if not changed:
-            break
+        dead, replacement = found
+        dead_gens.add(dead)
+        touched, holders[dead] = holders[dead], set()
+        live.difference_update(touched)
+        size -= sum(map(len, touched))
+        for r in touched:
+            for g, _ in r:
+                holders[g].discard(r)
+        inverse = _invert(replacement)
+        for r in touched - {chosen}:
+            word: List[Tuple[int, int]] = []
+            for g, e in r:
+                if g != dead:
+                    word.append((g, e))
+                else:
+                    word.extend(replacement if e == 1 else inverse)
+            add(word)
+    alive = [g for g in range(len(pres.generators)) if g not in dead_gens]
     remap = {g: i for i, g in enumerate(alive)}
-    packed = tuple(
-        sorted(
-            {
-                _relator_key(tuple((remap[g], e) for g, e in r))
-                for r in rels
-                if r
-            }
-        )
-    )
     return GroupPresentation(
         tuple(pres.generators[g] for g in alive),
-        packed,
+        tuple(sorted(tuple((remap[g], e) for g, e in r) for r in live)),
         pres.truncated,
         pres.exact,
         pres.notes,
     )
 
 
-def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentation:
+def complete_ball_presentation(ball: SquierBall) -> GroupPresentation:
     """Direct presentation of the group of a completely enumerated class:
-    one generator per non-tree edge, one relator per square boundary."""
-    pres = search.pres
-    ball = build_ball(search, search.rep(w)[0])
+    generator ``g<i>`` is ``ball.loops[i]``, and there is one relator per
+    square boundary."""
+    pres = ball.pres
     if not ball.complete:
         raise ValueError(
-            f"the class of {format_word(w)} was not completely enumerated"
+            f"the class of {format_word(ball.base)} was not completely enumerated"
         )
     relators: List[Relator] = []
     for sq in ball.squares:
@@ -430,12 +406,13 @@ def complete_ball_presentation(search: ClassSearch, w: Word) -> GroupPresentatio
 class FactorGroup(NamedTuple):
     """The group of one factor of a product piece, as well as we can tell.
 
-    ``kind`` is one of trivial / free / presented / unknown, in decreasing
-    order of how much structure the emission downstream can use: free factors
-    hold their ball, whose ``loops`` are a basis that ``express`` writes
-    loops in, presented ones a presentation only, unknown ones just a marker.
-    A ball is equal only to itself, so two free factors are equal when they
-    come from the ball of one run.
+    ``kind`` is one of trivial / free / presented / unknown.  Free factors
+    and factors presented from a complete ball hold that ball, whose
+    ``loops`` are the generators and which ``express`` writes loops in;
+    factors presented by a recursive decomposition hold a presentation
+    only, unknown ones just a marker.  A ball is equal only to itself, so
+    two factors with balls are equal when they come from the ball of one
+    run.
     """
 
     kind: str
@@ -472,7 +449,7 @@ def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
         return FactorGroup("free", rep, ball.complete, ball, None, note)
     if ball.complete:
         return FactorGroup(
-            "presented", rep, True, None, complete_ball_presentation(search, rep)
+            "presented", rep, True, ball, complete_ball_presentation(ball)
         )
     if depth > 0:
         sub = decompose(search, rep, depth - 1)
@@ -682,10 +659,11 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
 
     Generators: the generators of every vertex group plus one letter per
     non-forest edge.  Relators: product commutation inside each vertex,
-    vertex-group relators, and, for each edge and each edge-group generator,
-    the conjugation relator identifying its two padded images.  Images that
-    cannot be expressed inside truncated vertex data are skipped and flagged
-    rather than guessed.  The result is cleaned up by
+    vertex-group relators, and, for each edge and each loop of an edge
+    group with a ball, the conjugation relator identifying its two padded
+    images in vertex groups with balls.  Edge groups without a ball, and
+    images that cannot be expressed inside truncated vertex data, are
+    skipped and flagged rather than guessed.  The result is cleaned up by
     ``simplify_presentation``.
     """
     pres = gog.pres
@@ -734,18 +712,16 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
             names.append(f"t{ei}")
 
     def express_image(
-        fg_edge: FactorGroup, k: int, side: str, vertex_idx: int, split: LetterSplit
+        loop: Diagram, side: str, vertex_idx: int, split: LetterSplit
     ) -> Optional[List[Tuple[int, int]]]:
-        """Loop ``k`` of an edge group, padded by ``split`` into the ``side``
-        group of one end vertex, in that group's generators; None unless
-        that group is free and contains it.  The split's prefix pads a left
-        image after, its suffix a right one before."""
+        """An edge-group loop, padded by ``split`` into the ``side`` group
+        of one end vertex, in that group's generators; None unless that
+        group holds a ball that contains the image.  The split's prefix
+        pads a left image after, its suffix a right one before."""
         vertex = gog.vertices[vertex_idx]
         vfg = vertex.left_group if side == "L" else vertex.right_group
-        if vfg.kind != "free":
+        if vfg.ball is None:
             return None
-        ball = fg_edge.ball
-        loop = _loop_diagram(ball, ball.loops[k])
         if side == "L":
             image = _pad_loop(pres, loop, (), split.prefix)
         else:
@@ -762,7 +738,7 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
         for side, fg in (("L", e.left_group), ("R", e.right_group)):
             if fg.is_trivial:
                 continue
-            if fg.kind != "free":
+            if fg.ball is None:
                 notes.append(
                     f"edge {ei} {side} group is {fg.kind}; its conjugation"
                     " relators are not expressible and were skipped"
@@ -770,9 +746,10 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
                 exact = False
                 truncated = True
                 continue
-            for k in range(len(fg.ball.loops)):
-                minus_img = express_image(fg, k, side, e.minus_vertex, hyp.source_split)
-                plus_img = express_image(fg, k, side, e.plus_vertex, hyp.target_split)
+            for k, edge in enumerate(fg.ball.loops):
+                loop = _loop_diagram(fg.ball, edge)
+                minus_img = express_image(loop, side, e.minus_vertex, hyp.source_split)
+                plus_img = express_image(loop, side, e.plus_vertex, hyp.target_split)
                 if minus_img is None or plus_img is None:
                     notes.append(
                         f"edge {ei} {side} generator {k}: image escapes the"

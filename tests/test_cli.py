@@ -447,6 +447,55 @@ def test_decompose_single_vertex_on_capped_class_is_unknown(capsys, comm):
     assert not blob["exact"] and code == 2
 
 
+def test_decompose_exact_needs_an_exact_presentation(capsys, comm, monkeypatch):
+    # a decomposition that is exact but whose presentation came out
+    # truncated is not an exact answer
+    from diagram_groups import decomposition
+    from diagram_groups.commands import decompose
+
+    real = decomposition.fundamental_group_presentation
+
+    def truncated(gog):
+        return real(gog)._replace(truncated=True, exact=False)
+
+    monkeypatch.setattr(decompose, "fundamental_group_presentation", truncated)
+    code, blob = run_json(capsys, "decompose", "-p", comm, "-w", "a b b c c")
+    assert not blob["exact"] and code == 2
+    assert blob["fundamental_group"].endswith("… ⟩")
+    code, out = run(capsys, "decompose", "-p", comm, "-w", "a b b c c", "--format", "text")
+    assert code == 2 and out.endswith("exact=False\n")
+
+
+@pytest.mark.parametrize(
+    "error, limit", [(MemoryError, "memory"), (RecursionError, "recursion depth")]
+)
+def test_resource_limits_are_unknown(capsys, comm, monkeypatch, error, limit):
+    from diagram_groups.commands import words
+
+    def exhausted(ns):
+        raise error()
+
+    monkeypatch.setattr(words, "run_class", exhausted)
+    code = main(["class", "-p", comm, "-w", "a b"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"unknown: the run ran out of {limit} before an answer\n"
+
+
+def test_internal_errors_are_not_verdicts(capsys, comm, monkeypatch):
+    from diagram_groups.commands import words
+
+    def broken(ns):
+        raise RuntimeError("an invariant failed")
+
+    monkeypatch.setattr(words, "run_class", broken)
+    code = main(["class", "-p", comm, "-w", "a b"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("RuntimeError: an invariant failed\n")
+
+
 def test_euler(capsys, comm, padpair):
     code, blob = run_json(capsys, "euler", "-p", comm, "-w", "a b b c c")
     assert code == 0

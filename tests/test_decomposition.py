@@ -9,7 +9,9 @@ route to every free rank.
 """
 
 import json
+from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,16 +43,23 @@ from diagram_groups.decomposition import (
     simplify_presentation,
 )
 from diagram_groups import decomposition, squier
-from diagram_groups.diagrams import is_reduced
+from diagram_groups.diagrams import Diagram, is_reduced
+from diagram_groups.interval import (
+    base_word,
+    disjointness_graph,
+    parse_intervals,
+    presentation_for,
+)
 from diagram_groups.rewriting import (
     ClassSearch,
+    Move,
     Presentation,
     Relation,
     enumerate_class,
     parse_presentation,
 )
 from diagram_groups.special import scan_self_intersections, scan_self_osculations
-from diagram_groups.squier import build_ball, hyperplane_catalog, hyperplane_id
+from diagram_groups.squier import BallEdge, build_ball, hyperplane_catalog, hyperplane_id
 
 # product of two identified triples: the class of a1 b1 is a torus, so the
 # group is Z x Z — the smallest complete instance with squares and a
@@ -636,7 +645,7 @@ def test_pi1_torus_decompose_route():
 
 def test_pi1_torus_direct_route_agrees():
     doc = simplify_presentation(
-        complete_ball_presentation(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
+        complete_ball_presentation(build_ball(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1")))
     )
     assert len(doc.generators) == 2
     assert [cyclic_key(r) for r in doc.relators] == [
@@ -647,14 +656,14 @@ def test_pi1_torus_direct_route_agrees():
 
 def test_direct_route_trivial_group_collapses():
     doc = simplify_presentation(
-        complete_ball_presentation(ClassSearch(COMM, DEFAULT_CAPS), W("a a b b"))
+        complete_ball_presentation(build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b b")))
     )
     assert doc.generators == () and doc.relators == ()
 
 
 def test_direct_route_requires_complete_class():
     with pytest.raises(ValueError, match="completely"):
-        complete_ball_presentation(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
+        complete_ball_presentation(build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1")))
 
 
 def test_simplify_kills_defined_generators():
@@ -692,6 +701,147 @@ def test_simplify_is_idempotent_and_deterministic(monkeypatch):
     assert once.generators == again.generators and once.relators == again.relators
 
 
+def two_phase_simplify(doc, passes_cap, size_cap):
+    """The former two-phase cleanup, kept as a reference: kill the
+    generators of length-one relators first, in ascending order, and only
+    when none is left substitute the generator the first relator in
+    ``(length, relator)`` order defines; re-key and re-sort every relator
+    after each substitution.  A run stopped by ``passes_cap`` leaves the
+    relators its last elimination changed without cyclic reduction."""
+    import heapq
+
+    def free_reduce(word):
+        out = []
+        for g, e in word:
+            if out and out[-1] == (g, -e):
+                out.pop()
+            else:
+                out.append((g, e))
+        return tuple(out)
+
+    def invert(word):
+        return tuple((g, -e) for g, e in reversed(word))
+
+    def rotation_key(word):
+        bases = (word, invert(word))
+        return min(b[i:] + b[:i] for b in bases for i in range(max(1, len(b))))
+
+    rels = [cyc_reduce(r) for r in doc.relators]
+    alive = list(range(len(doc.generators)))
+    passes = 0
+    while passes < passes_cap:
+        rels = sorted({cyclic_key(r) for r in rels} - {()}, key=lambda r: (len(r), r))
+        dying = [r[0][0] for r in rels if len(r) == 1]
+        if dying:
+            live = set(rels)
+            while dying and passes < passes_cap:
+                dead = heapq.heappop(dying)
+                if dead not in alive:
+                    continue
+                touched = [r for r in live if (dead, 1) in r or (dead, -1) in r]
+                live.difference_update(touched)
+                cut = [tuple((g, e) for g, e in r if g != dead) for r in touched]
+                alive.remove(dead)
+                passes += 1
+                if passes == passes_cap:
+                    live.update(cut)
+                    break
+                for k in map(cyclic_key, cut):
+                    if k:
+                        live.add(k)
+                        if len(k) == 1:
+                            heapq.heappush(dying, k[0][0])
+            rels = list(live)
+            continue
+        passes += 1
+        changed = False
+        for ri, r in enumerate(rels):
+            counts = {}
+            for g, _ in r:
+                counts[g] = counts.get(g, 0) + 1
+            once = [g for g, c in counts.items() if c == 1]
+            if not once:
+                continue
+            dead = min(once)
+            k = next(i for i, (g, _) in enumerate(r) if g == dead)
+            replacement = invert(r[k + 1 :] + r[:k])
+            if r[k][1] == -1:
+                replacement = invert(replacement)
+            uses = sum(g == dead for rj, rr in enumerate(rels) if rj != ri for g, _ in rr)
+            if sum(map(len, rels)) + uses * len(replacement) > size_cap:
+                continue
+            rels = [
+                free_reduce(
+                    [
+                        x
+                        for g, e in rr
+                        for x in (
+                            ((g, e),) if g != dead
+                            else replacement if e == 1 else invert(replacement)
+                        )
+                    ]
+                )
+                for rj, rr in enumerate(rels)
+                if rj != ri
+            ]
+            alive.remove(dead)
+            changed = True
+            break
+        if not changed:
+            break
+    remap = {g: i for i, g in enumerate(alive)}
+    relators = {rotation_key(tuple((remap[g], e) for g, e in r)) for r in rels if r}
+    return tuple(doc.generators[g] for g in alive), tuple(sorted(relators))
+
+
+def random_presentation(rng, gens, rels, length):
+    from diagram_groups.decomposition import GroupPresentation
+
+    return GroupPresentation(
+        tuple(f"g{i}" for i in range(gens)),
+        tuple(
+            tuple(
+                (rng.randrange(gens), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, length))
+            )
+            for _ in range(rels)
+        ),
+        False,
+        True,
+    )
+
+
+def test_simplify_agrees_with_two_phase_reference(monkeypatch):
+    # the one Tietze rule eliminates the same generators in the same order
+    # as the kill phase and the substitution loop did; where the pass bound
+    # stops both, the reference leaves the last elimination's relators
+    # unreduced and undeduplicated, and reducing them gives the new output
+    import random
+
+    rng = random.Random(1507)
+    stopped = capped = 0
+    for case in range(2000):
+        if case % 8 == 7:
+            doc = random_presentation(rng, rng.randint(20, 40), rng.randint(15, 40), 7)
+        else:
+            doc = random_presentation(rng, rng.randint(1, 7), rng.randint(0, 7), 8)
+        passes = rng.choice((200, 200, rng.randint(1, 9)))
+        size = rng.choice((4000, rng.randint(4, 80)))
+        monkeypatch.setattr(decomposition, "_SIMPLIFY_PASSES", passes)
+        monkeypatch.setattr(decomposition, "_SIMPLIFY_SIZE_CAP", size)
+        out = simplify_presentation(doc)
+        gens, relators = two_phase_simplify(doc, passes, size)
+        assert out.generators == gens, case
+        if len(doc.generators) - len(gens) < passes:
+            assert out.relators == relators, case
+        else:
+            stopped += out.relators != relators
+            assert out.relators == tuple(sorted({cyclic_key(r) for r in relators} - {()}))
+        monkeypatch.setattr(decomposition, "_SIMPLIFY_SIZE_CAP", 10**9)
+        capped += simplify_presentation(doc).generators != gens
+    assert stopped and capped
+
+
 def test_presentation_str_rendering():
     from diagram_groups.decomposition import GroupPresentation
 
@@ -699,6 +849,117 @@ def test_presentation_str_rendering():
     text = str(doc)
     assert text.startswith("⟨ x, t |") and text.endswith("… ⟩")
     assert "x^-1 t x t^-1" in text
+
+
+# ---------------------------------------------------------------------------
+# the interval theorem and first homology
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+INTERVAL_FILES = ["five.int", "four.int", "f2.int"]
+
+
+def interval_case(name):
+    coll = parse_intervals((GOLDEN / name).read_text())
+    return coll, presentation_for(coll), base_word(coll)
+
+
+def test_five_gamma_file_is_the_interval_presentation():
+    _, pres, _ = interval_case("five.int")
+    assert parse_presentation((GOLDEN / "five_gamma.pres").read_text()) == pres
+
+
+@pytest.mark.parametrize("name", INTERVAL_FILES)
+def test_interval_decomposition_presents_the_raag(name):
+    # the paper's theorem: the group of P(Γ) is A(Γ̄), read off the
+    # decomposition along left hyperplanes
+    coll, pres, base = interval_case(name)
+    gog = decompose(ClassSearch(pres, DEFAULT_CAPS), base)
+    doc = fundamental_group_presentation(gog)
+    assert gog.exact and doc.exact and not doc.truncated
+    commuting = set()
+    for r in doc.relators:
+        pair = sorted({g for g, _ in r})
+        assert len(pair) == 2
+        x, y = pair
+        assert cyclic_key(r) == cyclic_key(((x, -1), (y, -1), (x, 1), (y, 1)))
+        commuting.add(frozenset(pair))
+    graph = disjointness_graph(coll)
+    assert len(doc.relators) == len(commuting) == len(graph.edges)
+    edges = {frozenset(e) for e in graph.edges}
+    assert any(
+        {frozenset(image[g] for g in pair) for pair in commuting} == edges
+        for image in permutations(graph.vertices)
+    )
+
+
+def rational_rank(rows):
+    """Rank over the rationals of a matrix given as sparse rows
+    ``{column: entry}``."""
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            pivot = pivots[col]
+            factor = row[col] / pivot[col]
+            for c, v in pivot.items():
+                row[c] = row.get(c, 0) - factor * v
+                if not row[c]:
+                    del row[c]
+    return len(pivots)
+
+
+def class_betti_one(search, w):
+    """b1 of the class complex: edges - vertices + 1 - rank of the square
+    boundaries, each square walked edge by edge with its orientation."""
+    ball = build_ball(search, w)
+    assert ball.complete
+    pres = ball.pres
+    index = {e: i for i, e in enumerate(ball.edges)}
+    boundaries = []
+    for sq in ball.squares:
+        m1, m2 = sq.moves
+        shifted = Move(m2.offset + m1.delta(pres), m2.relation, m2.forward)
+        loop = Diagram(pres, sq.corner, (m1, shifted, m1.inverted(), m2.inverted()))
+        row = {}
+        for word, move in zip(loop.words(), loop.moves):
+            i = index[BallEdge.of(word, move, pres)]
+            row[i] = row.get(i, 0) + (1 if move.forward else -1)
+        boundaries.append(row)
+    return len(ball.edges) - len(ball.vertices) + 1 - rational_rank(boundaries)
+
+
+def abelian_rank(doc):
+    rows = []
+    for r in doc.relators:
+        row = {}
+        for g, e in r:
+            row[g] = row.get(g, 0) + e
+        rows.append(row)
+    return len(doc.generators) - rational_rank(rows)
+
+
+H1_CASES = [
+    (COMM, W("a b b c c"), 4),
+    (COMM, W("a a b b c c c"), 12),
+    (CYC3, W("a b a b"), 4),
+] + [(pres, base, len(coll)) for coll, pres, base in map(interval_case, INTERVAL_FILES)]
+
+
+@pytest.mark.parametrize(
+    "pres, base, b1", H1_CASES, ids=["comm_abbcc", "comm_aabbccc", "cyc3_abab"] + INTERVAL_FILES
+)
+def test_presentation_abelianizes_to_class_homology(pres, base, b1):
+    # on a complete class H1 of the class complex is the abelianization of
+    # the diagram group: two routes to one rank
+    search = ClassSearch(pres, DEFAULT_CAPS)
+    doc = fundamental_group_presentation(decompose(search, base))
+    assert doc.exact
+    assert abelian_rank(doc) == class_betti_one(search, base) == b1
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ the realization began to be read off the transitive orientation; the
 implementation that searched the orderings of at most eight maximal
 cliques exits 3 on it.  The ``interval_c4`` output is unchanged by that
 move.
+
+The ``decompose`` outputs on CYC3 ``a b a b`` and COMM ``a a b b c c c``
+were regenerated when factors presented from a complete ball began to keep
+that ball, so that edge-group loops are written in their generators.  Only
+``fundamental_group`` changed: it had skipped the conjugation relators of
+those factors and ended in ``…``, and it is now exact, abelianizing to
+ranks 4 and 12, the first Betti numbers of the two class complexes.  The
+``decompose`` case on ``five_gamma.pres`` (the presentation P(Γ) of
+``five.int``) was captured then too: it presents the right-angled Artin
+group of the complement of the interval graph, with five generators and
+six commutators.
 """
 
 import argparse
