@@ -9,7 +9,7 @@ decompositions) and exposes everything through one CLI.
 
 from .rewriting import (
     ClassSearch,
-    Derivation,
+    Diagram,
     Move,
     Presentation,
     Relation,

@@ -29,7 +29,8 @@ through the one ``ns.search``.  Then it imports the command's handler
 module, and this module keeps only that plumbing.
 
 At load the module imports only the standard library and ``rewriting``,
-which every command needs, and a handler module imports what its commands
+which every command needs and whose searches return their derivations as
+``rewriting.Diagram``, and a handler module imports what its commands
 share, so a call compiles and runs only the modules its command reaches:
 
 * ``class`` and ``dim`` (``commands.words``): nothing beyond ``rewriting``;
@@ -60,6 +61,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .rewriting import (
     ClassSearch,
+    Diagram,
     Presentation,
     PresentationError,
     SearchCaps,
@@ -70,8 +72,6 @@ from .rewriting import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .diagrams import Diagram
 
 EXIT_OK = 0
 EXIT_NO = 1

@@ -6,15 +6,8 @@ import argparse
 from typing import List
 
 from ..cli import EXIT_OK, CliError, _emit_json, _exit_for, _load_diagram
-from ..diagrams import (
-    Diagram,
-    compose,
-    from_derivation,
-    is_reduced,
-    reduce_diagram,
-    serialize_diagram,
-)
-from ..rewriting import format_word
+from ..diagrams import compose, is_reduced, reduce_diagram, serialize_diagram
+from ..rewriting import Diagram, format_word
 
 
 def _move_json(move) -> List[object]:
@@ -44,13 +37,12 @@ def run_equal(ns: argparse.Namespace) -> int:
     moves: List[List[object]] = []
     cells = None
     if tb.is_yes:
-        d = from_derivation(tb.witness, ns.pres)
-        moves = [_move_json(m) for m in d.moves]
-        cells = d.cells
+        moves = [_move_json(m) for m in tb.witness.moves]
+        cells = tb.witness.cells
     if ns.format == "text":
         print(tb.value)
         if tb.is_yes:
-            for w in from_derivation(tb.witness, ns.pres).words():
+            for w in tb.witness.words():
                 print(format_word(w))
     else:
         _emit_json(

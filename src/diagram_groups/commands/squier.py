@@ -74,12 +74,12 @@ def transversality_to_dot(ball: SquierBall) -> str:
 
 def _witness_json(wit: object) -> Dict[str, object]:
     """Generic pathology-witness serialization over the witness's
-    ``_fields``: words formatted, evidence summarized by derivation lengths
+    ``_fields``: words formatted, evidence summarized by diagram cell counts
     so the report stays readable."""
     out: Dict[str, object] = {"kind": type(wit).__name__}
     for name, value in zip(wit._fields, wit):
         if name == "evidence":
-            out["evidence_lengths"] = [len(d.steps) for d in value]
+            out["evidence_lengths"] = [d.cells for d in value]
         elif isinstance(value, tuple) and all(isinstance(x, str) for x in value):
             out[name] = format_word(value)
         elif isinstance(value, (int, str, bool)):

@@ -27,15 +27,17 @@ the complement of Γ.
 import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .diagrams import Diagram, dsum, eps, reduce_diagram
+from .diagrams import dsum, eps, reduce_diagram
 from .rewriting import (
     ClassSearch,
+    Diagram,
     Letter,
     Move,
     Presentation,
     TriBool,
     Word,
     format_word,
+    inverse,
 )
 from .squier import BallEdge, HyperplaneId, SquierBall, build_ball
 
@@ -49,8 +51,8 @@ def _loop_diagram(ball: SquierBall, edge: BallEdge) -> Diagram:
     """The spherical diagram tracing tree-path, edge, reverse tree-path."""
     enum, pres = ball.enum, ball.pres
     to_source = enum.derivation(edge.source)
-    back = enum.derivation(edge.target(pres)).inverted(pres)
-    return Diagram(pres, enum.seed, to_source.steps + (edge.move,) + back.steps)
+    back = inverse(enum.derivation(edge.target(pres)))
+    return Diagram(pres, enum.seed, to_source.moves + (edge.move,) + back.moves)
 
 
 def _triviality(search: ClassSearch, w: Word) -> TriBool:
@@ -238,17 +240,16 @@ def _relator_key(word: Relator) -> Relator:
 
 
 class GroupPresentation(NamedTuple):
-    """A finite presentation with honesty markers.
+    """A finite presentation with an honesty marker.
 
-    ``truncated`` warns that relators (or generators) belonging to an
-    infinite family were cut off at a cap; ``exact`` asserts that everything
-    printed is a faithful presentation of the group, not just of a bounded
-    approximation.
+    ``exact`` asserts that everything printed is a faithful presentation of
+    the group, not just of a bounded approximation; when it does not hold,
+    relators (or generators) were cut off at a cap or skipped, and the
+    presentation prints with a trailing ``…``.
     """
 
     generators: Tuple[str, ...]
     relators: Tuple[Relator, ...]
-    truncated: bool
     exact: bool
     notes: Tuple[str, ...] = ()
 
@@ -264,7 +265,7 @@ class GroupPresentation(NamedTuple):
     def __str__(self) -> str:
         gens = ", ".join(self.generators)
         rels = ", ".join(self.relator_str(r) for r in self.relators)
-        marker = " …" if self.truncated else ""
+        marker = "" if self.exact else " …"
         return f"⟨ {gens} | {rels}{marker} ⟩"
 
 
@@ -351,21 +352,20 @@ def simplify_presentation(pres: GroupPresentation) -> GroupPresentation:
         for r in touched:
             for g, _ in r:
                 holders[g].discard(r)
-        inverse = _invert(replacement)
+        inverted = _invert(replacement)
         for r in touched - {chosen}:
             word: List[Tuple[int, int]] = []
             for g, e in r:
                 if g != dead:
                     word.append((g, e))
                 else:
-                    word.extend(replacement if e == 1 else inverse)
+                    word.extend(replacement if e == 1 else inverted)
             add(word)
     alive = [g for g in range(len(pres.generators)) if g not in dead_gens]
     remap = {g: i for i, g in enumerate(alive)}
     return GroupPresentation(
         tuple(pres.generators[g] for g in alive),
         tuple(sorted(tuple((remap[g], e) for g, e in r) for r in live)),
-        pres.truncated,
         pres.exact,
         pres.notes,
     )
@@ -393,7 +393,6 @@ def complete_ball_presentation(ball: SquierBall) -> GroupPresentation:
     return GroupPresentation(
         names,
         tuple(sorted({_relator_key(r) for r in relators if r})),
-        False,
         True,
     )
 
@@ -670,7 +669,6 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
     names: List[str] = []
     relators: List[Relator] = []
     notes = list(gog.notes)
-    truncated = not gog.exact
     exact = gog.exact
 
     # vertex generators: (vertex, side) -> list of generator ids
@@ -689,14 +687,12 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
                     names.append(f"v{vi}{side}_{g}")
                 for r in fg.presentation.relators:
                     relators.append(tuple((base + g, e) for g, e in r))
-                truncated = truncated or fg.presentation.truncated
             elif fg.kind == "unknown":
                 notes.append(
                     f"vertex {vi} {side} group unknown; its generators and"
                     " relators are missing from this presentation"
                 )
                 exact = False
-                truncated = True
             vgens[(vi, side)] = ids
         for gl in vgens[(vi, "L")]:
             for gr in vgens[(vi, "R")]:
@@ -744,7 +740,6 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
                     " relators are not expressible and were skipped"
                 )
                 exact = False
-                truncated = True
                 continue
             for k, edge in enumerate(fg.ball.loops):
                 loop = _loop_diagram(fg.ball, edge)
@@ -755,7 +750,6 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
                         f"edge {ei} {side} generator {k}: image escapes the"
                         " truncated vertex data; relator skipped"
                     )
-                    truncated = True
                     exact = False
                     continue
                 word: List[Tuple[int, int]] = [(g, -eexp) for g, eexp in
@@ -770,7 +764,6 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
     doc = GroupPresentation(
         tuple(names),
         tuple(r for r in relators if r),
-        truncated,
         exact,
         tuple(notes),
     )

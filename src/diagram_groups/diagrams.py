@@ -1,16 +1,17 @@
-"""Derivation diagrams over a semigroup presentation and their algebra.
+"""The algebra of derivation diagrams over a semigroup presentation.
 
-A derivation (a word and a chain of moves) is drawn as a planar diagram: a
-horizontal source path spelling the start word, one two-cell per move, and a
-sink path spelling the end word.  Two derivations draw the same diagram
-exactly when they differ by swapping consecutive moves that act on disjoint
-intervals, so a :class:`Diagram` here is a move sequence *up to* such swaps.
+A diagram is a derivation, a word and a chain of moves, drawn in the
+plane; :class:`rewriting.Diagram` holds one, and ``rewriting.inverse``
+flips it upside down, since the searches there return diagrams.  Two
+derivations draw the same diagram exactly when they differ by swapping
+consecutive moves that act on disjoint intervals; this module computes
+with diagrams up to such swaps.
 
 The algebra:
 
+* ``eps`` is the edgeless diagram on a word,
 * ``compose`` stacks diagrams vertically (bottom of one = top of the next),
 * ``dsum`` places them side by side,
-* ``inverse`` flips a diagram upside down,
 * :class:`Wires` names every letter occurrence a cell produces by the
   cell itself, so that a diagram's bottom word, as a tuple of wire ids, is
   its identity,
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import (
-    Derivation,
+    Diagram,
     Move,
     Presentation,
     Word,
@@ -49,63 +50,9 @@ from .rewriting import (
 )
 
 
-class Diagram:
-    """A replayable move sequence considered up to independent swaps.
-
-    Equality is equality of the *representative* sequence; use
-    :func:`canonical_key` for trace-class identity.
-    """
-
-    __slots__ = ("pres", "top", "moves", "_words")
-
-    def __init__(self, pres: Presentation, top: Word, moves: Tuple[Move, ...]) -> None:
-        pres.check_word(top)
-        self.pres = pres
-        self.top = top
-        self.moves = moves
-        self._words = Derivation(top, moves).replay(pres)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return (self.pres, self.top, self.moves) == (other.pres, other.top, other.moves)
-
-    def __hash__(self) -> int:
-        return hash((self.pres, self.top, self.moves))
-
-    @property
-    def bot(self) -> Word:
-        return self._words[-1]
-
-    @property
-    def cells(self) -> int:
-        return len(self.moves)
-
-    def words(self) -> Tuple[Word, ...]:
-        """All intermediate words, top first, bottom last."""
-        return self._words
-
-    @property
-    def is_spherical(self) -> bool:
-        return self.top == self.bot
-
-    def __mul__(self, other: "Diagram") -> "Diagram":
-        return compose(self, other)
-
-    def __add__(self, other: "Diagram") -> "Diagram":
-        return dsum(self, other)
-
-    def __str__(self) -> str:
-        return f"[{format_word(self.top)} | {len(self.moves)} cells | {format_word(self.bot)}]"
-
-
 def eps(pres: Presentation, w: Word) -> Diagram:
     """The edgeless diagram on ``w`` (identity for composition)."""
     return Diagram(pres, w, ())
-
-
-def from_derivation(derivation: Derivation, pres: Presentation) -> Diagram:
-    return Diagram(pres, derivation.start, derivation.steps)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -126,17 +73,6 @@ def dsum(d1: Diagram, d2: Diagram) -> Diagram:
     shift = len(d1.bot)
     shifted = tuple(Move(m.offset + shift, m.relation, m.forward) for m in d2.moves)
     return Diagram(d1.pres, d1.top + d2.top, d1.moves + shifted)
-
-
-def inverse(d: Diagram) -> Diagram:
-    """Upside-down flip: same cells, reversed order, directions flipped.
-
-    The inverse of a move transforming ``W_i`` into ``W_{i+1}`` is the move
-    at the same offset with the opposite direction.
-    """
-    return Diagram(
-        d.pres, d.bot, tuple(m.inverted() for m in reversed(d.moves))
-    )
 
 
 class CanonicalKey(NamedTuple):
@@ -427,27 +363,36 @@ def serialize_diagram(d: Diagram) -> str:
 
 
 def parse_diagram(text: str, pres: Presentation) -> Diagram:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Read the text form of :func:`serialize_diagram`; every move must name
+    a relation of ``pres``."""
+    lines = [
+        (lineno, ln)
+        for lineno, ln in enumerate((raw.strip() for raw in text.splitlines()), start=1)
+        if ln
+    ]
     if not lines:
         raise ValueError("empty diagram text")
-    top = word_of(lines[0])
+    top = word_of(lines[0][1])
     moves = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in ("fwd", "bwd"):
-            raise ValueError(f"bad move line {ln!r}")
-        moves.append(Move(int(parts[0]), int(parts[1]), parts[2] == "fwd"))
+            raise ValueError(f"line {lineno}: bad move line {ln!r}")
+        relation = int(parts[1])
+        if not 0 <= relation < len(pres.relations):
+            raise ValueError(
+                f"line {lineno}: no relation {relation} in a presentation"
+                f" of {len(pres.relations)} relations"
+            )
+        moves.append(Move(int(parts[0]), relation, parts[2] == "fwd"))
     return Diagram(pres, top, tuple(moves))
 
 
 __all__ = [
-    "Diagram",
     "CanonicalKey",
     "eps",
-    "from_derivation",
     "compose",
     "dsum",
-    "inverse",
     "reduce_diagram",
     "is_reduced",
     "canonical_key",

@@ -68,19 +68,15 @@ from typing import (
     Tuple,
 )
 
-from .diagrams import (
-    Diagram,
-    Wires,
-    cayley_ball,
-    inverse,
-    is_reduced,
-)
+from .diagrams import Wires, cayley_ball, is_reduced
 from .rewriting import (
     ClassSearch,
+    Diagram,
     Move,
     Presentation,
     Word,
     format_word,
+    inverse,
 )
 
 if TYPE_CHECKING:
@@ -120,11 +116,10 @@ class FarleyBall:
     ``depths[i]`` equals both the BFS level and the cell count of vertex
     ``i`` (an atomic extension changes the cell count by exactly one, so the
     sublevel sets are connected and the search exhausts them), ``words[i]``
-    is its bottom word and ``parents[i]`` the first edge into it (``-1`` at
-    the base), whose chain :meth:`diagram` replays.  ``keys[i]`` is its
-    bottom tuple of wire ids, which identifies it only against ``wires``,
-    the table the ball was fired through.  ``up[i]`` maps each move that
-    appends a cell at ``i`` to the vertex it reaches.
+    is its bottom word and ``keys[i]`` its bottom tuple of wire ids, which
+    identifies it only against ``wires``, the table the ball was fired
+    through.  ``up[i]`` maps each move that appends a cell at ``i`` to the
+    vertex it reaches.
 
     The ``k``-cubes at a vertex of Farley's complex are its sets of ``k``
     pairwise disjoint moves that append cells.  Such moves consume wires
@@ -142,7 +137,6 @@ class FarleyBall:
         radius: int,
         words: Tuple[Word, ...],
         depths: Tuple[int, ...],
-        parents: Tuple[int, ...],
         edges: Tuple[FarleyEdge, ...],
         up: Tuple[Dict[Move, int], ...],
         keys: Tuple[Tuple[int, ...], ...],
@@ -153,7 +147,6 @@ class FarleyBall:
         self.radius = radius
         self.words = words
         self.depths = depths
-        self.parents = parents
         self.edges = edges
         self.up = up
         self.keys = keys
@@ -185,15 +178,6 @@ class FarleyBall:
                 totals[k] += prefix[-1][k]
         return {k: n for k, n in enumerate(totals) if n}
 
-    def diagram(self, i: int) -> Diagram:
-        """The reduced diagram of vertex ``i``, replayed from its first parents."""
-        moves: List[Move] = []
-        while self.parents[i] >= 0:
-            e = self.edges[self.parents[i]]
-            moves.append(e.move)
-            i = e.low
-        return Diagram(self.pres, self.base, tuple(reversed(moves)))
-
     def cells(self, i: int) -> FrozenSet[int]:
         """The cells of vertex ``i``, each named by its first produced wire."""
         return frozenset(cell[3][0] for cell in self.wires.cells(self.keys[i]))
@@ -220,7 +204,6 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
     index: Dict[Tuple[int, ...], int] = {wires.top: 0}
     words: List[Word] = [w]
     depths: List[int] = [0]
-    parents: List[int] = [-1]
     edges: List[FarleyEdge] = []
     up: List[Dict[Move, int]] = [{}]
 
@@ -237,14 +220,13 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
                 keys.append(grown)
                 words.append(v)
                 depths.append(depths[i] + 1)
-                parents.append(len(edges))
                 up.append({})
             up[i][move] = j
             edges.append(FarleyEdge(i, j, u, move))
         i += 1
 
     return FarleyBall(
-        pres, w, radius, tuple(words), tuple(depths), tuple(parents),
+        pres, w, radius, tuple(words), tuple(depths),
         tuple(edges), tuple(up), tuple(keys), wires,
     )
 

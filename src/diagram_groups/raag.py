@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .rewriting import Move, Presentation, format_word
+from .rewriting import Diagram, Move, Presentation, format_word
 
 if TYPE_CHECKING:
     # only the hyperplane morphism reaches the class complex; ``verify-raag``
     # loads this module for the Artin groups alone
-    from .diagrams import Diagram
     from .squier import SquierBall
 
 

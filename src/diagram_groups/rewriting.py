@@ -13,6 +13,11 @@ verdict as a :class:`TriBool`: ``yes`` with a replayable witness, ``no`` only
 when the relevant search space was provably exhausted, and ``unknown``
 exactly when some cap was hit first.
 
+A derivation ``w → … → w'`` is a diagram (Guba and Sapir), so the
+searches return their derivations as :class:`Diagram` objects, defined
+here beside :class:`Move` with their flip :func:`inverse`; the algebra of
+diagrams (composition, sums, dipole reduction) is in ``diagrams``.
+
 Both searches grow one kind of BFS frontier, whose expansion step is the
 only code that applies the caps; an enumeration keeps the frontier's parent
 map as its spanning tree.  A run asks its searches through one
@@ -326,38 +331,71 @@ def one_step_rewrites(w: Word, pres: Presentation) -> Tuple[Tuple[Move, Word], .
     return tuple(out)
 
 
-class Derivation:
-    """A replayable chain of moves starting at ``start``."""
+class Diagram:
+    """A derivation ``top → … → bot`` over ``pres``: a word and a chain of
+    moves.  The class searches return one as the replayable witness of a
+    ``yes``, and an enumeration one per member.
 
-    __slots__ = ("start", "steps")
+    Drawn in the plane, the top word is a horizontal source path, each move
+    a two-cell, and the bottom word the sink path; two move sequences draw
+    the same diagram exactly when they differ by swapping consecutive moves
+    on disjoint intervals.  A :class:`Diagram` is the sequence itself:
+    equality is equality of the representative sequence, and
+    ``diagrams.canonical_key`` gives the identity up to such swaps.  The
+    spherical diagrams (``top == bot``) make up the diagram group, and the
+    algebra on them lives in ``diagrams``.
 
-    def __init__(self, start: Word, steps: Tuple[Move, ...]) -> None:
-        self.start = start
-        self.steps = steps
+    The moves are replayed once when the diagram is built, so each is
+    checked to apply; the diagram keeps ``bot`` and no intermediate word,
+    which :meth:`words` replays again.
+    """
+
+    __slots__ = ("pres", "top", "moves", "bot")
+
+    def __init__(self, pres: Presentation, top: Word, moves: Tuple[Move, ...]) -> None:
+        pres.check_word(top)
+        self.pres = pres
+        self.top = top
+        self.moves = moves
+        for m in moves:
+            top = m.apply(top, pres)
+        self.bot = top
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
+        if not isinstance(other, Diagram):
             return NotImplemented
-        return self.start == other.start and self.steps == other.steps
+        return (self.pres, self.top, self.moves) == (other.pres, other.top, other.moves)
 
     def __hash__(self) -> int:
-        return hash((self.start, self.steps))
+        return hash((self.pres, self.top, self.moves))
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    @property
+    def cells(self) -> int:
+        return len(self.moves)
 
-    def replay(self, pres: Presentation) -> Tuple[Word, ...]:
-        """All intermediate words, ``start`` first; raises if a move misfires."""
-        words = [self.start]
-        for m in self.steps:
-            words.append(m.apply(words[-1], pres))
+    def words(self) -> Tuple[Word, ...]:
+        """All intermediate words, top first, bottom last."""
+        words = [self.top]
+        for m in self.moves:
+            words.append(m.apply(words[-1], self.pres))
         return tuple(words)
 
-    def end(self, pres: Presentation) -> Word:
-        return self.replay(pres)[-1]
+    @property
+    def is_spherical(self) -> bool:
+        return self.top == self.bot
 
-    def inverted(self, pres: Presentation) -> "Derivation":
-        return Derivation(self.end(pres), tuple(m.inverted() for m in reversed(self.steps)))
+    def __str__(self) -> str:
+        return f"[{format_word(self.top)} | {len(self.moves)} cells | {format_word(self.bot)}]"
+
+
+def inverse(d: Diagram) -> Diagram:
+    """Upside-down flip: the same cells in reverse order, directions flipped,
+    so it runs ``bot → … → top``.
+
+    The inverse of a move transforming ``W_i`` into ``W_{i+1}`` is the move
+    at the same offset with the opposite direction.
+    """
+    return Diagram(d.pres, d.bot, tuple(m.inverted() for m in reversed(d.moves)))
 
 
 class ClassEnumeration:
@@ -406,22 +444,17 @@ class ClassEnumeration:
     def __hash__(self) -> int:
         return hash((self.seed, self.members, self.complete))
 
-    @property
-    def edges(self) -> Tuple[Tuple[Word, Move, Word], ...]:
-        """The tree as (parent, move, child) triples in discovery order."""
-        return tuple((p, m, c) for c, (p, m) in self.parent.items())
-
     def __contains__(self, w: Word) -> bool:
         return w in self.parent or w == self.seed
 
     def __len__(self) -> int:
         return len(self.parent) + 1
 
-    def derivation(self, target: Word) -> Derivation:
-        """Replayable derivation seed -> target along the BFS tree."""
+    def derivation(self, target: Word) -> Diagram:
+        """The diagram seed -> target along the BFS tree."""
         if target not in self:
             raise ValueError(f"{format_word(target)} was not enumerated")
-        return Derivation(self.seed, _tree_steps(self.parent, self.seed, target))
+        return Diagram(self._pres, self.seed, _tree_steps(self.parent, self.seed, target))
 
 
 def _tree_steps(
@@ -520,7 +553,7 @@ def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
 class TriBool:
     """Three-valued verdict with an attached witness.
 
-    ``yes`` witnesses are replayable (typically a :class:`Derivation`),
+    ``yes`` witnesses are replayable (typically a :class:`Diagram`),
     ``no`` witnesses document the exhausted search (typically a complete
     :class:`ClassEnumeration`) or a certificate, and ``unknown`` means a
     search cap was hit before either.
@@ -575,7 +608,7 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
     Bidirectional BFS from both words, with neighbours read as in
     :func:`enumerate_class`, always expanding the side with the shorter
     queue (the first on a tie).  ``yes`` carries a connecting
-    :class:`Derivation` from ``w1`` to ``w2``; ``no`` carries the complete
+    :class:`Diagram` from ``w1`` to ``w2``; ``no`` carries the complete
     :class:`ClassEnumeration` that excludes the other word, the one
     :func:`enumerate_class` gives for its seed, and the run's
     :meth:`ClassSearch.enum` answers with it from then on; ``unknown``
@@ -599,7 +632,7 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
     pres.check_word(w1)
     pres.check_word(w2)
     if w1 == w2:
-        return TriBool.yes(Derivation(w1, ()))
+        return TriBool.yes(Diagram(pres, w1, ()))
     memo = search._memo
     known, word = memo.get((enumerate_class, (w1,))), w2
     if known is None:
@@ -628,7 +661,7 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
             there = _tree_steps(one.parent, w1, meet)
             back = _tree_steps(two.parent, w2, meet)
             return TriBool.yes(
-                Derivation(w1, there + tuple(m.inverted() for m in reversed(back)))
+                Diagram(pres, w1, there + tuple(m.inverted() for m in reversed(back)))
             )
         if not side.queue and not side.capped:
             # this class is completely enumerated and the other seed is not in it
@@ -906,7 +939,8 @@ __all__ = [
     "SearchCaps",
     "Move",
     "one_step_rewrites",
-    "Derivation",
+    "Diagram",
+    "inverse",
     "ClassEnumeration",
     "enumerate_class",
     "TriBool",

@@ -20,7 +20,8 @@ also come from absorbing splits of class members
 negative verdicts that stay sound on infinite classes.
 
 A witness is a named tuple whose last field, ``evidence``, holds one
-derivation, run either way, per equation it states, in that order:
+diagram, the derivation the searches return, run either way, per
+equation it states, in that order:
 
 * :class:`SelfIntersection` ``(a, p, q, b, c)``: a = a·p·b and c = b·p·c.
   An empty middle is printed as ``b = p``, and its evidence then derives
@@ -41,7 +42,7 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rewriting import (
     ClassSearch,
-    Derivation,
+    Diagram,
     Presentation,
     SearchCaps,
     TriBool,
@@ -50,6 +51,7 @@ from .rewriting import (
     forced_support,
     has_singleton_class,
     invariant_letter_subsets,
+    inverse,
     letter_count,
 )
 from .squier import BallEdge, SquierBall, _extensions, build_ball
@@ -68,7 +70,7 @@ class SelfIntersection(NamedTuple):
     q: Word
     b: Word
     c: Word
-    evidence: Tuple[Derivation, ...] = ()
+    evidence: Tuple[Diagram, ...] = ()
 
 
 class SelfOsculation(NamedTuple):
@@ -82,7 +84,7 @@ class SelfOsculation(NamedTuple):
     h: Word
     p: Word
     b: Word
-    evidence: Tuple[Derivation, ...] = ()
+    evidence: Tuple[Diagram, ...] = ()
 
 
 class InterOsculation(NamedTuple):
@@ -102,7 +104,7 @@ class InterOsculation(NamedTuple):
     p: Word
     q: Word
     xi: Word
-    evidence: Tuple[Derivation, ...] = ()
+    evidence: Tuple[Diagram, ...] = ()
 
 
 # -- self-intersections ------------------------------------------------------
@@ -142,7 +144,7 @@ def find_self_intersections(
                 if verdict.is_yes:
                     first = search.enum(hid.left).derivation(member)
                     if not t:
-                        first = _twice(first, hid.left, p, False, search.pres)
+                        first = _twice(first, hid.left, p, False)
                     found.append(
                         SelfIntersection(
                             hid.left, p, q, b, hid.right,
@@ -183,26 +185,24 @@ def scan_self_intersections(
         if not b:
             b = p
             evidence = (
-                _twice(va.witness, a, p, False, pres),
-                _twice(vb.witness, c, p, True, pres),
+                _twice(va.witness, a, p, False),
+                _twice(vb.witness, c, p, True),
             )
         found.append(SelfIntersection(a, p, q, b, c, evidence=evidence))
     return tuple(found), definite
 
 
-def _twice(
-    d: Derivation, u: Word, x: Word, left: bool, pres: Presentation
-) -> Derivation:
+def _twice(d: Diagram, u: Word, x: Word, left: bool) -> Diagram:
     """From a derivation between ``u`` and ``u·x`` (``x·u`` when ``left``),
     run either way, the derivation ``u → u·x·x`` (``u → x·x·u``): its moves
     run ``u → u·x`` and then again on ``u·x``, shifted past ``x`` when ``x``
     grows on the left.  This proves an equation whose empty middle the
     witness prints as ``b = p``."""
-    if d.start != u:
-        d = d.inverted(pres)
+    if d.top != u:
+        d = inverse(d)
     shift = len(x) if left else 0
-    again = tuple(m._replace(offset=m.offset + shift) for m in d.steps)
-    return Derivation(u, d.steps + again)
+    again = tuple(m._replace(offset=m.offset + shift) for m in d.moves)
+    return Diagram(d.pres, u, d.moves + again)
 
 
 # -- absorbing splits (word-level self-crossing witnesses) -------------------

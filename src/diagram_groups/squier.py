@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     List,
@@ -71,6 +70,7 @@ from typing import (
 from .rewriting import (
     ClassEnumeration,
     ClassSearch,
+    Diagram,
     Move,
     Presentation,
     Word,
@@ -79,11 +79,6 @@ from .rewriting import (
     invariant_letter_subsets,
     letter_count,
 )
-
-if TYPE_CHECKING:
-    # only ``express`` names diagrams, and it is handed them: the commands
-    # that never build one load no ``diagrams``
-    from .diagrams import Diagram
 
 # ---------------------------------------------------------------------------
 # balls of the class complex
@@ -832,7 +827,7 @@ class CrossingOrder:
             chain.reverse()
             exact = self.definite and ball.complete and not notes
             if not exact:
-                squeeze = dimension_at_least(ball.search, ball.base, value + 2)
+                squeeze = ball.search.once(dimension_at_least, ball.base, value + 2)
                 if squeeze.is_no:
                     exact = not notes
                     notes.append(

@@ -147,6 +147,30 @@ def test_compose_and_mismatch(capsys, tmp_path, padpair):
     assert main(["compose", "-p", padpair, "-d1", str(d1), "-d2", str(d1)]) == 3
 
 
+@pytest.mark.parametrize("index", ["-1", "99"])
+@pytest.mark.parametrize("command", ["reduce", "compose", "phi", "propb"])
+def test_relation_outside_the_presentation_is_bad_input(
+    capsys, tmp_path, comm, command, index
+):
+    # read as a list index, relation -1 would be the last one, b c = c b,
+    # and the file a spherical diagram with a dipole
+    path = tmp_path / "bad.diag"
+    path.write_text(f"b c\n0 {index} fwd\n0 {index} bwd\n")
+    d = str(path)
+    argv = {
+        "reduce": ["-d", d],
+        "compose": ["-d1", d, "-d2", d],
+        "phi": ["-w", "b c", "-d", d],
+        "propb": ["-w", "b c", "-g", d, "--length", "2"],
+    }[command]
+    code = main([command, "-p", comm, *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        f"error: {d}: line 2: no relation {index} in a presentation of 3 relations\n"
+    )
+
+
 def test_diagram_dot_single_path_for_identity(capsys, tmp_path, padpair):
     d = tmp_path / "eps.diag"
     d.write_text("a1 b1\n")
@@ -456,7 +480,7 @@ def test_decompose_exact_needs_an_exact_presentation(capsys, comm, monkeypatch):
     real = decomposition.fundamental_group_presentation
 
     def truncated(gog):
-        return real(gog)._replace(truncated=True, exact=False)
+        return real(gog)._replace(exact=False)
 
     monkeypatch.setattr(decompose, "fundamental_group_presentation", truncated)
     code, blob = run_json(capsys, "decompose", "-p", comm, "-w", "a b b c c")

@@ -552,7 +552,7 @@ def test_free_basis_express_basis_loops():
     fb = free_basis(ClassSearch(CYC3, DEFAULT_CAPS), W("a"))
     loop = _loop_diagram(fb, fb.loops[0])
     assert fb.express(loop) == ((0, 1),)
-    from diagram_groups.diagrams import inverse
+    from diagram_groups.rewriting import inverse
 
     assert fb.express(inverse(loop)) == ((0, -1),)
 
@@ -612,7 +612,7 @@ def test_pi1_hexagon_is_free_of_rank_one():
     gog = decompose(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
     doc = fundamental_group_presentation(gog)
     assert len(doc.generators) == 1 and doc.relators == ()
-    assert doc.exact and not doc.truncated
+    assert doc.exact
 
 
 def test_pi1_u22_is_free_of_rank_four():
@@ -627,7 +627,7 @@ def test_pi1_padpair_commutator_family():
     doc = fundamental_group_presentation(
         decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
     )
-    assert doc.truncated and not doc.exact
+    assert not doc.exact
     assert len(doc.generators) == 3
     # [t, a^{h^i}] for i = 0..9: ten conjugation depths fit under the caps
     assert commutator_family_size(doc) == 10
@@ -636,7 +636,7 @@ def test_pi1_padpair_commutator_family():
 def test_pi1_torus_decompose_route():
     gog = decompose(ClassSearch(TORUS, DEFAULT_CAPS), W("a1 b1"))
     doc = fundamental_group_presentation(gog)
-    assert doc.exact and not doc.truncated
+    assert doc.exact
     assert len(doc.generators) == 2
     assert [cyclic_key(r) for r in doc.relators] == [
         cyclic_key(((0, -1), (1, -1), (0, 1), (1, 1)))
@@ -677,7 +677,6 @@ def test_simplify_kills_defined_generators():
             ((1, 1), (0, -1)),  # y x^-1
             ((1, -1), (2, -1), (1, 1), (2, 1)),  # [y, z]
         ),
-        False,
         True,
     )
     out = simplify_presentation(doc)
@@ -806,7 +805,6 @@ def random_presentation(rng, gens, rels, length):
             )
             for _ in range(rels)
         ),
-        False,
         True,
     )
 
@@ -845,7 +843,7 @@ def test_simplify_agrees_with_two_phase_reference(monkeypatch):
 def test_presentation_str_rendering():
     from diagram_groups.decomposition import GroupPresentation
 
-    doc = GroupPresentation(("x", "t"), (((0, -1), (1, 1), (0, 1), (1, -1)),), True, False)
+    doc = GroupPresentation(("x", "t"), (((0, -1), (1, 1), (0, 1), (1, -1)),), False)
     text = str(doc)
     assert text.startswith("⟨ x, t |") and text.endswith("… ⟩")
     assert "x^-1 t x t^-1" in text
@@ -876,7 +874,7 @@ def test_interval_decomposition_presents_the_raag(name):
     coll, pres, base = interval_case(name)
     gog = decompose(ClassSearch(pres, DEFAULT_CAPS), base)
     doc = fundamental_group_presentation(gog)
-    assert gog.exact and doc.exact and not doc.truncated
+    assert gog.exact and doc.exact
     commuting = set()
     for r in doc.relators:
         pair = sorted({g for g, _ in r})
@@ -1025,7 +1023,7 @@ def test_right_decomposition_recursion_fills_in_presentations():
         for v in g.vertices
         if v.descriptor() == "a · S(x)"
     )
-    assert sub.truncated and not sub.exact  # honest about the caps
+    assert not sub.exact  # honest about the caps
 
 
 # ---------------------------------------------------------------------------

@@ -33,24 +33,22 @@ from conftest import (
 )
 from diagram_groups.diagrams import (
     CanonicalKey,
-    Diagram,
     canonical_key,
     compose,
     dsum,
     eps,
-    from_derivation,
-    inverse,
     is_reduced,
     parse_diagram,
     reduce_diagram,
     serialize_diagram,
 )
 from diagram_groups.rewriting import (
-    Derivation,
+    Diagram,
     Move,
     Presentation,
     Relation,
     Word,
+    inverse,
     one_step_rewrites,
 )
 
@@ -126,12 +124,10 @@ def test_diagram_validates_moves():
 
 
 def test_compose_frozen_chain():
-    d = (
-        atom(COMM, ("a",), 0, True, ("c",))          # aabc -> abac
-        * atom(COMM, tuple("ab"), 1, True, ())        # abac -> abca
-        * atom(COMM, ("a",), 2, True, ("a",))         # abca -> acba
-        * atom(COMM, (), 1, True, tuple("ba"))        # acba -> caba
-    )
+    d = atom(COMM, ("a",), 0, True, ("c",))                 # aabc -> abac
+    d = compose(d, atom(COMM, tuple("ab"), 1, True, ()))     # abac -> abca
+    d = compose(d, atom(COMM, ("a",), 2, True, ("a",)))      # abca -> acba
+    d = compose(d, atom(COMM, (), 1, True, tuple("ba")))     # acba -> caba
     assert d.top == tuple("aabc") and d.bot == tuple("caba") and d.cells == 4
 
 
@@ -143,7 +139,7 @@ def test_compose_mismatch_raises():
 def test_dsum_shifts_second_block():
     left = atom(SQUARES, (), 0, True, ())  # kk -> t, bottom has length 1
     right = atom(SQUARES, (), 0, True, ())
-    s = left + right
+    s = dsum(left, right)
     assert s.top == tuple("kkkk")
     assert s.moves == (Move(0, 0, True), Move(1, 0, True))
     assert s.bot == tuple("tt")

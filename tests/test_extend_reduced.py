@@ -42,14 +42,12 @@ from conftest import (
 from diagram_groups import diagrams, interval
 from diagram_groups.cli import main
 from diagram_groups.diagrams import (
-    Diagram,
     Wires,
     canonical_key,
     cayley_ball,
     compose,
     dsum,
     eps,
-    inverse,
     layered_key,
     parse_diagram,
     reduce_diagram,
@@ -63,7 +61,7 @@ from diagram_groups.interval import (
     parse_intervals,
     presentation_for,
 )
-from diagram_groups.rewriting import Move, one_step_rewrites
+from diagram_groups.rewriting import Diagram, Move, inverse, one_step_rewrites
 from test_interval import delta_diagram
 
 

@@ -40,12 +40,10 @@ from conftest import (
 from diagram_groups import farley
 from diagram_groups.diagrams import (
     CanonicalKey,
-    Diagram,
     Wires,
     canonical_key,
     compose,
     eps,
-    inverse,
     layered_key,
     reduce_diagram,
 )
@@ -61,10 +59,12 @@ from diagram_groups.farley import (
 )
 from diagram_groups.rewriting import (
     ClassSearch,
+    Diagram,
     Move,
     Presentation,
     Relation,
     SearchCaps,
+    inverse,
     one_step_rewrites,
     parse_presentation,
 )
@@ -135,11 +135,18 @@ def listed_cube_counts(up, pres):
 
 
 def vertex_diagrams(ball):
-    return [ball.diagram(i) for i in range(len(ball.depths))]
+    """The reduced diagram of each vertex, replayed along the first edge
+    into it in ``ball.edges``: the edge that discovered the vertex, whose
+    lower end was discovered before it."""
+    ds = [eps(ball.pres, ball.base)] + [None] * (len(ball.depths) - 1)
+    for e in ball.edges:
+        if ds[e.high] is None:
+            ds[e.high] = Diagram(ball.pres, ball.base, ds[e.low].moves + (e.move,))
+    return ds
 
 
 def vertex_index(ball):
-    return {canonical_key(ball.diagram(i)): i for i in range(len(ball.depths))}
+    return {canonical_key(d): i for i, d in enumerate(vertex_diagrams(ball))}
 
 
 def adjacency(ball):
@@ -248,7 +255,7 @@ def assert_matches_reference(pres, w, radius):
     assert ball.up == up
     assert ball.cube_counts == listed_cube_counts(up, pres)
     assert ball.words == tuple(d.bot for d in diagrams)
-    replayed = [ball.diagram(i).moves for i in range(len(depths))]
+    replayed = [d.moves for d in vertex_diagrams(ball)]
     assert replayed == [d.moves for d in diagrams]
     for key, moves in zip(ball.keys, replayed):
         bottom = ball.wires.top
@@ -471,11 +478,12 @@ def test_cube_corners_match_general_reduction(pres, w, radius):
     # the corner diagram composed with the selected atoms, reduced in general
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
     index = vertex_index(ball)
+    ds = vertex_diagrams(ball)
     cubes_by_dim = farley_cubes(ball)
     assert cubes_by_dim
     for cubes in cubes_by_dim.values():
         for cube in cubes:
-            a = ball.diagram(cube.corner)
+            a = ds[cube.corner]
             for mask, vertex in enumerate(cube.corners):
                 chosen = [m for t, m in enumerate(cube.moves) if mask >> t & 1]
                 # right to left, so every offset still refers to ``a.bot``
@@ -484,30 +492,23 @@ def test_cube_corners_match_general_reduction(pres, w, radius):
 
 
 def test_ball_replays_diagrams_only_when_asked(monkeypatch):
-    # the ball holds bottom tuples and tables; a vertex's diagram is replayed
-    # from its first parents by ``diagram(i)``, and ``guarded_pairs`` reads
-    # cell sets instead of replaying or reducing anything
-    built = []
-    real = farley.FarleyBall.diagram
-
-    def counted(ball, i):
-        built.append(i)
-        return real(ball, i)
-
+    # the ball holds bottom tuples and tables and builds no diagram, and
+    # ``guarded_pairs`` reads cell sets instead of replaying or reducing
+    # anything; a vertex's diagram is replayed only by a caller that asks,
+    # as ``vertex_diagrams`` does
     def refused(*args):
-        raise AssertionError("guarded_pairs ran the diagram algebra")
+        raise AssertionError("the ball or guarded_pairs ran the diagram algebra")
 
-    # farley imports ``inverse`` alone of the three; the other two could
-    # only be reached through the diagrams module
+    # farley imports ``Diagram`` and ``inverse``; ``compose`` and
+    # ``reduce_diagram`` could only be reached through the diagrams module
     from diagram_groups import diagrams as algebra
 
-    monkeypatch.setattr(farley.FarleyBall, "diagram", counted)
-    monkeypatch.setattr(farley, "inverse", refused)
-    for name in ("compose", "inverse", "reduce_diagram"):
+    for name in ("Diagram", "inverse"):
+        monkeypatch.setattr(farley, name, refused)
+    for name in ("compose", "reduce_diagram"):
         monkeypatch.setattr(algebra, name, refused)
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     assert guarded_pairs(ball)
-    assert built == []
 
 
 def test_depth_equals_cell_count():
@@ -575,8 +576,9 @@ def test_distance_agrees_with_bfs_on_guarded_pairs():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     pairs = guarded_pairs(ball)
     assert pairs  # depth-2 vertices are guarded at radius 6
+    ds = vertex_diagrams(ball)
     for i, j, dist in pairs:
-        assert distance(ball.diagram(i), ball.diagram(j)) == dist
+        assert distance(ds[i], ds[j]) == dist
 
 
 def cell_set_mismatches(ball, cells):
@@ -936,7 +938,8 @@ def separating_counts(a, b, ball, partition):
     counts are read off the path's edges.  Ranks with count zero are omitted.
     """
     ia, ib = index_of(ball, a), index_of(ball, b)
-    dist = distance(ball.diagram(ia), ball.diagram(ib))
+    ds = vertex_diagrams(ball)
+    dist = distance(ds[ia], ds[ib])
     if (
         3 * dist > ball.radius
         or 3 * ball.depths[ia] > ball.radius

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diagram_groups.diagrams import Diagram, compose, inverse, is_reduced, reduce_diagram
+from diagram_groups.diagrams import compose, is_reduced, reduce_diagram
 from diagram_groups.interval import (
     _loop_moves,
     IntervalCollection,
@@ -43,6 +43,7 @@ from diagram_groups.interval import (
     verify_raag_iso,
 )
 from diagram_groups.raag import raag_graph, raag_normal_form
+from diagram_groups.rewriting import Diagram, inverse
 
 
 def path_graph(length, prefix="v"):

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COMM, DEFAULT_CAPS, PADPAIR, PADPAIR_CAPS, W
-from diagram_groups.diagrams import (
-    eps,
-    from_derivation,
-    inverse,
-    reduce_diagram,
-)
+from diagram_groups.diagrams import compose, eps, reduce_diagram
 from diagram_groups.raag import (
     format_raag_word,
     hyperplane_graph,
@@ -23,8 +18,9 @@ from diagram_groups.raag import (
 )
 from diagram_groups.rewriting import (
     ClassSearch,
-    Derivation,
+    Diagram,
     Move,
+    inverse,
     parse_presentation,
 )
 from diagram_groups.squier import build_ball
@@ -287,7 +283,7 @@ def delta(i):
         2: (Move(1, 3, True), Move(1, 4, True), Move(1, 5, True)),
         3: (Move(0, 6, True), Move(1, 7, False)),
     }[i]
-    return from_derivation(Derivation(W("a1 b1"), moves), PADPAIR)
+    return Diagram(PADPAIR, W("a1 b1"), moves)
 
 
 class TestPhi:
@@ -314,8 +310,8 @@ class TestPhi:
         )
 
     def test_crossing_loops_commute(self, padpair_ball):
-        image12 = phi(delta(1) * delta(2), padpair_ball)
-        image21 = phi(delta(2) * delta(1), padpair_ball)
+        image12 = phi(compose(delta(1), delta(2)), padpair_ball)
+        image21 = phi(compose(delta(2), delta(1)), padpair_ball)
         assert image12 == image21
         assert image12 == (
             ("H0", 1), ("H1", 1), ("H2", -1),
@@ -330,12 +326,12 @@ class TestPhi:
             (delta(2), delta(2)),
         ]
         for g, h in pairs:
-            lhs = phi(reduce_diagram(g * h), padpair_ball)
+            lhs = phi(reduce_diagram(compose(g, h)), padpair_ball)
             gh = phi(g, padpair_ball) + phi(h, padpair_ball)
             assert lhs == raag_normal_form(gh, hyperplane_graph(padpair_ball))
 
     def test_inverse_law(self, padpair_ball):
-        for g in (delta(1), delta(2), delta(3), delta(1) * delta(3)):
+        for g in (delta(1), delta(2), delta(3), compose(delta(1), delta(3))):
             img = phi(g, padpair_ball)
             img_inv = phi(inverse(g), padpair_ball)
             assert img_inv == raag_normal_form(raag_inverse(img), hyperplane_graph(padpair_ball))
@@ -344,14 +340,17 @@ class TestPhi:
         # the complex is special here, so a trivial image forces a trivial
         # diagram; check the contrapositive pairs we can build by hand
         trivial = [
-            delta(1) * inverse(delta(1)),
-            delta(3) * inverse(delta(3)),
-            delta(1) * delta(2) * inverse(delta(2)) * inverse(delta(1)),
+            compose(delta(1), inverse(delta(1))),
+            compose(delta(3), inverse(delta(3))),
+            compose(
+                compose(compose(delta(1), delta(2)), inverse(delta(2))),
+                inverse(delta(1)),
+            ),
         ]
         for g in trivial:
             assert phi(g, padpair_ball) == EMPTY_WORD
             assert reduce_diagram(g).cells == 0
-        nontrivial = [delta(1), delta(2), delta(3), delta(1) * delta(2)]
+        nontrivial = [delta(1), delta(2), delta(3), compose(delta(1), delta(2))]
         for g in nontrivial:
             assert phi(g, padpair_ball) != EMPTY_WORD
             assert reduce_diagram(g).cells > 0
@@ -365,7 +364,7 @@ class TestPhi:
             Move(0, 1, False),  # cab -> acb
             Move(1, 2, False),  # acb -> abc
         )
-        loop = from_derivation(Derivation(W("a b c"), moves), COMM)
+        loop = Diagram(COMM, W("a b c"), moves)
         assert loop.is_spherical
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         image = phi(loop, ball)
@@ -375,18 +374,13 @@ class TestPhi:
         )
 
     def test_rejects_non_spherical(self, padpair_ball):
-        d = from_derivation(
-            Derivation(W("a1 b1"), (Move(0, 0, True),)), PADPAIR
-        )
+        d = Diagram(PADPAIR, W("a1 b1"), (Move(0, 0, True),))
         with pytest.raises(ValueError):
             phi(d, padpair_ball)
 
     def test_rejects_wrong_base(self, padpair_ball):
-        d = from_derivation(
-            Derivation(
-                W("a2 b1"), (Move(0, 1, True), Move(0, 2, True), Move(0, 0, True))
-            ),
-            PADPAIR,
+        d = Diagram(
+            PADPAIR, W("a2 b1"), (Move(0, 1, True), Move(0, 2, True), Move(0, 0, True))
         )
         assert d.is_spherical
         with pytest.raises(ValueError):

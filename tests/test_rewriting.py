@@ -25,7 +25,7 @@ from diagram_groups import rewriting
 from diagram_groups.rewriting import (
     ClassEnumeration,
     ClassSearch,
-    Derivation,
+    Diagram,
     Move,
     Presentation,
     PresentationError,
@@ -247,11 +247,11 @@ def test_enumerate_class_abc_frozen():
         tuple("cab"),
         tuple("cba"),
     )
-    assert len(enum.edges) == 5  # spanning tree of 6 vertices
+    assert len(enum.parent) == 5  # spanning tree of 6 vertices
     for member in enum.members:
         d = enum.derivation(member)
-        assert d.start == tuple("abc")
-        assert d.end(COMM) == member
+        assert d.top == tuple("abc")
+        assert d.bot == member
 
 
 def test_enumerate_class_matches_permutation_oracle():
@@ -324,19 +324,20 @@ def test_equal_frozen_four_move_derivation():
     verdict = equal_mod_p(ClassSearch(COMM, CAPS), tuple("aabc"), tuple("caba"))
     assert verdict.is_yes
     d = verdict.witness
-    assert isinstance(d, Derivation)
-    assert len(d) == 4
-    assert d.start == tuple("aabc")
-    assert d.end(COMM) == tuple("caba")
+    assert isinstance(d, Diagram)
+    assert d.cells == 4
+    assert d.top == tuple("aabc")
+    assert d.bot == tuple("caba")
 
 
 def test_known_derivation_replays():
     # a fixed four-move path: aabc -> abac -> abca -> acba -> caba
-    d = Derivation(
+    d = Diagram(
+        COMM,
         tuple("aabc"),
         (Move(1, 0, True), Move(2, 1, True), Move(1, 2, True), Move(0, 1, True)),
     )
-    assert [format_word(w) for w in d.replay(COMM)] == [
+    assert [format_word(w) for w in d.words()] == [
         "a a b c",
         "a b a c",
         "a b c a",
@@ -347,7 +348,7 @@ def test_known_derivation_replays():
 
 def test_equal_same_word():
     verdict = equal_mod_p(ClassSearch(COMM, CAPS), tuple("ab"), tuple("ab"))
-    assert verdict.is_yes and len(verdict.witness) == 0
+    assert verdict.is_yes and verdict.witness.cells == 0
 
 
 def test_equal_no_with_complete_class_witness():
@@ -382,7 +383,7 @@ def test_equal_agrees_with_permutation_oracle(w1, w2):
     assert verdict.is_yes == expected
     assert not verdict.is_unknown  # finite classes, generous caps
     if verdict.is_yes:
-        assert verdict.witness.end(COMM) == w2
+        assert verdict.witness.bot == w2
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +529,7 @@ def _assert_no_witnesses_are_enumerations(pres, words, caps):
             seeded[witness.seed != w] += 1
             enum = enumerate_class(search, witness.seed)
             assert (witness.members, witness.complete) == (enum.members, enum.complete)
-            assert witness.edges == enum.edges
+            assert list(witness.parent.items()) == list(enum.parent.items())
     return seeded
 
 
@@ -594,7 +595,7 @@ def test_probes_answer_as_a_fresh_search_however_the_memo_was_filled(caps):
             if got.is_no:
                 enum = enumerate_class(ClassSearch(pres, caps), got.witness.seed)
                 assert got.witness.seed in (w1, w2) and got.witness.complete
-                assert got.witness.edges == enum.edges
+                assert list(got.witness.parent.items()) == list(enum.parent.items())
     assert all(seen.values()) and all(read_known.values()), (seen, read_known)
 
 
@@ -712,11 +713,13 @@ def test_tribool_equality_is_value_and_witness():
 
 
 def test_zero_step_derivation_has_length_zero():
-    d = Derivation(W("a b"), ())
-    assert len(d) == 0 and not d
-    assert d.end(COMM) == W("a b")
-    assert Derivation(W("a b"), (Move(0, 0, True),)) == Derivation(W("a b"), (Move(0, 0, True),))
-    assert len({d, Derivation(W("a b"), ())}) == 1
+    d = Diagram(COMM, W("a b"), ())
+    assert d.cells == 0 and d.words() == (W("a b"),)
+    assert d.bot == W("a b")
+    assert Diagram(COMM, W("a b"), (Move(0, 0, True),)) == Diagram(
+        COMM, W("a b"), (Move(0, 0, True),)
+    )
+    assert len({d, Diagram(COMM, W("a b"), ())}) == 1
 
 
 def test_enumeration_equality_ignores_the_tree():

@@ -427,7 +427,7 @@ def _reference_loops(ball):
     """The rule ``ball.loops`` replaced: the ball's edges whose (source,
     move) is not a tree edge of the enumeration turned forward."""
     tree = set()
-    for parent, move, child in ball.enum.edges:
+    for child, (parent, move) in ball.enum.parent.items():
         tree.add((parent, move) if move.forward else (child, move.inverted()))
     return tuple(e for e in ball.edges if (e.source, e.move) not in tree)
 
@@ -467,7 +467,7 @@ def _bfs_depth(pres, base, caps):
     if not enum.complete:
         return None
     depth = {base: 0}
-    for parent, _, child in enum.edges:
+    for child, (parent, _) in enum.parent.items():
         depth[child] = depth[parent] + 1
     return max(depth.values())
 
@@ -806,6 +806,22 @@ class TestRank:
         result = rank(B1, self.ball)
         assert any("dimension" in note for note in result.notes)
 
+    def test_each_dimension_is_squeezed_once(self, monkeypatch):
+        # the inexact ranks of the truncated ball share their squeezes:
+        # one dimension_at_least call per dimension asked
+        asked = []
+        real = squier.dimension_at_least
+
+        def counted(search, w, n):
+            asked.append(n)
+            return real(search, w, n)
+
+        monkeypatch.setattr(squier, "dimension_at_least", counted)
+        ball = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
+        ranks = ball.order.ranks
+        assert asked and sorted(asked) == sorted(set(asked))
+        assert sum("dimension" in note for r in ranks for note in r.notes) > len(asked)
+
     def test_hexagon_ranks_all_zero(self):
         ball = build_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a b c"))
         catalog = hyperplane_catalog(ball)
@@ -873,7 +889,7 @@ class TestSelfIntersection:
         # both equation derivations replay
         assert len(wit.evidence) == 2
         for deriv in wit.evidence:
-            deriv.replay(DIRTY)
+            assert deriv.pres == DIRTY and deriv.words()[-1] == deriv.bot
 
     def test_dirty_split_converts_to_self_intersection(self):
         wit = dirty_split_witness(ClassSearch(DIRTY, TIGHT_CAPS))
@@ -1164,14 +1180,15 @@ def test_every_witness_carries_evidence_that_replays(pres, base, from_splits):
         equations = stated_equations(wit)
         assert len(wit.evidence) == len(equations), wit
         for deriv, sides in zip(wit.evidence, equations):
-            deriv.replay(pres)
-            assert {deriv.start, deriv.end(pres)} == set(sides), wit
+            assert deriv.pres == pres
+            words = deriv.words()  # replays every move again
+            assert {words[0], words[-1]} == set(sides), wit
     splits, _ = find_absorbing_splits(search, W(base))
     assert bool(splits) == from_splits
     for wit in splits:
         first, second = wit.evidence
-        assert (first.start, first.end(pres)) == (wit.a, wit.a + wit.p + wit.b)
-        assert (second.start, second.end(pres)) == (wit.c, wit.b + wit.p + wit.c)
+        assert (first.top, first.bot) == (wit.a, wit.a + wit.p + wit.b)
+        assert (second.top, second.bot) == (wit.c, wit.b + wit.p + wit.c)
 
 
 # ---------------------------------------------------------------------------
