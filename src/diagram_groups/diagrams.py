@@ -106,7 +106,10 @@ class Wires:
     cell is named by ``(relation, forward, consumed wires)``, and the first
     firing of a name gives its produced wires fresh ids, which every later
     firing of that name, in any diagram, gets back.  ``producer[wire]`` is
-    the cell that produced ``wire`` (``None`` on the top word).
+    the cell that produced ``wire`` (``None`` on the top word).  A name is
+    held once, inside its cell: ``_named[relation, forward]`` maps the
+    consumed wires, the cell's own tuple, to the cell.  How names are
+    stored does not enter the argument below.
 
     A wire's id therefore depends only on the cells above it, not on the
     order they fired in, and two orderings of one diagram end on one bottom
@@ -123,24 +126,27 @@ class Wires:
     def __init__(self, pres: Presentation, top: Word) -> None:
         self.top: Tuple[int, ...] = tuple(range(len(top)))
         self.producer: List[Optional[WireCell]] = [None] * len(top)
-        self._named: Dict[Tuple[int, bool, Tuple[int, ...]], WireCell] = {}
         # (relation, forward) -> (source length, target length) of a move
         self.lengths: Dict[Tuple[int, bool], Tuple[int, int]] = {}
         for r, rel in enumerate(pres.relations):
             self.lengths[r, True] = (len(rel.lhs), len(rel.rhs))
             self.lengths[r, False] = (len(rel.rhs), len(rel.lhs))
+        self._named: Dict[Tuple[int, bool], Dict[Tuple[int, ...], WireCell]] = {
+            key: {} for key in self.lengths
+        }
 
     def fire(self, bottom: Tuple[int, ...], move: Move) -> Tuple[Tuple[int, ...], WireCell]:
         """The bottom after one more cell, and that cell, named canonically."""
         o, relation, forward = move
         consumed, produced = self.lengths[relation, forward]
         end = o + consumed
-        name = (relation, forward, bottom[o:end])
-        cell = self._named.get(name)
+        wires = bottom[o:end]
+        named = self._named[relation, forward]
+        cell = named.get(wires)
         if cell is None:
             fresh = len(self.producer)
-            cell = name + (tuple(range(fresh, fresh + produced)),)
-            self._named[name] = cell
+            cell = (relation, forward, wires, tuple(range(fresh, fresh + produced)))
+            named[wires] = cell
             self.producer.extend([cell] * produced)
         return bottom[:o] + cell[3] + bottom[end:], cell
 
@@ -271,7 +277,8 @@ def cayley_ball(
     hit would have fired only cells that already have names and ids.  A
     generator with no moves fixes every element, and a window spanning the
     whole word never recurs, since each (element, generator) product is
-    formed once, so neither is tabled.
+    formed once, so neither is tabled.  The last sphere is counted but not
+    queued: nothing expands it.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -300,7 +307,8 @@ def cayley_ball(
                 if nb not in seen:
                     seen.add(nb)
                     nc = cells + hit[1]
-                    grown.append((nb, nc))
+                    if depth < length:
+                        grown.append((nb, nc))
                     yield depth, nc
         level = grown
 
@@ -364,7 +372,8 @@ def serialize_diagram(d: Diagram) -> str:
 
 def parse_diagram(text: str, pres: Presentation) -> Diagram:
     """Read the text form of :func:`serialize_diagram`; every move must name
-    a relation of ``pres``."""
+    a relation of ``pres`` and apply to the word above it.  A bad move line
+    is reported with its line number."""
     lines = [
         (lineno, ln)
         for lineno, ln in enumerate((raw.strip() for raw in text.splitlines()), start=1)
@@ -372,19 +381,24 @@ def parse_diagram(text: str, pres: Presentation) -> Diagram:
     ]
     if not lines:
         raise ValueError("empty diagram text")
-    top = word_of(lines[0][1])
+    top = word = pres.check_word(word_of(lines[0][1]))
     moves = []
     for lineno, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[2] not in ("fwd", "bwd"):
-            raise ValueError(f"line {lineno}: bad move line {ln!r}")
-        relation = int(parts[1])
-        if not 0 <= relation < len(pres.relations):
+        try:
+            offset, relation, direction = ln.split()
+            move = Move(int(offset), int(relation), {"fwd": True, "bwd": False}[direction])
+        except (ValueError, KeyError):
+            raise ValueError(f"line {lineno}: bad move line {ln!r}") from None
+        if not 0 <= move.relation < len(pres.relations):
             raise ValueError(
-                f"line {lineno}: no relation {relation} in a presentation"
+                f"line {lineno}: no relation {move.relation} in a presentation"
                 f" of {len(pres.relations)} relations"
             )
-        moves.append(Move(int(parts[0]), relation, parts[2] == "fwd"))
+        try:
+            word = move.apply(word, pres)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        moves.append(move)
     return Diagram(pres, top, tuple(moves))
 
 

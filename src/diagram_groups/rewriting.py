@@ -682,6 +682,13 @@ class ClassSearch:
     neighbours from one table, :meth:`rewrites`, which scans a word the
     first time it is asked for.
 
+    The run holds each word it scans or reaches once: ``_words`` maps a
+    word to the one tuple the run keeps for it, and :meth:`rewrites` hands
+    out that tuple for every neighbour.  So every neighbour table, BFS
+    parent map and enumeration refers to one object per distinct word, and
+    dict lookups of equal words short-cut on identity.  This changes which
+    object stands for a word, never a word, a move or an answer.
+
     The enumerations and the equality probes share one memo.  A probe
     whose search exhausts a word's class without meeting the other word
     stores that frontier as the word's :meth:`enum`, since it is exactly
@@ -696,13 +703,18 @@ class ClassSearch:
         self.caps = caps
         self._memo: Dict[tuple, Any] = {}
         self._rewrites: Dict[Word, Tuple[Tuple[Move, Word], ...]] = {}
+        self._words: Dict[Word, Word] = {}
 
     def rewrites(self, w: Word) -> Tuple[Tuple[Move, Word], ...]:
         """:func:`one_step_rewrites` of ``w``, scanned on the first call
-        (it depends on the word alone, not on the caps)."""
+        (it depends on the word alone, not on the caps), with ``w`` and
+        every neighbour replaced by the run's one tuple for that word."""
         found = self._rewrites.get(w)
         if found is None:
-            found = self._rewrites[w] = one_step_rewrites(w, self.pres)
+            intern = self._words.setdefault
+            found = self._rewrites[intern(w, w)] = tuple(
+                [(move, intern(v, v)) for move, v in one_step_rewrites(w, self.pres)]
+            )
         return found
 
     def once(self, fn: Callable[..., Any], *args: Any) -> Any:

@@ -171,6 +171,24 @@ def test_relation_outside_the_presentation_is_bad_input(
     )
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        ("x 0 fwd", "bad move line 'x 0 fwd'"),
+        ("0 x fwd", "bad move line '0 x fwd'"),
+        ("5 0 fwd", "move (5,0,fwd) does not apply to a b"),
+    ],
+    ids=["offset", "relation", "off-the-word"],
+)
+def test_bad_move_line_names_its_line(capsys, tmp_path, comm, move, message):
+    path = tmp_path / "bad.diag"
+    path.write_text(f"a b\n\n{move}\n")
+    code = main(["reduce", "-p", comm, "-d", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {path}: line 3: {message}\n"
+
+
 def test_diagram_dot_single_path_for_identity(capsys, tmp_path, padpair):
     d = tmp_path / "eps.diag"
     d.write_text("a1 b1\n")

@@ -323,6 +323,51 @@ def test_window_table_matches_unwindowed_ball(monkeypatch, pres, w, gens, length
         assert steps == expected_steps
 
 
+# six intervals on six points: the template of the largest seeded
+# collection of the perfbench ``raag`` workload (5,497 elements at length 4)
+SIX = IntervalCollection(
+    6,
+    (("I0", 1, 1), ("I1", 2, 3), ("I2", 3, 5), ("I3", 6, 6), ("I4", 1, 4), ("I5", 5, 6)),
+)
+
+
+def test_wires_hold_each_cell_once():
+    wires = Wires(presentation_for(SIX), base_word(SIX))
+    gens = loop_generators(SIX)
+
+    def fire_pairs():
+        cells = []
+        for g in gens:
+            for h in gens:
+                bottom = wires.top
+                for move in g.moves + h.moves:
+                    bottom, cell = wires.fire(bottom, move)
+                    cells.append(cell)
+        return cells
+
+    first = fire_pairs()
+    size = len(wires.producer)
+    again = fire_pairs()
+    # a name that has a cell gets that very cell back, and no new wires
+    assert len(again) == len(first)
+    assert all(a is b for a, b in zip(first, again))
+    assert len(wires.producer) == size
+    # each cell is held once, and its name only inside it
+    named = [cell for table in wires._named.values() for cell in table.values()]
+    assert len(named) == len({id(cell) for cell in wires.producer if cell is not None})
+    for (relation, forward), table in wires._named.items():
+        for consumed, cell in table.items():
+            assert cell[:3] == (relation, forward, consumed) and cell[2] is consumed
+
+
+def test_ball_of_six_intervals_matches_unwindowed_ball():
+    pres, w = presentation_for(SIX), base_word(SIX)
+    gens = [g.moves for g in loop_generators(SIX)]
+    rows = list(cayley_ball(pres, w, gens, 4))
+    assert rows == unwindowed_ball(pres, w, gens, 4)[0]
+    assert len(rows) == 5497
+
+
 def test_element_bound_fires_at_the_same_element(monkeypatch, capsys):
     five = parse_intervals((GOLDEN / "five.int").read_text())
     yielded = []

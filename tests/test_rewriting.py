@@ -436,6 +436,26 @@ def test_class_searches_do_not_share_answers(order):
     assert set(loose._rewrites) == comm_class(W("a b c"))
 
 
+def test_the_run_holds_each_word_once():
+    """Every word a search scans or reaches is the one tuple of the run's
+    word table; only a seed, the caller's own tuple, may stand beside it."""
+    search = ClassSearch(GROW, TIGHT_CAPS)
+    enum = search.enum(W("x"))
+    assert not enum.complete
+    probes = [(W("x"), W("x a")), (W("x b"), W("x c a")), (W("x a a"), W("b"))]
+    assert [search.equal(w1, w2).value for w1, w2 in probes] == ["yes", "yes", "no"]
+    table = search._words
+    held = []
+    for w, rewrites in search._rewrites.items():
+        held.append(w)
+        held += [v for _, v in rewrites]
+    assert all(table[w] is w for w in held)
+    assert len({id(w) for w in held}) == len(table)
+    for w, (up, _) in enum.parent.items():
+        assert table[w] is w
+        assert table[up] is up or up is enum.seed
+
+
 def test_no_verdict_carries_the_runs_enumeration():
     """A ``no`` is the enumeration of the exhausted seed, shared with
     ``enum`` whichever of the two asks first."""
