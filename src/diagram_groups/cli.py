@@ -45,6 +45,18 @@ share, so a call compiles and runs only the modules its command reaches:
 * ``interval`` and ``verify-raag`` (``commands.interval``): ``diagrams``,
   ``raag`` and ``interval``.
 
+One process runs one call.  :func:`entry` is the process entry point of
+both ``python -m diagram_groups`` and the installed ``diagram-groups``
+command: it runs :func:`main`, then freezes the heap with ``gc.freeze()``
+and exits with the call's code.  Every object still alive at that point
+(the imported modules and the run's neighbour tables and memo) would
+otherwise be walked by the collections of interpreter shutdown, only to
+free memory that the operating system takes back anyway; frozen, they are
+left alone, while ``atexit`` handlers, the flush of standard output and
+error, and the exit code stay as they were.  ``main`` never freezes:
+tests and library callers run it in-process, call after call, and a
+freeze there would make every object alive at each call permanent.
+
 Names used only in annotations are imported for type checkers alone.  The
 package's records are named tuples and classes with written-out methods,
 so importing a module generates and compiles no record methods, and no
@@ -54,10 +66,11 @@ call loads ``inspect``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NoReturn, Optional, Sequence, Tuple
 
 from .rewriting import (
     ClassSearch,
@@ -308,4 +321,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
 
 
-__all__ = ["CliError", "main"]
+def entry() -> NoReturn:
+    """Run :func:`main` on the process's arguments and exit with its code."""
+    code = main()
+    # shutdown's collections then skip every object the call left alive
+    gc.freeze()
+    sys.exit(code)
+
+
+__all__ = ["CliError", "entry", "main"]

@@ -686,8 +686,10 @@ class ClassSearch:
     word to the one tuple the run keeps for it, and :meth:`rewrites` hands
     out that tuple for every neighbour.  So every neighbour table, BFS
     parent map and enumeration refers to one object per distinct word, and
-    dict lookups of equal words short-cut on identity.  This changes which
-    object stands for a word, never a word, a move or an answer.
+    dict lookups of equal words short-cut on identity.  :meth:`enum` and
+    :meth:`equal` replace a word the run already holds by that tuple before
+    it keys the memo or seeds a search.  This changes which object stands
+    for a word, never a word, a move or an answer.
 
     The enumerations and the equality probes share one memo.  A probe
     whose search exhausts a word's class without meeting the other word
@@ -728,11 +730,12 @@ class ClassSearch:
 
     def enum(self, w: Word) -> ClassEnumeration:
         """:func:`enumerate_class` of ``w``."""
-        return self.once(enumerate_class, w)
+        return self.once(enumerate_class, self._words.get(w, w))
 
     def equal(self, w1: Word, w2: Word) -> TriBool:
         """:func:`equal_mod_p` of ``w1`` and ``w2``."""
-        return self.once(equal_mod_p, w1, w2)
+        held = self._words.get
+        return self.once(equal_mod_p, held(w1, w1), held(w2, w2))
 
     def rep(self, w: Word) -> Tuple[Word, bool]:
         """Shortlex-least member found in ``[w]``, and whether the class was

@@ -5,12 +5,15 @@ tests double as a check of the documented file formats and of the exit-code
 contract (0 yes/complete, 1 definite no, 2 capped, 3 bad input).
 """
 
+import ast
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -876,3 +879,93 @@ def test_console_entry_point(tmp_path):
         )
         assert proc.returncode == code, name
         assert json.loads(proc.stdout)[key] == value, name
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+# ---------------------------------------------------------------------------
+
+
+def _broken_handler(monkeypatch):
+    from diagram_groups.commands import words
+
+    def broken(ns):
+        raise RuntimeError("an invariant failed")
+
+    monkeypatch.setattr(words, "run_class", broken)
+
+
+@pytest.mark.parametrize(
+    "argv, code, patch",
+    [
+        (["class", "-p", "{comm}", "-w", "a b"], 0, None),
+        (["class", "-p", "{padpair}", "-w", "a1", "--max-class-size", "5"], 2, None),
+        (["class", "-p", "/nonexistent.pres", "-w", "a"], 3, None),
+        (["class", "-p", "{comm}", "-w", "a b"], 3, _broken_handler),
+    ],
+    ids=["exit 0", "exit 2", "exit 3", "handler raises"],
+)
+def test_main_leaves_the_heap_unfrozen(
+    capsys, comm, padpair, monkeypatch, argv, code, patch
+):
+    """Only the process entry point freezes the heap; ``main`` runs in
+    tests and library callers, call after call, and keeps no state."""
+    if patch is not None:
+        patch(monkeypatch)
+    frozen = gc.get_freeze_count()
+    assert main([a.format(comm=comm, padpair=padpair) for a in argv]) == code
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["equal", "-p", "{padpair}", "-w1", "a1", "-w2", "b1", "--max-class-size", "5"], 2),
+        (["class", "-p", "{comm}", "-w", "a zzz"], 3),
+    ],
+)
+def test_python_m_prints_what_main_prints(capsys, comm, padpair, argv, code):
+    argv = [a.format(comm=comm, padpair=padpair) for a in argv]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagram_groups", *argv],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
+    if code == 3:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    else:
+        assert json.loads(proc.stdout)["verdict"] == "unknown"
+
+
+def test_entry_freezes_the_heap_and_exits_normally(comm):
+    """``entry`` exits with ``main``'s code after the ``atexit`` handlers
+    and the flush of standard output, with the heap frozen."""
+    script = (
+        "import atexit, gc, sys\n"
+        "from diagram_groups.cli import entry\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "class", "-p", comm, "-w", "a", "--format", "text"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "a\n# 1 members, complete=True\nfrozen True\n"
+
+
+def test_the_script_target_is_what_python_m_calls():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(diagram_groups.__file__).parent
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    module, name = project["project"]["scripts"]["diagram-groups"].split(":")
+    tree = ast.parse((package / "__main__.py").read_text())
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)]
+    calls = [ast.unparse(node.func) for node in ast.walk(guard) if isinstance(node, ast.Call)]
+    assert calls == [name]
+    python_m = import_module("diagram_groups.__main__")
+    assert getattr(python_m, name) is getattr(import_module(module), name)

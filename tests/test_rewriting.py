@@ -438,7 +438,7 @@ def test_class_searches_do_not_share_answers(order):
 
 def test_the_run_holds_each_word_once():
     """Every word a search scans or reaches is the one tuple of the run's
-    word table; only a seed, the caller's own tuple, may stand beside it."""
+    word table, seeds included."""
     search = ClassSearch(GROW, TIGHT_CAPS)
     enum = search.enum(W("x"))
     assert not enum.complete
@@ -453,7 +453,27 @@ def test_the_run_holds_each_word_once():
     assert len({id(w) for w in held}) == len(table)
     for w, (up, _) in enum.parent.items():
         assert table[w] is w
-        assert table[up] is up or up is enum.seed
+        assert table[up] is up
+
+
+def test_a_seed_the_run_holds_is_the_runs_tuple():
+    """A word built afresh by the caller, which the run already holds as
+    another tuple, is replaced by the run's tuple before it keys the memo
+    or seeds a search: no parent entry points at the caller's copy."""
+    search = ClassSearch(GROW, TIGHT_CAPS)
+    search.enum(W("x"))
+    fresh = W("x a")
+    held = search._words[fresh]
+    assert held is not fresh
+    enum = search.enum(fresh)
+    assert enum.seed is held
+    assert not any(up is fresh for up, _ in enum.parent.values())
+    assert search.enum(W("x a")) is enum
+    probe = W("x b")
+    assert search._words[probe] is not probe
+    assert search.equal(fresh, probe).is_yes
+    (key,) = [args for fn, args in search._memo if fn is equal_mod_p]
+    assert key[0] is held and key[1] is search._words[probe]
 
 
 def test_no_verdict_carries_the_runs_enumeration():
