@@ -5,8 +5,11 @@ the group of the left context is trivial while the group of the context
 extended through the rewrite source is not.  Left hyperplanes never cross
 each other or themselves, so cutting the complex along all of them splits it
 into product-like vertex spaces glued along product edge spaces: a graph of
-spaces, hence a graph-of-groups decomposition of the diagram group with edge
-groups of the form ``D(a) x D(b)``.
+spaces, hence a graph-of-groups decomposition of the diagram group.  Each
+split of a rewrite side ``u = p·ℓ·s`` stops at the last prefix ``p`` that
+keeps ``D(a·p)`` trivial, so the left factor of every edge space
+``S(a) x S(b)`` and of every vertex space ``S(a·p)·ℓ·S(s·b)`` is trivial:
+the edge group is ``D(b)`` and the vertex group ``D(s·b)``.
 
 The only genuinely undecidable ingredient is triviality of ``D(P, w)``.  On a
 completely enumerated class it is decidable: the loops closing the spanning
@@ -471,12 +474,13 @@ def _factor_group_of(search: ClassSearch, rep: Word, depth: int) -> FactorGroup:
 class VertexSpace(NamedTuple):
     """A vertex of the decomposition: the subcomplex of words x·letter·y with
     x in the class of ``left`` and y in the class of ``right`` (either side
-    may be empty), which is a product of two class complexes."""
+    may be empty), which is a product of two class complexes.  The group of
+    ``left`` is trivial by the choice of the split, so ``right_group`` is
+    the vertex group."""
 
     left: Word
     letter: Optional[Letter]
     right: Word
-    left_group: FactorGroup
     right_group: FactorGroup
 
     def descriptor(self) -> str:
@@ -492,12 +496,13 @@ class VertexSpace(NamedTuple):
 
 class DecompositionEdge(NamedTuple):
     """An edge of the decomposition: one left hyperplane, its two endpoint
-    vertices, and the groups of the two product factors of its edge space."""
+    vertices, and the edge group, the group of the right context of the
+    hyperplane (the left context's group is trivial, as the hyperplane is
+    left)."""
 
     hyperplane: LeftHyperplane
     minus_vertex: int
     plus_vertex: int
-    left_group: FactorGroup
     right_group: FactorGroup
 
 
@@ -524,8 +529,10 @@ def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
     ``v = q·m·r`` contributes the vertices ``S(a p) ℓ S(s b)`` and
     ``S(a q) m S(r b)`` (merged by class-representative equality of the
     descriptors) and one edge with edge space ``S(a) x S(b)``; the inclusion
-    of the edge space into its endpoints pads the factors by the split
-    remainders.  With no left hyperplanes the whole complex is one vertex.
+    of the edge space into its endpoints pads the right factor by the split
+    suffix.  Only the right factors are classified: ``D(a)``, ``D(a p)`` and
+    ``D(a q)`` are trivial by the choice of the splits.  With no left
+    hyperplanes the whole complex is one vertex.
     """
     pres = search.pres
     pres.check_word(w)
@@ -534,11 +541,7 @@ def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
     vertices: List[VertexSpace] = []
     if not scan.hyperplanes:
         vertices.append(
-            VertexSpace(
-                (), None, search.rep(w)[0],
-                FactorGroup("trivial", (), True),
-                factor_group(search, w, depth),
-            )
+            VertexSpace((), None, search.rep(w)[0], factor_group(search, w, depth))
         )
 
     def vertex_for(context: Word, split: LetterSplit, right_ctx: Word) -> int:
@@ -548,11 +551,7 @@ def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
         if key not in index:
             index[key] = len(vertices)
             vertices.append(
-                VertexSpace(
-                    lw, split.letter, rw,
-                    factor_group(search, lw, depth),
-                    factor_group(search, rw, depth),
-                )
+                VertexSpace(lw, split.letter, rw, factor_group(search, rw, depth))
             )
         return index[key]
 
@@ -562,18 +561,10 @@ def decompose(search: ClassSearch, w: Word, depth: int = 1) -> GraphOfGroups:
         minus = vertex_for(a, hyp.source_split, b)
         plus = vertex_for(a, hyp.target_split, b)
         edges.append(
-            DecompositionEdge(
-                hyp, minus, plus,
-                factor_group(search, a, depth),
-                factor_group(search, b, depth),
-            )
+            DecompositionEdge(hyp, minus, plus, factor_group(search, b, depth))
         )
-    exact = (
-        scan.exact
-        and all(
-            v.left_group.exact and v.right_group.exact for v in vertices
-        )
-        and all(e.left_group.exact and e.right_group.exact for e in edges)
+    exact = scan.exact and all(
+        x.right_group.exact for x in (*vertices, *edges)
     )
     return GraphOfGroups(
         pres, w, tuple(vertices), tuple(edges), scan.undecided, exact, scan.notes
@@ -586,10 +577,10 @@ def free_rank(gog: GraphOfGroups) -> int:
     edges − vertices + components (each forest edge reaches one new vertex)."""
     offenders = []
     for i, v in enumerate(gog.vertices):
-        if not (v.left_group.is_trivial and v.right_group.is_trivial):
+        if not v.right_group.is_trivial:
             offenders.append(f"vertex {i} ({v.descriptor()})")
     for i, e in enumerate(gog.edges):
-        if not (e.left_group.is_trivial and e.right_group.is_trivial):
+        if not e.right_group.is_trivial:
             offenders.append(f"edge {i} ({e.hyperplane})")
     if offenders:
         raise ValueError(
@@ -642,28 +633,18 @@ def _spanning_forest(gog: GraphOfGroups) -> Set[int]:
     return forest
 
 
-def _pad_loop(
-    pres: Presentation, loop: Diagram, before: Word, after: Word
-) -> Diagram:
-    out = loop
-    if before:
-        out = dsum(eps(pres, before), out)
-    if after:
-        out = dsum(out, eps(pres, after))
-    return out
-
-
 def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
     """Present the fundamental group of the decomposition.
 
     Generators: the generators of every vertex group plus one letter per
-    non-forest edge.  Relators: product commutation inside each vertex,
-    vertex-group relators, and, for each edge and each loop of an edge
-    group with a ball, the conjugation relator identifying its two padded
-    images in vertex groups with balls.  Edge groups without a ball, and
-    images that cannot be expressed inside truncated vertex data, are
-    skipped and flagged rather than guessed.  The result is cleaned up by
-    ``simplify_presentation``.
+    non-forest edge.  Relators: the vertex-group relators and, for each
+    edge and each loop of an edge group with a ball, the conjugation
+    relator identifying its two images in the end vertex groups with balls,
+    each image the loop padded on the left by the split suffix.  Every
+    left factor is trivial, so the vertex and edge groups are the right
+    factors alone.  Edge groups without a ball, and images that cannot be
+    expressed inside truncated vertex data, are skipped and flagged rather
+    than guessed.  The result is cleaned up by ``simplify_presentation``.
     """
     pres = gog.pres
     names: List[str] = []
@@ -671,95 +652,75 @@ def fundamental_group_presentation(gog: GraphOfGroups) -> GroupPresentation:
     notes = list(gog.notes)
     exact = gog.exact
 
-    # vertex generators: (vertex, side) -> list of generator ids
-    vgens: Dict[Tuple[int, str], List[int]] = {}
+    # the id of each vertex group's first generator; the rest follow it
+    vbase: List[int] = []
     for vi, v in enumerate(gog.vertices):
-        for side, fg in (("L", v.left_group), ("R", v.right_group)):
-            ids: List[int] = []
-            if fg.kind == "free":
-                for k in range(len(fg.ball.loops)):
-                    ids.append(len(names))
-                    names.append(f"v{vi}{side}{k}")
-            elif fg.kind == "presented":
-                base = len(names)
-                for g in fg.presentation.generators:
-                    ids.append(len(names))
-                    names.append(f"v{vi}{side}_{g}")
-                for r in fg.presentation.relators:
-                    relators.append(tuple((base + g, e) for g, e in r))
-            elif fg.kind == "unknown":
-                notes.append(
-                    f"vertex {vi} {side} group unknown; its generators and"
-                    " relators are missing from this presentation"
-                )
-                exact = False
-            vgens[(vi, side)] = ids
-        for gl in vgens[(vi, "L")]:
-            for gr in vgens[(vi, "R")]:
-                relators.append(((gl, 1), (gr, 1), (gl, -1), (gr, -1)))
+        fg = v.right_group
+        vbase.append(len(names))
+        if fg.kind == "free":
+            names.extend(f"v{vi}R{k}" for k in range(len(fg.ball.loops)))
+        elif fg.kind == "presented":
+            names.extend(f"v{vi}R_{g}" for g in fg.presentation.generators)
+            relators.extend(
+                tuple((vbase[vi] + g, e) for g, e in r)
+                for r in fg.presentation.relators
+            )
+        elif fg.kind == "unknown":
+            notes.append(
+                f"vertex {vi} R group unknown; its generators and"
+                " relators are missing from this presentation"
+            )
+            exact = False
 
     forest = _spanning_forest(gog)
-    edge_letter: Dict[int, Optional[int]] = {}
+    edge_letter: Dict[int, int] = {}
     for ei in range(len(gog.edges)):
-        if ei in forest:
-            edge_letter[ei] = None
-        else:
+        if ei not in forest:
             edge_letter[ei] = len(names)
             names.append(f"t{ei}")
 
     def express_image(
-        loop: Diagram, side: str, vertex_idx: int, split: LetterSplit
-    ) -> Optional[List[Tuple[int, int]]]:
-        """An edge-group loop, padded by ``split`` into the ``side`` group
-        of one end vertex, in that group's generators; None unless that
-        group holds a ball that contains the image.  The split's prefix
-        pads a left image after, its suffix a right one before."""
-        vertex = gog.vertices[vertex_idx]
-        vfg = vertex.left_group if side == "L" else vertex.right_group
+        loop: Diagram, vertex_idx: int, split: LetterSplit
+    ) -> Optional[Relator]:
+        """An edge-group loop, padded on the left by the split's suffix, in
+        the generators of one end vertex's group; None unless that group
+        holds a ball that contains the image."""
+        vfg = gog.vertices[vertex_idx].right_group
         if vfg.ball is None:
             return None
-        if side == "L":
-            image = _pad_loop(pres, loop, (), split.prefix)
-        else:
-            image = _pad_loop(pres, loop, split.suffix, ())
+        image = dsum(eps(pres, split.suffix), loop) if split.suffix else loop
         word = vfg.ball.express(image)
         if word is None:
             return None
-        base = vgens[(vertex_idx, side)]
-        return [(base[g], e) for g, e in word]
+        return tuple((vbase[vertex_idx] + g, e) for g, e in word)
 
     for ei, e in enumerate(gog.edges):
-        hyp = e.hyperplane
-        t = edge_letter[ei]
-        for side, fg in (("L", e.left_group), ("R", e.right_group)):
-            if fg.is_trivial:
-                continue
-            if fg.ball is None:
+        hyp, fg = e.hyperplane, e.right_group
+        # the stable letter of a non-forest edge, as a relator
+        t: Relator = ((edge_letter[ei], 1),) if ei in edge_letter else ()
+        if fg.is_trivial:
+            continue
+        if fg.ball is None:
+            notes.append(
+                f"edge {ei} R group is {fg.kind}; its conjugation"
+                " relators are not expressible and were skipped"
+            )
+            exact = False
+            continue
+        for k, edge in enumerate(fg.ball.loops):
+            loop = _loop_diagram(fg.ball, edge)
+            minus_img = express_image(loop, e.minus_vertex, hyp.source_split)
+            plus_img = express_image(loop, e.plus_vertex, hyp.target_split)
+            if minus_img is None or plus_img is None:
                 notes.append(
-                    f"edge {ei} {side} group is {fg.kind}; its conjugation"
-                    " relators are not expressible and were skipped"
+                    f"edge {ei} R generator {k}: image escapes the"
+                    " truncated vertex data; relator skipped"
                 )
                 exact = False
                 continue
-            for k, edge in enumerate(fg.ball.loops):
-                loop = _loop_diagram(fg.ball, edge)
-                minus_img = express_image(loop, side, e.minus_vertex, hyp.source_split)
-                plus_img = express_image(loop, side, e.plus_vertex, hyp.target_split)
-                if minus_img is None or plus_img is None:
-                    notes.append(
-                        f"edge {ei} {side} generator {k}: image escapes the"
-                        " truncated vertex data; relator skipped"
-                    )
-                    exact = False
-                    continue
-                word: List[Tuple[int, int]] = [(g, -eexp) for g, eexp in
-                                               reversed(minus_img)]
-                if t is not None:
-                    word.append((t, 1))
-                word.extend(plus_img)
-                if t is not None:
-                    word.append((t, -1))
-                relators.append(_cyclic_reduce(tuple(word)))
+            relators.append(
+                _cyclic_reduce(_invert(minus_img) + t + plus_img + _invert(t))
+            )
 
     doc = GroupPresentation(
         tuple(names),
@@ -790,15 +751,20 @@ def _factor_json(fg: FactorGroup) -> Dict[str, object]:
     return out
 
 
+def _trivial_json(seed: Word) -> Dict[str, object]:
+    return {"exact": True, "kind": "trivial", "seed": list(seed)}
+
+
 def gog_to_json(gog: GraphOfGroups) -> Dict[str, object]:
     """Plain-data rendering of the decomposition (deterministic field order
-    is the caller's concern; keys here are stable)."""
+    is the caller's concern; keys here are stable).  Every left factor is
+    trivial, and prints as such with its context as the seed."""
     return {
         "base": list(gog.base),
         "edges": [
             {
                 "hyperplane": str(e.hyperplane.id),
-                "left_group": _factor_json(e.left_group),
+                "left_group": _trivial_json(e.hyperplane.id.left),
                 "minus": e.minus_vertex,
                 "plus": e.plus_vertex,
                 "right_group": _factor_json(e.right_group),
@@ -822,7 +788,7 @@ def gog_to_json(gog: GraphOfGroups) -> Dict[str, object]:
             {
                 "descriptor": v.descriptor(),
                 "left": list(v.left),
-                "left_group": _factor_json(v.left_group),
+                "left_group": _trivial_json(v.left),
                 "letter": v.letter,
                 "right": list(v.right),
                 "right_group": _factor_json(v.right_group),

@@ -115,11 +115,11 @@ class FarleyBall:
     Vertices are indexed in breadth-first order from the trivial diagram;
     ``depths[i]`` equals both the BFS level and the cell count of vertex
     ``i`` (an atomic extension changes the cell count by exactly one, so the
-    sublevel sets are connected and the search exhausts them), ``words[i]``
-    is its bottom word and ``keys[i]`` its bottom tuple of wire ids, which
-    identifies it only against ``wires``, the table the ball was fired
-    through.  ``up[i]`` maps each move that appends a cell at ``i`` to the
-    vertex it reaches.
+    sublevel sets are connected and the search exhausts them), and
+    ``keys[i]`` its bottom tuple of wire ids, which identifies it only
+    against ``wires``, the table the ball was fired through.  ``up[i]`` maps
+    each move that appends a cell at ``i`` to the vertex it reaches, and
+    each edge holds the bottom word of its lower end.
 
     The ``k``-cubes at a vertex of Farley's complex are its sets of ``k``
     pairwise disjoint moves that append cells.  Such moves consume wires
@@ -132,20 +132,14 @@ class FarleyBall:
 
     def __init__(
         self,
-        pres: Presentation,
-        base: Word,
         radius: int,
-        words: Tuple[Word, ...],
         depths: Tuple[int, ...],
         edges: Tuple[FarleyEdge, ...],
         up: Tuple[Dict[Move, int], ...],
         keys: Tuple[Tuple[int, ...], ...],
         wires: Wires,
     ) -> None:
-        self.pres = pres
-        self.base = base
         self.radius = radius
-        self.words = words
         self.depths = depths
         self.edges = edges
         self.up = up
@@ -226,8 +220,7 @@ def farley_ball(search: ClassSearch, w: Word, radius: int) -> FarleyBall:
         i += 1
 
     return FarleyBall(
-        pres, w, radius, tuple(words), tuple(depths),
-        tuple(edges), tuple(up), tuple(keys), wires,
+        radius, tuple(depths), tuple(edges), tuple(up), tuple(keys), wires
     )
 
 

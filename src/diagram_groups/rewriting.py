@@ -30,13 +30,16 @@ it reads that enumeration and searches from the other word alone, which
 gives the answer the bidirectional search would (see ``equal_mod_p``).
 
 The module also provides a few cheap *certificates* that stay sound on
-infinite congruence classes (letter-count invariants, first/last-letter
-closures, the literal-subword rewritability test).  Later modules use them
+infinite congruence classes (letter-count invariants and first/last-letter
+closures).  Later modules use them
 to upgrade bounded searches to exact verdicts where the combinatorics allow.
 The one such verdict that needs nothing else is kept here beside them:
 ``dimension_at_least``, whether the class complex of a word contains an
-``n``-cube, read off factorizations of class members and refuted by letter
-counts (``squier`` squeezes its ranks with it).
+``n``-cube.  A member splits into ``n`` factors with nontrivial classes
+exactly when it holds ``n`` pairwise disjoint rewrite sites, which greedy
+interval scheduling over the member's rewrites in the run's table counts;
+letter counts refute the cube on infinite classes too (``squier`` squeezes
+its ranks with it).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -132,8 +134,8 @@ class Presentation:
     Every rewrite scan reads the relation sides through one table built
     here: each letter maps to the ``(relation, forward, source, target)``
     sides whose source starts with it, in relation order, forward before
-    backward.  :func:`one_step_rewrites` and :meth:`side_spans` read it,
-    and the scan interns one :class:`Move` per site in ``_moves``.
+    backward.  :func:`one_step_rewrites` reads it, and interns one
+    :class:`Move` per site in ``_moves``.
     """
 
     __slots__ = ("letters", "relations", "_index", "_sides", "_moves")
@@ -176,16 +178,6 @@ class Presentation:
 
     def __hash__(self) -> int:
         return hash((self.letters, self.relations))
-
-    def side_spans(self, w: Word) -> Iterator[Tuple[int, int]]:
-        """``(start, end)`` of every literal occurrence of a relation side in
-        ``w``, ordered by (start, relation, forward-before-backward).  Only
-        the sides that start with ``w[start]`` are tried."""
-        sides = self._sides
-        for o, x in enumerate(w):
-            for _, _, src, _ in sides.get(x, ()):
-                if w[o : o + len(src)] == src:
-                    yield o, o + len(src)
 
     def check_word(self, w: Word) -> Word:
         for x in w:
@@ -317,9 +309,7 @@ def one_step_rewrites(w: Word, pres: Presentation) -> Tuple[Tuple[Move, Word], .
     word of a move is always distinct from ``w`` because relation sides
     differ.
     """
-    # the scan of Presentation.side_spans, written out: on this, the
-    # hottest loop of every class search, a generator frame and a tuple per
-    # hit cost time and raise peak memory
+    # only the sides that start with ``w[o]`` are tried at offset ``o``
     out: List[Tuple[Move, Word]] = []
     sides, moves = pres._sides, pres._moves
     for o, x in enumerate(w):
@@ -749,16 +739,6 @@ class ClassSearch:
 # ---------------------------------------------------------------------------
 
 
-def has_singleton_class(w: Word, pres: Presentation) -> bool:
-    """Exact test for ``[w] == {w}``.
-
-    A rewrite applies to ``w`` iff some relation side occurs literally in it,
-    and an applicable rewrite always changes the word (relation sides
-    differ), so the class is a singleton iff no side occurs.
-    """
-    return next(pres.side_spans(w), None) is None
-
-
 # the largest alphabet whose letter subsets are all tested for invariance
 _MAX_INVARIANT_ALPHABET = 16
 
@@ -870,35 +850,26 @@ class DimensionWitness(NamedTuple):
         return tuple(self.member[cuts[i]: cuts[i + 1]] for i in range(len(cuts) - 1))
 
 
-def _max_rewritable_parts(w: Word, pres: Presentation) -> Tuple[int, List[int]]:
-    """DP: max number of factors each containing a relation-side occurrence.
+def _site_ends(search: ClassSearch, w: Word) -> List[int]:
+    """The ends of a largest set of pairwise disjoint rewrite sites of
+    ``w``, by greedy interval scheduling: the sites of ``search.rewrites``
+    taken by earliest end, each kept when it starts at or after the last
+    kept end.
 
-    Returns (count, best cut positions).  A factor has a nontrivial class
-    exactly when some relation side occurs in it, so this computes the
-    largest cube dimension visible at this word.
+    A factor has a nontrivial class exactly when some relation side occurs
+    in it, so their number is the largest number of such factors ``w``
+    splits into, the largest cube dimension visible at this word.  The
+    ``j``-th end is the length of the shortest prefix of ``w`` that holds
+    ``j`` disjoint sites.
     """
-    n = len(w)
-    occ = list(pres.side_spans(w))
-    best = [-1] * (n + 1)
-    prev = [-1] * (n + 1)
-    best[0] = 0
-    for i in range(1, n + 1):
-        for j in range(i):
-            if best[j] < 0:
-                continue
-            if any(j <= s and e <= i for s, e in occ):
-                if best[j] + 1 > best[i]:
-                    best[i] = best[j] + 1
-                    prev[i] = j
-    if best[n] <= 0:
-        return 0, []
-    cuts = []
-    i = n
-    while i > 0:
-        cuts.append(i)
-        i = prev[i]
-    cuts.reverse()
-    return best[n], cuts  # cuts include n itself
+    pres = search.pres
+    ends: List[int] = []
+    for end, start in sorted(
+        (m.offset + len(m.sides(pres)[0]), m.offset) for m, _ in search.rewrites(w)
+    ):
+        if start >= (ends[-1] if ends else 0):
+            ends.append(end)
+    return ends
 
 
 def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
@@ -923,18 +894,13 @@ def dimension_at_least(search: ClassSearch, w: Word, n: int) -> TriBool:
             )
     enum = search.enum(w)
     for member in enum.members:
-        count, cuts = _max_rewritable_parts(member, pres)
-        if count >= n:
-            # merge surplus parts from the left (a superset of a rewritable
-            # factor is rewritable)
-            cuts_full = cuts[:]  # ends at len(member)
-            while len(cuts_full) > n:
-                cuts_full.pop(0)
-            splits = tuple(cuts_full[:-1])
-            witness = DimensionWitness(member, splits)
-            if len(witness.factors()) != n:
-                raise RuntimeError(f"dimension witness does not have {n} factors")
-            return TriBool.yes(witness)
+        ends = _site_ends(search, member)
+        k = len(ends)
+        if k >= n:
+            # cut at the ends of sites k-n+1 .. k-1: the first factor takes
+            # the surplus sites (a superset of a rewritable factor is
+            # rewritable), the last holds site k and runs to the end
+            return TriBool.yes(DimensionWitness(member, tuple(ends[k - n : k - 1])))
     if enum.complete:
         return TriBool.no("no member of the complete class factors")
     return TriBool.unknown()
@@ -961,7 +927,6 @@ __all__ = [
     "TriBool",
     "equal_mod_p",
     "ClassSearch",
-    "has_singleton_class",
     "invariant_letter_subsets",
     "forced_support",
     "end_letter_closure",

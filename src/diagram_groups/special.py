@@ -49,7 +49,6 @@ from .rewriting import (
     Word,
     end_letter_closure,
     forced_support,
-    has_singleton_class,
     invariant_letter_subsets,
     inverse,
     letter_count,
@@ -236,7 +235,6 @@ def find_absorbing_splits(
     With p = e·sigma·f for a relation side sigma, [a e, sigma -> tau, f b]
     crosses itself with middle f·e (or sigma when that is empty); see
     :func:`_split_crossing`.  Each split point gives at most one witness."""
-    pres = search.pres
     found: List[SelfIntersection] = []
     enum = search.enum(w0)
     exhaustive = enum.complete
@@ -250,7 +248,7 @@ def find_absorbing_splits(
             if not search.enum(a).complete:
                 exhaustive = False
             for p, _ in search.once(_extensions, a, ()):
-                if not p or has_singleton_class(p, pres):
+                if not p or not search.rewrites(p):  # [p] = {p}
                     continue
                 if budget <= 0:
                     return tuple(found), False
@@ -272,20 +270,17 @@ def _split_crossing(
     """The witness of the first side occurrence in ``p`` whose equations
     a e = a e·sigma·mid and f b = mid·sigma·f b both come back yes, with
     their derivations as evidence, or None."""
-    for o in range(len(p)):
-        for rel in search.pres.relations:
-            for sigma, tau in ((rel.lhs, rel.rhs), (rel.rhs, rel.lhs)):
-                if p[o: o + len(sigma)] != sigma:
-                    continue
-                e, f = p[:o], p[o + len(sigma):]
-                mid = f + e or sigma
-                left = search.equal(a + e, a + e + sigma + mid)
-                right = search.equal(f + b, mid + sigma + f + b)
-                if left.is_yes and right.is_yes:
-                    return SelfIntersection(
-                        a + e, sigma, tau, mid, f + b,
-                        evidence=(left.witness, right.witness),
-                    )
+    for move, _ in search.rewrites(p):
+        sigma, tau = move.sides(search.pres)
+        e, f = p[: move.offset], p[move.offset + len(sigma):]
+        mid = f + e or sigma
+        left = search.equal(a + e, a + e + sigma + mid)
+        right = search.equal(f + b, mid + sigma + f + b)
+        if left.is_yes and right.is_yes:
+            return SelfIntersection(
+                a + e, sigma, tau, mid, f + b,
+                evidence=(left.witness, right.witness),
+            )
     return None
 
 

@@ -9,6 +9,7 @@ route to every free rank.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -55,6 +56,7 @@ from diagram_groups.rewriting import (
     Move,
     Presentation,
     Relation,
+    SearchCaps,
     enumerate_class,
     parse_presentation,
 )
@@ -427,7 +429,8 @@ def test_rank_equals_one_minus_euler(m, n):
 
 
 def test_decompose_padpair_frozen():
-    g = decompose(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1"))
+    search = ClassSearch(PADPAIR, PADPAIR_CAPS)
+    g = decompose(search, W("a1 b1"))
     assert [v.descriptor() for v in g.vertices] == [
         "a1 · S(b1)",
         "a2 · S(b1)",
@@ -439,16 +442,51 @@ def test_decompose_padpair_frozen():
     assert str(loops[0].hyperplane.id) == "[1 | r6 | b1]"
     assert loops[0].minus_vertex == 0  # based at a1 · S(b1)
     for v in g.vertices:
-        assert v.left_group.is_trivial
+        assert is_trivial_group(search, v.left).is_yes
         assert v.right_group.kind == "free"
         assert len(v.right_group.ball.loops) == 10  # p-depth within caps
         assert not v.right_group.exact
     for e in g.edges:
-        assert e.left_group.is_trivial
+        assert is_trivial_group(search, e.hyperplane.id.left).is_yes
         assert e.right_group.kind == "free"
     assert not g.exact
     with pytest.raises(ValueError, match="trivial"):
         free_rank(g)
+
+
+def test_left_factors_are_trivial_on_random_presentations():
+    """Each split stops at the last prefix that keeps the left context's
+    group trivial, so the left factor of every vertex and edge space is
+    trivial, and ``decompose`` keeps only the right factors: on seeded
+    random presentations under mixed caps, every vertex's left word and
+    every edge's left context carry a trivial group."""
+    rng = random.Random(1507)
+    caps = (
+        SearchCaps(8, 120, 24),
+        SearchCaps(6, 60, 12),
+        SearchCaps(9, 80, 16),
+        SearchCaps(7, 40, 8),
+    )
+    edges = 0
+    for n in range(320):
+        letters = ("a", "b", "c", "d")[: rng.randint(2, 4)]
+        relations = {}
+        for _ in range(rng.randint(1, 3)):
+            lhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            rhs = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            if lhs != rhs:
+                relations.setdefault(frozenset((lhs, rhs)), Relation(lhs, rhs))
+        search = ClassSearch(
+            Presentation(letters, tuple(relations.values())), caps[n % len(caps)]
+        )
+        base = tuple(rng.choice(letters) for _ in range(rng.randint(2, 5)))
+        g = decompose(search, base)
+        for v in g.vertices:
+            assert is_trivial_group(search, v.left).is_yes, (n, v)
+        for e in g.edges:
+            assert is_trivial_group(search, e.hyperplane.id.left).is_yes, (n, e)
+        edges += len(g.edges)
+    assert edges > 1000
 
 
 def test_decompose_merges_by_class_not_by_spelling():

@@ -117,36 +117,38 @@ class FarleyCube(NamedTuple):
     corners: Tuple[int, ...]
 
 
-def farley_cubes(ball):
-    """The cubes of a Farley ball by dimension, as ``squier.disjoint_cubes``
-    lists them from the ball's up tables; the ball itself only counts them."""
+def farley_cubes(ball, pres):
+    """The cubes of a Farley ball over ``pres`` by dimension, as
+    ``squier.disjoint_cubes`` lists them from the ball's up tables; the ball
+    itself only counts them."""
     return {
         dim: tuple(FarleyCube(*cube) for cube in cs)
-        for dim, cs in disjoint_cubes(ball.up, ball.pres)
+        for dim, cs in disjoint_cubes(ball.up, pres)
     }
 
 
-def farley_squares(ball):
-    return farley_cubes(ball).get(2, ())
+def farley_squares(ball, pres):
+    return farley_cubes(ball, pres).get(2, ())
 
 
 def listed_cube_counts(up, pres):
     return {dim: len(cs) for dim, cs in disjoint_cubes(up, pres)}
 
 
-def vertex_diagrams(ball):
-    """The reduced diagram of each vertex, replayed along the first edge
-    into it in ``ball.edges``: the edge that discovered the vertex, whose
-    lower end was discovered before it."""
-    ds = [eps(ball.pres, ball.base)] + [None] * (len(ball.depths) - 1)
+def vertex_diagrams(ball, pres, base):
+    """The reduced diagram of each vertex of the ball of ``base`` over
+    ``pres``, replayed along the first edge into it in ``ball.edges``: the
+    edge that discovered the vertex, whose lower end was discovered before
+    it."""
+    ds = [eps(pres, base)] + [None] * (len(ball.depths) - 1)
     for e in ball.edges:
         if ds[e.high] is None:
-            ds[e.high] = Diagram(ball.pres, ball.base, ds[e.low].moves + (e.move,))
+            ds[e.high] = Diagram(pres, base, ds[e.low].moves + (e.move,))
     return ds
 
 
-def vertex_index(ball):
-    return {canonical_key(d): i for i, d in enumerate(vertex_diagrams(ball))}
+def vertex_index(ball, pres, base):
+    return {canonical_key(d): i for i, d in enumerate(vertex_diagrams(ball, pres, base))}
 
 
 def adjacency(ball):
@@ -167,7 +169,7 @@ def distance(a, b):
 
 def index_of(ball, d):
     """Vertex index of a reduced diagram; raises if outside the ball."""
-    index = vertex_index(ball)
+    index = vertex_index(ball, d.pres, d.top)
     k = canonical_key(d)
     if k not in index:
         raise ValueError(
@@ -254,8 +256,7 @@ def assert_matches_reference(pres, w, radius):
     assert ball.edges == edges
     assert ball.up == up
     assert ball.cube_counts == listed_cube_counts(up, pres)
-    assert ball.words == tuple(d.bot for d in diagrams)
-    replayed = [d.moves for d in vertex_diagrams(ball)]
+    replayed = [d.moves for d in vertex_diagrams(ball, pres, w)]
     assert replayed == [d.moves for d in diagrams]
     for key, moves in zip(ball.keys, replayed):
         bottom = ball.wires.top
@@ -343,7 +344,7 @@ def test_cube_counts_need_the_depth_bound():
     # would span cubes whose far corners leave the ball
     ball = farley_ball(ClassSearch(DIRTY, DEFAULT_CAPS), W("a b"), 5)
     unbounded = copy.copy(ball)
-    unbounded.radius = ball.radius + max(len(u) for u in ball.words)
+    unbounded.radius = ball.radius + max(len(e.word) for e in ball.edges)
     assert unbounded.cube_counts != listed_cube_counts(ball.up, DIRTY)
     assert ball.cube_counts == listed_cube_counts(ball.up, DIRTY)
 
@@ -412,7 +413,7 @@ def test_ball_vertices_match_brute_force():
                         found.setdefault(canonical_key(rd), rd)
             level = nxt
         ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, r)
-        assert set(vertex_index(ball)) == set(found)
+        assert set(vertex_index(ball, pres, w)) == set(found)
         # edges: exactly the pairs at diagram distance one
         expect_edges = sum(
             1
@@ -439,8 +440,8 @@ def test_extensions_match_general_reduction(pres, w, radius):
     # its cancellations, whose edges were recorded from below, and here each
     # one is keyed: it must reach a neighbour one level down
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
-    ds = vertex_diagrams(ball)
-    index = vertex_index(ball)
+    ds = vertex_diagrams(ball, pres, w)
+    index = vertex_index(ball, pres, w)
     adj = adjacency(ball)
     produced = set()
     wires = Wires(pres, w)
@@ -477,9 +478,9 @@ def test_cube_corners_match_general_reduction(pres, w, radius):
     # cube corners are read off up-edge tables; each must be the vertex of
     # the corner diagram composed with the selected atoms, reduced in general
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
-    index = vertex_index(ball)
-    ds = vertex_diagrams(ball)
-    cubes_by_dim = farley_cubes(ball)
+    index = vertex_index(ball, pres, w)
+    ds = vertex_diagrams(ball, pres, w)
+    cubes_by_dim = farley_cubes(ball, pres)
     assert cubes_by_dim
     for cubes in cubes_by_dim.values():
         for cube in cubes:
@@ -513,9 +514,8 @@ def test_ball_replays_diagrams_only_when_asked(monkeypatch):
 
 def test_depth_equals_cell_count():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
-    for d, depth, word in zip(vertex_diagrams(ball), ball.depths, ball.words):
+    for d, depth in zip(vertex_diagrams(ball, PADPAIR, A1B1), ball.depths):
         assert d.cells == depth
-        assert d.bot == word
         assert reference_reduce(d).moves == d.moves  # vertices are reduced
 
 
@@ -524,7 +524,7 @@ def test_index_round_trip_and_rejection():
     # each one again
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
     assert len(set(ball.keys)) == len(ball.depths)
-    for i, d in enumerate(vertex_diagrams(ball)):
+    for i, d in enumerate(vertex_diagrams(ball, PADPAIR, A1B1)):
         assert index_of(ball, d) == i
     outside = reduce_diagram(compose(LOOP_A, LOOP_A))  # 6 cells
     with pytest.raises(ValueError):
@@ -533,11 +533,11 @@ def test_index_round_trip_and_rejection():
 
 def test_edges_join_consecutive_levels_at_distance_one():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
-    ds = vertex_diagrams(ball)
+    ds = vertex_diagrams(ball, PADPAIR, A1B1)
     for e in ball.edges:
         assert ball.depths[e.high] == ball.depths[e.low] + 1
         assert distance(ds[e.low], ds[e.high]) == 1
-        assert e.word == ds[e.low].bot == ball.words[e.low]
+        assert e.word == ds[e.low].bot
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +548,13 @@ def test_edges_join_consecutive_levels_at_distance_one():
 def test_distance_from_identity_is_cell_count():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     base = eps(PADPAIR, A1B1)
-    for d in vertex_diagrams(ball):
+    for d in vertex_diagrams(ball, PADPAIR, A1B1):
         assert distance(base, d) == d.cells
 
 
 def test_distance_symmetric_zero_on_diagonal():
     ball = farley_ball(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"), 3)
-    ds = vertex_diagrams(ball)[:6]
+    ds = vertex_diagrams(ball, COMM, W("a a b c"))[:6]
     for a in ds:
         assert distance(a, a) == 0
         for b in ds:
@@ -562,7 +562,8 @@ def test_distance_symmetric_zero_on_diagonal():
 
 
 def test_distance_triangle_inequality():
-    ds = vertex_diagrams(farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2))[:10]
+    ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 2)
+    ds = vertex_diagrams(ball, PADPAIR, A1B1)[:10]
     for a, b, c in itertools.combinations(ds, 3):
         assert distance(a, c) <= distance(a, b) + distance(b, c)
 
@@ -576,15 +577,15 @@ def test_distance_agrees_with_bfs_on_guarded_pairs():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 6)
     pairs = guarded_pairs(ball)
     assert pairs  # depth-2 vertices are guarded at radius 6
-    ds = vertex_diagrams(ball)
+    ds = vertex_diagrams(ball, PADPAIR, A1B1)
     for i, j, dist in pairs:
         assert distance(ds[i], ds[j]) == dist
 
 
-def cell_set_mismatches(ball, cells):
+def cell_set_mismatches(ball, pres, base, cells):
     """Vertex pairs whose cell sets, as ``cells(i)`` names them, differ in
     size from the general-reduction distance of their diagrams."""
-    ds = vertex_diagrams(ball)
+    ds = vertex_diagrams(ball, pres, base)
     sets = [cells(i) for i in range(len(ds))]
     return [
         (i, j)
@@ -608,7 +609,7 @@ def test_cell_sets_measure_distance(pres, w, radius):
     # every pair, not only the guarded ones: the symmetric difference of the
     # cell sets is the distance that general reduction computes
     ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), w, radius)
-    assert cell_set_mismatches(ball, ball.cells) == []
+    assert cell_set_mismatches(ball, pres, w, ball.cells) == []
 
 
 def test_cell_sets_measure_distance_on_random_presentations():
@@ -617,7 +618,7 @@ def test_cell_sets_measure_distance_on_random_presentations():
     for _ in range(40):
         pres, base = random_presentation(rng)
         ball = farley_ball(ClassSearch(pres, DEFAULT_CAPS), base, 4)
-        assert cell_set_mismatches(ball, ball.cells) == []
+        assert cell_set_mismatches(ball, pres, base, ball.cells) == []
         pairs += len(ball.depths) * (len(ball.depths) - 1) // 2
     assert pairs > 10000
 
@@ -630,7 +631,7 @@ def test_cell_sets_need_the_consumed_wires():
     def forgetful(i):
         return frozenset(cell[:2] for cell in ball.wires.cells(ball.keys[i]))
 
-    assert cell_set_mismatches(ball, forgetful)
+    assert cell_set_mismatches(ball, PADPAIR, A1B1, forgetful)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +642,7 @@ def test_cell_sets_need_the_consumed_wires():
 def test_squares_have_consistent_corners():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     edge_set = {(e.low, e.high) for e in ball.edges}
-    for sq in farley_squares(ball):
+    for sq in farley_squares(ball, PADPAIR):
         c = sq.corners
         assert c[0] == sq.corner
         d = ball.depths[c[0]]
@@ -773,7 +774,7 @@ def test_square_edges_pull_back_to_different_ranks():
     by_pair = {
         (e.low, e.high): r for e, r in zip(ball.edges, ranks)
     }
-    for sq in farley_squares(ball):
+    for sq in farley_squares(ball, PADPAIR):
         c = sq.corners
         assert by_pair[(c[0], c[1])] != by_pair[(c[0], c[2])]
 
@@ -808,7 +809,7 @@ def ball_hyperplanes(ball, partition):
             parent[max(rx, ry)] = min(rx, ry)
 
     eidx = {(e.low, e.high): i for i, e in enumerate(ball.edges)}
-    for sq in farley_squares(ball):
+    for sq in farley_squares(ball, partition.ball.pres):
         c = sq.corners
         union(eidx[(c[0], c[1])], eidx[(c[2], c[3])])
         union(eidx[(c[0], c[2])], eidx[(c[1], c[3])])
@@ -938,7 +939,7 @@ def separating_counts(a, b, ball, partition):
     counts are read off the path's edges.  Ranks with count zero are omitted.
     """
     ia, ib = index_of(ball, a), index_of(ball, b)
-    ds = vertex_diagrams(ball)
+    ds = vertex_diagrams(ball, a.pres, a.top)
     dist = distance(ds[ia], ds[ib])
     if (
         3 * dist > ball.radius
@@ -1020,7 +1021,7 @@ def test_embedding_radius_six_regression():
 def test_left_multiplication_acts_freely():
     ball = farley_ball(ClassSearch(PADPAIR, DEFAULT_CAPS), A1B1, 3)
     for g in (LOOP_A, LOOP_B, PAD_LOOP):
-        for d in vertex_diagrams(ball):
+        for d in vertex_diagrams(ball, PADPAIR, A1B1):
             moved = reference_reduce(compose(g, d))
             assert canonical_key(moved) != canonical_key(d)
 

@@ -37,8 +37,8 @@ from diagram_groups.rewriting import (
     end_letter_closure,
     forced_support,
     format_word,
-    has_singleton_class,
     invariant_letter_subsets,
+    letter_count,
     one_step_rewrites,
     parse_presentation,
     word_of,
@@ -182,8 +182,6 @@ def test_one_step_rewrites_match_reference_on_corpus(name):
     for w in _words(pres.letters, 4 if len(pres.letters) <= 5 else 3):
         got = one_step_rewrites(w, pres)
         assert got == reference_one_step_rewrites(w, pres), w
-        assert list(pres.side_spans(w)) == _spans(got, pres)
-        assert has_singleton_class(w, pres) == (got == ())
         rewritten += bool(got)
     assert rewritten
 
@@ -220,8 +218,6 @@ def test_one_step_rewrites_match_reference_on_random_presentations():
             got = one_step_rewrites(w, pres)
             assert got == reference_one_step_rewrites(w, pres), (seed, w)
             spans = _spans(got, pres)
-            assert list(pres.side_spans(w)) == spans
-            assert has_singleton_class(w, pres) == (got == ())
             overlapping += any(s1 < s2 < e1 for s1, e1 in spans for s2, _ in spans)
     assert shared and prefixed and overlapping
 
@@ -664,12 +660,50 @@ def test_a_probe_from_an_exhausted_class_grows_it_no_more(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_has_singleton_class():
-    assert has_singleton_class(("a",), COMM)
-    assert has_singleton_class((), COMM)
-    assert not has_singleton_class(tuple("aabc"), COMM)
-    assert not has_singleton_class(W("a b"), DIRTY)  # side "a" occurs
-    assert has_singleton_class(("p",), HALFPAD)
+def test_singleton_classes_are_the_words_without_rewrites():
+    # a rewrite always changes the word (relation sides differ), so the
+    # class is a singleton exactly when no relation side occurs
+    for pres, w, singleton in (
+        (COMM, ("a",), True),
+        (COMM, (), True),
+        (COMM, tuple("aabc"), False),
+        (DIRTY, W("a b"), False),  # side "a" occurs
+        (HALFPAD, ("p",), True),
+    ):
+        search = ClassSearch(pres, CAPS)
+        assert (not search.rewrites(w)) == singleton
+        assert (len(search.enum(w)) == 1) == singleton
+
+
+def test_invariant_subsets_of_a_large_alphabet():
+    """Past 16 letters only the singletons, their complements and the full
+    alphabet are tried; the result is the invariant ones among them,
+    ordered by size and then by their sorted letter positions."""
+    letters = tuple(f"x{i}" for i in range(18))
+    pres = Presentation(
+        letters,
+        (Relation(W("x0 x1"), W("x2")), Relation(W("x3"), W("x4"))),
+    )
+
+    def invariant(subset):
+        return all(
+            letter_count(rel.lhs, subset) == letter_count(rel.rhs, subset)
+            for rel in pres.relations
+        )
+
+    everything = frozenset(letters)
+    candidates = [frozenset([x]) for x in letters]
+    candidates += [everything - {x} for x in letters] + [everything]
+    found = invariant_letter_subsets(pres)
+    assert all(invariant(s) for s in found)
+    assert list(found) == sorted(
+        filter(invariant, candidates),
+        key=lambda s: (len(s), sorted(letters.index(x) for x in s)),
+    )
+    assert list(found) == [frozenset([f"x{i}"]) for i in range(5, 18)] + [
+        everything - {"x1"},
+        everything - {"x0"},
+    ]
 
 
 def test_invariant_subsets_comm():

@@ -782,6 +782,58 @@ class TestDimension:
     def test_zero_always_yes(self):
         assert dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), W("a"), 0).is_yes
 
+    def test_greedy_site_ends_agree_with_the_dynamic_program(self):
+        """Greedy interval scheduling over a word's rewrite sites finds as
+        many disjoint sites as the dynamic program finds rewritable
+        factors, and for every ``n`` up to that number the witness's cuts,
+        the ends of sites k-n+1 .. k-1, are the program's cuts after it
+        merges its surplus factors from the left."""
+        rng = random.Random(1507)
+        counts = Counter()
+        for _ in range(150):
+            pres = _random_presentation(rng)
+            search = ClassSearch(pres, DEFAULT_CAPS)
+            for _ in range(20):
+                w = tuple(rng.choice("abc") for _ in range(rng.randint(0, 12)))
+                count, cuts = reference_max_rewritable_parts(w, pres)
+                ends = rewriting._site_ends(search, w)
+                assert len(ends) == count, w
+                for n in range(1, count + 1):
+                    assert ends[count - n : count - 1] == cuts[-n:-1], (w, n)
+                counts[count] += 1
+        assert counts[0] and counts[1] and max(counts) >= 4
+
+
+def reference_max_rewritable_parts(w, pres):
+    """The dynamic program ``dimension_at_least`` once ran on each member:
+    the largest number of factors of ``w`` that each contain a relation
+    side, and the cut positions (ending at ``len(w)``) of the best split
+    it found first.  O(n² · sites)."""
+    occ = [
+        (m.offset, m.offset + len(m.sides(pres)[0])) for m, _ in one_step_rewrites(w, pres)
+    ]
+    n = len(w)
+    best = [-1] * (n + 1)
+    prev = [-1] * (n + 1)
+    best[0] = 0
+    for i in range(1, n + 1):
+        for j in range(i):
+            if best[j] < 0:
+                continue
+            if any(j <= s and e <= i for s, e in occ):
+                if best[j] + 1 > best[i]:
+                    best[i] = best[j] + 1
+                    prev[i] = j
+    if best[n] <= 0:
+        return 0, []
+    cuts = []
+    i = n
+    while i > 0:
+        cuts.append(i)
+        i = prev[i]
+    cuts.reverse()
+    return best[n], cuts
+
 
 class TestRank:
     def setup_method(self):
@@ -805,6 +857,32 @@ class TestRank:
     def test_squeeze_note_present_on_truncated_ball(self):
         result = rank(B1, self.ball)
         assert any("dimension" in note for note in result.notes)
+
+    def test_cycles_in_the_crossing_order_make_ranks_inexact(self, tmp_path):
+        """On a capped ball ≺ can close a cycle.  The longest-chain search
+        then stops at the hyperplane it already holds, notes the cycle and
+        calls the rank inexact; every chain it returns is still a ≺-chain
+        of distinct hyperplanes below its own, as long as its rank."""
+        text = "letters: a b\nrel: b = a b b\nrel: b a = b b\n"
+        caps = ("--max-word-len", "8", "--max-class-size", "150", "--max-bfs-depth", "20")
+        ball = build_ball(
+            ClassSearch(parse_presentation(text), SearchCaps(8, 150, 20)), W("b a b b b")
+        )
+        order, ids = ball.order, ball.catalog.ids
+        prec = {
+            (ids[i], ids[j]) if value == "first_prec_second" else (ids[j], ids[i])
+            for i, j, value in order.crossings
+        }
+        noted = [r for r in order.ranks if any("cycle detected" in n for n in r.notes)]
+        assert len(order.ranks) == 31 and len(noted) == 12
+        assert not any(r.exact for r in noted)
+        for hid, r in zip(ids, order.ranks):
+            chain = r.chain + (hid,)
+            assert len(set(chain)) == len(chain) == r.value + 1
+            assert all(pair in prec for pair in zip(chain, chain[1:]))
+        path = tmp_path / "cycle.pres"
+        path.write_text(text)
+        assert main(["rank-table", "-p", str(path), "-w", "b a b b b", *caps]) == 2
 
     def test_each_dimension_is_squeezed_once(self, monkeypatch):
         # the inexact ranks of the truncated ball share their squeezes:
