@@ -148,8 +148,6 @@ class LeftHyperplaneScan(NamedTuple):
     class complex and every verdict was definite.
     """
 
-    pres: Presentation
-    base: Word
     hyperplanes: Tuple[LeftHyperplane, ...]
     rejected: Tuple[HyperplaneId, ...]
     undecided: Tuple[HyperplaneId, ...]
@@ -199,8 +197,7 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
         and all(h.id.exact for h in found)
     )
     return LeftHyperplaneScan(
-        pres, w, tuple(found), tuple(rejected), tuple(undecided), exact,
-        tuple(notes),
+        tuple(found), tuple(rejected), tuple(undecided), exact, tuple(notes)
     )
 
 

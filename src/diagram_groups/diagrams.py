@@ -88,10 +88,6 @@ class CanonicalKey(NamedTuple):
     top: Word
     layers: Tuple[Tuple[Tuple[int, int, bool], ...], ...]
 
-    @property
-    def cells(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 #: One cell of a diagram wired by letter occurrences: ``(relation, forward,
 #: consumed wires, produced wires)``.  The top word's wires are

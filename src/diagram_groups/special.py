@@ -345,20 +345,24 @@ def scan_self_osculations(
     ball: SquierBall,
 ) -> Tuple[Tuple[SelfOsculation, ...], bool]:
     """Geometric route: two overlapping co-initial (or, symmetrically at the
-    common target, co-terminal) rewrites crossing one oriented hyperplane."""
+    common target, co-terminal) rewrites crossing one oriented hyperplane.
+
+    ``rewrites`` lists each ``(offset, relation, forward)`` once, in offset
+    order, and ``combinations`` keeps that order, so two moves of one
+    oriented relation have ``m1.offset < m2.offset``.  Each witness is found
+    once: the relation and direction fix ``sigma``, ``(n, k, h)`` fixes
+    ``delta = len(k h)`` and ``a`` the offset of ``m1``, so a witness names
+    its vertex ``a sigma[:delta] sigma b`` and its pair of moves, and each
+    vertex is scanned once.
+    """
     pres, search = ball.pres, ball.search
     equal = search.equal
     found: List[SelfOsculation] = []
     definite = True
-    seen: Set[Tuple] = set()
     for w in ball.vertices:
         for (m1, _), (m2, _) in itertools.combinations(search.rewrites(w), 2):
             if m1.relation != m2.relation or m1.forward != m2.forward:
                 continue
-            if m1.offset == m2.offset:
-                continue
-            if m2.offset < m1.offset:
-                m1, m2 = m2, m1
             sigma = m1.sides(pres)[0]
             delta = m2.offset - m1.offset
             if delta >= len(sigma):
@@ -373,10 +377,6 @@ def scan_self_osculations(
             n, k, h = _period_split(sigma, delta)
             a = w[: m1.offset]
             b = w[m2.offset + len(sigma):]
-            key = (n, a, k, h, b, m1.relation, m1.forward)
-            if key in seen:
-                continue
-            seen.add(key)
             found.append(
                 SelfOsculation(
                     n, a, k, h, m1.sides(pres)[1], b,

@@ -240,7 +240,9 @@ class SquierBall:
         The walk follows the derivation of ``d`` edge by edge: tree edges
         vanish, so no base-point transport is ever needed.  The loops
         generate the fundamental group of the ball, freely when it has no
-        squares.
+        squares.  A step between two members, turned forward, is a move
+        between members, which ``_build_ball`` records as a ball edge; so
+        each step off the tree is a loop.
         """
         if not d.is_spherical:
             raise ValueError("only loops have a class in the fundamental group")
@@ -255,9 +257,7 @@ class SquierBall:
             edge, sign = BallEdge.of(w, move, pres), 1 if move.forward else -1
             if edge in self.tree:
                 continue
-            idx = self._loop_index.get(edge)
-            if idx is None:
-                return None
+            idx = self._loop_index[edge]
             if out and out[-1] == (idx, -sign):
                 out.pop()
             else:
@@ -400,12 +400,6 @@ class HyperplaneCatalog:
     (same relation, different class parts) was certified by a definite
     inequality.  ``index`` maps each hyperplane, and ``edge_index`` each
     ball edge, to the position of its hyperplane in ``ids``.
-
-    :func:`hyperplane_catalog` groups the edges of a complete ball by class
-    representatives where both part classes enumerate completely, and by
-    pairwise probes elsewhere.  The groups are those of probing every edge,
-    and ``exact`` is the same: a representative is taken only from a
-    complete enumeration, and a probe from such a word is never unknown.
     """
 
     __slots__ = ("ids", "edges_of", "exact", "index", "edge_index")
@@ -431,57 +425,29 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
 
     Edges are taken in ball order.  Each joins the first earlier group of its
     relation whose first edge has congruent left and right parts, or opens a
-    new group.  On a complete ball, an edge whose part classes both
-    enumerate completely is named by its class representatives
-    ``(rep(a), relation, rep(b))``, and a dict keyed on them finds its group.
-    Two such edges belong together exactly when their keys are equal, so a
-    key that misses needs probing only against the groups opened by the other
-    edges, in order; it is registered either way.  Every other edge probes
-    each earlier group of its relation, and an unknown probe clears ``exact``.
-    An edge named by its key would never clear it: a probe from a word whose
-    class enumerates completely under the caps exhausts that side, so it is
-    never unknown.  The groups, and so ``exact``, are those of probing every
-    edge.  Capped balls probe every edge, because enumerating each part word
-    costs more there than the probes it saves, even though a probe from an
-    enumerated word searches from the other word alone.
+    new group; an unknown probe clears ``exact``.
     """
     pres, search = ball.pres, ball.search
     equal = search.equal
     exact = True
     groups: List[Tuple[Tuple[Word, Word], List[BallEdge]]] = []
     by_relation: Dict[int, List[int]] = {}
-    # groups opened by edges without a key, per relation
-    probed: Dict[int, List[int]] = {}
-    by_key: Dict[Tuple[Word, int, Word], int] = {}
     for edge in ball.edges:
         a, b = edge.parts(pres)
         relation = edge.move.relation
-        key = None
-        if ball.complete:
-            (ra, xa), (rb, xb) = search.rep(a), search.rep(b)
-            if xa and xb:
-                key = (ra, relation, rb)
-        gi = by_key.get(key)
-        if gi is None:
-            # a key that misses can belong only to a group opened without one
-            for g in (by_relation if key is None else probed).get(relation, ()):
-                (ga, gb), _ = groups[g]
-                va = equal(a, ga)
-                vb = equal(b, gb)
-                if va.is_yes and vb.is_yes:
-                    gi = g
-                    break
-                if va.is_unknown or vb.is_unknown:
-                    exact = False
-        if gi is None:
-            gi = len(groups)
+        for g in by_relation.get(relation, ()):
+            (ga, gb), _ = groups[g]
+            va = equal(a, ga)
+            vb = equal(b, gb)
+            if va.is_yes and vb.is_yes:
+                break
+            if va.is_unknown or vb.is_unknown:
+                exact = False
+        else:
+            g = len(groups)
             groups.append(((a, b), []))
-            by_relation.setdefault(relation, []).append(gi)
-            if key is None:
-                probed.setdefault(relation, []).append(gi)
-        groups[gi][1].append(edge)
-        if key is not None:
-            by_key[key] = gi
+            by_relation.setdefault(relation, []).append(g)
+        groups[g][1].append(edge)
     packed: List[Tuple[HyperplaneId, Tuple[BallEdge, ...]]] = []
     for (a, b), members in groups:
         la, xa = search.rep(a)

@@ -286,6 +286,30 @@ def test_dim_verdicts(capsys, padpair):
     assert "witness" in blob
 
 
+@pytest.mark.parametrize(
+    "pres, word, caps, code, verdict",
+    [
+        ("letters: a b c\nrel: b = a a\n", "a b c", [], 1, "no"),
+        (
+            "letters: a b c\nrel: a c = a b\nrel: b c = c\nrel: b c b = c a b\n",
+            "c a",
+            ["--max-word-len", "8", "--max-class-size", "60", "--max-bfs-depth", "12"],
+            2,
+            "unknown",
+        ),
+    ],
+    ids=["complete-no", "capped-unknown"],
+)
+def test_dim_when_no_member_factors(capsys, tmp_path, pres, word, caps, code, verdict):
+    # no letter count refutes two factors, and no member found factors
+    path = tmp_path / "p.pres"
+    path.write_text(pres)
+    got, blob = run_json(capsys, "dim", "-p", str(path), "-w", word, "-n", "2", *caps)
+    assert got == code and blob["verdict"] == verdict
+    if verdict == "no":
+        assert blob["witness"] == "no member of the complete class factors"
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_dim_without_relations_is_a_certified_no(capsys, tmp_path, n):
     # no relation side occurs anywhere, so no factor is rewritable

@@ -102,6 +102,13 @@ ranks 4 and 12, the first Betti numbers of the two class complexes.  The
 ``five.int``) was captured then too: it presents the right-angled Artin
 group of the complement of the interval graph, with five generators and
 six commutators.
+
+The ``dim``, ``hyperplanes`` and ``special`` cases on ``thompson.pres``
+(``x = x x``, whose diagram group at ``x`` is Thompson's group F) were
+captured from the implementation in which the hyperplane catalog named the
+edges of a complete ball by the class representatives of their parts, so
+they pin, with every ``hyperplanes``, ``relate`` and ``rank-table`` case, the
+move to grouping every edge by equality probes.
 """
 
 import argparse

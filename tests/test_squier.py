@@ -27,6 +27,7 @@ from conftest import (
     OSC_PLAIN,
     PADPAIR,
     PADPAIR_CAPS,
+    SMALL_CAPS,
     TIGHT_CAPS,
     W,
 )
@@ -371,16 +372,6 @@ def reference_hyperplane_catalog(ball):
     return tuple(h for h, _ in packed), tuple(packed), exact
 
 
-def _catalog_paths(ball):
-    """(edges named by class representatives, edges that probe)."""
-    search = ball.search
-    keyed = sum(
-        ball.complete and all(search.rep(x)[1] for x in e.parts(ball.pres))
-        for e in ball.edges
-    )
-    return keyed, len(ball.edges) - keyed
-
-
 def _assert_catalog_matches_reference(pres, base, caps):
     # separate searches, so neither side reads answers the other computed
     ball = build_ball(ClassSearch(pres, caps), base)
@@ -400,8 +391,8 @@ CATALOG_CORPUS = [
     (OSC_PLAIN, "x k h k h k y"),
     (INTEROSC, "c u v w d"),
 ]
-# these absorbing classes fill any class-size cap with thousands of edges,
-# all of which probe; conftest pairs them with TIGHT caps
+# these absorbing classes fill any class-size cap with thousands of edges;
+# conftest pairs them with TIGHT caps
 ABSORBING = [(DIRTY, "a b"), (GROW, "x"), (OSC_EMPTY, "x k k k y")]
 
 
@@ -415,12 +406,8 @@ ABSORBING = [(DIRTY, "a b"), (GROW, "x"), (OSC_EMPTY, "x k k k y")]
     ids=["default", "tight", "padpair"],
 )
 def test_catalog_matches_pairwise_probes_on_corpus(caps, corpus):
-    keyed = probing = 0
     for pres, base in corpus:
-        ball = _assert_catalog_matches_reference(pres, W(base), caps)
-        k, p = _catalog_paths(ball)
-        keyed, probing = keyed + k, probing + p
-    assert keyed and probing
+        _assert_catalog_matches_reference(pres, W(base), caps)
 
 
 def _reference_loops(ball):
@@ -473,8 +460,8 @@ def _bfs_depth(pres, base, caps):
 
 
 def test_catalog_matches_pairwise_probes_on_random_presentations():
-    # every edge of a capped ball probes, each probe against a capped class:
-    # small caps keep those balls cheap
+    # each probe of a capped ball may search a capped class: small caps keep
+    # those balls cheap
     caps = SearchCaps(max_word_len=6, max_class_size=30, max_bfs_depth=12)
     complete = 0
     for seed in range(80):
@@ -487,7 +474,8 @@ def test_catalog_matches_pairwise_probes_on_random_presentations():
 
 # ``a a b b c d`` reaches ``b b a a d c`` in one step, so every member of its
 # class lies within 3 rewrites of it; the left part ``a a b b`` of the
-# ``c d`` edge needs 4 rewrites to reach ``b b a a``
+# ``c d`` edge needs 4 rewrites to reach ``b b a a``, so at depth cap 3 the
+# ball is complete but that part class is capped from its own seed
 SHORTCUT = parse_presentation(
     """
     letters: a b c d
@@ -500,15 +488,14 @@ SHORTCUT = parse_presentation(
 
 def test_catalog_probes_parts_capped_from_their_own_seed():
     """At a depth cap equal to the base's BFS depth the ball is complete,
-    but a part class can be capped from its own seed: those edges probe,
-    the rest are named by representatives, and the catalog is unchanged."""
+    but a part class can be capped from its own seed, so a probe of that
+    part may be unknown; the catalog still equals the pairwise reference."""
     wide = SearchCaps(max_word_len=10, max_class_size=200, max_bfs_depth=100)
     cases = [(SHORTCUT, W("a a b b c d"))]
     for seed in range(300):
         rng = random.Random(seed)
         pres = _random_presentation(rng)
         cases.append((pres, tuple(rng.choice("abc") for _ in range(rng.randint(2, 6)))))
-    mixed = []
     for pres, base in cases:
         depth = _bfs_depth(pres, base, wide)
         if not depth:
@@ -516,10 +503,8 @@ def test_catalog_probes_parts_capped_from_their_own_seed():
         caps = SearchCaps(wide.max_word_len, wide.max_class_size, depth)
         ball = _assert_catalog_matches_reference(pres, base, caps)
         assert ball.complete
-        keyed, probing = _catalog_paths(ball)
-        if keyed and probing:
-            mixed.append(pres)
-    assert mixed[0] is SHORTCUT and len(mixed) >= 2
+        if pres is SHORTCUT:
+            assert depth == 3 and not ball.search.rep(W("a a b b"))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +767,25 @@ class TestDimension:
     def test_zero_always_yes(self):
         assert dimension_at_least(ClassSearch(COMM, DEFAULT_CAPS), W("a"), 0).is_yes
 
+    def test_complete_class_without_a_factoring_member_is_no(self):
+        # the class {a b c, b a c, a a a c}: no letter count refutes, and no
+        # member holds two disjoint relation sides
+        search = ClassSearch(parse_presentation("letters: a b c\nrel: b = a a"), DEFAULT_CAPS)
+        verdict = dimension_at_least(search, W("a b c"), 2)
+        assert verdict.is_no
+        assert verdict.witness == "no member of the complete class factors"
+        assert set(search.enum(W("a b c")).members) == {
+            W("a b c"), W("b a c"), W("a a a c")
+        }
+
+    def test_capped_class_without_a_factoring_member_is_unknown(self):
+        pres = parse_presentation(
+            "letters: a b c\nrel: a c = a b\nrel: b c = c\nrel: b c b = c a b"
+        )
+        search = ClassSearch(pres, SearchCaps(max_word_len=8, max_class_size=60, max_bfs_depth=12))
+        assert dimension_at_least(search, W("c a"), 2).is_unknown
+        assert not search.enum(W("c a")).complete
+
     def test_greedy_site_ends_agree_with_the_dynamic_program(self):
         """Greedy interval scheduling over a word's rewrite sites finds as
         many disjoint sites as the dynamic program finds rewritable
@@ -990,6 +994,20 @@ class TestSelfIntersection:
         assert report.clean.is_no
         assert report.special.is_no
         assert report.self_intersections
+
+    @pytest.mark.parametrize(
+        "caps", [SMALL_CAPS, TIGHT_CAPS, DEFAULT_CAPS], ids=["small", "tight", "default"]
+    )
+    @pytest.mark.parametrize("base", ["x", "x x"])
+    def test_thompson_complex_is_never_special(self, caps, base):
+        # the diagram group of ``x = x x`` is Thompson's F, which is not
+        # residually finite; every right-angled Artin group is, and the
+        # fundamental group of a special cube complex embeds in one
+        pres = parse_presentation(
+            (Path(__file__).parent / "golden" / "thompson.pres").read_text()
+        )
+        report = specialness_report(ClassSearch(pres, caps), W(base))
+        assert not report.special.is_yes
 
     def test_commuting_presentation_refutes_splits(self):
         assert refute_absorbing_splits(COMM) is not None
