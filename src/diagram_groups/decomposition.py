@@ -143,13 +143,13 @@ def _split_side(
 class LeftHyperplaneScan(NamedTuple):
     """All hyperplanes of a ball classified by leftness.
 
-    ``undecided`` collects hyperplanes whose leftness (or split) could not be
-    settled within caps; ``exact`` asserts the catalog covered the whole
-    class complex and every verdict was definite.
+    ``hyperplanes`` holds the left ones, ``undecided`` those whose leftness
+    (or split) could not be settled within caps, and a cataloged hyperplane
+    in neither was decided not left; ``exact`` asserts the catalog covered
+    the whole class complex and every verdict was definite.
     """
 
     hyperplanes: Tuple[LeftHyperplane, ...]
-    rejected: Tuple[HyperplaneId, ...]
     undecided: Tuple[HyperplaneId, ...]
     exact: bool
     notes: Tuple[str, ...]
@@ -165,7 +165,6 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
     pres = search.pres
     catalog = build_ball(search, w).catalog
     found: List[LeftHyperplane] = []
-    rejected: List[HyperplaneId] = []
     undecided: List[HyperplaneId] = []
     notes: List[str] = []
     for hid in catalog.ids:
@@ -174,14 +173,12 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
         u, v = relation.lhs, relation.rhs
         left_ok = is_trivial_group(search, a)
         if left_ok.is_no:
-            rejected.append(hid)
             continue
         grown = is_trivial_group(search, a + u)
         if left_ok.is_unknown or grown.is_unknown:
             undecided.append(hid)
             continue
         if grown.is_yes:
-            rejected.append(hid)
             continue
         source_split, src_notes = _split_side(search, a, u)
         target_split, tgt_notes = _split_side(search, a, v)
@@ -196,9 +193,7 @@ def left_hyperplanes(search: ClassSearch, w: Word) -> LeftHyperplaneScan:
         and not undecided
         and all(h.id.exact for h in found)
     )
-    return LeftHyperplaneScan(
-        tuple(found), tuple(rejected), tuple(undecided), exact, tuple(notes)
-    )
+    return LeftHyperplaneScan(tuple(found), tuple(undecided), exact, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,8 @@ def intersects(a: Span, b: Span) -> bool:
 
 
 def parse_intervals(text: str) -> IntervalCollection:
-    """Parse ``n=7 / I1: 1 3 / I2: 2 5``; newlines and ``/`` both separate."""
+    """Parse ``n=7 / I1: 1 3 / I2: 2 5``; newlines and ``/`` both separate.
+    A bad chunk is reported with its text."""
     chunks = [
         c.strip() for line in text.splitlines() for c in line.split("/")
     ]
@@ -116,7 +117,10 @@ def parse_intervals(text: str) -> IntervalCollection:
     key, _, val = chunks[0].partition("=")
     if key.strip() != "n":
         raise ValueError(f"expected n=<ground size>, got {chunks[0]!r}")
-    ground = int(val)
+    try:
+        ground = int(val)
+    except ValueError:
+        raise ValueError(f"bad ground size in {chunks[0]!r}") from None
     intervals: List[Tuple[str, int, int]] = []
     for chunk in chunks[1:]:
         name, sep, rest = chunk.partition(":")
@@ -125,7 +129,10 @@ def parse_intervals(text: str) -> IntervalCollection:
         parts = rest.split()
         if len(parts) != 2:
             raise ValueError(f"expected two endpoints in {chunk!r}")
-        intervals.append((name.strip(), int(parts[0]), int(parts[1])))
+        try:
+            intervals.append((name.strip(), int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"bad endpoint in {chunk!r}") from None
     return IntervalCollection(ground, tuple(intervals))
 
 

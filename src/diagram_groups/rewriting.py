@@ -18,16 +18,17 @@ searches return their derivations as :class:`Diagram` objects, defined
 here beside :class:`Move` with their flip :func:`inverse`; the algebra of
 diagrams (composition, sums, dipole reduction) is in ``diagrams``.
 
-Both searches grow one kind of BFS frontier, whose expansion step is the
-only code that applies the caps; an enumeration keeps the frontier's parent
-map as its spanning tree.  A run asks its searches through one
-:class:`ClassSearch`, which holds the presentation and the caps, answers
-each closure and equality probe once per run, and keeps one neighbour
-table: every frontier of the run reads a word's rewrites from it, so each
-word is scanned once per run however many searches pass through it.  An
-equality probe grows no side whose class the run has already enumerated:
-it reads that enumeration and searches from the other word alone, which
-gives the answer the bidirectional search would (see ``equal_mod_p``).
+Both searches grow :class:`ClassEnumeration` frontiers, whose expansion
+step is the only code that applies the caps; a stored enumeration is the
+search that grew it, its parent map the spanning tree.  A run asks its
+searches through one :class:`ClassSearch`, which holds the presentation
+and the caps, answers each closure and equality probe once per run, and
+keeps one neighbour table: every frontier of the run reads a word's
+rewrites from it, so each word is scanned once per run however many
+searches pass through it.  An equality probe grows no side whose class
+the run has already enumerated: it reads that enumeration and searches
+from the other word alone, which gives the answer the bidirectional
+search would (see ``equal_mod_p``).
 
 The module also provides a few cheap *certificates* that stay sound on
 infinite congruence classes (letter-count invariants and first/last-letter
@@ -389,32 +390,41 @@ def inverse(d: Diagram) -> Diagram:
 
 
 class ClassEnumeration:
-    """Bounded BFS closure of a congruence class.
+    """Bounded BFS closure of a congruence class, grown from ``seed``.
 
-    ``complete`` is True exactly when the closure finished without
-    suppressing any unvisited neighbour.  ``parent`` is the BFS spanning
-    tree, kept as the search grew it: every member but the seed maps to the
-    member it was discovered from and the move that reached it, in discovery
-    order, so any member's derivation from the seed can be replayed.
-    ``members`` lists the seed and the tree's words shortlex-sorted, sorted
-    on first read: a caller that only tests membership (``in``, ``len``)
-    never sorts them.
+    Every class search grows these: :func:`enumerate_class` expands one
+    until its queue is empty, and :func:`equal_mod_p` expands two toward
+    each other, or one toward a class the run has already enumerated.  How
+    far one has grown never depends on what it is grown against: ``other``
+    only decides where :meth:`expand` stops.  So one that empties its queue
+    without meeting anything has visited exactly the words, in the same
+    order and along the same tree, that :func:`enumerate_class` visits from
+    its seed, and the run stores it as such: a stored enumeration is the
+    search that grew it.
+
+    ``parent`` is the BFS spanning tree, kept as the search grew it: every
+    member but the seed maps to the member it was discovered from and the
+    move that reached it, in discovery order, so any member's derivation
+    from the seed can be replayed.  ``capped`` is set when a cap suppresses
+    an unvisited neighbour, and an exhausted enumeration is ``complete``
+    exactly when it is not capped.  ``members`` lists the seed and the
+    tree's words shortlex-sorted, sorted on first read: a caller that only
+    tests membership (``in``, ``len``) never sorts them.
     """
 
-    __slots__ = ("seed", "complete", "parent", "_pres", "_members")
+    __slots__ = ("seed", "parent", "queue", "capped", "_pres", "_members")
 
-    def __init__(
-        self,
-        seed: Word,
-        complete: bool,
-        parent: Dict[Word, Tuple[Word, Move]],
-        pres: Presentation,
-    ) -> None:
+    def __init__(self, seed: Word, pres: Presentation) -> None:
         self.seed = seed
-        self.complete = complete
-        self.parent = parent
+        self.parent: Dict[Word, Tuple[Word, Move]] = {}
+        self.queue: Union[deque[Tuple[Word, int]], Tuple[()]] = deque([(seed, 0)])
+        self.capped = False
         self._pres = pres
         self._members: Optional[Tuple[Word, ...]] = None
+
+    @property
+    def complete(self) -> bool:
+        return not self.capped
 
     @property
     def members(self) -> Tuple[Word, ...]:
@@ -440,59 +450,23 @@ class ClassEnumeration:
     def __len__(self) -> int:
         return len(self.parent) + 1
 
-    def derivation(self, target: Word) -> Diagram:
-        """The diagram seed -> target along the BFS tree."""
-        if target not in self:
-            raise ValueError(f"{format_word(target)} was not enumerated")
-        return Diagram(self._pres, self.seed, _tree_steps(self.parent, self.seed, target))
-
-
-def _tree_steps(
-    parent: Dict[Word, Tuple[Word, Move]], seed: Word, target: Word
-) -> Tuple[Move, ...]:
-    """The moves from ``seed`` to ``target`` along a BFS tree."""
-    steps: List[Move] = []
-    while target != seed:
-        target, move = parent[target]
-        steps.append(move)
-    return tuple(reversed(steps))
-
-
-class _BfsSide:
-    """One BFS frontier grown from ``seed``, the core of every class search:
-    :func:`enumerate_class` expands one side until its queue is empty, and
-    :func:`equal_mod_p` expands two sides toward each other, or one side
-    toward a class the run has already enumerated.
-
-    How far a side has grown never depends on what it is grown against:
-    ``other`` only decides where :meth:`expand` stops.  So a side that
-    empties its queue without meeting anything has visited exactly the
-    words, in the same order and along the same tree, that
-    :func:`enumerate_class` visits from its seed.
-    """
-
-    def __init__(self, seed: Word) -> None:
-        self.seed = seed
-        self.parent: Dict[Word, Tuple[Word, Move]] = {}
-        self.queue: deque[Tuple[Word, int]] = deque([(seed, 0)])
-        self.capped = False
-
     def expand(
-        self,
-        search: ClassSearch,
-        other: Union["_BfsSide", ClassEnumeration, None] = None,
+        self, search: ClassSearch, other: Optional[ClassEnumeration] = None
     ) -> Optional[Word]:
         """Pop the next frontier word and record its unvisited neighbours,
         read from the run's neighbour table :meth:`ClassSearch.rewrites`.
 
         This is the one place the caps are applied: a neighbour deeper than
         ``max_bfs_depth``, longer than ``max_word_len``, or past
-        ``max_class_size`` visited words is suppressed, and the side is then
-        capped.  Returns the first recorded word that ``other``, another
-        side or a known enumeration, has already visited, if any, and stops
-        there.
+        ``max_class_size`` visited words is suppressed, and the enumeration
+        is then capped.  Returns the first recorded word that ``other``,
+        another enumeration grown or stored, has already visited, if any,
+        and stops there.  The step that empties the queue replaces it by
+        ``()``: an exhausted enumeration never grows again, and an empty
+        deque still costs 760 bytes.
         """
-        w, depth = self.queue.popleft()
+        queue = self.queue
+        w, depth = queue.popleft()
         parent, seed, caps = self.parent, self.seed, search.caps
         rewrites = search._rewrites.get(w)
         if rewrites is None:
@@ -503,25 +477,38 @@ class _BfsSide:
                 if nxt not in parent and nxt != seed:
                     self.capped = True
                     break
-            return None
-        depth += 1
-        full = caps.max_class_size - 1
-        queue = self.queue
-        met = None if other is None else other.parent
-        for move, nxt in rewrites:
-            if nxt in parent or nxt == seed:
-                continue
-            if len(nxt) > caps.max_word_len or len(parent) >= full:
-                self.capped = True
-                continue
-            parent[nxt] = (w, move)
-            queue.append((nxt, depth))
-            if met is not None and (nxt in met or nxt == other.seed):
-                return nxt
+        else:
+            depth += 1
+            full = caps.max_class_size - 1
+            met = None if other is None else other.parent
+            for move, nxt in rewrites:
+                if nxt in parent or nxt == seed:
+                    continue
+                if len(nxt) > caps.max_word_len or len(parent) >= full:
+                    self.capped = True
+                    continue
+                parent[nxt] = (w, move)
+                queue.append((nxt, depth))
+                if met is not None and (nxt in met or nxt == other.seed):
+                    return nxt
+        if not queue:
+            self.queue = ()
         return None
 
-    def enumeration(self, pres: Presentation) -> ClassEnumeration:
-        return ClassEnumeration(self.seed, not self.capped, self.parent, pres)
+    def steps_to(self, target: Word) -> Tuple[Move, ...]:
+        """The moves from the seed to ``target`` along the BFS tree."""
+        parent, seed = self.parent, self.seed
+        steps: List[Move] = []
+        while target != seed:
+            target, move = parent[target]
+            steps.append(move)
+        return tuple(reversed(steps))
+
+    def derivation(self, target: Word) -> Diagram:
+        """The diagram seed -> target along the BFS tree."""
+        if target not in self:
+            raise ValueError(f"{format_word(target)} was not enumerated")
+        return Diagram(self._pres, self.seed, self.steps_to(target))
 
 
 def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
@@ -534,10 +521,10 @@ def enumerate_class(search: ClassSearch, seed: Word) -> ClassEnumeration:
     cap.
     """
     search.pres.check_word(seed)
-    side = _BfsSide(seed)
-    while side.queue:
-        side.expand(search)
-    return side.enumeration(search.pres)
+    enum = ClassEnumeration(seed, search.pres)
+    while enum.queue:
+        enum.expand(search)
+    return enum
 
 
 class TriBool:
@@ -599,9 +586,9 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
     :func:`enumerate_class`, always expanding the side with the shorter
     queue (the first on a tie).  ``yes`` carries a connecting
     :class:`Diagram` from ``w1`` to ``w2``; ``no`` carries the complete
-    :class:`ClassEnumeration` that excludes the other word, the one
-    :func:`enumerate_class` gives for its seed, and the run's
-    :meth:`ClassSearch.enum` answers with it from then on; ``unknown``
+    :class:`ClassEnumeration` that excludes the other word, the search that
+    grew it and the one :func:`enumerate_class` gives for its seed, and the
+    run's :meth:`ClassSearch.enum` answers with it from then on; ``unknown``
     means both frontiers were capped before meeting.
 
     One side is not grown again when the run has already enumerated it.
@@ -630,14 +617,14 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
     if known is not None and word not in known:
         if known.complete:
             return TriBool.no(known)
-        side = _BfsSide(word)
+        side = ClassEnumeration(word, pres)
         while side.queue:
             if side.expand(search, known) is not None:
                 break
         else:
-            enum = memo.setdefault((enumerate_class, (word,)), side.enumeration(pres))
+            enum = memo.setdefault((enumerate_class, (word,)), side)
             return TriBool.no(enum) if enum.complete else TriBool.unknown()
-    one, two = _BfsSide(w1), _BfsSide(w2)
+    one, two = ClassEnumeration(w1, pres), ClassEnumeration(w2, pres)
     while True:
         n1, n2 = len(one.queue), len(two.queue)
         if n1 and (n1 <= n2 or not n2):
@@ -648,15 +635,13 @@ def equal_mod_p(search: ClassSearch, w1: Word, w2: Word) -> TriBool:
             return TriBool.unknown()
         meet = side.expand(search, other)
         if meet is not None:
-            there = _tree_steps(one.parent, w1, meet)
-            back = _tree_steps(two.parent, w2, meet)
+            there, back = one.steps_to(meet), two.steps_to(meet)
             return TriBool.yes(
                 Diagram(pres, w1, there + tuple(m.inverted() for m in reversed(back)))
             )
         if not side.queue and not side.capped:
             # this class is completely enumerated and the other seed is not in it
-            key = (enumerate_class, (side.seed,))
-            return TriBool.no(memo.setdefault(key, side.enumeration(pres)))
+            return TriBool.no(memo.setdefault((enumerate_class, (side.seed,)), side))
 
 
 class ClassSearch:
@@ -683,10 +668,10 @@ class ClassSearch:
 
     The enumerations and the equality probes share one memo.  A probe
     whose search exhausts a word's class without meeting the other word
-    stores that frontier as the word's :meth:`enum`, since it is exactly
-    what :func:`enumerate_class` would grow, and a probe from a word whose
-    enumeration is known searches only from the other word (see
-    :func:`equal_mod_p`).  So a ``no`` carries :meth:`enum`'s object, and
+    stores that search as the word's :meth:`enum`, since it grew what
+    :func:`enumerate_class` would (a stored enumeration is the search that
+    grew it), and a probe from a word whose enumeration is known searches
+    only from the other word (see :func:`equal_mod_p`).  So a ``no`` carries :meth:`enum`'s object, and
     a probe grows a class the run knows only to derive a ``yes``.
     """
 

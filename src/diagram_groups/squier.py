@@ -769,15 +769,19 @@ class CrossingOrder:
             depth_memo: Dict[int, int] = {}
             parent: Dict[int, Optional[int]] = {}
 
-            def depth(v: int, stack: Tuple[int, ...]) -> int:
-                if v in stack:
-                    notes.append("cycle detected in the crossing order (inexact data)")
-                    return 0
+            def depth(v: int, path: Tuple[int, ...]) -> int:
+                # a predecessor on the path would close a cycle: it is
+                # skipped, so ``parent`` points from each node to one
+                # memoized before it, and every chain walk ends
                 if v in depth_memo:
                     return depth_memo[v]
                 best, arg = 0, None
+                path += (v,)
                 for u in prec[v]:
-                    d = depth(u, stack + (v,)) + 1
+                    if u in path:
+                        notes.append("cycle detected in the crossing order (inexact data)")
+                        continue
+                    d = depth(u, path) + 1
                     if d > best:
                         best, arg = d, u
                 depth_memo[v] = best

@@ -632,6 +632,23 @@ def test_interval_collection_report(capsys, tmp_path):
     assert blob["presentation"].startswith("< x1 x2 x3 aI bI cI aJ bJ cJ |")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=x\n", "bad ground size in 'n=x'"),
+        ("n=3 / I: 1 x\n", "bad endpoint in 'I: 1 x'"),
+    ],
+    ids=["ground", "endpoint"],
+)
+def test_bad_interval_chunk_is_named(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.int"
+    path.write_text(text)
+    code = main(["interval", "-i", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_interval_recognition_exit_codes(capsys, tmp_path):
     c5 = tmp_path / "c5.graph"
     c5.write_text(

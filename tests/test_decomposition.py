@@ -206,7 +206,10 @@ def test_left_scan_padpair_frozen():
         "[1 | r2 | b1]",
         "[1 | r6 | b1]",
     ]
-    assert [str(h) for h in scan.rejected] == [
+    # the other hyperplanes of the catalog were decided not left
+    catalog = build_ball(ClassSearch(PADPAIR, PADPAIR_CAPS), W("a1 b1")).catalog
+    decided = {h.id for h in scan.hyperplanes} | set(scan.undecided)
+    assert [str(h) for h in catalog.ids if h not in decided] == [
         "[a1 | r3 | 1]",
         "[a1 | r4 | 1]",
         "[a1 | r5 | 1]",

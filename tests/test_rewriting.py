@@ -544,8 +544,8 @@ def test_only_the_frontier_step_applies_the_caps():
         module = importlib.import_module(f"diagram_groups.{info.name}")
         found += [(info.name, *hit) for hit in _cap_comparisons(ast.parse(inspect.getsource(module)))]
     assert sorted(found) == [
-        ("rewriting", "_BfsSide.expand", "max_bfs_depth"),
-        ("rewriting", "_BfsSide.expand", "max_word_len"),
+        ("rewriting", "ClassEnumeration.expand", "max_bfs_depth"),
+        ("rewriting", "ClassEnumeration.expand", "max_word_len"),
     ]
 
 
@@ -644,13 +644,13 @@ def test_a_probe_from_an_exhausted_class_grows_it_no_more(monkeypatch):
     assert len(members) == 9
     assert search.equal(c, W("x")).is_no
     popped = []
-    expand = rewriting._BfsSide.expand
+    expand = rewriting.ClassEnumeration.expand
 
     def recording(side, *args):
         popped.append(side.queue[0][0])
         return expand(side, *args)
 
-    monkeypatch.setattr(rewriting._BfsSide, "expand", recording)
+    monkeypatch.setattr(rewriting.ClassEnumeration, "expand", recording)
     assert search.equal(c, W("a")).is_no
     assert not members & set(popped)
 
@@ -800,7 +800,8 @@ def test_enumeration_equality_ignores_the_tree():
     enum = ClassSearch(COMM, CAPS).enum(W("a b c"))
     # the same words, each hung straight off the seed by a dummy move
     star = {w: (enum.seed, Move(0, 0, True)) for w in reversed(enum.parent)}
-    other = ClassEnumeration(enum.seed, enum.complete, star, COMM)
+    other = ClassEnumeration(enum.seed, COMM)
+    other.parent, other.capped = star, not enum.complete
     assert other == enum and hash(other) == hash(enum)
     assert len(enum) == 6 and W("c b a") in enum and W("a a") not in enum
-    assert ClassEnumeration(enum.seed, enum.complete, {}, COMM) != enum
+    assert ClassEnumeration(enum.seed, COMM) != enum

@@ -864,29 +864,38 @@ class TestRank:
 
     def test_cycles_in_the_crossing_order_make_ranks_inexact(self, tmp_path):
         """On a capped ball ≺ can close a cycle.  The longest-chain search
-        then stops at the hyperplane it already holds, notes the cycle and
+        then skips the predecessor that would close it, notes the cycle and
         calls the rank inexact; every chain it returns is still a ≺-chain
-        of distinct hyperplanes below its own, as long as its rank."""
-        text = "letters: a b\nrel: b = a b b\nrel: b a = b b\n"
-        caps = ("--max-word-len", "8", "--max-class-size", "150", "--max-bfs-depth", "20")
-        ball = build_ball(
-            ClassSearch(parse_presentation(text), SearchCaps(8, 150, 20)), W("b a b b b")
-        )
-        order, ids = ball.order, ball.catalog.ids
-        prec = {
-            (ids[i], ids[j]) if value == "first_prec_second" else (ids[j], ids[i])
-            for i, j, value in order.crossings
-        }
-        noted = [r for r in order.ranks if any("cycle detected" in n for n in r.notes)]
-        assert len(order.ranks) == 31 and len(noted) == 12
-        assert not any(r.exact for r in noted)
-        for hid, r in zip(ids, order.ranks):
-            chain = r.chain + (hid,)
-            assert len(set(chain)) == len(chain) == r.value + 1
-            assert all(pair in prec for pair in zip(chain, chain[1:]))
-        path = tmp_path / "cycle.pres"
-        path.write_text(text)
-        assert main(["rank-table", "-p", str(path), "-w", "b a b b b", *caps]) == 2
+        of distinct hyperplanes below its own, as long as its rank.  On the
+        second case, keeping that predecessor makes the chain walk loop."""
+        cases = [
+            # presentation, base word, caps, hyperplanes, ranks noting a cycle
+            ("letters: a b\nrel: b = a b b\nrel: b a = b b\n", "b a b b b",
+             (8, 150, 20), 31, 12),
+            ("letters: a b c\nrel: b = c b\nrel: b b = b\nrel: c = a b\n", "a c c a",
+             (8, 60, 16), 27, 16),
+        ]
+        for k, (text, base, (length, size, bfs), count, cycles) in enumerate(cases):
+            ball = build_ball(
+                ClassSearch(parse_presentation(text), SearchCaps(length, size, bfs)), W(base)
+            )
+            order, ids = ball.order, ball.catalog.ids
+            prec = {
+                (ids[i], ids[j]) if value == "first_prec_second" else (ids[j], ids[i])
+                for i, j, value in order.crossings
+            }
+            noted = [r for r in order.ranks if any("cycle detected" in n for n in r.notes)]
+            assert len(order.ranks) == count and len(noted) == cycles
+            assert not any(r.exact for r in noted)
+            for hid, r in zip(ids, order.ranks):
+                chain = r.chain + (hid,)
+                assert len(set(chain)) == len(chain) == r.value + 1
+                assert all(pair in prec for pair in zip(chain, chain[1:]))
+            path = tmp_path / f"cycle{k}.pres"
+            path.write_text(text)
+            caps = ("--max-word-len", str(length), "--max-class-size", str(size),
+                    "--max-bfs-depth", str(bfs))
+            assert main(["rank-table", "-p", str(path), "-w", base, *caps]) == 2
 
     def test_each_dimension_is_squeezed_once(self, monkeypatch):
         # the inexact ranks of the truncated ball share their squeezes:
