@@ -84,10 +84,7 @@ def run_interval(ns: argparse.Namespace) -> int:
             _emit_json(blob)
         return EXIT_OK
     graph = _parse_graph(_read(ns.graph))
-    try:
-        rec = is_complement_of_interval(graph)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    rec = is_complement_of_interval(graph)
     if ns.format == "text":
         print("yes" if rec.verdict else f"no ({rec.obstruction})")
     else:
@@ -98,7 +95,7 @@ def run_interval(ns: argparse.Namespace) -> int:
 def run_verify_raag(ns: argparse.Namespace) -> int:
     coll = _load_collection(ns.intervals)
     try:
-        ev = verify_raag_iso(coll, ns.caps, length=ns.length)
+        ev = verify_raag_iso(coll, ns.length, ns.caps)
     except ElementBoundError as e:
         head = {"collection": collection_to_json(coll), "length": ns.length}
         return _emit_unknown(ns, head, str(e))

@@ -12,20 +12,20 @@ whole group: the group of the base word is the right-angled Artin group of
 the disjointness graph.
 
 This module builds the collections, their graphs, the presentations, and
-the generator loops, plus two decision helpers at desk scale:
+the generator loops, plus two decision helpers:
 
 * recognizing when a given graph is the complement of an interval graph
   (no induced pair of independent edges, and a transitive orientation
-  exists — both checked exhaustively, with certificates), and
+  exists — both decided, with certificates), and
 * corroborating the isomorphism on concrete instances by comparing the
   commutation pattern, the relator images, and ball growth on both sides.
 
-The orientation search is brute force on purpose: the graphs of interest
-have a handful of vertices and what matters is the certificate, not
-asymptotics.  The realization costs no search of its own: once no induced
-pair of independent edges exists, the orientation is an interval order,
-its down-sets form a chain, and the positions in that chain are the
-interval endpoints.
+The orientation comes from Golumbic's implication classes (*Algorithmic
+Graph Theory and Perfect Graphs*, 1980, ch. 5) in polynomial time, so
+recognition takes graphs of any size.  The realization costs no search of
+its own: once no induced pair of independent edges exists, the
+orientation is an interval order, its down-sets form a chain, and the
+positions in that chain are the interval endpoints.
 """
 
 from itertools import accumulate, combinations
@@ -198,61 +198,48 @@ def independent_edge_pair(
     return None
 
 
-def _pair(u: str, v: str) -> Tuple[str, str]:
-    return (u, v) if u < v else (v, u)
-
-
-def _consistent(
-    g: RaagGraph,
-    assigned: Dict[Tuple[str, str], Tuple[str, str]],
-    arc: Tuple[str, str],
-) -> bool:
-    """Can ``arc`` join ``assigned`` without an immediate transitivity
-    violation?  Checks every chain the new arc participates in as a leg and
-    every already-assigned chain it would have to close."""
-    t, h = arc
-    for t2, h2 in assigned.values():
-        if h == t2 and t != h2:  # t -> h -> h2
-            if not g.adjacent(t, h2):
-                return False
-            closer = assigned.get(_pair(t, h2))
-            if closer is not None and closer != (t, h2):
-                return False
-        if h2 == t and t2 != h:  # t2 -> t -> h
-            if not g.adjacent(t2, h):
-                return False
-            closer = assigned.get(_pair(t2, h))
-            if closer is not None and closer != (t2, h):
-                return False
-        if t2 == h:  # h -> h2 -> t would force h -> t, contradicting arc
-            if assigned.get(_pair(h2, t)) == (h2, t):
-                return False
-    return True
-
-
 def transitive_orientation(
     g: RaagGraph,
 ) -> Optional[Tuple[Tuple[str, str], ...]]:
     """A direction for every edge such that u→v→w always has the shortcut
-    u→w, found by plain backtracking; None when every assignment dies."""
+    u→w, in the order of the sorted edges; None when no such direction
+    exists.
+
+    Golumbic's implication classes (*Algorithmic Graph Theory and Perfect
+    Graphs*, 1980, ch. 5): the least edge not yet directed is directed
+    forward, and the direction spreads over the edges that were undirected
+    when it was chosen.  ``t→h`` forces ``t→c`` when ``t–c`` is one of those
+    edges and ``h–c`` is not, and ``c→h`` when ``c–h`` is one of them and
+    ``t–c`` is not.  The forced arcs form one class of the decomposition; an
+    edge forced both ways shows that no orientation exists, and otherwise
+    the classes together are a transitive orientation.  The result is the
+    least one in sorted-edge order with forward before backward, the one a
+    backtracking search over the sorted edges finds; the tests check this
+    against such a search.
+    """
+    free = {v: set(adjacent) for v, adjacent in g.neighbours.items()}
+    directed: Set[Tuple[str, str]] = set()
     edges = sorted(g.edges)
-    assigned: Dict[Tuple[str, str], Tuple[str, str]] = {}
-
-    def solve(i: int) -> bool:
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for arc in ((u, v), (v, u)):
-            if _consistent(g, assigned, arc):
-                assigned[edges[i]] = arc
-                if solve(i + 1):
-                    return True
-                del assigned[edges[i]]
-        return False
-
-    if not solve(0):
-        return None
-    return tuple(assigned[e] for e in edges)
+    for u, v in edges:
+        if v not in free[u]:
+            continue
+        forced = {(u, v)}
+        stack = [(u, v)]
+        while stack:
+            t, h = stack.pop()
+            for arc in [(t, c) for c in free[t] - free[h] if c != h] + [
+                (c, h) for c in free[h] - free[t] if c != t
+            ]:
+                if arc[::-1] in forced:
+                    return None
+                if arc not in forced:
+                    forced.add(arc)
+                    stack.append(arc)
+        for t, h in forced:
+            free[t].discard(h)
+            free[h].discard(t)
+        directed |= forced
+    return tuple(e if e in directed else e[::-1] for e in edges)
 
 
 class IntervalRecognition(NamedTuple):
@@ -273,11 +260,6 @@ class IntervalRecognition(NamedTuple):
     realization: Optional[IntervalCollection] = None
 
 
-# the most vertices whose orientation is_complement_of_interval searches
-# for by backtracking
-_MAX_VERTICES = 12
-
-
 def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
     """Decide whether ``g`` is the complement of an interval graph.
 
@@ -295,10 +277,6 @@ def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
     before ``v`` starts; if neither precedes the other, neither interval
     ends before the other starts, so they meet.
     """
-    if len(g.vertices) > _MAX_VERTICES:
-        raise ValueError(
-            f"{len(g.vertices)} vertices exceed the brute-force bound {_MAX_VERTICES}"
-        )
     bad = independent_edge_pair(g)
     if bad is not None:
         a, b, c, d = bad
@@ -427,7 +405,7 @@ class ElementBoundError(ValueError):
 
 
 def diagram_ball_sizes(
-    coll: IntervalCollection, length: int, max_elements: int = 100_000
+    coll: IntervalCollection, length: int, max_elements: int
 ) -> Tuple[int, ...]:
     """The same count on the concrete side: ``diagrams.cayley_ball`` over
     the interval loops and their inverses, on reduced diagrams that the
@@ -478,9 +456,7 @@ class RaagEvidence(NamedTuple):
 
 
 def verify_raag_iso(
-    coll: IntervalCollection,
-    caps: SearchCaps = SearchCaps(),
-    length: int = 3,
+    coll: IntervalCollection, length: int, caps: SearchCaps = SearchCaps()
 ) -> RaagEvidence:
     """Evidence (not proof) that the loop subgroup is the right-angled
     Artin group of the disjointness graph: the pairwise commutation pattern,

@@ -667,6 +667,27 @@ def test_interval_recognition_exit_codes(capsys, tmp_path):
     assert code == 0 and blob["verdict"] is True
     assert len(blob["orientation"]) == 4
     assert blob["realization"]["n"] >= 1
+    # K7 joined to the 5-cycle, and the 13-vertex co-path: no vertex bound
+    a = [f"a{i}" for i in range(1, 8)]
+    z = [f"z{j}" for j in range(5)]
+    join = tmp_path / "k7_join_c5.graph"
+    join.write_text(
+        f"vertices: {' '.join(a + z)}\n"
+        + "".join(f"edge: {u} {v}\n" for i, u in enumerate(a) for v in a[i + 1:] + z)
+        + "".join(f"edge: z{j} z{(j + 1) % 5}\n" for j in range(5))
+    )
+    code, blob = run_json(capsys, "interval", "-g", str(join))
+    assert code == 1
+    assert blob["obstruction"] == "no transitive orientation exists"
+    copath = tmp_path / "copath13.graph"
+    copath.write_text(
+        "vertices: " + " ".join(f"v{i}" for i in range(13)) + "\n"
+        + "".join(
+            f"edge: v{i} v{j}\n" for i in range(13) for j in range(i + 2, 13)
+        )
+    )
+    code, blob = run_json(capsys, "interval", "-g", str(copath))
+    assert code == 0 and blob["verdict"] is True
 
 
 @pytest.mark.parametrize(

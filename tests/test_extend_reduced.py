@@ -162,7 +162,7 @@ def test_diagram_ball_sizes_match_reference(seed):
     ball = cayley_ball(presentation_for(coll), base_word(coll), gens, 3)
     assert list(ball) == rows
     sizes = reference_ball_sizes(coll, 3)
-    assert diagram_ball_sizes(coll, 3) == sizes
+    assert diagram_ball_sizes(coll, 3, max_elements=100_000) == sizes
     # small bounds stop both routes inside the search, with one message
     for bound in (sizes[1], sizes[2] - 1, sizes[2]):
         expected = outcome(reference_ball_sizes, coll, 3, max_elements=bound)
@@ -216,7 +216,7 @@ def test_ball_needs_no_keys(monkeypatch):
     monkeypatch.setattr(diagrams, "layered_key", refuse)
     monkeypatch.setattr(diagrams, "canonical_key", refuse)
     five = parse_intervals((GOLDEN / "five.int").read_text())
-    assert diagram_ball_sizes(five, 3) == (1, 11, 77, 463)
+    assert diagram_ball_sizes(five, 3, max_elements=100_000) == (1, 11, 77, 463)
     # LOOP_A, LOOP_B and PAD_LOOP are the golden files d1-d3
     scan = property_b_scan(PADPAIR, A1B1, (LOOP_A, LOOP_B, PAD_LOOP), 4)
     assert scan.sizes == (1, 6, 26, 110, 458)

@@ -104,6 +104,15 @@ P26 = raag_graph(
     ],
 )
 
+# K7 joined to the 5-cycle: no induced pair of independent edges, and no
+# transitive orientation because the 5-cycle has none
+K7_JOIN_C5 = raag_graph(
+    [f"a{i}" for i in range(1, 8)] + [f"z{i}" for i in range(5)],
+    list(combinations([f"a{i}" for i in range(1, 8)], 2))
+    + [(f"a{i}", f"z{j}") for i in range(1, 8) for j in range(5)]
+    + [(f"z{j}", f"z{(j + 1) % 5}") for j in range(5)],
+)
+
 
 # ---------------------------------------------------------------------------
 # collections and parsing
@@ -313,9 +322,103 @@ def test_recognize_c4_and_short_path():
         assert interval_graph(rec.realization).edges == complement(g).edges
 
 
-def test_recognize_size_bound():
-    with pytest.raises(ValueError, match="vertices"):
-        is_complement_of_interval(edgeless_graph(13))
+def test_recognition_has_no_vertex_bound():
+    copath = complement(path_graph(12))
+    rec = is_complement_of_interval(copath)
+    assert rec.verdict
+    assert orientation_is_transitive(copath, rec.orientation)
+    assert interval_graph(rec.realization).edges == path_graph(12).edges
+    rec = is_complement_of_interval(K7_JOIN_C5)
+    assert rec.obstruction == "no transitive orientation exists"
+
+
+def _pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _consistent(g, assigned, arc):
+    """Can ``arc`` join ``assigned`` without an immediate transitivity
+    violation?  Checks every chain the new arc participates in as a leg and
+    every already-assigned chain it would have to close."""
+    t, h = arc
+    for t2, h2 in assigned.values():
+        if h == t2 and t != h2:  # t -> h -> h2
+            if not g.adjacent(t, h2):
+                return False
+            closer = assigned.get(_pair(t, h2))
+            if closer is not None and closer != (t, h2):
+                return False
+        if h2 == t and t2 != h:  # t2 -> t -> h
+            if not g.adjacent(t2, h):
+                return False
+            closer = assigned.get(_pair(t2, h))
+            if closer is not None and closer != (t2, h):
+                return False
+        if t2 == h:  # h -> h2 -> t would force h -> t, contradicting arc
+            if assigned.get(_pair(h2, t)) == (h2, t):
+                return False
+    return True
+
+
+def reference_transitive_orientation(g):
+    """The least transitive orientation in sorted-edge order, forward
+    before backward, found by plain backtracking over the sorted edges."""
+    edges = sorted(g.edges)
+    assigned = {}
+
+    def solve(i):
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        for arc in ((u, v), (v, u)):
+            if _consistent(g, assigned, arc):
+                assigned[edges[i]] = arc
+                if solve(i + 1):
+                    return True
+                del assigned[edges[i]]
+        return False
+
+    if not solve(0):
+        return None
+    return tuple(assigned[e] for e in edges)
+
+
+def agreement_graphs():
+    """Every labelled graph on at most five vertices, then 300 seeded random
+    graphs on 7-10 vertices and 300 more with no induced pair of independent
+    edges, grown by joining one cross pair of such a pair at a time."""
+    for n in range(6):
+        verts = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(verts, 2))
+        for mask in range(2 ** len(pairs)):
+            yield raag_graph(verts, [p for k, p in enumerate(pairs) if mask >> k & 1])
+    rng = random.Random(7)
+    for k in range(600):
+        verts = [f"v{i}" for i in range(rng.randint(7, 10))]
+        rng.shuffle(verts)
+        edges = {p for p in combinations(verts, 2) if rng.random() < 0.6}
+        g = raag_graph(verts, edges)
+        while k >= 300 and (bad := independent_edge_pair(g)) is not None:
+            a, b, c, d = bad
+            edges.add(rng.choice([(a, c), (a, d), (b, c), (b, d)]))
+            g = raag_graph(verts, edges)
+        yield g
+
+
+def test_orientation_is_the_least_the_search_finds(monkeypatch):
+    graphs = list(agreement_graphs())
+    assert len(graphs) == 1700
+    found = [
+        (transitive_orientation(g), recognition_to_json(is_complement_of_interval(g)))
+        for g in graphs
+    ]
+    monkeypatch.setattr(
+        "diagram_groups.interval.transitive_orientation",
+        reference_transitive_orientation,
+    )
+    for g, (arcs, blob) in zip(graphs, found):
+        assert arcs == reference_transitive_orientation(g)
+        assert blob == recognition_to_json(is_complement_of_interval(g))
 
 
 def test_recognition_json():
@@ -378,7 +481,7 @@ def test_empty_collection_presents_a_point():
     coll = IntervalCollection(2, ())
     pres = presentation_for(coll)
     assert pres.relations == ()
-    assert diagram_ball_sizes(coll, 3) == (1, 1, 1, 1)
+    assert diagram_ball_sizes(coll, 3, max_elements=100_000) == (1, 1, 1, 1)
 
 
 def delta_diagram(name, coll):
@@ -531,16 +634,16 @@ def test_raag_ball_sizes_follow_growth_series(seed):
     ids=["z", "z2", "f2"],
 )
 def test_diagram_ball_sizes_frozen(coll, sizes):
-    assert diagram_ball_sizes(coll, 3) == sizes
+    assert diagram_ball_sizes(coll, 3, max_elements=100_000) == sizes
 
 
 def test_diagram_ball_sizes_three_generators():
     z3 = IntervalCollection(3, (("A", 1, 1), ("B", 2, 2), ("C", 3, 3)))
-    assert diagram_ball_sizes(z3, 3) == (1, 7, 25, 63)
+    assert diagram_ball_sizes(z3, 3, max_elements=100_000) == (1, 7, 25, 63)
     chain = IntervalCollection(
         4, (("A", 1, 2), ("B", 2, 3), ("C", 3, 4))
     )  # only A and C commute
-    assert diagram_ball_sizes(chain, 3) == raag_ball_sizes(
+    assert diagram_ball_sizes(chain, 3, max_elements=100_000) == raag_ball_sizes(
         disjointness_graph(chain), 3
     )
 
