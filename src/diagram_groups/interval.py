@@ -21,11 +21,10 @@ the generator loops, plus two decision helpers:
   commutation pattern, the relator images, and ball growth on both sides.
 
 The orientation comes from Golumbic's implication classes (*Algorithmic
-Graph Theory and Perfect Graphs*, 1980, ch. 5) in polynomial time, so
-recognition takes graphs of any size.  The realization costs no search of
-its own: once no induced pair of independent edges exists, the
-orientation is an interval order, its down-sets form a chain, and the
-positions in that chain are the interval endpoints.
+Graph Theory and Perfect Graphs*, 1980, ch. 5) in polynomial time, and one
+pass over it decides the rest: its down-sets form a chain exactly when no
+induced pair of independent edges exists, two that are not nested name
+such a pair, and the positions in a chain are the interval endpoints.
 """
 
 from itertools import accumulate, combinations
@@ -176,28 +175,6 @@ def disjointness_graph(coll: IntervalCollection) -> RaagGraph:
 # ---------------------------------------------------------------------------
 
 
-def independent_edge_pair(
-    g: RaagGraph,
-) -> Optional[Tuple[str, str, str, str]]:
-    """An induced pair of independent edges (a, b, c, d), if one exists.
-
-    Two vertex-disjoint edges with none of the four cross connections form
-    the complement of a four-cycle; a graph containing one can never be the
-    complement of an interval graph.
-    """
-    for (a, b), (c, d) in combinations(sorted(g.edges), 2):
-        if len({a, b, c, d}) < 4:
-            continue
-        if not (
-            g.adjacent(a, c)
-            or g.adjacent(a, d)
-            or g.adjacent(b, c)
-            or g.adjacent(b, d)
-        ):
-            return (a, b, c, d)
-    return None
-
-
 def transitive_orientation(
     g: RaagGraph,
 ) -> Optional[Tuple[Tuple[str, str], ...]]:
@@ -263,35 +240,44 @@ class IntervalRecognition(NamedTuple):
 def is_complement_of_interval(g: RaagGraph) -> IntervalRecognition:
     """Decide whether ``g`` is the complement of an interval graph.
 
-    The two obstructions are exhaustive: a graph is a complement of an
-    interval graph if and only if it has no induced pair of independent
-    edges and admits a transitive orientation (Gilmore and Hoffman, 1964).
-    With no induced pair, any transitive orientation is an interval order:
-    an order without two disjoint chains ``a<b``, ``c<d`` that are
-    incomparable across (Fishburn, 1970).  Its down-sets are then nested:
-    ``u`` in ``D(v)`` but not ``D(w)`` and ``u'`` in ``D(w)`` but not
-    ``D(v)`` would make ``u<v``, ``u'<w`` such a pair.  Sorted by size
-    they form a chain ``D_1 ⊂ … ⊂ D_m``, and ``v`` gets
-    ``[pos D(v), j - 1]``, where ``D_j`` is the first down-set holding
-    ``v`` (or ``j = m + 1``).  If ``u<v`` then ``u ∈ D(v)``, so ``u`` ends
-    before ``v`` starts; if neither precedes the other, neither interval
-    ends before the other starts, so they meet.
+    That holds if and only if ``g`` has no induced pair of independent
+    edges and a transitive orientation (Gilmore and Hoffman, 1964); both
+    are read off one orientation.  Given one, there is no induced pair
+    exactly when the down-sets (sets of predecessors) are nested, which
+    makes it an interval order (Fishburn, 1970).  If ``u ∈ D(v) − D(w)``
+    and ``u' ∈ D(w) − D(v)``, then ``u–v`` and ``u'–w`` are such a pair:
+    the four vertices are distinct, and any arc between ``{u, v}`` and
+    ``{u', w}`` would, by transitivity, put ``u`` in ``D(w)`` or ``u'`` in
+    ``D(v)``.  Conversely a pair ``a–b``, ``c–d`` oriented ``a→b``,
+    ``c→d`` puts ``a`` in ``D(b) − D(d)`` and ``c`` in ``D(d) − D(b)``.  So
+    the distinct down-sets, sorted by size and then members, are checked
+    pair by consecutive pair; the first pair not nested is reported with
+    ``u``, ``u'`` the least members of the two differences and ``v``, ``w``
+    the first vertices with those down-sets.  Otherwise they form a chain
+    ``D_1 ⊂ … ⊂ D_m``, and ``v`` gets ``[pos D(v), j - 1]``, where ``D_j``
+    is the first down-set holding ``v`` (or ``j = m + 1``).  If ``u<v``
+    then ``u ∈ D(v)``, so ``u`` ends before ``v`` starts; if neither
+    precedes the other, neither interval ends before the other starts, so
+    they meet.
     """
-    bad = independent_edge_pair(g)
-    if bad is not None:
-        a, b, c, d = bad
-        return IntervalRecognition(
-            g,
-            False,
-            obstruction=f"induced independent edges {a}-{b} and {c}-{d}",
-        )
     arcs = transitive_orientation(g)
     if arcs is None:
         return IntervalRecognition(
             g, False, obstruction="no transitive orientation exists"
         )
-    down = {v: frozenset(t for t, h in arcs if h == v) for v in g.vertices}
-    chain = sorted(set(down.values()), key=len)
+    below: Dict[str, Set[str]] = {v: set() for v in g.vertices}
+    for t, h in arcs:
+        below[h].add(t)
+    down = {v: frozenset(d) for v, d in below.items()}
+    chain = sorted(set(down.values()), key=lambda d: (len(d), sorted(d)))
+    for lo, hi in zip(chain, chain[1:]):
+        if not lo <= hi:
+            v = next(x for x in g.vertices if down[x] == lo)
+            w = next(x for x in g.vertices if down[x] == hi)
+            (a, b), (c, d) = sorted([sorted((min(lo - hi), v)), sorted((min(hi - lo), w))])
+            return IntervalRecognition(
+                g, False, obstruction=f"induced independent edges {a}-{b} and {c}-{d}"
+            )
     pos = {d: p for p, d in enumerate(chain, 1)}
     intervals = tuple(
         (v, pos[down[v]], next((pos[d] - 1 for d in chain if v in d), len(chain)))
@@ -518,7 +504,6 @@ __all__ = [
     "disjointness_graph",
     "evaluate_raag_word",
     "evidence_to_json",
-    "independent_edge_pair",
     "intersects",
     "interval_graph",
     "is_complement_of_interval",

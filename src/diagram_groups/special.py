@@ -456,12 +456,11 @@ def find_inter_osculations(
     for member in enum.members:
         for u, v, w, p, q in patterns:
             m = u + v + w
+            # the range keeps both outer parts a and b nonempty
             for o in range(1, len(member) - len(m)):
                 if member[o: o + len(m)] != m:
                     continue
                 a, b = member[:o], member[o + len(m):]
-                if not a or not b:
-                    continue
                 au = a + u
                 if not search.enum(au).complete:
                     exhaustive = False

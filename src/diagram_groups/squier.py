@@ -448,12 +448,10 @@ def hyperplane_catalog(ball: SquierBall) -> HyperplaneCatalog:
             groups.append(((a, b), []))
             by_relation.setdefault(relation, []).append(g)
         groups[g][1].append(edge)
-    packed: List[Tuple[HyperplaneId, Tuple[BallEdge, ...]]] = []
-    for (a, b), members in groups:
-        la, xa = search.rep(a)
-        rb, xb = search.rep(b)
-        hid = HyperplaneId(la, members[0].move.relation, rb, xa and xb)
-        packed.append((hid, tuple(members)))
+    packed = [
+        (hyperplane_id(search, members[0].source, members[0].move), tuple(members))
+        for _, members in groups
+    ]
     packed.sort(
         key=lambda hp: (
             hp[0].relation,

@@ -48,9 +48,8 @@ rel: b = p b
 rel: p = q
 """
 
-GOLDEN_CASES = json.loads(
-    (Path(__file__).parent / "golden" / "cases.json").read_text()
-)
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 PAD_CAPS = ["--max-word-len", "10", "--max-class-size", "500"]
 
@@ -455,6 +454,46 @@ def test_embed_check_text_past_a_truncated_catalog(capsys, padpair):
     assert "[1 | r0 | b1]" in lines[1] and len(lines) == 2
 
 
+def test_embed_check_failure_row_is_a_no(capsys, monkeypatch, padpair):
+    # no ball at hand fails the check, so one failure row is put into the
+    # report the command receives
+    from diagram_groups.commands import farley as farley_command
+
+    real = farley_command.check_isometric_embedding
+    monkeypatch.setattr(
+        farley_command,
+        "check_isometric_embedding",
+        lambda ball, order: real(ball, order)._replace(failures=((0, 1, 2, 1),)),
+    )
+    code, blob = run_json(
+        capsys, "embed-check", "-p", padpair, "-w", "a1 b1", "--radius", "3", *PAD_CAPS
+    )
+    assert code == 1
+    assert blob["ok"] is False and blob["exact"] is True
+    assert blob["failures"] == [[0, 1, 2, 1]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi", "-d", "dipole.diag"], "phi is defined on spherical diagrams only"),
+        (
+            ["propb", "-g", "dipole.diag", "--length", "2"],
+            "generator [a1 b1 | 3 cells | a2 b1] is not a spherical diagram"
+            " over a1 b1",
+        ),
+    ],
+    ids=["phi", "propb"],
+)
+def test_non_spherical_diagram_is_bad_input(capsys, monkeypatch, argv, message):
+    # dipole.diag turns a1 into a2 beside a b1 dipole, so it ends at a2 b1
+    monkeypatch.chdir(GOLDEN)
+    code = main([argv[0], "-p", "padpair.pres", "-w", "a1 b1", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_propb_bounds(capsys, tmp_path, padpair):
     gens = []
     for name, text in (
@@ -637,8 +676,10 @@ def test_interval_collection_report(capsys, tmp_path):
     [
         ("n=x\n", "bad ground size in 'n=x'"),
         ("n=3 / I: 1 x\n", "bad endpoint in 'I: 1 x'"),
+        ("m=3 / I: 1 2\n", "expected n=<ground size>, got 'm=3'"),
+        ("n=3 / I: 1\n", "expected two endpoints in 'I: 1'"),
     ],
-    ids=["ground", "endpoint"],
+    ids=["ground", "endpoint", "ground-key", "one-endpoint"],
 )
 def test_bad_interval_chunk_is_named(capsys, tmp_path, text, message):
     path = tmp_path / "bad.int"
@@ -679,15 +720,52 @@ def test_interval_recognition_exit_codes(capsys, tmp_path):
     code, blob = run_json(capsys, "interval", "-g", str(join))
     assert code == 1
     assert blob["obstruction"] == "no transitive orientation exists"
-    copath = tmp_path / "copath13.graph"
-    copath.write_text(
-        "vertices: " + " ".join(f"v{i}" for i in range(13)) + "\n"
-        + "".join(
-            f"edge: v{i} v{j}\n" for i in range(13) for j in range(i + 2, 13)
+
+    def copath(n, extra=()):
+        """The complement of the path on ``n`` vertices, plus the edges
+        ``extra`` on vertices of their own."""
+        edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 2, n)]
+        edges += extra
+        verts = [f"v{i}" for i in range(n)] + [v for e in extra for v in e]
+        path = tmp_path / f"copath{n}_{len(extra)}.graph"
+        path.write_text(
+            f"vertices: {' '.join(verts)}\n"
+            + "".join(f"edge: {u} {v}\n" for u, v in edges)
         )
-    )
-    code, blob = run_json(capsys, "interval", "-g", str(copath))
-    assert code == 0 and blob["verdict"] is True
+        return str(path), {frozenset(e) for e in edges}
+
+    for n in (13, 150):
+        code, blob = run_json(capsys, "interval", "-g", copath(n)[0])
+        assert code == 0 and blob["verdict"] is True
+    # two isolated edges make the 60-vertex co-path a no
+    path, adjacent = copath(60, [("x0", "y0"), ("x1", "y1")])
+    code, blob = run_json(capsys, "interval", "-g", path)
+    assert code == 1 and blob["verdict"] is False
+    first, _, second = blob["obstruction"].removeprefix(
+        "induced independent edges "
+    ).partition(" and ")
+    (a, b), (c, d) = first.split("-"), second.split("-")
+    assert len({a, b, c, d}) == 4
+    assert {frozenset((a, b)), frozenset((c, d))} <= adjacent
+    assert not any(frozenset((x, y)) in adjacent for x in (a, b) for y in (c, d))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices: a b\nedge: a\n", "edge line needs two vertices: 'edge: a'"),
+        ("vertices: a b\nloop: a\n", "unrecognized graph line: 'loop: a'"),
+        ("edge: a b\n", "graph file has no 'vertices:' line"),
+    ],
+    ids=["one-vertex-edge", "unknown-line", "no-vertices"],
+)
+def test_bad_graph_line_is_named(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    code = main(["interval", "-g", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -902,6 +902,24 @@ def test_quotients_refuse_inexact_partition():
         tree_quotients(ball, doubted)
 
 
+def test_quotients_raise_on_mislabelled_ranks(monkeypatch):
+    # an exact order with wrong edge ranks: one rank everywhere leaves 28
+    # pieces joined by 36 adjacencies, and one edge moved to the other rank
+    # joins the ends of a rank-0 edge
+    search = ClassSearch(PADPAIR, PADPAIR_CAPS)
+    part = rank_partition(search, A1B1)
+    ball = farley_ball(search, A1B1, 2)
+    assert part.ranks_exact
+    ranks = farley.edge_ranks(ball, part)
+    monkeypatch.setattr(farley, "edge_ranks", lambda b, o: (0,) * len(ranks))
+    with pytest.raises(ValueError, match="a cycle"):
+        tree_quotients(ball, part)
+    relabelled = (1 - ranks[0],) + ranks[1:]
+    monkeypatch.setattr(farley, "edge_ranks", lambda b, o: relabelled)
+    with pytest.raises(ValueError, match="a loop"):
+        tree_quotients(ball, part)
+
+
 # ---------------------------------------------------------------------------
 # separating hyperplanes and the embedding check
 # ---------------------------------------------------------------------------

@@ -109,6 +109,10 @@ captured from the implementation in which the hyperplane catalog named the
 edges of a complete ball by the class representatives of their parts, so
 they pin, with every ``hyperplanes``, ``relate`` and ``rank-table`` case, the
 move to grouping every edge by equality probes.
+
+The ``squier --format text`` case on CYC3 ``a b c a`` pins the vertex, edge
+and cube counts that the text format prints for a complete ball.  It was
+captured before the catalog named each group through ``hyperplane_id``.
 """
 
 import argparse

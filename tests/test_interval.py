@@ -31,7 +31,6 @@ from diagram_groups.interval import (
     disjointness_graph,
     evaluate_raag_word,
     evidence_to_json,
-    independent_edge_pair,
     intersects,
     interval_graph,
     is_complement_of_interval,
@@ -194,13 +193,6 @@ def test_graph_constructors():
 # ---------------------------------------------------------------------------
 # recognition
 # ---------------------------------------------------------------------------
-
-
-def test_independent_edge_pair_frozen():
-    # the two end edges of a five-vertex path are induced and independent
-    assert independent_edge_pair(path_graph(4)) == ("v0", "v1", "v3", "v4")
-    assert independent_edge_pair(cycle_graph(5)) is None
-    assert independent_edge_pair(path_graph(3)) is None
 
 
 @pytest.mark.parametrize("n,expect", [(4, True), (5, False), (6, True), (7, False)])
@@ -383,6 +375,22 @@ def reference_transitive_orientation(g):
     return tuple(assigned[e] for e in edges)
 
 
+def reference_independent_edge_pair(g):
+    """An induced pair of independent edges (a, b, c, d), if one exists,
+    found by comparing every pair of edges."""
+    for (a, b), (c, d) in combinations(sorted(g.edges), 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        if not (
+            g.adjacent(a, c)
+            or g.adjacent(a, d)
+            or g.adjacent(b, c)
+            or g.adjacent(b, d)
+        ):
+            return (a, b, c, d)
+    return None
+
+
 def agreement_graphs():
     """Every labelled graph on at most five vertices, then 300 seeded random
     graphs on 7-10 vertices and 300 more with no induced pair of independent
@@ -398,7 +406,7 @@ def agreement_graphs():
         rng.shuffle(verts)
         edges = {p for p in combinations(verts, 2) if rng.random() < 0.6}
         g = raag_graph(verts, edges)
-        while k >= 300 and (bad := independent_edge_pair(g)) is not None:
+        while k >= 300 and (bad := reference_independent_edge_pair(g)) is not None:
             a, b, c, d = bad
             edges.add(rng.choice([(a, c), (a, d), (b, c), (b, d)]))
             g = raag_graph(verts, edges)
@@ -419,6 +427,33 @@ def test_orientation_is_the_least_the_search_finds(monkeypatch):
     for g, (arcs, blob) in zip(graphs, found):
         assert arcs == reference_transitive_orientation(g)
         assert blob == recognition_to_json(is_complement_of_interval(g))
+
+
+def test_recognition_agrees_with_both_obstructions():
+    # the two end edges of a five-vertex path are induced and independent
+    assert reference_independent_edge_pair(path_graph(4)) == ("v0", "v1", "v3", "v4")
+    assert reference_independent_edge_pair(cycle_graph(5)) is None
+    pairs = 0
+    for g in agreement_graphs():
+        rec = is_complement_of_interval(g)
+        arcs = transitive_orientation(g)
+        assert rec.verdict == (
+            reference_independent_edge_pair(g) is None and arcs is not None
+        )
+        assert (rec.obstruction == "no transitive orientation exists") == (
+            arcs is None
+        )
+        if rec.verdict or arcs is None:
+            continue
+        pairs += 1
+        first, _, second = rec.obstruction.removeprefix(
+            "induced independent edges "
+        ).partition(" and ")
+        (a, b), (c, d) = first.split("-"), second.split("-")
+        assert len({a, b, c, d}) == 4
+        assert g.adjacent(a, b) and g.adjacent(c, d)
+        assert not any(g.adjacent(x, y) for x in (a, b) for y in (c, d))
+    assert pairs > 0
 
 
 def test_recognition_json():

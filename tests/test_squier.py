@@ -1234,6 +1234,38 @@ class TestSpecialness:
         report = specialness_report(ClassSearch(COMM, DEFAULT_CAPS), W("a a b c"))
         assert report.special.is_yes
 
+    def test_one_word_class_is_special_by_exhaustion(self, tmp_path):
+        # no relation side occurs in c b c b, so its class is that one word
+        # and both scans of the complete class are exhaustive
+        text = "letters: a b c d\nrel: a d = b a c\nrel: c c = c d a\nrel: a = c d\n"
+        report = specialness_report(
+            ClassSearch(parse_presentation(text), DEFAULT_CAPS), W("c b c b")
+        )
+        assert report.clean.is_yes and report.special.is_yes
+        assert report.notes == (
+            "clean: exhaustive scan of the complete class",
+            "special: exhaustive scan of the complete class",
+        )
+        path = tmp_path / "one.pres"
+        path.write_text(text)
+        assert main(["special", "-p", str(path), "-w", "c b c b"]) == 0
+
+    def test_clean_certificate_on_a_capped_class_leaves_special_unknown(
+        self, tmp_path
+    ):
+        # the letter certificate settles clean, but no certificate rules out
+        # inter-osculations and the class outgrows the caps
+        text = "letters: a b c d\nrel: c c = a a\nrel: c = b c b\n"
+        report = specialness_report(
+            ClassSearch(parse_presentation(text), DEFAULT_CAPS), W("b d a a")
+        )
+        assert report.clean.is_yes and report.special.is_unknown
+        assert len(report.notes) == 1
+        assert report.notes[0].startswith("clean: no relation side fits")
+        path = tmp_path / "capped.pres"
+        path.write_text(text)
+        assert main(["special", "-p", str(path), "-w", "b d a a"]) == 2
+
     def test_report_scans_each_word_once(self, monkeypatch):
         """Every class search of a run reads its neighbours from the run's
         table, so no word is scanned twice however often it is probed."""
